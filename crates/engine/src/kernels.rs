@@ -1,240 +1,81 @@
-//! Specialized columnar join kernels.
+//! The join kernel.
 //!
-//! [`crate::EvalContext`] compiles each rule into a `JoinScript`; this
-//! module lowers eligible scripts from the row-at-a-time interpreter onto
-//! executors specialized by body shape and binding pattern:
+//! [`crate::EvalContext`] compiles each rule into a `JoinScript`; [`run`]
+//! executes any script — every body length, key width and literal polarity
+//! — as one batched pipeline over dictionary-code columns:
 //!
-//! * [`Executor::Scan`] — a single positive atom. Candidate rows come from
-//!   the constant-key postings list (or the whole relation); verification
-//!   is an integer compare per bound column on the dictionary-code
-//!   columns, and only emitted rows ever touch the row arena.
+//! * **Stage 0** enumerates the first positive literal: candidate row-ids
+//!   come from its constant-key postings list (or the whole relation, cut
+//!   to the task's strided shard slice), are verified by an integer
+//!   compare per bound column, and flow on in blocks of [`BLOCK`] rows.
+//!   Ground negated literals the planner placed *before* it bind nothing
+//!   and see nothing in flight, so they are one-shot gates on the task.
+//! * A **probe** stage (positive literal) gathers its key from the
+//!   in-flight rows, translated into the probed relation's code space,
+//!   hashes the block's keys through [`hash_codes_batch`], probes the
+//!   postings lists, verifies candidates code-by-code, and appends the
+//!   matched row-id to each surviving row.
+//! * An **anti-probe** stage (negated literal) translates the literal's
+//!   ground tuple the same way and rejects the row when the relation holds
+//!   it. It needs no index and adds no id to the row.
 //!
-//! * [`Executor::HashJoin`] — two positive atoms, run as a **batched**
-//!   gather → probe → verify → emit pipeline instead of per-row recursive
-//!   calls: outer rows are verified on their code columns and their inner
-//!   probe keys gathered (translated into the inner relation's code space)
-//!   a block at a time, then the block's keys are hashed through the
-//!   lane-unrolled [`hash_codes_batch`] and the postings lists probed and
-//!   candidates verified code-by-code. The pipeline is monomorphized over
-//!   the inner key width (`K = 0..=8`), so the per-row key is a `[u32; K]`
-//!   in registers and the gather/verify loops compile to straight-line
-//!   integer code per width.
+//! In-flight rows are flat `u32` row-id tuples, one id per positive stage
+//! passed; intermediate *tuples* are never materialized, and only the last
+//! stage reads the row arenas to build head tuples. A one-literal body is
+//! the pipeline with no later stage, a bodiless rule emits its head once.
 //!
-//! * [`Executor::Pipeline`] — three or more positive atoms, run as a
-//!   **chain** of those batched probe stages: stage 0 enumerates and
-//!   verifies candidates, and each later stage gathers its probe keys from
-//!   the in-flight rows of the earlier stages, batch-hashes them, probes,
-//!   verifies, and appends matched row-ids to the next stage's block.
-//!   Blocks of [`BLOCK`] rows flow stage-to-stage as flat `u32` row-id
-//!   tuples — intermediate *tuples* are never materialized; only the final
-//!   stage reads the row arenas to build head tuples.
-//!
-//! Everything else — negation anywhere, keys wider than
-//! [`MAX_KEY_WIDTH`] — stays on the interpreter
-//! ([`Executor::Interpreted`]), which is also the differential reference:
-//! `EvalOptions::interpreted()` forces it everywhere, and the oracle
-//! fuzzer compares the tiers on every generated case. Width dispatch is
-//! total: a script that somehow reaches a kernel with an out-of-tier
-//! width returns `false` (debug-asserted) and the caller re-runs it on
-//! the interpreter instead of panicking.
+//! The row-at-a-time interpreter in [`crate::context`] is not a tier of
+//! this kernel but its reference: `EvalOptions::interpreted()` runs every
+//! script on it, and the differential tests and the oracle fuzzer require
+//! identical fixpoints and identical `probes` / `matches` / `derivations`.
+//! Both count one probe per literal visit (the enumeration, then one per
+//! in-flight row per later stage) and both emit through
+//! [`TaskOutput::emit_head`].
 //!
 //! Cross-dictionary translation: codes are local to one (relation, column)
-//! dictionary, so an outer row's code is translated into the probed
-//! column's space through a lazily filled per-task cache indexed by outer
-//! code ([`IKey::FromOuter`] / [`PKey::From`]). Steady state is one array
-//! read per key element; a constant or outer value absent from the probed
-//! dictionary kills the probe without touching any row (`dict_filtered`).
+//! dictionary, so an in-flight row's code is translated into the target
+//! column's space through a lazily filled per-task cache indexed by source
+//! code ([`KeyElem::From`]). Steady state is one array read per key
+//! element; a value absent from the target dictionary is in no row, so a
+//! probe dies (and an anti-probe passes) without touching one
+//! (`dict_filtered`). A literal whose relation does not exist yet runs
+//! against an empty one, which is the same case.
 //!
 //! Delta-batch reuse: within one evaluation round, every delta-restricted
 //! task leads with the delta atom (see `run_round`'s seeded ordering), and
-//! bloated programs compile many rules to the *same* stage-0 shape. The
-//! first such task gathers, translates, and batch-hashes the delta side
-//! once and publishes the block into the round's [`BatchCache`]; the
-//! others replay it (`batch_reuse_hits`), including the gather-phase
-//! counter deltas, so all counters stay invariant to hit order and thread
-//! count. Entries are keyed on the (pred, positions, constants,
-//! delta-generation) gather shape and dropped when the next round begins.
-//!
-//! Every kernel emits through [`TaskOutput::emit_head`], the same leaf the
-//! interpreter uses, so `matches`/`derivations` accounting and the emitted
-//! tuple set are executor-invariant by construction.
+//! bloated programs compile many rules to the *same* stage-0 → stage-1
+//! shape. The first such task enumerates, translates and batch-hashes the
+//! delta side once and publishes the block into the round's
+//! [`BatchCache`]; the others replay it (`batch_reuse_hits`), including
+//! the gather-phase counter deltas, so all counters stay invariant to hit
+//! order and thread count. Entries are keyed on the gather shape and the
+//! delta generation, and dropped when the next round begins.
 
-use crate::context::{step_source, IndexStore, JoinScript, KeySrc, Step, Task, TaskOutput};
-use datalog_ast::{hash_codes_batch, hash_codes_seed, Const, Database, Pred, Relation};
+use crate::context::{
+    step_source, IndexStore, JoinScript, KeySrc, Postings, Step, Task, TaskOutput,
+};
+use datalog_ast::{
+    hash_codes_batch, hash_codes_fold, hash_codes_seed, Const, Database, Pred, Relation,
+};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Rows gathered per block in the batched pipelines.
+/// Rows per in-flight block.
 const BLOCK: usize = 1024;
-
-/// Widest probe key with a monomorphized tier; wider joins fall back to
-/// the interpreter.
-pub(crate) const MAX_KEY_WIDTH: usize = 8;
-
-/// The executor a compiled script was lowered to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Executor {
-    /// Row-at-a-time recursive interpreter — the fallback tier and the
-    /// differential reference.
-    Interpreted,
-    /// Single positive atom: columnar verify + emit.
-    Scan,
-    /// Two positive atoms: batched hash join, monomorphized by `width`
-    /// (the inner step's bound-position count).
-    HashJoin { width: usize },
-    /// Three or more positive atoms: a chain of batched probe stages with
-    /// `BLOCK`-row blocks flowing stage-to-stage.
-    Pipeline { stages: usize },
-}
-
-impl Executor {
-    pub(crate) fn is_specialized(&self) -> bool {
-        !matches!(self, Executor::Interpreted)
-    }
-
-    pub(crate) fn is_pipelined(&self) -> bool {
-        matches!(self, Executor::Pipeline { .. })
-    }
-}
-
-/// Deterministically select the executor for `script`. The decision
-/// depends only on the script shape, so the same rule always runs on the
-/// same tier within a round at every thread count.
-pub(crate) fn specialize(script: &JoinScript, enabled: bool, pipeline: bool) -> Executor {
-    if !enabled {
-        return Executor::Interpreted;
-    }
-    match script.steps.as_slice() {
-        [s0] if !s0.negated => Executor::Scan,
-        [s0, s1] if !s0.negated && !s1.negated && s1.positions.len() <= MAX_KEY_WIDTH => {
-            Executor::HashJoin {
-                width: s1.positions.len(),
-            }
-        }
-        steps
-            if pipeline
-                && steps.len() >= 3
-                && steps.iter().all(|s| !s.negated)
-                && steps[1..]
-                    .iter()
-                    .all(|s| s.positions.len() <= MAX_KEY_WIDTH) =>
-        {
-            Executor::Pipeline {
-                stages: steps.len(),
-            }
-        }
-        _ => Executor::Interpreted,
-    }
-}
-
-/// Where one head tuple position comes from (scan / 2-atom recipes).
-enum HeadSrc {
-    Const(Const),
-    /// Tuple position of the first (outer) step's row.
-    Outer(usize),
-    /// Tuple position of the second (inner) step's row.
-    Inner(usize),
-}
-
-fn head_recipe(script: &JoinScript, s0: &Step, s1: Option<&Step>) -> Vec<HeadSrc> {
-    script
-        .head
-        .iter()
-        .map(|src| match *src {
-            KeySrc::Const(c) => HeadSrc::Const(c),
-            KeySrc::Var(v) => {
-                if let Some(p) = s0.bind_pos(v) {
-                    HeadSrc::Outer(p)
-                } else {
-                    let p = s1
-                        .and_then(|s| s.bind_pos(v))
-                        .expect("head variable bound by a body step (range restriction)");
-                    HeadSrc::Inner(p)
-                }
-            }
-        })
-        .collect()
-}
-
-/// Translate a step's constant-only key into the target relation's code
-/// space, folding the probe hash. `None` means some constant has no code
-/// in its column — no row can match.
-fn const_key_codes(step: &Step, rel: &Relation) -> Option<(Vec<u32>, u64)> {
-    let mut codes = Vec::with_capacity(step.positions.len());
-    let mut hash = hash_codes_seed(step.key.len());
-    for (&pos, src) in step.positions.iter().zip(&step.key) {
-        let KeySrc::Const(c) = *src else {
-            unreachable!("depth-0 probe keys are constants");
-        };
-        let code = rel.lookup_code(pos, c)?;
-        codes.push(code);
-        hash = datalog_ast::hash_codes_fold(hash, code);
-    }
-    Some((codes, hash))
-}
-
-/// Single positive atom: enumerate candidates, verify the constant key on
-/// code columns, check repeated variables, emit.
-pub(crate) fn run_scan(
-    script: &JoinScript,
-    task: Task,
-    store: &IndexStore,
-    delta_store: &IndexStore,
-    db: &Database,
-    delta_db: &Database,
-    out: &mut TaskOutput,
-) {
-    let step = &script.steps[0];
-    out.probes += 1;
-    let (source, rel) = step_source(step, task, store, delta_store, db, delta_db);
-    let Some(rel) = rel else {
-        return;
-    };
-    let Some((key_codes, hash)) = const_key_codes(step, rel) else {
-        out.dict_filtered += 1;
-        return;
-    };
-    let checks = step.check_pairs();
-    let head = head_recipe(script, step, None);
-    let cols: Vec<&[u32]> = step.positions.iter().map(|&p| rel.codes(p)).collect();
-    let stride = task.stride.max(1);
-    let handle = |id: u32, out: &mut TaskOutput| {
-        if !cols
-            .iter()
-            .zip(&key_codes)
-            .all(|(col, &kc)| col[id as usize] == kc)
-        {
-            return;
-        }
-        let t = rel.row(id);
-        if !checks.iter().all(|&(p, q)| t[p] == t[q]) {
-            return;
-        }
-        out.head_buf.clear();
-        for h in &head {
-            out.head_buf.push(match *h {
-                HeadSrc::Const(c) => c,
-                HeadSrc::Outer(p) => t[p],
-                HeadSrc::Inner(_) => unreachable!("scan kernels have no inner step"),
-            });
-        }
-        out.emit_head(script.head_pred, db);
-    };
-    if step.positions.is_empty() {
-        for id in (task.offset..rel.len()).step_by(stride) {
-            handle(id as u32, out);
-        }
-    } else {
-        let ids = source.probe(step.pred, step.arity, &step.positions, hash);
-        for &id in ids.iter().skip(task.offset).step_by(stride) {
-            handle(id, out);
-        }
-    }
-}
 
 const XLATE_UNKNOWN: u64 = u64::MAX;
 const XLATE_ABSENT: u64 = u64::MAX - 1;
+
+/// The constant behind a key source that precedes every binding (stage-0
+/// keys, leading negated literals, bodiless heads).
+fn constant(src: &KeySrc) -> Const {
+    match *src {
+        KeySrc::Const(c) => c,
+        KeySrc::Var(_) => unreachable!("no variable is bound before the first positive literal"),
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Delta-batch reuse cache
@@ -278,14 +119,7 @@ fn batch_key(s0: &Step, s1: &Step, task: Task, generation: u64) -> BatchKey {
         opred: s0.pred,
         oarity: s0.arity,
         opositions: s0.positions.clone(),
-        okey: s0
-            .key
-            .iter()
-            .map(|k| match *k {
-                KeySrc::Const(c) => c,
-                KeySrc::Var(_) => unreachable!("depth-0 probe keys are constants"),
-            })
-            .collect(),
+        okey: s0.key.iter().map(constant).collect(),
         ochecks: s0.check_pairs(),
         ipred: s1.pred,
         iarity: s1.arity,
@@ -310,10 +144,7 @@ fn batch_key(s0: &Step, s1: &Step, task: Task, generation: u64) -> BatchKey {
 /// counter deltas it cost — replayed verbatim on every reuse so `probes`
 /// and `dict_filtered` stay invariant to which task gathered first.
 struct CachedGather {
-    oids: Vec<u32>,
-    /// Row-major translated key codes, `ipositions.len()` wide.
-    keys: Vec<u32>,
-    hashes: Vec<u64>,
+    block: Block,
     probes: u64,
     dict_filtered: u64,
     simd_blocks: u64,
@@ -351,426 +182,135 @@ impl BatchCache {
 }
 
 // ---------------------------------------------------------------------------
-// Two-atom hash join
+// The pipeline
 // ---------------------------------------------------------------------------
 
-/// One element of the inner probe key, in inner-code space.
-enum IKey {
-    /// Constant, translated once per task.
-    Code(u32),
-    /// Variable bound by the outer step at `opos`, translated from the
-    /// outer column's code space into inner column `ipos`'s through a
-    /// lazily filled cache indexed by outer code.
-    FromOuter {
-        opos: usize,
+/// Where in-flight rows carry a bound variable: the id at `slot` names a
+/// row of `rel`, the value sits at tuple position `pos`.
+#[derive(Clone, Copy)]
+struct Loc<'a> {
+    rel: &'a Relation,
+    slot: usize,
+    pos: usize,
+}
+
+/// One element of a stage's key, in the stage relation's code space.
+enum KeyElem<'a> {
+    /// Constant, translated once per task; `None` when the column's
+    /// dictionary has never seen it.
+    Code(Option<u32>),
+    /// Bound by an earlier stage: read the source code from `col` (the
+    /// code column behind `at`) and translate it into column `ipos` of the
+    /// stage relation through the stage's cache, indexed by source code.
+    From {
+        col: &'a [u32],
+        at: Loc<'a>,
         ipos: usize,
-        xlate: Vec<u64>,
     },
 }
 
-/// Outer candidate enumeration: a postings list or the whole relation.
+/// Where one head tuple position comes from.
+enum HeadElem<'a> {
+    Const(Const),
+    At(Loc<'a>),
+}
+
+/// The relation a literal reads, with what verifying a candidate row of
+/// it takes: the code columns at the key positions and the literal's
+/// repeated-variable checks.
+struct Target<'a> {
+    rel: &'a Relation,
+    cols: Vec<&'a [u32]>,
+    checks: Vec<(usize, usize)>,
+}
+
+impl<'a> Target<'a> {
+    fn new(rel: &'a Relation, positions: &[usize], step: &Step) -> Target<'a> {
+        Target {
+            rel,
+            cols: positions.iter().map(|&p| rel.codes(p)).collect(),
+            checks: step.check_pairs(),
+        }
+    }
+
+    /// Row `id` carries `key` (postings lists are keyed by hash, so
+    /// collisions get here) and satisfies the checks.
+    #[inline]
+    fn accepts(&self, id: u32, key: &[u32]) -> bool {
+        let i = id as usize;
+        if !self.cols.iter().zip(key).all(|(col, &c)| col[i] == c) {
+            return false;
+        }
+        self.checks.is_empty() || {
+            let t = self.rel.row(id);
+            self.checks.iter().all(|&(p, q)| t[p] == t[q])
+        }
+    }
+}
+
+/// One literal after the enumerated one: a probe (positive) or an
+/// anti-probe (`negated`).
+struct Stage<'a> {
+    negated: bool,
+    target: Target<'a>,
+    /// The index a probe reads (an anti-probe has none).
+    postings: Postings<'a>,
+    /// One element per key column: `step.positions` for a probe, every
+    /// argument position for an anti-probe.
+    keys: Vec<KeyElem<'a>>,
+    /// Ids per in-flight row entering this stage.
+    width: usize,
+}
+
+/// In-flight rows with their translated keys (row-major) and key hashes.
+#[derive(Default)]
+struct Block {
+    rows: Vec<u32>,
+    keys: Vec<u32>,
+    hashes: Vec<u64>,
+}
+
+/// The buffers between stage `k` and stage `k + 1` (`scratch[k]`), kept so
+/// blocks re-flow without reallocating. Stage `k + 1` reads `scratch[k]`
+/// and writes `scratch[k + 1]`, so recursion only ever borrows the tail of
+/// the slice.
+#[derive(Default)]
+struct Scratch {
+    /// Rows that survived stage `k`, queued for stage `k + 1`.
+    next: Vec<u32>,
+    /// Stage `k + 1`'s translation caches, parallel to its `keys`.
+    xlate: Vec<Vec<u64>>,
+    /// `next` as gathered for a probe (an anti-probe borrows its `keys`).
+    gathered: Block,
+    /// Ground tuple of an anti-probe's membership check.
+    tuple: Vec<Const>,
+}
+
+/// Stage-0 candidates: a postings list or the whole relation.
 enum Cands<'a> {
     Ids(&'a [u32]),
     All(usize),
 }
 
-/// One block of gathered outer rows awaiting their probes. Keys are
-/// row-major flat (`K` wide) so the whole block hashes through one
-/// [`hash_codes_batch`] call.
-struct Batch<const K: usize> {
-    oids: Vec<u32>,
-    keys: Vec<u32>,
-    hashes: Vec<u64>,
-}
-
-impl<const K: usize> Default for Batch<K> {
-    fn default() -> Batch<K> {
-        Batch {
-            oids: Vec::with_capacity(BLOCK),
-            keys: Vec::with_capacity(BLOCK * K),
-            hashes: Vec::with_capacity(BLOCK),
-        }
-    }
-}
-
-/// Batch-hash one gathered block (identical to per-key `hash_codes`).
-fn hash_batch<const K: usize>(batch: &mut Batch<K>, out: &mut TaskOutput) {
-    batch.hashes.clear();
-    if batch.oids.is_empty() {
-        return;
-    }
-    if K == 0 {
-        batch.hashes.resize(batch.oids.len(), hash_codes_seed(0));
-    } else {
-        hash_codes_batch(&batch.keys, K, &mut batch.hashes);
-        out.simd_blocks += 1;
-    }
-}
-
-struct Join2<'a> {
-    head_pred: Pred,
-    s1: &'a Step,
-    orel: &'a Relation,
-    irel: &'a Relation,
-    isrc: &'a IndexStore,
-    db: &'a Database,
-    /// Outer constant key, in outer-code space (parallel to
-    /// `s0.positions`).
-    okey: Vec<u32>,
-    ocols: Vec<&'a [u32]>,
-    icols: Vec<&'a [u32]>,
-    ochecks: Vec<(usize, usize)>,
-    ichecks: Vec<(usize, usize)>,
-    head: Vec<HeadSrc>,
-    ikeys: Vec<IKey>,
-}
-
-/// Two positive atoms: batched gather → probe → verify → emit. Returns
-/// `false` (without running) if `width` has no monomorphized tier — the
-/// caller falls back to the interpreter.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_hash_join(
-    script: &JoinScript,
-    width: usize,
-    task: Task,
-    store: &IndexStore,
-    delta_store: &IndexStore,
-    db: &Database,
-    delta_db: &Database,
-    cache: &BatchCache,
-    out: &mut TaskOutput,
-) -> bool {
-    if width > MAX_KEY_WIDTH {
-        debug_assert!(
-            false,
-            "key width {width} beyond the monomorphized tiers (specialize() lowers such scripts to the interpreter)"
-        );
-        return false;
-    }
-    let (s0, s1) = (&script.steps[0], &script.steps[1]);
-    out.probes += 1;
-    let (osrc, orel) = step_source(s0, task, store, delta_store, db, delta_db);
-    let Some(orel) = orel else {
-        return true;
-    };
-    let (isrc, irel) = step_source(s1, task, store, delta_store, db, delta_db);
-    let Some(irel) = irel else {
-        return true;
-    };
-    let Some((okey, ohash)) = const_key_codes(s0, orel) else {
-        out.dict_filtered += 1;
-        return true;
-    };
-    let mut ikeys: Vec<IKey> = Vec::with_capacity(width);
-    for (&q, src) in s1.positions.iter().zip(&s1.key) {
-        match *src {
-            KeySrc::Const(c) => match irel.lookup_code(q, c) {
-                Some(code) => ikeys.push(IKey::Code(code)),
-                None => {
-                    // The constant never appears in the inner column: the
-                    // whole task is empty, answered from the dictionary.
-                    out.dict_filtered += 1;
-                    return true;
-                }
-            },
-            KeySrc::Var(v) => {
-                let opos = s0
-                    .bind_pos(v)
-                    .expect("inner key variable bound by the outer step");
-                ikeys.push(IKey::FromOuter {
-                    opos,
-                    ipos: q,
-                    xlate: vec![XLATE_UNKNOWN; orel.dict_len(opos)],
-                });
-            }
-        }
-    }
-    let join = Join2 {
-        head_pred: script.head_pred,
-        s1,
-        orel,
-        irel,
-        isrc,
-        db,
-        ocols: s0.positions.iter().map(|&p| orel.codes(p)).collect(),
-        icols: s1.positions.iter().map(|&q| irel.codes(q)).collect(),
-        okey,
-        ochecks: s0.check_pairs(),
-        ichecks: s1.check_pairs(),
-        head: head_recipe(script, s0, Some(s1)),
-        ikeys,
-    };
-    // Delta-leading tasks gather a reusable block (see `BatchCache`).
-    let reuse =
-        (task.delta_atom == Some(s0.atom)).then(|| batch_key(s0, s1, task, cache.generation()));
-    let cands = if s0.positions.is_empty() {
-        Cands::All(orel.len())
-    } else {
-        Cands::Ids(osrc.probe(s0.pred, s0.arity, &s0.positions, ohash))
-    };
-    // Monomorphize the pipeline over the key width: the per-row key is a
-    // `[u32; K]` and the gather/verify loops unroll per width.
-    match width {
-        0 => join.run::<0>(cands, task, cache, reuse, out),
-        1 => join.run::<1>(cands, task, cache, reuse, out),
-        2 => join.run::<2>(cands, task, cache, reuse, out),
-        3 => join.run::<3>(cands, task, cache, reuse, out),
-        4 => join.run::<4>(cands, task, cache, reuse, out),
-        5 => join.run::<5>(cands, task, cache, reuse, out),
-        6 => join.run::<6>(cands, task, cache, reuse, out),
-        7 => join.run::<7>(cands, task, cache, reuse, out),
-        8 => join.run::<8>(cands, task, cache, reuse, out),
-        _ => unreachable!("checked against MAX_KEY_WIDTH above"),
-    }
-    true
-}
-
-impl<'a> Join2<'a> {
-    fn run<const K: usize>(
-        mut self,
-        cands: Cands<'_>,
-        task: Task,
-        cache: &BatchCache,
-        reuse: Option<BatchKey>,
-        out: &mut TaskOutput,
-    ) {
-        debug_assert_eq!(self.ikeys.len(), K);
-        if let Some(key) = reuse {
-            if let Some(hit) = cache.lookup(&key) {
-                out.batch_reuse += 1;
-                out.probes += hit.probes;
-                out.dict_filtered += hit.dict_filtered;
-                out.simd_blocks += hit.simd_blocks;
-                self.probe_all::<K>(&hit.oids, &hit.keys, &hit.hashes, out);
-                return;
-            }
-            // Miss: gather + hash the whole delta side in one block and
-            // publish it, recording the gather-phase counter deltas so a
-            // replay is counter-identical.
-            let mark = (out.probes, out.dict_filtered, out.simd_blocks);
-            let mut batch: Batch<K> = Batch::default();
-            self.gather_all::<K>(cands, task, &mut batch, out);
-            hash_batch(&mut batch, out);
-            let entry = Arc::new(CachedGather {
-                probes: out.probes - mark.0,
-                dict_filtered: out.dict_filtered - mark.1,
-                simd_blocks: out.simd_blocks - mark.2,
-                oids: batch.oids,
-                keys: batch.keys,
-                hashes: batch.hashes,
-            });
-            self.probe_all::<K>(&entry.oids, &entry.keys, &entry.hashes, out);
-            cache.insert(key, entry);
-            return;
-        }
-        // Streaming path: gather, hash, and probe a block at a time.
-        let mut batch: Batch<K> = Batch::default();
-        let stride = task.stride.max(1);
-        match cands {
-            Cands::Ids(ids) => {
-                for &oid in ids.iter().skip(task.offset).step_by(stride) {
-                    self.gather(oid, &mut batch, out);
-                    if batch.oids.len() == BLOCK {
-                        self.flush(&mut batch, out);
-                    }
-                }
-            }
-            Cands::All(n) => {
-                for oid in (task.offset..n).step_by(stride) {
-                    self.gather(oid as u32, &mut batch, out);
-                    if batch.oids.len() == BLOCK {
-                        self.flush(&mut batch, out);
-                    }
-                }
-            }
-        }
-        self.flush(&mut batch, out);
-    }
-
-    fn gather_all<const K: usize>(
-        &mut self,
-        cands: Cands<'_>,
-        task: Task,
-        batch: &mut Batch<K>,
-        out: &mut TaskOutput,
-    ) {
-        let stride = task.stride.max(1);
-        match cands {
-            Cands::Ids(ids) => {
-                for &oid in ids.iter().skip(task.offset).step_by(stride) {
-                    self.gather(oid, batch, out);
-                }
-            }
-            Cands::All(n) => {
-                for oid in (task.offset..n).step_by(stride) {
-                    self.gather(oid as u32, batch, out);
-                }
-            }
-        }
-    }
-
-    /// Gather phase: verify the outer row on its code columns, translate
-    /// its inner probe key, and queue it for the probe phase.
-    #[inline]
-    fn gather<const K: usize>(&mut self, oid: u32, batch: &mut Batch<K>, out: &mut TaskOutput) {
-        if !self
-            .ocols
-            .iter()
-            .zip(&self.okey)
-            .all(|(col, &kc)| col[oid as usize] == kc)
-        {
-            return;
-        }
-        if !self.ochecks.is_empty() {
-            let t = self.orel.row(oid);
-            if !self.ochecks.iter().all(|&(p, q)| t[p] == t[q]) {
-                return;
-            }
-        }
-        out.probes += 1;
-        let mut key = [0u32; K];
-        for (k, slot) in key.iter_mut().enumerate() {
-            let code = match &mut self.ikeys[k] {
-                IKey::Code(code) => *code,
-                IKey::FromOuter { opos, ipos, xlate } => {
-                    let ocode = self.orel.codes(*opos)[oid as usize];
-                    let mut e = xlate[ocode as usize];
-                    if e == XLATE_UNKNOWN {
-                        e = match self.irel.lookup_code(*ipos, self.orel.decode(*opos, ocode)) {
-                            Some(ic) => ic as u64,
-                            None => XLATE_ABSENT,
-                        };
-                        xlate[ocode as usize] = e;
-                    }
-                    if e == XLATE_ABSENT {
-                        out.dict_filtered += 1;
-                        return;
-                    }
-                    e as u32
-                }
-            };
-            *slot = code;
-        }
-        batch.oids.push(oid);
-        batch.keys.extend_from_slice(&key);
-    }
-
-    /// Batch-hash + probe + verify + emit one gathered block.
-    fn flush<const K: usize>(&self, batch: &mut Batch<K>, out: &mut TaskOutput) {
-        hash_batch(batch, out);
-        self.probe_all::<K>(&batch.oids, &batch.keys, &batch.hashes, out);
-        batch.oids.clear();
-        batch.keys.clear();
-        batch.hashes.clear();
-    }
-
-    /// Probe + verify + emit phase over gathered (and hashed) rows.
-    fn probe_all<const K: usize>(
-        &self,
-        oids: &[u32],
-        keys: &[u32],
-        hashes: &[u64],
-        out: &mut TaskOutput,
-    ) {
-        out.batch_rows += oids.len() as u64;
-        for (j, &oid) in oids.iter().enumerate() {
-            let ids = self
-                .isrc
-                .probe(self.s1.pred, self.s1.arity, &self.s1.positions, hashes[j]);
-            if ids.is_empty() {
-                continue;
-            }
-            let key = &keys[j * K..(j + 1) * K];
-            let ot = self.orel.row(oid);
-            for &iid in ids {
-                if !(0..K).all(|k| self.icols[k][iid as usize] == key[k]) {
-                    continue;
-                }
-                let it = self.irel.row(iid);
-                if !self.ichecks.iter().all(|&(p, q)| it[p] == it[q]) {
-                    continue;
-                }
-                out.head_buf.clear();
-                for h in &self.head {
-                    out.head_buf.push(match *h {
-                        HeadSrc::Const(c) => c,
-                        HeadSrc::Outer(p) => ot[p],
-                        HeadSrc::Inner(p) => it[p],
-                    });
-                }
-                out.emit_head(self.head_pred, self.db);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-atom pipeline
-// ---------------------------------------------------------------------------
-
-/// One element of a pipeline stage's probe key, in that stage's code
-/// space.
-enum PKey<'a> {
-    /// Constant, translated once per task.
-    Code(u32),
-    /// Bound by an earlier stage: read the outer code from `col` (stage
-    /// `src`'s code column at `pos`), translate into probed column
-    /// `ipos`'s space through a lazily filled cache indexed by outer
-    /// code.
-    From {
-        col: &'a [u32],
-        src: usize,
-        pos: usize,
-        ipos: usize,
-        xlate: Vec<u64>,
-    },
-}
-
-/// Where one head tuple position comes from (pipeline recipe).
-#[derive(Clone, Copy)]
-enum PHead {
-    Const(Const),
-    At { stage: usize, pos: usize },
-}
-
-/// Per-stage verify/gather recipes (taken in and out around recursion to
-/// satisfy disjoint borrows).
-#[derive(Default)]
-struct StageSpec<'a> {
-    /// Probe-key element sources (stages ≥ 1; empty for stage 0).
-    keys: Vec<PKey<'a>>,
-    /// Code columns at the step's bound positions (candidate verify).
-    cols: Vec<&'a [u32]>,
-    checks: Vec<(usize, usize)>,
-}
-
-/// Per-stage scratch buffers so blocks re-flow without reallocating.
-#[derive(Default)]
-struct Scratch {
-    kept: Vec<u32>,
-    keys: Vec<u32>,
-    hashes: Vec<u64>,
-    next: Vec<u32>,
-}
-
 struct Pipeline<'a> {
-    head_pred: Pred,
     db: &'a Database,
-    steps: Vec<&'a Step>,
-    rels: Vec<&'a Relation>,
-    srcs: Vec<&'a IndexStore>,
-    stages: Vec<StageSpec<'a>>,
-    scratch: Vec<Scratch>,
-    head: Vec<PHead>,
+    head_pred: Pred,
+    head: Vec<HeadElem<'a>>,
+    /// `(head position, tuple position)` of the head values the last
+    /// stage's own match supplies, and that stage's relation.
+    own: Vec<(usize, usize)>,
+    last_rel: &'a Relation,
+    /// Stage 0's relation and its constant key in that relation's codes.
+    target0: Target<'a>,
+    key0: Vec<u32>,
+    /// `stages[k - 1]` is stage `k`.
+    stages: Vec<Stage<'a>>,
 }
 
-/// Three or more positive atoms: a chain of batched probe stages. In-flight
-/// rows are flat row-id tuples (`k` ids at stage `k`), flowing in
-/// [`BLOCK`]-row blocks; only the final stage materializes head tuples.
-/// Returns `false` (without running) if some stage width has no tier — the
-/// caller falls back to the interpreter.
+/// Execute `script` for `task`, accumulating derived heads and counters
+/// into `out`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline(
+pub(crate) fn run(
     script: &JoinScript,
     task: Task,
     store: &IndexStore,
@@ -779,415 +319,454 @@ pub(crate) fn run_pipeline(
     delta_db: &Database,
     cache: &BatchCache,
     out: &mut TaskOutput,
-) -> bool {
-    let steps: Vec<&Step> = script.steps.iter().collect();
-    let n = steps.len();
-    if n < 2
-        || steps.iter().any(|s| s.negated)
-        || steps[1..].iter().any(|s| s.positions.len() > MAX_KEY_WIDTH)
-    {
-        debug_assert!(
-            false,
-            "pipeline over a shape specialize() lowers to the interpreter"
-        );
-        return false;
-    }
-    out.probes += 1;
-    let mut rels = Vec::with_capacity(n);
-    let mut srcs = Vec::with_capacity(n);
-    for step in &steps {
-        let (src, rel) = step_source(step, task, store, delta_store, db, delta_db);
-        let Some(rel) = rel else {
-            return true; // no rows at this predicate/arity — the join is empty
-        };
-        rels.push(rel);
-        srcs.push(src);
-    }
-    let Some((okey, ohash)) = const_key_codes(steps[0], rels[0]) else {
-        out.dict_filtered += 1;
-        return true;
-    };
-    let mut stages: Vec<StageSpec<'_>> = Vec::with_capacity(n);
-    stages.push(StageSpec {
-        keys: Vec::new(),
-        cols: steps[0]
-            .positions
-            .iter()
-            .map(|&p| rels[0].codes(p))
-            .collect(),
-        checks: steps[0].check_pairs(),
-    });
-    for k in 1..n {
-        let mut keys = Vec::with_capacity(steps[k].positions.len());
-        for (&q, src) in steps[k].positions.iter().zip(&steps[k].key) {
-            match *src {
-                KeySrc::Const(c) => match rels[k].lookup_code(q, c) {
-                    Some(code) => keys.push(PKey::Code(code)),
-                    None => {
-                        // The constant never appears in the probed column:
-                        // the whole task is empty, answered from the
-                        // dictionary.
-                        out.dict_filtered += 1;
-                        return true;
-                    }
-                },
-                KeySrc::Var(v) => {
-                    let (j, p) = (0..k)
-                        .find_map(|j| steps[j].bind_pos(v).map(|p| (j, p)))
-                        .expect("stage key variable bound by an earlier stage");
-                    keys.push(PKey::From {
-                        col: rels[j].codes(p),
-                        src: j,
-                        pos: p,
-                        ipos: q,
-                        xlate: vec![XLATE_UNKNOWN; rels[j].dict_len(p)],
-                    });
-                }
-            }
+) {
+    // Negated literals ahead of the first positive one are ground: each is
+    // checked once and either ends the task or drops out of the join.
+    let lead = script.steps.iter().take_while(|s| s.negated).count();
+    for gate in &script.steps[..lead] {
+        out.probes += 1;
+        let tuple: Vec<Const> = gate.key.iter().map(constant).collect();
+        if db.contains_tuple(gate.pred, &tuple) {
+            return;
         }
-        stages.push(StageSpec {
-            keys,
-            cols: steps[k]
-                .positions
-                .iter()
-                .map(|&q| rels[k].codes(q))
-                .collect(),
-            checks: steps[k].check_pairs(),
-        });
     }
-    let head = script
-        .head
+    let steps = &script.steps[lead..];
+    let Some(s0) = steps.first() else {
+        out.head_buf.clear();
+        out.head_buf.extend(script.head.iter().map(constant));
+        out.emit_head(script.head_pred, db);
+        return;
+    };
+
+    // A relation nobody has inserted into yet is an empty one.
+    let sources: Vec<(&IndexStore, Cow<'_, Relation>)> = steps
         .iter()
-        .map(|src| match *src {
-            KeySrc::Const(c) => PHead::Const(c),
-            KeySrc::Var(v) => {
-                let (stage, pos) = (0..n)
-                    .find_map(|j| steps[j].bind_pos(v).map(|p| (j, p)))
-                    .expect("head variable bound by a body step (range restriction)");
-                PHead::At { stage, pos }
-            }
+        .map(|step| {
+            let (src, rel) = step_source(step, task, store, delta_store, db, delta_db);
+            let rel = rel.map_or_else(|| Cow::Owned(Relation::new(step.arity)), Cow::Borrowed);
+            (src, rel)
         })
         .collect();
-    let cands = if steps[0].positions.is_empty() {
-        Cands::All(rels[0].len())
-    } else {
-        Cands::Ids(srcs[0].probe(steps[0].pred, steps[0].arity, &steps[0].positions, ohash))
-    };
-    let reuse = (task.delta_atom == Some(steps[0].atom))
-        .then(|| batch_key(steps[0], steps[1], task, cache.generation()));
-    let mut pipe = Pipeline {
-        head_pred: script.head_pred,
-        db,
-        steps,
-        rels,
-        srcs,
-        stages,
-        scratch: (0..n).map(|_| Scratch::default()).collect(),
-        head,
-    };
-    pipe.run(cands, &okey, task, cache, reuse, out);
-    true
-}
 
-impl<'a> Pipeline<'a> {
-    fn run(
-        &mut self,
-        cands: Cands<'_>,
-        okey: &[u32],
-        task: Task,
-        cache: &BatchCache,
-        reuse: Option<BatchKey>,
-        out: &mut TaskOutput,
-    ) {
-        if let Some(key) = reuse {
-            if let Some(hit) = cache.lookup(&key) {
+    out.probes += 1;
+    let (src0, rel0) = (sources[0].0, &*sources[0].1);
+    let mut key0 = Vec::with_capacity(s0.positions.len());
+    let mut hash0 = hash_codes_seed(s0.positions.len());
+    for (&pos, k) in s0.positions.iter().zip(&s0.key) {
+        let Some(code) = rel0.lookup_code(pos, constant(k)) else {
+            out.dict_filtered += 1;
+            return;
+        };
+        key0.push(code);
+        hash0 = hash_codes_fold(hash0, code);
+    }
+    let cands = if s0.positions.is_empty() {
+        Cands::All(rel0.len())
+    } else {
+        Cands::Ids(src0.postings(s0.pred, s0.arity, &s0.positions).get(hash0))
+    };
+
+    // Positive stages append one id to the in-flight row; `slots[j]` is
+    // where stage `j`'s id sits (anti-probes bind nothing and add none).
+    let mut slots = Vec::with_capacity(steps.len());
+    let mut width = 0;
+    for step in steps {
+        slots.push(width);
+        width += usize::from(!step.negated);
+    }
+    let locate = |v: usize, upto: usize| -> Loc<'_> {
+        (0..upto)
+            .find_map(|j| {
+                steps[j].bind_pos(v).map(|pos| Loc {
+                    rel: &sources[j].1,
+                    slot: slots[j],
+                    pos,
+                })
+            })
+            .expect("variable bound by an earlier positive literal (safety)")
+    };
+    let mut scratch: Vec<Scratch> = (1..steps.len()).map(|_| Scratch::default()).collect();
+    let mut stages = Vec::with_capacity(steps.len() - 1);
+    for (k, step) in steps.iter().enumerate().skip(1) {
+        let (src, rel) = (sources[k].0, &*sources[k].1);
+        let (positions, postings): (Vec<usize>, _) = if step.negated {
+            ((0..step.arity).collect(), Postings::default())
+        } else {
+            let postings = src.postings(step.pred, step.arity, &step.positions);
+            (step.positions.to_vec(), postings)
+        };
+        let mut keys = Vec::with_capacity(positions.len());
+        for (&ipos, k_src) in positions.iter().zip(&step.key) {
+            let (elem, cache) = match *k_src {
+                KeySrc::Const(c) => (KeyElem::Code(rel.lookup_code(ipos, c)), Vec::new()),
+                KeySrc::Var(v) => {
+                    let at = locate(v, k);
+                    let col = at.rel.codes(at.pos);
+                    let cache = vec![XLATE_UNKNOWN; at.rel.dict_len(at.pos)];
+                    (KeyElem::From { col, at, ipos }, cache)
+                }
+            };
+            keys.push(elem);
+            scratch[k - 1].xlate.push(cache);
+        }
+        stages.push(Stage {
+            negated: step.negated,
+            target: Target::new(rel, &positions, step),
+            postings,
+            keys,
+            width: slots[k],
+        });
+    }
+    let last = steps.len() - 1;
+    let mut own = Vec::new();
+    let mut head = Vec::with_capacity(script.head.len());
+    for (h, src) in script.head.iter().enumerate() {
+        head.push(match *src {
+            KeySrc::Const(c) => HeadElem::Const(c),
+            KeySrc::Var(v) => {
+                let at = locate(v, steps.len());
+                if at.slot == slots[last] {
+                    own.push((h, at.pos));
+                }
+                HeadElem::At(at)
+            }
+        });
+    }
+    let pipe = Pipeline {
+        db,
+        head_pred: script.head_pred,
+        head,
+        own,
+        last_rel: &sources[last].1,
+        target0: Target::new(rel0, &s0.positions, s0),
+        key0,
+        stages,
+    };
+
+    // The one batch-reuse site: a delta-led task whose stage 1 is a probe
+    // gathers a block other tasks of the round can replay.
+    if task.delta_atom == Some(s0.atom) && steps.get(1).is_some_and(|s1| !s1.negated) {
+        let key = batch_key(s0, &steps[1], task, cache.generation());
+        let (sc0, rest) = scratch.split_first_mut().expect("stage 1 exists");
+        let hit = match cache.lookup(&key) {
+            Some(hit) => {
                 out.batch_reuse += 1;
                 out.probes += hit.probes;
                 out.dict_filtered += hit.dict_filtered;
                 out.simd_blocks += hit.simd_blocks;
-                self.probe_stage(1, &hit.oids, &hit.keys, &hit.hashes, out);
-                return;
+                hit
             }
-            // Miss: enumerate + gather + hash the whole delta side once,
-            // publish it with its gather-phase counter deltas.
-            let mark = (out.probes, out.dict_filtered, out.simd_blocks);
-            let mut all = std::mem::take(&mut self.scratch[0].next);
-            all.clear();
-            self.enumerate0(cands, okey, task, &mut all, usize::MAX, out);
-            let (mut kept, mut keys, mut hashes) = (Vec::new(), Vec::new(), Vec::new());
-            self.gather_stage(1, &all, &mut kept, &mut keys, &mut hashes, out);
-            let entry = Arc::new(CachedGather {
-                probes: out.probes - mark.0,
-                dict_filtered: out.dict_filtered - mark.1,
-                simd_blocks: out.simd_blocks - mark.2,
-                oids: kept,
-                keys,
-                hashes,
-            });
-            self.probe_stage(1, &entry.oids, &entry.keys, &entry.hashes, out);
-            cache.insert(key, entry);
-            self.scratch[0].next = all;
+            None => {
+                // Enumerate, gather and hash the whole delta side as one
+                // block, recording what the gather phase cost.
+                let mark = (out.probes, out.dict_filtered, out.simd_blocks);
+                pipe.enumerate(&cands, task, |oid| sc0.next.push(oid));
+                pipe.gather(1, sc0, out);
+                let entry = Arc::new(CachedGather {
+                    block: std::mem::take(&mut sc0.gathered),
+                    probes: out.probes - mark.0,
+                    dict_filtered: out.dict_filtered - mark.1,
+                    simd_blocks: out.simd_blocks - mark.2,
+                });
+                cache.insert(key, Arc::clone(&entry));
+                entry
+            }
+        };
+        pipe.probe(1, &hit.block, rest, out);
+        return;
+    }
+    pipe.enumerate(&cands, task, |oid| {
+        pipe.push(0, &[], Some(oid), &mut scratch, out)
+    });
+    pipe.flush(0, &mut scratch, out);
+}
+
+impl Pipeline<'_> {
+    /// Stage 0: visit the task's strided slice of the candidates that carry
+    /// the constant key and satisfy the repeated-variable checks.
+    fn enumerate(&self, cands: &Cands<'_>, task: Task, mut visit: impl FnMut(u32)) {
+        let mut offer = |id: u32| {
+            if self.target0.accepts(id, &self.key0) {
+                visit(id);
+            }
+        };
+        let stride = task.stride.max(1);
+        match *cands {
+            Cands::Ids(ids) => ids
+                .iter()
+                .skip(task.offset)
+                .step_by(stride)
+                .for_each(|&id| offer(id)),
+            Cands::All(n) => (task.offset..n)
+                .step_by(stride)
+                .for_each(|id| offer(id as u32)),
+        }
+    }
+
+    /// Fill `head_buf` with every head value `row` determines; the values
+    /// the last stage's own match supplies (`own`) are placeholders.
+    #[inline]
+    fn head_of(&self, row: &[u32], out: &mut TaskOutput) {
+        out.head_buf.clear();
+        out.head_buf.extend(self.head.iter().map(|h| {
+            match *h {
+                HeadElem::Const(c) => c,
+                HeadElem::At(at) => row
+                    .get(at.slot)
+                    .map_or(Const::Int(0), |&id| at.rel.row(id)[at.pos]),
+            }
+        }));
+    }
+
+    /// Complete the head [`Pipeline::head_of`] prepared with the last
+    /// stage's matched row and emit it.
+    #[inline]
+    fn emit(&self, id: Option<u32>, out: &mut TaskOutput) {
+        if let Some(id) = id {
+            let t = self.last_rel.row(id);
+            for &(h, pos) in &self.own {
+                out.head_buf[h] = t[pos];
+            }
+        }
+        out.emit_head(self.head_pred, self.db);
+    }
+
+    /// A row survived stage `k` (`id`: the row-id a positive stage matched).
+    /// The last stage emits its head tuple; any other queues it in
+    /// `sc[0].next` for stage `k + 1` and runs that stage on a full block.
+    #[inline]
+    fn push(
+        &self,
+        k: usize,
+        row: &[u32],
+        id: Option<u32>,
+        sc: &mut [Scratch],
+        out: &mut TaskOutput,
+    ) {
+        if k == self.stages.len() {
+            self.head_of(row, out);
+            self.emit(id, out);
             return;
         }
-        // Streaming path: stage 0 feeds BLOCK-row id blocks into stage 1.
-        let mut block = std::mem::take(&mut self.scratch[0].next);
-        block.clear();
-        self.enumerate0(cands, okey, task, &mut block, BLOCK, out);
-        if !block.is_empty() {
-            self.advance(1, &block, out);
-            block.clear();
+        let next = &mut sc[0].next;
+        next.extend_from_slice(row);
+        next.extend(id);
+        if next.len() >= self.stages[k].width * BLOCK {
+            self.flush(k, sc, out);
         }
-        self.scratch[0].next = block;
     }
 
-    /// Stage 0: enumerate candidates (honouring the task's shard slice),
-    /// verify the constant key and repeated variables, and push survivors
-    /// into `block`, flushing into stage 1 whenever it reaches `flush_at`.
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate0(
-        &mut self,
-        cands: Cands<'_>,
-        okey: &[u32],
-        task: Task,
-        block: &mut Vec<u32>,
-        flush_at: usize,
-        out: &mut TaskOutput,
-    ) {
-        let stage0 = std::mem::take(&mut self.stages[0]);
-        let rel0 = self.rels[0];
-        let stride = task.stride.max(1);
-        match cands {
-            Cands::Ids(ids) => {
-                for &oid in ids.iter().skip(task.offset).step_by(stride) {
-                    if verify_row(&stage0, rel0, okey, oid) {
-                        block.push(oid);
-                        if block.len() >= flush_at {
-                            self.advance(1, block, out);
-                            block.clear();
-                        }
-                    }
-                }
-            }
-            Cands::All(nrows) => {
-                for oid in (task.offset..nrows).step_by(stride) {
-                    let oid = oid as u32;
-                    if verify_row(&stage0, rel0, okey, oid) {
-                        block.push(oid);
-                        if block.len() >= flush_at {
-                            self.advance(1, block, out);
-                            block.clear();
-                        }
-                    }
-                }
-            }
+    /// Run stage `k + 1` over the rows queued behind stage `k`.
+    fn flush(&self, k: usize, sc: &mut [Scratch], out: &mut TaskOutput) {
+        let Some((cur, rest)) = sc.split_first_mut() else {
+            return; // stage `k` is the last one: nothing queues
+        };
+        if cur.next.is_empty() {
+            return;
         }
-        self.stages[0] = stage0;
+        if self.stages[k].negated {
+            self.anti_probe(k + 1, cur, rest, out);
+        } else {
+            self.gather(k + 1, cur, out);
+            self.probe(k + 1, &cur.gathered, rest, out);
+        }
+        cur.next.clear();
     }
 
-    /// Gather + batch-hash stage `k`'s probe keys for `in_rows` (flat,
-    /// stride `k`); surviving rows land in `kept` with their translated
-    /// keys and hashes.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_stage(
-        &mut self,
-        k: usize,
-        in_rows: &[u32],
-        kept: &mut Vec<u32>,
-        keys: &mut Vec<u32>,
-        hashes: &mut Vec<u64>,
-        out: &mut TaskOutput,
-    ) {
-        let mut stage = std::mem::take(&mut self.stages[k]);
-        let rel_k = self.rels[k];
-        let w = stage.keys.len();
-        'rows: for row in in_rows.chunks_exact(k) {
+    /// Translate `stage`'s key for one in-flight row, appending it to
+    /// `keys`. `false` (nothing appended) when some value is absent from
+    /// the stage relation's dictionary: no row of it carries the key.
+    #[inline]
+    fn key_of(stage: &Stage<'_>, row: &[u32], xlate: &mut [Vec<u64>], keys: &mut Vec<u32>) -> bool {
+        let base = keys.len();
+        for (e, cache) in stage.keys.iter().zip(xlate) {
+            let code = match *e {
+                KeyElem::Code(code) => code,
+                KeyElem::From { col, at, ipos } => {
+                    let ocode = col[row[at.slot] as usize];
+                    let mut t = cache[ocode as usize];
+                    if t == XLATE_UNKNOWN {
+                        t = stage
+                            .target
+                            .rel
+                            .lookup_code(ipos, at.rel.decode(at.pos, ocode))
+                            .map_or(XLATE_ABSENT, u64::from);
+                        cache[ocode as usize] = t;
+                    }
+                    (t != XLATE_ABSENT).then_some(t as u32)
+                }
+            };
+            let Some(code) = code else {
+                keys.truncate(base);
+                return false;
+            };
+            keys.push(code);
+        }
+        true
+    }
+
+    /// Probe stage, first half: translate the keys of the queued rows and
+    /// batch-hash them; `gathered` receives the rows that can still match.
+    fn gather(&self, k: usize, cur: &mut Scratch, out: &mut TaskOutput) {
+        let stage = &self.stages[k - 1];
+        let block = &mut cur.gathered;
+        block.rows.clear();
+        block.keys.clear();
+        block.hashes.clear();
+        for row in cur.next.chunks_exact(stage.width) {
             out.probes += 1;
-            let base = keys.len();
-            for e in &mut stage.keys {
-                let code = match e {
-                    PKey::Code(c) => *c,
-                    PKey::From {
-                        col,
-                        src,
-                        pos,
-                        ipos,
-                        xlate,
-                    } => {
-                        let ocode = col[row[*src] as usize];
-                        let mut t = xlate[ocode as usize];
-                        if t == XLATE_UNKNOWN {
-                            t = match rel_k.lookup_code(*ipos, self.rels[*src].decode(*pos, ocode))
-                            {
-                                Some(ic) => ic as u64,
-                                None => XLATE_ABSENT,
-                            };
-                            xlate[ocode as usize] = t;
-                        }
-                        if t == XLATE_ABSENT {
-                            out.dict_filtered += 1;
-                            keys.truncate(base);
-                            continue 'rows;
-                        }
-                        t as u32
-                    }
-                };
-                keys.push(code);
+            if Self::key_of(stage, row, &mut cur.xlate, &mut block.keys) {
+                block.rows.extend_from_slice(row);
+            } else {
+                out.dict_filtered += 1;
             }
-            kept.extend_from_slice(row);
         }
-        self.stages[k] = stage;
+        let (n, w) = (block.rows.len() / stage.width, stage.keys.len());
         if w == 0 {
-            hashes.resize(kept.len() / k, hash_codes_seed(0));
-        } else if !kept.is_empty() {
-            hash_codes_batch(keys, w, hashes);
+            block.hashes.resize(n, hash_codes_seed(0));
+        } else if n > 0 {
+            hash_codes_batch(&block.keys, w, &mut block.hashes);
             out.simd_blocks += 1;
         }
     }
 
-    /// One full stage over an input block: gather → hash → probe.
-    fn advance(&mut self, k: usize, in_rows: &[u32], out: &mut TaskOutput) {
-        let mut sc = std::mem::take(&mut self.scratch[k]);
-        sc.kept.clear();
-        sc.keys.clear();
-        sc.hashes.clear();
-        self.gather_stage(k, in_rows, &mut sc.kept, &mut sc.keys, &mut sc.hashes, out);
-        self.probe_stage(k, &sc.kept, &sc.keys, &sc.hashes, out);
-        self.scratch[k] = sc;
-    }
-
-    /// Probe + verify gathered rows against stage `k`'s index; matches
-    /// either extend the next stage's block or (at the last stage) emit
-    /// head tuples.
-    fn probe_stage(
-        &mut self,
-        k: usize,
-        in_rows: &[u32],
-        keys: &[u32],
-        hashes: &[u64],
-        out: &mut TaskOutput,
-    ) {
-        let n = in_rows.len() / k;
-        out.batch_rows += n as u64;
-        let step = self.steps[k];
-        let src = self.srcs[k];
-        let rel = self.rels[k];
-        let w = step.positions.len();
-        let stage = std::mem::take(&mut self.stages[k]);
-        let mut next = std::mem::take(&mut self.scratch[k].next);
-        next.clear();
-        let last = k + 1 == self.steps.len();
-        for i in 0..n {
-            let row = &in_rows[i * k..(i + 1) * k];
-            let ids = src.probe(step.pred, step.arity, &step.positions, hashes[i]);
+    /// Probe stage, second half: look the gathered rows up in stage `k`'s
+    /// index and verify the candidates code-by-code; each match extends
+    /// its row.
+    fn probe(&self, k: usize, block: &Block, sc: &mut [Scratch], out: &mut TaskOutput) {
+        let stage = &self.stages[k - 1];
+        let w = stage.keys.len();
+        let last = k == self.stages.len();
+        out.batch_rows += block.hashes.len() as u64;
+        for (i, row) in block.rows.chunks_exact(stage.width).enumerate() {
+            let ids = stage.postings.get(block.hashes[i]);
             if ids.is_empty() {
                 continue;
             }
-            let key = &keys[i * w..(i + 1) * w];
-            for &iid in ids {
-                if !stage
-                    .cols
-                    .iter()
-                    .zip(key)
-                    .all(|(col, &kc)| col[iid as usize] == kc)
-                {
+            let key = &block.keys[i * w..(i + 1) * w];
+            if last {
+                // Everything but the match's own values is per row.
+                self.head_of(row, out);
+            }
+            for &id in ids {
+                if !stage.target.accepts(id, key) {
                     continue;
                 }
-                if !stage.checks.is_empty() {
-                    let t = rel.row(iid);
-                    if !stage.checks.iter().all(|&(p, q)| t[p] == t[q]) {
-                        continue;
-                    }
-                }
                 if last {
-                    out.head_buf.clear();
-                    for h in &self.head {
-                        out.head_buf.push(match *h {
-                            PHead::Const(c) => c,
-                            PHead::At { stage: s, pos } => {
-                                let id = if s == k { iid } else { row[s] };
-                                self.rels[s].row(id)[pos]
-                            }
-                        });
-                    }
-                    out.emit_head(self.head_pred, self.db);
+                    self.emit(Some(id), out);
                 } else {
-                    next.extend_from_slice(row);
-                    next.push(iid);
-                    if next.len() == (k + 1) * BLOCK {
-                        self.advance(k + 1, &next, out);
-                        next.clear();
-                    }
+                    self.push(k, row, Some(id), sc, out);
                 }
             }
         }
-        if !last && !next.is_empty() {
-            self.advance(k + 1, &next, out);
-            next.clear();
-        }
-        self.stages[k] = stage;
-        self.scratch[k].next = next;
+        self.flush(k, sc, out);
     }
-}
 
-/// Verify one candidate row against a constant key (code columns) and the
-/// step's repeated-variable checks.
-#[inline]
-fn verify_row(stage: &StageSpec<'_>, rel: &Relation, okey: &[u32], oid: u32) -> bool {
-    if !stage
-        .cols
-        .iter()
-        .zip(okey)
-        .all(|(col, &kc)| col[oid as usize] == kc)
-    {
-        return false;
-    }
-    if !stage.checks.is_empty() {
-        let t = rel.row(oid);
-        if !stage.checks.iter().all(|&(p, q)| t[p] == t[q]) {
-            return false;
+    /// Anti-probe stage: a queued row passes unless stage `k`'s relation
+    /// holds the literal's ground tuple.
+    fn anti_probe(&self, k: usize, cur: &mut Scratch, sc: &mut [Scratch], out: &mut TaskOutput) {
+        let stage = &self.stages[k - 1];
+        let rel = stage.target.rel;
+        let keys = &mut cur.gathered.keys;
+        for row in cur.next.chunks_exact(stage.width) {
+            out.probes += 1;
+            keys.clear();
+            if Self::key_of(stage, row, &mut cur.xlate, keys) {
+                cur.tuple.clear();
+                let codes = keys.iter().enumerate();
+                cur.tuple
+                    .extend(codes.map(|(pos, &code)| rel.decode(pos, code)));
+                if rel.contains(&cur.tuple) {
+                    continue;
+                }
+            }
+            self.push(k, row, None, sc, out);
         }
+        self.flush(k, sc, out);
     }
-    true
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::context::compile_script;
-    use crate::plan::RulePlan;
-    use datalog_ast::parse_program;
+    use crate::{EvalContext, EvalOptions};
+    use datalog_ast::{
+        atom, fact, parse_database, parse_program, Const, Literal, Pred, Rule, Term,
+    };
+    use std::collections::BTreeSet;
 
-    fn script_for(src: &str) -> JoinScript {
-        let p = parse_program(src).unwrap();
-        let plan = RulePlan::compile(&p.rules[0]);
-        let order: Vec<usize> = (0..plan.body.len()).collect();
-        compile_script(&plan, &order)
-    }
-
+    /// With `specialize` on, no script shape reaches the interpreter: over
+    /// negation, nine-column keys (at stage 1 and at stage 2), 1- to
+    /// 4-literal and bodiless rules, the kernel-task counter equals the
+    /// number of tasks scheduled — and fixpoint and logical work equal the
+    /// reference's. (Thread counts and more shapes:
+    /// `tests/join_pipeline_differential.rs`.)
     #[test]
-    fn specialize_picks_the_widest_tiers() {
-        let k8 = script_for("h(A) :- p(A,B,C,D,E,F,G,H), q(A,B,C,D,E,F,G,H).");
-        assert_eq!(k8.steps[1].positions.len(), 8);
-        assert_eq!(specialize(&k8, true, true), Executor::HashJoin { width: 8 });
-        let three = script_for("t(X, W) :- e(X, Y), m(Y, Z), f(Z, W).");
+    fn every_script_shape_runs_on_the_kernel() {
+        let mut p = parse_program(
+            "g(X, Z) :- a(X, Z).\
+             g(X, Z) :- g(X, Y), a(Y, Z).\
+             t(X, W) :- g(X, Y), a(Y, Z), b(Z, W).\
+             u(X, W) :- g(X, Y), a(Y, Z), b(Z, W), a(W, W).\
+             w(A) :- p(A,B,C,D,E,F,G,H,I), q(A,B,C,D,E,F,G,H,I).\
+             k(A) :- p(A,B,C,D,E,F,G,H,I), q(A,B,C,D,E,F,G,H,I), r(A,B,C,D,E,F,G,H,I).\
+             n(X, Y) :- a(X, Y), !g(Y, X).\
+             m(X) :- !g(99, 0), b(X, X).",
+        )
+        .unwrap();
+        p.rules.push(Rule::fact(atom(
+            "seed",
+            vec![Term::Const(Const::Int(1)), Term::Const(Const::Int(2))],
+        )));
+        let mut facts = String::from("a(5, 5). b(6, 6).");
+        for i in 0..10 {
+            facts.push_str(&format!("a({i}, {}).", (i * 3 + 1) % 10));
+            facts.push_str(&format!("b({i}, {}).", (i * 7 + 1) % 10));
+        }
+        for (i, preds) in ["pqr", "pq", "p", "qr"].iter().enumerate() {
+            for pred in preds.chars() {
+                facts.push_str(&format!("{pred}({i},2,3,4,5,6,7,8,9)."));
+            }
+        }
+        let edb = parse_database(&facts).unwrap();
+
+        // The stratified driver by hand, counting what it schedules: one
+        // task per rule in a full round, one per (rule, positive body
+        // literal over a non-empty delta predicate) in a delta round.
+        let drive = |opts: EvalOptions| {
+            let layers: [&[usize]; 2] = [&[0, 1, 2, 3, 4, 5, 8], &[6, 7]];
+            let mut cx = EvalContext::new(&p, edb.clone(), opts);
+            let mut tasks = 0;
+            for rules in layers {
+                let heads: BTreeSet<Pred> = rules.iter().map(|&r| p.rules[r].head.pred).collect();
+                let driven = |l: &&Literal| l.is_positive() && heads.contains(&l.atom.pred);
+                tasks += rules.len();
+                let mut delta = cx.full_round(rules);
+                while !delta.is_empty() {
+                    let live = |l: &&Literal| delta.relation_len(l.atom.pred) > 0;
+                    for &r in rules {
+                        tasks += p.rules[r].body.iter().filter(driven).filter(live).count();
+                    }
+                    delta = cx.delta_round(rules, &delta, &|pred| heads.contains(&pred));
+                }
+            }
+            (cx, tasks as u64)
+        };
+        let (kernel, tasks) = drive(EvalOptions::sequential());
+        let (reference, _) = drive(EvalOptions::interpreted());
+        let (k, r) = (kernel.stats(), reference.stats());
+        assert_eq!(k.specialized_tasks, tasks);
+        assert_eq!(r.specialized_tasks, 0, "the reference stays pure");
         assert_eq!(
-            specialize(&three, true, true),
-            Executor::Pipeline { stages: 3 }
+            (k.probes, k.matches, k.derivations),
+            (r.probes, r.matches, r.derivations)
         );
-        assert_eq!(specialize(&three, true, false), Executor::Interpreted);
-        assert_eq!(specialize(&three, false, true), Executor::Interpreted);
-    }
+        assert!(k.pipelined_tasks > 0 && k.batch_reuse_hits > 0);
 
-    /// A 9-column key is beyond the widest monomorphized tier: the script
-    /// must lower to the interpreter instead of panicking in dispatch.
-    #[test]
-    fn wide_keys_fall_back_to_the_interpreter() {
-        let wide = script_for("h(A) :- p(A,B,C,D,E,F,G,H,I), q(A,B,C,D,E,F,G,H,I).");
-        assert_eq!(wide.steps[1].positions.len(), 9);
-        assert_eq!(specialize(&wide, true, true), Executor::Interpreted);
-        // And a wide *pipeline* stage falls back the same way.
-        let wide3 =
-            script_for("h(A) :- p(A,B,C,D,E,F,G,H,I), q(A,B,C,D,E,F,G,H,I), r(A,B,C,D,E,F,G,H,I).");
-        assert_eq!(specialize(&wide3, true, true), Executor::Interpreted);
+        let out = kernel.into_database();
+        assert_eq!(out, reference.into_database());
+        assert!(out.contains(&fact("seed", [1, 2])), "bodiless head, once");
+        assert_eq!(out.relation_len(Pred::new("w")), 2, "rows 0 and 1");
+        assert_eq!(out.relation_len(Pred::new("k")), 1, "row 0");
+        assert!(out.contains(&fact("m", [6])));
     }
 }

@@ -35,17 +35,18 @@ pub struct Stats {
     /// Number of join work items dispatched to worker threads (0 for a
     /// fully sequential evaluation).
     pub parallel_tasks: u64,
-    /// Join work items that ran on a specialized columnar kernel (scan or
-    /// batched hash join) rather than the row-at-a-time interpreter.
+    /// Join work items that ran on the join kernel: every task of a
+    /// context, or none when it was built with `specialize == false` and
+    /// runs the reference interpreter.
     pub specialized_tasks: u64,
-    /// Outer rows pushed through the batched gather → probe → verify →
-    /// emit hash-join pipeline.
+    /// In-flight rows pushed through the kernel's probe stages (gather →
+    /// hash → probe → verify).
     pub batch_probe_rows: u64,
-    /// Join work items that ran on the multi-atom pipelined kernel (3+
-    /// positive atoms flowing stage-to-stage in blocks) — a subset of
+    /// Kernel work items whose script has three or more steps (two or more
+    /// stages after the enumerated literal) — a subset of
     /// `specialized_tasks`.
     pub pipelined_tasks: u64,
-    /// Pipelined delta tasks whose gathered stage-0→1 key blocks were
+    /// Delta-led kernel tasks whose gathered stage-0→1 key blocks were
     /// served from the per-round delta-batch cache instead of re-gathering
     /// and re-hashing.
     pub batch_reuse_hits: u64,

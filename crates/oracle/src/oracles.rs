@@ -198,15 +198,10 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
             ("stratified-2".into(), EvalOptions::with_threads(2)),
             ("stratified-4".into(), EvalOptions::with_threads(4)),
             // The row-at-a-time interpreter is the differential reference
-            // for the specialized columnar kernels: every case exercises
-            // both sides of the executor split.
+            // for the join kernel: negated literals run as anti-probe
+            // stages on the reference side above and as membership tests
+            // here.
             ("stratified-interpreted".into(), EvalOptions::interpreted()),
-            // Pipeline tier off while 2-atom kernels stay on: isolates the
-            // multi-atom pipelined executor under negation.
-            (
-                "stratified-interpreted-3atom".into(),
-                EvalOptions::sequential().with_pipeline(false),
-            ),
         ];
         for (name, opts) in variants {
             match stratified::evaluate_with_opts(program, db, opts) {
@@ -253,10 +248,10 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
         let sharded = ShardedMaterialized::new(program.clone(), db, shards);
         engines.push((format!("sharded-{shards}"), sharded.database().clone()));
     }
-    // Specialized columnar kernels vs the row-at-a-time interpreter: the
-    // default reference above runs with specialization on, so evaluating
-    // with it forced off makes every engines case a differential test of
-    // the executor split (sequential and under parallel task slicing).
+    // The join kernel vs the row-at-a-time interpreter: the reference above
+    // runs on the kernel, so evaluating with it switched off makes every
+    // engines case — 1-, 2- and 3+-atom bodies alike — a differential test
+    // of the two executors (sequential and under parallel task slicing).
     let (got, _) = seminaive::evaluate_with_opts(program, db, EvalOptions::interpreted());
     engines.push(("interpreted".into(), got));
     let (got, _) = seminaive::evaluate_with_opts(
@@ -265,16 +260,10 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
         EvalOptions::with_threads(2).with_specialize(false),
     );
     engines.push(("interpreted-parallel-2".into(), got));
-    // The executor split within the specialized tier: 3+-atom bodies take
-    // the pipelined multi-atom kernel by default; forcing them back to the
-    // interpreter (while 2-atom kernels stay specialized) isolates the
-    // pipeline. A second full-pipeline run double-checks that the
-    // cross-task batch cache is deterministic.
+    // A second kernel run double-checks that the cross-task batch cache
+    // is deterministic.
     let (got, _) = seminaive::evaluate_with_opts(program, db, EvalOptions::sequential());
-    engines.push(("specialized-3atom".into(), got));
-    let (got, _) =
-        seminaive::evaluate_with_opts(program, db, EvalOptions::sequential().with_pipeline(false));
-    engines.push(("interpreted-3atom".into(), got));
+    engines.push(("kernel-rerun".into(), got));
     for (name, got) in engines {
         if got != reference {
             out.push(Divergence {

@@ -1,87 +1,263 @@
-//! Differential tests for the pipelined multi-atom join kernels.
+//! Differential tests for the join kernel.
 //!
-//! 3+-atom positive rule bodies compile to a chain of batched probe stages
-//! (the `Executor::Pipeline` tier); `EvalOptions::with_pipeline(false)`
-//! sends exactly those bodies back to the row-at-a-time interpreter while
-//! the 2-atom kernels stay specialized. For every seeded random program the
-//! two configurations — and the fully interpreted reference — must be
-//! tuple-identical, sequentially and under parallel task slicing, with the
-//! same logical match counts.
+//! Every join script runs on one batched pipeline (`crates/engine`'s
+//! `kernels`): stage 0 enumerates, later stages probe (positive literals) or
+//! anti-probe (negated ones). `EvalOptions::interpreted()` /
+//! `with_specialize(false)` runs the same scripts on the row-at-a-time
+//! reference interpreter. For every seeded random program the two must be
+//! tuple-identical and do the same logical work — `probes`, `matches`,
+//! `derivations` — sequentially and under parallel task slicing.
+//!
+//! The generator draws what used to decide the executor: 1- to 4-literal
+//! bodies, repeated variables, constants, negated literals (one of them
+//! ground, so the planner places it first), and a nine-column join key.
 
+use datalog_ast::{
+    fact, parse_database, parse_program, Atom, Const, Database, GroundAtom, Literal, Pred, Program,
+    Rule, Term, Var,
+};
 use datalog_engine::context::EvalOptions;
-use datalog_engine::seminaive;
+use datalog_engine::{stratified, Stats};
 use datalog_generate::{bloated_tc, random_db, random_program, RandomProgramSpec};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// Random programs biased toward long bodies, so most rules take the
-/// pipeline tier rather than the 2-atom kernels.
-fn long_body_spec() -> RandomProgramSpec {
-    RandomProgramSpec {
+/// A random stratified program. Stratum 0 is a positive program over `a`,
+/// `b`, `c` defining `p` and `q` with bodies of 1 to 4 literals from a pool
+/// of 4 variables (so variables repeat within and across atoms), plus a
+/// rule joining `w` and `v` on all nine columns. Stratum 1 defines `r` and
+/// `s` the same way over all of those, and every rule of it also carries
+/// one or two negated literals on stratum 0 over its bound variables and
+/// constants; the first carries a ground one as well.
+fn random_case(seed: u64) -> (Program, Database) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let lower = RandomProgramSpec {
+        idb: vec![("p".into(), 2), ("q".into(), 2)],
         rules: 5,
-        body_len: (2, 4),
-        var_pool: 5,
+        body_len: (1, 4),
+        var_pool: 4,
         ..RandomProgramSpec::default()
+    };
+    let mut rules = random_program(&lower, seed.wrapping_mul(7919)).rules;
+
+    let wide: Vec<Term> = (0..9).map(|i| Term::var(&format!("W{i}"))).collect();
+    rules.push(Rule::positive(
+        Atom::new("q", vec![wide[0], wide[8]]),
+        [Atom::new("w", wide.clone()), Atom::new("v", wide.clone())],
+    ));
+
+    let negatable = [("a", 2), ("b", 2), ("c", 1), ("p", 2), ("q", 2)];
+    let upper = RandomProgramSpec {
+        edb: negatable.iter().map(|&(p, n)| (p.into(), n)).collect(),
+        idb: vec![("r".into(), 2), ("s".into(), 1)],
+        rules: 4,
+        body_len: (1, 3),
+        var_pool: 4,
+    };
+    for (i, mut rule) in (random_program(&upper, seed ^ 0x51ed).rules)
+        .into_iter()
+        .enumerate()
+    {
+        let bound: Vec<Var> = rule.vars().into_iter().collect();
+        for _ in 0..rng.gen_range(1..=2usize) {
+            let (name, arity) = negatable[rng.gen_range(0..negatable.len())];
+            let terms = (0..arity)
+                .map(|_| {
+                    if rng.gen_bool(0.25) {
+                        Term::Const(rng.gen_range(0..7i64).into())
+                    } else {
+                        Term::Var(bound[rng.gen_range(0..bound.len())])
+                    }
+                })
+                .collect();
+            rule.body.push(Literal::neg(Atom::new(name, terms)));
+        }
+        if i == 0 {
+            let k = Term::Const(rng.gen_range(0..7i64).into());
+            rule.body.push(Literal::neg(Atom::new("c", vec![k])));
+        }
+        rules.push(rule);
     }
+    // Nine-column rows: half of `w` is in `v` too, the rest only nearly.
+    let mut db = random_db(&[("a", 2), ("b", 2), ("c", 1)], 12, 7, seed ^ 0x3a70);
+    for i in 0..12 {
+        let mut row: Vec<Const> = (0..9).map(|_| rng.gen_range(0..3i64).into()).collect();
+        db.insert(GroundAtom::new("w", row.clone()));
+        if i % 2 == 1 {
+            row[rng.gen_range(0..9usize)] = Const::Int(3);
+        }
+        db.insert(GroundAtom::new("v", row));
+    }
+    (Program::new(rules), db)
 }
 
-#[test]
-fn pipelined_multi_atom_joins_match_the_interpreter() {
-    let spec = long_body_spec();
-    let mut pipelined_seen = 0u64;
-    for seed in 0..15u64 {
-        let program = random_program(&spec, seed.wrapping_mul(7919));
-        let db = random_db(&[("a", 2), ("b", 2), ("c", 1)], 12, 7, seed ^ 0x3a70);
+fn logical(s: &Stats) -> (u64, u64, u64) {
+    (s.probes, s.matches, s.derivations)
+}
 
-        let (pipelined, pipe_stats) =
-            seminaive::evaluate_with_opts(&program, &db, EvalOptions::sequential());
-        let (flat, flat_stats) = seminaive::evaluate_with_opts(
-            &program,
-            &db,
-            EvalOptions::sequential().with_pipeline(false),
-        );
-        let (interpreted, interp_stats) =
-            seminaive::evaluate_with_opts(&program, &db, EvalOptions::interpreted());
-
-        assert_eq!(pipelined, flat, "pipeline on/off divergence, seed {seed}");
-        assert_eq!(
-            pipelined, interpreted,
-            "pipeline vs interpreter divergence, seed {seed}"
-        );
-        assert_eq!(pipe_stats.matches, interp_stats.matches, "seed {seed}");
-        assert_eq!(
-            pipe_stats.derivations, interp_stats.derivations,
-            "seed {seed}"
-        );
-        assert_eq!(
-            flat_stats.pipelined_tasks, 0,
-            "with_pipeline(false) must not pipeline, seed {seed}"
-        );
-        assert_eq!(interp_stats.pipelined_tasks, 0);
-        pipelined_seen += pipe_stats.pipelined_tasks;
-    }
-    assert!(
-        pipelined_seen > 0,
-        "the generated programs must actually exercise the pipeline tier"
+/// Evaluate on the kernel and on the reference at `threads` workers: same
+/// fixpoint, same logical work, every kernel task on the kernel and none of
+/// the reference's. Returns the kernel run.
+fn check(program: &Program, db: &Database, threads: usize, what: &str) -> (Database, Stats) {
+    let opts = EvalOptions::with_threads(threads);
+    let (got, kernel) = stratified::evaluate_with_opts(program, db, opts).unwrap();
+    let (want, reference) =
+        stratified::evaluate_with_opts(program, db, opts.with_specialize(false)).unwrap();
+    assert_eq!(got, want, "fixpoint, {what}, {threads} threads");
+    assert_eq!(
+        logical(&kernel),
+        logical(&reference),
+        "probes/matches/derivations, {what}, {threads} threads"
     );
+    assert!(kernel.specialized_tasks > 0, "{what}");
+    assert_eq!(reference.specialized_tasks, 0, "{what}");
+    assert_eq!(reference.pipelined_tasks, 0, "{what}");
+    (got, kernel)
 }
 
 #[test]
-fn pipelined_joins_are_partition_invariant() {
-    let spec = long_body_spec();
+fn kernel_matches_the_interpreter_on_random_programs() {
+    let (mut long_bodies, mut reuse) = (0, 0);
+    for seed in 0..15u64 {
+        let (program, db) = random_case(seed);
+        let (_, stats) = check(&program, &db, 1, &format!("seed {seed}"));
+        long_bodies += stats.pipelined_tasks;
+        reuse += stats.batch_reuse_hits;
+    }
+    assert!(long_bodies > 0, "3+-literal bodies were drawn");
+    assert!(reuse > 0, "same-shape delta tasks were drawn");
+}
+
+#[test]
+fn kernel_is_partition_invariant() {
     for seed in 0..8u64 {
-        let program = random_program(&spec, seed.wrapping_mul(104_729));
-        let db = random_db(&[("a", 2), ("b", 2), ("c", 1)], 14, 8, seed ^ 0x9127);
-        let (sequential, seq_stats) =
-            seminaive::evaluate_with_opts(&program, &db, EvalOptions::sequential());
+        let (program, db) = random_case(seed.wrapping_mul(104_729) + 17);
+        let what = format!("seed {seed}");
+        let (sequential, seq_stats) = check(&program, &db, 1, &what);
         for workers in [2usize, 4] {
-            let (parallel, par_stats) =
-                seminaive::evaluate_with_opts(&program, &db, EvalOptions::with_threads(workers));
-            assert_eq!(
-                parallel, sequential,
-                "pipelined parallel({workers}) divergence, seed {seed}"
-            );
-            assert_eq!(par_stats.matches, seq_stats.matches, "seed {seed}");
+            // Sharding strides stage 0 only: who finds a match changes,
+            // never how many there are.
+            let (parallel, par_stats) = check(&program, &db, workers, &what);
+            assert_eq!(parallel, sequential, "parallel({workers}), {what}");
+            assert_eq!(par_stats.matches, seq_stats.matches, "{what}");
+            assert_eq!(par_stats.derivations, seq_stats.derivations, "{what}");
         }
     }
+}
+
+fn ring(pred: &str, n: i64, step: i64) -> String {
+    (0..n)
+        .map(|i| format!("{pred}({i}, {}).", (i * step + 1) % n))
+        .collect()
+}
+
+fn check_source(rules: &str, facts: &str) -> (Database, Stats) {
+    let program = parse_program(rules).unwrap();
+    let db = parse_database(facts).unwrap();
+    for threads in [2usize, 4] {
+        check(&program, &db, threads, rules);
+    }
+    check(&program, &db, 1, rules)
+}
+
+/// One stage, one probe stage, two probe stages, a repeated variable in the
+/// enumerated literal and a constant key the dictionary filter answers.
+#[test]
+fn positive_shapes() {
+    let mut facts = String::from("a(5,5). a(7,9).");
+    for i in 0..30 {
+        facts.push_str(&format!("a({}, {}).", i, (i * 5 + 2) % 30));
+    }
+    let (out, stats) = check_source(
+        "loop(X) :- a(X, X).\
+         g(X, Z) :- a(X, Y), a(Y, Z).\
+         h(X, W) :- a(X, Y), a(Y, Z), a(Z, W).\
+         pin(X) :- a(7, X).\
+         none(X) :- a(99, X).",
+        &facts,
+    );
+    assert!(out.contains(&fact("loop", [5])));
+    assert!(out.contains(&fact("pin", [9])));
+    assert_eq!(out.relation_len(Pred::new("none")), 0);
+    assert!(stats.pipelined_tasks > 0, "the 3-literal rule counts");
+    assert!(stats.simd_hash_blocks > 0, "batched key hashing ran");
+    assert!(stats.dict_filtered_probes > 0, "99 is in no dictionary");
+}
+
+/// Negated literals are anti-probe stages: mid-body, last, with a constant,
+/// against a relation that does not exist, and with values the negated
+/// relation's dictionary has never seen.
+#[test]
+fn negated_literals_are_anti_probe_stages() {
+    let mut facts = String::from("src(0). e(20, 21). e(21, 20). e(22, 3).");
+    facts.push_str(&ring("e", 12, 5));
+    for i in 0..24 {
+        facts.push_str(&format!("node({i})."));
+    }
+    let (out, _) = check_source(
+        "reach(X) :- src(X).\
+         reach(Y) :- reach(X), e(X, Y).\
+         dead(X) :- node(X), !reach(X).\
+         far(X, Y) :- node(X), !reach(X), e(X, Y), !e(Y, X).\
+         odd(X) :- node(X), !e(X, 3), !ghost(X, X).",
+        &facts,
+    );
+    assert!(out.contains(&fact("dead", [20])));
+    assert!(!out.contains(&fact("dead", [0])));
+    assert!(out.contains(&fact("far", [22, 3])));
+    assert!(!out.contains(&fact("far", [20, 21])), "e(21, 20) holds");
+    assert!(!out.contains(&fact("odd", [22])), "e(22, 3) holds");
+    assert!(out.contains(&fact("odd", [23])));
+}
+
+/// A ground negated literal has no variable to wait for, so the planner
+/// places it first: a one-shot gate that passes or ends the task, for
+/// bodies with and without a positive literal behind it.
+#[test]
+fn ground_negated_literal_first_is_a_gate() {
+    let (out, _) = check_source(
+        "open(X) :- !closed(1), a(X, Y).\
+         shut(X) :- !closed(2), a(X, Y).\
+         flag(7) :- !closed(1).",
+        "closed(2). a(1, 2). a(2, 3).",
+    );
+    assert_eq!(out.relation_len(Pred::new("open")), 2);
+    assert_eq!(out.relation_len(Pred::new("shut")), 0);
+    assert!(out.contains(&fact("flag", [7])));
+}
+
+/// Repeated variables are checked where they occur: in the enumerated
+/// literal, in a probed one, and as a repeated argument of a negated one.
+#[test]
+fn repeated_variables_on_every_stage_kind() {
+    let mut facts = ring("a", 9, 2);
+    facts.push_str("a(4, 4). b(3, 5, 5). b(3, 5, 6). b(5, 1, 2). b(1, 3, 3).");
+    let (out, _) = check_source(
+        "loop(X) :- a(X, X).\
+         back(X) :- a(X, Y), b(Y, Z, Z).\
+         lone(X) :- a(X, Y), !b(X, Y, Y).",
+        &facts,
+    );
+    assert!(out.contains(&fact("loop", [4])));
+    assert!(out.contains(&fact("back", [1])), "a(1, 3), b(3, 5, 5)");
+    assert!(!out.contains(&fact("back", [2])), "b(5, 1, 2) is not Z, Z");
+    assert!(!out.contains(&fact("lone", [1])), "b(1, 3, 3) holds");
+    assert!(out.contains(&fact("lone", [2])));
+}
+
+/// One-literal rules driven by a delta have no stage 1 to gather for: they
+/// must neither build nor hit a batch-cache entry.
+#[test]
+fn one_step_delta_tasks_do_not_touch_the_batch_cache() {
+    let mut facts = ring("a", 9, 2);
+    facts.push_str("a(4, 4).");
+    let (out, stats) = check_source(
+        "g(X, Y) :- a(X, Y). h(X, Y) :- g(X, Y). k(X) :- h(X, X).",
+        &facts,
+    );
+    assert!(out.contains(&fact("k", [4])));
+    assert_eq!(stats.batch_reuse_hits, 0);
+    assert_eq!(stats.batch_probe_rows, 0, "no probe stage ever ran");
 }
 
 #[test]
@@ -92,16 +268,10 @@ fn bloated_tc_reuses_delta_batches_across_tasks() {
     // fixpoint or the logical counters.
     let program = bloated_tc(6, 99);
     let db = random_db(&[("a", 2)], 24, 12, 0xfeed);
-    let (pipelined, stats) =
-        seminaive::evaluate_with_opts(&program, &db, EvalOptions::sequential());
-    assert!(stats.pipelined_tasks > 0, "bloat rules take the pipeline");
+    let (_, stats) = check(&program, &db, 1, "bloated_tc(6, 99)");
+    assert!(stats.pipelined_tasks > 0, "bloat rules have 3+ literals");
     assert!(
         stats.batch_reuse_hits > 0,
         "same-shape delta gathers must hit the batch cache: {stats:?}"
     );
-    let (interpreted, interp_stats) =
-        seminaive::evaluate_with_opts(&program, &db, EvalOptions::interpreted());
-    assert_eq!(pipelined, interpreted);
-    assert_eq!(stats.matches, interp_stats.matches);
-    assert_eq!(stats.probes, interp_stats.probes);
 }

@@ -1111,12 +1111,12 @@ fn p99(samples: &mut [f64]) -> f64 {
     samples[idx.min(samples.len() - 1)]
 }
 
-/// E19 — sharded materialized-view service.
+/// E19 — view maintenance at 1/2/4 shards, and the event loop.
 ///
 /// Three layers, from the engine outward:
 ///
 /// * `saturate` — initial saturation of a bloated-TC program through
-///   [`ShardedMaterialized`] at 1/2/4 shards. Every width must produce a
+///   `Materialized::sharded` at 1/2/4 shards. Every width must produce a
 ///   fixpoint identical to the unsharded semi-naive evaluation, and widths
 ///   above 1 must show delta-exchange activity; the 4-vs-1 speedup is the
 ///   headline scaling number. Wall-clock scaling only exists where the
@@ -1139,14 +1139,14 @@ fn p99(samples: &mut [f64]) -> f64 {
 ///   width queue behind whole *sessions*, not requests). Same registry
 ///   contents, same pool width; only the connection architecture differs.
 fn e19(r: &mut Report, smoke: bool) {
-    use datalog_engine::ShardedMaterialized;
+    use datalog_engine::Materialized;
     use datalog_service::{Client, Control, Registry, Server, ServerConfig, ThreadPool};
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
 
-    println!("== E19: sharded materialized-view service ==");
+    println!("== E19: view maintenance at 1/2/4 shards + event loop ==");
     let rules = portable_source(&bloated_tc(6, 99));
     let program = parse_program(&rules).unwrap();
 
@@ -1162,7 +1162,7 @@ fn e19(r: &mut Report, smoke: bool) {
     for shards in [1usize, 2, 4] {
         let mut built = None;
         let t = ms(
-            || built = Some(ShardedMaterialized::new(program.clone(), &db, shards)),
+            || built = Some(Materialized::sharded(program.clone(), &db, shards)),
             reps,
         );
         let built = built.unwrap();

@@ -716,8 +716,9 @@ impl EvalContext {
     }
 
     /// A cheap handle sharing this context's database and indexes
-    /// copy-on-write (used by [`crate::Materialized`]'s `Clone`). The fork
-    /// starts with no worker pool; counters carry over.
+    /// copy-on-write (a [`crate::Materialized`] shard replica, or its
+    /// `Clone`). The fork starts with no worker pool and zeroed counters:
+    /// it counts its own work only.
     pub(crate) fn fork(&self) -> EvalContext {
         EvalContext {
             plans: Arc::clone(&self.plans),
@@ -729,7 +730,7 @@ impl EvalContext {
             // across contexts would mix generations, so start fresh.
             batch_cache: Arc::new(kernels::BatchCache::default()),
             pool: None,
-            stats: self.stats,
+            stats: Stats::default(),
         }
     }
 

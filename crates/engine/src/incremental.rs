@@ -1,4 +1,5 @@
-//! Incremental maintenance of a materialised fixpoint.
+//! Incremental maintenance of a materialised fixpoint, on one context or
+//! hash-partitioned across N replica contexts.
 //!
 //! **Insertions** exploit monotonicity (§X uses it explicitly: "adding more
 //! atoms to the input does not remove any atom from the output"): the new
@@ -12,16 +13,38 @@
 //! materialisation remembers the base (`base`): an overdeleted atom that is
 //! still in the base is always rederived.
 //!
-//! The materialisation lives on a persistent [`EvalContext`], so its rule
+//! The materialisation lives on persistent [`EvalContext`]s, so its rule
 //! plans are compiled once at construction and its hash indexes survive
 //! *across update batches*: an insertion batch appends its consequences
 //! into the live indexes, and only a deletion invalidates them (they
-//! re-fill lazily). The seed implementation recompiled every plan and
-//! rebuilt every index on every `insert`/`remove` call.
+//! re-fill lazily).
+//!
+//! **Shards.** A delta round is linear in the delta relation, so running
+//! disjoint delta partitions against identical databases and unioning the
+//! outputs derives exactly what one context would. With N > 1 shards each
+//! shard owns an [`EvalContext`] replica (forked copy-on-write from shard 0
+//! after the first full round) and every round ends in an **exchange**, so
+//! the replicas are identical at every round boundary:
+//!
+//! ```text
+//! round k:   Δ ──hash(pred, tuple[0])──▶ Δ₀ … Δₙ₋₁        (partition)
+//!            shard i:  outᵢ = delta_round(Δᵢ)              (parallel)
+//!            Δ' = out₀ ∪ … ∪ outₙ₋₁                        (merge)
+//!            shard i absorbs Δ' \ outᵢ                     (exchange)
+//! ```
+//!
+//! The overdeletion sweep splits the same way (it never commits, so the
+//! replicas stay identical throughout); the merged overdeletion is removed
+//! from every replica and rederived against shard 0. The shard key's first
+//! column is the join key of every recursive rule the workloads here run
+//! (`g(X, …) :- …`), so the exchange carries only genuinely cross-shard
+//! derivations. With one shard nothing is partitioned or exchanged: rounds
+//! run inline on the calling thread and the `shard_*` counters stay zero.
 
 use crate::context::{EvalContext, EvalOptions};
 use crate::stats::Stats;
-use datalog_ast::{Database, GroundAtom, Program};
+use datalog_ast::{match_atom, match_atom_into, Atom, Database, GroundAtom, Program, Subst};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A materialised fixpoint that can absorb insertions and deletions
@@ -47,9 +70,12 @@ pub struct Materialized {
     program: Program,
     /// The asserted base facts (EDB and any seeded IDB atoms).
     base: Database,
-    /// The persistent evaluation context: compiled plans, the saturated
-    /// database (base ∪ derived), and live indexes over it.
-    cx: EvalContext,
+    /// One persistent context per shard (at least one): compiled plans, the
+    /// saturated database and live indexes; identical outside a write batch.
+    shards: Vec<EvalContext>,
+    /// What the shard contexts do not count: the exchange's `shard_*`
+    /// counters and, in a clone, the original's totals.
+    exchange: Stats,
 }
 
 impl Clone for Materialized {
@@ -57,7 +83,9 @@ impl Clone for Materialized {
         Materialized {
             program: self.program.clone(),
             base: self.base.clone(),
-            cx: self.cx.fork(),
+            // Forks count their own work only.
+            shards: self.shards.iter().map(EvalContext::fork).collect(),
+            exchange: self.stats(),
         }
     }
 }
@@ -66,54 +94,62 @@ impl std::fmt::Debug for Materialized {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Materialized")
             .field("rules", &self.program.rules.len())
+            .field("shards", &self.shards.len())
             .field("base_atoms", &self.base.len())
-            .field("db_atoms", &self.cx.database().len())
+            .field("db_atoms", &self.database().len())
             .finish()
     }
 }
 
 impl Materialized {
-    /// Saturate `input` under `program` (semi-naive) and keep the result
-    /// ready for incremental updates. Positive programs only.
+    /// Saturate `input` under `program` (semi-naive) on one context and
+    /// keep the result ready for incremental updates. Positive programs only.
     pub fn new(program: Program, input: &Database) -> Materialized {
-        Materialized::with_options(program, input, EvalOptions::sequential())
+        Materialized::sharded(program, input, 1)
     }
 
-    /// [`Materialized::new`] with explicit [`EvalOptions`]: updates are
-    /// propagated with the context's worker-thread knob.
-    pub fn with_options(program: Program, input: &Database, opts: EvalOptions) -> Materialized {
+    /// [`Materialized::new`] across `shards` replicas (0 means 1): shard 0
+    /// runs the first full round, the replicas fork from it, and every
+    /// later round is hash-partitioned.
+    pub fn sharded(program: Program, input: &Database, shards: usize) -> Materialized {
         assert!(
             program.is_positive(),
             "incremental maintenance requires a positive program"
         );
-        let mut cx = EvalContext::new(&program, input.clone(), opts);
-        let rules = all_rules(&program);
-        let mut delta = cx.full_round(&rules);
-        while !delta.is_empty() {
-            delta = cx.delta_round(&rules, &delta, &|_| true);
+        let mut first = EvalContext::new(&program, input.clone(), EvalOptions::sequential());
+        let delta = first.full_round(&all_rules(&program));
+        let mut contexts = vec![first];
+        for _ in 1..shards {
+            contexts.push(contexts[0].fork());
         }
-        Materialized {
+        let mut m = Materialized {
             program,
             base: input.clone(),
-            cx,
-        }
+            shards: contexts,
+            exchange: Stats::default(),
+        };
+        m.propagate(delta);
+        m
     }
 
-    /// The current fixpoint.
+    /// The current fixpoint (shard 0's replica; all replicas are equal
+    /// outside a write batch).
     pub fn database(&self) -> &Database {
-        self.cx.database()
+        self.shards[0].database()
     }
 
-    /// A shareable, immutable snapshot of the current fixpoint.
-    ///
-    /// The returned [`Arc`] stays valid (and unchanged) across later
-    /// [`Materialized::insert`]/[`Materialized::remove`] calls — readers can
-    /// keep querying it while a writer mutates the materialisation. The
-    /// context database is copy-on-write, so handing out a snapshot costs
-    /// one clone per *write batch* (at the first post-snapshot mutation),
-    /// not one per reader.
+    /// A shareable snapshot of the current fixpoint, unchanged by later
+    /// [`Materialized::insert`]/[`Materialized::remove`] calls. The context
+    /// database is copy-on-write, so a snapshot costs one clone per *write
+    /// batch* (at the first mutation after it), not one per reader.
     pub fn snapshot(&mut self) -> Arc<Database> {
-        self.cx.database_arc()
+        self.shard_snapshot(0)
+    }
+
+    /// [`Materialized::snapshot`] of one shard's replica: the same fixpoint
+    /// behind a different `Arc`, which spreads readers' refcount traffic.
+    pub fn shard_snapshot(&mut self, shard: usize) -> Arc<Database> {
+        self.shards[shard].database_arc()
     }
 
     /// The asserted base facts.
@@ -125,111 +161,208 @@ impl Materialized {
         &self.program
     }
 
-    /// Cumulative work counters over the materialisation's whole life
-    /// (initial saturation plus every update batch).
-    pub fn stats(&self) -> Stats {
-        self.cx.stats()
+    /// The shard count (≥ 1).
+    pub fn shards(&self) -> usize {
+        self.shards.len()
     }
 
-    /// Insert facts and propagate their consequences. Returns the number of
-    /// atoms added (inserted facts that were new, plus derived atoms).
-    ///
-    /// Cost is proportional to the consequences of the *delta*, not to the
-    /// size of the existing database — the whole point of the method.
+    /// Work counters over the materialisation's whole life: every shard's
+    /// own work (replica maintenance is counted, not hidden) plus the
+    /// exchange's `shard_*` counters.
+    pub fn stats(&self) -> Stats {
+        let mut total = self.exchange;
+        for cx in &self.shards {
+            total += cx.stats();
+        }
+        total
+    }
+
+    /// Do all replicas hold the same database? True outside a write batch
+    /// by construction; tests and oracles assert it.
+    pub fn replicas_agree(&self) -> bool {
+        self.shards
+            .iter()
+            .all(|cx| cx.database() == self.database())
+    }
+
+    /// Insert facts and propagate their consequences, at a cost proportional
+    /// to the consequences of the *delta*, not to the size of the database.
+    /// Returns the number of atoms added (new facts plus derived atoms).
     pub fn insert(&mut self, facts: impl IntoIterator<Item = GroundAtom>) -> u64 {
         self.insert_with_stats(facts).0
     }
 
     /// [`Materialized::insert`], also returning this batch's evaluation
-    /// statistics.
+    /// statistics (summed across shards).
     pub fn insert_with_stats(
         &mut self,
         facts: impl IntoIterator<Item = GroundAtom>,
     ) -> (u64, Stats) {
-        let before = self.cx.stats();
-        let mut added: u64 = 0;
+        let before = self.stats();
 
-        // Seed delta with the genuinely new facts; the live indexes absorb
-        // them immediately.
+        // Seed delta with the genuinely new facts (the replicas are
+        // identical, so shard 0's verdict holds for all of them).
         let mut delta = Database::new();
         for f in facts {
             self.base.insert(f.clone());
-            if self.cx.add_fact(f.clone()) {
+            if self.shards[0].add_fact(f.clone()) {
                 delta.insert(f);
-                added += 1;
             }
         }
+        self.broadcast(|| delta.iter());
 
         // Delta-driven rounds: any rule whose body mentions a predicate with
         // delta tuples (EDB or IDB — inserted facts may be either) can fire.
-        let rules = all_rules(&self.program);
-        while !delta.is_empty() {
-            delta = self.cx.delta_round(&rules, &delta, &|_| true);
-            added += delta.len() as u64;
-        }
-        (added, self.cx.stats() - before)
+        let added = delta.len() as u64 + self.propagate(delta);
+        (added, self.stats() - before)
     }
-}
 
-impl Materialized {
-    /// Delete base facts and propagate: DRed overdeletion followed by
-    /// rederivation. Returns the net number of atoms removed from the
-    /// fixpoint.
+    /// Run delta rounds from `delta` to fixpoint; returns the number of
+    /// atoms derived. On return the replicas are identical again.
+    fn propagate(&mut self, mut delta: Database) -> u64 {
+        let rules = all_rules(&self.program);
+        let mut derived = 0;
+        while !delta.is_empty() {
+            let mut outs = self.round(&delta, |cx, part| cx.delta_round(&rules, part, &|_| true));
+            delta = match outs.len() {
+                1 => outs.pop().expect("one shard, one output"),
+                _ => self.exchange(&outs),
+            };
+            derived += delta.len() as u64;
+        }
+        derived
+    }
+
+    /// One round over `delta`: whole on one shard, else split by shard key
+    /// with every shard running its part. Results come in shard order.
+    fn round<R: Send>(
+        &mut self,
+        delta: &Database,
+        run: impl Fn(&mut EvalContext, &Database) -> R + Sync,
+    ) -> Vec<R> {
+        if let [only] = &mut self.shards[..] {
+            return vec![run(only, delta)];
+        }
+        let parts = partition(delta, self.shards.len());
+        self.exchange.shard_exchange_rounds += 1;
+        self.each_shard(|i, cx| run(cx, &parts[i]))
+    }
+
+    /// Merge the shards' round outputs into the next delta; every shard
+    /// absorbs the atoms it did not derive itself, re-converging the replicas.
+    fn exchange(&mut self, outs: &[Database]) -> Database {
+        let mut next = Database::new();
+        for atom in outs.iter().flat_map(Database::iter) {
+            next.insert(atom);
+        }
+        let absorbed = self.each_shard(|i, cx| {
+            let mut absorbed = 0u64;
+            for atom in next.iter() {
+                if !outs[i].contains(&atom) && cx.add_fact(atom) {
+                    absorbed += 1;
+                }
+            }
+            absorbed
+        });
+        self.exchange.shard_deltas_exchanged += absorbed.iter().sum::<u64>();
+        next
+    }
+
+    /// Add `atoms` — already in shard 0 — to every other replica.
+    fn broadcast<I: Iterator<Item = GroundAtom>>(&mut self, atoms: impl Fn() -> I + Sync) {
+        self.each_shard(|i, cx| {
+            if i > 0 {
+                for atom in atoms() {
+                    cx.add_fact(atom);
+                }
+            }
+        });
+    }
+
+    /// Run `f` on every shard, results in shard order: inline with one
+    /// shard, else one scoped worker per shard (replicas share no storage).
+    fn each_shard<R: Send>(&mut self, f: impl Fn(usize, &mut EvalContext) -> R + Sync) -> Vec<R> {
+        if let [only] = &mut self.shards[..] {
+            return vec![f(0, only)];
+        }
+        let f = &f;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .shards
+                .iter_mut()
+                .enumerate()
+                .map(|(i, cx)| scope.spawn(move || f(i, cx)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("shard worker panicked"))
+                .collect()
+        })
+    }
+
+    /// Delete base facts and propagate (DRed: overdelete, then rederive).
+    /// Returns the net number of atoms removed from the fixpoint.
     pub fn remove(&mut self, facts: impl IntoIterator<Item = GroundAtom>) -> u64 {
         self.remove_with_stats(facts).0
     }
 
     /// [`Materialized::remove`], also returning this batch's work counters
-    /// (probes and matches cover both the overdeletion sweep and the
-    /// rederivation).
+    /// (sweep and rederivation alike, summed across shards).
     pub fn remove_with_stats(
         &mut self,
         facts: impl IntoIterator<Item = GroundAtom>,
     ) -> (u64, Stats) {
-        let before = self.cx.stats();
+        let before = self.stats();
         let rules = all_rules(&self.program);
+        let shards = self.shards.len();
 
         // Phase 1 — overdelete. `overdeleted` accumulates every atom with
         // some derivation (over the OLD fixpoint) passing through a deleted
-        // or overdeleted atom. The sweep never commits, so the context
+        // or overdeleted atom. The sweep never commits, so every context
         // database *is* the old fixpoint throughout — no snapshot clone.
         let mut delta = Database::new();
         for f in facts {
-            if self.base.remove(&f) && self.cx.database().contains(&f) {
+            if self.base.remove(&f) && self.database().contains(&f) {
                 delta.insert(f);
             }
         }
         let mut overdeleted = delta.clone();
-        let old_len = self.cx.database().len();
+        let old_len = self.database().len();
         while !delta.is_empty() {
-            let hit = self.cx.sweep_round(&rules, &delta, &|_| true);
+            let hits = self.round(&delta, |cx, part| cx.sweep_round(&rules, part, &|_| true));
             let mut next_delta = Database::new();
-            for atom in hit {
-                if !overdeleted.contains(&atom) {
-                    overdeleted.insert(atom.clone());
-                    next_delta.insert(atom);
+            for (shard, hit) in hits.into_iter().enumerate() {
+                for atom in hit {
+                    if !overdeleted.contains(&atom) {
+                        overdeleted.insert(atom.clone());
+                        if shards > 1 && shard_of(&atom, shards) != shard {
+                            self.exchange.shard_deltas_exchanged += 1;
+                        }
+                        next_delta.insert(atom);
+                    }
                 }
             }
             delta = next_delta;
         }
 
-        // Remove the overdeleted region from the fixpoint (this is the one
-        // operation that invalidates the live indexes).
-        self.cx.remove_atoms(&overdeleted);
+        // The one operation that invalidates the live indexes.
+        self.each_shard(|_, cx| cx.remove_atoms(&overdeleted));
 
         // Phase 2 — rederive. Base facts that were overdeleted (but not
         // deleted) come straight back; derived atoms come back if some rule
         // instantiation over the surviving database produces them. Iterate
-        // to fixpoint (restorations can enable further restorations).
+        // to fixpoint (restorations can enable further restorations). The
+        // loop consults shard 0 only; the other replicas catch up after it.
         let mut rstats = Stats::default();
+        let mut restored: Vec<GroundAtom> = Vec::new();
         let mut pending: Vec<GroundAtom> = overdeleted.iter().collect();
         loop {
             let mut restored_any = false;
             let mut still_pending = Vec::new();
             for atom in pending {
-                let back = self.base.contains(&atom) || self.rederivable(&atom, &mut rstats);
-                if back {
-                    self.cx.add_fact(atom);
+                if self.base.contains(&atom) || self.rederivable(&atom, &mut rstats) {
+                    self.shards[0].add_fact(atom.clone());
+                    restored.push(atom);
                     restored_any = true;
                 } else {
                     still_pending.push(atom);
@@ -240,26 +373,22 @@ impl Materialized {
                 break;
             }
         }
-        self.cx.record(rstats);
+        self.broadcast(|| restored.iter().cloned());
+        self.shards[0].record(rstats);
 
-        let removed = old_len - self.cx.database().len();
-        (removed as u64, self.cx.stats() - before)
+        let removed = old_len - self.database().len();
+        (removed as u64, self.stats() - before)
     }
 
     /// Does some rule instantiation over the current database derive `atom`?
     fn rederivable(&self, atom: &GroundAtom, stats: &mut Stats) -> bool {
-        for rule in &self.program.rules {
-            if rule.head.pred != atom.pred {
-                continue;
-            }
-            let Some(head_subst) = datalog_ast::match_atom(&rule.head, atom) else {
-                continue;
-            };
-            if body_satisfiable(rule, &head_subst, self.cx.database(), stats) {
-                return true;
-            }
-        }
-        false
+        self.program.rules.iter().any(|rule| {
+            rule.head.pred == atom.pred
+                && match_atom(&rule.head, atom).is_some_and(|head_subst| {
+                    let body: Vec<&Atom> = rule.positive_body().collect();
+                    satisfiable(&body, &head_subst, self.database(), stats)
+                })
+        })
     }
 }
 
@@ -267,39 +396,66 @@ fn all_rules(program: &Program) -> Vec<usize> {
     (0..program.rules.len()).collect()
 }
 
-/// Backtracking satisfiability of a rule body under a partial substitution
-/// (shared with the sharded evaluator's rederivation phase).
-pub(crate) fn body_satisfiable(
-    rule: &datalog_ast::Rule,
-    subst: &datalog_ast::Subst,
-    db: &Database,
-    stats: &mut Stats,
-) -> bool {
-    fn rec(
-        atoms: &[&datalog_ast::Atom],
-        subst: &datalog_ast::Subst,
-        db: &Database,
-        stats: &mut Stats,
-    ) -> bool {
-        let Some((first, rest)) = atoms.split_first() else {
-            return true;
-        };
-        let pattern = subst.apply_atom(first);
-        for tuple in db.relation(pattern.pred) {
-            stats.probes += 1;
-            let g = GroundAtom {
-                pred: pattern.pred,
-                tuple: tuple.into(),
-            };
-            let mut s = subst.clone();
-            if datalog_ast::match_atom_into(&pattern, &g, &mut s) && rec(rest, &s, db, stats) {
-                return true;
-            }
-        }
-        false
+/// The shard owning `atom`: hash of `(pred, tuple[0])` (the join-key
+/// column), or of the bare pred for nullary tuples.
+fn shard_of(atom: &GroundAtom, shards: usize) -> usize {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    atom.pred.hash(&mut h);
+    if let Some(key) = atom.tuple.first() {
+        key.hash(&mut h);
     }
-    let body: Vec<&datalog_ast::Atom> = rule.positive_body().collect();
-    rec(&body, subst, db, stats)
+    (h.finish() % shards as u64) as usize
+}
+
+/// Split `delta` into per-shard databases by shard key.
+fn partition(delta: &Database, shards: usize) -> Vec<Database> {
+    let mut parts = vec![Database::new(); shards];
+    for atom in delta.iter() {
+        let shard = shard_of(&atom, shards);
+        parts[shard].insert(atom);
+    }
+    parts
+}
+
+/// Backtracking satisfiability of body `atoms` under a partial substitution.
+fn satisfiable(atoms: &[&Atom], subst: &Subst, db: &Database, stats: &mut Stats) -> bool {
+    let Some((first, rest)) = atoms.split_first() else {
+        return true;
+    };
+    let pattern = subst.apply_atom(first);
+    for tuple in db.relation(pattern.pred) {
+        stats.probes += 1;
+        let g = GroundAtom {
+            pred: pattern.pred,
+            tuple: tuple.into(),
+        };
+        let mut s = subst.clone();
+        if match_atom_into(&pattern, &g, &mut s) && satisfiable(rest, &s, db, stats) {
+            return true;
+        }
+    }
+    false
+}
+
+/// Old name of [`Materialized::sharded`]: `benchmark/`, which no PR that changes
+/// the program may edit, still constructs it; a benchmark-only PR removes it.
+#[doc(hidden)]
+pub struct ShardedMaterialized(Materialized);
+impl ShardedMaterialized {
+    pub fn new(program: Program, input: &Database, shards: usize) -> ShardedMaterialized {
+        ShardedMaterialized(Materialized::sharded(program, input, shards))
+    }
+}
+impl std::ops::Deref for ShardedMaterialized {
+    type Target = Materialized;
+    fn deref(&self) -> &Materialized {
+        &self.0
+    }
+}
+impl std::ops::DerefMut for ShardedMaterialized {
+    fn deref_mut(&mut self) -> &mut Materialized {
+        &mut self.0
+    }
 }
 
 #[cfg(test)]
@@ -307,19 +463,29 @@ mod tests {
     use super::*;
     use datalog_ast::{fact, parse_database, parse_program, Pred};
 
+    /// Every behavioural test here holds at any shard count.
+    pub(super) const SHARDS: [usize; 5] = [1, 2, 3, 4, 7];
+
     fn tc() -> Program {
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap()
     }
 
     #[test]
-    fn incremental_matches_from_scratch() {
-        let edb = parse_database("a(1,2). a(2,3).").unwrap();
-        let mut m = Materialized::new(tc(), &edb);
-        m.insert([fact("a", [3, 4]), fact("a", [4, 5])]);
+    fn saturation_and_inserts_match_from_scratch() {
+        let edb = parse_database("a(1,2). a(2,3). a(4,1). a(4,5).").unwrap();
+        let full_edb = parse_database("a(1,2). a(2,3). a(4,1). a(4,5). a(3,4). a(5,6).").unwrap();
+        for shards in SHARDS {
+            let mut m = Materialized::sharded(tc(), &edb, shards);
+            assert_eq!(m.shards(), shards);
+            assert_eq!(m.database(), &crate::seminaive::evaluate(&tc(), &edb));
+            assert!(m.replicas_agree(), "shards={shards}");
 
-        let full_edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,5).").unwrap();
-        let scratch = crate::seminaive::evaluate(&tc(), &full_edb);
-        assert_eq!(m.database(), &scratch);
+            m.insert([fact("a", [3, 4]), fact("a", [5, 6])]);
+            let scratch = crate::seminaive::evaluate(&tc(), &full_edb);
+            assert_eq!(m.database(), &scratch, "shards={shards}");
+            assert!(m.replicas_agree(), "shards={shards}");
+        }
+        assert_eq!(Materialized::sharded(tc(), &edb, 0).shards(), 1);
     }
 
     #[test]
@@ -400,21 +566,26 @@ mod tests {
     #[test]
     fn snapshots_are_immutable_and_cached() {
         let edb = parse_database("a(1,2).").unwrap();
-        let mut m = Materialized::new(tc(), &edb);
-        let s1 = m.snapshot();
-        let s1_again = m.snapshot();
-        assert!(Arc::ptr_eq(&s1, &s1_again), "cached between batches");
+        for shards in SHARDS {
+            let mut m = Materialized::sharded(tc(), &edb, shards);
+            let s1 = m.snapshot();
+            let s1_again = m.snapshot();
+            assert!(Arc::ptr_eq(&s1, &s1_again), "cached between batches");
+            for i in 0..m.shards() {
+                assert_eq!(&*m.shard_snapshot(i), &*s1, "every shard serves it");
+            }
 
-        m.insert([fact("a", [2, 3])]);
-        // The old snapshot is frozen; a new one sees the update.
-        assert!(!s1.contains(&fact("g", [1, 3])));
-        let s2 = m.snapshot();
-        assert!(s2.contains(&fact("g", [1, 3])));
-        assert!(!Arc::ptr_eq(&s1, &s2));
+            m.insert([fact("a", [2, 3])]);
+            // The old snapshot is frozen; a new one sees the update.
+            assert!(!s1.contains(&fact("g", [1, 3])));
+            let s2 = m.snapshot();
+            assert!(s2.contains(&fact("g", [1, 3])));
+            assert!(!Arc::ptr_eq(&s1, &s2));
 
-        m.remove([fact("a", [1, 2])]);
-        assert!(s2.contains(&fact("g", [1, 2])), "frozen across removes too");
-        assert!(!m.snapshot().contains(&fact("g", [1, 2])));
+            m.remove([fact("a", [1, 2])]);
+            assert!(s2.contains(&fact("g", [1, 2])), "frozen across removes too");
+            assert!(!m.snapshot().contains(&fact("g", [1, 2])));
+        }
     }
 
     #[test]
@@ -429,22 +600,82 @@ mod tests {
     }
 
     #[test]
-    fn parallel_materialization_matches_sequential() {
-        let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,1).").unwrap();
-        let mut seq = Materialized::new(tc(), &edb);
-        let mut par = Materialized::with_options(tc(), &edb, EvalOptions::with_threads(4));
-        assert_eq!(seq.database(), par.database());
-        seq.insert([fact("a", [4, 5])]);
-        par.insert([fact("a", [4, 5])]);
-        assert_eq!(seq.database(), par.database());
-        seq.remove([fact("a", [2, 3])]);
-        par.remove([fact("a", [2, 3])]);
-        assert_eq!(seq.database(), par.database());
+    fn a_clone_diverges_from_its_original_and_keeps_its_counters() {
+        let edb = parse_database("a(1,2). a(2,3).").unwrap();
+        for shards in [1, 2] {
+            let original = Materialized::sharded(tc(), &edb, shards);
+            let mut copy = original.clone();
+            assert_eq!(copy.stats(), original.stats());
+            copy.insert([fact("a", [3, 4])]);
+            assert!(copy.database().contains(&fact("g", [1, 4])));
+            assert!(!original.database().contains(&fact("g", [1, 4])));
+            assert!(copy.stats().derivations > original.stats().derivations);
+        }
+    }
+
+    /// The script behind the counter tests: saturate a 6-edge graph with a
+    /// cycle, insert three facts (one a seeded IDB atom), remove two edges.
+    fn counter_script(shards: usize) -> Materialized {
+        let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,1). a(4,5). a(5,6).").unwrap();
+        let mut m = Materialized::sharded(tc(), &edb, shards);
+        m.insert([fact("a", [6, 7]), fact("a", [7, 1]), fact("g", [9, 1])]);
+        m.remove([fact("a", [2, 3]), fact("a", [5, 6])]);
+        m
+    }
+
+    #[test]
+    fn one_shard_does_the_work_the_unsharded_engine_did() {
+        // The constants are what `Materialized` reported on this script at
+        // the last commit that had a separate unsharded engine (a9250f6):
+        // one shard must not partition, exchange, or join any differently.
+        let s = counter_script(1).stats();
+        assert_eq!(
+            (s.probes, s.matches, s.derivations, s.index_builds),
+            (4514, 1276, 55, 4)
+        );
+        assert_eq!(s.iterations, 13);
+        assert_eq!((s.shard_exchange_rounds, s.shard_deltas_exchanged), (0, 0));
+        assert!(!s.has_shard_activity());
+    }
+
+    #[test]
+    fn two_shards_reach_the_same_fixpoint_and_count_their_exchange() {
+        let (one, two) = (counter_script(1), counter_script(2));
+        assert_eq!(one.database(), two.database());
+        assert_eq!(one.database().len(), 21);
+        assert!(two.replicas_agree());
+        let s = two.stats();
+        assert!(s.shard_exchange_rounds > 0 && s.shard_deltas_exchanged > 0);
+        assert!(s.derivations > 0, "stats sum the shards' own work");
+
+        let mut two = two;
+        let (_, insert) = two.insert_with_stats([fact("a", [2, 3])]);
+        assert!(insert.shard_exchange_rounds > 0 && insert.derivations > 0);
+        let (_, remove) = two.remove_with_stats([fact("a", [1, 2])]);
+        assert!(
+            remove.shard_exchange_rounds > 0,
+            "the sweep is partitioned too"
+        );
+    }
+
+    #[test]
+    fn partition_is_total_and_disjoint() {
+        let db = parse_database("a(1,2). a(2,3). b(4). c(). g(7,8,9).").unwrap();
+        let parts = partition(&db, 3);
+        let total: usize = parts.iter().map(Database::len).sum();
+        assert_eq!(total, db.len());
+        for atom in db.iter() {
+            let owner = shard_of(&atom, 3);
+            for (i, part) in parts.iter().enumerate() {
+                assert_eq!(part.contains(&atom), i == owner);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod deletion_tests {
+    use super::tests::SHARDS;
     use super::*;
     use datalog_ast::{fact, parse_database, parse_program, Program};
 
@@ -459,28 +690,34 @@ mod deletion_tests {
     #[test]
     fn remove_edge_from_chain() {
         let base = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
-        let mut m = Materialized::new(tc(), &base);
-        let removed = m.remove([fact("a", [2, 3])]);
-        assert!(removed > 1, "edge plus dependent closure atoms");
         let mut expected_base = base.clone();
         expected_base.remove(&fact("a", [2, 3]));
-        assert_eq!(m.database(), &scratch(&tc(), &expected_base));
-        assert!(!m.database().contains(&fact("g", [1, 4])));
-        assert!(m.database().contains(&fact("g", [3, 4])));
+        for shards in SHARDS {
+            let mut m = Materialized::sharded(tc(), &base, shards);
+            let removed = m.remove([fact("a", [2, 3])]);
+            assert_eq!(removed, 5, "edge plus dependent closure atoms");
+            assert_eq!(m.database(), &scratch(&tc(), &expected_base));
+            assert!(!m.database().contains(&fact("g", [1, 4])));
+            assert!(m.database().contains(&fact("g", [3, 4])));
+            assert!(m.replicas_agree(), "shards={shards}");
+        }
     }
 
     #[test]
     fn rederivation_via_alternative_path() {
         // Two parallel paths 1→2; deleting one keeps g(1,2) derivable.
         let base = parse_database("a(1,2). a(1,9). a(9,2). a(2,3).").unwrap();
-        let mut m = Materialized::new(tc(), &base);
-        m.remove([fact("a", [1, 2])]);
         let mut eb = base.clone();
         eb.remove(&fact("a", [1, 2]));
-        assert_eq!(m.database(), &scratch(&tc(), &eb));
-        // g(1,2) survives through 1→9→2.
-        assert!(m.database().contains(&fact("g", [1, 2])));
-        assert!(m.database().contains(&fact("g", [1, 3])));
+        for shards in SHARDS {
+            let mut m = Materialized::sharded(tc(), &base, shards);
+            m.remove([fact("a", [1, 2])]);
+            assert_eq!(m.database(), &scratch(&tc(), &eb));
+            // g(1,2) survives through 1→9→2.
+            assert!(m.database().contains(&fact("g", [1, 2])));
+            assert!(m.database().contains(&fact("g", [1, 3])));
+            assert!(m.replicas_agree(), "shards={shards}");
+        }
     }
 
     #[test]
@@ -516,34 +753,40 @@ mod deletion_tests {
     }
 
     #[test]
-    fn random_deletion_stream_matches_scratch() {
+    fn random_mutation_stream_matches_scratch_at_every_step() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let p = parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- a(X, Y), g(Y, Z).").unwrap();
         for seed in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut base = Database::new();
-            for _ in 0..25 {
-                base.insert(fact("a", [rng.gen_range(0..8), rng.gen_range(0..8)]));
-            }
-            let mut m = Materialized::new(p.clone(), &base);
-            // Interleave deletions and insertions.
-            for step in 0..12 {
-                let x = rng.gen_range(0..8);
-                let y = rng.gen_range(0..8);
-                let f = fact("a", [x, y]);
-                if step % 3 == 0 {
-                    base.insert(f.clone());
-                    m.insert([f]);
-                } else {
-                    base.remove(&f);
-                    m.remove([f]);
+            for shards in SHARDS {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut base = Database::new();
+                for _ in 0..25 {
+                    base.insert(fact("a", [rng.gen_range(0..8), rng.gen_range(0..8)]));
                 }
-                assert_eq!(
-                    m.database(),
-                    &crate::seminaive::evaluate(&p, &base),
-                    "seed {seed} step {step}"
-                );
+                let mut m = Materialized::sharded(p.clone(), &base, shards);
+                // Interleave deletions and insertions.
+                for step in 0..12 {
+                    let x = rng.gen_range(0..8);
+                    let y = rng.gen_range(0..8);
+                    let f = fact("a", [x, y]);
+                    if step % 3 == 0 {
+                        base.insert(f.clone());
+                        m.insert([f]);
+                    } else {
+                        base.remove(&f);
+                        m.remove([f]);
+                    }
+                    assert_eq!(
+                        m.database(),
+                        &crate::seminaive::evaluate(&p, &base),
+                        "seed {seed} shards {shards} step {step}"
+                    );
+                    assert!(
+                        m.replicas_agree(),
+                        "seed {seed} shards {shards} step {step}"
+                    );
+                }
             }
         }
     }

@@ -19,10 +19,10 @@
 //!   join scripts, and parallel round execution over [`pool`].
 //! * [`pool`] — the std-only worker thread pool (shared with
 //!   `datalog-service`).
-//! * [`sharded`] — hash-partitioned fixpoints: N [`EvalContext`] replicas
-//!   splitting every semi-naive delta by shard key and exchanging
-//!   cross-shard derivations once per round (the substrate of the
-//!   sharded `datalog-service` views).
+//! * [`incremental`] — [`Materialized`], the maintained fixpoint: delta
+//!   insertion and DRed deletion on one [`EvalContext`], or on N replicas
+//!   that split every delta by shard key and exchange cross-shard
+//!   derivations once per round (the substrate of `datalog-service` views).
 //! * [`stats`] — work counters (probes ≈ joins, derivations, rounds,
 //!   index builds/appends, parallel tasks) that make the paper's "fewer
 //!   joins" claim measurable.
@@ -41,12 +41,13 @@ pub mod qsq;
 pub mod query;
 pub mod scc_eval;
 pub mod seminaive;
-pub mod sharded;
 pub mod stats;
 pub mod stratified;
 
 pub use context::{EvalContext, EvalOptions};
 pub use incremental::Materialized;
+#[doc(hidden)]
+pub use incremental::ShardedMaterialized;
 pub use magic::{
     answer, answer_with_stats, magic_template, magic_transform, Adornment, MagicProgram,
     MagicTemplate,
@@ -56,6 +57,5 @@ pub use plan::{instantiate_head, join_body, IndexSet, RulePlan};
 pub use pool::ThreadPool;
 pub use provenance::{evaluate_traced, Justification, Proof, Traced};
 pub use query::{PlanCache, QueryPlan, Strategy};
-pub use sharded::ShardedMaterialized;
 pub use stats::Stats;
 pub use stratified::NotStratifiable;

@@ -80,11 +80,13 @@ pub struct Stats {
     /// Entries admitted into the answer cache (monotone: a cumulative
     /// admission count, not the live-entry gauge).
     pub query_cache_entries: u64,
-    /// Partitioned delta rounds run by a sharded evaluation (one per
-    /// merge-and-exchange barrier, including single-shard runs).
+    /// Partitioned rounds (delta rounds and DRed sweep rounds) run by a
+    /// [`crate::Materialized`] with more than one shard. One shard runs
+    /// every round inline and never counts here.
     pub shard_exchange_rounds: u64,
     /// Atoms shipped across shards by the exchange step: derivations (or
-    /// overdeletions) produced on one shard and absorbed by another.
+    /// overdeletions) produced on one shard and absorbed by another. Zero
+    /// with one shard.
     pub shard_deltas_exchanged: u64,
 }
 
@@ -176,7 +178,7 @@ impl Stats {
 
     /// True when any shard-exchange counter is nonzero; like the cache
     /// block, [`Display`](fmt::Display) only prints the shard block then,
-    /// so unsharded evaluations keep their historical stats line.
+    /// so one-shard evaluations keep their historical stats line.
     pub fn has_shard_activity(&self) -> bool {
         self.shard_exchange_rounds != 0 || self.shard_deltas_exchanged != 0
     }

@@ -18,14 +18,16 @@
 //!   IDB-seeded databases (the paper's uniform-equivalence regime, §IV),
 //!   and the minimized programs must test ≡u against the original (§VI).
 //! * **Incremental consistency** — after every insert/remove batch the
-//!   [`Materialized`] fixpoint must equal a from-scratch evaluation of the
-//!   surviving base.
+//!   [`Materialized`] fixpoint (at 1, 2 or 4 shards by seed) must equal a
+//!   from-scratch evaluation of the surviving base, and its shard replicas
+//!   must agree.
 //! * **Query-cache consistency** — a [`View`] + [`QueryState`] pair (the
-//!   service's point-query path) is driven through interleaved adorned
-//!   queries and invalidating write batches; every answer — cold, served
-//!   from the cache, or filtered out of a more general cached set by §V/§VI
-//!   subsumption — must equal the pattern-filtered from-scratch fixpoint of
-//!   the same base.
+//!   service's point-query path, sharded per seed) is driven through
+//!   interleaved adorned queries and invalidating write batches; every
+//!   answer — cold, served from the cache, or filtered out of a more
+//!   general cached set by §V/§VI subsumption — must equal the
+//!   pattern-filtered from-scratch fixpoint of the same base, and every
+//!   published shard replica the whole of it.
 //! * **Concurrent service** — racing client threads drive
 //!   interleaving-independent insert/remove batches (plus readers) through
 //!   an in-process [`Registry`] (sharded per seed); because no fact is both
@@ -36,8 +38,9 @@
 use crate::workload::{Case, Mutation};
 use datalog_ast::{match_atom, Atom, Const, Database, GroundAtom, Pred, Program, Term};
 use datalog_engine::query::Strategy;
-use datalog_engine::{magic, naive, qsq, scc_eval, seminaive, stratified, EvalOptions, Stats};
-use datalog_engine::{Materialized, ShardedMaterialized};
+use datalog_engine::{
+    magic, naive, qsq, scc_eval, seminaive, stratified, EvalOptions, Materialized, Stats,
+};
 use datalog_optimizer::{minimize_program, minimize_program_in_order, uniformly_equivalent};
 use datalog_service::{CacheStatus, QueryState, Registry, View};
 use rand::rngs::StdRng;
@@ -241,11 +244,11 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
             seminaive::evaluate_with_opts(program, db, EvalOptions::with_threads(workers));
         engines.push((format!("parallel-{workers}"), got));
     }
-    // The hash-partitioned sharded evaluator: N replica contexts splitting
-    // every delta by shard key and exchanging cross-shard derivations must
-    // land on the same fixpoint as one context.
+    // The maintained-view engine over N > 1 shards: replica contexts
+    // splitting every delta by shard key and exchanging cross-shard
+    // derivations must land on the same fixpoint as one context.
     for shards in [2usize, 4] {
-        let sharded = ShardedMaterialized::new(program.clone(), db, shards);
+        let sharded = Materialized::sharded(program.clone(), db, shards);
         engines.push((format!("sharded-{shards}"), sharded.database().clone()));
     }
     // The join kernel vs the row-at-a-time interpreter: the reference above
@@ -476,23 +479,32 @@ fn permutation(rng: &mut StdRng, n: usize) -> Vec<usize> {
     order
 }
 
+/// The shard count a maintained-view oracle runs `case` at: 1, 2 or 4 by
+/// seed (hand-written fixtures have seed 0, so they run unsharded).
+fn shards_for(case: &Case) -> usize {
+    [1usize, 2, 4][(case.seed % 3) as usize]
+}
+
 fn check_incremental(case: &Case) -> Vec<Divergence> {
     let mut out = Vec::new();
     let program = &case.program;
     if !program.is_positive() {
         return out;
     }
-    let mut m = Materialized::new(program.clone(), &case.db);
+    let shards = shards_for(case);
+    let mut m = Materialized::sharded(program.clone(), &case.db, shards);
     let mut shadow = case.db.clone();
 
     // Commit 0: initial saturation.
     let scratch = seminaive::evaluate(program, &shadow);
-    if m.database() != &scratch {
+    if m.database() != &scratch || !m.replicas_agree() {
         out.push(Divergence {
             family: Family::Incremental,
             kind: "incr:init".into(),
             message: format!(
-                "initial materialization disagrees with from-scratch: {}",
+                "initial materialization ({shards} shards, replicas agree: {}) disagrees \
+                 with from-scratch: {}",
+                m.replicas_agree(),
                 diff_sample(&scratch, m.database())
             ),
         });
@@ -515,7 +527,7 @@ fn check_incremental(case: &Case) -> Vec<Divergence> {
             }
         }
         let scratch = seminaive::evaluate(program, &shadow);
-        if m.database() != &scratch {
+        if m.database() != &scratch || !m.replicas_agree() {
             let op = if mutation.is_insert() {
                 "insert"
             } else {
@@ -525,7 +537,9 @@ fn check_incremental(case: &Case) -> Vec<Divergence> {
                 family: Family::Incremental,
                 kind: "incr:step".into(),
                 message: format!(
-                    "after {op} batch #{step} the materialization disagrees with from-scratch: {}",
+                    "after {op} batch #{step} the materialization ({shards} shards, replicas \
+                     agree: {}) disagrees with from-scratch: {}",
+                    m.replicas_agree(),
                     diff_sample(&scratch, m.database())
                 ),
             });
@@ -581,12 +595,30 @@ fn check_query_cache(case: &Case) -> Vec<Divergence> {
     // The exact pair the service runs per installed program: a view plus the
     // plan/answer-cache state, invalidated from the view's pre-publication
     // hook (mirroring `Registry::op_mutate`).
-    let view = View::new(program.clone(), &case.db);
+    let view = View::sharded(program.clone(), &case.db, shards_for(case));
     let state = QueryState::new(program);
     // Rounds: the initial base, then the base after each mutation batch.
     for round in 0..=case.mutations.len() {
         let published = view.state();
         let reference = seminaive::evaluate(program, &published.base);
+        // Every slot publishes its own shard's replica (reads rotate over
+        // the slots): all of them must hold the base's fixpoint.
+        if let Some(torn) = (0..view.shards())
+            .map(|_| view.snapshot())
+            .find(|replica| **replica != reference)
+        {
+            out.push(Divergence {
+                family: Family::QueryCache,
+                kind: "query-cache:replica".into(),
+                message: format!(
+                    "after {round} batches a published replica ({} shards) disagrees with the \
+                     from-scratch fixpoint: {}",
+                    view.shards(),
+                    diff_sample(&reference, &torn)
+                ),
+            });
+            return out;
+        }
         for (qi, query) in case.queries.iter().enumerate() {
             // Alternate strategies across rounds and queries: cached
             // answers are strategy-agnostic.
@@ -691,7 +723,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
         kind: format!("service:{kind}"),
         message,
     };
-    let shards = [1usize, 2, 4][(case.seed % 3) as usize];
+    let shards = shards_for(case);
     let registry = Registry::with_shards(shards);
     // Lint gate off: generated programs may trip style lints; this oracle
     // tests serving, not the gate.

@@ -14,18 +14,16 @@
 //! * [`registry`] — named programs; the install pipeline (parse → validate
 //!   → lint gate → §VII minimize) and the request dispatcher;
 //! * [`view`] — per-program materialisations
-//!   ([`datalog_engine::Materialized`]) with batched insert/remove and
-//!   snapshot-isolated, never-blocking reads (`Arc<Database>` swapped after
-//!   every write batch);
+//!   ([`datalog_engine::Materialized`], on one context or hash-partitioned
+//!   across N shard replicas that exchange cross-shard derivations each
+//!   round) with batched insert/remove and snapshot-isolated,
+//!   never-blocking reads: one published `Arc<Database>` slot per shard,
+//!   group-committed after every write batch, readers round-robin over
+//!   the slots;
 //! * [`query`] — the demand-driven point-query subsystem: per-adornment
 //!   top-down plans (magic sets / QSQR over the view's base facts) behind a
 //!   subsumption-aware answer cache whose admission and reuse are decided
 //!   by the paper's §V/§VI containment tests;
-//! * [`shard`] — hash-partitioned views ([`datalog_engine::ShardedMaterialized`]
-//!   behind group-committed per-shard snapshot slots): N shard workers run
-//!   the fixpoint over partitioned deltas and exchange cross-shard
-//!   derivations each round, while readers round-robin over per-shard
-//!   published `Arc` snapshots;
 //! * [`metrics`] — per-program and server-wide request counts, latency, and
 //!   aggregated [`datalog_engine::Stats`], served by the `stats` request;
 //! * [`pool`] — the fixed-size worker thread pool, re-exported from
@@ -64,7 +62,6 @@ pub mod protocol;
 pub mod query;
 pub mod registry;
 pub mod server;
-pub mod shard;
 pub mod view;
 
 pub use client::Client;
@@ -74,5 +71,4 @@ pub use protocol::{ErrorCode, ServiceError};
 pub use query::{CacheStatus, QueryState};
 pub use registry::{Control, ProgramEntry, Registry};
 pub use server::{Server, ServerConfig};
-pub use shard::ShardedView;
 pub use view::{View, ViewState};

@@ -13,7 +13,7 @@ use crate::protocol::{
     bool_field, error_response, ok_response, str_field, ErrorCode, ServiceError,
 };
 use crate::query::QueryState;
-use crate::shard::ShardedView;
+use crate::view::View;
 use datalog_analysis::{analyze_unit, LintConfig, Severity};
 use datalog_ast::{
     match_atom, parse_atom, parse_database, parse_program, validate, Database, GroundAtom, Pred,
@@ -49,8 +49,8 @@ pub struct ProgramEntry {
     /// Whole rules deleted by §VII minimization.
     pub rules_removed: usize,
     /// The materialisation, hash-partitioned across the registry's
-    /// configured shard count (1 = unsharded semantics, same machinery).
-    pub view: ShardedView,
+    /// configured shard count (1 = one context, no partitioning).
+    pub view: View,
     /// The point-query subsystem: cached top-down plans plus the
     /// subsumption-aware answer cache (see [`crate::query`]).
     pub query: QueryState,
@@ -177,7 +177,7 @@ impl Registry {
             installed: installed.clone(),
             atoms_removed: removal.atoms.len(),
             rules_removed: removal.rules.len(),
-            view: ShardedView::new(installed.clone(), &Database::new(), self.shards),
+            view: View::sharded(installed.clone(), &Database::new(), self.shards),
             query: QueryState::new(&installed),
             metrics: Metrics::default(),
         });
@@ -358,6 +358,23 @@ impl Registry {
             .map_err(|e| ServiceError::new(ErrorCode::ParseError, format!("facts: {e}")))?;
         let facts: Vec<GroundAtom> = facts_db.iter().collect();
         let batch = facts.len();
+        // A fact at an arity the program does not use for its predicate can
+        // never join, so the view would store it forever: refuse the whole
+        // batch before it reaches the writer. (The installed program is a
+        // sub-program of the validated source, whose arities so cover both.)
+        let arities = entry.source.arities();
+        if let Some(f) = facts
+            .iter()
+            .find(|f| arities.get(&f.pred).is_some_and(|&a| a != f.tuple.len()))
+        {
+            return Err(ServiceError::new(
+                ErrorCode::ValidationError,
+                format!(
+                    "facts: `{f}` contradicts {}/{} in program '{}'",
+                    f.pred, arities[&f.pred], entry.name
+                ),
+            ));
+        }
         // Invalidate cached point-query answers whose predicate lies in the
         // dependency cone of the batch's predicates — inside the view's
         // pre-publication hook, so no reader can pair a stale cache entry

@@ -646,6 +646,62 @@ fn connections_beyond_the_limit_are_turned_away() {
 /// behave exactly like the unsharded one under a racing writer: every
 /// served snapshot transitively closed, the final answers equal to a fresh
 /// single-context evaluation, and the exchange counters visible in stats.
+/// A daemon at its default flags: one inline shard per view, and facts at
+/// the wrong arity refused before they reach it.
+#[test]
+fn default_daemon_checks_fact_arities_and_maintains_views_on_one_inline_shard() {
+    let (child, addr) = spawn_daemon(&[]);
+    let mut c = Client::connect(&addr).expect("connect");
+    const TC: &str = "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).";
+    assert_ok(&request(
+        &mut c,
+        &format!("{{\"op\":\"install\",\"program\":\"tc\",\"rules\":\"{TC}\"}}"),
+    ));
+    let mut mutate = |op: &str, facts: &str| {
+        let line = format!("{{\"op\":\"{op}\",\"program\":\"tc\",\"facts\":\"{facts}\"}}");
+        request(&mut c, &line)
+    };
+    let resp = mutate("insert", "a(1,2).");
+    assert_eq!(resp.get("db_atoms").unwrap().as_u64(), Some(2), "{resp}");
+
+    // EDB and IDB predicates alike, too wide and too narrow; the one
+    // well-formed fact in a batch must not go in either.
+    for (op, facts) in [
+        ("insert", "a(1,2,3). g(5). a(7)."),
+        ("insert", "a(2,3). g(5)."),
+        ("remove", "a(1,2). a(1,2,3)."),
+    ] {
+        let resp = mutate(op, facts);
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false), "{resp}");
+        assert_eq!(
+            resp.get("code").unwrap().as_str(),
+            Some("validation_error"),
+            "{resp}"
+        );
+        // A predicate the program never mentions is just an extra base
+        // fact; re-inserting it is how this loop reads `db_atoms`.
+        let resp = mutate("insert", "note(1,2,3).");
+        assert_eq!(resp.get("db_atoms").unwrap().as_u64(), Some(3), "{resp}");
+    }
+
+    // The view is not wedged: well-formed batches still go through.
+    let resp = mutate("insert", "a(2,3). a(3,4).");
+    assert_eq!(resp.get("added").unwrap().as_u64(), Some(7), "{resp}");
+    let resp = mutate("remove", "a(2,3).");
+    assert_eq!(resp.get("removed").unwrap().as_u64(), Some(5), "{resp}");
+
+    // Both batches did real work, none of it through a partition or an
+    // exchange (`--shards 4` reports > 0 in the sharded test below).
+    let resp = request(&mut c, "{\"op\":\"stats\",\"program\":\"tc\"}");
+    let eval = resp.get("metrics").unwrap().get("eval").unwrap();
+    for counter in ["shard_exchange_rounds", "shard_deltas_exchanged"] {
+        assert_eq!(eval.get(counter).unwrap().as_u64(), Some(0), "{eval}");
+    }
+
+    assert_ok(&request(&mut c, "{\"op\":\"shutdown\"}"));
+    expect_clean_exit(child);
+}
+
 #[test]
 fn sharded_daemon_matches_fresh_evaluation_under_racing_writer() {
     let (child, addr) = spawn_daemon(&["--threads", "8", "--shards", "4"]);

@@ -754,12 +754,6 @@ impl EvalContext {
         self.threads
     }
 
-    /// Fold externally-measured work (e.g. rederivation scans) into the
-    /// context counters.
-    pub(crate) fn record(&mut self, stats: Stats) {
-        self.stats += stats;
-    }
-
     /// Consume the context, returning the database.
     pub fn into_database(self) -> Database {
         // Drop the pool first so no worker can still hold a db Arc.
@@ -796,32 +790,32 @@ impl EvalContext {
     /// Round 1 of a (sub)fixpoint: evaluate `rules` in full over the
     /// current database, commit the new atoms, and return them.
     pub(crate) fn full_round(&mut self, rules: &[usize]) -> Database {
-        let derived = self.run_round(rules, None, &|_| true, true);
+        let derived = self.run_round(rules, None, true);
         self.commit(derived)
     }
 
-    /// A semi-naive delta round: evaluate `rules` with each body
-    /// occurrence of an `eligible` predicate restricted (in turn) to
-    /// `delta`, commit the new atoms, and return them as the next delta.
-    pub(crate) fn delta_round(
-        &mut self,
-        rules: &[usize],
-        delta: &Database,
-        eligible: &dyn Fn(Pred) -> bool,
-    ) -> Database {
-        let derived = self.run_round(rules, Some(delta), eligible, true);
+    /// A semi-naive delta round: evaluate `rules` with each positive body
+    /// occurrence of a predicate that has tuples in `delta` restricted (in
+    /// turn) to `delta`, commit the new atoms, and return them as the next
+    /// delta.
+    pub(crate) fn delta_round(&mut self, rules: &[usize], delta: &Database) -> Database {
+        let derived = self.run_round(rules, Some(delta), true);
         self.commit(derived)
     }
 
     /// A delta round over a *frozen* database: derived heads are returned
     /// raw, nothing is committed (the DRed overdeletion sweep).
-    pub(crate) fn sweep_round(
-        &mut self,
-        rules: &[usize],
-        delta: &Database,
-        eligible: &dyn Fn(Pred) -> bool,
-    ) -> Vec<GroundAtom> {
-        self.run_round(rules, Some(delta), eligible, false)
+    pub(crate) fn sweep_round(&mut self, rules: &[usize], delta: &Database) -> Vec<GroundAtom> {
+        self.run_round(rules, Some(delta), false)
+    }
+
+    /// Run `rules` to their fixpoint over the current database: one full
+    /// round, then delta rounds until nothing new is derived.
+    pub(crate) fn saturate(&mut self, rules: &[usize]) {
+        let mut delta = self.full_round(rules);
+        while !delta.is_empty() {
+            delta = self.delta_round(rules, &delta);
+        }
     }
 
     /// Insert `derived` atoms that are new, append their row-ids to the
@@ -854,7 +848,6 @@ impl EvalContext {
         &mut self,
         rules: &[usize],
         delta: Option<&Database>,
-        eligible: &dyn Fn(Pred) -> bool,
         filter_known: bool,
     ) -> Vec<GroundAtom> {
         self.stats.iterations += 1;
@@ -875,9 +868,12 @@ impl EvalContext {
                     items.push((scripts.len() - 1, None));
                 }
                 Some(d) => {
-                    for (p, _) in plan.body.iter().enumerate().filter(|(_, a)| {
-                        !a.negated && eligible(a.pred) && d.relation_len(a.pred) > 0
-                    }) {
+                    for (p, _) in plan
+                        .body
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, a)| !a.negated && d.relation_len(a.pred) > 0)
+                    {
                         let order = plan.greedy_order_seeded(&self.db, Some(p));
                         scripts.push(compile_script(plan, &order));
                         items.push((scripts.len() - 1, Some(p)));
@@ -1048,19 +1044,12 @@ mod tests {
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap()
     }
 
-    fn saturate(cx: &mut EvalContext, rules: &[usize]) {
-        let mut delta = cx.full_round(rules);
-        while !delta.is_empty() {
-            delta = cx.delta_round(rules, &delta, &|_| true);
-        }
-    }
-
     #[test]
     fn context_fixpoint_matches_naive() {
         let p = tc();
         let edb = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
         let mut cx = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
-        saturate(&mut cx, &[0, 1]);
+        cx.saturate(&[0, 1]);
         assert_eq!(cx.into_database(), crate::naive::evaluate(&p, &edb));
     }
 
@@ -1073,7 +1062,7 @@ mod tests {
         }
         let edb = parse_database(&facts).unwrap();
         let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
-        saturate(&mut cx, &[0, 1]);
+        cx.saturate(&[0, 1]);
         let stats = cx.stats();
         // Long chain ⇒ many rounds; incremental indexes ⇒ builds stay a
         // small per-pattern constant while appends do the maintenance.
@@ -1097,10 +1086,10 @@ mod tests {
         }
         let edb = parse_database(&facts).unwrap();
         let mut seq = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
-        saturate(&mut seq, &[0, 1]);
+        seq.saturate(&[0, 1]);
         for threads in [2usize, 4, 8] {
             let mut par = EvalContext::new(&p, edb.clone(), EvalOptions::with_threads(threads));
-            saturate(&mut par, &[0, 1]);
+            par.saturate(&[0, 1]);
             assert!(par.stats().parallel_tasks > 0, "pool actually used");
             // Logical work is partition-invariant.
             assert_eq!(par.stats().matches, seq.stats().matches);
@@ -1138,9 +1127,9 @@ mod tests {
         }
         let edb = parse_database(&facts).unwrap();
         let mut spec = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
-        saturate(&mut spec, &[0]);
+        spec.saturate(&[0]);
         let mut interp = EvalContext::new(&p, edb, EvalOptions::interpreted());
-        saturate(&mut interp, &[0]);
+        interp.saturate(&[0]);
         assert_eq!(
             spec.stats().specialized_tasks,
             1,
@@ -1161,13 +1150,13 @@ mod tests {
         let p = tc();
         let edb = parse_database("a(1,2).").unwrap();
         let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
-        saturate(&mut cx, &[0, 1]);
+        cx.saturate(&[0, 1]);
         let builds_before = cx.stats().index_builds;
         assert!(cx.add_fact(datalog_ast::fact("a", [2, 3])));
         let mut delta = Database::new();
         delta.insert(datalog_ast::fact("a", [2, 3]));
         while !delta.is_empty() {
-            delta = cx.delta_round(&[0, 1], &delta, &|_| true);
+            delta = cx.delta_round(&[0, 1], &delta);
         }
         assert_eq!(
             cx.stats().index_builds,
@@ -1182,7 +1171,7 @@ mod tests {
         let p = tc();
         let edb = parse_database("a(1,2). a(2,3).").unwrap();
         let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
-        saturate(&mut cx, &[0, 1]);
+        cx.saturate(&[0, 1]);
         let mut gone = Database::new();
         gone.insert(datalog_ast::fact("g", [1, 3]));
         cx.remove_atoms(&gone);
@@ -1191,7 +1180,7 @@ mod tests {
         let mut delta = Database::new();
         delta.insert(datalog_ast::fact("g", [2, 3]));
         while !delta.is_empty() {
-            delta = cx.delta_round(&[0, 1], &delta, &|_| true);
+            delta = cx.delta_round(&[0, 1], &delta);
         }
         assert!(cx.database().contains(&datalog_ast::fact("g", [1, 3])));
     }
@@ -1202,7 +1191,7 @@ mod tests {
         let edb = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
         let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
         assert_eq!(cx.stats().tuples_allocated, 3, "seeded with the input");
-        saturate(&mut cx, &[0, 1]);
+        cx.saturate(&[0, 1]);
         let stats = cx.stats();
         let final_len = cx.database().len() as u64;
         assert_eq!(

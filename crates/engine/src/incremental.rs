@@ -6,12 +6,28 @@
 //! facts seed a semi-naive delta and only their consequences are computed.
 //!
 //! **Deletions** are non-monotone and use DRed (delete-and-rederive,
-//! Gupta–Mumick–Subrahmanian 1993): first *overdelete* everything with a
-//! derivation through a deleted atom (a delta-driven sweep), then
-//! *rederive* overdeleted atoms that still have alternative support from
-//! the surviving database. To keep base facts and derived atoms apart, the
-//! materialisation remembers the base (`base`): an overdeleted atom that is
-//! still in the base is always rederived.
+//! Gupta–Mumick–Subrahmanian 1993), as three kinds of round over the same
+//! contexts:
+//!
+//! 1. *Overdelete*: a delta-driven sweep over the old fixpoint (nothing is
+//!    committed) collects every atom with a derivation through a deleted
+//!    atom; the set is then removed from every replica.
+//! 2. *Rederive*: overdeleted atoms that are still asserted (`base` keeps
+//!    asserted facts apart from derived atoms) go straight back. The others
+//!    seed **one** delta round of *rederivation twins* — for every rule
+//!    `h :- body` the contexts also compile `h :- h$overdeleted(args), body`
+//!    — whose delta is the overdeleted set under the `$overdeleted` names.
+//!    The seed is the only delta position, so each join starts from one
+//!    overdeleted atom and reads nothing but survivors: the round commits
+//!    exactly the atoms with a one-step derivation from the surviving
+//!    database, and no atom is restored from another overdeleted atom (which
+//!    is how a cycle would justify itself).
+//! 3. *Propagate*: the restored atoms are an insertion; the insert path
+//!    finishes the fixpoint.
+//!
+//! When overdeletion is total (one edge of a dense cyclic graph) these are
+//! three passes where a recompute is one — measured at 3.0–3.6x the probes
+//! of a from-scratch fixpoint; there is no fallback to one (ROADMAP item 1).
 //!
 //! The materialisation lives on persistent [`EvalContext`]s, so its rule
 //! plans are compiled once at construction and its hash indexes survive
@@ -35,7 +51,8 @@
 //!
 //! The overdeletion sweep splits the same way (it never commits, so the
 //! replicas stay identical throughout); the merged overdeletion is removed
-//! from every replica and rederived against shard 0. The shard key's first
+//! from every replica, and the rederivation round is a partitioned delta
+//! round like any other, exchange included. The shard key's first
 //! column is the join key of every recursive rule the workloads here run
 //! (`g(X, …) :- …`), so the exchange carries only genuinely cross-shard
 //! derivations. With one shard nothing is partitioned or exchanged: rounds
@@ -43,7 +60,7 @@
 
 use crate::context::{EvalContext, EvalOptions};
 use crate::stats::Stats;
-use datalog_ast::{match_atom, match_atom_into, Atom, Database, GroundAtom, Program, Subst};
+use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Rule};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -72,6 +89,8 @@ pub struct Materialized {
     base: Database,
     /// One persistent context per shard (at least one): compiled plans, the
     /// saturated database and live indexes; identical outside a write batch.
+    /// Plans `0..n` are `program`'s rules, plans `n..2n` their
+    /// [`rederivation_twin`]s.
     shards: Vec<EvalContext>,
     /// What the shard contexts do not count: the exchange's `shard_*`
     /// counters and, in a clone, the original's totals.
@@ -116,7 +135,9 @@ impl Materialized {
             program.is_positive(),
             "incremental maintenance requires a positive program"
         );
-        let mut first = EvalContext::new(&program, input.clone(), EvalOptions::sequential());
+        let twins = program.rules.iter().map(rederivation_twin);
+        let compiled = Program::new(program.rules.iter().cloned().chain(twins).collect());
+        let mut first = EvalContext::new(&compiled, input.clone(), EvalOptions::sequential());
         let delta = first.full_round(&all_rules(&program));
         let mut contexts = vec![first];
         for _ in 1..shards {
@@ -223,14 +244,20 @@ impl Materialized {
         let rules = all_rules(&self.program);
         let mut derived = 0;
         while !delta.is_empty() {
-            let mut outs = self.round(&delta, |cx, part| cx.delta_round(&rules, part, &|_| true));
-            delta = match outs.len() {
-                1 => outs.pop().expect("one shard, one output"),
-                _ => self.exchange(&outs),
-            };
+            delta = self.delta_round(&rules, &delta);
             derived += delta.len() as u64;
         }
         derived
+    }
+
+    /// One committed delta round of `rules` over `delta`, exchange included:
+    /// returns the atoms it added, which every replica holds on return.
+    fn delta_round(&mut self, rules: &[usize], delta: &Database) -> Database {
+        let mut outs = self.round(delta, |cx, part| cx.delta_round(rules, part));
+        match outs.len() {
+            1 => outs.pop().expect("one shard, one output"),
+            _ => self.exchange(&outs),
+        }
     }
 
     /// One round over `delta`: whole on one shard, else split by shard key
@@ -329,7 +356,7 @@ impl Materialized {
         let mut overdeleted = delta.clone();
         let old_len = self.database().len();
         while !delta.is_empty() {
-            let hits = self.round(&delta, |cx, part| cx.sweep_round(&rules, part, &|_| true));
+            let hits = self.round(&delta, |cx, part| cx.sweep_round(&rules, part));
             let mut next_delta = Database::new();
             for (shard, hit) in hits.into_iter().enumerate() {
                 for atom in hit {
@@ -348,47 +375,34 @@ impl Materialized {
         // The one operation that invalidates the live indexes.
         self.each_shard(|_, cx| cx.remove_atoms(&overdeleted));
 
-        // Phase 2 — rederive. Base facts that were overdeleted (but not
-        // deleted) come straight back; derived atoms come back if some rule
-        // instantiation over the surviving database produces them. Iterate
-        // to fixpoint (restorations can enable further restorations). The
-        // loop consults shard 0 only; the other replicas catch up after it.
-        let mut rstats = Stats::default();
-        let mut restored: Vec<GroundAtom> = Vec::new();
-        let mut pending: Vec<GroundAtom> = overdeleted.iter().collect();
-        loop {
-            let mut restored_any = false;
-            let mut still_pending = Vec::new();
-            for atom in pending {
-                if self.base.contains(&atom) || self.rederivable(&atom, &mut rstats) {
-                    self.shards[0].add_fact(atom.clone());
-                    restored.push(atom);
-                    restored_any = true;
+        // Round 2 — rederive, one step. Overdeleted atoms still in the base
+        // come straight back; the rest seed one delta round of the twins,
+        // which joins each against the *surviving* database only and so
+        // commits exactly those with a derivation that needs no other
+        // overdeleted atom (one restored from another would let a cycle
+        // justify itself).
+        let mut restored = Database::new();
+        let mut seeds = Database::new();
+        for pred in overdeleted.predicates() {
+            let seed = overdeleted_pred(pred);
+            for row in overdeleted.relation(pred) {
+                if self.base.contains_tuple(pred, row) {
+                    self.shards[0].add_fact(GroundAtom::new(pred, row));
+                    restored.insert_row(pred, row);
                 } else {
-                    still_pending.push(atom);
+                    seeds.insert_row(seed, row);
                 }
             }
-            pending = still_pending;
-            if !restored_any || pending.is_empty() {
-                break;
-            }
         }
-        self.broadcast(|| restored.iter().cloned());
-        self.shards[0].record(rstats);
+        self.broadcast(|| restored.iter());
+        let twins: Vec<usize> = (rules.len()..2 * rules.len()).collect();
+        restored.union_with(&self.delta_round(&twins, &seeds));
+
+        // Round 3 — whatever the restored atoms re-enable is an insertion.
+        self.propagate(restored);
 
         let removed = old_len - self.database().len();
         (removed as u64, self.stats() - before)
-    }
-
-    /// Does some rule instantiation over the current database derive `atom`?
-    fn rederivable(&self, atom: &GroundAtom, stats: &mut Stats) -> bool {
-        self.program.rules.iter().any(|rule| {
-            rule.head.pred == atom.pred
-                && match_atom(&rule.head, atom).is_some_and(|head_subst| {
-                    let body: Vec<&Atom> = rule.positive_body().collect();
-                    satisfiable(&body, &head_subst, self.database(), stats)
-                })
-        })
     }
 }
 
@@ -417,24 +431,20 @@ fn partition(delta: &Database, shards: usize) -> Vec<Database> {
     parts
 }
 
-/// Backtracking satisfiability of body `atoms` under a partial substitution.
-fn satisfiable(atoms: &[&Atom], subst: &Subst, db: &Database, stats: &mut Stats) -> bool {
-    let Some((first, rest)) = atoms.split_first() else {
-        return true;
-    };
-    let pattern = subst.apply_atom(first);
-    for tuple in db.relation(pattern.pred) {
-        stats.probes += 1;
-        let g = GroundAtom {
-            pred: pattern.pred,
-            tuple: tuple.into(),
-        };
-        let mut s = subst.clone();
-        if match_atom_into(&pattern, &g, &mut s) && satisfiable(rest, &s, db, stats) {
-            return true;
-        }
-    }
-    false
+/// The predicate holding the overdeleted `pred` atoms during rederivation.
+/// `$` cannot come out of the parser, so it names no program predicate.
+fn overdeleted_pred(pred: Pred) -> Pred {
+    Pred::new(&format!("{pred}$overdeleted"))
+}
+
+/// `h :- body` restricted to the overdeleted instances of its head:
+/// `h :- h$overdeleted(args of h), body`. In a delta round whose delta holds
+/// only `$overdeleted` atoms the seed is the one delta position, so it
+/// drives the join and every other body atom reads the context database.
+fn rederivation_twin(rule: &Rule) -> Rule {
+    let seed = Atom::new(overdeleted_pred(rule.head.pred), rule.head.terms.clone());
+    let body = std::iter::once(Literal::pos(seed)).chain(rule.body.iter().cloned());
+    Rule::new(rule.head.clone(), body.collect())
 }
 
 /// Old name of [`Materialized::sharded`]: `benchmark/`, which no PR that changes
@@ -625,15 +635,15 @@ mod tests {
 
     #[test]
     fn one_shard_does_the_work_the_unsharded_engine_did() {
-        // The constants are what `Materialized` reported on this script at
-        // the last commit that had a separate unsharded engine (a9250f6):
-        // one shard must not partition, exchange, or join any differently.
+        // One shard neither partitions nor exchanges: every round runs
+        // whole and inline, so the script's join work is pinned exactly (a
+        // change here means the single-context path joins differently).
         let s = counter_script(1).stats();
         assert_eq!(
             (s.probes, s.matches, s.derivations, s.index_builds),
-            (4514, 1276, 55, 4)
+            (405, 1298, 69, 10)
         );
-        assert_eq!(s.iterations, 13);
+        assert_eq!(s.iterations, 17);
         assert_eq!((s.shard_exchange_rounds, s.shard_deltas_exchanged), (0, 0));
         assert!(!s.has_shard_activity());
     }
@@ -677,7 +687,7 @@ mod tests {
 mod deletion_tests {
     use super::tests::SHARDS;
     use super::*;
-    use datalog_ast::{fact, parse_database, parse_program, Program};
+    use datalog_ast::{fact, parse_database, parse_program, Pred, Program};
 
     fn tc() -> Program {
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap()
@@ -717,6 +727,131 @@ mod deletion_tests {
             assert!(m.database().contains(&fact("g", [1, 2])));
             assert!(m.database().contains(&fact("g", [1, 3])));
             assert!(m.replicas_agree(), "shards={shards}");
+        }
+    }
+
+    /// Replay `steps` (`-` removes the facts, `+` inserts them) at every
+    /// shard count: after each batch the view is the from-scratch fixpoint
+    /// of the base and the replicas agree. Returns the final fixpoint.
+    fn replay(p: &Program, base: &str, steps: &[(char, &str)]) -> Database {
+        let mut out = Database::new();
+        for shards in SHARDS {
+            let mut base = parse_database(base).unwrap();
+            let mut m = Materialized::sharded(p.clone(), &base, shards);
+            for (i, &(op, facts)) in steps.iter().enumerate() {
+                let facts: Vec<GroundAtom> = parse_database(facts).unwrap().iter().collect();
+                if op == '-' {
+                    for f in &facts {
+                        base.remove(f);
+                    }
+                    m.remove(facts);
+                } else {
+                    base.extend(facts.iter().cloned());
+                    m.insert(facts);
+                }
+                assert_eq!(m.base(), &base, "shards {shards} step {i}");
+                assert_eq!(m.database(), &scratch(p, &base), "shards {shards} step {i}");
+                assert!(m.replicas_agree(), "shards {shards} step {i}");
+            }
+            out = m.database().clone();
+        }
+        out
+    }
+
+    fn reach() -> Program {
+        parse_program("r(X) :- src(X). r(Y) :- r(X), e(X, Y).").unwrap()
+    }
+
+    #[test]
+    fn a_cycle_that_loses_its_outside_support_vanishes() {
+        // r(1) and r(2) derive each other around 1 -> 2 -> 1; once 0 -> 1 is
+        // gone neither may be restored from the other, both overdeleted.
+        let out = replay(
+            &reach(),
+            "src(0). e(0,1). e(1,2). e(2,1). e(2,3).",
+            &[('-', "e(0,1).")],
+        );
+        assert_eq!(out.relation_len(Pred::new("r")), 1, "only r(0) is left");
+    }
+
+    #[test]
+    fn an_overdeleted_base_atom_returns_with_its_consequences() {
+        // g(1,2) is derived from a(1,2) *and* asserted: removing the edge
+        // overdeletes it, the base brings it back, and g(1,3) with it.
+        let out = replay(&tc(), "a(1,2). g(1,2). a(2,3).", &[('-', "a(1,2).")]);
+        assert!(out.contains(&fact("g", [1, 2])) && out.contains(&fact("g", [1, 3])));
+        // Once it is retracted too, both go.
+        let out = replay(
+            &tc(),
+            "a(1,2). g(1,2). a(2,3).",
+            &[('-', "a(1,2)."), ('-', "g(1,2).")],
+        );
+        assert!(!out.contains(&fact("g", [1, 2])) && !out.contains(&fact("g", [1, 3])));
+    }
+
+    #[test]
+    fn restoration_cascades_through_restored_atoms() {
+        // Without 0 -> 1, r(1) still has 0 -> 5 -> 1 over survivors, but
+        // r(2) and r(3) hang off r(1) alone: the rederivation round cannot
+        // restore them (r(1) is not a survivor), propagation must.
+        let out = replay(
+            &reach(),
+            "src(0). e(0,1). e(0,5). e(5,1). e(1,2). e(2,3).",
+            &[('-', "e(0,1)."), ('+', "e(0,1)."), ('-', "e(5,1). e(0,1).")],
+        );
+        assert_eq!(out.relation_len(Pred::new("r")), 2, "r(0) and r(5)");
+    }
+
+    #[test]
+    fn every_head_shape_has_a_working_twin() {
+        // A constant and a repeated variable in a head, a bodiless fact
+        // rule, a body naming its head predicate twice, a 9-column head.
+        let p = parse_program(
+            "a(7, 8).
+             g(X, Z) :- a(X, Z).
+             g(X, Z) :- g(X, Y), g(Y, Z).
+             flag(X, 1) :- g(X, X).
+             diag(X, X) :- g(X, Y), mark(Y).
+             w(A, B, C, D, E, F, G, H, I) :- p(A, B, C, D, E, F, G, H, I), mark(A).
+             w(A, B, C, D, E, F, G, H, I) :- q(A, B, C, D, E, F, G, H, I).",
+        )
+        .unwrap();
+        let out = replay(
+            &p,
+            "a(7,8). a(8,7). a(8,9). a(9,8). mark(7). mark(8).
+             p(7,2,3,4,5,6,7,8,9). q(7,2,3,4,5,6,7,8,9). p(8,2,3,4,5,6,7,8,9).",
+            &[
+                // Asserted and a program fact: the fact rule's twin restores it.
+                ('-', "a(7,8)."),
+                // One of two supports of the same 9-column head, then a sole one.
+                ('-', "mark(7)."),
+                ('-', "mark(8). a(9,8)."),
+                ('+', "mark(9). a(9,9)."),
+                ('-', "a(8,7). q(7,2,3,4,5,6,7,8,9)."),
+            ],
+        );
+        assert!(
+            out.contains(&fact("a", [7, 8])),
+            "the program still states it"
+        );
+        assert!(out.contains(&fact("diag", [8, 8])) && out.contains(&fact("flag", [9, 1])));
+        assert!(!out.contains(&fact("flag", [7, 1])));
+        assert_eq!(out.relation_len(Pred::new("w")), 0);
+    }
+
+    #[test]
+    fn the_twins_stay_inside_the_contexts() {
+        // What `install` replies, lints, `core::chase` and the service's
+        // arity check read is the installed program, and no `$overdeleted`
+        // atom outlives the round that reads it.
+        let base = parse_database("a(1,2). a(2,3). a(3,1).").unwrap();
+        for shards in SHARDS {
+            let mut m = Materialized::sharded(tc(), &base, shards);
+            m.remove([fact("a", [2, 3])]);
+            assert_eq!(m.program(), &tc());
+            for db in [m.database(), m.base()] {
+                assert!(db.predicates().all(|p| !p.name().contains('$')));
+            }
         }
     }
 
@@ -814,6 +949,41 @@ mod deletion_tests {
             "incremental deletion {} vs recompute {}",
             del_stats.matches,
             scratch_stats.matches
+        );
+        assert!(
+            del_stats.probes < scratch_stats.probes,
+            "incremental deletion {} vs recompute {} probes",
+            del_stats.probes,
+            scratch_stats.probes
+        );
+    }
+
+    #[test]
+    fn remove_on_a_cycle_costs_a_few_recomputes() {
+        // A 32-node ring with chords is one strongly connected component:
+        // removing any edge overdeletes the whole closure, the worst case
+        // for DRed. Sweep, rederivation round and propagation are then three
+        // passes over what a recompute does in one — a small constant, not a
+        // function of |overdeleted| x |relation|.
+        let n = 32i64;
+        let mut base = Database::new();
+        for i in 0..n {
+            base.insert(fact("a", [i, (i + 1) % n]));
+            if i % 4 == 0 {
+                base.insert(fact("a", [i, (i * 7 + 3) % n]));
+            }
+        }
+        let mut m = Materialized::new(tc(), &base);
+        let (_, del_stats) = m.remove_with_stats([fact("a", [5, 6])]);
+
+        base.remove(&fact("a", [5, 6]));
+        let (scratch_db, scratch_stats) = crate::seminaive::evaluate_with_stats(&tc(), &base);
+        assert_eq!(m.database(), &scratch_db);
+        assert!(
+            del_stats.probes <= 5 * scratch_stats.probes,
+            "remove {} vs recompute {} probes",
+            del_stats.probes,
+            scratch_stats.probes
         );
     }
 }

@@ -7,10 +7,10 @@
 //! rounds never revisit rules whose inputs can no longer change — on
 //! layered programs this removes whole rule-sweeps per round.
 
-use crate::context::{EvalContext, EvalOptions};
+use crate::context::EvalOptions;
 use crate::stats::Stats;
 use datalog_ast::{Database, DepGraph, Pred, Program};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Partition a program's rules into SCC layers in dependency order: the
 /// rules of layer `i` only depend on predicates defined in layers `≤ i`
@@ -68,21 +68,8 @@ pub fn evaluate_with_opts(
         rule_layers[comp_of[&rule.head.pred]].push(i);
     }
 
-    let mut cx = EvalContext::new(program, input.clone(), opts);
-    for rules in &rule_layers {
-        if rules.is_empty() {
-            continue;
-        }
-        // Only the layer's own head predicates can still grow; everything
-        // else is frozen context by the topological order.
-        let idb: BTreeSet<Pred> = rules.iter().map(|&i| program.rules[i].head.pred).collect();
-        let mut delta = cx.full_round(rules);
-        while !delta.is_empty() {
-            delta = cx.delta_round(rules, &delta, &|p| idb.contains(&p));
-        }
-    }
-    let stats = cx.stats();
-    (cx.into_database(), stats)
+    // Topological order: when a layer runs, everything below it is frozen.
+    crate::seminaive::evaluate_layers(program, input, opts, &rule_layers)
 }
 
 #[cfg(test)]

@@ -48,17 +48,24 @@ pub fn evaluate_with_opts(
         program.is_positive(),
         "seminaive::evaluate requires a positive program; use stratified::evaluate"
     );
-    let idb: BTreeSet<Pred> = program.intentional();
-    let rules: Vec<usize> = (0..program.rules.len()).collect();
-    let mut cx = EvalContext::new(program, input.clone(), opts);
+    // One layer: round 1 is a full pass over the input (covers EDB-only
+    // rules, facts, and input-supplied IDB atoms in one go), later rounds
+    // are delta-driven.
+    evaluate_layers(program, input, opts, &[(0..program.rules.len()).collect()])
+}
 
-    // Round 1: one full pass over the input (covers EDB-only rules, facts,
-    // and input-supplied IDB atoms in one go). Subsequent rounds are
-    // delta-driven: each rule runs once per body occurrence of an
-    // intentional predicate with tuples in the delta.
-    let mut delta = cx.full_round(&rules);
-    while !delta.is_empty() {
-        delta = cx.delta_round(&rules, &delta, &|p| idb.contains(&p));
+/// The driver behind every context evaluator: saturate `input` under
+/// `layers` of `program`'s rule indices, in order, on one [`EvalContext`]
+/// (so indexes built for an early layer are appended to by later ones).
+pub(crate) fn evaluate_layers(
+    program: &Program,
+    input: &Database,
+    opts: EvalOptions,
+    layers: &[Vec<usize>],
+) -> (Database, Stats) {
+    let mut cx = EvalContext::new(program, input.clone(), opts);
+    for rules in layers.iter().filter(|rules| !rules.is_empty()) {
+        cx.saturate(rules);
     }
     let stats = cx.stats();
     (cx.into_database(), stats)

@@ -9,10 +9,9 @@
 //! lower-stratum/EDB predicates as frozen context. Negated literals always
 //! refer to fully-computed relations, so negation-as-failure is sound.
 
-use crate::context::{EvalContext, EvalOptions};
+use crate::context::EvalOptions;
 use crate::stats::Stats;
-use datalog_ast::{Database, DepGraph, Pred, Program};
-use std::collections::BTreeSet;
+use datalog_ast::{Database, DepGraph, Program};
 use std::fmt;
 
 /// Error: the program has no stratification (a cycle through negation).
@@ -80,27 +79,15 @@ pub fn evaluate_with_opts(
         layers[assignment[&rule.head.pred]].push(i);
     }
 
-    let mut cx = EvalContext::new(program, input.clone(), opts);
-    for rules in &layers {
-        if rules.is_empty() {
-            continue;
-        }
-        // The stratum's own head predicates drive its delta rounds; all
-        // other predicates are frozen context by stratification.
-        let idb: BTreeSet<Pred> = rules.iter().map(|&i| program.rules[i].head.pred).collect();
-        let mut delta = cx.full_round(rules);
-        while !delta.is_empty() {
-            delta = cx.delta_round(rules, &delta, &|p| idb.contains(&p));
-        }
-    }
-    let stats = cx.stats();
-    Ok((cx.into_database(), stats))
+    Ok(crate::seminaive::evaluate_layers(
+        program, input, opts, &layers,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{parse_database, parse_program};
+    use datalog_ast::{parse_database, parse_program, Pred};
 
     #[test]
     fn positive_program_matches_seminaive() {

@@ -168,6 +168,17 @@ fn load_program(path: &str) -> Result<Program, String> {
     parse_program(&src).map_err(|e| format!("{path}: {e}"))
 }
 
+/// The guard of every command whose engine asserts positivity: an ordinary
+/// error instead of that panic.
+fn require_positive(program: &Program, what: &str) -> Result<(), String> {
+    if program.is_positive() {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} requires a positive program; use --engine stratified (an option of `datalog eval`)"
+    ))
+}
+
 fn load_database(path: &str) -> Result<Database, String> {
     let src = read_file(path)?;
     parse_database(&src).map_err(|e| format!("{path}: {e}"))
@@ -358,11 +369,21 @@ fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
     };
     let program = load_program(path)?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
-    let engine = flags.get("engine").unwrap_or("seminaive");
+    // As `run` does: negation picks the engine that can evaluate it.
+    let default = if program.is_positive() {
+        "seminaive"
+    } else {
+        "stratified"
+    };
+    let engine = flags.get("engine").unwrap_or(default);
+    let positive = |evaluate: fn(&Program, &Database) -> (Database, Stats)| {
+        require_positive(&program, &format!("--engine {engine}"))?;
+        Ok::<_, String>(evaluate(&program, &edb))
+    };
     let (out, stats) = match engine {
-        "naive" => naive::evaluate_with_stats(&program, &edb),
-        "seminaive" => seminaive::evaluate_with_stats(&program, &edb),
-        "scc" => scc_eval::evaluate_with_stats(&program, &edb),
+        "naive" => positive(naive::evaluate_with_stats)?,
+        "seminaive" => positive(seminaive::evaluate_with_stats)?,
+        "scc" => positive(scc_eval::evaluate_with_stats)?,
         "stratified" => {
             stratified::evaluate_with_stats(&program, &edb).map_err(|e| e.to_string())?
         }
@@ -431,6 +452,7 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
         );
     };
     let program = load_program(path)?;
+    require_positive(&program, "query")?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
     let strategy_name = flags.get("strategy").unwrap_or("magic");
     let strategy = Strategy::parse(strategy_name)
@@ -469,6 +491,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
         .to_ground()
         .ok_or("the atom to explain must be ground")?;
     let program = load_program(path)?;
+    require_positive(&program, "explain")?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
     let traced = sagiv_datalog::engine::provenance::evaluate_traced(&program, &edb);
     match traced.explain(&goal) {
@@ -764,6 +787,7 @@ fn cmd_repl(args: &[String]) -> Result<ExitCode, String> {
         [path] => load_program(path)?,
         _ => return Err("usage: datalog repl [<program.dl>]".into()),
     };
+    require_positive(&program, "repl")?;
     // `base` holds only asserted facts; the materialisation holds the
     // fixpoint. Provenance (:explain) runs from the base so input vs.
     // derived is reported truthfully.
@@ -849,6 +873,7 @@ fn repl_step(
     if let Some(rest) = line.strip_prefix(":load") {
         let src = read_file(rest.trim())?;
         let unit = parse_unit(&src).map_err(|e| e.to_string())?;
+        require_positive(&unit.program, ":load")?;
         program.rules.extend(unit.program.rules);
         base.extend(unit.facts);
         *m = Materialized::new(program.clone(), base);

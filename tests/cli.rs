@@ -305,6 +305,104 @@ fn run_unit_with_negation_uses_stratified() {
     assert!(!s.contains("r(2)."));
 }
 
+const UNREACH: &str =
+    "reach(X) :- src(X).\nreach(Y) :- reach(X), edge(X, Y).\nunreach(X) :- node(X), !reach(X).\n";
+const UNREACH_FACTS: &str = "src(1). node(1). node(2). node(3). edge(1, 2).";
+
+/// Exit 1 with the positive-program error, not the engine's assert (101).
+fn assert_refused_as_not_positive(out: &Output) {
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(out));
+    let e = stderr(out);
+    assert!(
+        e.contains("requires a positive program; use --engine stratified"),
+        "{e}"
+    );
+    assert!(!e.contains("panicked"), "{e}");
+}
+
+#[test]
+fn eval_with_negation_defaults_to_stratified() {
+    let dir = TempDir::new("eval-neg");
+    let p = dir.file("unreach.dl", UNREACH);
+    let f = dir.file("facts.dl", UNREACH_FACTS);
+    let out = bin().args(["eval", &p, "--edb", &f]).output().unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    let s = stdout(&out);
+    assert!(
+        s.contains("unreach(3).") && !s.contains("unreach(2)."),
+        "{s}"
+    );
+    let explicit = bin()
+        .args(["eval", &p, "--edb", &f, "--engine", "stratified"])
+        .output()
+        .unwrap();
+    assert_eq!(stdout(&explicit), s);
+    for engine in ["naive", "seminaive", "scc"] {
+        let out = bin()
+            .args(["eval", &p, "--edb", &f, "--engine", engine])
+            .output()
+            .unwrap();
+        assert_refused_as_not_positive(&out);
+    }
+}
+
+#[test]
+fn explain_with_negation_is_an_ordinary_error() {
+    let dir = TempDir::new("explain-neg");
+    let p = dir.file("unreach.dl", UNREACH);
+    let f = dir.file("facts.dl", UNREACH_FACTS);
+    let out = bin()
+        .args(["explain", "unreach(3)", &p, "--edb", &f])
+        .output()
+        .unwrap();
+    assert_refused_as_not_positive(&out);
+}
+
+#[test]
+fn query_with_negation_is_an_ordinary_error() {
+    let dir = TempDir::new("query-neg");
+    let p = dir.file("unreach.dl", UNREACH);
+    let f = dir.file("facts.dl", UNREACH_FACTS);
+    for strategy in ["magic", "qsq"] {
+        let out = bin()
+            .args(["query", "unreach(X)", &p, "--edb", &f])
+            .args(["--strategy", strategy])
+            .output()
+            .unwrap();
+        assert_refused_as_not_positive(&out);
+    }
+}
+
+#[test]
+fn repl_with_negation_is_an_ordinary_error() {
+    use std::io::Write as _;
+    use std::process::Stdio;
+    let dir = TempDir::new("repl-neg");
+    let p = dir.file("unreach.dl", UNREACH);
+    let out = bin().args(["repl", &p]).output().unwrap();
+    assert_refused_as_not_positive(&out);
+
+    // `:load` of such a file is refused and the session goes on.
+    let mut child = bin()
+        .arg("repl")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let script = format!(":load {p}\nsrc(1).\n:db\n");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(script.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stderr(&out).contains("requires a positive program"));
+    assert!(stdout(&out).contains("src(1)."), "{}", stdout(&out));
+}
+
 #[test]
 fn repl_scripted_session() {
     use std::io::Write as _;

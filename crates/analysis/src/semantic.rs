@@ -10,7 +10,7 @@
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::registry::{Lint, LintContext};
 use datalog_ast::{validate_positive, Program, Rule};
-use datalog_optimizer::{homomorphism, rule_contained_with_evidence, Witness};
+use datalog_optimizer::{homomorphism, rule_contained_with_evidence, Containment, Witness};
 use std::fmt::Write as _;
 
 /// All semantic lints, in run order (`L203` consults `L202`'s findings).
@@ -27,6 +27,13 @@ pub fn all() -> Vec<Box<dyn Lint>> {
 /// range-restricted fragment.
 fn semantic_applicable(program: &Program) -> bool {
     validate_positive(program).is_ok()
+}
+
+/// The §VI derivation behind a test [`Containment`] already answered
+/// "holds": only hits pay for the traced evaluation, a miss costs the
+/// goal-directed test alone.
+fn witness_of(rule: &Rule, program: &Program) -> Witness {
+    rule_contained_with_evidence(rule, program).expect("Containment found the frozen head")
 }
 
 /// Render a [`Witness`] as a human-readable §VI explanation.
@@ -99,6 +106,7 @@ impl Lint for RedundantAtom {
         if !semantic_applicable(&program) {
             return;
         }
+        let containment = Containment::new(&program);
         for (rule_idx, rule) in program.rules.iter().enumerate() {
             if rule.body.len() < 2 {
                 continue;
@@ -113,7 +121,8 @@ impl Lint for RedundantAtom {
                 if !cx.burn_fuel() {
                     continue;
                 }
-                if let Ok(witness) = rule_contained_with_evidence(&relaxed, &program) {
+                if containment.holds(&relaxed) {
+                    let witness = witness_of(&relaxed, &program);
                     let atom = &rule.body[atom_idx].atom;
                     cx.emit(
                         Diagnostic::new(
@@ -163,18 +172,19 @@ impl Lint for RedundantRule {
         if !semantic_applicable(&program) {
             return;
         }
+        // A rule for a predicate with no other derivation path can still be
+        // redundant (e.g. a tautology), but skip the common trivial case of
+        // the sole fact-free program.
+        if program.rules.len() < 2 {
+            return;
+        }
+        let containment = Containment::new(&program);
         for (rule_idx, rule) in program.rules.iter().enumerate() {
-            let rest = program.without_rule(rule_idx);
-            // A rule for a predicate with no other derivation path can
-            // still be redundant (e.g. a tautology), but skip the common
-            // trivial case of the sole fact-free program.
-            if rest.rules.is_empty() {
-                continue;
-            }
             if !cx.burn_fuel() {
                 continue;
             }
-            if let Ok(witness) = rule_contained_with_evidence(rule, &rest) {
+            if containment.holds_without(rule, rule_idx) {
+                let witness = witness_of(rule, &program.without_rule(rule_idx));
                 cx.emit(
                     Diagnostic::new(
                         self.code(),

@@ -315,7 +315,12 @@ fn e1_to_e15(r: &mut Report) {
         r.row(Row::new("E10", "chain", "speedup", n as u64, tb / tm, "x"));
     }
     {
-        // Equivalence-phase guards on a denser graph.
+        // Equivalence-phase guards on a denser graph. Each guard used to
+        // multiply the join's fan-out by the average degree (775 ms against
+        // 2.2 ms here); its variable is read nowhere else, so the engine now
+        // probes it once per row. What the optimizer still saves is that
+        // probe: a count that repeats exactly, where the wall-time gap (about
+        // 5 % of 2 ms) is inside this host's run-to-run spread.
         let edb = standard_edb("er", 32);
         let g = guarded_tc(3);
         let (optg, _, _) = optimize(&g, FUEL).unwrap();
@@ -323,15 +328,24 @@ fn e1_to_e15(r: &mut Report) {
             || {
                 seminaive::evaluate(&g, &edb);
             },
-            1,
+            20,
         );
         let to = ms(
             || {
                 seminaive::evaluate(&optg, &edb);
             },
-            1,
+            20,
         );
-        r.check("E10", "guarded ER-32: optimized no slower", to <= tg * 1.10);
+        let (_, sg) = seminaive::evaluate_with_stats(&g, &edb);
+        let (_, so) = seminaive::evaluate_with_stats(&optg, &edb);
+        r.check(
+            "E10",
+            &format!(
+                "guarded ER-32: optimized does fewer probes ({} vs {})",
+                so.probes, sg.probes
+            ),
+            so.probes < sg.probes,
+        );
         r.row(Row::new("E10", "er32-guarded", "guarded", 3, tg, "ms"));
         r.row(Row::new("E10", "er32-guarded", "optimized", 3, to, "ms"));
     }
@@ -1719,19 +1733,22 @@ fn e20(r: &mut Report, smoke: bool) {
         spec_stats.dict_filtered_probes as f64,
         "probes",
     ));
-    if !smoke {
-        r.check(
-            "E20",
-            &format!(
-                "{workload}: batched specialized probes ≥ 1.5x over the scalar \
-                 interpreter ({:.1}ms vs {:.1}ms, {:.2}x)",
-                t_spec,
-                t_interp,
-                t_interp / t_spec
-            ),
-            t_interp / t_spec >= 1.5,
-        );
-    }
+    // Nobody reads `X`, so the probe of `e` is an existential stage: a driver
+    // row passes on at its first verified candidate. Both executors used to
+    // visit all n / keys candidates per row (500 000 matches at n = 10^6;
+    // 20 ms on the kernel, 50 ms on the interpreter, checked here as >= 1.5x);
+    // now neither does, the fixpoint costs what cloning and indexing `e`
+    // costs on either, and the executor ratio is join3's to show.
+    r.check(
+        "E20",
+        &format!(
+            "{workload}: the probe of `e` is existential — one match per driver row \
+             with a key in `e` ({} matches, {} candidates per row never visited)",
+            spec_stats.matches,
+            n / keys as usize - 1
+        ),
+        spec_stats.matches == keys as u64 / 2,
+    );
 
     // -- pipeline: the kernel with two probe stages vs the interpreter --
     // A chain join whose middle stage fans out to the full million rows

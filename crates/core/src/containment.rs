@@ -11,10 +11,16 @@
 //! over the finite domain of frozen constants and always terminates — the
 //! test is a total decision procedure, unlike plain equivalence, which is
 //! undecidable (Shmueli 1986).
+//!
+//! The test is goal-directed: Corollary 2 asks for the membership `hθ ∈
+//! P(bθ)`, not for `P(bθ)`, so [`Containment`] compiles `P` once, and each
+//! test stops the round the frozen head is derived
+//! ([`EvalContext::saturate_until`]).
 
 use crate::freeze::freeze_rule;
 use datalog_ast::{validate_positive, Program, Rule, ValidationError};
-use datalog_engine::seminaive;
+use datalog_engine::{EvalContext, EvalOptions, RulePlan};
+use std::sync::Arc;
 
 /// Error type for containment queries on programs outside the decidable
 /// fragment.
@@ -40,7 +46,7 @@ impl std::fmt::Display for ContainmentError {
 
 impl std::error::Error for ContainmentError {}
 
-fn check(programs: &[&Program]) -> Result<(), ContainmentError> {
+pub(crate) fn check(programs: &[&Program]) -> Result<(), ContainmentError> {
     let mut errors = Vec::new();
     for p in programs {
         if let Err(e) = validate_positive(p) {
@@ -54,17 +60,63 @@ fn check(programs: &[&Program]) -> Result<(), ContainmentError> {
     }
 }
 
-/// Test `r ⊑u P` for a single rule (§VI): freeze `r`'s body, saturate under
-/// `P`, and check whether the frozen head was derived. Always terminates.
+/// A program `P` compiled for repeated `r ⊑u P` tests (§VI): Figs. 1 and 2
+/// make one test per body atom and per rule against a program that changes
+/// by one rule at a time, so the plans are compiled once and edited in
+/// place. Rule indices are positions in the program as it currently stands.
 ///
-/// Precondition (checked by the public program-level functions, asserted
-/// here): `r` and `P` are valid positive Datalog.
+/// Precondition (checked by the public program-level functions): `P` and
+/// every tested rule are valid positive Datalog.
+#[derive(Clone, Debug)]
+pub struct Containment {
+    plans: Arc<Vec<RulePlan>>,
+}
+
+impl Containment {
+    pub fn new(p: &Program) -> Containment {
+        Containment {
+            plans: Arc::new(p.rules.iter().map(RulePlan::compile).collect()),
+        }
+    }
+
+    /// `r ⊑u P`: freeze `r`'s body, evaluate `P` over it until the frozen
+    /// head appears or nothing new does. Always terminates.
+    pub fn holds(&self, r: &Rule) -> bool {
+        self.test(r, None)
+    }
+
+    /// `r ⊑u P − {rule rule_idx}` — Fig. 2's rule-deletion test.
+    pub fn holds_without(&self, r: &Rule, rule_idx: usize) -> bool {
+        self.test(r, Some(rule_idx))
+    }
+
+    /// Replace rule `rule_idx` of `P` by `rule`.
+    pub fn replace(&mut self, rule_idx: usize, rule: &Rule) {
+        Arc::make_mut(&mut self.plans)[rule_idx] = RulePlan::compile(rule);
+    }
+
+    /// Delete rule `rule_idx` from `P`; later rules move down one index.
+    pub fn remove(&mut self, rule_idx: usize) {
+        Arc::make_mut(&mut self.plans).remove(rule_idx);
+    }
+
+    fn test(&self, r: &Rule, without: Option<usize>) -> bool {
+        let rules: Vec<usize> = (0..self.plans.len())
+            .filter(|&i| Some(i) != without)
+            .collect();
+        let frozen = freeze_rule(r);
+        let mut cx = EvalContext::with_plans(
+            Arc::clone(&self.plans),
+            frozen.body_db,
+            EvalOptions::sequential(),
+        );
+        cx.saturate_until(&rules, &frozen.goal)
+    }
+}
+
+/// One-shot [`Containment::holds`]: test `r ⊑u P` for a single rule (§VI).
 pub fn rule_contained(r: &Rule, p: &Program) -> bool {
-    let frozen = freeze_rule(r);
-    // Bottom-up saturation of the canonical DB. Semi-naive and naive compute
-    // the same minimal model; semi-naive is the production path.
-    let out = seminaive::evaluate(p, &frozen.body_db);
-    out.contains(&frozen.goal)
+    Containment::new(p).holds(r)
 }
 
 /// Test uniform containment `P2 ⊑u P1` (§VI): `P1` uniformly contains `P2`
@@ -87,7 +139,8 @@ pub fn rule_contained(r: &Rule, p: &Program) -> bool {
 /// ```
 pub fn uniformly_contains(p1: &Program, p2: &Program) -> Result<bool, ContainmentError> {
     check(&[p1, p2])?;
-    Ok(p2.rules.iter().all(|r| rule_contained(r, p1)))
+    let p1 = Containment::new(p1);
+    Ok(p2.rules.iter().all(|r| p1.holds(r)))
 }
 
 /// Test uniform equivalence `P1 ≡u P2` (§IV): mutual uniform containment.
@@ -191,6 +244,25 @@ mod tests {
     fn left_linear_tc() -> Program {
         // P2 of Examples 4/6.
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- a(X, Y), g(Y, Z).").unwrap()
+    }
+
+    #[test]
+    fn containment_edits_follow_the_program() {
+        // Doubling TC plus the left-linear rule, which it contains.
+        let p = parse_program(
+            "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z). g(X, Z) :- a(X, Y), g(Y, Z).",
+        )
+        .unwrap();
+        let (doubling, left) = (&p.rules[1], &p.rules[2]);
+        let mut c = Containment::new(&p);
+        assert!(c.holds(left) && c.holds_without(left, 2));
+        assert!(!c.holds_without(doubling, 1), "Example 6: not the converse");
+        // Without the doubling rule, index 1 is the left-linear rule.
+        c.remove(1);
+        assert!(!c.holds(doubling));
+        assert!(c.holds(left) && !c.holds_without(left, 1));
+        c.replace(1, doubling);
+        assert!(c.holds(left), "index 1 is the doubling rule again");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! | Paper | Module | What it does |
 //! |-------|--------|--------------|
-//! | §VI, Cor. 2 | [`containment`] | decide `P2 ⊑u P1` by freezing each rule of `P2` and saturating under `P1` |
+//! | §VI, Cor. 2 | [`containment`] | decide `P2 ⊑u P1` by freezing each rule of `P2` and evaluating `P1` over it until the frozen head appears ([`Containment`]) |
 //! | §VI | [`freeze`] | canonical databases via the dedicated `Const::Frozen` constant kind |
 //! | §VII, Figs. 1–2, Thm. 2 | [`minimize`] | remove redundant atoms then redundant rules, each considered once |
 //! | §VIII, Thm. 1 | [`mod@chase`] | the combined `[P, T]` chase with labelled nulls and fuel; `SAT(T) ∩ M(P1) ⊆ M(P2)` |
@@ -70,8 +70,8 @@ pub use chase::{
 };
 pub use containment::{
     rule_contained, rule_contained_with_evidence, uniformly_contains,
-    uniformly_contains_with_evidence, uniformly_equivalent, ContainmentError, ContainmentEvidence,
-    Refutation, Witness,
+    uniformly_contains_with_evidence, uniformly_equivalent, Containment, ContainmentError,
+    ContainmentEvidence, Refutation, Witness,
 };
 pub use cq::{cq_contained, equivalent_nonrecursive, homomorphism, minimize_cq, union_contained};
 pub use equivalence::{

@@ -17,7 +17,7 @@
 //! property tests that verify all orders yield uniformly-equivalent,
 //! locally-minimal programs.
 
-use crate::containment::{rule_contained, uniformly_contains, ContainmentError};
+use crate::containment::{uniformly_contains, Containment, ContainmentError};
 use datalog_ast::{validate_positive, Atom, Program, Rule};
 
 /// What the minimizer removed, for reporting and assertions.
@@ -107,6 +107,8 @@ pub fn minimize_program_in_order(
     assert_eq!(atom_orders.len(), program.len(), "one atom order per rule");
 
     let mut current = program.clone();
+    // `current`, compiled; edited in step with it.
+    let mut containment = Containment::new(&current);
     let mut removal = Removal::default();
 
     // Phase 1 (Fig. 2, first repeat-loop): remove redundant atoms from each
@@ -122,10 +124,11 @@ pub fn minimize_program_in_order(
                 continue; // already deleted (cannot happen with valid orders)
             };
             let candidate = current.rules[rule_idx].without_body_atom(pos);
-            if rule_contained(&candidate, &current) {
+            if containment.holds(&candidate) {
                 removal
                     .atoms
                     .push((rule_idx, current.rules[rule_idx].body[pos].atom.clone()));
+                containment.replace(rule_idx, &candidate);
                 current.rules[rule_idx] = candidate;
                 remaining.remove(pos);
             }
@@ -140,12 +143,10 @@ pub fn minimize_program_in_order(
         let Some(pos) = live.iter().position(|&o| o == orig_rule_idx) else {
             continue;
         };
-        let candidate_program = current.without_rule(pos);
-        let rule = &current.rules[pos];
-        if rule_contained(rule, &candidate_program) {
-            removal.rules.push(rule.clone());
+        if containment.holds_without(&current.rules[pos], pos) {
+            removal.rules.push(current.rules.remove(pos));
             removal.rule_indices.push(orig_rule_idx);
-            current = candidate_program;
+            containment.remove(pos);
             live.remove(pos);
         }
     }
@@ -160,15 +161,14 @@ pub fn is_minimal(program: &Program) -> Result<bool, ContainmentError> {
     if let Err(e) = validate_positive(program) {
         return Err(ContainmentError::Invalid(e));
     }
+    let containment = Containment::new(program);
     for (i, rule) in program.rules.iter().enumerate() {
         for a in 0..rule.width() {
-            let candidate = rule.without_body_atom(a);
-            if rule_contained(&candidate, program) {
+            if containment.holds(&rule.without_body_atom(a)) {
                 return Ok(false);
             }
         }
-        let without = program.without_rule(i);
-        if rule_contained(rule, &without) {
+        if containment.holds_without(rule, i) {
             return Ok(false);
         }
     }

@@ -1,0 +1,59 @@
+//! The programs that used to be the optimizer's tail: `guarded_tc(8)` took
+//! 52 s and `bloated_tc(20, 0)` 4.7 to 6.7 s while the §VI test evaluated
+//! every frozen body to its full fixpoint and enumerated every binding of
+//! every guard. They are asserted by result and by count, not by time: run
+//! in release mode (CI does) they take milliseconds, and a return of the
+//! tail is a test that does not come back.
+
+use datalog_ast::{parse_program, Program};
+use datalog_engine::{EvalContext, EvalOptions};
+use datalog_generate::bloated_tc;
+use datalog_optimizer::{freeze_rule, optimize};
+
+/// Doubling transitive closure whose recursive rule carries `k` guards
+/// `a(Y0, Wi)`: all but one fall to Fig. 2, the last to §X-XI.
+fn guarded_tc(k: usize) -> Program {
+    let guards: String = (0..k).map(|i| format!(", a(Y0, W{i})")).collect();
+    parse_program(&format!(
+        "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y0), g(Y0, Z){guards}."
+    ))
+    .unwrap()
+}
+
+/// What every program here was grown from and must shrink back to: the
+/// doubling program, 2 rules with 3 body atoms between them.
+fn assert_planted_recovered(name: &str, program: &Program) {
+    let (optimized, _, _) = optimize(program, 10_000).unwrap();
+    assert_eq!(
+        (optimized.len(), optimized.total_width()),
+        (2, 3),
+        "{name} optimizes to:\n{optimized}"
+    );
+}
+
+#[test]
+fn guarded_tc_with_8_and_12_guards() {
+    assert_planted_recovered("guarded_tc(8)", &guarded_tc(8));
+    assert_planted_recovered("guarded_tc(12)", &guarded_tc(12));
+}
+
+#[test]
+fn bloated_tc_tail_seeds() {
+    assert_planted_recovered("bloated_tc(20, 0)", &bloated_tc(20, 0));
+    assert_planted_recovered("bloated_tc(24, 3)", &bloated_tc(24, 3));
+}
+
+/// Fig. 1's first test on `guarded_tc(8)`: the recursive rule minus one
+/// guard, against the program. The frozen body holds seven `a(y0, wi)` rows
+/// and the rule eight guards that each match all of them; no guard variable
+/// is read again, so every guard is one existential probe and the test a
+/// handful of matches where enumerating the guards costs 7^8.
+#[test]
+fn a_guard_costs_one_probe_not_one_per_binding() {
+    let program = guarded_tc(8);
+    let candidate = program.rules[1].without_body_atom(2);
+    let frozen = freeze_rule(&candidate);
+    let mut cx = EvalContext::new(&program, frozen.body_db, EvalOptions::sequential());
+    assert!(cx.saturate_until(&[0, 1], &frozen.goal));
+    assert!(cx.stats().matches <= 32, "{}", cx.stats());
+}

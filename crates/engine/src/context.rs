@@ -266,6 +266,11 @@ pub(crate) struct Step {
     /// Repeated first occurrences within this atom: positions that must
     /// equal a slot bound earlier in `bind`.
     pub(crate) check: Vec<(usize, usize)>,
+    /// Existential: a positive step after the enumerated one none of whose
+    /// bound variables is read again (by the head or a later step's key), so
+    /// which row matches cannot matter — the first verified candidate passes
+    /// the in-flight row on and the rest are never visited.
+    pub(crate) exists: bool,
 }
 
 impl Step {
@@ -327,6 +332,7 @@ pub(crate) fn compile_script(plan: &RulePlan, order: &[usize]) -> JoinScript {
                 key: atom.slots.iter().map(|&s| keysrc(s)).collect(),
                 bind: Vec::new(),
                 check: Vec::new(),
+                exists: false,
             });
             continue;
         }
@@ -362,13 +368,39 @@ pub(crate) fn compile_script(plan: &RulePlan, order: &[usize]) -> JoinScript {
             key,
             bind,
             check,
+            exists: false,
         });
     }
+    let head: Vec<KeySrc> = plan.head.slots.iter().map(|&s| keysrc(s)).collect();
+    mark_existential(&mut steps, &head, plan.num_vars());
     JoinScript {
         steps,
         head_pred: plan.head.pred,
-        head: plan.head.slots.iter().map(|&s| keysrc(s)).collect(),
+        head,
         num_vars: plan.num_vars(),
+    }
+}
+
+/// Backward liveness over compiled steps: a variable is live after a step
+/// when the head or a later step's key reads it. A positive step whose
+/// bindings are all dead is existential ([`Step::exists`]). The enumerated
+/// step (the first positive one) is never marked: it is the delta literal of
+/// a delta task, the one parallel tasks stride over and the side the batch
+/// cache gathers, and all three need every one of its rows.
+fn mark_existential(steps: &mut [Step], head: &[KeySrc], num_vars: usize) {
+    let mut live = vec![false; num_vars];
+    let read = |live: &mut [bool], srcs: &[KeySrc]| {
+        for src in srcs {
+            if let KeySrc::Var(v) = *src {
+                live[v] = true;
+            }
+        }
+    };
+    read(&mut live, head);
+    let enumerated = steps.iter().position(|s| !s.negated).unwrap_or(0);
+    for step in steps.iter_mut().skip(enumerated + 1).rev() {
+        step.exists = !step.negated && step.bind.iter().all(|&(_, v)| !live[v]);
+        read(&mut live, &step.key);
     }
 }
 
@@ -620,11 +652,11 @@ fn exec(
         for &(pos, v) in &step.bind {
             assignment[v] = Some(t[pos]);
         }
-        if step
+        let passes = step
             .check
             .iter()
-            .all(|&(pos, v)| assignment[v] == Some(t[pos]))
-        {
+            .all(|&(pos, v)| assignment[v] == Some(t[pos]));
+        if passes {
             exec(
                 script,
                 depth + 1,
@@ -639,6 +671,9 @@ fn exec(
         }
         for &(_, v) in &step.bind {
             assignment[v] = None;
+        }
+        if passes && step.exists {
+            break;
         }
     }
     out.keys[depth] = key_codes;
@@ -688,7 +723,9 @@ impl EvalContext {
         )
     }
 
-    pub(crate) fn with_plans(
+    /// [`EvalContext::new`] over already-compiled plans, for callers that run
+    /// many short evaluations of one program (the §VI containment test).
+    pub fn with_plans(
         plans: Arc<Vec<RulePlan>>,
         input: Database,
         opts: EvalOptions,
@@ -812,10 +849,25 @@ impl EvalContext {
     /// Run `rules` to their fixpoint over the current database: one full
     /// round, then delta rounds until nothing new is derived.
     pub(crate) fn saturate(&mut self, rules: &[usize]) {
+        self.saturate_to(rules, None);
+    }
+
+    /// [`EvalContext::saturate`], stopping the round `goal` is committed:
+    /// `true` iff `goal` is in the fixpoint (Corollary 2 needs no more). On
+    /// `true` the database holds the goal but need not be saturated.
+    pub fn saturate_until(&mut self, rules: &[usize], goal: &GroundAtom) -> bool {
+        self.db.contains(goal) || self.saturate_to(rules, Some(goal))
+    }
+
+    fn saturate_to(&mut self, rules: &[usize], goal: Option<&GroundAtom>) -> bool {
         let mut delta = self.full_round(rules);
         while !delta.is_empty() {
+            if goal.is_some_and(|g| delta.contains(g)) {
+                return true;
+            }
             delta = self.delta_round(rules, &delta);
         }
+        false
     }
 
     /// Insert `derived` atoms that are new, append their row-ids to the
@@ -857,28 +909,37 @@ impl EvalContext {
         // the delta atom drives the join — the delta is the small side, and
         // a persistent-relation-first order would rescan that full relation
         // once per delta position per round.
+        //
+        // An item cannot fire when a positive literal reads a relation with
+        // no rows, and is dropped before it costs an order, a script and its
+        // indexes. The delta literal is exempt: it reads the delta, whose
+        // predicate may have no rows in the database (the `$overdeleted`
+        // seeds of DRed rederivation never do).
+        let db = &self.db;
+        let can_fire = |plan: &RulePlan, delta_pos: Option<usize>| {
+            plan.body.iter().enumerate().all(|(i, a)| {
+                a.negated
+                    || Some(i) == delta_pos
+                    || db
+                        .relation_of(a.pred, a.slots.len())
+                        .is_some_and(|rel| !rel.is_empty())
+            })
+        };
         let mut scripts: Vec<JoinScript> = Vec::new();
         let mut items: Vec<(usize, Option<usize>)> = Vec::new();
         for &ri in rules {
             let plan = &self.plans[ri];
-            match delta {
-                None => {
-                    let order = plan.greedy_order(&self.db);
-                    scripts.push(compile_script(plan, &order));
-                    items.push((scripts.len() - 1, None));
-                }
-                Some(d) => {
-                    for (p, _) in plan
-                        .body
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| !a.negated && d.relation_len(a.pred) > 0)
-                    {
-                        let order = plan.greedy_order_seeded(&self.db, Some(p));
-                        scripts.push(compile_script(plan, &order));
-                        items.push((scripts.len() - 1, Some(p)));
-                    }
-                }
+            let positions: Vec<Option<usize>> = match delta {
+                None => vec![None],
+                Some(d) => (0..plan.body.len())
+                    .filter(|&p| !plan.body[p].negated && d.relation_len(plan.body[p].pred) > 0)
+                    .map(Some)
+                    .collect(),
+            };
+            for pos in positions.into_iter().filter(|&pos| can_fire(plan, pos)) {
+                let order = plan.greedy_order_seeded(&self.db, pos);
+                scripts.push(compile_script(plan, &order));
+                items.push((scripts.len() - 1, pos));
             }
         }
         if items.is_empty() {
@@ -1051,6 +1112,74 @@ mod tests {
         let mut cx = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
         cx.saturate(&[0, 1]);
         assert_eq!(cx.into_database(), crate::naive::evaluate(&p, &edb));
+    }
+
+    #[test]
+    fn saturate_until_stops_the_round_the_goal_is_committed() {
+        let p = tc();
+        let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,5). a(5,6).").unwrap();
+        let fresh = || EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
+
+        let mut cx = fresh();
+        assert!(cx.saturate_until(&[0, 1], &datalog_ast::fact("a", [1, 2])));
+        assert_eq!(cx.stats().iterations, 0, "already there: no round at all");
+
+        let mut cx = fresh();
+        assert!(cx.saturate_until(&[0, 1], &datalog_ast::fact("g", [1, 3])));
+        assert_eq!(cx.stats().iterations, 2, "g(1, 3) takes two rounds");
+        assert!(!cx.database().contains(&datalog_ast::fact("g", [1, 6])));
+
+        let mut cx = fresh();
+        assert!(!cx.saturate_until(&[0, 1], &datalog_ast::fact("g", [6, 1])));
+        assert_eq!(cx.into_database(), crate::naive::evaluate(&p, &edb));
+    }
+
+    /// Which steps are existential is liveness, read off the compiled order:
+    /// never the enumerated step, and never a step whose binding the head or
+    /// a later key — a negated literal's included — reads.
+    #[test]
+    fn existential_steps_follow_liveness() {
+        let marks = |rule: &str, order: &[usize]| -> Vec<bool> {
+            let plan = RulePlan::compile(&datalog_ast::parse_rule(rule).unwrap());
+            let script = compile_script(&plan, order);
+            script.steps.iter().map(|s| s.exists).collect()
+        };
+        // Stage 1, mid-pipeline and last; `t` binds the Y that `e` keys on.
+        assert_eq!(
+            marks(
+                "h(X, Z) :- s(X), e(X, W), t(X, Y), e(Y, V), u(Y, Z).",
+                &[0, 1, 2, 3, 4]
+            ),
+            [false, true, false, true, false]
+        );
+        assert_eq!(
+            marks("h(X) :- s(X), t(X, Y), e(Y, W).", &[0, 1, 2]),
+            [false, false, true]
+        );
+        // The same literal enumerated is not existential, whatever it binds.
+        assert_eq!(marks("h(X) :- s(X), e(X, W).", &[1, 0]), [false, true]);
+        // A repeated variable is checked inside the step and read nowhere else.
+        assert_eq!(marks("h(X) :- s(X), r(X, W, W).", &[0, 1]), [false, true]);
+        // Read by the head, by a later probe key, by a negated literal's key.
+        assert_eq!(marks("h(X, W) :- s(X), e(X, W).", &[0, 1]), [false, false]);
+        assert_eq!(
+            marks("h(X) :- s(X), e(X, W), f(W, V).", &[0, 1, 2]),
+            [false, false, true]
+        );
+        assert_eq!(
+            marks("h(X) :- s(X), e(X, W), !bad(W).", &[0, 1, 2]),
+            [false, false, false]
+        );
+        // A negated literal that reads something else changes nothing, and a
+        // leading ground gate does not make the literal behind it stage 1.
+        assert_eq!(
+            marks("h(X) :- s(X), e(X, W), !bad(X).", &[0, 1, 2]),
+            [false, true, false]
+        );
+        assert_eq!(
+            marks("h(X) :- !bad(1), e(X, W), s(X).", &[0, 1, 2]),
+            [false, false, true]
+        );
     }
 
     #[test]

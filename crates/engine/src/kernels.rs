@@ -14,7 +14,10 @@
 //!   in-flight rows, translated into the probed relation's code space,
 //!   hashes the block's keys through [`hash_codes_batch`], probes the
 //!   postings lists, verifies candidates code-by-code, and appends the
-//!   matched row-id to each surviving row.
+//!   matched row-id to each surviving row. When nothing reads what the
+//!   literal binds (`Step::exists`, a liveness pass at compile time) the
+//!   stage is **existential**: the first verified candidate passes the row
+//!   on and the others are never visited.
 //! * An **anti-probe** stage (negated literal) translates the literal's
 //!   ground tuple the same way and rejects the row when the relation holds
 //!   it. It needs no index and adds no id to the row.
@@ -29,8 +32,10 @@
 //! script on it, and the differential tests and the oracle fuzzer require
 //! identical fixpoints and identical `probes` / `matches` / `derivations`.
 //! Both count one probe per literal visit (the enumeration, then one per
-//! in-flight row per later stage) and both emit through
-//! [`TaskOutput::emit_head`].
+//! in-flight row per later stage), both stop an existential stage at its
+//! first verified candidate, and both emit through
+//! [`TaskOutput::emit_head`] — so `matches` counts body matches up to the
+//! variables nobody reads, on either executor and at any thread count.
 //!
 //! Cross-dictionary translation: codes are local to one (relation, column)
 //! dictionary, so an in-flight row's code is translated into the target
@@ -252,6 +257,9 @@ impl<'a> Target<'a> {
 /// anti-probe (`negated`).
 struct Stage<'a> {
     negated: bool,
+    /// A probe whose match binds nothing read later (`Step::exists`): the
+    /// first verified candidate passes the row on.
+    exists: bool,
     target: Target<'a>,
     /// The index a probe reads (an anti-probe has none).
     postings: Postings<'a>,
@@ -411,6 +419,7 @@ pub(crate) fn run(
         }
         stages.push(Stage {
             negated: step.negated,
+            exists: step.exists,
             target: Target::new(rel, &positions, step),
             postings,
             keys,
@@ -657,6 +666,9 @@ impl Pipeline<'_> {
                 } else {
                     self.push(k, row, Some(id), sc, out);
                 }
+                if stage.exists {
+                    break;
+                }
             }
         }
         self.flush(k, sc, out);
@@ -690,7 +702,7 @@ impl Pipeline<'_> {
 mod tests {
     use crate::{EvalContext, EvalOptions};
     use datalog_ast::{
-        atom, fact, parse_database, parse_program, Const, Literal, Pred, Rule, Term,
+        atom, fact, parse_database, parse_program, Const, Database, Literal, Pred, Rule, Term,
     };
 
     /// With `specialize` on, no script shape reaches the interpreter: over
@@ -730,19 +742,31 @@ mod tests {
 
         // The stratified driver by hand, counting what it schedules: one
         // task per rule in a full round, one per (rule, positive body
-        // literal over a non-empty delta predicate) in a delta round.
+        // literal over a non-empty delta predicate) in a delta round — less
+        // the items that cannot fire, because some positive literal (other
+        // than the delta one) reads a relation with no rows.
         let drive = |opts: EvalOptions| {
             let layers: [&[usize]; 2] = [&[0, 1, 2, 3, 4, 5, 8], &[6, 7]];
             let mut cx = EvalContext::new(&p, edb.clone(), opts);
             let mut tasks = 0;
+            let can_fire = |db: &Database, r: usize, delta_pos: Option<usize>| {
+                p.rules[r].body.iter().enumerate().all(|(i, l)| {
+                    !l.is_positive() || Some(i) == delta_pos || db.relation_len(l.atom.pred) > 0
+                })
+            };
             for rules in layers {
-                tasks += rules.len();
+                let db = cx.database();
+                tasks += rules.iter().filter(|&&r| can_fire(db, r, None)).count();
                 let mut delta = cx.full_round(rules);
                 while !delta.is_empty() {
-                    let live =
-                        |l: &&Literal| l.is_positive() && delta.relation_len(l.atom.pred) > 0;
+                    let db = cx.database();
                     for &r in rules {
-                        tasks += p.rules[r].body.iter().filter(live).count();
+                        let live = |&(i, l): &(usize, &Literal)| {
+                            l.is_positive()
+                                && delta.relation_len(l.atom.pred) > 0
+                                && can_fire(db, r, Some(i))
+                        };
+                        tasks += p.rules[r].body.iter().enumerate().filter(live).count();
                     }
                     delta = cx.delta_round(rules, &delta);
                 }

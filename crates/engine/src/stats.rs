@@ -20,7 +20,13 @@ pub struct Stats {
     pub iterations: u64,
     /// Number of index probes (≈ join steps) performed.
     pub probes: u64,
-    /// Number of successful body matches (head instantiations attempted).
+    /// Number of successful body matches (head instantiations attempted),
+    /// **up to dead variables**: a context evaluation passes a row through
+    /// an existential stage (a literal whose bindings nothing reads again)
+    /// once, however many rows match there, so it counts one match per
+    /// binding of the variables that are read. [`crate::naive`] and the
+    /// rebuilding semi-naive evaluator enumerate every binding and count
+    /// more on such rules.
     pub matches: u64,
     /// Number of *new* ground atoms derived (duplicates excluded).
     pub derivations: u64,

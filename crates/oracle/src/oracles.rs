@@ -17,6 +17,9 @@
 //!   redundancy-injected bloat must all agree with the original program on
 //!   IDB-seeded databases (the paper's uniform-equivalence regime, §IV),
 //!   and the minimized programs must test ≡u against the original (§VI).
+//!   Every §VI test Fig. 2 makes on the way is also decided twice: by the
+//!   goal-directed [`Containment`] and by the unshortened test (the full
+//!   fixpoint of the frozen body, then a lookup of the frozen head).
 //! * **Incremental consistency** — after every insert/remove batch the
 //!   [`Materialized`] fixpoint (at 1, 2 or 4 shards by seed) must equal a
 //!   from-scratch evaluation of the surviving base, and its shard replicas
@@ -36,12 +39,14 @@
 //!   equal.
 
 use crate::workload::{Case, Mutation};
-use datalog_ast::{match_atom, Atom, Const, Database, GroundAtom, Pred, Program, Term};
+use datalog_ast::{match_atom, Atom, Const, Database, GroundAtom, Pred, Program, Rule, Term};
 use datalog_engine::query::Strategy;
 use datalog_engine::{
     magic, naive, qsq, scc_eval, seminaive, stratified, EvalOptions, Materialized, Stats,
 };
-use datalog_optimizer::{minimize_program, minimize_program_in_order, uniformly_equivalent};
+use datalog_optimizer::{
+    freeze_rule, minimize_program, minimize_program_in_order, uniformly_equivalent, Containment,
+};
 use datalog_service::{CacheStatus, QueryState, Registry, View};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -407,7 +412,24 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
 
     let mut candidates: Vec<(String, Program)> = Vec::new();
     match minimize_program(program) {
-        Ok((min, _)) => candidates.push(("minimized".into(), min)),
+        Ok((min, _)) => {
+            match fig2_unshortened(program) {
+                Ok(replayed) if replayed == min => {}
+                Ok(replayed) => out.push(Divergence {
+                    family: Family::Optimization,
+                    kind: "opt:containment-replay".into(),
+                    message: format!(
+                        "Fig. 2 on the unshortened test ends in a different program:\n{replayed}"
+                    ),
+                }),
+                Err(message) => out.push(Divergence {
+                    family: Family::Optimization,
+                    kind: "opt:containment".into(),
+                    message,
+                }),
+            }
+            candidates.push(("minimized".into(), min));
+        }
         Err(e) => out.push(Divergence {
             family: Family::Optimization,
             kind: "opt:error".into(),
@@ -467,6 +489,52 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
         }
     }
     out
+}
+
+/// Fig. 2 in source order, every §VI test decided by the unshortened test
+/// — saturate the frozen body, then look the frozen head up — and checked
+/// against what [`Containment`] (stop at the goal, plans compiled once and
+/// edited in place) answers for the same test. `Err` describes the first
+/// test the two disagree on; `Ok` is the minimized program, which must be
+/// [`minimize_program`]'s.
+fn fig2_unshortened(program: &Program) -> Result<Program, String> {
+    let mut current = program.clone();
+    let mut containment = Containment::new(&current);
+    let decide = |shortened: bool, r: &Rule, p: &Program| {
+        let frozen = freeze_rule(r);
+        let unshortened = seminaive::evaluate(p, &frozen.body_db).contains(&frozen.goal);
+        if shortened == unshortened {
+            Ok(unshortened)
+        } else {
+            Err(format!(
+                "Containment says {shortened}, the full fixpoint {unshortened}, for `{r}` against:\n{p}"
+            ))
+        }
+    };
+    for rule_idx in 0..current.len() {
+        let mut pos = 0;
+        while pos < current.rules[rule_idx].width() {
+            let candidate = current.rules[rule_idx].without_body_atom(pos);
+            if decide(containment.holds(&candidate), &candidate, &current)? {
+                containment.replace(rule_idx, &candidate);
+                current.rules[rule_idx] = candidate;
+            } else {
+                pos += 1;
+            }
+        }
+    }
+    let mut pos = 0;
+    while pos < current.len() {
+        let rule = &current.rules[pos];
+        let shortened = containment.holds_without(rule, pos);
+        if decide(shortened, rule, &current.without_rule(pos))? {
+            containment.remove(pos);
+            current.rules.remove(pos);
+        } else {
+            pos += 1;
+        }
+    }
+    Ok(current)
 }
 
 fn permutation(rng: &mut StdRng, n: usize) -> Vec<usize> {

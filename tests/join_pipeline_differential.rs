@@ -11,13 +11,19 @@
 //! The generator draws what used to decide the executor: 1- to 4-literal
 //! bodies, repeated variables, constants, negated literals (one of them
 //! ground, so the planner places it first), and a nine-column join key.
+//!
+//! Existential stages — a probe whose bindings nothing reads again passes a
+//! row on at its first verified candidate — change what both executors
+//! enumerate, so their shapes are also compared with evaluators that share
+//! none of that code: `naive::evaluate`, and `naive::apply_once` where a
+//! shape needs negation.
 
 use datalog_ast::{
     fact, parse_database, parse_program, Atom, Const, Database, GroundAtom, Literal, Pred, Program,
     Rule, Term, Var,
 };
 use datalog_engine::context::EvalOptions;
-use datalog_engine::{stratified, Stats};
+use datalog_engine::{naive, stratified, Stats};
 use datalog_generate::{bloated_tc, random_db, random_program, RandomProgramSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,6 +249,108 @@ fn repeated_variables_on_every_stage_kind() {
     assert!(!out.contains(&fact("back", [2])), "b(5, 1, 2) is not Z, Z");
     assert!(!out.contains(&fact("lone", [1])), "b(1, 3, 3) holds");
     assert!(out.contains(&fact("lone", [2])));
+}
+
+/// Seeded rows for the existential shapes. Relation sizes grow in the order
+/// `s`, `e`, `f`, `t`, `u`, which is the order the greedy planner breaks its
+/// ties in, so a literal's stage follows from the rule text.
+fn existential_db(seed: u64) -> Database {
+    let mut db = Database::new();
+    let sized: [(&[(&str, usize)], usize); 7] = [
+        (&[("s", 1)], 4),
+        (&[("bad", 1)], 3),
+        (&[("e", 2)], 10),
+        (&[("f", 2)], 13),
+        (&[("t", 2)], 17),
+        (&[("u", 2)], 24),
+        (&[("r", 3)], 20),
+    ];
+    for (i, (preds, rows)) in sized.into_iter().enumerate() {
+        db.union_with(&random_db(preds, rows, 6, seed * 31 + i as u64));
+    }
+    db
+}
+
+/// One to three existential literals at stage 1, mid-pipeline and last, in
+/// full and in delta-led rounds, with a repeated variable inside one (the
+/// first candidate is not always a verified one), and the two look-alikes
+/// that are *not* existential because the head or a later key reads the
+/// binding. Every fixpoint must be the naive evaluator's.
+#[test]
+fn existential_literals_on_every_stage() {
+    let program = parse_program(
+        "first(X, Y) :- s(X), e(X, W), t(X, Y).\
+         mid(X, Z) :- s(X), t(X, Y), e(Y, W), u(Y, Z).\
+         last(X) :- s(X), t(X, Y), e(Y, W).\
+         three(X) :- s(X), e(X, W1), e(X, W2), f(X, W3).\
+         twice(X) :- s(X), r(X, W, W).\
+         read(X, W) :- s(X), e(X, W).\
+         keyed(X) :- s(X), e(X, W), f(W, V).\
+         g(X, Z) :- t(X, Z).\
+         g(X, Z) :- g(X, Y), g(Y, Z), e(Y, W0), e(Y, W1), f(Y, W2).\
+         reach(X) :- s(X).\
+         reach(Y) :- reach(X), e(X, W), t(X, Y).",
+    )
+    .unwrap();
+    // Alone, `three` matches once per head: three existential stages, none
+    // of which multiplies rows. Enumerating every (W1, W2, W3) costs more.
+    let three = Program::new(vec![program.rules[3].clone()]);
+    let (mut heads, mut enumerated) = (0, 0);
+    for seed in 0..10u64 {
+        let db = existential_db(seed);
+        let what = format!("existential shapes, seed {seed}");
+        let want = naive::evaluate(&program, &db);
+        for threads in [1usize, 2, 4] {
+            let (got, _) = check(&program, &db, threads, &what);
+            assert_eq!(got, want, "naive fixpoint, {what}, {threads} threads");
+            let (out, stats) = check(&three, &db, threads, &what);
+            assert_eq!(
+                stats.matches,
+                out.relation_len(Pred::new("three")) as u64,
+                "{what}, {threads} threads"
+            );
+        }
+        heads += want.relation_len(Pred::new("three")) as u64;
+        // One naive round derives everything, a second finds nothing new.
+        enumerated += naive::evaluate_with_stats(&three, &db).1.matches / 2;
+    }
+    assert!(heads > 0 && enumerated > heads, "{enumerated} vs {heads}");
+}
+
+/// A negated literal behind an existential one does not disturb it, and a
+/// negated literal that reads the binding keeps the probe exhaustive: with
+/// `e(X, 0)`, `e(X, 1)` and `bad(0)`, stopping at the first `W` would lose
+/// `X`. The heads occur in no body, so one application of the rules is the
+/// fixpoint, and `naive::apply_once` computes it without the engine's
+/// executors.
+#[test]
+fn existential_literal_followed_by_a_negated_one() {
+    let program = parse_program(
+        "behind(X, Y) :- s(X), e(X, W), t(X, Y), !bad(Y).\
+         next(X) :- s(X), !bad(X), e(X, W).\
+         reads(X) :- s(X), e(X, W), !bad(W).",
+    )
+    .unwrap();
+    let mut exhaustive = 0;
+    for seed in 0..10u64 {
+        let db = existential_db(seed);
+        let mut want = db.clone();
+        want.union_with(&naive::apply_once(&program, &db));
+        for threads in [1usize, 2, 4] {
+            let what = format!("existential + negation, seed {seed}");
+            let (got, _) = check(&program, &db, threads, &what);
+            assert_eq!(got, want, "one application, {what}, {threads} threads");
+        }
+        // `reads(X)` although some `e(X, W)` names a bad `W`.
+        exhaustive += want
+            .relation(Pred::new("reads"))
+            .filter(|x| {
+                let mut ws = db.relation(Pred::new("e")).filter(|e| e[0] == x[0]);
+                ws.any(|e| db.contains_tuple(Pred::new("bad"), &e[1..]))
+            })
+            .count();
+    }
+    assert!(exhaustive > 0, "the seeds drew the case that needs every W");
 }
 
 /// One-literal rules driven by a delta have no stage 1 to gather for: they

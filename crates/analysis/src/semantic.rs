@@ -10,7 +10,7 @@
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::registry::{Lint, LintContext};
 use datalog_ast::{validate_positive, Program, Rule};
-use datalog_optimizer::{homomorphism, rule_contained_with_evidence, Containment, Witness};
+use datalog_optimizer::{homomorphism, Containment, Witness};
 use std::fmt::Write as _;
 
 /// All semantic lints, in run order (`L203` consults `L202`'s findings).
@@ -27,13 +27,6 @@ pub fn all() -> Vec<Box<dyn Lint>> {
 /// range-restricted fragment.
 fn semantic_applicable(program: &Program) -> bool {
     validate_positive(program).is_ok()
-}
-
-/// The §VI derivation behind a test [`Containment`] already answered
-/// "holds": only hits pay for the traced evaluation, a miss costs the
-/// goal-directed test alone.
-fn witness_of(rule: &Rule, program: &Program) -> Witness {
-    rule_contained_with_evidence(rule, program).expect("Containment found the frozen head")
 }
 
 /// Render a [`Witness`] as a human-readable §VI explanation.
@@ -121,8 +114,7 @@ impl Lint for RedundantAtom {
                 if !cx.burn_fuel() {
                     continue;
                 }
-                if containment.holds(&relaxed) {
-                    let witness = witness_of(&relaxed, &program);
+                if let Ok(witness) = containment.evidence(&relaxed) {
                     let atom = &rule.body[atom_idx].atom;
                     cx.emit(
                         Diagnostic::new(
@@ -183,8 +175,7 @@ impl Lint for RedundantRule {
             if !cx.burn_fuel() {
                 continue;
             }
-            if containment.holds_without(rule, rule_idx) {
-                let witness = witness_of(rule, &program.without_rule(rule_idx));
+            if let Ok(witness) = containment.evidence_without(rule, rule_idx) {
                 cx.emit(
                     Diagnostic::new(
                         self.code(),

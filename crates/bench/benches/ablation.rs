@@ -1,72 +1,15 @@
 //! Ablation benches for the engine design choices called out in DESIGN.md:
 //!
-//! * greedy bound-variable join ordering vs. source order;
 //! * SCC-layered evaluation vs. monolithic semi-naive;
 //! * incremental insertion vs. from-scratch re-evaluation;
 //! * naive vs. semi-naive (the classic ablation, also in eval_speedup).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use datalog_ast::{fact, parse_program, Database};
+use datalog_ast::{fact, parse_program};
 use datalog_bench::standard_edb;
-use datalog_engine::plan::{instantiate_head, join_body, IndexSet, RulePlan};
 use datalog_engine::{incremental::Materialized, scc_eval, seminaive};
 use datalog_generate::{edge_db, edges, GraphKind};
 use std::time::Duration;
-
-/// Join a deliberately badly-ordered body: the selective atoms come last in
-/// source order, so source-order execution scans the big relation first.
-fn bench_join_order(c: &mut Criterion) {
-    let rule = parse_program("out(X, W) :- big(Y, Z), mid(X, Y), sel(X), far(Z, W).")
-        .unwrap()
-        .rules
-        .remove(0);
-    let plan = RulePlan::compile(&rule);
-
-    // big: 2000 tuples; mid: 200; sel: 3; far: 100.
-    let mut db = Database::new();
-    for i in 0..2000i64 {
-        db.insert(fact("big", [i % 50, i % 41]));
-    }
-    for i in 0..200i64 {
-        db.insert(fact("mid", [i % 20, i % 50]));
-    }
-    for i in 0..3i64 {
-        db.insert(fact("sel", [i]));
-    }
-    for i in 0..100i64 {
-        db.insert(fact("far", [i % 41, i]));
-    }
-
-    let mut group = c.benchmark_group("ablation/join_order");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    let source_order: Vec<usize> = (0..plan.body.len()).collect();
-    group.bench_function("source_order", |b| {
-        b.iter(|| {
-            let mut idx = IndexSet::new(&db);
-            let mut n = 0u64;
-            join_body(&plan, &source_order, &mut idx, None, |a| {
-                std::hint::black_box(instantiate_head(&plan, a));
-                n += 1;
-            });
-            n
-        });
-    });
-    group.bench_function("greedy_order", |b| {
-        b.iter(|| {
-            let order = plan.greedy_order(&db);
-            let mut idx = IndexSet::new(&db);
-            let mut n = 0u64;
-            join_body(&plan, &order, &mut idx, None, |a| {
-                std::hint::black_box(instantiate_head(&plan, a));
-                n += 1;
-            });
-            n
-        });
-    });
-    group.finish();
-}
 
 fn bench_scc_layering(c: &mut Criterion) {
     // Cross-tower join (the shape where layering wins).
@@ -157,7 +100,6 @@ fn bench_magic_vs_qsq(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_join_order,
     bench_scc_layering,
     bench_incremental_vs_scratch,
     bench_magic_vs_qsq

@@ -1,12 +1,8 @@
 //! Experiment E16 — incremental indexes + parallel rule evaluation.
 //!
-//! Series: fixpoint wall time of the seed index-rebuilding semi-naive
-//! evaluator vs the [`EvalContext`]-backed incremental-index evaluator
-//! (sequential, and parallel at 2 and 4 workers) on bloated
-//! transitive-closure workloads over growing chain and cycle EDBs. The
-//! shape that must hold: the incremental-index paths beat the rebuilding
-//! path, with the gap growing in workload size, and the parallel paths
-//! stay tuple-identical at every worker count.
+//! Series: fixpoint wall time of the [`EvalContext`]-backed semi-naive
+//! evaluator, sequential and parallel at 2 and 4 workers, on bloated
+//! transitive-closure workloads over growing chain and cycle EDBs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datalog_bench::standard_edb;
@@ -22,14 +18,6 @@ fn bench_kind(c: &mut Criterion, kind: &str, sizes: &[usize]) {
     group.measurement_time(Duration::from_secs(3));
     for &n in sizes {
         let edb = standard_edb(kind, n);
-        group.bench_with_input(BenchmarkId::new("rebuild", n), &n, |b, _| {
-            b.iter(|| {
-                seminaive::evaluate_rebuilding(
-                    std::hint::black_box(&program),
-                    std::hint::black_box(&edb),
-                )
-            });
-        });
         group.bench_with_input(BenchmarkId::new("incr", n), &n, |b, _| {
             b.iter(|| {
                 seminaive::evaluate(std::hint::black_box(&program), std::hint::black_box(&edb))

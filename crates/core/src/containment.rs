@@ -15,11 +15,13 @@
 //! The test is goal-directed: Corollary 2 asks for the membership `hθ ∈
 //! P(bθ)`, not for `P(bθ)`, so [`Containment`] compiles `P` once, and each
 //! test stops the round the frozen head is derived
-//! ([`EvalContext::saturate_until`]).
+//! ([`EvalContext::saturate_until`]). The same test on a traced context
+//! ([`Containment::evidence`]) returns the derivation it found, or the
+//! saturated countermodel.
 
 use crate::freeze::freeze_rule;
-use datalog_ast::{validate_positive, Program, Rule, ValidationError};
-use datalog_engine::{EvalContext, EvalOptions, RulePlan};
+use datalog_ast::{validate_positive, Database, GroundAtom, Program, Rule, ValidationError};
+use datalog_engine::{EvalContext, EvalOptions, Proof, RulePlan, Traced};
 use std::sync::Arc;
 
 /// Error type for containment queries on programs outside the decidable
@@ -100,17 +102,52 @@ impl Containment {
         Arc::make_mut(&mut self.plans).remove(rule_idx);
     }
 
-    fn test(&self, r: &Rule, without: Option<usize>) -> bool {
-        let rules: Vec<usize> = (0..self.plans.len())
+    /// [`Containment::holds`] with the evidence: the derivation of the frozen
+    /// head the test stopped at, or the countermodel it saturated.
+    pub fn evidence(&self, r: &Rule) -> Result<Witness, Refutation> {
+        let (cx, rules, goal) = self.freeze(r, None);
+        let canonical_db = cx.database().clone();
+        let mut traced = Traced::over(cx, rules);
+        match traced.explain(&goal) {
+            Some(proof) => Ok(Witness {
+                canonical_db,
+                goal,
+                proof,
+            }),
+            None => Err(Refutation {
+                countermodel: traced.into_database(),
+                missing: goal,
+            }),
+        }
+    }
+
+    /// [`Containment::holds_without`] with the evidence. Tested against a
+    /// copy of the plans with the rule deleted, so the proof numbers rules
+    /// as `P − {rule rule_idx}` does, the program it is a derivation under.
+    pub fn evidence_without(&self, r: &Rule, rule_idx: usize) -> Result<Witness, Refutation> {
+        let mut rest = self.clone();
+        rest.remove(rule_idx);
+        rest.evidence(r)
+    }
+
+    /// `r`'s frozen body as a context over `P`, the rules to run on it, and
+    /// the frozen head to look for.
+    fn freeze(&self, r: &Rule, without: Option<usize>) -> (EvalContext, Vec<usize>, GroundAtom) {
+        let rules = (0..self.plans.len())
             .filter(|&i| Some(i) != without)
             .collect();
         let frozen = freeze_rule(r);
-        let mut cx = EvalContext::with_plans(
+        let cx = EvalContext::with_plans(
             Arc::clone(&self.plans),
             frozen.body_db,
             EvalOptions::sequential(),
         );
-        cx.saturate_until(&rules, &frozen.goal)
+        (cx, rules, frozen.goal)
+    }
+
+    fn test(&self, r: &Rule, without: Option<usize>) -> bool {
+        let (mut cx, rules, goal) = self.freeze(r, without);
+        cx.saturate_until(&rules, &goal)
     }
 }
 
@@ -154,11 +191,11 @@ pub fn uniformly_equivalent(p1: &Program, p2: &Program) -> Result<bool, Containm
 #[derive(Clone, Debug)]
 pub struct Witness {
     /// The frozen body `bθ`.
-    pub canonical_db: datalog_ast::Database,
+    pub canonical_db: Database,
     /// The frozen head `hθ`.
-    pub goal: datalog_ast::GroundAtom,
+    pub goal: GroundAtom,
     /// A derivation of `goal` from `canonical_db` under `P`.
-    pub proof: datalog_engine::provenance::Proof,
+    pub proof: Proof,
 }
 
 /// A refutation of `r ⊑u P`: the canonical database is itself a model of
@@ -167,27 +204,15 @@ pub struct Witness {
 #[derive(Clone, Debug)]
 pub struct Refutation {
     /// `P(bθ)` — a model of `P` containing the body but not the head.
-    pub countermodel: datalog_ast::Database,
+    pub countermodel: Database,
     /// The missing frozen head `hθ`.
-    pub missing: datalog_ast::GroundAtom,
+    pub missing: GroundAtom,
 }
 
 /// Decide `r ⊑u P` and return evidence either way: a derivation of the
 /// frozen head (`Ok`) or the saturated countermodel (`Err`).
 pub fn rule_contained_with_evidence(r: &Rule, p: &Program) -> Result<Witness, Refutation> {
-    let frozen = freeze_rule(r);
-    let traced = datalog_engine::provenance::evaluate_traced(p, &frozen.body_db);
-    match traced.explain(&frozen.goal) {
-        Some(proof) => Ok(Witness {
-            canonical_db: frozen.body_db,
-            goal: frozen.goal,
-            proof,
-        }),
-        None => Err(Refutation {
-            countermodel: traced.db,
-            missing: frozen.goal,
-        }),
-    }
+    Containment::new(p).evidence(r)
 }
 
 /// Evidence for the program-level query `P2 ⊑u P1`.
@@ -216,9 +241,10 @@ pub fn uniformly_contains_with_evidence(
     p2: &Program,
 ) -> Result<ContainmentEvidence, ContainmentError> {
     check(&[p1, p2])?;
+    let p1 = Containment::new(p1);
     let mut witnesses = Vec::with_capacity(p2.rules.len());
     for (rule_idx, r) in p2.rules.iter().enumerate() {
-        match rule_contained_with_evidence(r, p1) {
+        match p1.evidence(r) {
             Ok(w) => witnesses.push(w),
             Err(refutation) => {
                 return Ok(ContainmentEvidence::Fails {
@@ -266,6 +292,24 @@ mod tests {
     }
 
     #[test]
+    fn evidence_without_numbers_rules_as_the_smaller_program_does() {
+        // The left-linear rule first: switched off, the derivation of its
+        // frozen head uses the rules behind it.
+        let p = parse_program(
+            "g(X, Z) :- a(X, Y), g(Y, Z). g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).",
+        )
+        .unwrap();
+        let c = Containment::new(&p);
+        let w = c.evidence_without(&p.rules[0], 0).expect("contained");
+        assert_eq!(w.proof.rule_idx, Some(1), "the doubling rule of P - {{0}}");
+        assert_eq!(w.proof.check(&p.without_rule(0), &w.canonical_db), Ok(()));
+        assert!(w.proof.check(&p, &w.canonical_db).is_err());
+        let r = c.evidence_without(&p.rules[2], 2).expect_err("Example 6");
+        assert!(!c.holds_without(&p.rules[2], 2));
+        assert!(!r.countermodel.contains(&r.missing));
+    }
+
+    #[test]
     fn evidence_witness_for_contained_rule() {
         // Example 6's r2: the derivation goes a(x0,y0) → g(x0,y0), then the
         // doubling rule combines it with g(y0,z0).
@@ -276,6 +320,7 @@ mod tests {
         assert_eq!(w.proof.conclusion, w.goal);
         assert!(w.proof.size() >= 2, "needs both rules: {}", w.proof);
         assert!(w.canonical_db.len() == 2);
+        assert_eq!(w.proof.check(&p1, &w.canonical_db), Ok(()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! tail is a test that does not come back.
 
 use datalog_ast::{parse_program, Program};
-use datalog_engine::{EvalContext, EvalOptions};
+use datalog_engine::{EvalContext, EvalOptions, Traced};
 use datalog_generate::bloated_tc;
 use datalog_optimizer::{freeze_rule, optimize};
 
@@ -47,13 +47,23 @@ fn bloated_tc_tail_seeds() {
 /// guard, against the program. The frozen body holds seven `a(y0, wi)` rows
 /// and the rule eight guards that each match all of them; no guard variable
 /// is read again, so every guard is one existential probe and the test a
-/// handful of matches where enumerating the guards costs 7^8.
+/// handful of matches where enumerating the guards costs 7^8. The traced
+/// test — what a lint hit and `explain` run — costs the same: the witness is
+/// the in-flight row of the match that queued the head, not a second search.
 #[test]
 fn a_guard_costs_one_probe_not_one_per_binding() {
     let program = guarded_tc(8);
     let candidate = program.rules[1].without_body_atom(2);
     let frozen = freeze_rule(&candidate);
-    let mut cx = EvalContext::new(&program, frozen.body_db, EvalOptions::sequential());
+    let fresh = || EvalContext::new(&program, frozen.body_db.clone(), EvalOptions::sequential());
+
+    let mut cx = fresh();
     assert!(cx.saturate_until(&[0, 1], &frozen.goal));
     assert!(cx.stats().matches <= 32, "{}", cx.stats());
+
+    let mut traced = Traced::over(fresh(), vec![0, 1]);
+    let proof = traced.explain(&frozen.goal).expect("contained");
+    assert_eq!(traced.stats().matches, cx.stats().matches);
+    assert_eq!(traced.stats().probes, cx.stats().probes);
+    assert_eq!(proof.check(&program, &frozen.body_db), Ok(()));
 }

@@ -49,6 +49,12 @@
 //!   tuple-identical to sequential evaluation at any worker count — on the
 //!   kernel and on the reference alike.
 //!
+//! * **Derivations on request.** A context made [`EvalContext::traced`]
+//!   keeps the first justification of every atom it commits, decoded from
+//!   the kernel's in-flight row-ids where a head is queued
+//!   (`TaskOutput::emit_head`), so [`crate::provenance`] needs no evaluator
+//!   of its own. Untraced, the cost is one branch per queued head.
+//!
 //! `threads == 1` reproduces the seed's sequential behaviour (modulo the
 //! index reuse); [`EvalOptions::default`] asks the OS for
 //! `available_parallelism`.
@@ -56,6 +62,7 @@
 use crate::kernels;
 use crate::plan::{RulePlan, Slot};
 use crate::pool::ThreadPool;
+use crate::provenance::Justification;
 use crate::stats::Stats;
 use datalog_ast::{
     hash_codes_fold, hash_codes_seed, Const, Database, GroundAtom, Pred, Program, Relation,
@@ -132,12 +139,11 @@ type IndexGroup = HashMap<Box<[usize]>, Index>;
 
 /// Owned, incrementally-maintained row-id indexes over a database.
 ///
-/// Unlike [`crate::plan::IndexSet`] (which borrows a database snapshot,
-/// copies candidate tuples, and dies with the round), the store holds only
-/// `u32` ids into the database's arenas and survives rounds: new rows are
-/// appended, never re-scanned. Ids are valid against the exact database
-/// the store was ensured/absorbed from. Keys are hashes of projected
-/// *dictionary codes*, so building and appending read only `u32` columns.
+/// The store holds only `u32` ids into the database's arenas and survives
+/// rounds: new rows are appended, never re-scanned. Ids are valid against
+/// the exact database the store was ensured/absorbed from. Keys are hashes
+/// of projected *dictionary codes*, so building and appending read only
+/// `u32` columns.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct IndexStore {
     map: HashMap<(Pred, usize), IndexGroup>,
@@ -410,6 +416,8 @@ fn mark_existential(steps: &mut [Step], head: &[KeySrc], num_vars: usize) {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Task {
     pub(crate) script: usize,
+    /// The script's rule, as an index into the context's plans.
+    pub(crate) rule: usize,
     pub(crate) delta_atom: Option<usize>,
     pub(crate) offset: usize,
     pub(crate) stride: usize,
@@ -436,6 +444,8 @@ pub(crate) fn step_source<'a>(
 
 pub(crate) struct TaskOutput {
     pub(crate) derived: Vec<GroundAtom>,
+    /// Traced contexts only: why each head in `derived` holds, in parallel.
+    pub(crate) why: Option<Vec<Justification>>,
     pub(crate) probes: u64,
     pub(crate) matches: u64,
     /// In-flight rows pushed through the kernel's probe stages.
@@ -466,9 +476,10 @@ pub(crate) struct TaskOutput {
 }
 
 impl TaskOutput {
-    fn new(filter_known: bool) -> TaskOutput {
+    fn new(filter_known: bool, traced: bool) -> TaskOutput {
         TaskOutput {
             derived: Vec::new(),
+            why: traced.then(Vec::new),
             probes: 0,
             matches: 0,
             batch_rows: 0,
@@ -493,7 +504,14 @@ impl TaskOutput {
     /// anyway. Known-old tuples are memoized into `seen` so repeats cost
     /// one hash probe, not a database lookup — and `seen` is an arena, so
     /// neither path allocates a per-tuple `Box`.
-    pub(crate) fn emit_head(&mut self, head_pred: Pred, db: &Database) {
+    ///
+    /// Returns where a traced context wants the justification of the head
+    /// just queued; `None` when nothing was queued or nothing is traced.
+    pub(crate) fn emit_head(
+        &mut self,
+        head_pred: Pred,
+        db: &Database,
+    ) -> Option<&mut Vec<Justification>> {
         self.matches += 1;
         let head_arity = self.head_buf.len();
         let seen = self
@@ -501,16 +519,17 @@ impl TaskOutput {
             .entry(head_pred)
             .or_insert_with(|| Relation::new(head_arity));
         if seen.contains(&self.head_buf) {
-            return;
+            return None;
         }
         seen.insert(&self.head_buf);
         if self.filter_known && db.contains_tuple(head_pred, &self.head_buf) {
-            return;
+            return None;
         }
         self.derived.push(GroundAtom {
             pred: head_pred,
             tuple: self.head_buf.as_slice().into(),
         });
+        self.why.as_mut()
     }
 }
 
@@ -569,7 +588,8 @@ fn exec(
         for s in &script.head {
             out.head_buf.push(s.value(assignment));
         }
-        out.emit_head(script.head_pred, db);
+        let trace = out.emit_head(script.head_pred, db);
+        debug_assert!(trace.is_none(), "a traced context runs the kernel");
         return;
     };
 
@@ -696,6 +716,9 @@ pub struct EvalContext {
     batch_cache: Arc<kernels::BatchCache>,
     pool: Option<ThreadPool>,
     stats: Stats,
+    /// A traced context's record: the first justification of every atom it
+    /// committed ([`EvalContext::traced`]).
+    justifications: Option<HashMap<GroundAtom, Justification>>,
 }
 
 impl std::fmt::Debug for EvalContext {
@@ -749,7 +772,24 @@ impl EvalContext {
             batch_cache: Arc::new(kernels::BatchCache::default()),
             pool: None,
             stats,
+            justifications: None,
         }
+    }
+
+    /// Keep, from here on, the first justification of every atom a round
+    /// commits. The kernel does the recording, so a traced context runs it
+    /// whatever `opts.specialize` said.
+    pub fn traced(mut self) -> EvalContext {
+        self.specialize = true;
+        self.justifications.get_or_insert_with(HashMap::new);
+        self
+    }
+
+    /// How `atom` got into the database: by a recorded rule application, or
+    /// — nothing recorded — as input. `None` when it is not there.
+    pub fn justification(&self, atom: &GroundAtom) -> Option<&Justification> {
+        let recorded = self.justifications.as_ref().and_then(|j| j.get(atom));
+        recorded.or_else(|| self.db.contains(atom).then_some(&Justification::Input))
     }
 
     /// A cheap handle sharing this context's database and indexes
@@ -768,6 +808,7 @@ impl EvalContext {
             batch_cache: Arc::new(kernels::BatchCache::default()),
             pool: None,
             stats: Stats::default(),
+            justifications: None,
         }
     }
 
@@ -827,8 +868,8 @@ impl EvalContext {
     /// Round 1 of a (sub)fixpoint: evaluate `rules` in full over the
     /// current database, commit the new atoms, and return them.
     pub(crate) fn full_round(&mut self, rules: &[usize]) -> Database {
-        let derived = self.run_round(rules, None, true);
-        self.commit(derived)
+        let (derived, why) = self.run_round(rules, None, true);
+        self.commit(derived, why)
     }
 
     /// A semi-naive delta round: evaluate `rules` with each positive body
@@ -836,14 +877,14 @@ impl EvalContext {
     /// turn) to `delta`, commit the new atoms, and return them as the next
     /// delta.
     pub(crate) fn delta_round(&mut self, rules: &[usize], delta: &Database) -> Database {
-        let derived = self.run_round(rules, Some(delta), true);
-        self.commit(derived)
+        let (derived, why) = self.run_round(rules, Some(delta), true);
+        self.commit(derived, why)
     }
 
     /// A delta round over a *frozen* database: derived heads are returned
     /// raw, nothing is committed (the DRed overdeletion sweep).
     pub(crate) fn sweep_round(&mut self, rules: &[usize], delta: &Database) -> Vec<GroundAtom> {
-        self.run_round(rules, Some(delta), false)
+        self.run_round(rules, Some(delta), false).0
     }
 
     /// Run `rules` to their fixpoint over the current database: one full
@@ -870,17 +911,24 @@ impl EvalContext {
         false
     }
 
-    /// Insert `derived` atoms that are new, append their row-ids to the
-    /// live indexes, and return them as a delta database.
-    fn commit(&mut self, derived: Vec<GroundAtom>) -> Database {
+    /// Insert the derived atoms that are new, append their row-ids to the
+    /// live indexes, and return them as a delta database. A traced round's
+    /// justification is kept for exactly those atoms, so every recorded
+    /// premise was in the database before its conclusion.
+    fn commit(&mut self, derived: Vec<GroundAtom>, why: Option<Vec<Justification>>) -> Database {
         let mut fresh = Database::new();
         let mut fresh_ids: Vec<(Pred, usize, u32)> = Vec::new();
         {
             let db = Arc::make_mut(&mut self.db);
+            let mut why = why.into_iter().flatten();
             for atom in derived {
                 let arity = atom.tuple.len();
+                let why = why.next();
                 if let Some(id) = db.insert_row_id(atom.pred, &atom.tuple) {
                     fresh_ids.push((atom.pred, arity, id));
+                    if let (Some(kept), Some(why)) = (&mut self.justifications, why) {
+                        kept.insert(atom.clone(), why);
+                    }
                     fresh.insert(atom);
                     self.stats.derivations += 1;
                     self.stats.tuples_allocated += 1;
@@ -895,14 +943,16 @@ impl EvalContext {
     }
 
     /// Evaluate one round of `rules` (full or delta-restricted) and return
-    /// the derived head atoms (possibly with duplicates).
+    /// the derived head atoms (possibly with duplicates), with their
+    /// justifications when the context is traced.
     fn run_round(
         &mut self,
         rules: &[usize],
         delta: Option<&Database>,
         filter_known: bool,
-    ) -> Vec<GroundAtom> {
+    ) -> (Vec<GroundAtom>, Option<Vec<Justification>>) {
         self.stats.iterations += 1;
+        let traced = self.justifications.is_some();
 
         // Compile the scripts. Full rounds get one greedy script per rule;
         // delta rounds get one script per (rule, delta position), seeded so
@@ -926,7 +976,8 @@ impl EvalContext {
             })
         };
         let mut scripts: Vec<JoinScript> = Vec::new();
-        let mut items: Vec<(usize, Option<usize>)> = Vec::new();
+        // `(script, rule, delta position)`.
+        let mut items: Vec<(usize, usize, Option<usize>)> = Vec::new();
         for &ri in rules {
             let plan = &self.plans[ri];
             let positions: Vec<Option<usize>> = match delta {
@@ -939,11 +990,11 @@ impl EvalContext {
             for pos in positions.into_iter().filter(|&pos| can_fire(plan, pos)) {
                 let order = plan.greedy_order_seeded(&self.db, pos);
                 scripts.push(compile_script(plan, &order));
-                items.push((scripts.len() - 1, pos));
+                items.push((scripts.len() - 1, ri, pos));
             }
         }
         if items.is_empty() {
-            return Vec::new();
+            return (Vec::new(), None);
         }
         // Every round invalidates the previous round's cached delta-side
         // gather batches: the delta changed, so their keys can never match
@@ -971,7 +1022,7 @@ impl EvalContext {
         // row-ids in the delta store must resolve against it on workers.
         let delta_db: Arc<Database> = Arc::new(delta.cloned().unwrap_or_default());
         let mut delta_store = IndexStore::default();
-        for &(s, pos) in &items {
+        for &(s, _, pos) in &items {
             if let Some(p) = pos {
                 let step = scripts[s]
                     .steps
@@ -986,7 +1037,7 @@ impl EvalContext {
         // round with fewer items than workers still saturates the pool.
         let mut tasks: Vec<Task> = Vec::new();
         let target = self.threads * 2;
-        for &(s, pos) in &items {
+        for &(s, rule, pos) in &items {
             let shardable = self.threads > 1
                 && items.len() < target
                 && scripts[s].steps.first().is_some_and(|st| !st.negated);
@@ -997,6 +1048,7 @@ impl EvalContext {
             };
             tasks.extend((0..shards).map(|k| Task {
                 script: s,
+                rule,
                 delta_atom: pos,
                 offset: k,
                 stride: shards,
@@ -1011,7 +1063,7 @@ impl EvalContext {
                 .count() as u64;
         }
 
-        let mut out = TaskOutput::new(filter_known);
+        let mut out = TaskOutput::new(filter_known, traced);
         if self.threads > 1 && tasks.len() > 1 {
             self.stats.parallel_tasks += tasks.len() as u64;
             let pool = {
@@ -1031,7 +1083,7 @@ impl EvalContext {
                 let delta_db = Arc::clone(&delta_db);
                 let cache = Arc::clone(&self.batch_cache);
                 pool.execute(move || {
-                    let mut out = TaskOutput::new(filter_known);
+                    let mut out = TaskOutput::new(filter_known, traced);
                     run_task(
                         &scripts[task.script],
                         specialize,
@@ -1060,6 +1112,9 @@ impl EvalContext {
             while let Ok(part) = rx.recv() {
                 received += 1;
                 out.derived.extend(part.derived);
+                if let (Some(why), Some(part)) = (&mut out.why, part.why) {
+                    why.extend(part);
+                }
                 out.probes += part.probes;
                 out.matches += part.matches;
                 out.batch_rows += part.batch_rows;
@@ -1092,7 +1147,9 @@ impl EvalContext {
         self.stats.dict_filtered_probes += out.dict_filtered;
         self.stats.simd_hash_blocks += out.simd_blocks;
         self.stats.batch_reuse_hits += out.batch_reuse;
-        out.derived
+        // The rest of `out` — the round's dedup arenas — goes before the
+        // commit grows the database.
+        (out.derived, out.why)
     }
 }
 

@@ -59,8 +59,9 @@
 use crate::context::{
     step_source, IndexStore, JoinScript, KeySrc, Postings, Step, Task, TaskOutput,
 };
+use crate::provenance::Justification;
 use datalog_ast::{
-    hash_codes_batch, hash_codes_fold, hash_codes_seed, Const, Database, Pred, Relation,
+    hash_codes_batch, hash_codes_fold, hash_codes_seed, Const, Database, GroundAtom, Pred, Relation,
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -302,6 +303,11 @@ enum Cands<'a> {
 
 struct Pipeline<'a> {
     db: &'a Database,
+    /// The task's rule and its literals with the relations they read — what
+    /// a traced context decodes an in-flight row against.
+    rule: usize,
+    steps: &'a [Step],
+    sources: &'a [(&'a IndexStore, Cow<'a, Relation>)],
     head_pred: Pred,
     head: Vec<HeadElem<'a>>,
     /// `(head position, tuple position)` of the head values the last
@@ -342,7 +348,10 @@ pub(crate) fn run(
     let Some(s0) = steps.first() else {
         out.head_buf.clear();
         out.head_buf.extend(script.head.iter().map(constant));
-        out.emit_head(script.head_pred, db);
+        if let Some(trace) = out.emit_head(script.head_pred, db) {
+            let (rule_idx, premises) = (task.rule, Vec::new());
+            trace.push(Justification::Rule { rule_idx, premises });
+        }
         return;
     };
 
@@ -443,6 +452,9 @@ pub(crate) fn run(
     }
     let pipe = Pipeline {
         db,
+        rule: task.rule,
+        steps,
+        sources: &sources,
         head_pred: script.head_pred,
         head,
         own,
@@ -527,17 +539,40 @@ impl Pipeline<'_> {
         }));
     }
 
-    /// Complete the head [`Pipeline::head_of`] prepared with the last
-    /// stage's matched row and emit it.
+    /// Complete the head [`Pipeline::head_of`] prepared from `row` with the
+    /// last stage's matched row and emit it.
     #[inline]
-    fn emit(&self, id: Option<u32>, out: &mut TaskOutput) {
+    fn emit(&self, row: &[u32], id: Option<u32>, out: &mut TaskOutput) {
         if let Some(id) = id {
             let t = self.last_rel.row(id);
             for &(h, pos) in &self.own {
                 out.head_buf[h] = t[pos];
             }
         }
-        out.emit_head(self.head_pred, self.db);
+        if let Some(trace) = out.emit_head(self.head_pred, self.db) {
+            trace.push(self.why(row, id));
+        }
+    }
+
+    /// The complete match `row` + `id` as a justification: the rows the
+    /// positive literals matched, in body order. In-flight rows carry one id
+    /// per positive stage, each naming a row of the relation that stage read
+    /// (the delta for the delta literal); an existential stage's id is its
+    /// one verified candidate.
+    fn why(&self, row: &[u32], id: Option<u32>) -> Justification {
+        let mut ids = row.iter().copied().chain(id);
+        let literals = self.steps.iter().zip(self.sources);
+        let mut premises: Vec<(usize, GroundAtom)> = literals
+            .filter(|(step, _)| !step.negated)
+            .map(|(step, (_, rel))| {
+                let id = ids.next().expect("one id per positive stage");
+                (step.atom, GroundAtom::new(step.pred, rel.row(id)))
+            })
+            .collect();
+        premises.sort_by_key(|&(atom, _)| atom);
+        let premises = premises.into_iter().map(|(_, p)| p).collect();
+        let rule_idx = self.rule;
+        Justification::Rule { rule_idx, premises }
     }
 
     /// A row survived stage `k` (`id`: the row-id a positive stage matched).
@@ -554,7 +589,7 @@ impl Pipeline<'_> {
     ) {
         if k == self.stages.len() {
             self.head_of(row, out);
-            self.emit(id, out);
+            self.emit(row, id, out);
             return;
         }
         let next = &mut sc[0].next;
@@ -662,7 +697,7 @@ impl Pipeline<'_> {
                     continue;
                 }
                 if last {
-                    self.emit(Some(id), out);
+                    self.emit(row, Some(id), out);
                 } else {
                     self.push(k, row, Some(id), sc, out);
                 }

@@ -12,11 +12,14 @@
 //! * [`magic`] — the generalized magic-sets query rewriting the paper cites
 //!   as its motivating consumer (§I).
 //! * [`stratified`] — stratified-negation evaluation (the §XII extension).
-//! * [`plan`] — compiled rule plans, on-demand hash indices, and the
-//!   backtracking join executor shared by all evaluators.
+//! * [`plan`] — compiled rule plans ([`RulePlan`]: variables as dense
+//!   slots, greedy join orders), which every evaluator starts from, plus the
+//!   backtracking join interpreter only [`naive`] runs.
 //! * [`context`] — persistent [`EvalContext`]s: per-`(pred, positions)`
 //!   indexes maintained incrementally across fixpoint rounds, compiled
 //!   join scripts, and parallel round execution over [`pool`].
+//! * [`provenance`] — proof trees read off a traced [`EvalContext`], and
+//!   their independent checker.
 //! * [`pool`] — the std-only worker thread pool (shared with
 //!   `datalog-service`).
 //! * [`incremental`] — [`Materialized`], the maintained fixpoint: delta
@@ -53,9 +56,9 @@ pub use magic::{
     MagicTemplate,
 };
 pub use naive::apply_once;
-pub use plan::{instantiate_head, join_body, IndexSet, RulePlan};
+pub use plan::RulePlan;
 pub use pool::ThreadPool;
-pub use provenance::{evaluate_traced, Justification, Proof, Traced};
+pub use provenance::{Justification, Proof, Traced};
 pub use query::{PlanCache, QueryPlan, Strategy};
 pub use stats::Stats;
 pub use stratified::NotStratifiable;

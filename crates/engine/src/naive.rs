@@ -42,7 +42,7 @@ pub fn evaluate_with_stats(program: &Program, input: &Database) -> (Database, St
             let mut idx = IndexSet::new(&db);
             for plan in &plans {
                 let order = plan.greedy_order(&db);
-                join_body(plan, &order, &mut idx, None, |assignment| {
+                join_body(plan, &order, &mut idx, |assignment| {
                     stats.matches += 1;
                     new_atoms.push(instantiate_head(plan, assignment));
                 });
@@ -73,7 +73,7 @@ pub fn apply_once(program: &Program, d: &Database) -> Database {
     let mut idx = IndexSet::new(d);
     for plan in &plans {
         let order = plan.greedy_order(d);
-        join_body(plan, &order, &mut idx, None, |assignment| {
+        join_body(plan, &order, &mut idx, |assignment| {
             out.insert(instantiate_head(plan, assignment));
         });
     }

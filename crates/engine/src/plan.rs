@@ -1,14 +1,16 @@
-//! Compiled rule plans and join execution.
+//! Compiled rule plans, and the reference join interpreter.
 //!
 //! A [`RulePlan`] compiles a rule's variables to dense slots (`usize`
 //! indices) so that a partial assignment is a `Vec<Option<Const>>` rather
-//! than a map. Body atoms are evaluated left-to-right against per-predicate
-//! hash indices built on demand ([`IndexSet`]); the atom order may be
-//! optimised greedily by bound-variable count before execution.
+//! than a map, and orders body atoms greedily by bound-variable count.
+//! Plans are what every evaluator starts from: [`crate::EvalContext`]
+//! compiles them further into join scripts for its kernel.
 //!
-//! This module is the shared substrate of the naive evaluator, the
-//! semi-naive evaluator, the stratified evaluator, and (via `datalog-engine`
-//! re-exports) the chase in `datalog-optimizer`.
+//! [`join_body`] evaluates a plan directly — left-to-right backtracking
+//! against per-predicate hash indices built on demand ([`IndexSet`]) and
+//! thrown away with the round. It is the seed's executor and has one caller
+//! left, [`crate::naive`], the share-nothing reference the oracles compare
+//! every other evaluator against.
 
 use datalog_ast::{Atom, Const, Database, GroundAtom, Pred, Rule, Term, Tuple, Var};
 use std::collections::HashMap;
@@ -179,41 +181,30 @@ type IndexKey = (Pred, Vec<usize>);
 /// For each `(predicate, bound-positions)` pair requested, builds (once) a
 /// hash map from the projection onto those positions to the matching tuples.
 /// Indices are built lazily because most rules only probe a few patterns.
-pub struct IndexSet<'db> {
+pub(crate) struct IndexSet<'db> {
     db: &'db Database,
     indices: HashMap<IndexKey, HashMap<Vec<Const>, Vec<&'db [Const]>>>,
     /// Number of index probes performed — the "joins done during the
     /// evaluation" measure of §I, reported by [`crate::Stats`].
-    pub probes: u64,
-    /// Number of full-scan index constructions performed. An evaluator
-    /// that makes a fresh `IndexSet` per fixpoint round pays this again
-    /// every round; [`crate::EvalContext`] exists to avoid exactly that.
-    pub builds: u64,
+    pub(crate) probes: u64,
 }
 
 impl<'db> IndexSet<'db> {
-    pub fn new(db: &'db Database) -> IndexSet<'db> {
+    pub(crate) fn new(db: &'db Database) -> IndexSet<'db> {
         IndexSet {
             db,
             indices: HashMap::new(),
             probes: 0,
-            builds: 0,
         }
     }
 
-    pub fn database(&self) -> &'db Database {
-        self.db
-    }
-
     /// Tuples of `pred` whose projection on `positions` equals `key`.
-    pub fn probe(&mut self, pred: Pred, positions: &[usize], key: &[Const]) -> &[&'db [Const]] {
+    fn probe(&mut self, pred: Pred, positions: &[usize], key: &[Const]) -> &[&'db [Const]] {
         self.probes += 1;
         if positions.is_empty() {
             // Full scan; cache under the empty position list with unit key.
             let db = self.db;
-            let builds = &mut self.builds;
             let entry = self.indices.entry((pred, Vec::new())).or_insert_with(|| {
-                *builds += 1;
                 let mut m: HashMap<Vec<Const>, Vec<&'db [Const]>> = HashMap::new();
                 m.insert(Vec::new(), db.relation(pred).collect());
                 m
@@ -221,12 +212,10 @@ impl<'db> IndexSet<'db> {
             return entry.get(&[] as &[Const]).map_or(&[], Vec::as_slice);
         }
         let db = self.db;
-        let builds = &mut self.builds;
         let entry = self
             .indices
             .entry((pred, positions.to_vec()))
             .or_insert_with(|| {
-                *builds += 1;
                 let mut m: HashMap<Vec<Const>, Vec<&'db [Const]>> = HashMap::new();
                 for t in db.relation(pred) {
                     let k: Vec<Const> = positions.iter().map(|&i| t[i]).collect();
@@ -238,33 +227,19 @@ impl<'db> IndexSet<'db> {
     }
 }
 
-/// Evaluate `plan`'s body over `idx` (optionally requiring the atom at
-/// `delta_pos` to match in `delta` instead of the full database — the
-/// semi-naive discipline), calling `on_match` with the complete variable
-/// assignment for every satisfying substitution.
+/// Evaluate `plan`'s body over `idx`, calling `on_match` with the complete
+/// variable assignment for every satisfying substitution.
 ///
 /// `order` must be a permutation of the body indices. Negated atoms are
-/// checked as absence in the full database.
-pub fn join_body<F: FnMut(&[Option<Const>])>(
+/// checked as absence in the database.
+pub(crate) fn join_body<F: FnMut(&[Option<Const>])>(
     plan: &RulePlan,
     order: &[usize],
     idx: &mut IndexSet<'_>,
-    delta: Option<(usize, &Database)>,
-    on_match: F,
+    mut on_match: F,
 ) {
-    let mut on_match = on_match;
     let mut assignment: Vec<Option<Const>> = vec![None; plan.num_vars()];
-    // A separate IndexSet for the delta database, created lazily.
-    let mut delta_idx = delta.map(|(pos, d)| (pos, IndexSet::new(d)));
-    join_rec(
-        plan,
-        order,
-        0,
-        idx,
-        &mut delta_idx,
-        &mut assignment,
-        &mut on_match,
-    );
+    join_rec(plan, order, 0, idx, &mut assignment, &mut on_match);
 }
 
 fn join_rec<F: FnMut(&[Option<Const>])>(
@@ -272,7 +247,6 @@ fn join_rec<F: FnMut(&[Option<Const>])>(
     order: &[usize],
     depth: usize,
     idx: &mut IndexSet<'_>,
-    delta_idx: &mut Option<(usize, IndexSet<'_>)>,
     assignment: &mut Vec<Option<Const>>,
     on_match: &mut F,
 ) {
@@ -295,8 +269,8 @@ fn join_rec<F: FnMut(&[Option<Const>])>(
             .collect();
         let tuple = tuple.expect("negated atom with unbound variable; rule not safe");
         idx.probes += 1;
-        if !idx.database().contains_tuple(atom.pred, &tuple) {
-            join_rec(plan, order, depth + 1, idx, delta_idx, assignment, on_match);
+        if !idx.db.contains_tuple(atom.pred, &tuple) {
+            join_rec(plan, order, depth + 1, idx, assignment, on_match);
         }
         return;
     }
@@ -319,19 +293,11 @@ fn join_rec<F: FnMut(&[Option<Const>])>(
         }
     }
 
-    let use_delta = delta_idx.as_ref().is_some_and(|(pos, _)| *pos == atom_i);
-    let matches: Vec<Tuple> = if use_delta {
-        let (_, didx) = delta_idx.as_mut().expect("checked above");
-        didx.probe(atom.pred, &positions, &key)
-            .iter()
-            .map(|&t| Tuple::from(t))
-            .collect()
-    } else {
-        idx.probe(atom.pred, &positions, &key)
-            .iter()
-            .map(|&t| Tuple::from(t))
-            .collect()
-    };
+    let matches: Vec<Tuple> = idx
+        .probe(atom.pred, &positions, &key)
+        .iter()
+        .map(|&t| Tuple::from(t))
+        .collect();
 
     for t in matches {
         // Bind unbound variable slots; record which to unbind on backtrack.
@@ -354,7 +320,7 @@ fn join_rec<F: FnMut(&[Option<Const>])>(
             }
         }
         if ok {
-            join_rec(plan, order, depth + 1, idx, delta_idx, assignment, on_match);
+            join_rec(plan, order, depth + 1, idx, assignment, on_match);
         }
         for v in newly_bound {
             assignment[v] = None;
@@ -363,7 +329,7 @@ fn join_rec<F: FnMut(&[Option<Const>])>(
 }
 
 /// Instantiate the head of `plan` under a complete assignment.
-pub fn instantiate_head(plan: &RulePlan, assignment: &[Option<Const>]) -> GroundAtom {
+pub(crate) fn instantiate_head(plan: &RulePlan, assignment: &[Option<Const>]) -> GroundAtom {
     let tuple: Box<[Const]> = plan
         .head
         .slots
@@ -392,7 +358,7 @@ mod tests {
         let order = plan.greedy_order(db);
         let mut idx = IndexSet::new(db);
         let mut out = Vec::new();
-        join_body(&plan, &order, &mut idx, None, |a| {
+        join_body(&plan, &order, &mut idx, |a| {
             out.push(instantiate_head(&plan, a));
         });
         out.sort();
@@ -450,24 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_restricts_one_position() {
-        let db = parse_database("g(1,2). g(2,3). g(3,4).").unwrap();
-        let delta = parse_database("g(2,3).").unwrap();
-        let rule = parse_rule("t(X, Z) :- g(X, Y), g(Y, Z).").unwrap();
-        let plan = RulePlan::compile(&rule);
-        // Keep source order for determinism in this test.
-        let order: Vec<usize> = (0..plan.body.len()).collect();
-        let mut idx = IndexSet::new(&db);
-        let mut out = Vec::new();
-        join_body(&plan, &order, &mut idx, Some((0, &delta)), |a| {
-            out.push(instantiate_head(&plan, a));
-        });
-        out.sort();
-        // First atom restricted to g(2,3): only t(2,4).
-        assert_eq!(out, vec![fact("t", [2, 4])]);
-    }
-
-    #[test]
     fn greedy_order_places_bound_atoms_early() {
         let db = parse_database("a(1,2). b(2,3). b(9,9). c(1).").unwrap();
         let rule = parse_rule("g(X, Z) :- b(Y, Z), c(X), a(X, Y).").unwrap();
@@ -490,7 +438,7 @@ mod tests {
         let rule = parse_rule("g(X, Z) :- a(X, Y), a(Y, Z).").unwrap();
         let plan = RulePlan::compile(&rule);
         let order: Vec<usize> = (0..2).collect();
-        join_body(&plan, &order, &mut idx, None, |_| {});
+        join_body(&plan, &order, &mut idx, |_| {});
         assert!(
             idx.probes >= 3,
             "scan + one probe per tuple: got {}",

@@ -7,8 +7,8 @@
 //! counters make the [`crate::EvalContext`] win observable: a context-based
 //! fixpoint builds each `(predicate, bound-positions)` index once
 //! (`index_builds`) and extends it tuple-by-tuple across rounds
-//! (`index_appends`), where the rebuilding evaluator pays `index_builds`
-//! again on every round.
+//! (`index_appends`); a fixpoint whose `index_builds` grows with its round
+//! count has lost that.
 
 use std::fmt;
 use std::ops::{AddAssign, Sub};
@@ -24,16 +24,15 @@ pub struct Stats {
     /// **up to dead variables**: a context evaluation passes a row through
     /// an existential stage (a literal whose bindings nothing reads again)
     /// once, however many rows match there, so it counts one match per
-    /// binding of the variables that are read. [`crate::naive`] and the
-    /// rebuilding semi-naive evaluator enumerate every binding and count
-    /// more on such rules.
+    /// binding of the variables that are read. [`crate::naive`] enumerates
+    /// every binding and counts more on such rules.
     pub matches: u64,
     /// Number of *new* ground atoms derived (duplicates excluded).
     pub derivations: u64,
     /// Number of full-scan hash-index constructions over a database
-    /// relation. The incremental-index evaluator pays this once per live
-    /// `(predicate, positions)` pattern; the rebuilding evaluator pays it
-    /// once per pattern **per round**.
+    /// relation: one per live `(predicate, positions)` pattern per context,
+    /// plus the re-fills after a removal cleared the indexes.
+    /// [`crate::naive`] keeps no index across rounds and reports 0.
     pub index_builds: u64,
     /// Number of delta tuples appended into already-built indexes instead
     /// of triggering a rebuild (the incremental-index maintenance work).

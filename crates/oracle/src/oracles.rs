@@ -7,11 +7,12 @@
 //! state is compared against it (or against a from-scratch recomputation
 //! seeded by it).
 //!
-//! * **Engine matrix** — naive, rebuilding semi-naive, SCC-layered,
-//!   stratified, parallel (2/4 workers), and interpreted (columnar join
-//!   kernels disabled, sequential and 2 workers) evaluation must produce
-//!   identical fixpoints; magic-sets and QSQ answers must equal the
-//!   pattern-filtered fixpoint for every query.
+//! * **Engine matrix** — naive, SCC-layered, stratified, parallel (2/4
+//!   workers), and interpreted (columnar join kernels disabled, sequential
+//!   and 2 workers) evaluation must produce identical fixpoints; magic-sets
+//!   and QSQ answers must equal the pattern-filtered fixpoint for every
+//!   query; and the proof a traced context (1 and 2 workers) gives for a
+//!   sample of the fixpoint must pass [`Proof::check`].
 //! * **Optimization soundness** — `minimize_program` (Fig. 2),
 //!   `minimize_program_in_order` under a random consideration order, and a
 //!   redundancy-injected bloat must all agree with the original program on
@@ -19,7 +20,9 @@
 //!   and the minimized programs must test ≡u against the original (§VI).
 //!   Every §VI test Fig. 2 makes on the way is also decided twice: by the
 //!   goal-directed [`Containment`] and by the unshortened test (the full
-//!   fixpoint of the frozen body, then a lookup of the frozen head).
+//!   fixpoint of the frozen body, then a lookup of the frozen head), and its
+//!   evidence re-checked: a witness's proof against [`Proof::check`], a
+//!   refutation's countermodel against that fixpoint.
 //! * **Incremental consistency** — after every insert/remove batch the
 //!   [`Materialized`] fixpoint (at 1, 2 or 4 shards by seed) must equal a
 //!   from-scratch evaluation of the surviving base, and its shard replicas
@@ -42,10 +45,11 @@ use crate::workload::{Case, Mutation};
 use datalog_ast::{match_atom, Atom, Const, Database, GroundAtom, Pred, Program, Rule, Term};
 use datalog_engine::query::Strategy;
 use datalog_engine::{
-    magic, naive, qsq, scc_eval, seminaive, stratified, EvalOptions, Materialized, Stats,
+    magic, naive, qsq, scc_eval, seminaive, stratified, EvalOptions, Materialized, Stats, Traced,
 };
 use datalog_optimizer::{
     freeze_rule, minimize_program, minimize_program_in_order, uniformly_equivalent, Containment,
+    Refutation, Witness,
 };
 use datalog_service::{CacheStatus, QueryState, Registry, View};
 use rand::rngs::StdRng;
@@ -235,10 +239,6 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
     let reference = seminaive::evaluate(program, db);
     let mut engines: Vec<(String, Database)> = vec![
         ("naive".into(), naive::evaluate(program, db)),
-        (
-            "rebuilding".into(),
-            seminaive::evaluate_rebuilding(program, db),
-        ),
         ("scc".into(), scc_eval::evaluate(program, db)),
     ];
     if let Ok(strat) = stratified::evaluate(program, db) {
@@ -282,6 +282,28 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
                     diff_sample(&reference, &got)
                 ),
             });
+        }
+    }
+
+    // The derivation recorder: whatever first justification a round kept —
+    // at 2 workers that depends on which task reported first — the proof
+    // built from it must hold up under the independent checker.
+    for workers in [1usize, 2] {
+        let mut traced = Traced::new(program, db.clone(), EvalOptions::with_threads(workers));
+        let stride = reference.len().div_ceil(8).max(1);
+        for atom in reference.iter().step_by(stride) {
+            let verdict = match traced.explain(&atom) {
+                Some(proof) if proof.conclusion == atom => proof.check(program, db),
+                Some(proof) => Err(format!("the proof concludes {}", proof.conclusion)),
+                None => Err("in the fixpoint, but no derivation was found".into()),
+            };
+            if let Err(message) = verdict {
+                out.push(Divergence {
+                    family: Family::Engines,
+                    kind: format!("engine:explain-{workers}"),
+                    message: format!("explain {atom} at {workers} worker(s): {message}"),
+                });
+            }
         }
     }
 
@@ -494,28 +516,47 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
 /// Fig. 2 in source order, every §VI test decided by the unshortened test
 /// — saturate the frozen body, then look the frozen head up — and checked
 /// against what [`Containment`] (stop at the goal, plans compiled once and
-/// edited in place) answers for the same test. `Err` describes the first
-/// test the two disagree on; `Ok` is the minimized program, which must be
+/// edited in place) answers for the same test, untraced and traced. `Err`
+/// describes the first test they disagree on, or the first piece of evidence
+/// that does not hold up; `Ok` is the minimized program, which must be
 /// [`minimize_program`]'s.
 fn fig2_unshortened(program: &Program) -> Result<Program, String> {
     let mut current = program.clone();
     let mut containment = Containment::new(&current);
-    let decide = |shortened: bool, r: &Rule, p: &Program| {
+    let decide = |shortened: bool, evidence: Result<Witness, Refutation>, r: &Rule, p: &Program| {
         let frozen = freeze_rule(r);
-        let unshortened = seminaive::evaluate(p, &frozen.body_db).contains(&frozen.goal);
-        if shortened == unshortened {
-            Ok(unshortened)
-        } else {
+        let fixpoint = seminaive::evaluate(p, &frozen.body_db);
+        let unshortened = fixpoint.contains(&frozen.goal);
+        let upheld = match &evidence {
+            Ok(w) if w.proof.conclusion == frozen.goal => w.proof.check(p, &w.canonical_db),
+            Ok(w) => Err(format!("the proof concludes {}", w.proof.conclusion)),
+            Err(refutation) if refutation.countermodel == fixpoint => Ok(()),
+            Err(_) => Err("the countermodel is not the fixpoint".into()),
+        };
+        if shortened != unshortened || evidence.is_ok() != unshortened {
             Err(format!(
-                "Containment says {shortened}, the full fixpoint {unshortened}, for `{r}` against:\n{p}"
+                "Containment says {shortened} (traced: {}), the full fixpoint {unshortened}, for `{r}` against:\n{p}",
+                evidence.is_ok()
             ))
+        } else if let Err(why) = upheld {
+            Err(format!(
+                "the evidence for `{r}` does not hold up ({why}) against:\n{p}"
+            ))
+        } else {
+            Ok(unshortened)
         }
     };
     for rule_idx in 0..current.len() {
         let mut pos = 0;
         while pos < current.rules[rule_idx].width() {
             let candidate = current.rules[rule_idx].without_body_atom(pos);
-            if decide(containment.holds(&candidate), &candidate, &current)? {
+            let evidence = containment.evidence(&candidate);
+            if decide(
+                containment.holds(&candidate),
+                evidence,
+                &candidate,
+                &current,
+            )? {
                 containment.replace(rule_idx, &candidate);
                 current.rules[rule_idx] = candidate;
             } else {
@@ -527,7 +568,8 @@ fn fig2_unshortened(program: &Program) -> Result<Program, String> {
     while pos < current.len() {
         let rule = &current.rules[pos];
         let shortened = containment.holds_without(rule, pos);
-        if decide(shortened, rule, &current.without_rule(pos))? {
+        let evidence = containment.evidence_without(rule, pos);
+        if decide(shortened, evidence, rule, &current.without_rule(pos))? {
             containment.remove(pos);
             current.rules.remove(pos);
         } else {

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --example points_to`
 
+use sagiv_datalog::engine::{EvalOptions, Traced};
 use sagiv_datalog::prelude::*;
 
 fn main() {
@@ -91,7 +92,7 @@ fn main() {
     );
 
     // Explain WHY s points to y — the provenance proof tree.
-    let traced = sagiv_datalog::engine::provenance::evaluate_traced(&minimized, &edb);
+    let mut traced = Traced::new(&minimized, edb, EvalOptions::sequential());
     let proof = traced.explain(&s_to_y).expect("derivable");
     println!("\nderivation of pts(s, y):\n{proof}");
 }

@@ -29,6 +29,7 @@
 //! failures), 2 property does not hold (e.g. `contains` finds none; `lint`
 //! emits an error-severity diagnostic).
 
+use sagiv_datalog::engine::{EvalOptions, Traced};
 use sagiv_datalog::optimizer::{minimize_stratified, ChaseTermination};
 use sagiv_datalog::prelude::*;
 use std::process::ExitCode;
@@ -493,7 +494,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
     let program = load_program(path)?;
     require_positive(&program, "explain")?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
-    let traced = sagiv_datalog::engine::provenance::evaluate_traced(&program, &edb);
+    let mut traced = Traced::new(&program, edb, EvalOptions::sequential());
     match traced.explain(&goal) {
         Some(proof) => {
             print!("{proof}");
@@ -863,7 +864,7 @@ fn repl_step(
             .map_err(|e| e.to_string())?
             .to_ground()
             .ok_or("the atom to explain must be ground")?;
-        let traced = sagiv_datalog::engine::provenance::evaluate_traced(program, base);
+        let mut traced = Traced::new(program, base.clone(), EvalOptions::sequential());
         match traced.explain(&goal) {
             Some(proof) => print!("{proof}"),
             None => println!("% {goal} is not derivable"),

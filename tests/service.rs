@@ -702,6 +702,42 @@ fn default_daemon_checks_fact_arities_and_maintains_views_on_one_inline_shard() 
     expect_clean_exit(child);
 }
 
+/// `guarded_tc(8)` through `install` with the default lint gate, which runs
+/// under the registry lock: 6 min 27 s while a lint hit re-derived its
+/// witness by enumerating every binding of the guards. Asserted by what the
+/// install reports, not by time — a return of that tail is a test that does
+/// not come back.
+#[test]
+fn install_of_guarded_tc_8_passes_the_default_lint_gate() {
+    let (child, addr) = spawn_daemon(&[]);
+    let mut c = Client::connect(&addr).expect("connect");
+    let rules = datalog_bench::guarded_tc(8).to_string().replace('\n', " ");
+    let resp = request(
+        &mut c,
+        &format!("{{\"op\":\"install\",\"program\":\"tc\",\"rules\":\"{rules}\"}}"),
+    );
+    assert_ok(&resp);
+    let field = |name: &str| resp.get(name).and_then(datalog_json::Value::as_u64);
+    // Fig. 2 drops seven of the eight guards (the last needs §X-XI).
+    assert_eq!(field("atoms_removed"), Some(7), "{resp}");
+    assert_eq!(field("body_atoms_before"), Some(11), "{resp}");
+    assert_eq!(field("body_atoms_after"), Some(4), "{resp}");
+    assert_eq!(field("rules_after"), Some(2), "{resp}");
+
+    assert_ok(&request(
+        &mut c,
+        "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(1,2). a(2,3). a(3,4).\"}",
+    ));
+    let resp = request(
+        &mut c,
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(1, X)\"}",
+    );
+    assert_eq!(pairs(&resp), [(1, 2), (1, 3), (1, 4)], "{resp}");
+
+    assert_ok(&request(&mut c, "{\"op\":\"shutdown\"}"));
+    expect_clean_exit(child);
+}
+
 #[test]
 fn sharded_daemon_matches_fresh_evaluation_under_racing_writer() {
     let (child, addr) = spawn_daemon(&["--threads", "8", "--shards", "4"]);

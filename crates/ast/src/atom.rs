@@ -171,8 +171,18 @@ impl fmt::Debug for GroundAtom {
 
 impl fmt::Display for GroundAtom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.pred)?;
-        for (i, c) in self.tuple.iter().enumerate() {
+        RowDisplay(self.pred, &self.tuple).fmt(f)
+    }
+}
+
+/// A predicate applied to a row that is still in its relation: prints what
+/// the [`GroundAtom`] of the two would, without boxing the tuple first.
+pub struct RowDisplay<'a>(pub Pred, pub &'a [Const]);
+
+impl fmt::Display for RowDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}(", self.0)?;
+        for (i, c) in self.1.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -12,7 +12,7 @@
 //! [`Database::iter`], [`Database::relation`]) is in tuple order, independent
 //! of insertion history, exactly as the former `BTreeSet` storage behaved.
 
-use crate::atom::GroundAtom;
+use crate::atom::{Atom, GroundAtom};
 use crate::relation::{Relation, SortedRows};
 use crate::symbol::Pred;
 use crate::term::Const;
@@ -165,6 +165,14 @@ impl Database {
     /// The relation for `pred` (empty if absent), in tuple order.
     pub fn relation(&self, pred: Pred) -> RelationRows<'_> {
         RelationRows::new(self.relations_of(pred))
+    }
+
+    /// The rows of `pattern`'s predicate that match it, in tuple order (see
+    /// [`Relation::select`]). Rows stored under the predicate at another
+    /// arity cannot match and are not looked at.
+    pub fn select(&self, pattern: &Atom) -> Vec<&[Const]> {
+        self.relation_of(pattern.pred, pattern.arity())
+            .map_or_else(Vec::new, |rel| rel.select(&pattern.terms))
     }
 
     /// Number of tuples in the relation for `pred`.

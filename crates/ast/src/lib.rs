@@ -42,7 +42,7 @@ pub mod term;
 pub mod tgd;
 pub mod validate;
 
-pub use atom::{atom, fact, Atom, GroundAtom, Literal};
+pub use atom::{atom, fact, Atom, GroundAtom, Literal, RowDisplay};
 pub use database::{Database, RelationRows, Tuple};
 pub use depgraph::DepGraph;
 pub use parse::{

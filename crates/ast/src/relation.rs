@@ -34,7 +34,7 @@
 //! depend on) independent of insertion history.
 
 use crate::symbol::Var;
-use crate::term::Const;
+use crate::term::{Const, Term};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -537,6 +537,59 @@ impl Relation {
             inner: &self.inner,
             ids: self.sorted_ids().iter(),
         }
+    }
+
+    /// The rows matching `pattern` (one term per column), in tuple order —
+    /// what filtering [`Relation::iter_sorted`] with `match_atom` yields,
+    /// without building the sorted-id cache or a substitution per row.
+    ///
+    /// A pattern of constants only is one [`Relation::find`]. Otherwise each
+    /// constant is translated once through its column's dictionary (a
+    /// constant the column never saw means no row can match), the bound
+    /// columns' code vectors are compared row-id by row-id, a variable the
+    /// pattern repeats is checked on the rows that survive, and only the
+    /// matches are sorted. A pattern of another arity selects nothing.
+    pub fn select(&self, pattern: &[Term]) -> Vec<&[Const]> {
+        let inner = &*self.inner;
+        if pattern.len() != inner.arity {
+            return Vec::new();
+        }
+        let consts: Vec<Const> = pattern.iter().filter_map(Term::as_const).collect();
+        if consts.len() == inner.arity {
+            let found = self.find(&consts).map(|id| inner.row(id));
+            return found.into_iter().collect();
+        }
+        let mut bound: Vec<(&[u32], u32)> = Vec::new();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        for (k, term) in pattern.iter().enumerate() {
+            match *term {
+                Term::Const(c) => match inner.cols[k].dict.lookup(c) {
+                    Some(code) => bound.push((&inner.cols[k].codes, code)),
+                    None => return Vec::new(),
+                },
+                Term::Var(_) => {
+                    if let Some(first) = pattern[..k].iter().position(|t| t == term) {
+                        repeats.push((first, k));
+                    }
+                }
+            }
+        }
+        let mut rows: Vec<&[Const]> = match bound.split_first() {
+            None => self.rows().collect(),
+            Some((&(codes, code), rest)) => codes
+                .iter()
+                .enumerate()
+                .filter(|&(id, &c)| {
+                    c == code && rest.iter().all(|&(codes, code)| codes[id] == code)
+                })
+                .map(|(id, _)| inner.row(id as u32))
+                .collect(),
+        };
+        if !repeats.is_empty() {
+            rows.retain(|row| repeats.iter().all(|&(a, b)| row[a] == row[b]));
+        }
+        rows.sort_unstable();
+        rows
     }
 
     /// True when both relations share one arena (snapshot-sharing tests).

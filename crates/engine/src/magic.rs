@@ -14,9 +14,7 @@
 //! query's bindings is produced. Evaluating the transformed program
 //! semi-naively computes exactly the query-relevant portion of the fixpoint.
 
-use datalog_ast::{
-    match_atom, Atom, Database, GroundAtom, Literal, Pred, Program, Rule, Term, Var,
-};
+use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Rule, Term, Var};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
@@ -303,26 +301,29 @@ pub fn answer_with_stats(
     let mut input = edb.clone();
     input.insert(magic.seed.clone());
     let (result, stats) = crate::seminaive::evaluate_with_stats(&magic.program, &input);
+    (read_answers(&result, magic.answer_pred, query), stats)
+}
+
+/// The answers to `query` in the fixpoint of its magic program: the
+/// `answer_pred` rows that match the query atom — constants AND repeated
+/// variables (e.g. `g(X, X)`) — under the query's own predicate.
+pub(crate) fn read_answers(result: &Database, answer_pred: Pred, query: &Atom) -> Database {
+    let pattern = Atom {
+        pred: answer_pred,
+        terms: query.terms.clone(),
+    };
     let mut answers = Database::new();
-    for tuple in result.relation(magic.answer_pred) {
-        // Filter by unifying against the query atom — this checks constants
-        // AND repeated variables (e.g. `g(X, X)`) consistently.
-        let g = GroundAtom {
-            pred: query.pred,
-            tuple: tuple.into(),
-        };
-        if match_atom(query, &g).is_some() {
-            answers.insert(g);
-        }
+    for row in result.select(&pattern) {
+        answers.insert_row(query.pred, row);
     }
-    (answers, stats)
+    answers
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seminaive;
-    use datalog_ast::{parse_atom, parse_database, parse_program};
+    use datalog_ast::{match_atom, parse_atom, parse_database, parse_program};
 
     /// Reference answer: evaluate the whole program, filter by the query.
     fn reference(program: &Program, edb: &Database, query: &Atom) -> Database {

@@ -17,7 +17,7 @@
 use crate::magic::{self, Adornment, MagicTemplate};
 use crate::qsq;
 use crate::stats::Stats;
-use datalog_ast::{match_atom, Atom, Database, GroundAtom, Pred, Program};
+use datalog_ast::{Atom, Database, Pred, Program};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -129,18 +129,7 @@ impl QueryPlan {
                 input.insert(template.seed_for(query));
                 let (result, stats) =
                     crate::seminaive::evaluate_with_stats(&template.program, &input);
-                let mut answers = Database::new();
-                for tuple in result.relation(template.answer_pred) {
-                    // Unify against the query atom: checks constants AND
-                    // repeated variables consistently.
-                    let g = GroundAtom {
-                        pred: query.pred,
-                        tuple: tuple.into(),
-                    };
-                    if match_atom(query, &g).is_some() {
-                        answers.insert(g);
-                    }
-                }
+                let answers = magic::read_answers(&result, template.answer_pred, query);
                 (answers, stats)
             }
             Strategy::Qsq => qsq::answer_with_stats(&self.program, base, query),
@@ -207,7 +196,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::seminaive;
-    use datalog_ast::{parse_atom, parse_database, parse_program};
+    use datalog_ast::{match_atom, parse_atom, parse_database, parse_program, GroundAtom};
 
     fn tc() -> Arc<Program> {
         Arc::new(parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- a(X, Y), g(Y, Z).").unwrap())

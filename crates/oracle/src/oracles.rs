@@ -33,13 +33,18 @@
 //!   answer — cold, served from the cache, or filtered out of a more
 //!   general cached set by §V/§VI subsumption — must equal the
 //!   pattern-filtered from-scratch fixpoint of the same base, and every
-//!   published shard replica the whole of it.
+//!   published shard replica the whole of it. So must, on every published
+//!   version, `Database::select` over the fixpoint (what the service's
+//!   default `auto` serves, order included) and the other strategy's bare
+//!   plan.
 //! * **Concurrent service** — racing client threads drive
 //!   interleaving-independent insert/remove batches (plus readers) through
 //!   an in-process [`Registry`] (sharded per seed); because no fact is both
 //!   inserted and removed, every interleaving must converge to the same
 //!   final base, whose from-scratch fixpoint the served snapshot must
-//!   equal.
+//!   equal. Readers cycle `auto`, `magic` and `qsq`; at both quiescent
+//!   versions (before and after the race) each of the three must reply with
+//!   exactly the filtered from-scratch fixpoint, in its order.
 
 use crate::workload::{Case, Mutation};
 use datalog_ast::{match_atom, Atom, Const, Database, GroundAtom, Pred, Program, Rule, Term};
@@ -738,6 +743,26 @@ fn check_query_cache(case: &Case) -> Vec<Divergence> {
                 Strategy::Qsq
             };
             let expected = filtered_fixpoint(&reference, query);
+            // What `auto` serves: the published fixpoint's matching rows,
+            // in the order the filtered fixpoint iterates.
+            let selected = published.fixpoint.select(query);
+            if !selected.iter().copied().eq(expected.relation(query.pred)) {
+                let got = selected
+                    .iter()
+                    .map(|row| GroundAtom::new(query.pred, *row))
+                    .collect();
+                out.push(diverge("select", query, &expected, &got));
+            }
+            // The strategy this round does not send through the cache, on
+            // its bare plan.
+            let other = match strategy {
+                Strategy::Magic => Strategy::Qsq,
+                Strategy::Qsq => Strategy::Magic,
+            };
+            let (uncached, _) = state.plans().answer(&published.base, query, other);
+            if uncached != expected {
+                out.push(diverge(other.name(), query, &expected, &uncached));
+            }
             let (cold, _, _) = state.answer(&published, query, strategy);
             if *cold != expected {
                 out.push(diverge("cold", query, &expected, &cold));
@@ -863,11 +888,57 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
             request_line(op, &[("program", "p"), ("facts", &facts_field(facts))])
         })
         .collect();
+    // Every query under the default strategy (a read of the published
+    // view) and under both top-down ones (through the answer cache).
+    const STRATEGIES: [&str; 3] = ["auto", "magic", "qsq"];
+    let query_line = |q: &Atom, strategy: &str| {
+        let fields = [
+            ("program", "p"),
+            ("atom", &q.to_string()),
+            ("strategy", strategy),
+        ];
+        request_line("query", &fields)
+    };
     let query_lines: Vec<String> = case
         .queries
         .iter()
-        .map(|q| request_line("query", &[("program", "p"), ("atom", &q.to_string())]))
+        .flat_map(|q| STRATEGIES.map(|strategy| query_line(q, strategy)))
         .collect();
+    // With no writer running, every strategy must serve exactly the
+    // filtered from-scratch fixpoint of the published base, in its order.
+    let compare_strategies = |base: &Database, out: &mut Vec<Divergence>| {
+        let reference = seminaive::evaluate(program, base);
+        for query in &case.queries {
+            let expected: Vec<String> = filtered_fixpoint(&reference, query)
+                .iter()
+                .map(|g| g.to_string())
+                .collect();
+            for strategy in STRATEGIES {
+                let (resp, _) = registry.handle_line(&query_line(query, strategy));
+                let served: Option<Vec<String>> = datalog_json::Value::parse(&resp)
+                    .ok()
+                    .as_ref()
+                    .and_then(|v| v.get("answers")?.as_array())
+                    .map(|list| {
+                        let strings = list.iter().filter_map(|a| a.as_str());
+                        strings.map(str::to_string).collect()
+                    });
+                if served.as_ref() != Some(&expected) {
+                    out.push(diverge(
+                        "query",
+                        format!(
+                            "`{query}` under `{strategy}` (shards={shards}) served {resp}, \
+                             the filtered from-scratch fixpoint is {expected:?}"
+                        ),
+                    ));
+                }
+            }
+        }
+    };
+    compare_strategies(&case.db, &mut out);
+    if !out.is_empty() {
+        return out;
+    }
 
     // Race: 3 writer threads split the batches round-robin; a reader
     // thread cycles the queries. Every response must be ok — collected,
@@ -949,7 +1020,9 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
                 diff_sample(&expected, &got)
             ),
         ));
+        return out;
     }
+    compare_strategies(&expected_base, &mut out);
     out
 }
 

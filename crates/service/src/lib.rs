@@ -20,10 +20,11 @@
 //!   never-blocking reads: one published `Arc<Database>` slot per shard,
 //!   group-committed after every write batch, readers round-robin over
 //!   the slots;
-//! * [`query`] — the demand-driven point-query subsystem: per-adornment
-//!   top-down plans (magic sets / QSQR over the view's base facts) behind a
-//!   subsumption-aware answer cache whose admission and reuse are decided
-//!   by the paper's §V/§VI containment tests;
+//! * [`query`] — the demand-driven point-query subsystem, for requests that
+//!   name a top-down `strategy` (the default reads the published view):
+//!   per-adornment plans (magic sets / QSQR over the view's base facts)
+//!   behind a subsumption-aware answer cache whose admission and reuse are
+//!   decided by the paper's §V/§VI containment tests;
 //! * [`metrics`] — per-program and server-wide request counts, latency, and
 //!   aggregated [`datalog_engine::Stats`], served by the `stats` request;
 //! * [`pool`] — the fixed-size worker thread pool, re-exported from

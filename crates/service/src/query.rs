@@ -1,10 +1,12 @@
 //! The demand-driven point-query subsystem: cached top-down plans plus a
 //! subsumption-aware answer cache.
 //!
-//! A point query (`g(1, X)`) against an installed program is answered by
-//! magic-sets/QSQR evaluation over the view's **base facts**, restricted to
-//! the demanded bindings — not by scanning the materialized fixpoint. Three
-//! layers of reuse stack on top of that:
+//! The daemon answers a `query` from the published fixpoint unless the
+//! request names a top-down strategy (`Registry::op_query`); `datalog query`
+//! has no view and always comes here. A point query (`g(1, X)`) handed to
+//! this module is answered by magic-sets/QSQR evaluation over the **base
+//! facts**, restricted to the demanded bindings. Three layers of reuse stack
+//! on top of that:
 //!
 //! 1. **Plans** ([`datalog_engine::query::PlanCache`]): the magic rewriting
 //!    depends only on `(predicate, adornment)`, so it is built once per
@@ -37,7 +39,7 @@
 //!   pre-batch snapshot *after* the batch's invalidation swept the cache.
 
 use crate::view::ViewState;
-use datalog_ast::{match_atom, Atom, Database, DepGraph, GroundAtom, Pred, Program};
+use datalog_ast::{Atom, Database, DepGraph, Pred, Program};
 use datalog_engine::query::{PlanCache, Strategy};
 use datalog_engine::Stats;
 use datalog_optimizer::subsume::{covers, covers_with_fuel, DEFAULT_SUBSUMPTION_FUEL};
@@ -252,14 +254,8 @@ impl QueryState {
 /// and repeated variables alike).
 fn filter_answers(answers: &Database, query: &Atom) -> Database {
     let mut out = Database::new();
-    for tuple in answers.relation(query.pred) {
-        let ground = GroundAtom {
-            pred: query.pred,
-            tuple: tuple.into(),
-        };
-        if match_atom(query, &ground).is_some() {
-            out.insert(ground);
-        }
+    for row in answers.select(query) {
+        out.insert_row(query.pred, row);
     }
     out
 }

@@ -16,11 +16,10 @@ use crate::query::QueryState;
 use crate::view::View;
 use datalog_analysis::{analyze_unit, LintConfig, Severity};
 use datalog_ast::{
-    match_atom, parse_atom, parse_database, parse_program, validate, Database, GroundAtom, Pred,
-    Program, Unit,
+    parse_atom, parse_database, parse_program, validate, Database, GroundAtom, Pred, Program,
+    RowDisplay, Unit,
 };
 use datalog_engine::query::Strategy;
-use datalog_engine::Adornment;
 use datalog_json::Value;
 use datalog_optimizer::minimize_program;
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,6 +43,9 @@ pub struct ProgramEntry {
     pub source: Program,
     /// The program actually evaluated (minimized unless `optimize:false`).
     pub installed: Program,
+    /// The arity `source` uses each of its predicates at; facts and query
+    /// atoms that contradict it are refused.
+    pub arities: BTreeMap<Pred, usize>,
     /// Body atoms deleted by §VII minimization.
     pub atoms_removed: usize,
     /// Whole rules deleted by §VII minimization.
@@ -51,10 +53,37 @@ pub struct ProgramEntry {
     /// The materialisation, hash-partitioned across the registry's
     /// configured shard count (1 = one context, no partitioning).
     pub view: View,
-    /// The point-query subsystem: cached top-down plans plus the
-    /// subsumption-aware answer cache (see [`crate::query`]).
+    /// The top-down point-query subsystem, for requests that name a
+    /// `strategy`: cached plans plus the subsumption-aware answer cache (see
+    /// [`crate::query`]).
     pub query: QueryState,
     pub metrics: Metrics,
+}
+
+impl ProgramEntry {
+    /// Refuse an atom (shown as `atom`, from request field `field`) whose
+    /// predicate the program uses at another arity: such a fact can never
+    /// join and such a query can never have an answer. The installed
+    /// program is a sub-program of the validated source, whose arities so
+    /// cover both; predicates the program never mentions pass.
+    fn check_arity(
+        &self,
+        field: &str,
+        atom: &dyn std::fmt::Display,
+        pred: Pred,
+        arity: usize,
+    ) -> Result<(), ServiceError> {
+        match self.arities.get(&pred) {
+            Some(&expected) if expected != arity => Err(ServiceError::new(
+                ErrorCode::ValidationError,
+                format!(
+                    "{field}: `{atom}` contradicts {pred}/{expected} in program '{}'",
+                    self.name
+                ),
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The concurrent program registry; also the protocol dispatcher
@@ -173,6 +202,7 @@ impl Registry {
         };
         let entry = Arc::new(ProgramEntry {
             name: name.to_string(),
+            arities: source.arities(),
             source,
             installed: installed.clone(),
             atoms_removed: removal.atoms.len(),
@@ -233,6 +263,10 @@ impl Registry {
             }
             Err(err) => {
                 self.metrics.record_request(op_key, false, elapsed);
+                let named = request.get("program").and_then(Value::as_str);
+                if let Some(entry) = named.and_then(|name| self.get(name)) {
+                    entry.metrics.record_request(op_key, false, elapsed);
+                }
                 (error_response(id.as_ref(), &err), Control::Continue)
             }
         }
@@ -241,16 +275,24 @@ impl Registry {
     /// Convenience for in-process callers and tests: handle a raw request
     /// line exactly as the TCP server would, returning the response line.
     pub fn handle_line(&self, line: &str) -> (String, Control) {
-        match Value::parse(line) {
-            Ok(request) => {
-                let (response, control) = self.handle(&request);
-                (response.to_compact(), control)
-            }
-            Err(e) => {
-                let err = ServiceError::new(ErrorCode::BadJson, e.to_string());
-                (error_response(None, &err).to_compact(), Control::Continue)
-            }
-        }
+        let (response, control) = match self.parse_line(line) {
+            Ok(request) => self.handle(&request),
+            Err(refusal) => (refusal, Control::Continue),
+        };
+        (response.to_compact(), control)
+    }
+
+    /// Decode one request line. A line that is not JSON comes back as its
+    /// `bad_json` refusal, counted under `invalid` like every other request
+    /// [`Registry::handle`] cannot name an op for.
+    pub fn parse_line(&self, line: &str) -> Result<Value, Value> {
+        let start = Instant::now();
+        Value::parse(line).map_err(|e| {
+            let err = ServiceError::new(ErrorCode::BadJson, e.to_string());
+            self.metrics
+                .record_request("invalid", false, start.elapsed());
+            error_response(None, &err)
+        })
     }
 
     fn dispatch(&self, op: &str, request: &Value) -> Result<Handled, ServiceError> {
@@ -358,22 +400,10 @@ impl Registry {
             .map_err(|e| ServiceError::new(ErrorCode::ParseError, format!("facts: {e}")))?;
         let facts: Vec<GroundAtom> = facts_db.iter().collect();
         let batch = facts.len();
-        // A fact at an arity the program does not use for its predicate can
-        // never join, so the view would store it forever: refuse the whole
-        // batch before it reaches the writer. (The installed program is a
-        // sub-program of the validated source, whose arities so cover both.)
-        let arities = entry.source.arities();
-        if let Some(f) = facts
-            .iter()
-            .find(|f| arities.get(&f.pred).is_some_and(|&a| a != f.tuple.len()))
-        {
-            return Err(ServiceError::new(
-                ErrorCode::ValidationError,
-                format!(
-                    "facts: `{f}` contradicts {}/{} in program '{}'",
-                    f.pred, arities[&f.pred], entry.name
-                ),
-            ));
+        // The whole batch is refused before it reaches the writer: the view
+        // would store a fact of the wrong arity forever.
+        for f in &facts {
+            entry.check_arity("facts", f, f.pred, f.tuple.len())?;
         }
         // Invalidate cached point-query answers whose predicate lies in the
         // dependency cone of the batch's predicates — inside the view's
@@ -432,55 +462,43 @@ impl Registry {
                 .as_str()
                 .ok_or_else(|| ServiceError::bad_request("field 'strategy' must be a string"))?,
         };
-        // `auto`: an adorned query (at least one bound position) goes
-        // through the demand-driven top-down path and the answer cache; an
-        // all-free pattern scans the already-materialized fixpoint, which
-        // top-down evaluation could not beat.
-        let top_down = match strategy_field {
-            "auto" => {
-                let adorned = Adornment::of_query(&pattern)
-                    .bound_positions()
-                    .next()
-                    .is_some();
-                adorned.then_some(Strategy::Magic)
-            }
-            "scan" => None,
+        entry.check_arity("atom", &pattern, pattern.pred, pattern.arity())?;
+        // `auto` (and its synonym `scan`) reads the published fixpoint: the
+        // view already holds every answer, so no top-down evaluation can
+        // beat selecting them. `magic` / `qsq` evaluate from the base facts
+        // through the plan and answer caches — unless the program has no
+        // rule for the predicate, when the stored relation is all there is
+        // and a plan or a cache entry would only take up room.
+        let strategy = match strategy_field {
+            "auto" | "scan" => None,
             other => Some(Strategy::parse(other).ok_or_else(|| {
                 ServiceError::bad_request(format!(
                     "field 'strategy' must be auto|scan|magic|qsq, got '{other}'"
                 ))
             })?),
         };
+        let rules = &entry.installed.rules;
+        let defined = |_: &Strategy| rules.iter().any(|r| r.head.pred == pattern.pred);
         // Queries run entirely against a published state: no lock is held
         // while evaluating or matching, so writers never stall readers.
         let state = entry.view.state();
-        let (strategy_name, cache_name, answer_set): (&str, &str, Vec<GroundAtom>) = match top_down
-        {
-            Some(strategy) => {
-                let (answers, status, stats) = entry.query.answer(&state, &pattern, strategy);
-                entry.metrics.record_eval(stats);
-                self.metrics.record_eval(stats);
-                (strategy.name(), status.name(), answers.iter().collect())
+        let top_down = strategy.filter(defined).map(|strategy| {
+            let (answers, status, stats) = entry.query.answer(&state, &pattern, strategy);
+            entry.metrics.record_eval(stats);
+            self.metrics.record_eval(stats);
+            (strategy.name(), status.name(), answers)
+        });
+        let (strategy_name, cache_name, rows) = match &top_down {
+            Some((strategy, cache, answers)) => {
+                (*strategy, *cache, answers.relation(pattern.pred).collect())
             }
-            None => {
-                let mut matched = Vec::new();
-                for tuple in state.fixpoint.relation(pattern.pred) {
-                    let ground = GroundAtom {
-                        pred: pattern.pred,
-                        tuple: tuple.into(),
-                    };
-                    if match_atom(&pattern, &ground).is_some() {
-                        matched.push(ground);
-                    }
-                }
-                ("scan", "bypass", matched)
-            }
+            None => ("scan", "bypass", state.fixpoint.select(&pattern)),
         };
-        let count = answer_set.len();
-        let answers: Vec<Value> = answer_set
+        let count = rows.len();
+        let answers: Vec<Value> = rows
             .iter()
             .take(limit)
-            .map(|g| Value::from(g.to_string()))
+            .map(|row| Value::from(RowDisplay(pattern.pred, row).to_string()))
             .collect();
         let truncated = count > answers.len();
         let response = ok_response(
@@ -688,6 +706,123 @@ mod tests {
         }
         let (resp, _) = reg.handle_line("this is not json");
         assert!(resp.contains("\"code\":\"bad_json\""), "{resp}");
+    }
+
+    /// `auto`, adorned or not, reads the published fixpoint; top-down runs
+    /// only when the request names it, and only for a predicate the program
+    /// has a rule for. A query atom at an arity the program contradicts is
+    /// refused like a fact of that arity.
+    #[test]
+    fn default_queries_read_the_view_and_leave_no_plan_or_entry() {
+        let reg = Registry::new();
+        let tc = "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).";
+        reg.install("tc", tc, true, true).unwrap();
+        reg.handle(&req(
+            "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(1,2). a(2,3). a(3,3). zz(1,4).\"}",
+        ));
+        let query = |atom: &str, strategy: Option<&str>| {
+            let strategy = strategy.map_or(String::new(), |s| format!(",\"strategy\":\"{s}\""));
+            let (resp, _) = reg.handle(&req(&format!(
+                "{{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"{atom}\"{strategy}}}"
+            )));
+            resp
+        };
+        let answers = |resp: &Value| -> Vec<String> {
+            let list = resp.get("answers").unwrap().as_array().unwrap();
+            list.iter()
+                .map(|a| a.as_str().unwrap().to_string())
+                .collect()
+        };
+        let field = |resp: &Value, name: &str| resp.get(name).unwrap().as_str().map(str::to_owned);
+        for (atom, expected) in [
+            ("g(1, X)", vec!["g(1, 2)", "g(1, 3)"]),
+            ("g(X, 3)", vec!["g(1, 3)", "g(2, 3)", "g(3, 3)"]),
+            ("g(X, X)", vec!["g(3, 3)"]),
+            ("g(2, 3)", vec!["g(2, 3)"]),
+            ("g(7, X)", vec![]),
+            ("a(X, Y)", vec!["a(1, 2)", "a(2, 3)", "a(3, 3)"]),
+            ("zz(1, X)", vec!["zz(1, 4)"]),
+            ("nowhere(X)", vec![]),
+        ] {
+            for strategy in [None, Some("auto"), Some("scan")] {
+                let resp = query(atom, strategy);
+                assert_eq!(answers(&resp), expected, "{resp}");
+                assert_eq!(field(&resp, "strategy").as_deref(), Some("scan"), "{resp}");
+                assert_eq!(field(&resp, "cache").as_deref(), Some("bypass"), "{resp}");
+            }
+        }
+        let entry = reg.get("tc").unwrap();
+        assert_eq!(
+            (entry.query.plans().len(), entry.query.live_entries()),
+            (0, 0)
+        );
+
+        // Named strategies still go top-down, for predicates with a rule.
+        for strategy in ["magic", "qsq"] {
+            let resp = query("g(1, X)", Some(strategy));
+            assert_eq!(answers(&resp), ["g(1, 2)", "g(1, 3)"], "{resp}");
+            assert_eq!(
+                field(&resp, "strategy").as_deref(),
+                Some(strategy),
+                "{resp}"
+            );
+            for atom in ["a(1, X)", "zz(1, X)", "nowhere(X)"] {
+                let resp = query(atom, Some(strategy));
+                assert_eq!(field(&resp, "strategy").as_deref(), Some("scan"), "{resp}");
+            }
+        }
+        // (`qsq` was served the answers `magic` had cached: one plan.)
+        assert_eq!(
+            (entry.query.plans().len(), entry.query.live_entries()),
+            (1, 1)
+        );
+
+        for atom in ["g(1)", "g(1, X, Y)", "a(X)"] {
+            for strategy in [None, Some("magic"), Some("qsq")] {
+                let resp = query(atom, strategy);
+                assert_eq!(
+                    resp.get("code").unwrap().as_str(),
+                    Some("validation_error"),
+                    "{resp}"
+                );
+            }
+        }
+        assert_eq!(
+            (entry.query.plans().len(), entry.query.live_entries()),
+            (1, 1)
+        );
+    }
+
+    /// A failed request counts on the program it names, and a line that is
+    /// not JSON at all under `invalid`.
+    #[test]
+    fn failures_are_counted_where_they_happen() {
+        let reg = Registry::new();
+        reg.install("tc", "g(X, Z) :- a(X, Z).", true, true)
+            .unwrap();
+        for line in [
+            "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\"}",
+            "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(\"}",
+            "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(1)\"}",
+            "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(1).\"}",
+            "{\"op\":\"query\",\"program\":\"other\",\"atom\":\"g(X, Y)\"}",
+            "not json",
+        ] {
+            reg.handle_line(line);
+        }
+        let count = |metrics: &Value, path: &[&str]| {
+            let leaf = path.iter().fold(metrics, |v, key| v.get(key).unwrap());
+            leaf.as_u64().unwrap()
+        };
+        let (resp, _) = reg.handle(&req("{\"op\":\"stats\",\"program\":\"tc\"}"));
+        let metrics = resp.get("metrics").unwrap();
+        assert_eq!(count(metrics, &["errors"]), 3, "{metrics}");
+        assert_eq!(count(metrics, &["requests", "query"]), 3, "{metrics}");
+        assert_eq!(count(metrics, &["requests", "insert"]), 1, "{metrics}");
+        let (resp, _) = reg.handle(&req("{\"op\":\"stats\"}"));
+        let server = resp.get("server").unwrap();
+        assert_eq!(count(server, &["errors"]), 5, "{server}");
+        assert_eq!(count(server, &["requests", "invalid"]), 1, "{server}");
     }
 
     #[test]

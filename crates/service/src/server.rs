@@ -665,12 +665,9 @@ fn fd_of<T: std::os::unix::io::AsRawFd>(io: &T) -> i32 {
 /// Dispatch one request line, converting handler panics into a structured
 /// `internal` error so one poisoned request cannot take a worker down.
 fn respond(registry: &Registry, line: &str) -> (Value, Control) {
-    let request = match Value::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            let err = ServiceError::new(ErrorCode::BadJson, e.to_string());
-            return (error_response(None, &err), Control::Continue);
-        }
+    let request = match registry.parse_line(line) {
+        Ok(request) => request,
+        Err(refusal) => return (refusal, Control::Continue),
     };
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| registry.handle(&request)));

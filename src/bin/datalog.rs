@@ -844,17 +844,11 @@ fn repl_step(
         // Query: match a (possibly non-ground) atom against the fixpoint.
         let atom_src = rest.trim().trim_end_matches('.');
         let pattern = parse_atom(atom_src).map_err(|e| e.to_string())?;
-        let mut count = 0usize;
-        for tuple in m.database().relation(pattern.pred) {
-            let g = GroundAtom {
-                pred: pattern.pred,
-                tuple: tuple.into(),
-            };
-            if datalog_ast::match_atom(&pattern, &g).is_some() {
-                println!("{g}.");
-                count += 1;
-            }
+        let rows = m.database().select(&pattern);
+        for row in &rows {
+            println!("{}.", sagiv_datalog::ast::RowDisplay(pattern.pred, row));
         }
+        let count = rows.len();
         println!("% {count} answer(s)");
         return Ok(ReplOutcome::Continue);
     }

@@ -235,13 +235,14 @@ fn concurrent_clients_with_writer_and_minimizing_install() {
     expect_clean_exit(child);
 }
 
-/// Bound-argument queries go through the top-down subsumption cache; this
-/// races cached readers against a writer and checks that no committed
-/// batch is ever missing from a later answer (stale-cache detection), that
-/// every served answer set is consistent with *some* published prefix of
-/// the write stream, and that the cache counters surface in `stats`.
-#[test]
-fn cached_point_queries_racing_a_writer_see_no_stale_answers() {
+/// Races readers of one bound query against a writer that grows (and once
+/// cuts) a chain, and checks that no committed batch is ever missing from a
+/// later answer, and that every served answer set is consistent with *some*
+/// published prefix of the write stream. `strategy` is the request field:
+/// `None` is the default path (a read of the published view), `"magic"`
+/// goes through the top-down subsumption cache, whose stale entries are
+/// what this test is after.
+fn point_queries_racing_a_writer(strategy: Option<&'static str>) -> (Child, Client) {
     let (child, addr) = spawn_daemon(&["--threads", "8"]);
     let mut admin = Client::connect(&addr).expect("connect");
     assert_ok(&request(
@@ -252,12 +253,22 @@ fn cached_point_queries_racing_a_writer_see_no_stale_answers() {
         &mut admin,
         "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(0,1).\"}",
     ));
+    let query = format!(
+        "{{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\"{}}}",
+        strategy.map_or(String::new(), |s| format!(",\"strategy\":\"{s}\""))
+    );
+    // What the reply must say of itself.
+    let (reported, statuses): (&str, &[&str]) = match strategy {
+        None => ("scan", &["bypass"]),
+        Some(named) => (named, &["hit", "subsumed", "miss"]),
+    };
 
     // The writer grows the chain 0→1→…→17 and, after every committed
-    // batch, queries through the cached path on the same connection: the
-    // response is served at a version ≥ its own commit, so a stale cache
-    // entry would surface as a missing answer right here.
+    // batch, asks on the same connection: the response is served at a
+    // version ≥ its own commit, so a stale answer would surface as a
+    // missing one right here.
     let writer_addr = addr.clone();
+    let writer_query = query.clone();
     let writer = std::thread::spawn(move || {
         let mut c = Client::connect(&writer_addr).expect("writer connect");
         for i in 1..=16i64 {
@@ -268,29 +279,23 @@ fn cached_point_queries_racing_a_writer_see_no_stale_answers() {
                     i + 1
                 ),
             ));
-            let resp = request(
-                &mut c,
-                "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\"}",
-            );
+            let resp = request(&mut c, &writer_query);
             assert_ok(&resp);
-            assert_eq!(resp.get("strategy").unwrap().as_str(), Some("magic"));
+            assert_eq!(resp.get("strategy").unwrap().as_str(), Some(reported));
             assert_eq!(
                 resp.get("count").unwrap().as_u64(),
                 Some((i + 1) as u64),
-                "after inserting a({i},{}) the cached path misses answers: {resp}",
+                "after inserting a({i},{}) the answer misses some: {resp}",
                 i + 1
             );
         }
-        // DRed removal must invalidate too: cutting the chain at 8→9
-        // shrinks g(0, X) to exactly the surviving prefix.
+        // DRed removal must show too: cutting the chain at 8→9 shrinks
+        // g(0, X) to exactly the surviving prefix.
         assert_ok(&request(
             &mut c,
             "{\"op\":\"remove\",\"program\":\"tc\",\"facts\":\"a(8,9).\"}",
         ));
-        let resp = request(
-            &mut c,
-            "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\"}",
-        );
+        let resp = request(&mut c, &writer_query);
         assert_eq!(resp.get("count").unwrap().as_u64(), Some(8), "{resp}");
     });
 
@@ -300,19 +305,15 @@ fn cached_point_queries_racing_a_writer_see_no_stale_answers() {
     let readers: Vec<_> = (0..4)
         .map(|_| {
             let addr = addr.clone();
+            let query = query.clone();
             std::thread::spawn(move || {
                 let mut c = Client::connect(&addr).expect("reader connect");
                 for _ in 0..40 {
-                    let resp = request(
-                        &mut c,
-                        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\"}",
-                    );
+                    let resp = request(&mut c, &query);
                     assert_ok(&resp);
+                    assert_eq!(resp.get("strategy").unwrap().as_str(), Some(reported));
                     let cache = resp.get("cache").unwrap().as_str().unwrap();
-                    assert!(
-                        ["hit", "subsumed", "miss"].contains(&cache),
-                        "unexpected cache status {cache}"
-                    );
+                    assert!(statuses.contains(&cache), "unexpected cache status {cache}");
                     let g: std::collections::BTreeSet<(i64, i64)> =
                         pairs(&resp).into_iter().collect();
                     let k = g.len() as i64;
@@ -331,24 +332,29 @@ fn cached_point_queries_racing_a_writer_see_no_stale_answers() {
     for r in readers {
         r.join().expect("reader");
     }
-
-    // Quiescent: a repeated query must be a cache hit with the exact final
-    // closure, and the counters must show up in `stats`.
-    let resp = request(
-        &mut admin,
-        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\"}",
-    );
+    // Quiescent: the exact final closure.
+    let resp = request(&mut admin, &query);
     assert_ok(&resp);
+    assert_eq!(resp.get("count").unwrap().as_u64(), Some(8));
+    (child, admin)
+}
+
+/// The top-down path: cache coherence under the race, then the cache's own
+/// bookkeeping — a repeat is a hit, a narrowed instance is subsumed, and the
+/// counters surface in `stats`.
+#[test]
+fn cached_point_queries_racing_a_writer_see_no_stale_answers() {
+    let (child, mut admin) = point_queries_racing_a_writer(Some("magic"));
     let resp = request(
         &mut admin,
-        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\"}",
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\",\"strategy\":\"magic\"}",
     );
     assert_eq!(resp.get("cache").unwrap().as_str(), Some("hit"), "{resp}");
     assert_eq!(resp.get("count").unwrap().as_u64(), Some(8));
     // g(0, 3) is covered by the cached g(0, X): subsumption, no evaluation.
     let resp = request(
         &mut admin,
-        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, 3)\"}",
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, 3)\",\"strategy\":\"magic\"}",
     );
     assert_eq!(
         resp.get("cache").unwrap().as_str(),
@@ -363,23 +369,34 @@ fn cached_point_queries_racing_a_writer_see_no_stale_answers() {
     assert!(cache_gauges.get("live_entries").unwrap().as_u64().unwrap() >= 1);
     assert!(cache_gauges.get("plans").unwrap().as_u64().unwrap() >= 1);
     let eval = resp.get("metrics").unwrap().get("eval").unwrap();
-    assert!(eval.get("query_cache_hits").unwrap().as_u64().unwrap() >= 1);
-    assert!(eval.get("query_cache_misses").unwrap().as_u64().unwrap() >= 1);
-    assert!(
-        eval.get("query_cache_subsumption_hits")
-            .unwrap()
-            .as_u64()
-            .unwrap()
-            >= 1
-    );
-    assert!(
-        eval.get("query_cache_invalidations")
-            .unwrap()
-            .as_u64()
-            .unwrap()
-            >= 1
-    );
+    for counter in [
+        "query_cache_hits",
+        "query_cache_misses",
+        "query_cache_subsumption_hits",
+        "query_cache_invalidations",
+    ] {
+        assert!(eval.get(counter).unwrap().as_u64().unwrap() >= 1, "{eval}");
+    }
 
+    assert_ok(&request(&mut admin, "{\"op\":\"shutdown\"}"));
+    expect_clean_exit(child);
+}
+
+/// The default path under the same race: every answer is a read of one
+/// published fixpoint, so the chain-prefix invariants hold with no cache to
+/// keep coherent — and none is left behind.
+#[test]
+fn default_point_queries_racing_a_writer_read_published_views() {
+    let (child, mut admin) = point_queries_racing_a_writer(None);
+    let resp = request(&mut admin, "{\"op\":\"stats\",\"program\":\"tc\"}");
+    assert_ok(&resp);
+    let cache_gauges = resp.get("query_cache").unwrap();
+    assert_eq!(cache_gauges.get("live_entries").unwrap().as_u64(), Some(0));
+    assert_eq!(cache_gauges.get("plans").unwrap().as_u64(), Some(0));
+    let eval = resp.get("metrics").unwrap().get("eval").unwrap();
+    for counter in ["query_cache_hits", "query_cache_misses"] {
+        assert_eq!(eval.get(counter).unwrap().as_u64(), Some(0), "{eval}");
+    }
     assert_ok(&request(&mut admin, "{\"op\":\"shutdown\"}"));
     expect_clean_exit(child);
 }
@@ -464,6 +481,13 @@ fn robustness_against_malformed_and_hostile_input() {
         "{\"op\":\"query\",\"program\":\"p\",\"atom\":\"g(1, X)\"}",
     );
     assert_eq!(resp.get("count").unwrap().as_u64(), Some(1));
+
+    // The line that was not JSON and the one that was no object both show
+    // in the server's counters.
+    let resp = request(&mut fresh, "{\"op\":\"stats\"}");
+    let server = resp.get("server").unwrap();
+    let invalid = server.get("requests").unwrap().get("invalid");
+    assert_eq!(invalid.and_then(|n| n.as_u64()), Some(2), "{server}");
 
     assert_ok(&request(&mut fresh, "{\"op\":\"shutdown\"}"));
     expect_clean_exit(child);
@@ -689,6 +713,19 @@ fn default_daemon_checks_fact_arities_and_maintains_views_on_one_inline_shard() 
     assert_eq!(resp.get("added").unwrap().as_u64(), Some(7), "{resp}");
     let resp = mutate("remove", "a(2,3).");
     assert_eq!(resp.get("removed").unwrap().as_u64(), Some(5), "{resp}");
+
+    // A query atom is held to the same arities, whatever the strategy.
+    for (atom, strategy) in [("g(1)", "auto"), ("g(1, X, Y)", "magic"), ("a(X)", "qsq")] {
+        let line = format!(
+            "{{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"{atom}\",\"strategy\":\"{strategy}\"}}"
+        );
+        let resp = request(&mut c, &line);
+        assert_eq!(
+            resp.get("code").and_then(|c| c.as_str()),
+            Some("validation_error"),
+            "{resp}"
+        );
+    }
 
     // Both batches did real work, none of it through a partition or an
     // exchange (`--shards 4` reports > 0 in the sharded test below).

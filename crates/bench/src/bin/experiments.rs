@@ -11,7 +11,8 @@
 //! * `--only-e16` — run only the E16 evaluation-engine experiment (the CI
 //!   smoke target).
 //! * `--only-e17` — run only the E17 storage-layer microbenchmark.
-//! * `--only-e18` — run only the E18 point-query cache benchmark.
+//! * `--only-e18` — run only the E18 point-query benchmark (view read vs
+//!   magic sets).
 //! * `--only-e19` — run only the E19 sharded-service benchmark.
 //! * `--only-e20` — run only the E20 columnar join-kernel microbenchmark.
 //! * `--smoke` — shrink E16/E17/E18/E19/E20 workloads and skip wall-time
@@ -844,32 +845,30 @@ fn e17(r: &mut Report, smoke: bool) {
     }
 }
 
-/// E18 — subsumption-cached point queries (service query subsystem).
+/// E18 — point queries: read the view, or evaluate on demand.
 ///
-/// Benchmarks the demand-driven point-query path layered over the
-/// materialized view ([`datalog_service::QueryState`]) on the largest
-/// E16-class workload (bloated TC over a chain EDB):
+/// Benchmarks the daemon's two query paths over one materialized view
+/// ([`datalog_service::View`]) on the largest E16-class workload (bloated
+/// TC over a chain EDB):
 ///
 /// * `scan` — the loop the daemon's default path ran before `select`: walk
 ///   the snapshot's relation in tuple order, box every row, `match_atom`;
-/// * `select` — what `"strategy":"auto"` runs now: `Database::select` over
-///   the same snapshot (code-column compare, only the matches sorted);
-/// * `cold` — top-down magic-sets evaluation against the base facts with
-///   an invalidated cache (every query a miss);
-/// * `warm` — the same adorned query repeated against a warm cache;
-/// * `subsumed` — narrower ground instances answered by filtering a cached
-///   superset; together with `warm`, counter-verified to do zero
-///   evaluation work (no derivations, no probes, no misses);
-/// * `churn-qps` — cached query throughput while a writer commits
-///   insert/remove batches that invalidate through the dependency cones,
-///   with a post-churn answer check against a from-scratch evaluation.
+/// * `select` — what `"strategy":"auto"` runs: `Database::select` over the
+///   same snapshot (code-column compare, only the matches sorted);
+/// * `magic` — what `"strategy":"magic"` runs: one `PlanCache` ask per
+///   iteration, the magic-sets rewriting (compiled once) evaluated
+///   semi-naively from the base facts;
+/// * `churn-qps` — `select` throughput over freshly published snapshots
+///   while a writer commits insert/remove batches, with a post-churn answer
+///   check against a from-scratch evaluation.
 fn e18(r: &mut Report, smoke: bool) {
-    use datalog_ast::{match_atom, Atom, Database, GroundAtom, Term};
-    use datalog_engine::query::Strategy;
-    use datalog_engine::Stats;
-    use datalog_service::{CacheStatus, QueryState, View};
+    use datalog_ast::{match_atom, Atom, Database, GroundAtom};
+    use datalog_engine::query::{PlanCache, Strategy};
+    use datalog_service::View;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
-    println!("== E18: subsumption-cached point queries ==");
+    println!("== E18: point queries — read the view, or evaluate on demand ==");
     let program = bloated_tc(6, 99);
     let n: usize = if smoke { 48 } else { 96 };
     let db = standard_edb("chain", n);
@@ -902,7 +901,7 @@ fn e18(r: &mut Report, smoke: bool) {
         expected.len() >= n,
     );
 
-    // The pre-cache serving path: every query walks the full relation of
+    // The pre-`select` serving path: every query walks the full relation of
     // the materialized snapshot.
     let t_scan = ms(
         || {
@@ -919,115 +918,36 @@ fn e18(r: &mut Report, smoke: bool) {
         reps,
     );
 
-    // Cold path: the answer cache is invalidated before every query, so
-    // each one re-runs the demand-driven magic-sets evaluation (the plan
-    // cache stays warm — plans depend only on the adornment).
-    let cold = QueryState::new(&program);
-    let t_cold = ms(
-        || {
-            cold.invalidate([query.pred], state.version);
-            let (answers, status, _) = cold.answer(&state, &query, Strategy::Magic);
-            assert!(status == CacheStatus::Miss);
-            std::hint::black_box(answers);
-        },
-        if smoke { 2 } else { 10 },
-    );
-
-    // Warm path: admit the general query once, then repeat it.
-    let qs = QueryState::new(&program);
-    let (first, status, _) = qs.answer(&state, &query, Strategy::Magic);
+    // On demand: every ask re-runs the demand-driven magic-sets evaluation
+    // (the plan stays compiled — plans depend only on the adornment).
+    let plans = PlanCache::new(Arc::new(program.clone()));
+    let (first, _) = plans.answer(&state.base, &query, Strategy::Magic);
     r.check(
         "E18",
-        &format!("{workload}: cold top-down answers agree with the snapshot scan"),
-        status == CacheStatus::Miss && *first == expected,
+        &format!("{workload}: top-down answers agree with the snapshot scan"),
+        first == expected,
     );
     r.check(
         "E18",
-        &format!("{workload}: select reads the cold answers off the view, in their order"),
+        &format!("{workload}: select reads the top-down answers off the view, in their order"),
         state
             .fixpoint
             .select(&query)
             .into_iter()
             .eq(first.relation(query.pred)),
     );
-    let mut warm_stats = Stats::default();
-    let t_warm = ms(
+    let t_magic = ms(
         || {
-            let (answers, status, stats) = qs.answer(&state, &query, Strategy::Magic);
-            assert!(status == CacheStatus::Hit);
-            warm_stats += stats;
-            std::hint::black_box(answers);
+            std::hint::black_box(plans.answer(&state.base, &query, Strategy::Magic));
         },
-        reps,
-    );
-    let warm_calls = reps as u64 + 1; // `ms` warms up once before timing.
-    r.check(
-        "E18",
-        &format!(
-            "{workload}: {warm_calls} warm hits did zero evaluation work \
-             ({} hits, {} derivations, {} probes)",
-            warm_stats.query_cache_hits, warm_stats.derivations, warm_stats.probes
-        ),
-        warm_stats.query_cache_hits == warm_calls
-            && warm_stats.query_cache_misses == 0
-            && warm_stats.derivations == 0
-            && warm_stats.probes == 0,
-    );
-
-    // Subsumed path: ground instances of the cached general query, answered
-    // by filtering the cached set — never admitted, never re-evaluated.
-    let narrowed: Vec<Atom> = expected
-        .iter()
-        .take(16)
-        .map(|g| Atom {
-            pred: g.pred,
-            terms: g.tuple.iter().map(|&c| Term::Const(c)).collect(),
-        })
-        .collect();
-    let mut sub_stats = Stats::default();
-    let mut sub_idx = 0usize;
-    let t_sub = ms(
-        || {
-            let narrow = &narrowed[sub_idx % narrowed.len()];
-            sub_idx += 1;
-            let (answers, status, stats) = qs.answer(&state, narrow, Strategy::Magic);
-            assert!(status == CacheStatus::Subsumed);
-            assert!(answers.len() == 1);
-            sub_stats += stats;
-            std::hint::black_box(answers);
-        },
-        reps,
-    );
-    r.check(
-        "E18",
-        &format!(
-            "{workload}: {warm_calls} subsumed queries answered with zero re-evaluations \
-             ({} subsumption hits, {} derivations)",
-            sub_stats.query_cache_subsumption_hits, sub_stats.derivations
-        ),
-        sub_stats.query_cache_subsumption_hits == warm_calls
-            && sub_stats.query_cache_misses == 0
-            && sub_stats.derivations == 0
-            && sub_stats.probes == 0,
+        if smoke { 2 } else { 10 },
     );
 
     r.row(Row::new("E18", &workload, "scan", n as u64, t_scan, "ms"));
     r.row(Row::new(
         "E18", &workload, "select", n as u64, t_select, "ms",
     ));
-    r.row(Row::new("E18", &workload, "cold", n as u64, t_cold, "ms"));
-    r.row(Row::new("E18", &workload, "warm", n as u64, t_warm, "ms"));
-    r.row(Row::new(
-        "E18", &workload, "subsumed", n as u64, t_sub, "ms",
-    ));
-    r.row(Row::new(
-        "E18",
-        &workload,
-        "speedup-warm",
-        n as u64,
-        t_scan / t_warm,
-        "x",
-    ));
+    r.row(Row::new("E18", &workload, "magic", n as u64, t_magic, "ms"));
     if !smoke {
         r.check(
             "E18",
@@ -1037,48 +957,32 @@ fn e18(r: &mut Report, smoke: bool) {
             ),
             t_select <= t_scan,
         );
-        r.check(
-            "E18",
-            &format!(
-                "{workload}: warm cached point queries ≥ 10x faster than the snapshot \
-                 scan ({:.4}ms vs {:.4}ms, {:.1}x)",
-                t_warm,
-                t_scan,
-                t_scan / t_warm
-            ),
-            t_scan / t_warm >= 10.0,
-        );
     }
 
-    // Churn: cached throughput while a writer commits batches that
-    // invalidate through the dependency cones. Each insert/remove pair
-    // returns the base to its original facts, and the final cached answer
-    // is checked against a from-scratch evaluation of the final base.
+    // Churn: view reads while a writer commits batches. Each insert/remove
+    // pair returns the base to its original facts, so no read may see fewer
+    // answers than before, and the final read is checked against a
+    // from-scratch evaluation of the final base.
     let churn_batches: i64 = if smoke { 4 } else { 32 };
-    let churn_queries = if smoke { 200 } else { 2_000 };
-    let churn = QueryState::new(&program);
+    let writing = AtomicBool::new(true);
+    let mut asked = 0u64;
     let start = Instant::now();
     std::thread::scope(|scope| {
         scope.spawn(|| {
             for i in 0..churn_batches {
                 let edge = fact("a", [n as i64 + i, n as i64 + i + 1]);
-                let changed = [edge.pred];
-                view.insert_then(vec![edge.clone()], |version| {
-                    churn.invalidate(changed, version);
-                });
-                view.remove_then(vec![edge], |version| {
-                    churn.invalidate(changed, version);
-                });
+                view.insert(vec![edge.clone()]);
+                view.remove(vec![edge]);
             }
+            writing.store(false, Ordering::Release);
         });
-        for qi in 0..churn_queries {
-            let narrow = &narrowed[qi % narrowed.len()];
+        while writing.load(Ordering::Acquire) {
             let live = view.state();
-            let (answers, _, _) = churn.answer(&live, narrow, Strategy::Magic);
-            assert!(answers.len() == 1);
+            assert!(live.fixpoint.select(&query).len() >= expected.len());
+            asked += 1;
         }
     });
-    let qps = churn_queries as f64 / start.elapsed().as_secs_f64();
+    let qps = asked as f64 / start.elapsed().as_secs_f64();
     r.row(Row::new(
         "E18",
         &workload,
@@ -1089,11 +993,14 @@ fn e18(r: &mut Report, smoke: bool) {
     ));
     let final_state = view.state();
     let reference = filter(&seminaive::evaluate(&program, &final_state.base), &query);
-    let (post, _, _) = churn.answer(&final_state, &query, Strategy::Magic);
     r.check(
         "E18",
-        &format!("{workload}: post-churn cached answers match a from-scratch evaluation"),
-        *post == reference,
+        &format!("{workload}: post-churn view reads match a from-scratch evaluation"),
+        final_state
+            .fixpoint
+            .select(&query)
+            .into_iter()
+            .eq(reference.relation(query.pred)),
     );
 }
 

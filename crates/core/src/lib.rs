@@ -61,7 +61,6 @@ pub mod preserve;
 pub mod refute;
 pub mod slice;
 pub mod stratified_ext;
-pub mod subsume;
 pub mod termination;
 
 pub use chase::{
@@ -88,7 +87,6 @@ pub use preserve::{
 pub use refute::{analyze_equivalence, find_separating_edb, EquivVerdict, SeparatingEdb};
 pub use slice::{relevant_predicates, slice_for_query};
 pub use stratified_ext::{minimize_stratified, StratifiedError};
-pub use subsume::{covers, covers_cq, covers_with_fuel, DEFAULT_SUBSUMPTION_FUEL};
 pub use termination::{
     analyze as analyze_termination, fuel_for, is_weakly_acyclic, ChaseTermination, PositionGraph,
 };

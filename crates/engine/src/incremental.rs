@@ -892,7 +892,7 @@ mod deletion_tests {
     }
 
     #[test]
-    fn remove_then_insert_round_trips() {
+    fn remove_and_reinsert_round_trips() {
         let base = parse_database("a(1,2). a(2,3). a(3,4). a(4,5).").unwrap();
         let mut m = Materialized::new(tc(), &base);
         let original = m.database().clone();

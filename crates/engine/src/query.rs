@@ -11,8 +11,10 @@
 //!
 //! [`QueryPlan`] is that cached unit; [`PlanCache`] memoizes plans for one
 //! program. Both evaluate against a borrowed [`Database`] snapshot (clones
-//! are Arc-CoW cheap) and report [`Stats`], which is what the
-//! `datalog-service` answer cache and the `datalog query` CLI share.
+//! are Arc-CoW cheap) and report [`Stats`]. Answers are never cached: every
+//! ask evaluates. The daemon keeps one [`PlanCache`] per installed program
+//! for requests that name `magic` or `qsq` (its default path reads the
+//! materialized view instead), and `datalog query` keeps one per invocation.
 
 use crate::magic::{self, Adornment, MagicTemplate};
 use crate::qsq;
@@ -61,8 +63,7 @@ impl fmt::Display for Strategy {
 /// ([`MagicTemplate`]); answering a query only stamps the seed fact and
 /// runs semi-naive evaluation. [`Strategy::Qsq`] has no
 /// constant-independent precomputation (QSQR adorns while it runs), so the
-/// plan just pins the program; it still benefits from cache-level reuse of
-/// the answers.
+/// plan just pins the program.
 #[derive(Debug)]
 pub struct QueryPlan {
     program: Arc<Program>,
@@ -139,9 +140,9 @@ impl QueryPlan {
 
 /// A per-program memo of [`QueryPlan`]s keyed by
 /// `(predicate, adornment, strategy)` — the fix for the batch-path wart
-/// where every invocation re-ran adornment and rewriting. Shared by the
-/// CLI (`datalog query` with several query atoms) and the service (one
-/// cache per installed program).
+/// where every invocation re-ran adornment and rewriting. Used by the CLI
+/// (`datalog query` with several query atoms) and the service (one per
+/// installed program).
 pub struct PlanCache {
     program: Arc<Program>,
     plans: Mutex<BTreeMap<(Pred, Adornment, Strategy), Arc<QueryPlan>>>,

@@ -70,21 +70,6 @@ pub struct Stats {
     /// (`tuples_allocated`-weighted by arity). Monotone, like
     /// `tuples_allocated`.
     pub arena_bytes: u64,
-    /// Point-query answer-cache hits: the exact (predicate, adornment,
-    /// bound-constant) key was cached, so the query cost zero evaluation.
-    pub query_cache_hits: u64,
-    /// Point-query answer-cache misses: no cached entry covered the query,
-    /// so a top-down evaluation ran.
-    pub query_cache_misses: u64,
-    /// Queries answered by *filtering* a more general cached entry that
-    /// subsumes them (the §V/§VI containment test), without re-evaluation.
-    pub query_cache_subsumption_hits: u64,
-    /// Cached entries dropped because a committed write batch touched their
-    /// predicate's dependency cone.
-    pub query_cache_invalidations: u64,
-    /// Entries admitted into the answer cache (monotone: a cumulative
-    /// admission count, not the live-entry gauge).
-    pub query_cache_entries: u64,
     /// Partitioned rounds (delta rounds and DRed sweep rounds) run by a
     /// [`crate::Materialized`] with more than one shard. One shard runs
     /// every round inline and never counts here.
@@ -112,11 +97,6 @@ impl AddAssign for Stats {
         self.dict_filtered_probes += rhs.dict_filtered_probes;
         self.tuples_allocated += rhs.tuples_allocated;
         self.arena_bytes += rhs.arena_bytes;
-        self.query_cache_hits += rhs.query_cache_hits;
-        self.query_cache_misses += rhs.query_cache_misses;
-        self.query_cache_subsumption_hits += rhs.query_cache_subsumption_hits;
-        self.query_cache_invalidations += rhs.query_cache_invalidations;
-        self.query_cache_entries += rhs.query_cache_entries;
         self.shard_exchange_rounds += rhs.shard_exchange_rounds;
         self.shard_deltas_exchanged += rhs.shard_deltas_exchanged;
     }
@@ -146,19 +126,6 @@ impl Sub for Stats {
                 .saturating_sub(rhs.dict_filtered_probes),
             tuples_allocated: self.tuples_allocated.saturating_sub(rhs.tuples_allocated),
             arena_bytes: self.arena_bytes.saturating_sub(rhs.arena_bytes),
-            query_cache_hits: self.query_cache_hits.saturating_sub(rhs.query_cache_hits),
-            query_cache_misses: self
-                .query_cache_misses
-                .saturating_sub(rhs.query_cache_misses),
-            query_cache_subsumption_hits: self
-                .query_cache_subsumption_hits
-                .saturating_sub(rhs.query_cache_subsumption_hits),
-            query_cache_invalidations: self
-                .query_cache_invalidations
-                .saturating_sub(rhs.query_cache_invalidations),
-            query_cache_entries: self
-                .query_cache_entries
-                .saturating_sub(rhs.query_cache_entries),
             shard_exchange_rounds: self
                 .shard_exchange_rounds
                 .saturating_sub(rhs.shard_exchange_rounds),
@@ -170,20 +137,9 @@ impl Sub for Stats {
 }
 
 impl Stats {
-    /// True when any of the point-query answer-cache counters is nonzero;
-    /// [`Display`](fmt::Display) only prints the cache block in that case,
-    /// so pure bottom-up evaluations keep their historical stats line.
-    pub fn has_query_cache_activity(&self) -> bool {
-        self.query_cache_hits != 0
-            || self.query_cache_misses != 0
-            || self.query_cache_subsumption_hits != 0
-            || self.query_cache_invalidations != 0
-            || self.query_cache_entries != 0
-    }
-
-    /// True when any shard-exchange counter is nonzero; like the cache
-    /// block, [`Display`](fmt::Display) only prints the shard block then,
-    /// so one-shard evaluations keep their historical stats line.
+    /// True when any shard-exchange counter is nonzero;
+    /// [`Display`](fmt::Display) only prints the shard block then, so
+    /// one-shard evaluations keep their historical stats line.
     pub fn has_shard_activity(&self) -> bool {
         self.shard_exchange_rounds != 0 || self.shard_deltas_exchanged != 0
     }
@@ -210,17 +166,6 @@ impl fmt::Display for Stats {
             self.tuples_allocated,
             self.arena_bytes
         )?;
-        if self.has_query_cache_activity() {
-            write!(
-                f,
-                " query_cache_hits={} query_cache_misses={} query_cache_subsumption_hits={} query_cache_invalidations={} query_cache_entries={}",
-                self.query_cache_hits,
-                self.query_cache_misses,
-                self.query_cache_subsumption_hits,
-                self.query_cache_invalidations,
-                self.query_cache_entries
-            )?;
-        }
         if self.has_shard_activity() {
             write!(
                 f,
@@ -254,11 +199,6 @@ mod tests {
             dict_filtered_probes: 9,
             tuples_allocated: 20,
             arena_bytes: 320,
-            query_cache_hits: 6,
-            query_cache_misses: 2,
-            query_cache_subsumption_hits: 1,
-            query_cache_invalidations: 3,
-            query_cache_entries: 2,
             shard_exchange_rounds: 4,
             shard_deltas_exchanged: 9,
         };
@@ -278,11 +218,6 @@ mod tests {
             dict_filtered_probes: 1,
             tuples_allocated: 2,
             arena_bytes: 32,
-            query_cache_hits: 1,
-            query_cache_misses: 1,
-            query_cache_subsumption_hits: 1,
-            query_cache_invalidations: 1,
-            query_cache_entries: 1,
             shard_exchange_rounds: 1,
             shard_deltas_exchanged: 1,
         };
@@ -304,11 +239,6 @@ mod tests {
                 dict_filtered_probes: 10,
                 tuples_allocated: 22,
                 arena_bytes: 352,
-                query_cache_hits: 7,
-                query_cache_misses: 3,
-                query_cache_subsumption_hits: 2,
-                query_cache_invalidations: 4,
-                query_cache_entries: 3,
                 shard_exchange_rounds: 5,
                 shard_deltas_exchanged: 10,
             }
@@ -333,7 +263,6 @@ mod tests {
             dict_filtered_probes: 10,
             tuples_allocated: 22,
             arena_bytes: 352,
-            query_cache_hits: 7,
             ..Stats::default()
         };
         let b = Stats {
@@ -352,7 +281,6 @@ mod tests {
             dict_filtered_probes: 4,
             tuples_allocated: 20,
             arena_bytes: 320,
-            query_cache_hits: 2,
             ..Stats::default()
         };
         let d = a - b;
@@ -368,10 +296,9 @@ mod tests {
         assert_eq!(d.iterations, 2);
         assert_eq!(d.probes, 1);
         assert_eq!(d.index_appends, 1);
-        assert_eq!(d.query_cache_hits, 5);
         // Saturating: never underflows.
         assert_eq!((b - a).probes, 0);
-        assert_eq!((b - a).query_cache_hits, 0);
+        assert_eq!((b - a).arena_bytes, 0);
     }
 
     #[test]
@@ -387,26 +314,6 @@ mod tests {
             s.to_string(),
             "iterations=2 probes=7 matches=4 derivations=3 index_builds=0 index_appends=0 parallel_tasks=0 specialized_tasks=0 batch_probe_rows=0 pipelined_tasks=0 batch_reuse_hits=0 simd_hash_blocks=0 dict_filtered_probes=0 tuples_allocated=0 arena_bytes=0"
         );
-    }
-
-    #[test]
-    fn display_appends_cache_block_only_when_active() {
-        let quiet = Stats::default();
-        assert!(!quiet.has_query_cache_activity());
-        assert!(!quiet.to_string().contains("query_cache"));
-
-        let active = Stats {
-            query_cache_hits: 3,
-            query_cache_misses: 1,
-            query_cache_entries: 1,
-            ..Stats::default()
-        };
-        assert!(active.has_query_cache_activity());
-        let line = active.to_string();
-        assert!(line.ends_with(
-            "query_cache_hits=3 query_cache_misses=1 query_cache_subsumption_hits=0 \
-             query_cache_invalidations=0 query_cache_entries=1"
-        ));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Datalog Engines"* (2024): the repo computes the same answers many ways —
 //! naive/semi-naive/SCC/stratified/parallel/sharded fixpoints, magic-sets
 //! and QSQ query answering, incremental insert/DRed-remove maintenance,
-//! §VII uniform-equivalence minimization, the service's subsumption-cached
-//! point-query path, and racing clients against the concurrent service
+//! §VII uniform-equivalence minimization, the service's view reads beside
+//! its magic/QSQ plans, and racing clients against the concurrent service
 //! registry — and precisely that redundancy is the test oracle.
 //! Random workloads are generated from `datalog-generate`,
 //! every computation path is cross-checked, and any disagreement is shrunk
@@ -15,7 +15,8 @@
 //!
 //! * [`workload`] — seeded (program, database, queries, mutations) cases;
 //! * [`oracles`] — the divergence checks (engine matrix, optimization
-//!   soundness, incremental consistency, query-cache consistency);
+//!   soundness, incremental consistency, view queries, concurrent service,
+//!   metamorphic chains);
 //! * [`reduce`] — greedy delta-debugging reduction (rules → atoms →
 //!   queries → mutations → facts → constant renumbering);
 //! * [`fixture`] — the `.repro` file format under `tests/repros/`;

@@ -27,16 +27,14 @@
 //!   [`Materialized`] fixpoint (at 1, 2 or 4 shards by seed) must equal a
 //!   from-scratch evaluation of the surviving base, and its shard replicas
 //!   must agree.
-//! * **Query-cache consistency** — a [`View`] + [`QueryState`] pair (the
-//!   service's point-query path, sharded per seed) is driven through
-//!   interleaved adorned queries and invalidating write batches; every
-//!   answer — cold, served from the cache, or filtered out of a more
-//!   general cached set by §V/§VI subsumption — must equal the
-//!   pattern-filtered from-scratch fixpoint of the same base, and every
-//!   published shard replica the whole of it. So must, on every published
-//!   version, `Database::select` over the fixpoint (what the service's
-//!   default `auto` serves, order included) and the other strategy's bare
-//!   plan.
+//! * **View queries** — a [`View`] (sharded per seed) and a [`PlanCache`]
+//!   of the same program, the pair the service keeps per installed program,
+//!   are driven through interleaved adorned queries and write batches. On
+//!   every published version, every shard replica must hold the
+//!   from-scratch fixpoint of the published base, and `Database::select`
+//!   over it (what the service's default `auto` serves, order included),
+//!   the `magic` plan and the `qsq` plan over that base must each answer
+//!   exactly the pattern-filtered fixpoint.
 //! * **Concurrent service** — racing client threads drive
 //!   interleaving-independent insert/remove batches (plus readers) through
 //!   an in-process [`Registry`] (sharded per seed); because no fact is both
@@ -47,8 +45,8 @@
 //!   exactly the filtered from-scratch fixpoint, in its order.
 
 use crate::workload::{Case, Mutation};
-use datalog_ast::{match_atom, Atom, Const, Database, GroundAtom, Pred, Program, Rule, Term};
-use datalog_engine::query::Strategy;
+use datalog_ast::{match_atom, Atom, Database, GroundAtom, Pred, Program, Rule};
+use datalog_engine::query::{PlanCache, Strategy};
 use datalog_engine::{
     magic, naive, qsq, scc_eval, seminaive, stratified, EvalOptions, Materialized, Stats, Traced,
 };
@@ -56,11 +54,11 @@ use datalog_optimizer::{
     freeze_rule, minimize_program, minimize_program_in_order, uniformly_equivalent, Containment,
     Refutation, Witness,
 };
-use datalog_service::{CacheStatus, QueryState, Registry, View};
+use datalog_service::{Registry, View};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// The oracle family a case belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,7 +66,7 @@ pub enum Family {
     Engines,
     Optimization,
     Incremental,
-    QueryCache,
+    ViewQuery,
     ConcurrentService,
     Metamorphic,
 }
@@ -78,7 +76,7 @@ impl Family {
         Family::Engines,
         Family::Optimization,
         Family::Incremental,
-        Family::QueryCache,
+        Family::ViewQuery,
         Family::ConcurrentService,
         Family::Metamorphic,
     ];
@@ -88,7 +86,7 @@ impl Family {
             Family::Engines => "engines",
             Family::Optimization => "optimization",
             Family::Incremental => "incremental",
-            Family::QueryCache => "query-cache",
+            Family::ViewQuery => "view-query",
             Family::ConcurrentService => "concurrent-service",
             Family::Metamorphic => "metamorphic",
         }
@@ -99,7 +97,7 @@ impl Family {
             "engines" => Some(Family::Engines),
             "optimization" => Some(Family::Optimization),
             "incremental" => Some(Family::Incremental),
-            "query-cache" => Some(Family::QueryCache),
+            "view-query" => Some(Family::ViewQuery),
             "concurrent-service" => Some(Family::ConcurrentService),
             "metamorphic" => Some(Family::Metamorphic),
             _ => None,
@@ -136,7 +134,7 @@ pub fn check(case: &Case) -> Vec<Divergence> {
         Family::Engines => check_engines(case),
         Family::Optimization => check_optimization(case),
         Family::Incremental => check_incremental(case),
-        Family::QueryCache => check_query_cache(case),
+        Family::ViewQuery => check_view_query(case),
         Family::ConcurrentService => check_concurrent_service(case),
         Family::Metamorphic => check_metamorphic(case),
     }
@@ -664,54 +662,24 @@ fn check_incremental(case: &Case) -> Vec<Divergence> {
     out
 }
 
-/// Narrow `query` for the subsumption differential: substitute a constant
-/// for every occurrence of its first variable, so the result is covered by
-/// `query` (and hence by whatever cache entry served it). The constant is
-/// taken from the answer set when possible, so the narrowed query usually
-/// has answers; `None` for fully ground queries.
-fn narrow_query(query: &Atom, answers: &Database) -> Option<Atom> {
-    let (pos, var) = query.terms.iter().enumerate().find_map(|(i, t)| match t {
-        Term::Var(v) => Some((i, *v)),
-        Term::Const(_) => None,
-    })?;
-    let constant = answers
-        .relation(query.pred)
-        .next()
-        .map(|tuple| tuple[pos])
-        .unwrap_or(Const::Int(0));
-    let terms = query
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Var(v) if *v == var => Term::Const(constant),
-            other => *other,
-        })
-        .collect();
-    Some(Atom {
-        pred: query.pred,
-        terms,
-    })
-}
-
-fn check_query_cache(case: &Case) -> Vec<Divergence> {
+fn check_view_query(case: &Case) -> Vec<Divergence> {
     let mut out = Vec::new();
     let program = &case.program;
     if !program.is_positive() {
         return out;
     }
     let diverge = |kind: &str, query: &Atom, expected: &Database, got: &Database| Divergence {
-        family: Family::QueryCache,
-        kind: format!("query-cache:{kind}"),
+        family: Family::ViewQuery,
+        kind: format!("view-query:{kind}"),
         message: format!(
             "{kind} answer for `{query}` disagrees with the filtered from-scratch fixpoint: {}",
             diff_sample(expected, got)
         ),
     };
-    // The exact pair the service runs per installed program: a view plus the
-    // plan/answer-cache state, invalidated from the view's pre-publication
-    // hook (mirroring `Registry::op_mutate`).
+    // The pair the service keeps per installed program: the view, and the
+    // plans its named strategies evaluate from the published base.
     let view = View::sharded(program.clone(), &case.db, shards_for(case));
-    let state = QueryState::new(program);
+    let plans = PlanCache::new(Arc::new(program.clone()));
     // Rounds: the initial base, then the base after each mutation batch.
     for round in 0..=case.mutations.len() {
         let published = view.state();
@@ -723,25 +691,18 @@ fn check_query_cache(case: &Case) -> Vec<Divergence> {
             .find(|replica| **replica != reference)
         {
             out.push(Divergence {
-                family: Family::QueryCache,
-                kind: "query-cache:replica".into(),
+                family: Family::ViewQuery,
+                kind: "view-query:replica".into(),
                 message: format!(
                     "after {round} batches a published replica ({} shards) disagrees with the \
-                     from-scratch fixpoint: {}",
+                     from-scratch fixpoint of the published base: {}",
                     view.shards(),
                     diff_sample(&reference, &torn)
                 ),
             });
             return out;
         }
-        for (qi, query) in case.queries.iter().enumerate() {
-            // Alternate strategies across rounds and queries: cached
-            // answers are strategy-agnostic.
-            let strategy = if (round + qi) % 2 == 0 {
-                Strategy::Magic
-            } else {
-                Strategy::Qsq
-            };
+        for query in &case.queries {
             let expected = filtered_fixpoint(&reference, query);
             // What `auto` serves: the published fixpoint's matching rows,
             // in the order the filtered fixpoint iterates.
@@ -753,69 +714,19 @@ fn check_query_cache(case: &Case) -> Vec<Divergence> {
                     .collect();
                 out.push(diverge("select", query, &expected, &got));
             }
-            // The strategy this round does not send through the cache, on
-            // its bare plan.
-            let other = match strategy {
-                Strategy::Magic => Strategy::Qsq,
-                Strategy::Qsq => Strategy::Magic,
-            };
-            let (uncached, _) = state.plans().answer(&published.base, query, other);
-            if uncached != expected {
-                out.push(diverge(other.name(), query, &expected, &uncached));
-            }
-            let (cold, _, _) = state.answer(&published, query, strategy);
-            if *cold != expected {
-                out.push(diverge("cold", query, &expected, &cold));
-                return out; // the cache now holds a wrong set; stop here
-            }
-            // Repeating the query at the same version must be served from
-            // the cache — and still agree.
-            let (warm, status, _) = state.answer(&published, query, strategy);
-            if *warm != expected {
-                out.push(diverge("warm", query, &expected, &warm));
-                return out;
-            }
-            if status == CacheStatus::Miss {
-                out.push(Divergence {
-                    family: Family::QueryCache,
-                    kind: "query-cache:recompute".into(),
-                    message: format!(
-                        "repeated query `{query}` at an unchanged version re-evaluated \
-                         instead of hitting the cache"
-                    ),
-                });
-            }
-            // A narrowed instance is covered by the entry that just served
-            // `query`: it must be answered from the cache by subsumption,
-            // and the filtered set must agree with the reference.
-            if let Some(narrow) = narrow_query(query, &expected) {
-                let expected_narrow = filtered_fixpoint(&reference, &narrow);
-                let (sub, status, _) = state.answer(&published, &narrow, strategy);
-                if *sub != expected_narrow {
-                    out.push(diverge("subsumed", &narrow, &expected_narrow, &sub));
-                    return out;
-                }
-                if status == CacheStatus::Miss {
-                    out.push(Divergence {
-                        family: Family::QueryCache,
-                        kind: "query-cache:recompute".into(),
-                        message: format!(
-                            "`{narrow}` is covered by the cached `{query}` but re-evaluated"
-                        ),
-                    });
+            // What a named strategy serves: its plan over the published base.
+            for strategy in [Strategy::Magic, Strategy::Qsq] {
+                let (got, _) = plans.answer(&published.base, query, strategy);
+                if got != expected {
+                    out.push(diverge(strategy.name(), query, &expected, &got));
                 }
             }
         }
-        if let Some(mutation) = case.mutations.get(round) {
-            let changed: BTreeSet<Pred> = mutation.facts().iter().map(|f| f.pred).collect();
-            let invalidate = |version: u64| {
-                state.invalidate(changed.iter().copied(), version);
-            };
-            match mutation {
-                Mutation::Insert(facts) => view.insert_then(facts.clone(), invalidate),
-                Mutation::Remove(facts) => view.remove_then(facts.clone(), invalidate),
-            };
-        }
+        match case.mutations.get(round) {
+            Some(Mutation::Insert(facts)) => view.insert(facts.clone()),
+            Some(Mutation::Remove(facts)) => view.remove(facts.clone()),
+            None => break,
+        };
     }
     out
 }
@@ -889,7 +800,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
         })
         .collect();
     // Every query under the default strategy (a read of the published
-    // view) and under both top-down ones (through the answer cache).
+    // view) and under both top-down ones (evaluated from its base).
     const STRATEGIES: [&str; 3] = ["auto", "magic", "qsq"];
     let query_line = |q: &Atom, strategy: &str| {
         let fields = [

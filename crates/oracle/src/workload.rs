@@ -4,7 +4,7 @@
 //! A [`Case`] carries everything any of the oracle families could need;
 //! each family reads the parts relevant to it (the engine matrix uses
 //! `program`/`db`/`queries`, the optimization oracle `program`/`db`, the
-//! incremental oracle `program`/`db`/`mutations`, the query-cache
+//! incremental oracle `program`/`db`/`mutations`, the view-query
 //! oracle all four — queries interleaved with mutations — and the
 //! concurrent-service oracle races *interleaving-independent* mutations
 //! from several client threads). Generation is
@@ -102,7 +102,7 @@ pub fn generate(seed: u64, family: Family) -> Case {
     let db = pick_db(&mut rng, &program);
     let wants_queries = matches!(
         family,
-        Family::Engines | Family::QueryCache | Family::ConcurrentService | Family::Metamorphic
+        Family::Engines | Family::ViewQuery | Family::ConcurrentService | Family::Metamorphic
     );
     let queries = if wants_queries && program.is_positive() {
         pick_queries(&mut rng, &program, &db)
@@ -110,7 +110,7 @@ pub fn generate(seed: u64, family: Family) -> Case {
         Vec::new()
     };
     let mutations = match family {
-        Family::Incremental | Family::QueryCache => pick_mutations(&mut rng, &program, &db),
+        Family::Incremental | Family::ViewQuery => pick_mutations(&mut rng, &program, &db),
         Family::ConcurrentService => pick_service_mutations(&mut rng, &program, &db),
         _ => Vec::new(),
     };
@@ -443,10 +443,10 @@ mod tests {
     }
 
     #[test]
-    fn query_cache_cases_have_queries_and_mutations() {
+    fn view_query_cases_have_queries_and_mutations() {
         let mut with_both = 0;
         for seed in 0..40 {
-            let c = generate(seed, Family::QueryCache);
+            let c = generate(seed, Family::ViewQuery);
             assert!(c.program.is_positive(), "seed {seed}");
             assert!(!c.queries.is_empty(), "seed {seed}");
             if !c.mutations.is_empty() {

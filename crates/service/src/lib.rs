@@ -12,7 +12,11 @@
 //! * [`protocol`] — the line-delimited JSON wire format: request/response
 //!   shapes, stable error codes, field accessors (spec: `docs/SERVICE.md`);
 //! * [`registry`] — named programs; the install pipeline (parse → validate
-//!   → lint gate → §VII minimize) and the request dispatcher;
+//!   → lint gate → §VII minimize) and the request dispatcher. A `query`
+//!   reads the published fixpoint (`Database::select`) unless it names a
+//!   top-down `strategy`, which evaluates magic sets or QSQR from the
+//!   view's base facts on every ask, through a per-program
+//!   [`datalog_engine::query::PlanCache`] (plans are kept, answers are not);
 //! * [`view`] — per-program materialisations
 //!   ([`datalog_engine::Materialized`], on one context or hash-partitioned
 //!   across N shard replicas that exchange cross-shard derivations each
@@ -20,11 +24,6 @@
 //!   never-blocking reads: one published `Arc<Database>` slot per shard,
 //!   group-committed after every write batch, readers round-robin over
 //!   the slots;
-//! * [`query`] — the demand-driven point-query subsystem, for requests that
-//!   name a top-down `strategy` (the default reads the published view):
-//!   per-adornment plans (magic sets / QSQR over the view's base facts)
-//!   behind a subsumption-aware answer cache whose admission and reuse are
-//!   decided by the paper's §V/§VI containment tests;
 //! * [`metrics`] — per-program and server-wide request counts, latency, and
 //!   aggregated [`datalog_engine::Stats`], served by the `stats` request;
 //! * [`pool`] — the fixed-size worker thread pool, re-exported from
@@ -60,7 +59,6 @@ pub mod client;
 pub mod metrics;
 pub use datalog_engine::pool;
 pub mod protocol;
-pub mod query;
 pub mod registry;
 pub mod server;
 pub mod view;
@@ -69,7 +67,6 @@ pub use client::Client;
 pub use metrics::Metrics;
 pub use pool::ThreadPool;
 pub use protocol::{ErrorCode, ServiceError};
-pub use query::{CacheStatus, QueryState};
 pub use registry::{Control, ProgramEntry, Registry};
 pub use server::{Server, ServerConfig};
 pub use view::{View, ViewState};

@@ -115,23 +115,6 @@ impl Metrics {
                     ),
                     ("tuples_allocated", Value::from(inner.eval.tuples_allocated)),
                     ("arena_bytes", Value::from(inner.eval.arena_bytes)),
-                    ("query_cache_hits", Value::from(inner.eval.query_cache_hits)),
-                    (
-                        "query_cache_misses",
-                        Value::from(inner.eval.query_cache_misses),
-                    ),
-                    (
-                        "query_cache_subsumption_hits",
-                        Value::from(inner.eval.query_cache_subsumption_hits),
-                    ),
-                    (
-                        "query_cache_invalidations",
-                        Value::from(inner.eval.query_cache_invalidations),
-                    ),
-                    (
-                        "query_cache_entries",
-                        Value::from(inner.eval.query_cache_entries),
-                    ),
                     (
                         "shard_exchange_rounds",
                         Value::from(inner.eval.shard_exchange_rounds),
@@ -174,11 +157,6 @@ mod tests {
             dict_filtered_probes: 7,
             tuples_allocated: 12,
             arena_bytes: 192,
-            query_cache_hits: 8,
-            query_cache_misses: 2,
-            query_cache_subsumption_hits: 3,
-            query_cache_invalidations: 5,
-            query_cache_entries: 2,
             shard_exchange_rounds: 6,
             shard_deltas_exchanged: 11,
         });
@@ -208,17 +186,6 @@ mod tests {
         assert_eq!(eval.get("dict_filtered_probes").unwrap().as_u64(), Some(7));
         assert_eq!(eval.get("tuples_allocated").unwrap().as_u64(), Some(12));
         assert_eq!(eval.get("arena_bytes").unwrap().as_u64(), Some(192));
-        assert_eq!(eval.get("query_cache_hits").unwrap().as_u64(), Some(8));
-        assert_eq!(eval.get("query_cache_misses").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            eval.get("query_cache_subsumption_hits").unwrap().as_u64(),
-            Some(3)
-        );
-        assert_eq!(
-            eval.get("query_cache_invalidations").unwrap().as_u64(),
-            Some(5)
-        );
-        assert_eq!(eval.get("query_cache_entries").unwrap().as_u64(), Some(2));
         assert_eq!(eval.get("shard_exchange_rounds").unwrap().as_u64(), Some(6));
         assert_eq!(
             eval.get("shard_deltas_exchanged").unwrap().as_u64(),

@@ -12,17 +12,16 @@ use crate::metrics::Metrics;
 use crate::protocol::{
     bool_field, error_response, ok_response, str_field, ErrorCode, ServiceError,
 };
-use crate::query::QueryState;
 use crate::view::View;
 use datalog_analysis::{analyze_unit, LintConfig, Severity};
 use datalog_ast::{
     parse_atom, parse_database, parse_program, validate, Database, GroundAtom, Pred, Program,
     RowDisplay, Unit,
 };
-use datalog_engine::query::Strategy;
+use datalog_engine::query::{PlanCache, Strategy};
 use datalog_json::Value;
 use datalog_optimizer::minimize_program;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -53,10 +52,10 @@ pub struct ProgramEntry {
     /// The materialisation, hash-partitioned across the registry's
     /// configured shard count (1 = one context, no partitioning).
     pub view: View,
-    /// The top-down point-query subsystem, for requests that name a
-    /// `strategy`: cached plans plus the subsumption-aware answer cache (see
-    /// [`crate::query`]).
-    pub query: QueryState,
+    /// The magic-sets / QSQR plans of `installed`, one per adornment, for
+    /// requests that name a top-down `strategy`. Answers are not kept: every
+    /// such ask evaluates from the published base facts.
+    pub plans: PlanCache,
     pub metrics: Metrics,
 }
 
@@ -208,7 +207,7 @@ impl Registry {
             atoms_removed: removal.atoms.len(),
             rules_removed: removal.rules.len(),
             view: View::sharded(installed.clone(), &Database::new(), self.shards),
-            query: QueryState::new(&installed),
+            plans: PlanCache::new(Arc::new(installed)),
             metrics: Metrics::default(),
         });
         self.programs
@@ -405,28 +404,15 @@ impl Registry {
         for f in &facts {
             entry.check_arity("facts", f, f.pred, f.tuple.len())?;
         }
-        // Invalidate cached point-query answers whose predicate lies in the
-        // dependency cone of the batch's predicates — inside the view's
-        // pre-publication hook, so no reader can pair a stale cache entry
-        // with the new state.
-        let changed_preds: BTreeSet<Pred> = facts.iter().map(|f| f.pred).collect();
-        let mut invalidated = 0u64;
-        let invalidate = |version: u64| {
-            invalidated = entry
-                .query
-                .invalidate(changed_preds.iter().copied(), version);
-        };
         let (op, changed, stats) = if insert {
-            let (added, stats) = entry.view.insert_then(facts, invalidate);
+            let (added, stats) = entry.view.insert(facts);
             entry.metrics.record_mutation(added, 0);
             ("insert", added, stats)
         } else {
-            let (removed, stats) = entry.view.remove_then(facts, invalidate);
+            let (removed, stats) = entry.view.remove(facts);
             entry.metrics.record_mutation(0, removed);
             ("remove", removed, stats)
         };
-        let mut stats = stats;
-        stats.query_cache_invalidations = invalidated;
         entry.metrics.record_eval(stats);
         self.metrics.record_eval(stats);
         let response = ok_response(
@@ -466,9 +452,9 @@ impl Registry {
         // `auto` (and its synonym `scan`) reads the published fixpoint: the
         // view already holds every answer, so no top-down evaluation can
         // beat selecting them. `magic` / `qsq` evaluate from the base facts
-        // through the plan and answer caches — unless the program has no
-        // rule for the predicate, when the stored relation is all there is
-        // and a plan or a cache entry would only take up room.
+        // through the program's plans — unless the program has no rule for
+        // the predicate, when the stored relation is all there is and a plan
+        // would only take up room.
         let strategy = match strategy_field {
             "auto" | "scan" => None,
             other => Some(Strategy::parse(other).ok_or_else(|| {
@@ -483,16 +469,14 @@ impl Registry {
         // while evaluating or matching, so writers never stall readers.
         let state = entry.view.state();
         let top_down = strategy.filter(defined).map(|strategy| {
-            let (answers, status, stats) = entry.query.answer(&state, &pattern, strategy);
+            let (answers, stats) = entry.plans.answer(&state.base, &pattern, strategy);
             entry.metrics.record_eval(stats);
             self.metrics.record_eval(stats);
-            (strategy.name(), status.name(), answers)
+            (strategy.name(), answers)
         });
-        let (strategy_name, cache_name, rows) = match &top_down {
-            Some((strategy, cache, answers)) => {
-                (*strategy, *cache, answers.relation(pattern.pred).collect())
-            }
-            None => ("scan", "bypass", state.fixpoint.select(&pattern)),
+        let (strategy_name, rows) = match &top_down {
+            Some((strategy, answers)) => (*strategy, answers.select(&pattern)),
+            None => ("scan", state.fixpoint.select(&pattern)),
         };
         let count = rows.len();
         let answers: Vec<Value> = rows
@@ -508,7 +492,6 @@ impl Registry {
                 ("program", Value::from(entry.name.as_str())),
                 ("atom", Value::from(atom_src)),
                 ("strategy", Value::from(strategy_name)),
-                ("cache", Value::from(cache_name)),
                 ("count", Value::from(count)),
                 ("truncated", Value::Bool(truncated)),
                 ("answers", Value::Array(answers)),
@@ -530,13 +513,7 @@ impl Registry {
                     ("atoms_removed", Value::from(entry.atoms_removed)),
                     ("rules_removed", Value::from(entry.rules_removed)),
                     ("db_atoms", Value::from(snapshot.len())),
-                    (
-                        "query_cache",
-                        Value::object([
-                            ("live_entries", Value::from(entry.query.live_entries())),
-                            ("plans", Value::from(entry.query.plans().len())),
-                        ]),
-                    ),
+                    ("plans", Value::from(entry.plans.len())),
                     ("metrics", entry.metrics.to_json()),
                 ],
             );
@@ -708,12 +685,13 @@ mod tests {
         assert!(resp.contains("\"code\":\"bad_json\""), "{resp}");
     }
 
-    /// `auto`, adorned or not, reads the published fixpoint; top-down runs
-    /// only when the request names it, and only for a predicate the program
-    /// has a rule for. A query atom at an arity the program contradicts is
-    /// refused like a fact of that arity.
+    /// `auto`, adorned or not, reads the published fixpoint and compiles no
+    /// plan. `magic` / `qsq` evaluate top-down, only for a predicate the
+    /// program has a rule for, and list exactly `auto`'s answers in its
+    /// order. A query atom at an arity the program contradicts is refused
+    /// like a fact of that arity.
     #[test]
-    fn default_queries_read_the_view_and_leave_no_plan_or_entry() {
+    fn default_queries_read_the_view_and_named_strategies_agree_with_it() {
         let reg = Registry::new();
         let tc = "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).";
         reg.install("tc", tc, true, true).unwrap();
@@ -734,7 +712,7 @@ mod tests {
                 .collect()
         };
         let field = |resp: &Value, name: &str| resp.get(name).unwrap().as_str().map(str::to_owned);
-        for (atom, expected) in [
+        let table = [
             ("g(1, X)", vec!["g(1, 2)", "g(1, 3)"]),
             ("g(X, 3)", vec!["g(1, 3)", "g(2, 3)", "g(3, 3)"]),
             ("g(X, X)", vec!["g(3, 3)"]),
@@ -743,39 +721,32 @@ mod tests {
             ("a(X, Y)", vec!["a(1, 2)", "a(2, 3)", "a(3, 3)"]),
             ("zz(1, X)", vec!["zz(1, 4)"]),
             ("nowhere(X)", vec![]),
-        ] {
+        ];
+        for (atom, expected) in &table {
             for strategy in [None, Some("auto"), Some("scan")] {
                 let resp = query(atom, strategy);
-                assert_eq!(answers(&resp), expected, "{resp}");
+                assert_eq!(&answers(&resp), expected, "{resp}");
                 assert_eq!(field(&resp, "strategy").as_deref(), Some("scan"), "{resp}");
-                assert_eq!(field(&resp, "cache").as_deref(), Some("bypass"), "{resp}");
+                assert!(resp.get("cache").is_none(), "{resp}");
             }
         }
         let entry = reg.get("tc").unwrap();
-        assert_eq!(
-            (entry.query.plans().len(), entry.query.live_entries()),
-            (0, 0)
-        );
+        assert_eq!(entry.plans.len(), 0);
 
-        // Named strategies still go top-down, for predicates with a rule.
-        for strategy in ["magic", "qsq"] {
-            let resp = query("g(1, X)", Some(strategy));
-            assert_eq!(answers(&resp), ["g(1, 2)", "g(1, 3)"], "{resp}");
-            assert_eq!(
-                field(&resp, "strategy").as_deref(),
-                Some(strategy),
-                "{resp}"
-            );
-            for atom in ["a(1, X)", "zz(1, X)", "nowhere(X)"] {
+        for (atom, expected) in &table {
+            for strategy in ["magic", "qsq"] {
                 let resp = query(atom, Some(strategy));
-                assert_eq!(field(&resp, "strategy").as_deref(), Some("scan"), "{resp}");
+                assert_eq!(&answers(&resp), expected, "{strategy}: {resp}");
+                let path = if atom.starts_with("g(") {
+                    strategy
+                } else {
+                    "scan"
+                };
+                assert_eq!(field(&resp, "strategy").as_deref(), Some(path), "{resp}");
             }
         }
-        // (`qsq` was served the answers `magic` had cached: one plan.)
-        assert_eq!(
-            (entry.query.plans().len(), entry.query.live_entries()),
-            (1, 1)
-        );
+        // g at four adornments (bf, fb, ff, bb) under two strategies.
+        assert_eq!(entry.plans.len(), 8);
 
         for atom in ["g(1)", "g(1, X, Y)", "a(X)"] {
             for strategy in [None, Some("magic"), Some("qsq")] {
@@ -787,10 +758,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            (entry.query.plans().len(), entry.query.live_entries()),
-            (1, 1)
-        );
+        assert_eq!(entry.plans.len(), 8);
     }
 
     /// A failed request counts on the program it names, and a line that is

@@ -115,51 +115,19 @@ impl View {
     /// Insert a batch of base facts, propagate consequences, publish the new
     /// fixpoint. Returns the number of atoms added and the evaluation work.
     pub fn insert(&self, facts: Vec<GroundAtom>) -> (u64, Stats) {
-        self.insert_then(facts, |_| {})
-    }
-
-    /// [`View::insert`], additionally running `before_publish` with the
-    /// version about to be committed — after the batch is evaluated but
-    /// *before* the new state becomes visible in any slot, still under the
-    /// writer lock. This is the invalidation point for answer caches layered
-    /// above the view: invalidating before publication means a cache entry
-    /// can never be observed alongside a state newer than the one it was
-    /// computed from (see `crate::query`).
-    pub fn insert_then(
-        &self,
-        facts: Vec<GroundAtom>,
-        before_publish: impl FnOnce(u64),
-    ) -> (u64, Stats) {
-        self.commit(|writer| writer.insert_with_stats(facts), before_publish)
+        self.commit(|writer| writer.insert_with_stats(facts))
     }
 
     /// Remove a batch of base facts (DRed), publish the new fixpoint.
     /// Returns the number of atoms removed and the evaluation work.
     pub fn remove(&self, facts: Vec<GroundAtom>) -> (u64, Stats) {
-        self.remove_then(facts, |_| {})
+        self.commit(|writer| writer.remove_with_stats(facts))
     }
 
-    /// [`View::remove`] with the same pre-publication hook as
-    /// [`View::insert_then`].
-    pub fn remove_then(
-        &self,
-        facts: Vec<GroundAtom>,
-        before_publish: impl FnOnce(u64),
-    ) -> (u64, Stats) {
-        self.commit(|writer| writer.remove_with_stats(facts), before_publish)
-    }
-
-    /// One write batch under the writer lock: apply it, run the hook with
-    /// the version about to be committed, publish.
-    fn commit(
-        &self,
-        batch: impl FnOnce(&mut Materialized) -> (u64, Stats),
-        before_publish: impl FnOnce(u64),
-    ) -> (u64, Stats) {
+    /// One write batch under the writer lock: apply it, then publish.
+    fn commit(&self, batch: impl FnOnce(&mut Materialized) -> (u64, Stats)) -> (u64, Stats) {
         let mut writer = lock_writer(self);
         let outcome = batch(&mut writer);
-        // Only this thread publishes, so any slot holds the last version.
-        before_publish(self.read().version + 1);
         self.publish(&mut writer);
         outcome
     }
@@ -241,11 +209,7 @@ mod tests {
                 assert_eq!(state.base.len(), 2);
                 assert_eq!(state.fixpoint.len(), 5);
             }
-            // The hook sees the version about to be committed, before
-            // readers do.
-            let mut hook_version = 0;
-            view.remove_then(vec![fact("a", [2, 3])], |v| hook_version = v);
-            assert_eq!(hook_version, 2);
+            view.remove(vec![fact("a", [2, 3])]);
             for _ in 0..view.shards() {
                 let state = view.state();
                 assert_eq!(state.version, 2);

@@ -12,7 +12,7 @@
 //! datalog run      <unit.dl> [--stats]                evaluate rules + facts [+ tgds] in one file
 //! datalog repl     [<program.dl>]                     interactive session
 //! datalog query    '<atom>'... <program.dl> --edb <facts.dl>  top-down point queries
-//!                  [--strategy magic|qsq] [--stats]          (shared plan + answer cache)
+//!                  [--strategy magic|qsq] [--stats]          (one plan per adornment)
 //! datalog explain  '<atom>' <program.dl> --edb <facts.dl>   provenance proof tree
 //! datalog contains <p1.dl> <p2.dl>                    uniform containment, both ways
 //! datalog equiv    <p1.dl> <p2.dl> [--fuel N] [--samples N] equivalence analysis (§X–§XI)
@@ -21,7 +21,7 @@
 //!                  [--shards N] [--max-bytes N] [--timeout-ms N] [--max-conns N]
 //! datalog client   <addr> [request-json]...            send protocol requests (stdin if none)
 //! datalog fuzz     [--seed N] [--cases N] [--budget-ms N]   differential oracle fuzzing
-//!                  [--oracle all|engines|optimization|incremental|query-cache|concurrent-service|metamorphic]
+//!                  [--oracle all|engines|optimization|incremental|view-query|concurrent-service|metamorphic]
 //!                  [--format text|json] [--repro-dir DIR] [--smoke]
 //! ```
 //!
@@ -433,16 +433,17 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Answer one or more point queries top-down. All queries of one
-/// invocation share a [`QueryState`]: the magic/QSQ plan for a binding
-/// pattern is built once, and a query covered by an earlier answer set is
-/// served from the cache by §V/§VI subsumption instead of re-evaluating
-/// (visible as `[hit]`/`[subsumed]` in the `--stats` lines).
+/// Answer one or more point queries. An atom of a predicate the program
+/// derives is evaluated top-down; all atoms of one invocation share a
+/// [`PlanCache`], so the magic/QSQ plan for a binding pattern is built
+/// once. A predicate the program has no rule for is read straight from the
+/// EDB, and an atom whose arity contradicts the program is refused before
+/// anything runs.
 ///
-/// [`QueryState`]: sagiv_datalog::service::QueryState
+/// [`PlanCache`]: datalog_engine::query::PlanCache
 fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
-    use datalog_engine::query::Strategy;
-    use sagiv_datalog::service::QueryState;
+    use datalog_ast::RowDisplay;
+    use datalog_engine::query::{PlanCache, Strategy};
 
     let (pos, flags) = split_flags(args)?;
     let Some((path, query_srcs)) = pos.split_last().filter(|(_, qs)| !qs.is_empty()) else {
@@ -458,21 +459,40 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
     let strategy_name = flags.get("strategy").unwrap_or("magic");
     let strategy = Strategy::parse(strategy_name)
         .ok_or_else(|| format!("unknown strategy `{strategy_name}` (magic|qsq)"))?;
-    let state = QueryState::new(&program);
+    let arities = program.arities();
+    let queries = query_srcs
+        .iter()
+        .map(|src| {
+            let query = parse_atom(src).map_err(|e| e.to_string())?;
+            match arities.get(&query.pred) {
+                Some(&arity) if arity != query.arity() => Err(format!(
+                    "`{query}` contradicts {}/{arity} in {path}",
+                    query.pred
+                )),
+                _ => Ok(query),
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let derived = program.intentional();
+    let plans = PlanCache::new(std::sync::Arc::new(program));
     let mut any_answers = false;
-    for query_src in query_srcs {
-        let query = parse_atom(query_src).map_err(|e| e.to_string())?;
-        // The CLI evaluates one fixed EDB: every query runs at version 0.
-        let (answers, status, stats) = state.answer_at(&edb, 0, &query, strategy);
-        if query_srcs.len() > 1 {
+    for query in &queries {
+        let evaluated = derived
+            .contains(&query.pred)
+            .then(|| plans.answer(&edb, query, strategy));
+        let (rows, how, stats) = match &evaluated {
+            Some((answers, stats)) => (answers.select(query), strategy.name(), *stats),
+            None => (edb.select(query), "scan", Stats::default()),
+        };
+        if queries.len() > 1 {
             println!("% ?- {query}.");
         }
-        for atom in answers.iter() {
-            println!("{atom}.");
+        for row in &rows {
+            println!("{}.", RowDisplay(query.pred, row));
         }
-        any_answers |= !answers.is_empty();
+        any_answers |= !rows.is_empty();
         if flags.has("stats") {
-            eprintln!("% [{}] {stats}", status.name());
+            eprintln!("% [{how}] {stats}");
         }
     }
     Ok(if any_answers {
@@ -737,7 +757,7 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
             "all" => Family::ALL.to_vec(),
             name => vec![Family::parse(name).ok_or_else(|| {
                 format!(
-                    "--oracle: `{name}` is not all|engines|optimization|incremental|query-cache|concurrent-service|metamorphic"
+                    "--oracle: `{name}` is not all|engines|optimization|incremental|view-query|concurrent-service|metamorphic"
                 )
             })?],
         };

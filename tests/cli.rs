@@ -176,6 +176,41 @@ fn query_with_no_answers_exits_2() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// An atom whose arity contradicts the program is refused before anything
+/// runs, as the daemon's `validation_error` is; a predicate the program has
+/// no rule for is read straight from the EDB, with no plan and no work.
+#[test]
+fn query_refuses_wrong_arities_and_reads_underived_predicates_from_the_edb() {
+    let dir = TempDir::new("query-arity");
+    let p = dir.file("tc.dl", TC);
+    let e = dir.file("chain.dl", &format!("{CHAIN} zz(1, 4). zz(2, 9)."));
+    for atoms in [&["g(1)"][..], &["g(1, X, Y)"], &["g(1, X)", "a(X)"]] {
+        let out = bin()
+            .arg("query")
+            .args(atoms)
+            .args([&p, "--edb", &e])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{atoms:?}: {}", stderr(&out));
+        let named = if atoms.len() == 1 { "g/2" } else { "a/2" };
+        assert!(stderr(&out).contains(named), "{}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{atoms:?}");
+    }
+    for (atom, expected) in [("a(1, X)", "a(1, 2).\n"), ("zz(1, X)", "zz(1, 4).\n")] {
+        let out = bin()
+            .args(["query", atom, &p, "--edb", &e, "--stats"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert_eq!(stdout(&out), expected);
+        assert!(
+            stderr(&out).starts_with("% [scan] iterations=0 probes=0"),
+            "{}",
+            stderr(&out)
+        );
+    }
+}
+
 #[test]
 fn explain_prints_proof_tree() {
     let dir = TempDir::new("explain");

@@ -13,7 +13,8 @@
 //! * `--only-e17` — run only the E17 storage-layer microbenchmark.
 //! * `--only-e18` — run only the E18 point-query benchmark (view read vs
 //!   magic sets).
-//! * `--only-e19` — run only the E19 sharded-service benchmark.
+//! * `--only-e19` — run only the E19 event-loop benchmark (read tail
+//!   latency vs thread-per-connection).
 //! * `--only-e20` — run only the E20 columnar join-kernel microbenchmark.
 //! * `--smoke` — shrink E16/E17/E18/E19/E20 workloads and skip wall-time
 //!   acceptance checks, so shared CI runners only verify correctness
@@ -1012,264 +1013,29 @@ fn p99(samples: &mut [f64]) -> f64 {
     samples[idx.min(samples.len() - 1)]
 }
 
-/// E19 — view maintenance at 1/2/4 shards, and the event loop.
+/// E19 — the event loop.
 ///
-/// Three layers, from the engine outward:
-///
-/// * `saturate` — initial saturation of a bloated-TC program through
-///   `Materialized::sharded` at 1/2/4 shards. Every width must produce a
-///   fixpoint identical to the unsharded semi-naive evaluation, and widths
-///   above 1 must show delta-exchange activity; the 4-vs-1 speedup is the
-///   headline scaling number. Wall-clock scaling only exists where the
-///   host has cores to scale onto, so the ≥ 1.6x checks are asserted when
-///   `available_parallelism ≥ 4` and otherwise replaced by the
-///   hardware-independent invariant behind them: aggregate probe work must
-///   not grow with the shard count (delta-driven join orders keep each
-///   partitioned round from rescanning the replicated persistent
-///   relations — the regression that previously made probes scale with
-///   the number of shards).
-/// * `write-qps` — sustained write batches through the real daemon
-///   (socket framing, readiness event loop, group-committed publication)
-///   with reader clients racing the writer, again at 1/2/4 shards. The
-///   served closure after the run must equal a from-scratch evaluation of
-///   the final base.
-/// * `read-p99` — tail latency of more concurrent reader connections than
-///   worker threads, event loop vs an in-bench thread-per-connection
-///   baseline (the pre-sharding architecture: a pooled worker owns each
-///   connection for its whole lifetime, so connections beyond the pool
-///   width queue behind whole *sessions*, not requests). Same registry
-///   contents, same pool width; only the connection architecture differs.
+/// Tail latency of more concurrent reader connections than worker threads,
+/// event loop vs an in-bench thread-per-connection baseline (the seed
+/// transport's architecture: a pooled worker owns each connection for its
+/// whole lifetime, so connections beyond the pool width queue behind whole
+/// *sessions*, not requests). Same registry contents, same pool width; only
+/// the connection architecture differs.
 fn e19(r: &mut Report, smoke: bool) {
-    use datalog_engine::Materialized;
     use datalog_service::{Client, Control, Registry, Server, ServerConfig, ThreadPool};
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
 
-    println!("== E19: view maintenance at 1/2/4 shards + event loop ==");
+    println!("== E19: the event loop ==");
     let rules = portable_source(&bloated_tc(6, 99));
-    let program = parse_program(&rules).unwrap();
-
-    // -- saturate: partitioned initial fixpoint at 1/2/4 shards --------
-    let n: usize = if smoke { 48 } else { 192 };
-    let workload = format!("bloat6-chain{n}");
-    let db = standard_edb("chain", n);
-    let reference = seminaive::evaluate(&program, &db);
-    let reps = if smoke { 1 } else { 3 };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut saturate_ms = Vec::new();
-    let mut saturate_probes = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let mut built = None;
-        let t = ms(
-            || built = Some(Materialized::sharded(program.clone(), &db, shards)),
-            reps,
-        );
-        let built = built.unwrap();
-        saturate_probes.push(built.stats().probes);
-        r.check(
-            "E19",
-            &format!(
-                "{workload}: {shards}-shard fixpoint equals the unsharded \
-                 semi-naive fixpoint ({} atoms)",
-                reference.len()
-            ),
-            *built.database() == reference,
-        );
-        if shards > 1 {
-            let stats = built.stats();
-            r.check(
-                "E19",
-                &format!(
-                    "{workload}: {shards} shards exchanged deltas \
-                     ({} rounds, {} atoms)",
-                    stats.shard_exchange_rounds, stats.shard_deltas_exchanged
-                ),
-                stats.shard_exchange_rounds > 0 && stats.shard_deltas_exchanged > 0,
-            );
-        }
-        r.row(Row::new(
-            "E19",
-            &workload,
-            "saturate",
-            shards as u64,
-            t,
-            "ms",
-        ));
-        saturate_ms.push(t);
-    }
-    r.row(Row::new(
-        "E19",
-        &workload,
-        "speedup-saturate-4v1",
-        4,
-        saturate_ms[0] / saturate_ms[2],
-        "x",
-    ));
-    if !smoke {
-        if cores >= 4 {
-            r.check(
-                "E19",
-                &format!(
-                    "{workload}: 4-shard saturation ≥ 1.6x over 1 shard \
-                     ({:.1}ms vs {:.1}ms, {:.2}x)",
-                    saturate_ms[2],
-                    saturate_ms[0],
-                    saturate_ms[0] / saturate_ms[2]
-                ),
-                saturate_ms[0] / saturate_ms[2] >= 1.6,
-            );
-        } else {
-            println!(
-                "  [--] {workload}: wall-clock shard scaling not asserted \
-                 ({cores} core(s) available); asserting work invariance instead"
-            );
-            r.check(
-                "E19",
-                &format!(
-                    "{workload}: aggregate probe work does not grow with the \
-                     shard count ({} probes at 1 shard, {} at 4)",
-                    saturate_probes[0], saturate_probes[2]
-                ),
-                (saturate_probes[2] as f64) <= (saturate_probes[0] as f64) * 1.15,
-            );
-        }
-    }
-
-    // -- write-qps: sustained daemon writes racing readers -------------
     let base_edges: usize = if smoke { 24 } else { 48 };
-    let batches: usize = if smoke { 6 } else { 24 };
-    let batch_edges: usize = 8;
-    let readers = 4;
-    let svc_workload = format!("bloat6-svc-chain{base_edges}");
     let base_facts = standard_edb("chain", base_edges)
         .iter()
         .map(|f| format!("{f}."))
         .collect::<Vec<_>>()
         .join(" ");
-    let expected_db = standard_edb("chain", base_edges + batches * batch_edges);
-    let expected_g = seminaive::evaluate(&program, &expected_db)
-        .iter()
-        .filter(|a| a.pred == datalog_ast::Pred::new("g"))
-        .count() as u64;
-    let mut write_qps = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let config = ServerConfig {
-            shards,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", config).expect("bind");
-        let addr = server.local_addr().expect("local addr").to_string();
-        let flag = server.shutdown_flag();
-        let handle = std::thread::spawn(move || server.run());
-        let mut admin = Client::connect(&addr).expect("connect");
-        let install = datalog_json::Value::object([
-            ("op", datalog_json::Value::from("install")),
-            ("program", datalog_json::Value::from("tc")),
-            ("rules", datalog_json::Value::from(rules.clone())),
-            ("optimize", datalog_json::Value::from(false)),
-            ("lint", datalog_json::Value::from(false)),
-        ]);
-        let resp = admin.request(&install).expect("install");
-        assert_eq!(
-            resp.get("ok").and_then(datalog_json::Value::as_bool),
-            Some(true),
-            "{resp}"
-        );
-        admin
-            .request_line(&format!(
-                "{{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"{base_facts}\"}}"
-            ))
-            .expect("insert base");
-
-        let stop = AtomicBool::new(false);
-        let mut write_secs = 0.0;
-        std::thread::scope(|scope| {
-            for _ in 0..readers {
-                scope.spawn(|| {
-                    let mut c = Client::connect(&addr).expect("connect");
-                    while !stop.load(Ordering::SeqCst) {
-                        c.request_line(
-                            "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\"}",
-                        )
-                        .expect("query");
-                    }
-                });
-            }
-            let start = Instant::now();
-            for b in 0..batches {
-                let lo = base_edges + b * batch_edges;
-                let facts = (lo..lo + batch_edges)
-                    .map(|i| format!("a({i}, {}).", i + 1))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                admin
-                    .request_line(&format!(
-                        "{{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"{facts}\"}}"
-                    ))
-                    .expect("insert batch");
-            }
-            write_secs = start.elapsed().as_secs_f64();
-            stop.store(true, Ordering::SeqCst);
-        });
-        let qps = batches as f64 / write_secs;
-        r.row(Row::new(
-            "E19",
-            &svc_workload,
-            "write-qps",
-            shards as u64,
-            qps,
-            "qps",
-        ));
-        write_qps.push(qps);
-
-        let resp = admin
-            .request_line("{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\"}")
-            .expect("final query");
-        let served = datalog_json::Value::parse(&resp)
-            .expect("parse")
-            .get("count")
-            .and_then(datalog_json::Value::as_u64)
-            .unwrap_or(0);
-        r.check(
-            "E19",
-            &format!(
-                "{svc_workload}: {shards}-shard daemon serves the from-scratch \
-                 closure after {batches} racing write batches ({served} atoms)"
-            ),
-            served == expected_g,
-        );
-        flag.store(true, Ordering::SeqCst);
-        drop(admin);
-        handle.join().expect("server thread").expect("server run");
-    }
-    r.row(Row::new(
-        "E19",
-        &svc_workload,
-        "speedup-write-4v1",
-        4,
-        write_qps[2] / write_qps[0],
-        "x",
-    ));
-    if !smoke && cores >= 4 {
-        r.check(
-            "E19",
-            &format!(
-                "{svc_workload}: 4-shard daemon write throughput ≥ 1.6x over \
-                 1 shard ({:.1} vs {:.1} qps, {:.2}x)",
-                write_qps[2],
-                write_qps[0],
-                write_qps[2] / write_qps[0]
-            ),
-            write_qps[2] / write_qps[0] >= 1.6,
-        );
-    } else if !smoke {
-        println!(
-            "  [--] {svc_workload}: daemon write scaling not asserted \
-             ({cores} core(s) available); qps rows recorded above"
-        );
-    }
 
     // -- read-p99: event loop vs thread-per-connection baseline --------
     let threads = 4usize;
@@ -1278,7 +1044,7 @@ fn e19(r: &mut Report, smoke: bool) {
     let install_line = datalog_json::Value::object([
         ("op", datalog_json::Value::from("install")),
         ("program", datalog_json::Value::from("tc")),
-        ("rules", datalog_json::Value::from(rules.clone())),
+        ("rules", datalog_json::Value::from(rules)),
         ("optimize", datalog_json::Value::from(false)),
         ("lint", datalog_json::Value::from(false)),
     ])
@@ -1329,7 +1095,7 @@ fn e19(r: &mut Report, smoke: bool) {
     let _ = TcpStream::connect(&addr); // nudge the loop past its poll nap
     handle.join().expect("server thread").expect("server run");
 
-    // Baseline: the pre-sharding architecture — blocking accept loop, one
+    // Baseline: the seed transport's architecture — blocking accept loop, one
     // pooled worker per *connection* for its whole lifetime.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind baseline");
     let baseline_addr = listener.local_addr().expect("local addr").to_string();

@@ -793,9 +793,8 @@ impl EvalContext {
     }
 
     /// A cheap handle sharing this context's database and indexes
-    /// copy-on-write (a [`crate::Materialized`] shard replica, or its
-    /// `Clone`). The fork starts with no worker pool and zeroed counters:
-    /// it counts its own work only.
+    /// copy-on-write (what a [`crate::Materialized`] `Clone` holds). The
+    /// fork starts with no worker pool and keeps the original's counters.
     pub(crate) fn fork(&self) -> EvalContext {
         EvalContext {
             plans: Arc::clone(&self.plans),
@@ -807,7 +806,7 @@ impl EvalContext {
             // across contexts would mix generations, so start fresh.
             batch_cache: Arc::new(kernels::BatchCache::default()),
             pool: None,
-            stats: Stats::default(),
+            stats: self.stats,
             justifications: None,
         }
     }

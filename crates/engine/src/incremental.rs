@@ -1,5 +1,4 @@
-//! Incremental maintenance of a materialised fixpoint, on one context or
-//! hash-partitioned across N replica contexts.
+//! Incremental maintenance of a materialised fixpoint.
 //!
 //! **Insertions** exploit monotonicity (§X uses it explicitly: "adding more
 //! atoms to the input does not remove any atom from the output"): the new
@@ -7,15 +6,15 @@
 //!
 //! **Deletions** are non-monotone and use DRed (delete-and-rederive,
 //! Gupta–Mumick–Subrahmanian 1993), as three kinds of round over the same
-//! contexts:
+//! context:
 //!
 //! 1. *Overdelete*: a delta-driven sweep over the old fixpoint (nothing is
 //!    committed) collects every atom with a derivation through a deleted
-//!    atom; the set is then removed from every replica.
+//!    atom; the set is then removed from the context.
 //! 2. *Rederive*: overdeleted atoms that are still asserted (`base` keeps
 //!    asserted facts apart from derived atoms) go straight back. The others
 //!    seed **one** delta round of *rederivation twins* — for every rule
-//!    `h :- body` the contexts also compile `h :- h$overdeleted(args), body`
+//!    `h :- body` the context also compiles `h :- h$overdeleted(args), body`
 //!    — whose delta is the overdeleted set under the `$overdeleted` names.
 //!    The seed is the only delta position, so each join starts from one
 //!    overdeleted atom and reads nothing but survivors: the round commits
@@ -29,39 +28,15 @@
 //! three passes where a recompute is one — measured at 3.0–3.6x the probes
 //! of a from-scratch fixpoint; there is no fallback to one (ROADMAP item 1).
 //!
-//! The materialisation lives on persistent [`EvalContext`]s, so its rule
+//! The materialisation lives on a persistent [`EvalContext`], so its rule
 //! plans are compiled once at construction and its hash indexes survive
 //! *across update batches*: an insertion batch appends its consequences
 //! into the live indexes, and only a deletion invalidates them (they
 //! re-fill lazily).
-//!
-//! **Shards.** A delta round is linear in the delta relation, so running
-//! disjoint delta partitions against identical databases and unioning the
-//! outputs derives exactly what one context would. With N > 1 shards each
-//! shard owns an [`EvalContext`] replica (forked copy-on-write from shard 0
-//! after the first full round) and every round ends in an **exchange**, so
-//! the replicas are identical at every round boundary:
-//!
-//! ```text
-//! round k:   Δ ──hash(pred, tuple[0])──▶ Δ₀ … Δₙ₋₁        (partition)
-//!            shard i:  outᵢ = delta_round(Δᵢ)              (parallel)
-//!            Δ' = out₀ ∪ … ∪ outₙ₋₁                        (merge)
-//!            shard i absorbs Δ' \ outᵢ                     (exchange)
-//! ```
-//!
-//! The overdeletion sweep splits the same way (it never commits, so the
-//! replicas stay identical throughout); the merged overdeletion is removed
-//! from every replica, and the rederivation round is a partitioned delta
-//! round like any other, exchange included. The shard key's first
-//! column is the join key of every recursive rule the workloads here run
-//! (`g(X, …) :- …`), so the exchange carries only genuinely cross-shard
-//! derivations. With one shard nothing is partitioned or exchanged: rounds
-//! run inline on the calling thread and the `shard_*` counters stay zero.
 
 use crate::context::{EvalContext, EvalOptions};
 use crate::stats::Stats;
 use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Rule};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A materialised fixpoint that can absorb insertions and deletions
@@ -87,14 +62,10 @@ pub struct Materialized {
     program: Program,
     /// The asserted base facts (EDB and any seeded IDB atoms).
     base: Database,
-    /// One persistent context per shard (at least one): compiled plans, the
-    /// saturated database and live indexes; identical outside a write batch.
-    /// Plans `0..n` are `program`'s rules, plans `n..2n` their
+    /// The persistent context: compiled plans, the saturated database and
+    /// live indexes. Plans `0..n` are `program`'s rules, plans `n..2n` their
     /// [`rederivation_twin`]s.
-    shards: Vec<EvalContext>,
-    /// What the shard contexts do not count: the exchange's `shard_*`
-    /// counters and, in a clone, the original's totals.
-    exchange: Stats,
+    cx: EvalContext,
 }
 
 impl Clone for Materialized {
@@ -102,9 +73,7 @@ impl Clone for Materialized {
         Materialized {
             program: self.program.clone(),
             base: self.base.clone(),
-            // Forks count their own work only.
-            shards: self.shards.iter().map(EvalContext::fork).collect(),
-            exchange: self.stats(),
+            cx: self.cx.fork(),
         }
     }
 }
@@ -113,7 +82,6 @@ impl std::fmt::Debug for Materialized {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Materialized")
             .field("rules", &self.program.rules.len())
-            .field("shards", &self.shards.len())
             .field("base_atoms", &self.base.len())
             .field("db_atoms", &self.database().len())
             .finish()
@@ -121,56 +89,37 @@ impl std::fmt::Debug for Materialized {
 }
 
 impl Materialized {
-    /// Saturate `input` under `program` (semi-naive) on one context and
-    /// keep the result ready for incremental updates. Positive programs only.
+    /// Saturate `input` under `program` (semi-naive) and keep the result
+    /// ready for incremental updates. Positive programs only.
     pub fn new(program: Program, input: &Database) -> Materialized {
-        Materialized::sharded(program, input, 1)
-    }
-
-    /// [`Materialized::new`] across `shards` replicas (0 means 1): shard 0
-    /// runs the first full round, the replicas fork from it, and every
-    /// later round is hash-partitioned.
-    pub fn sharded(program: Program, input: &Database, shards: usize) -> Materialized {
         assert!(
             program.is_positive(),
             "incremental maintenance requires a positive program"
         );
         let twins = program.rules.iter().map(rederivation_twin);
         let compiled = Program::new(program.rules.iter().cloned().chain(twins).collect());
-        let mut first = EvalContext::new(&compiled, input.clone(), EvalOptions::sequential());
-        let delta = first.full_round(&all_rules(&program));
-        let mut contexts = vec![first];
-        for _ in 1..shards {
-            contexts.push(contexts[0].fork());
-        }
+        let mut cx = EvalContext::new(&compiled, input.clone(), EvalOptions::sequential());
+        let delta = cx.full_round(&all_rules(&program));
         let mut m = Materialized {
             program,
             base: input.clone(),
-            shards: contexts,
-            exchange: Stats::default(),
+            cx,
         };
         m.propagate(delta);
         m
     }
 
-    /// The current fixpoint (shard 0's replica; all replicas are equal
-    /// outside a write batch).
+    /// The current fixpoint.
     pub fn database(&self) -> &Database {
-        self.shards[0].database()
+        self.cx.database()
     }
 
     /// A shareable snapshot of the current fixpoint, unchanged by later
     /// [`Materialized::insert`]/[`Materialized::remove`] calls. The context
     /// database is copy-on-write, so a snapshot costs one clone per *write
     /// batch* (at the first mutation after it), not one per reader.
-    pub fn snapshot(&mut self) -> Arc<Database> {
-        self.shard_snapshot(0)
-    }
-
-    /// [`Materialized::snapshot`] of one shard's replica: the same fixpoint
-    /// behind a different `Arc`, which spreads readers' refcount traffic.
-    pub fn shard_snapshot(&mut self, shard: usize) -> Arc<Database> {
-        self.shards[shard].database_arc()
+    pub fn snapshot(&self) -> Arc<Database> {
+        self.cx.database_arc()
     }
 
     /// The asserted base facts.
@@ -182,28 +131,9 @@ impl Materialized {
         &self.program
     }
 
-    /// The shard count (≥ 1).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Work counters over the materialisation's whole life: every shard's
-    /// own work (replica maintenance is counted, not hidden) plus the
-    /// exchange's `shard_*` counters.
+    /// Work counters over the materialisation's whole life.
     pub fn stats(&self) -> Stats {
-        let mut total = self.exchange;
-        for cx in &self.shards {
-            total += cx.stats();
-        }
-        total
-    }
-
-    /// Do all replicas hold the same database? True outside a write batch
-    /// by construction; tests and oracles assert it.
-    pub fn replicas_agree(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|cx| cx.database() == self.database())
+        self.cx.stats()
     }
 
     /// Insert facts and propagate their consequences, at a cost proportional
@@ -214,23 +144,21 @@ impl Materialized {
     }
 
     /// [`Materialized::insert`], also returning this batch's evaluation
-    /// statistics (summed across shards).
+    /// statistics.
     pub fn insert_with_stats(
         &mut self,
         facts: impl IntoIterator<Item = GroundAtom>,
     ) -> (u64, Stats) {
         let before = self.stats();
 
-        // Seed delta with the genuinely new facts (the replicas are
-        // identical, so shard 0's verdict holds for all of them).
+        // Seed delta with the genuinely new facts.
         let mut delta = Database::new();
         for f in facts {
             self.base.insert(f.clone());
-            if self.shards[0].add_fact(f.clone()) {
+            if self.cx.add_fact(f.clone()) {
                 delta.insert(f);
             }
         }
-        self.broadcast(|| delta.iter());
 
         // Delta-driven rounds: any rule whose body mentions a predicate with
         // delta tuples (EDB or IDB — inserted facts may be either) can fire.
@@ -239,92 +167,15 @@ impl Materialized {
     }
 
     /// Run delta rounds from `delta` to fixpoint; returns the number of
-    /// atoms derived. On return the replicas are identical again.
+    /// atoms derived.
     fn propagate(&mut self, mut delta: Database) -> u64 {
         let rules = all_rules(&self.program);
         let mut derived = 0;
         while !delta.is_empty() {
-            delta = self.delta_round(&rules, &delta);
+            delta = self.cx.delta_round(&rules, &delta);
             derived += delta.len() as u64;
         }
         derived
-    }
-
-    /// One committed delta round of `rules` over `delta`, exchange included:
-    /// returns the atoms it added, which every replica holds on return.
-    fn delta_round(&mut self, rules: &[usize], delta: &Database) -> Database {
-        let mut outs = self.round(delta, |cx, part| cx.delta_round(rules, part));
-        match outs.len() {
-            1 => outs.pop().expect("one shard, one output"),
-            _ => self.exchange(&outs),
-        }
-    }
-
-    /// One round over `delta`: whole on one shard, else split by shard key
-    /// with every shard running its part. Results come in shard order.
-    fn round<R: Send>(
-        &mut self,
-        delta: &Database,
-        run: impl Fn(&mut EvalContext, &Database) -> R + Sync,
-    ) -> Vec<R> {
-        if let [only] = &mut self.shards[..] {
-            return vec![run(only, delta)];
-        }
-        let parts = partition(delta, self.shards.len());
-        self.exchange.shard_exchange_rounds += 1;
-        self.each_shard(|i, cx| run(cx, &parts[i]))
-    }
-
-    /// Merge the shards' round outputs into the next delta; every shard
-    /// absorbs the atoms it did not derive itself, re-converging the replicas.
-    fn exchange(&mut self, outs: &[Database]) -> Database {
-        let mut next = Database::new();
-        for atom in outs.iter().flat_map(Database::iter) {
-            next.insert(atom);
-        }
-        let absorbed = self.each_shard(|i, cx| {
-            let mut absorbed = 0u64;
-            for atom in next.iter() {
-                if !outs[i].contains(&atom) && cx.add_fact(atom) {
-                    absorbed += 1;
-                }
-            }
-            absorbed
-        });
-        self.exchange.shard_deltas_exchanged += absorbed.iter().sum::<u64>();
-        next
-    }
-
-    /// Add `atoms` — already in shard 0 — to every other replica.
-    fn broadcast<I: Iterator<Item = GroundAtom>>(&mut self, atoms: impl Fn() -> I + Sync) {
-        self.each_shard(|i, cx| {
-            if i > 0 {
-                for atom in atoms() {
-                    cx.add_fact(atom);
-                }
-            }
-        });
-    }
-
-    /// Run `f` on every shard, results in shard order: inline with one
-    /// shard, else one scoped worker per shard (replicas share no storage).
-    fn each_shard<R: Send>(&mut self, f: impl Fn(usize, &mut EvalContext) -> R + Sync) -> Vec<R> {
-        if let [only] = &mut self.shards[..] {
-            return vec![f(0, only)];
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, cx)| scope.spawn(move || f(i, cx)))
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("shard worker panicked"))
-                .collect()
-        })
     }
 
     /// Delete base facts and propagate (DRed: overdelete, then rederive).
@@ -334,18 +185,17 @@ impl Materialized {
     }
 
     /// [`Materialized::remove`], also returning this batch's work counters
-    /// (sweep and rederivation alike, summed across shards).
+    /// (sweep and rederivation alike).
     pub fn remove_with_stats(
         &mut self,
         facts: impl IntoIterator<Item = GroundAtom>,
     ) -> (u64, Stats) {
         let before = self.stats();
         let rules = all_rules(&self.program);
-        let shards = self.shards.len();
 
         // Phase 1 — overdelete. `overdeleted` accumulates every atom with
         // some derivation (over the OLD fixpoint) passing through a deleted
-        // or overdeleted atom. The sweep never commits, so every context
+        // or overdeleted atom. The sweep never commits, so the context
         // database *is* the old fixpoint throughout — no snapshot clone.
         let mut delta = Database::new();
         for f in facts {
@@ -356,24 +206,18 @@ impl Materialized {
         let mut overdeleted = delta.clone();
         let old_len = self.database().len();
         while !delta.is_empty() {
-            let hits = self.round(&delta, |cx, part| cx.sweep_round(&rules, part));
             let mut next_delta = Database::new();
-            for (shard, hit) in hits.into_iter().enumerate() {
-                for atom in hit {
-                    if !overdeleted.contains(&atom) {
-                        overdeleted.insert(atom.clone());
-                        if shards > 1 && shard_of(&atom, shards) != shard {
-                            self.exchange.shard_deltas_exchanged += 1;
-                        }
-                        next_delta.insert(atom);
-                    }
+            for atom in self.cx.sweep_round(&rules, &delta) {
+                if !overdeleted.contains(&atom) {
+                    overdeleted.insert(atom.clone());
+                    next_delta.insert(atom);
                 }
             }
             delta = next_delta;
         }
 
         // The one operation that invalidates the live indexes.
-        self.each_shard(|_, cx| cx.remove_atoms(&overdeleted));
+        self.cx.remove_atoms(&overdeleted);
 
         // Round 2 — rederive, one step. Overdeleted atoms still in the base
         // come straight back; the rest seed one delta round of the twins,
@@ -387,16 +231,15 @@ impl Materialized {
             let seed = overdeleted_pred(pred);
             for row in overdeleted.relation(pred) {
                 if self.base.contains_tuple(pred, row) {
-                    self.shards[0].add_fact(GroundAtom::new(pred, row));
+                    self.cx.add_fact(GroundAtom::new(pred, row));
                     restored.insert_row(pred, row);
                 } else {
                     seeds.insert_row(seed, row);
                 }
             }
         }
-        self.broadcast(|| restored.iter());
         let twins: Vec<usize> = (rules.len()..2 * rules.len()).collect();
-        restored.union_with(&self.delta_round(&twins, &seeds));
+        restored.union_with(&self.cx.delta_round(&twins, &seeds));
 
         // Round 3 — whatever the restored atoms re-enable is an insertion.
         self.propagate(restored);
@@ -408,27 +251,6 @@ impl Materialized {
 
 fn all_rules(program: &Program) -> Vec<usize> {
     (0..program.rules.len()).collect()
-}
-
-/// The shard owning `atom`: hash of `(pred, tuple[0])` (the join-key
-/// column), or of the bare pred for nullary tuples.
-fn shard_of(atom: &GroundAtom, shards: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    atom.pred.hash(&mut h);
-    if let Some(key) = atom.tuple.first() {
-        key.hash(&mut h);
-    }
-    (h.finish() % shards as u64) as usize
-}
-
-/// Split `delta` into per-shard databases by shard key.
-fn partition(delta: &Database, shards: usize) -> Vec<Database> {
-    let mut parts = vec![Database::new(); shards];
-    for atom in delta.iter() {
-        let shard = shard_of(&atom, shards);
-        parts[shard].insert(atom);
-    }
-    parts
 }
 
 /// The predicate holding the overdeleted `pred` atoms during rederivation.
@@ -447,13 +269,14 @@ fn rederivation_twin(rule: &Rule) -> Rule {
     Rule::new(rule.head.clone(), body.collect())
 }
 
-/// Old name of [`Materialized::sharded`]: `benchmark/`, which no PR that changes
-/// the program may edit, still constructs it; a benchmark-only PR removes it.
+/// Compatibility name kept for `benchmark/`, which no PR that changes the
+/// program may edit: `new` ignores the shard count and builds one
+/// [`Materialized`]. A benchmark-only PR removes it.
 #[doc(hidden)]
 pub struct ShardedMaterialized(Materialized);
 impl ShardedMaterialized {
-    pub fn new(program: Program, input: &Database, shards: usize) -> ShardedMaterialized {
-        ShardedMaterialized(Materialized::sharded(program, input, shards))
+    pub fn new(program: Program, input: &Database, _shards: usize) -> ShardedMaterialized {
+        ShardedMaterialized(Materialized::new(program, input))
     }
 }
 impl std::ops::Deref for ShardedMaterialized {
@@ -473,9 +296,6 @@ mod tests {
     use super::*;
     use datalog_ast::{fact, parse_database, parse_program, Pred};
 
-    /// Every behavioural test here holds at any shard count.
-    pub(super) const SHARDS: [usize; 5] = [1, 2, 3, 4, 7];
-
     fn tc() -> Program {
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap()
     }
@@ -484,18 +304,12 @@ mod tests {
     fn saturation_and_inserts_match_from_scratch() {
         let edb = parse_database("a(1,2). a(2,3). a(4,1). a(4,5).").unwrap();
         let full_edb = parse_database("a(1,2). a(2,3). a(4,1). a(4,5). a(3,4). a(5,6).").unwrap();
-        for shards in SHARDS {
-            let mut m = Materialized::sharded(tc(), &edb, shards);
-            assert_eq!(m.shards(), shards);
-            assert_eq!(m.database(), &crate::seminaive::evaluate(&tc(), &edb));
-            assert!(m.replicas_agree(), "shards={shards}");
+        let mut m = Materialized::new(tc(), &edb);
+        assert_eq!(m.database(), &crate::seminaive::evaluate(&tc(), &edb));
 
-            m.insert([fact("a", [3, 4]), fact("a", [5, 6])]);
-            let scratch = crate::seminaive::evaluate(&tc(), &full_edb);
-            assert_eq!(m.database(), &scratch, "shards={shards}");
-            assert!(m.replicas_agree(), "shards={shards}");
-        }
-        assert_eq!(Materialized::sharded(tc(), &edb, 0).shards(), 1);
+        m.insert([fact("a", [3, 4]), fact("a", [5, 6])]);
+        let scratch = crate::seminaive::evaluate(&tc(), &full_edb);
+        assert_eq!(m.database(), &scratch);
     }
 
     #[test]
@@ -576,26 +390,21 @@ mod tests {
     #[test]
     fn snapshots_are_immutable_and_cached() {
         let edb = parse_database("a(1,2).").unwrap();
-        for shards in SHARDS {
-            let mut m = Materialized::sharded(tc(), &edb, shards);
-            let s1 = m.snapshot();
-            let s1_again = m.snapshot();
-            assert!(Arc::ptr_eq(&s1, &s1_again), "cached between batches");
-            for i in 0..m.shards() {
-                assert_eq!(&*m.shard_snapshot(i), &*s1, "every shard serves it");
-            }
+        let mut m = Materialized::new(tc(), &edb);
+        let s1 = m.snapshot();
+        let s1_again = m.snapshot();
+        assert!(Arc::ptr_eq(&s1, &s1_again), "cached between batches");
 
-            m.insert([fact("a", [2, 3])]);
-            // The old snapshot is frozen; a new one sees the update.
-            assert!(!s1.contains(&fact("g", [1, 3])));
-            let s2 = m.snapshot();
-            assert!(s2.contains(&fact("g", [1, 3])));
-            assert!(!Arc::ptr_eq(&s1, &s2));
+        m.insert([fact("a", [2, 3])]);
+        // The old snapshot is frozen; a new one sees the update.
+        assert!(!s1.contains(&fact("g", [1, 3])));
+        let s2 = m.snapshot();
+        assert!(s2.contains(&fact("g", [1, 3])));
+        assert!(!Arc::ptr_eq(&s1, &s2));
 
-            m.remove([fact("a", [1, 2])]);
-            assert!(s2.contains(&fact("g", [1, 2])), "frozen across removes too");
-            assert!(!m.snapshot().contains(&fact("g", [1, 2])));
-        }
+        m.remove([fact("a", [1, 2])]);
+        assert!(s2.contains(&fact("g", [1, 2])), "frozen across removes too");
+        assert!(!m.snapshot().contains(&fact("g", [1, 2])));
     }
 
     #[test]
@@ -612,82 +421,38 @@ mod tests {
     #[test]
     fn a_clone_diverges_from_its_original_and_keeps_its_counters() {
         let edb = parse_database("a(1,2). a(2,3).").unwrap();
-        for shards in [1, 2] {
-            let original = Materialized::sharded(tc(), &edb, shards);
-            let mut copy = original.clone();
-            assert_eq!(copy.stats(), original.stats());
-            copy.insert([fact("a", [3, 4])]);
-            assert!(copy.database().contains(&fact("g", [1, 4])));
-            assert!(!original.database().contains(&fact("g", [1, 4])));
-            assert!(copy.stats().derivations > original.stats().derivations);
-        }
-    }
-
-    /// The script behind the counter tests: saturate a 6-edge graph with a
-    /// cycle, insert three facts (one a seeded IDB atom), remove two edges.
-    fn counter_script(shards: usize) -> Materialized {
-        let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,1). a(4,5). a(5,6).").unwrap();
-        let mut m = Materialized::sharded(tc(), &edb, shards);
-        m.insert([fact("a", [6, 7]), fact("a", [7, 1]), fact("g", [9, 1])]);
-        m.remove([fact("a", [2, 3]), fact("a", [5, 6])]);
-        m
+        let original = Materialized::new(tc(), &edb);
+        let mut copy = original.clone();
+        assert_eq!(copy.stats(), original.stats());
+        copy.insert([fact("a", [3, 4])]);
+        assert!(copy.database().contains(&fact("g", [1, 4])));
+        assert!(!original.database().contains(&fact("g", [1, 4])));
+        assert!(copy.stats().derivations > original.stats().derivations);
     }
 
     #[test]
-    fn one_shard_does_the_work_the_unsharded_engine_did() {
-        // One shard neither partitions nor exchanges: every round runs
-        // whole and inline, so the script's join work is pinned exactly (a
-        // change here means the single-context path joins differently).
-        // (405 probes before the first full round stopped scheduling
-        // `g :- g, g` over a database that has no `g` row yet.)
-        let s = counter_script(1).stats();
+    fn the_counter_script_does_pinned_join_work() {
+        // Saturate a 6-edge graph with a cycle, insert three facts (one a
+        // seeded IDB atom), remove two edges. The script's join work is
+        // pinned exactly: a change here means the maintenance path joins
+        // differently. (405 probes before the first full round stopped
+        // scheduling `g :- g, g` over a database that has no `g` row yet.)
+        let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,1). a(4,5). a(5,6).").unwrap();
+        let mut m = Materialized::new(tc(), &edb);
+        m.insert([fact("a", [6, 7]), fact("a", [7, 1]), fact("g", [9, 1])]);
+        m.remove([fact("a", [2, 3]), fact("a", [5, 6])]);
+        assert_eq!(m.database().len(), 21);
+        let s = m.stats();
         assert_eq!(
             (s.probes, s.matches, s.derivations, s.index_builds),
             (404, 1298, 69, 10)
         );
         assert_eq!(s.iterations, 17);
-        assert_eq!((s.shard_exchange_rounds, s.shard_deltas_exchanged), (0, 0));
-        assert!(!s.has_shard_activity());
-    }
-
-    #[test]
-    fn two_shards_reach_the_same_fixpoint_and_count_their_exchange() {
-        let (one, two) = (counter_script(1), counter_script(2));
-        assert_eq!(one.database(), two.database());
-        assert_eq!(one.database().len(), 21);
-        assert!(two.replicas_agree());
-        let s = two.stats();
-        assert!(s.shard_exchange_rounds > 0 && s.shard_deltas_exchanged > 0);
-        assert!(s.derivations > 0, "stats sum the shards' own work");
-
-        let mut two = two;
-        let (_, insert) = two.insert_with_stats([fact("a", [2, 3])]);
-        assert!(insert.shard_exchange_rounds > 0 && insert.derivations > 0);
-        let (_, remove) = two.remove_with_stats([fact("a", [1, 2])]);
-        assert!(
-            remove.shard_exchange_rounds > 0,
-            "the sweep is partitioned too"
-        );
-    }
-
-    #[test]
-    fn partition_is_total_and_disjoint() {
-        let db = parse_database("a(1,2). a(2,3). b(4). c(). g(7,8,9).").unwrap();
-        let parts = partition(&db, 3);
-        let total: usize = parts.iter().map(Database::len).sum();
-        assert_eq!(total, db.len());
-        for atom in db.iter() {
-            let owner = shard_of(&atom, 3);
-            for (i, part) in parts.iter().enumerate() {
-                assert_eq!(part.contains(&atom), i == owner);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod deletion_tests {
-    use super::tests::SHARDS;
     use super::*;
     use datalog_ast::{fact, parse_database, parse_program, Pred, Program};
 
@@ -704,15 +469,12 @@ mod deletion_tests {
         let base = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
         let mut expected_base = base.clone();
         expected_base.remove(&fact("a", [2, 3]));
-        for shards in SHARDS {
-            let mut m = Materialized::sharded(tc(), &base, shards);
-            let removed = m.remove([fact("a", [2, 3])]);
-            assert_eq!(removed, 5, "edge plus dependent closure atoms");
-            assert_eq!(m.database(), &scratch(&tc(), &expected_base));
-            assert!(!m.database().contains(&fact("g", [1, 4])));
-            assert!(m.database().contains(&fact("g", [3, 4])));
-            assert!(m.replicas_agree(), "shards={shards}");
-        }
+        let mut m = Materialized::new(tc(), &base);
+        let removed = m.remove([fact("a", [2, 3])]);
+        assert_eq!(removed, 5, "edge plus dependent closure atoms");
+        assert_eq!(m.database(), &scratch(&tc(), &expected_base));
+        assert!(!m.database().contains(&fact("g", [1, 4])));
+        assert!(m.database().contains(&fact("g", [3, 4])));
     }
 
     #[test]
@@ -721,43 +483,35 @@ mod deletion_tests {
         let base = parse_database("a(1,2). a(1,9). a(9,2). a(2,3).").unwrap();
         let mut eb = base.clone();
         eb.remove(&fact("a", [1, 2]));
-        for shards in SHARDS {
-            let mut m = Materialized::sharded(tc(), &base, shards);
-            m.remove([fact("a", [1, 2])]);
-            assert_eq!(m.database(), &scratch(&tc(), &eb));
-            // g(1,2) survives through 1→9→2.
-            assert!(m.database().contains(&fact("g", [1, 2])));
-            assert!(m.database().contains(&fact("g", [1, 3])));
-            assert!(m.replicas_agree(), "shards={shards}");
-        }
+        let mut m = Materialized::new(tc(), &base);
+        m.remove([fact("a", [1, 2])]);
+        assert_eq!(m.database(), &scratch(&tc(), &eb));
+        // g(1,2) survives through 1→9→2.
+        assert!(m.database().contains(&fact("g", [1, 2])));
+        assert!(m.database().contains(&fact("g", [1, 3])));
     }
 
-    /// Replay `steps` (`-` removes the facts, `+` inserts them) at every
-    /// shard count: after each batch the view is the from-scratch fixpoint
-    /// of the base and the replicas agree. Returns the final fixpoint.
+    /// Replay `steps` (`-` removes the facts, `+` inserts them): after each
+    /// batch the view is the from-scratch fixpoint of the base. Returns the
+    /// final fixpoint.
     fn replay(p: &Program, base: &str, steps: &[(char, &str)]) -> Database {
-        let mut out = Database::new();
-        for shards in SHARDS {
-            let mut base = parse_database(base).unwrap();
-            let mut m = Materialized::sharded(p.clone(), &base, shards);
-            for (i, &(op, facts)) in steps.iter().enumerate() {
-                let facts: Vec<GroundAtom> = parse_database(facts).unwrap().iter().collect();
-                if op == '-' {
-                    for f in &facts {
-                        base.remove(f);
-                    }
-                    m.remove(facts);
-                } else {
-                    base.extend(facts.iter().cloned());
-                    m.insert(facts);
+        let mut base = parse_database(base).unwrap();
+        let mut m = Materialized::new(p.clone(), &base);
+        for (i, &(op, facts)) in steps.iter().enumerate() {
+            let facts: Vec<GroundAtom> = parse_database(facts).unwrap().iter().collect();
+            if op == '-' {
+                for f in &facts {
+                    base.remove(f);
                 }
-                assert_eq!(m.base(), &base, "shards {shards} step {i}");
-                assert_eq!(m.database(), &scratch(p, &base), "shards {shards} step {i}");
-                assert!(m.replicas_agree(), "shards {shards} step {i}");
+                m.remove(facts);
+            } else {
+                base.extend(facts.iter().cloned());
+                m.insert(facts);
             }
-            out = m.database().clone();
+            assert_eq!(m.base(), &base, "step {i}");
+            assert_eq!(m.database(), &scratch(p, &base), "step {i}");
         }
-        out
+        m.database().clone()
     }
 
     fn reach() -> Program {
@@ -870,13 +624,11 @@ mod deletion_tests {
         // arity check read is the installed program, and no `$overdeleted`
         // atom outlives the round that reads it.
         let base = parse_database("a(1,2). a(2,3). a(3,1).").unwrap();
-        for shards in SHARDS {
-            let mut m = Materialized::sharded(tc(), &base, shards);
-            m.remove([fact("a", [2, 3])]);
-            assert_eq!(m.program(), &tc());
-            for db in [m.database(), m.base()] {
-                assert!(db.predicates().all(|p| !p.name().contains('$')));
-            }
+        let mut m = Materialized::new(tc(), &base);
+        m.remove([fact("a", [2, 3])]);
+        assert_eq!(m.program(), &tc());
+        for db in [m.database(), m.base()] {
+            assert!(db.predicates().all(|p| !p.name().contains('$')));
         }
     }
 
@@ -918,35 +670,29 @@ mod deletion_tests {
         use rand::{Rng, SeedableRng};
         let p = parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- a(X, Y), g(Y, Z).").unwrap();
         for seed in 0..5u64 {
-            for shards in SHARDS {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut base = Database::new();
-                for _ in 0..25 {
-                    base.insert(fact("a", [rng.gen_range(0..8), rng.gen_range(0..8)]));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut base = Database::new();
+            for _ in 0..25 {
+                base.insert(fact("a", [rng.gen_range(0..8), rng.gen_range(0..8)]));
+            }
+            let mut m = Materialized::new(p.clone(), &base);
+            // Interleave deletions and insertions.
+            for step in 0..12 {
+                let x = rng.gen_range(0..8);
+                let y = rng.gen_range(0..8);
+                let f = fact("a", [x, y]);
+                if step % 3 == 0 {
+                    base.insert(f.clone());
+                    m.insert([f]);
+                } else {
+                    base.remove(&f);
+                    m.remove([f]);
                 }
-                let mut m = Materialized::sharded(p.clone(), &base, shards);
-                // Interleave deletions and insertions.
-                for step in 0..12 {
-                    let x = rng.gen_range(0..8);
-                    let y = rng.gen_range(0..8);
-                    let f = fact("a", [x, y]);
-                    if step % 3 == 0 {
-                        base.insert(f.clone());
-                        m.insert([f]);
-                    } else {
-                        base.remove(&f);
-                        m.remove([f]);
-                    }
-                    assert_eq!(
-                        m.database(),
-                        &crate::seminaive::evaluate(&p, &base),
-                        "seed {seed} shards {shards} step {step}"
-                    );
-                    assert!(
-                        m.replicas_agree(),
-                        "seed {seed} shards {shards} step {step}"
-                    );
-                }
+                assert_eq!(
+                    m.database(),
+                    &crate::seminaive::evaluate(&p, &base),
+                    "seed {seed} step {step}"
+                );
             }
         }
     }

@@ -23,9 +23,8 @@
 //! * [`pool`] — the std-only worker thread pool (shared with
 //!   `datalog-service`).
 //! * [`incremental`] — [`Materialized`], the maintained fixpoint: delta
-//!   insertion and DRed deletion on one [`EvalContext`], or on N replicas
-//!   that split every delta by shard key and exchange cross-shard
-//!   derivations once per round (the substrate of `datalog-service` views).
+//!   insertion and DRed deletion on one [`EvalContext`] (the substrate of
+//!   `datalog-service` views).
 //! * [`stats`] — work counters (probes ≈ joins, derivations, rounds,
 //!   index builds/appends, parallel tasks) that make the paper's "fewer
 //!   joins" claim measurable.

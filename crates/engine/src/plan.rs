@@ -117,8 +117,7 @@ impl RulePlan {
 
     /// [`RulePlan::greedy_order`], optionally forcing one positive atom to
     /// the front. Delta-restricted rounds seed with the delta atom: the
-    /// delta relation is the small (and, under sharding, the partitioned)
-    /// side, so driving the join from it avoids rescanning a full
+    /// delta relation is the small side, so driving the join from it avoids rescanning a full
     /// persistent relation once per round per delta position.
     pub(crate) fn greedy_order_seeded(&self, db: &Database, seed: Option<usize>) -> Vec<usize> {
         let n = self.body.len();

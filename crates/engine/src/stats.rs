@@ -70,14 +70,6 @@ pub struct Stats {
     /// (`tuples_allocated`-weighted by arity). Monotone, like
     /// `tuples_allocated`.
     pub arena_bytes: u64,
-    /// Partitioned rounds (delta rounds and DRed sweep rounds) run by a
-    /// [`crate::Materialized`] with more than one shard. One shard runs
-    /// every round inline and never counts here.
-    pub shard_exchange_rounds: u64,
-    /// Atoms shipped across shards by the exchange step: derivations (or
-    /// overdeletions) produced on one shard and absorbed by another. Zero
-    /// with one shard.
-    pub shard_deltas_exchanged: u64,
 }
 
 impl AddAssign for Stats {
@@ -97,8 +89,6 @@ impl AddAssign for Stats {
         self.dict_filtered_probes += rhs.dict_filtered_probes;
         self.tuples_allocated += rhs.tuples_allocated;
         self.arena_bytes += rhs.arena_bytes;
-        self.shard_exchange_rounds += rhs.shard_exchange_rounds;
-        self.shard_deltas_exchanged += rhs.shard_deltas_exchanged;
     }
 }
 
@@ -126,22 +116,7 @@ impl Sub for Stats {
                 .saturating_sub(rhs.dict_filtered_probes),
             tuples_allocated: self.tuples_allocated.saturating_sub(rhs.tuples_allocated),
             arena_bytes: self.arena_bytes.saturating_sub(rhs.arena_bytes),
-            shard_exchange_rounds: self
-                .shard_exchange_rounds
-                .saturating_sub(rhs.shard_exchange_rounds),
-            shard_deltas_exchanged: self
-                .shard_deltas_exchanged
-                .saturating_sub(rhs.shard_deltas_exchanged),
         }
-    }
-}
-
-impl Stats {
-    /// True when any shard-exchange counter is nonzero;
-    /// [`Display`](fmt::Display) only prints the shard block then, so
-    /// one-shard evaluations keep their historical stats line.
-    pub fn has_shard_activity(&self) -> bool {
-        self.shard_exchange_rounds != 0 || self.shard_deltas_exchanged != 0
     }
 }
 
@@ -165,15 +140,7 @@ impl fmt::Display for Stats {
             self.dict_filtered_probes,
             self.tuples_allocated,
             self.arena_bytes
-        )?;
-        if self.has_shard_activity() {
-            write!(
-                f,
-                " shard_exchange_rounds={} shard_deltas_exchanged={}",
-                self.shard_exchange_rounds, self.shard_deltas_exchanged
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -199,8 +166,6 @@ mod tests {
             dict_filtered_probes: 9,
             tuples_allocated: 20,
             arena_bytes: 320,
-            shard_exchange_rounds: 4,
-            shard_deltas_exchanged: 9,
         };
         a += Stats {
             iterations: 2,
@@ -218,8 +183,6 @@ mod tests {
             dict_filtered_probes: 1,
             tuples_allocated: 2,
             arena_bytes: 32,
-            shard_exchange_rounds: 1,
-            shard_deltas_exchanged: 1,
         };
         assert_eq!(
             a,
@@ -239,8 +202,6 @@ mod tests {
                 dict_filtered_probes: 10,
                 tuples_allocated: 22,
                 arena_bytes: 352,
-                shard_exchange_rounds: 5,
-                shard_deltas_exchanged: 10,
             }
         );
     }
@@ -263,7 +224,6 @@ mod tests {
             dict_filtered_probes: 10,
             tuples_allocated: 22,
             arena_bytes: 352,
-            ..Stats::default()
         };
         let b = Stats {
             iterations: 1,
@@ -281,10 +241,8 @@ mod tests {
             dict_filtered_probes: 4,
             tuples_allocated: 20,
             arena_bytes: 320,
-            ..Stats::default()
         };
         let d = a - b;
-        assert_eq!(d.shard_exchange_rounds, 0);
         assert_eq!(d.tuples_allocated, 2);
         assert_eq!(d.arena_bytes, 32);
         assert_eq!(d.specialized_tasks, 3);
@@ -314,22 +272,5 @@ mod tests {
             s.to_string(),
             "iterations=2 probes=7 matches=4 derivations=3 index_builds=0 index_appends=0 parallel_tasks=0 specialized_tasks=0 batch_probe_rows=0 pipelined_tasks=0 batch_reuse_hits=0 simd_hash_blocks=0 dict_filtered_probes=0 tuples_allocated=0 arena_bytes=0"
         );
-    }
-
-    #[test]
-    fn display_appends_shard_block_only_when_active() {
-        let quiet = Stats::default();
-        assert!(!quiet.has_shard_activity());
-        assert!(!quiet.to_string().contains("shard_"));
-
-        let active = Stats {
-            shard_exchange_rounds: 2,
-            shard_deltas_exchanged: 5,
-            ..Stats::default()
-        };
-        assert!(active.has_shard_activity());
-        assert!(active
-            .to_string()
-            .ends_with("shard_exchange_rounds=2 shard_deltas_exchanged=5"));
     }
 }

@@ -24,20 +24,19 @@
 //!   evidence re-checked: a witness's proof against [`Proof::check`], a
 //!   refutation's countermodel against that fixpoint.
 //! * **Incremental consistency** — after every insert/remove batch the
-//!   [`Materialized`] fixpoint (at 1, 2 or 4 shards by seed) must equal a
-//!   from-scratch evaluation of the surviving base, and its shard replicas
-//!   must agree.
-//! * **View queries** — a [`View`] (sharded per seed) and a [`PlanCache`]
-//!   of the same program, the pair the service keeps per installed program,
-//!   are driven through interleaved adorned queries and write batches. On
-//!   every published version, every shard replica must hold the
-//!   from-scratch fixpoint of the published base, and `Database::select`
+//!   [`Materialized`] fixpoint must equal a from-scratch evaluation of the
+//!   surviving base.
+//! * **View queries** — a [`View`] and a [`PlanCache`] of the same program,
+//!   the pair the service keeps per installed program, are driven through
+//!   interleaved adorned queries and write batches. On every published
+//!   version the published snapshot must be the from-scratch fixpoint of
+//!   the published base, and `Database::select`
 //!   over it (what the service's default `auto` serves, order included),
 //!   the `magic` plan and the `qsq` plan over that base must each answer
 //!   exactly the pattern-filtered fixpoint.
 //! * **Concurrent service** — racing client threads drive
 //!   interleaving-independent insert/remove batches (plus readers) through
-//!   an in-process [`Registry`] (sharded per seed); because no fact is both
+//!   an in-process [`Registry`]; because no fact is both
 //!   inserted and removed, every interleaving must converge to the same
 //!   final base, whose from-scratch fixpoint the served snapshot must
 //!   equal. Readers cycle `auto`, `magic` and `qsq`; at both quiescent
@@ -251,13 +250,6 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
         let (got, _) =
             seminaive::evaluate_with_opts(program, db, EvalOptions::with_threads(workers));
         engines.push((format!("parallel-{workers}"), got));
-    }
-    // The maintained-view engine over N > 1 shards: replica contexts
-    // splitting every delta by shard key and exchanging cross-shard
-    // derivations must land on the same fixpoint as one context.
-    for shards in [2usize, 4] {
-        let sharded = Materialized::sharded(program.clone(), db, shards);
-        engines.push((format!("sharded-{shards}"), sharded.database().clone()));
     }
     // The join kernel vs the row-at-a-time interpreter: the reference above
     // runs on the kernel, so evaluating with it switched off makes every
@@ -592,32 +584,23 @@ fn permutation(rng: &mut StdRng, n: usize) -> Vec<usize> {
     order
 }
 
-/// The shard count a maintained-view oracle runs `case` at: 1, 2 or 4 by
-/// seed (hand-written fixtures have seed 0, so they run unsharded).
-fn shards_for(case: &Case) -> usize {
-    [1usize, 2, 4][(case.seed % 3) as usize]
-}
-
 fn check_incremental(case: &Case) -> Vec<Divergence> {
     let mut out = Vec::new();
     let program = &case.program;
     if !program.is_positive() {
         return out;
     }
-    let shards = shards_for(case);
-    let mut m = Materialized::sharded(program.clone(), &case.db, shards);
+    let mut m = Materialized::new(program.clone(), &case.db);
     let mut shadow = case.db.clone();
 
     // Commit 0: initial saturation.
     let scratch = seminaive::evaluate(program, &shadow);
-    if m.database() != &scratch || !m.replicas_agree() {
+    if m.database() != &scratch {
         out.push(Divergence {
             family: Family::Incremental,
             kind: "incr:init".into(),
             message: format!(
-                "initial materialization ({shards} shards, replicas agree: {}) disagrees \
-                 with from-scratch: {}",
-                m.replicas_agree(),
+                "initial materialization disagrees with from-scratch: {}",
                 diff_sample(&scratch, m.database())
             ),
         });
@@ -640,7 +623,7 @@ fn check_incremental(case: &Case) -> Vec<Divergence> {
             }
         }
         let scratch = seminaive::evaluate(program, &shadow);
-        if m.database() != &scratch || !m.replicas_agree() {
+        if m.database() != &scratch {
             let op = if mutation.is_insert() {
                 "insert"
             } else {
@@ -650,9 +633,8 @@ fn check_incremental(case: &Case) -> Vec<Divergence> {
                 family: Family::Incremental,
                 kind: "incr:step".into(),
                 message: format!(
-                    "after {op} batch #{step} the materialization ({shards} shards, replicas \
-                     agree: {}) disagrees with from-scratch: {}",
-                    m.replicas_agree(),
+                    "after {op} batch #{step} the materialization disagrees with \
+                     from-scratch: {}",
                     diff_sample(&scratch, m.database())
                 ),
             });
@@ -678,26 +660,20 @@ fn check_view_query(case: &Case) -> Vec<Divergence> {
     };
     // The pair the service keeps per installed program: the view, and the
     // plans its named strategies evaluate from the published base.
-    let view = View::sharded(program.clone(), &case.db, shards_for(case));
+    let view = View::new(program.clone(), &case.db);
     let plans = PlanCache::new(Arc::new(program.clone()));
     // Rounds: the initial base, then the base after each mutation batch.
     for round in 0..=case.mutations.len() {
         let published = view.state();
         let reference = seminaive::evaluate(program, &published.base);
-        // Every slot publishes its own shard's replica (reads rotate over
-        // the slots): all of them must hold the base's fixpoint.
-        if let Some(torn) = (0..view.shards())
-            .map(|_| view.snapshot())
-            .find(|replica| **replica != reference)
-        {
+        if *published.fixpoint != reference {
             out.push(Divergence {
                 family: Family::ViewQuery,
-                kind: "view-query:replica".into(),
+                kind: "view-query:snapshot".into(),
                 message: format!(
-                    "after {round} batches a published replica ({} shards) disagrees with the \
+                    "after {round} batches the published snapshot disagrees with the \
                      from-scratch fixpoint of the published base: {}",
-                    view.shards(),
-                    diff_sample(&reference, &torn)
+                    diff_sample(&reference, &published.fixpoint)
                 ),
             });
             return out;
@@ -752,7 +728,7 @@ fn request_line(op: &str, fields: &[(&str, &str)]) -> String {
 }
 
 /// Race the case's mutation batches through an in-process [`Registry`]
-/// (the real service dispatcher, sharded per seed) from several client
+/// (the real service dispatcher) from several client
 /// threads, with readers hammering queries throughout. The workload is
 /// interleaving-independent by construction — no fact is both inserted and
 /// removed — so every schedule must converge to base = initial ∪ inserts ∖
@@ -769,8 +745,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
         kind: format!("service:{kind}"),
         message,
     };
-    let shards = shards_for(case);
-    let registry = Registry::with_shards(shards);
+    let registry = Registry::new();
     // Lint gate off: generated programs may trip style lints; this oracle
     // tests serving, not the gate.
     let entry = match registry.install("p", &program.to_string(), true, false) {
@@ -838,7 +813,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
                     out.push(diverge(
                         "query",
                         format!(
-                            "`{query}` under `{strategy}` (shards={shards}) served {resp}, \
+                            "`{query}` under `{strategy}` served {resp}, \
                              the filtered from-scratch fixpoint is {expected:?}"
                         ),
                     ));
@@ -914,7 +889,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
         out.push(diverge(
             "base",
             format!(
-                "final base depends on the interleaving (shards={shards}): {}",
+                "final base depends on the interleaving: {}",
                 diff_sample(&expected_base, &got_base)
             ),
         ));
@@ -926,8 +901,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
         out.push(diverge(
             "final",
             format!(
-                "served fixpoint disagrees with from-scratch evaluation of the final base \
-                 (shards={shards}): {}",
+                "served fixpoint disagrees with from-scratch evaluation of the final base: {}",
                 diff_sample(&expected, &got)
             ),
         ));

@@ -18,12 +18,9 @@
 //!   view's base facts on every ask, through a per-program
 //!   [`datalog_engine::query::PlanCache`] (plans are kept, answers are not);
 //! * [`view`] — per-program materialisations
-//!   ([`datalog_engine::Materialized`], on one context or hash-partitioned
-//!   across N shard replicas that exchange cross-shard derivations each
-//!   round) with batched insert/remove and snapshot-isolated,
-//!   never-blocking reads: one published `Arc<Database>` slot per shard,
-//!   group-committed after every write batch, readers round-robin over
-//!   the slots;
+//!   ([`datalog_engine::Materialized`], one context each) with batched
+//!   insert/remove and snapshot-isolated, never-blocking reads: one
+//!   published `Arc<Database>`, swapped after every write batch;
 //! * [`metrics`] — per-program and server-wide request counts, latency, and
 //!   aggregated [`datalog_engine::Stats`], served by the `stats` request;
 //! * [`pool`] — the fixed-size worker thread pool, re-exported from

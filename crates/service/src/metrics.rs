@@ -115,14 +115,6 @@ impl Metrics {
                     ),
                     ("tuples_allocated", Value::from(inner.eval.tuples_allocated)),
                     ("arena_bytes", Value::from(inner.eval.arena_bytes)),
-                    (
-                        "shard_exchange_rounds",
-                        Value::from(inner.eval.shard_exchange_rounds),
-                    ),
-                    (
-                        "shard_deltas_exchanged",
-                        Value::from(inner.eval.shard_deltas_exchanged),
-                    ),
                 ]),
             ),
             ("atoms_added", Value::from(inner.atoms_added)),
@@ -157,8 +149,6 @@ mod tests {
             dict_filtered_probes: 7,
             tuples_allocated: 12,
             arena_bytes: 192,
-            shard_exchange_rounds: 6,
-            shard_deltas_exchanged: 11,
         });
         m.record_mutation(4, 1);
 
@@ -186,11 +176,6 @@ mod tests {
         assert_eq!(eval.get("dict_filtered_probes").unwrap().as_u64(), Some(7));
         assert_eq!(eval.get("tuples_allocated").unwrap().as_u64(), Some(12));
         assert_eq!(eval.get("arena_bytes").unwrap().as_u64(), Some(192));
-        assert_eq!(eval.get("shard_exchange_rounds").unwrap().as_u64(), Some(6));
-        assert_eq!(
-            eval.get("shard_deltas_exchanged").unwrap().as_u64(),
-            Some(11)
-        );
         assert_eq!(j.get("atoms_added").unwrap().as_u64(), Some(4));
     }
 }

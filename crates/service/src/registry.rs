@@ -49,8 +49,7 @@ pub struct ProgramEntry {
     pub atoms_removed: usize,
     /// Whole rules deleted by §VII minimization.
     pub rules_removed: usize,
-    /// The materialisation, hash-partitioned across the registry's
-    /// configured shard count (1 = one context, no partitioning).
+    /// The maintained materialisation queries read.
     pub view: View,
     /// The magic-sets / QSQR plans of `installed`, one per adornment, for
     /// requests that name a top-down `strategy`. Answers are not kept: every
@@ -92,8 +91,6 @@ pub struct Registry {
     programs: RwLock<BTreeMap<String, Arc<ProgramEntry>>>,
     metrics: Metrics,
     started: Instant,
-    /// Shard workers per installed view.
-    shards: usize,
 }
 
 impl Default for Registry {
@@ -103,25 +100,13 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A registry with unsharded (single-partition) views.
+    /// An empty registry.
     pub fn new() -> Registry {
-        Registry::with_shards(1)
-    }
-
-    /// A registry whose views hash-partition their fixpoints across
-    /// `shards` workers (clamped to ≥ 1).
-    pub fn with_shards(shards: usize) -> Registry {
         Registry {
             programs: RwLock::new(BTreeMap::new()),
             metrics: Metrics::default(),
             started: Instant::now(),
-            shards: shards.max(1),
         }
-    }
-
-    /// The shard count every installed view is partitioned across.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Server-wide counters (every request, all programs).
@@ -206,7 +191,7 @@ impl Registry {
             installed: installed.clone(),
             atoms_removed: removal.atoms.len(),
             rules_removed: removal.rules.len(),
-            view: View::sharded(installed.clone(), &Database::new(), self.shards),
+            view: View::new(installed.clone(), &Database::new()),
             plans: PlanCache::new(Arc::new(installed)),
             metrics: Metrics::default(),
         });

@@ -56,8 +56,6 @@ pub struct ServerConfig {
     pub max_request_bytes: usize,
     /// Close connections that send no complete request for this long.
     pub read_timeout: Duration,
-    /// Shard workers per installed view (hash-partitioned fixpoints).
-    pub shards: usize,
     /// Admission control: connections beyond this are turned away with an
     /// `overloaded` error.
     pub max_connections: usize,
@@ -69,7 +67,6 @@ impl Default for ServerConfig {
             threads: 4,
             max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
             read_timeout: Duration::from_millis(DEFAULT_READ_TIMEOUT_MS),
-            shards: 1,
             max_connections: 1024,
         }
     }
@@ -174,7 +171,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         Ok(Server {
             listener,
-            registry: Arc::new(Registry::with_shards(config.shards)),
+            registry: Arc::new(Registry::new()),
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
         })

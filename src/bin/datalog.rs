@@ -18,15 +18,15 @@
 //! datalog equiv    <p1.dl> <p2.dl> [--fuel N] [--samples N] equivalence analysis (§X–§XI)
 //! datalog chase    <program.dl> --tgds <tgds.dl> --db <facts.dl> [--fuel N]
 //! datalog serve    [--addr H:P] [--threads N]          materialized-view daemon (JSON protocol)
-//!                  [--shards N] [--max-bytes N] [--timeout-ms N] [--max-conns N]
+//!                  [--max-bytes N] [--timeout-ms N] [--max-conns N]
 //! datalog client   <addr> [request-json]...            send protocol requests (stdin if none)
 //! datalog fuzz     [--seed N] [--cases N] [--budget-ms N]   differential oracle fuzzing
 //!                  [--oracle all|engines|optimization|incremental|view-query|concurrent-service|metamorphic]
 //!                  [--format text|json] [--repro-dir DIR] [--smoke]
 //! ```
 //!
-//! Exit codes: 0 success, 1 user error (bad args, parse/validation
-//! failures), 2 property does not hold (e.g. `contains` finds none; `lint`
+//! Exit codes: 0 success, 1 user error (bad args — a flag the subcommand
+//! does not take included —, parse/validation failures), 2 property does not hold (e.g. `contains` finds none; `lint`
 //! emits an error-severity diagnostic).
 
 use sagiv_datalog::engine::{EvalOptions, Traced};
@@ -94,7 +94,7 @@ usage:
   datalog contains <p1.dl> <p2.dl>
   datalog equiv    <p1.dl> <p2.dl> [--fuel N] [--samples N]
   datalog chase    <program.dl> --tgds <tgds.dl> --db <facts.dl> [--fuel N]
-  datalog serve    [--addr HOST:PORT] [--threads N] [--shards N] [--max-bytes N]
+  datalog serve    [--addr HOST:PORT] [--threads N] [--max-bytes N]
                    [--timeout-ms N] [--max-conns N]
   datalog client   <addr> [request-json]...   (reads stdin when no requests given)
   datalog fuzz     [--seed N] [--cases N] [--budget-ms N] [--oracle FAMILY]
@@ -102,15 +102,26 @@ usage:
     );
 }
 
-/// Parse `--flag value` options out of an argument list; returns the
-/// positional arguments and a lookup.
-fn split_flags(args: &[String]) -> Result<(Vec<&str>, Flags<'_>), String> {
+/// Parse `--flag value` options out of the arguments of `datalog <cmd>`;
+/// returns the positional arguments and a lookup. `accepted` names every
+/// flag the subcommand reads (`fuel` included where [`Flags::fuel`] is
+/// called); any other flag is refused rather than ignored.
+fn split_flags<'a>(
+    args: &'a [String],
+    cmd: &str,
+    accepted: &[&str],
+) -> Result<(Vec<&'a str>, Flags<'a>), String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.contains(&name) {
+                return Err(format!(
+                    "`datalog {cmd}` has no flag `--{name}`; run `datalog help`"
+                ));
+            }
             // Boolean flags take no value.
             if name == "stats" || name == "smoke" {
                 flags.push((name, ""));
@@ -186,7 +197,7 @@ fn load_database(path: &str) -> Result<Database, String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, _) = split_flags(args)?;
+    let (pos, _) = split_flags(args, "check", &[])?;
     let [path] = pos.as_slice() else {
         return Err("usage: datalog check <program.dl>".into());
     };
@@ -222,7 +233,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
     use sagiv_datalog::analysis::{analyze_unit, LintConfig, Severity};
 
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, "lint", &["format", "deny", "allow", "fuel"])?;
     let [path] = pos.as_slice() else {
         return Err(
             "usage: datalog lint <program.dl> [--format text|json] [--deny <code>]... [--fuel N]"
@@ -269,7 +280,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, _) = split_flags(args)?;
+    let (pos, _) = split_flags(args, "analyze", &[])?;
     let [path] = pos.as_slice() else {
         return Err("usage: datalog analyze <program.dl>".into());
     };
@@ -312,7 +323,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_minimize(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, _) = split_flags(args)?;
+    let (pos, _) = split_flags(args, "minimize", &[])?;
     let [path] = pos.as_slice() else {
         return Err("usage: datalog minimize <program.dl>".into());
     };
@@ -333,7 +344,7 @@ fn cmd_minimize(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_optimize(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, "optimize", &["fuel"])?;
     let [path] = pos.as_slice() else {
         return Err("usage: datalog optimize <program.dl> [--fuel N]".into());
     };
@@ -362,7 +373,7 @@ fn cmd_optimize(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, "eval", &["edb", "engine", "stats"])?;
     let [path] = pos.as_slice() else {
         return Err(
             "usage: datalog eval <program.dl> --edb <facts.dl> [--engine E] [--stats]".into(),
@@ -400,7 +411,7 @@ fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, "run", &["stats", "fuel"])?;
     let [path] = pos.as_slice() else {
         return Err("usage: datalog run <unit.dl> [--stats]".into());
     };
@@ -445,7 +456,7 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
     use datalog_ast::RowDisplay;
     use datalog_engine::query::{PlanCache, Strategy};
 
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, "query", &["edb", "strategy", "stats"])?;
     let Some((path, query_srcs)) = pos.split_last().filter(|(_, qs)| !qs.is_empty()) else {
         return Err(
             "usage: datalog query '<atom>'... <program.dl> --edb <facts.dl> \
@@ -503,7 +514,7 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, "explain", &["edb"])?;
     let [atom_src, path] = pos.as_slice() else {
         return Err("usage: datalog explain '<atom>' <program.dl> --edb <facts.dl>".into());
     };
@@ -528,7 +539,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_contains(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, _) = split_flags(args)?;
+    let (pos, _) = split_flags(args, "contains", &[])?;
     let [p1_path, p2_path] = pos.as_slice() else {
         return Err("usage: datalog contains <p1.dl> <p2.dl>".into());
     };
@@ -548,7 +559,7 @@ fn cmd_contains(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_equiv(args: &[String]) -> Result<ExitCode, String> {
     use sagiv_datalog::optimizer::{analyze_equivalence, EquivVerdict};
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, "equiv", &["samples", "fuel"])?;
     let [p1_path, p2_path] = pos.as_slice() else {
         return Err("usage: datalog equiv <p1.dl> <p2.dl> [--fuel N] [--samples N]".into());
     };
@@ -589,7 +600,7 @@ fn cmd_equiv(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_chase(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, "chase", &["tgds", "db", "fuel"])?;
     let [path] = pos.as_slice() else {
         return Err(
             "usage: datalog chase <program.dl> --tgds <tgds.dl> --db <facts.dl> [--fuel N]".into(),
@@ -630,10 +641,14 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     use sagiv_datalog::service::{Server, ServerConfig};
     use std::io::Write as _;
 
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(
+        args,
+        "serve",
+        &["addr", "threads", "max-bytes", "timeout-ms", "max-conns"],
+    )?;
     if !pos.is_empty() {
         return Err(
-            "usage: datalog serve [--addr HOST:PORT] [--threads N] [--shards N] [--max-bytes N] \
+            "usage: datalog serve [--addr HOST:PORT] [--threads N] [--max-bytes N] \
              [--timeout-ms N] [--max-conns N]"
                 .into(),
         );
@@ -656,11 +671,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|_| format!("--timeout-ms: `{v}` is not a number"))?;
         config.read_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(v) = flags.get("shards") {
-        config.shards = v
-            .parse()
-            .map_err(|_| format!("--shards: `{v}` is not a number"))?;
-    }
     if let Some(v) = flags.get("max-conns") {
         config.max_connections = v
             .parse()
@@ -682,7 +692,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
     use sagiv_datalog::service::Client;
     use std::io::BufRead as _;
 
-    let (pos, _) = split_flags(args)?;
+    let (pos, _) = split_flags(args, "client", &[])?;
     let Some((addr, requests)) = pos.split_first() else {
         return Err("usage: datalog client <addr> [request-json]...".into());
     };
@@ -726,7 +736,19 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
     use sagiv_datalog::oracle::{fuzz, Family, FuzzConfig};
 
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(
+        args,
+        "fuzz",
+        &[
+            "seed",
+            "cases",
+            "budget-ms",
+            "oracle",
+            "format",
+            "repro-dir",
+            "smoke",
+        ],
+    )?;
     if !pos.is_empty() {
         return Err(
             "usage: datalog fuzz [--seed N] [--cases N] [--budget-ms N] [--oracle FAMILY] \
@@ -802,7 +824,7 @@ fn cmd_repl(args: &[String]) -> Result<ExitCode, String> {
     use datalog_engine::Materialized;
     use std::io::BufRead;
 
-    let (pos, _) = split_flags(args)?;
+    let (pos, _) = split_flags(args, "repl", &[])?;
     let mut program = match pos.as_slice() {
         [] => Program::empty(),
         [path] => load_program(path)?,

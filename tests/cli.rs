@@ -150,6 +150,58 @@ fn eval_engines_agree() {
     assert_eq!(outputs[1], outputs[2]);
 }
 
+/// A flag the subcommand does not take is an error naming the flag and the
+/// subcommand, not an option silently ignored (a misspelt `--engine` used
+/// to evaluate with the default engine).
+#[test]
+fn unknown_flags_exit_1() {
+    let dir = TempDir::new("unknown-flag");
+    let p = dir.file("tc.dl", TC);
+    let e = dir.file("chain.dl", CHAIN);
+    let cases: [&[&str]; 3] = [
+        &["check", &p, "--foo", "1"],
+        &["eval", &p, "--edb", &e, "--engin", "seminaive"],
+        &["optimize", &p, "--stats"],
+    ];
+    for args in cases {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stdout(&out));
+        let flag = args.iter().find(|a| a.starts_with("--") && **a != "--edb");
+        let msg = stderr(&out);
+        assert!(msg.contains(&format!("`datalog {}`", args[0])), "{msg}");
+        assert!(msg.contains(&format!("`{}`", flag.unwrap())), "{msg}");
+    }
+}
+
+/// `serve` takes `--addr`, `--threads`, `--max-bytes`, `--timeout-ms` and
+/// `--max-conns`; anything else is refused before a socket is bound, where
+/// it used to start a daemon that ignored it.
+#[test]
+fn serve_refuses_unknown_flags_before_binding() {
+    let mut child = bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "4"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`datalog serve --workers 4` started a daemon");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(status.code(), Some(1));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    assert!(stderr(&out).contains("`--workers`"), "{}", stderr(&out));
+}
+
 #[test]
 fn query_uses_magic_sets() {
     let dir = TempDir::new("query");

@@ -462,10 +462,13 @@ pub(crate) struct TaskOutput {
     /// them. Valid for committing rounds (the commit would discard them
     /// anyway); the DRed overdeletion sweep must keep them.
     pub(crate) filter_known: bool,
-    /// Head tuples already handled by this output (queued or known-old),
-    /// per head predicate: set-semantics dedup before allocation, itself
-    /// arena-backed so a repeated head costs a hash probe, not a `Box`.
+    /// Head tuples this output has queued, per head predicate: the
+    /// round's set-semantics dedup before allocation, itself arena-backed
+    /// so a repeated head costs a hash probe, not a `Box`.
     seen: HashMap<Pred, Relation>,
+    /// The kernel's per-task duplicate filter in code space, reused by
+    /// every task this output serves.
+    pub(crate) heads: kernels::HeadFilter,
     /// Per-depth probe-key scratch of the interpreter (translated codes;
     /// no per-probe allocation).
     keys: Vec<Vec<u32>>,
@@ -488,6 +491,7 @@ impl TaskOutput {
             batch_reuse: 0,
             filter_known,
             seen: HashMap::new(),
+            heads: kernels::HeadFilter::default(),
             keys: Vec::new(),
             neg_buf: Vec::new(),
             head_buf: Vec::new(),
@@ -495,15 +499,15 @@ impl TaskOutput {
     }
 
     /// Account one complete body match whose head tuple sits in
-    /// `self.head_buf`, dedup it, and queue it if new. Shared by the
-    /// interpreter leaf and the kernel's last stage, so `matches` and the
-    /// emitted tuple set are executor-invariant by construction.
+    /// `self.head_buf`, dedup it, and queue it if new. The interpreter leaf
+    /// calls it on every match; the kernel's leaf on a task's first
+    /// sighting of each head, counting the repeats itself.
     ///
     /// Dedup before allocating: bloated programs re-derive the same head
     /// many times per round, and the commit step would drop the duplicates
-    /// anyway. Known-old tuples are memoized into `seen` so repeats cost
-    /// one hash probe, not a database lookup — and `seen` is an arena, so
-    /// neither path allocates a per-tuple `Box`.
+    /// anyway. A head already in the database is dropped first (under
+    /// `filter_known`), so `seen` holds only heads new to the database —
+    /// and `seen` is an arena, so neither path allocates a per-tuple `Box`.
     ///
     /// Returns where a traced context wants the justification of the head
     /// just queued; `None` when nothing was queued or nothing is traced.
@@ -513,18 +517,15 @@ impl TaskOutput {
         db: &Database,
     ) -> Option<&mut Vec<Justification>> {
         self.matches += 1;
+        if self.filter_known && db.contains_tuple(head_pred, &self.head_buf) {
+            return None;
+        }
         let head_arity = self.head_buf.len();
         let seen = self
             .seen
             .entry(head_pred)
             .or_insert_with(|| Relation::new(head_arity));
-        if seen.contains(&self.head_buf) {
-            return None;
-        }
-        seen.insert(&self.head_buf);
-        if self.filter_known && db.contains_tuple(head_pred, &self.head_buf) {
-            return None;
-        }
+        seen.insert(&self.head_buf)?;
         self.derived.push(GroundAtom {
             pred: head_pred,
             tuple: self.head_buf.as_slice().into(),

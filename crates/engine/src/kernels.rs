@@ -27,15 +27,30 @@
 //! stage reads the row arenas to build head tuples. A one-literal body is
 //! the pipeline with no later stage, a bodiless rule emits its head once.
 //!
+//! Duplicate heads die in code space: within one task every head variable
+//! is read from one fixed (relation, slot, position), so the tuple of its
+//! *source* dictionary codes names the head exactly. The leaf test-and-sets
+//! that tuple in a bitmap ([`HeadFilter`], indexed by mixed radix over the
+//! source columns' `dict_len`) before it reads an arena; a repeat is
+//! counted as a match and goes no further. Only a task's first sighting of
+//! a head is built as a `Const` tuple and handed to
+//! [`TaskOutput::emit_head`], whose database check and round-level `seen`
+//! set catch what the bitmap cannot: heads already in the database, and
+//! the same head from another task. A head space above [`HEAD_BITS_MAX`]
+//! skips the bitmap and goes straight to `emit_head`.
+//!
 //! The row-at-a-time interpreter in [`crate::context`] is not a tier of
 //! this kernel but its reference: `EvalOptions::interpreted()` runs every
 //! script on it, and the differential tests and the oracle fuzzer require
 //! identical fixpoints and identical `probes` / `matches` / `derivations`.
 //! Both count one probe per literal visit (the enumeration, then one per
 //! in-flight row per later stage), both stop an existential stage at its
-//! first verified candidate, and both emit through
-//! [`TaskOutput::emit_head`] — so `matches` counts body matches up to the
-//! variables nobody reads, on either executor and at any thread count.
+//! first verified candidate, and both count every complete match — so
+//! `matches` counts body matches up to the variables nobody reads, on
+//! either executor and at any thread count. The reference sends every
+//! match through `emit_head` and keeps no codes; the kernel's bitmap drops
+//! only heads `emit_head` would have dropped, in the order it would have,
+//! so both queue the same heads in the same order.
 //!
 //! Cross-dictionary translation: codes are local to one (relation, column)
 //! dictionary, so an in-flight row's code is translated into the target
@@ -73,6 +88,10 @@ const BLOCK: usize = 1024;
 
 const XLATE_UNKNOWN: u64 = u64::MAX;
 const XLATE_ABSENT: u64 = u64::MAX - 1;
+
+/// The largest head space, in bits, a task's [`HeadFilter`] covers (512
+/// KiB of bitmap).
+const HEAD_BITS_MAX: usize = 1 << 22;
 
 /// The constant behind a key source that precedes every binding (stage-0
 /// keys, leading negated literals, bodiless heads).
@@ -221,6 +240,87 @@ enum HeadElem<'a> {
     At(Loc<'a>),
 }
 
+/// A task's head tuples as numbers below `space`. Each distinct head
+/// variable is a digit: its source code column, the slot whose id reads
+/// it, and its weight. A column's codes name its values one-to-one, so
+/// equal numbers mean equal heads; constant positions add nothing.
+struct HeadCodes<'a> {
+    digits: Vec<(&'a [u32], usize, usize)>,
+    space: usize,
+}
+
+impl<'a> HeadCodes<'a> {
+    /// Number the heads read from `locs` (one per distinct variable) in
+    /// mixed radix over their columns' `dict_len`; `None` when the product
+    /// exceeds [`HEAD_BITS_MAX`].
+    fn new(locs: &[Loc<'a>]) -> Option<HeadCodes<'a>> {
+        let mut digits = Vec::with_capacity(locs.len());
+        let mut space = 1usize;
+        for at in locs {
+            digits.push((at.rel.codes(at.pos), at.slot, space));
+            space = space
+                .checked_mul(at.rel.dict_len(at.pos))
+                .filter(|&s| s <= HEAD_BITS_MAX)?;
+        }
+        Some(HeadCodes { digits, space })
+    }
+
+    /// The number of the head the match `row` + `id` derives: a digit
+    /// whose slot `row` does not reach is the last stage's own, read off
+    /// `id`.
+    #[inline]
+    fn of(&self, row: &[u32], id: Option<u32>) -> usize {
+        self.digits
+            .iter()
+            .map(|&(col, slot, weight)| {
+                let rid = row.get(slot).copied().or(id);
+                let rid = rid.expect("a head value the last stage binds comes with its match");
+                col[rid as usize] as usize * weight
+            })
+            .sum()
+    }
+}
+
+/// The bitmap behind the kernel's per-task duplicate filter, one bit per
+/// [`HeadCodes`] number. It lives in the round's [`TaskOutput`] so one
+/// allocation serves every task of the round; a task clears only the words
+/// the previous one set.
+#[derive(Default)]
+pub(crate) struct HeadFilter {
+    bits: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl HeadFilter {
+    /// Empty the filter for a task whose heads number below `space`.
+    fn reset(&mut self, space: usize) {
+        let words = space.div_ceil(64);
+        if self.bits.len() < words {
+            self.bits = vec![0; words];
+        } else {
+            for &w in &self.touched {
+                self.bits[w as usize] = 0;
+            }
+        }
+        self.touched.clear();
+    }
+
+    /// Set bit `i`; `false` when it was already set.
+    #[inline]
+    fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let word = &mut self.bits[w];
+        if *word & bit != 0 {
+            return false;
+        }
+        if *word == 0 {
+            self.touched.push(w as u32);
+        }
+        *word |= bit;
+        true
+    }
+}
+
 /// The relation a literal reads, with what verifying a candidate row of
 /// it takes: the code columns at the key positions and the literal's
 /// repeated-variable checks.
@@ -310,6 +410,9 @@ struct Pipeline<'a> {
     sources: &'a [(&'a IndexStore, Cow<'a, Relation>)],
     head_pred: Pred,
     head: Vec<HeadElem<'a>>,
+    /// The head in code space, for the task's duplicate filter; `None`
+    /// when the head space is too large for the bitmap.
+    codes: Option<HeadCodes<'a>>,
     /// `(head position, tuple position)` of the head values the last
     /// stage's own match supplies, and that stage's relation.
     own: Vec<(usize, usize)>,
@@ -438,6 +541,7 @@ pub(crate) fn run(
     let last = steps.len() - 1;
     let mut own = Vec::new();
     let mut head = Vec::with_capacity(script.head.len());
+    let (mut vars, mut digits) = (Vec::new(), Vec::new());
     for (h, src) in script.head.iter().enumerate() {
         head.push(match *src {
             KeySrc::Const(c) => HeadElem::Const(c),
@@ -446,9 +550,17 @@ pub(crate) fn run(
                 if at.slot == slots[last] {
                     own.push((h, at.pos));
                 }
+                if !vars.contains(&v) {
+                    vars.push(v);
+                    digits.push(at);
+                }
                 HeadElem::At(at)
             }
         });
+    }
+    let codes = HeadCodes::new(&digits);
+    if let Some(codes) = &codes {
+        out.heads.reset(codes.space);
     }
     let pipe = Pipeline {
         db,
@@ -457,6 +569,7 @@ pub(crate) fn run(
         sources: &sources,
         head_pred: script.head_pred,
         head,
+        codes,
         own,
         last_rel: &sources[last].1,
         target0: Target::new(rel0, &s0.positions, s0),
@@ -539,10 +652,24 @@ impl Pipeline<'_> {
         }));
     }
 
-    /// Complete the head [`Pipeline::head_of`] prepared from `row` with the
-    /// last stage's matched row and emit it.
+    /// The leaf, once per complete match `row` + `id`. A head the task has
+    /// already emitted is counted and dropped on its source codes alone.
+    /// Otherwise the head tuple is built — the values `row` determines once
+    /// per row (`built` says whether they are in `head_buf` already), the
+    /// last match's own values per match — and goes through
+    /// [`TaskOutput::emit_head`].
     #[inline]
-    fn emit(&self, row: &[u32], id: Option<u32>, out: &mut TaskOutput) {
+    fn emit(&self, row: &[u32], id: Option<u32>, built: &mut bool, out: &mut TaskOutput) {
+        if let Some(codes) = &self.codes {
+            if !out.heads.insert(codes.of(row, id)) {
+                out.matches += 1;
+                return;
+            }
+        }
+        if !*built {
+            self.head_of(row, out);
+            *built = true;
+        }
         if let Some(id) = id {
             let t = self.last_rel.row(id);
             for &(h, pos) in &self.own {
@@ -588,8 +715,7 @@ impl Pipeline<'_> {
         out: &mut TaskOutput,
     ) {
         if k == self.stages.len() {
-            self.head_of(row, out);
-            self.emit(row, id, out);
+            self.emit(row, id, &mut false, out);
             return;
         }
         let next = &mut sc[0].next;
@@ -688,16 +814,13 @@ impl Pipeline<'_> {
                 continue;
             }
             let key = &block.keys[i * w..(i + 1) * w];
-            if last {
-                // Everything but the match's own values is per row.
-                self.head_of(row, out);
-            }
+            let mut built = false;
             for &id in ids {
                 if !stage.target.accepts(id, key) {
                     continue;
                 }
                 if last {
-                    self.emit(row, Some(id), out);
+                    self.emit(row, Some(id), &mut built, out);
                 } else {
                     self.push(k, row, Some(id), sc, out);
                 }

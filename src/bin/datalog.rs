@@ -32,6 +32,7 @@
 use sagiv_datalog::engine::{EvalOptions, Traced};
 use sagiv_datalog::optimizer::{minimize_stratified, ChaseTermination};
 use sagiv_datalog::prelude::*;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -194,6 +195,33 @@ fn require_positive(program: &Program, what: &str) -> Result<(), String> {
 fn load_database(path: &str) -> Result<Database, String> {
     let src = read_file(path)?;
     parse_database(&src).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Stdout behind one lock and one buffer, for output that runs to many
+/// lines: Rust's stdout is line-buffered, one `write(2)` per line. Flush it
+/// once at the end, mapping errors through [`stdout_error`].
+fn buffered_stdout() -> BufWriter<io::StdoutLock<'static>> {
+    BufWriter::new(io::stdout().lock())
+}
+
+/// A failed write to stdout, as an error message. A reader that went away
+/// (`datalog eval … | head -1`) is a normal end of the output instead: the
+/// process exits 0 on the spot, where it would have died of SIGPIPE had the
+/// Rust runtime not ignored that signal.
+fn stdout_error(e: io::Error) -> String {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    format!("cannot write to stdout: {e}")
+}
+
+/// Print every atom of `db` as `atom.`, one per line.
+fn print_atoms(db: &Database) -> Result<(), String> {
+    let mut out = buffered_stdout();
+    for atom in db.iter() {
+        writeln!(out, "{atom}.").map_err(stdout_error)?;
+    }
+    out.flush().map_err(stdout_error)
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
@@ -401,9 +429,7 @@ fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
         }
         other => return Err(format!("unknown engine `{other}`")),
     };
-    for atom in out.iter() {
-        println!("{atom}.");
-    }
+    print_atoms(&out)?;
     if flags.has("stats") {
         eprintln!("% {stats}");
     }
@@ -435,9 +461,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("% chase status: {:?}", result.status);
         (result.db, Stats::default())
     };
-    for atom in out.iter() {
-        println!("{atom}.");
-    }
+    print_atoms(&out)?;
     if flags.has("stats") {
         eprintln!("% {stats}");
     }
@@ -487,6 +511,7 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
     let derived = program.intentional();
     let plans = PlanCache::new(std::sync::Arc::new(program));
     let mut any_answers = false;
+    let mut out = buffered_stdout();
     for query in &queries {
         let evaluated = derived
             .contains(&query.pred)
@@ -496,16 +521,17 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
             None => (edb.select(query), "scan", Stats::default()),
         };
         if queries.len() > 1 {
-            println!("% ?- {query}.");
+            writeln!(out, "% ?- {query}.").map_err(stdout_error)?;
         }
         for row in &rows {
-            println!("{}.", RowDisplay(query.pred, row));
+            writeln!(out, "{}.", RowDisplay(query.pred, row)).map_err(stdout_error)?;
         }
         any_answers |= !rows.is_empty();
         if flags.has("stats") {
             eprintln!("% [{how}] {stats}");
         }
     }
+    out.flush().map_err(stdout_error)?;
     Ok(if any_answers {
         ExitCode::SUCCESS
     } else {
@@ -621,9 +647,7 @@ fn cmd_chase(args: &[String]) -> Result<ExitCode, String> {
     );
     let fuel = sagiv_datalog::optimizer::fuel_for(&tgds, flags.fuel()?);
     let result = chase(&program, &tgds, &db, fuel, None);
-    for atom in result.db.iter() {
-        println!("{atom}.");
-    }
+    print_atoms(&result.db)?;
     eprintln!(
         "% status: {:?}, atoms added: {}",
         result.status, result.added
@@ -639,7 +663,6 @@ fn cmd_chase(args: &[String]) -> Result<ExitCode, String> {
 /// `--addr 127.0.0.1:0` that line is how callers learn the ephemeral port.
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     use sagiv_datalog::service::{Server, ServerConfig};
-    use std::io::Write as _;
 
     let (pos, flags) = split_flags(
         args,
@@ -843,6 +866,8 @@ fn cmd_repl(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("datalog repl — :help for commands");
     }
     let mut lines = stdin.lock().lines();
+    // One buffer for the session, flushed once per command.
+    let mut out = buffered_stdout();
     loop {
         if interactive {
             eprint!("?- ");
@@ -853,7 +878,8 @@ fn cmd_repl(args: &[String]) -> Result<ExitCode, String> {
         if line.is_empty() || line.starts_with('%') {
             continue;
         }
-        let result = repl_step(line, &mut program, &mut base, &mut m);
+        let result = repl_step(line, &mut program, &mut base, &mut m, &mut out);
+        out.flush().map_err(stdout_error)?;
         match result {
             Ok(ReplOutcome::Continue) => {}
             Ok(ReplOutcome::Quit) => break,
@@ -879,6 +905,7 @@ fn repl_step(
     program: &mut Program,
     base: &mut Database,
     m: &mut datalog_engine::Materialized,
+    out: &mut impl Write,
 ) -> Result<ReplOutcome, String> {
     use datalog_engine::Materialized;
 
@@ -888,10 +915,11 @@ fn repl_step(
         let pattern = parse_atom(atom_src).map_err(|e| e.to_string())?;
         let rows = m.database().select(&pattern);
         for row in &rows {
-            println!("{}.", sagiv_datalog::ast::RowDisplay(pattern.pred, row));
+            let row = sagiv_datalog::ast::RowDisplay(pattern.pred, row);
+            writeln!(out, "{row}.").map_err(stdout_error)?;
         }
         let count = rows.len();
-        println!("% {count} answer(s)");
+        writeln!(out, "% {count} answer(s)").map_err(stdout_error)?;
         return Ok(ReplOutcome::Continue);
     }
     if let Some(rest) = line.strip_prefix(":explain") {
@@ -902,9 +930,10 @@ fn repl_step(
             .ok_or("the atom to explain must be ground")?;
         let mut traced = Traced::new(program, base.clone(), EvalOptions::sequential());
         match traced.explain(&goal) {
-            Some(proof) => print!("{proof}"),
-            None => println!("% {goal} is not derivable"),
+            Some(proof) => write!(out, "{proof}"),
+            None => writeln!(out, "% {goal} is not derivable"),
         }
+        .map_err(stdout_error)?;
         return Ok(ReplOutcome::Continue);
     }
     if let Some(rest) = line.strip_prefix(":load") {
@@ -914,17 +943,20 @@ fn repl_step(
         program.rules.extend(unit.program.rules);
         base.extend(unit.facts);
         *m = Materialized::new(program.clone(), base);
-        println!(
+        writeln!(
+            out,
             "% loaded ({} rules, {} atoms)",
             program.len(),
             m.database().len()
-        );
+        )
+        .map_err(stdout_error)?;
         return Ok(ReplOutcome::Continue);
     }
     match line {
         ":quit" | ":q" | ":exit" => return Ok(ReplOutcome::Quit),
         ":help" => {
-            println!(
+            writeln!(
+                out,
                 "% rule.         add a rule\n\
                  % fact.         assert a fact (incremental)\n\
                  % ?- atom.      query\n\
@@ -934,16 +966,17 @@ fn repl_step(
                  % :db           show the fixpoint\n\
                  % :explain A.   derivation tree for a ground atom\n\
                  % :quit"
-            );
+            )
+            .map_err(stdout_error)?;
             return Ok(ReplOutcome::Continue);
         }
         ":program" => {
-            print!("{program}");
+            write!(out, "{program}").map_err(stdout_error)?;
             return Ok(ReplOutcome::Continue);
         }
         ":db" => {
             for a in m.database().iter() {
-                println!("{a}.");
+                writeln!(out, "{a}.").map_err(stdout_error)?;
             }
             return Ok(ReplOutcome::Continue);
         }
@@ -951,7 +984,7 @@ fn repl_step(
             let (min, removal) = minimize_program(program).map_err(|e| e.to_string())?;
             *program = min;
             *m = datalog_engine::Materialized::new(program.clone(), base);
-            println!("% removed {} part(s)", removal.len());
+            writeln!(out, "% removed {} part(s)", removal.len()).map_err(stdout_error)?;
             return Ok(ReplOutcome::Continue);
         }
         _ => {}
@@ -962,7 +995,7 @@ fn repl_step(
         if let Some(g) = rule.head.to_ground() {
             base.insert(g.clone());
             let added = m.insert([g]);
-            println!("% +{added} atom(s)");
+            writeln!(out, "% +{added} atom(s)").map_err(stdout_error)?;
             return Ok(ReplOutcome::Continue);
         }
     }
@@ -975,6 +1008,6 @@ fn repl_step(
     }
     program.rules.push(rule);
     *m = datalog_engine::Materialized::new(program.clone(), base);
-    println!("% rule added ({} rules)", program.len());
+    writeln!(out, "% rule added ({} rules)", program.len()).map_err(stdout_error)?;
     Ok(ReplOutcome::Continue)
 }

@@ -132,6 +132,50 @@ fn eval_produces_closure() {
     assert!(stderr(&out).contains("derivations=6"));
 }
 
+/// A reader that takes one line and goes away (`datalog eval … | head -1`)
+/// ends the output, not the program: exit 0 and no panic, for each command
+/// that prints a database. The output is far larger than a pipe buffer, so
+/// the writer is still writing when the pipe closes.
+#[test]
+fn closed_stdout_is_a_normal_end() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = TempDir::new("closed-pipe");
+    let p = dir.file("tc.dl", TC);
+    // 11 325 closure atoms, about 146 KB of output.
+    let chain: String = (0..150).map(|i| format!("a({i}, {}).\n", i + 1)).collect();
+    let e = dir.file("chain.dl", &chain);
+    let unit = dir.file("unit.dl", &format!("{TC}{chain}"));
+    let repl = dir.file("session.dl", &format!(":load {unit}\n?- g(X, Y).\n:db\n"));
+    let runs: [(&[&str], Option<&str>); 4] = [
+        (&["eval", &p, "--edb", &e], None),
+        (&["run", &unit], None),
+        (&["query", "g(X, Y)", &p, "--edb", &e], None),
+        (&["repl"], Some(&repl)),
+    ];
+    for (args, stdin) in runs {
+        let stdin = match stdin {
+            Some(path) => Stdio::from(std::fs::File::open(path).unwrap()),
+            None => Stdio::null(),
+        };
+        let mut child = bin()
+            .args(args)
+            .stdin(stdin)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut first)
+            .unwrap();
+        assert!(first.ends_with('\n'), "{args:?}: {first:?}");
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{args:?}");
+    }
+}
+
 #[test]
 fn eval_engines_agree() {
     let dir = TempDir::new("engines");

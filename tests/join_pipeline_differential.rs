@@ -17,13 +17,20 @@
 //! enumerate, so their shapes are also compared with evaluators that share
 //! none of that code: `naive::evaluate`, and `naive::apply_once` where a
 //! shape needs negation.
+//!
+//! So are the head shapes: the kernel drops a task's repeated heads on
+//! their source dictionary codes before it builds a tuple, the reference
+//! sends every match through the `Const`-level dedup, and the head — its
+//! constants, repeated variables, the stages that bind it, a head space on
+//! either side of the bitmap's bound — decides what the kernel's filter
+//! keys on.
 
 use datalog_ast::{
     fact, parse_database, parse_program, Atom, Const, Database, GroundAtom, Literal, Pred, Program,
     Rule, Term, Var,
 };
 use datalog_engine::context::EvalOptions;
-use datalog_engine::{naive, stratified, Stats};
+use datalog_engine::{naive, seminaive, stratified, Materialized, Stats, Traced};
 use datalog_generate::{bloated_tc, random_db, random_program, RandomProgramSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -366,6 +373,126 @@ fn one_step_delta_tasks_do_not_touch_the_batch_cache() {
     assert!(out.contains(&fact("k", [4])));
     assert_eq!(stats.batch_reuse_hits, 0);
     assert_eq!(stats.batch_probe_rows, 0, "no probe stage ever ran");
+}
+
+/// [`check`] at 1, 2 and 4 workers for a positive program, whose fixpoint
+/// must also be `naive::evaluate`'s. Returns the sequential kernel run.
+fn check_positive(program: &Program, db: &Database, what: &str) -> (Database, Stats) {
+    let want = naive::evaluate(program, db);
+    for threads in [2usize, 4] {
+        let (got, _) = check(program, db, threads, what);
+        assert_eq!(got, want, "naive fixpoint, {what}, {threads} threads");
+    }
+    let (got, stats) = check(program, db, 1, what);
+    assert_eq!(got, want, "naive fixpoint, {what}");
+    (got, stats)
+}
+
+/// Every head shape the kernel's duplicate filter keys on differently: a
+/// constant, a repeated variable, variables bound only at stage 0, only by
+/// the last stage and by both, all-constant and 0-ary heads, and
+/// delta-led tasks whose head values come from the delta relation. Over
+/// `existential_db`'s sizes the planner runs `s`, then `e`, then `t`.
+#[test]
+fn head_shapes() {
+    let mut program = parse_program(
+        "konst(7, V) :- e(X, W), t(W, V).\
+         same(V, V) :- s(X), e(X, W), t(W, V).\
+         spread(X, V, X) :- s(X), e(X, W), t(W, V).\
+         early(X) :- s(X), e(X, W), t(W, V).\
+         late(V) :- s(X), e(X, W), t(W, V).\
+         both(X, V) :- s(X), e(X, W), t(W, V).\
+         ground(1, 2) :- e(X, W), t(W, V).\
+         any :- e(X, W), t(W, V).\
+         reach(V) :- s(V).\
+         reach(V) :- reach(X), e(X, W), t(W, V).",
+    )
+    .unwrap();
+    program.rules.push(Rule::fact(Atom::new("flag", vec![])));
+    program.rules.push(Rule::fact(Atom::new(
+        "seed",
+        vec![Term::Const(Const::Int(3))],
+    )));
+    let mut repeats = 0;
+    for seed in 0..10u64 {
+        let db = existential_db(seed);
+        let (out, stats) = check_positive(&program, &db, &format!("head shapes, seed {seed}"));
+        assert!(out.contains(&fact("flag", [])) && out.contains(&fact("seed", [3])));
+        let late = out.relation_len(Pred::new("late"));
+        assert_eq!(out.relation_len(Pred::new("same")), late, "seed {seed}");
+        assert!(out.relation_len(Pred::new("any")) <= 1);
+        repeats += stats.matches - stats.derivations;
+    }
+    assert!(repeats > 0, "the seeds drew repeated heads");
+}
+
+/// A head space of exactly the bitmap's bound (2 048 x 2 048 bits) and one
+/// just above it (2 049 x 2 049, which skips the bitmap): each head is
+/// derived once per `k` row, so both sides drop two duplicates per head.
+#[test]
+fn head_spaces_on_both_sides_of_the_bitmap_bound() {
+    let program =
+        parse_program("below(X, Y) :- k(Z), e(X, Y). above(X, Y) :- k(Z), f(X, Y).").unwrap();
+    let mut db = parse_database("k(1). k(2). k(3).").unwrap();
+    // Permutations, so every column holds n distinct values.
+    for (pred, n) in [("e", 2048i64), ("f", 2049)] {
+        for i in 0..n {
+            db.insert(fact(pred, [i, (i * 7 + 1) % n]));
+        }
+    }
+    let (out, stats) = check_positive(&program, &db, "head spaces at the bound");
+    assert_eq!(out.relation_len(Pred::new("below")), 2048);
+    assert_eq!(out.relation_len(Pred::new("above")), 2049);
+    assert_eq!(stats.matches, 3 * (2048 + 2049));
+}
+
+/// The DRed sweep runs the kernel without the database check, so every
+/// head it derives — old ones included — must come out once. Removing
+/// edges from `bloated_tc`'s view one batch at a time, then putting them
+/// back, must land on a from-scratch evaluation every time.
+#[test]
+fn bloated_tc_remove_matches_a_recompute() {
+    let program = bloated_tc(6, 1);
+    for seed in 0..4u64 {
+        let db = random_db(&[("a", 2)], 40, 16, 0xd7ed + seed);
+        let mut m = Materialized::new(program.clone(), &db);
+        let edges: Vec<GroundAtom> = db.iter().collect();
+        for batch in edges.chunks(7).take(4) {
+            let before = m.database().len() as u64;
+            let removed = m.remove(batch.iter().cloned());
+            let want = seminaive::evaluate(&program, m.base());
+            assert_eq!(m.database(), &want, "remove, seed {seed}");
+            assert_eq!(removed, before - want.len() as u64, "seed {seed}");
+        }
+        m.insert(edges);
+        assert_eq!(
+            m.database(),
+            &seminaive::evaluate(&program, &db),
+            "seed {seed}"
+        );
+    }
+}
+
+/// A traced context records the justification of each head the kernel
+/// queues; the filter decides which match that is. Every proof of a
+/// `bloated_tc` fixpoint must pass `Proof::check`, at any thread count.
+#[test]
+fn bloated_tc_explanations_check() {
+    let program = bloated_tc(6, 1);
+    let db = random_db(&[("a", 2)], 30, 12, 0xe4b1);
+    let fixpoint = naive::evaluate(&program, &db);
+    let derived: Vec<GroundAtom> = fixpoint.iter().filter(|a| !db.contains(a)).collect();
+    assert!(derived.len() > 20);
+    for threads in [1usize, 2, 4] {
+        let mut traced = Traced::new(&program, db.clone(), EvalOptions::with_threads(threads));
+        for goal in derived.iter().step_by(derived.len() / 20) {
+            let proof = traced.explain(goal).expect("in the fixpoint");
+            assert_eq!(&proof.conclusion, goal);
+            proof.check(&program, &db).unwrap();
+        }
+        assert!(traced.explain(&fact("g", [99, 99])).is_none());
+        assert_eq!(traced.database(), &fixpoint, "{threads} threads");
+    }
 }
 
 #[test]

@@ -181,14 +181,20 @@ pub struct RowDisplay<'a>(pub Pred, pub &'a [Const]);
 
 impl fmt::Display for RowDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.0)?;
+        // Straight to the formatter: a fixpoint prints hundreds of
+        // thousands of these.
+        self.0.with_name(|name| f.write_str(name))?;
+        f.write_str("(")?;
         for (i, c) in self.1.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                f.write_str(", ")?;
             }
-            write!(f, "{c}")?;
+            match c {
+                Const::Sym(s) => s.with_str(|s| f.write_str(s))?,
+                c => write!(f, "{c}")?,
+            }
         }
-        write!(f, ")")
+        f.write_str(")")
     }
 }
 

@@ -12,7 +12,7 @@
 //! [`Database::iter`], [`Database::relation`]) is in tuple order, independent
 //! of insertion history, exactly as the former `BTreeSet` storage behaved.
 
-use crate::atom::{Atom, GroundAtom};
+use crate::atom::{Atom, GroundAtom, RowDisplay};
 use crate::relation::{Relation, SortedRows};
 use crate::symbol::Pred;
 use crate::term::Const;
@@ -123,17 +123,22 @@ impl Database {
     /// emptied by the removal is dropped entirely, so a database never
     /// differs from [`Database::new`] after its last atom is removed.
     pub fn remove(&mut self, atom: &GroundAtom) -> bool {
-        let Some(rels) = self.relations.get_mut(&atom.pred) else {
+        self.remove_row(atom.pred, &atom.tuple)
+    }
+
+    /// Remove a row view under `pred`; see [`Database::remove`].
+    pub fn remove_row(&mut self, pred: Pred, row: &[Const]) -> bool {
+        let Some(rels) = self.relations.get_mut(&pred) else {
             return false;
         };
-        let Some(i) = rels.iter().position(|r| r.arity() == atom.tuple.len()) else {
+        let Some(i) = rels.iter().position(|r| r.arity() == row.len()) else {
             return false;
         };
-        let removed = rels[i].remove(&atom.tuple);
+        let removed = rels[i].remove(row);
         if removed && rels[i].is_empty() {
             rels.remove(i);
             if rels.is_empty() {
-                self.relations.remove(&atom.pred);
+                self.relations.remove(&pred);
             }
         }
         removed
@@ -213,12 +218,42 @@ impl Database {
 
     /// Iterate all ground atoms, in (predicate, tuple) order.
     pub fn iter(&self) -> impl Iterator<Item = GroundAtom> + '_ {
-        self.relations.iter().flat_map(|(&pred, rels)| {
-            RelationRows::new(rels).map(move |t| GroundAtom {
-                pred,
-                tuple: t.into(),
-            })
-        })
+        self.rows().map(|(pred, row)| GroundAtom::new(pred, row))
+    }
+
+    /// Every row with its predicate, in (predicate, tuple) order — what
+    /// [`Database::iter`] yields, without boxing a tuple per atom.
+    fn rows(&self) -> impl Iterator<Item = (Pred, &[Const])> + '_ {
+        self.relations
+            .iter()
+            .flat_map(|(&pred, rels)| RelationRows::new(rels).map(move |row| (pred, row)))
+    }
+
+    /// The database as a fact file: `pred(c1, …, cn).` per line, in
+    /// (predicate, tuple) order, which [`crate::parse_database`] reads back.
+    pub fn facts(&self) -> Facts<'_> {
+        Facts(self)
+    }
+
+    /// Add the rows of `rel` under `pred`; returns how many were new. A
+    /// relation of an arity `pred` does not have yet is taken over whole
+    /// (shared, not copied).
+    pub fn insert_relation(&mut self, pred: Pred, rel: Relation) -> usize {
+        let mine = self.relations.entry(pred).or_default();
+        let at = mine
+            .iter()
+            .position(|r| r.arity() >= rel.arity())
+            .unwrap_or(mine.len());
+        match mine.get_mut(at) {
+            Some(same) if same.arity() == rel.arity() => {
+                rel.rows().filter(|row| same.insert(row).is_some()).count()
+            }
+            _ => {
+                let added = rel.len();
+                mine.insert(at, rel);
+                added
+            }
+        }
     }
 
     /// Set-union with another database (the `⟨d1, d2⟩` of §III); returns the
@@ -228,28 +263,7 @@ impl Database {
         let mut added = 0;
         for (&pred, rels) in &other.relations {
             for rel in rels {
-                match self
-                    .relations
-                    .get(&pred)
-                    .and_then(|mine| mine.iter().find(|r| r.arity() == rel.arity()))
-                {
-                    None => {
-                        added += rel.len();
-                        let mine = self.relations.entry(pred).or_default();
-                        let at = mine
-                            .iter()
-                            .position(|r| r.arity() >= rel.arity())
-                            .unwrap_or(mine.len());
-                        mine.insert(at, rel.clone());
-                    }
-                    Some(_) => {
-                        for row in rel.rows() {
-                            if self.insert_row(pred, row) {
-                                added += 1;
-                            }
-                        }
-                    }
-                }
+                added += self.insert_relation(pred, rel.clone());
             }
         }
         added
@@ -339,13 +353,26 @@ impl fmt::Debug for Database {
 impl fmt::Display for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, a) in self.iter().enumerate() {
+        for (i, (pred, row)) in self.rows().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{a}")?;
+            write!(f, "{}", RowDisplay(pred, row))?;
         }
         write!(f, "}}")
+    }
+}
+
+/// A database printed as a fact file (see [`Database::facts`]).
+pub struct Facts<'a>(&'a Database);
+
+impl fmt::Display for Facts<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (pred, row) in self.0.rows() {
+            fmt::Display::fmt(&RowDisplay(pred, row), f)?;
+            f.write_str(".\n")?;
+        }
+        Ok(())
     }
 }
 

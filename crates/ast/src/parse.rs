@@ -26,12 +26,17 @@ use crate::program::Program;
 use crate::rule::Rule;
 use crate::schema::{ColType, Schema, SchemaSet};
 use crate::span::{RuleSpans, Span};
-use crate::symbol::{Pred, Var};
+use crate::symbol::{Pred, Sym, Var};
 use crate::term::{Const, Term};
 use crate::tgd::Tgd;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Position-annotated parse error.
+///
+/// When an input holds several errors, the first in source order is the one
+/// reported: the lexer produces tokens only as the parser asks for them, so
+/// nothing past the first error is ever read.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ParseError {
     pub line: usize,
@@ -57,10 +62,11 @@ impl fmt::Debug for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
-    LowerIdent(String),
-    UpperIdent(String),
+/// A token; identifiers borrow their text from the source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tok<'a> {
+    LowerIdent(&'a str),
+    UpperIdent(&'a str),
     Int(i64),
     LParen,
     RParen,
@@ -74,7 +80,7 @@ enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::LowerIdent(s) => write!(f, "identifier `{s}`"),
@@ -94,8 +100,11 @@ impl fmt::Display for Tok {
     }
 }
 
+/// A cursor over the source that produces one token per call. It is cheap
+/// to clone, which is how a parser rewinds to the start of a statement.
+#[derive(Clone)]
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -104,7 +113,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -120,7 +129,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek_byte(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -135,68 +144,51 @@ impl<'a> Lexer<'a> {
         Some(b)
     }
 
+    /// Advance past the bytes `more` accepts, none of which is a newline.
+    fn eat_while(&mut self, more: impl Fn(u8) -> bool) {
+        let start = self.pos;
+        while self.peek_byte().is_some_and(&more) {
+            self.pos += 1;
+        }
+        self.col += self.pos - start;
+    }
+
     fn skip_trivia(&mut self) {
         loop {
             match self.peek_byte() {
                 Some(b) if b.is_ascii_whitespace() => {
                     self.bump();
                 }
-                Some(b'%') => {
-                    while let Some(b) = self.peek_byte() {
-                        if b == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                Some(b'/') if self.src.get(self.pos + 1) == Some(&b'/') => {
-                    while let Some(b) = self.peek_byte() {
-                        if b == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                Some(b'%') => self.eat_while(|b| b != b'\n'),
+                Some(b'/') if self.src.as_bytes().get(self.pos + 1) == Some(&b'/') => {
+                    self.eat_while(|b| b != b'\n')
                 }
                 _ => break,
             }
         }
     }
 
-    fn next_token(&mut self) -> Result<(Tok, usize, usize), ParseError> {
+    fn next_token(&mut self) -> Result<(Tok<'a>, usize, usize), ParseError> {
         self.skip_trivia();
         let (line, col) = (self.line, self.col);
         let Some(b) = self.peek_byte() else {
             return Ok((Tok::Eof, line, col));
         };
+        let punct = match b {
+            b'(' => Some(Tok::LParen),
+            b')' => Some(Tok::RParen),
+            b',' => Some(Tok::Comma),
+            b'.' => Some(Tok::Dot),
+            b'!' => Some(Tok::Bang),
+            b'&' => Some(Tok::Ampersand),
+            b'@' => Some(Tok::At),
+            _ => None,
+        };
+        if let Some(tok) = punct {
+            self.bump();
+            return Ok((tok, line, col));
+        }
         let tok = match b {
-            b'(' => {
-                self.bump();
-                Tok::LParen
-            }
-            b')' => {
-                self.bump();
-                Tok::RParen
-            }
-            b',' => {
-                self.bump();
-                Tok::Comma
-            }
-            b'.' => {
-                self.bump();
-                Tok::Dot
-            }
-            b'!' => {
-                self.bump();
-                Tok::Bang
-            }
-            b'&' => {
-                self.bump();
-                Tok::Ampersand
-            }
-            b'@' => {
-                self.bump();
-                Tok::At
-            }
             b':' => {
                 self.bump();
                 if self.peek_byte() == Some(b'-') {
@@ -206,33 +198,24 @@ impl<'a> Lexer<'a> {
                     return Err(self.error("expected `:-`"));
                 }
             }
-            b'-' => {
-                self.bump();
-                match self.peek_byte() {
-                    Some(b'>') => {
-                        self.bump();
-                        Tok::Arrow
-                    }
-                    Some(d) if d.is_ascii_digit() => {
-                        let n = self.lex_int()?;
-                        Tok::Int(-n)
-                    }
-                    _ => return Err(self.error("expected `->` or a negative integer")),
+            b'-' => match self.src.as_bytes().get(self.pos + 1) {
+                Some(b'>') => {
+                    self.bump();
+                    self.bump();
+                    Tok::Arrow
                 }
-            }
+                Some(d) if d.is_ascii_digit() => Tok::Int(self.lex_int()?),
+                _ => {
+                    self.bump();
+                    return Err(self.error("expected `->` or a negative integer"));
+                }
+            },
             d if d.is_ascii_digit() => Tok::Int(self.lex_int()?),
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = self.pos;
-                while let Some(b) = self.peek_byte() {
-                    if b.is_ascii_alphanumeric() || b == b'_' {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let s = std::str::from_utf8(&self.src[start..self.pos])
-                    .expect("identifier bytes are ASCII")
-                    .to_owned();
+                self.eat_while(|b| b.is_ascii_alphanumeric() || b == b'_');
+                // ASCII bytes only, so both ends are char boundaries.
+                let s = &self.src[start..self.pos];
                 if c.is_ascii_uppercase() || c == b'_' {
                     Tok::UpperIdent(s)
                 } else {
@@ -246,87 +229,86 @@ impl<'a> Lexer<'a> {
         Ok((tok, line, col))
     }
 
+    /// An integer literal. The sign is lexed with the digits, so
+    /// `-9223372036854775808` (`i64::MIN`) is in range.
     fn lex_int(&mut self) -> Result<i64, ParseError> {
         let start = self.pos;
-        while let Some(b) = self.peek_byte() {
-            if b.is_ascii_digit() {
-                self.bump();
-            } else {
-                break;
-            }
+        if self.peek_byte() == Some(b'-') {
+            self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("digits are ASCII");
+        self.eat_while(|b| b.is_ascii_digit());
+        let text = &self.src[start..self.pos];
         text.parse::<i64>()
             .map_err(|_| self.error(format!("integer `{text}` out of range")))
     }
 }
 
-struct Parser {
-    tokens: Vec<(Tok, usize, usize)>,
-    pos: usize,
+/// A recursive-descent parser with one token of lookahead, read from the
+/// lexer only when the previous one is taken.
+#[derive(Clone)]
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token and where it starts.
+    tok: Tok<'a>,
+    line: usize,
+    col: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser, ParseError> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Parser<'a>, ParseError> {
         let mut lexer = Lexer::new(src);
-        let mut tokens = Vec::new();
-        loop {
-            let t = lexer.next_token()?;
-            let done = t.0 == Tok::Eof;
-            tokens.push(t);
-            if done {
-                break;
-            }
-        }
-        Ok(Parser { tokens, pos: 0 })
+        let (tok, line, col) = lexer.next_token()?;
+        Ok(Parser {
+            lexer,
+            tok,
+            line,
+            col,
+        })
     }
 
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].0
+    fn peek(&self) -> Tok<'a> {
+        self.tok
     }
 
     fn here(&self) -> (usize, usize) {
-        let (_, l, c) = self.tokens[self.pos];
-        (l, c)
+        (self.line, self.col)
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
-        let (line, col) = self.here();
         ParseError {
-            line,
-            col,
+            line: self.line,
+            col: self.col,
             message: message.into(),
         }
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].0.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+    /// Take the current token and lex the next one (end of input repeats).
+    fn bump(&mut self) -> Result<Tok<'a>, ParseError> {
+        let tok = self.tok;
+        (self.tok, self.line, self.col) = self.lexer.next_token()?;
+        Ok(tok)
     }
 
-    fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
-        if self.peek() == want {
-            self.bump();
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseError> {
+        if self.tok == want {
+            self.bump()?;
             Ok(())
         } else {
-            Err(self.error(format!("expected {want}, found {}", self.peek())))
+            Err(self.error(format!("expected {want}, found {}", self.tok)))
         }
     }
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
-        match self.bump() {
-            Tok::UpperIdent(name) => Ok(Term::Var(Var::new(&name))),
-            Tok::LowerIdent(name) => Ok(Term::Const(Const::from(name.as_str()))),
+        match self.bump()? {
+            Tok::UpperIdent(name) => Ok(Term::Var(Var::new(name))),
+            Tok::LowerIdent(name) => Ok(Term::Const(Const::from(name))),
             Tok::Int(i) => Ok(Term::Const(Const::Int(i))),
             other => Err(self.error(format!("expected a term, found {other}"))),
         }
     }
 
     fn parse_atom(&mut self) -> Result<Atom, ParseError> {
-        let name = match self.bump() {
+        let name = match self.bump()? {
             Tok::LowerIdent(name) => name,
             other => {
                 return Err(self.error(format!(
@@ -335,33 +317,73 @@ impl Parser {
             }
         };
         let mut terms = Vec::new();
-        if self.peek() == &Tok::LParen {
-            self.bump();
-            if self.peek() != &Tok::RParen {
+        if self.peek() == Tok::LParen {
+            self.bump()?;
+            if self.peek() != Tok::RParen {
                 terms.push(self.parse_term()?);
-                while self.peek() == &Tok::Comma {
-                    self.bump();
+                while self.peek() == Tok::Comma {
+                    self.bump()?;
                     terms.push(self.parse_term()?);
                 }
             }
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
         }
-        Ok(Atom::new(Pred::new(&name), terms))
+        Ok(Atom::new(Pred::new(name), terms))
     }
 
     fn parse_literal(&mut self) -> Result<Literal, ParseError> {
-        if self.peek() == &Tok::Bang {
-            self.bump();
+        if self.peek() == Tok::Bang {
+            self.bump()?;
             Ok(Literal::neg(self.parse_atom()?))
         } else {
             Ok(Literal::pos(self.parse_atom()?))
         }
     }
 
+    /// Read a statement of the form `pred(c1, …, cn).` (or `pred.`) with
+    /// constant arguments, leaving its arguments in `row` and returning the
+    /// predicate. `Ok(None)` as soon as the statement turns out to be
+    /// anything else; the parser is then somewhere inside it, and the caller
+    /// rewinds.
+    fn ground_fact(
+        &mut self,
+        names: &mut Names<'a>,
+        row: &mut Vec<Const>,
+    ) -> Result<Option<Pred>, ParseError> {
+        let Tok::LowerIdent(name) = self.peek() else {
+            return Ok(None);
+        };
+        self.bump()?;
+        row.clear();
+        if self.peek() == Tok::LParen {
+            self.bump()?;
+            if self.peek() != Tok::RParen {
+                loop {
+                    row.push(match self.bump()? {
+                        Tok::LowerIdent(s) => Const::Sym(names.intern(s)),
+                        Tok::Int(i) => Const::Int(i),
+                        _ => return Ok(None),
+                    });
+                    match self.peek() {
+                        Tok::Comma => self.bump()?,
+                        Tok::RParen => break,
+                        _ => return Ok(None),
+                    };
+                }
+            }
+            self.bump()?;
+        }
+        if self.peek() != Tok::Dot {
+            return Ok(None);
+        }
+        self.bump()?;
+        Ok(Some(Pred(names.intern(name))))
+    }
+
     /// Parse one statement: a rule/fact (ends with `.`), a tgd, or an
     /// `@decl` schema declaration.
     fn parse_statement(&mut self) -> Result<Statement, ParseError> {
-        if self.peek() == &Tok::At {
+        if self.peek() == Tok::At {
             return self.parse_decl();
         }
         let (head_line, head_col) = self.here();
@@ -369,7 +391,7 @@ impl Parser {
         let head = self.parse_atom()?;
         match self.peek() {
             Tok::Dot => {
-                self.bump();
+                self.bump()?;
                 let mut rule = Rule::new(head, Vec::new());
                 rule.spans = Some(RuleSpans {
                     rule: head_span,
@@ -379,19 +401,19 @@ impl Parser {
                 Ok(Statement::Rule(rule))
             }
             Tok::ColonDash => {
-                self.bump();
+                self.bump()?;
                 let mut body_spans = vec![{
                     let (l, c) = self.here();
                     Span::new(l, c)
                 }];
                 let mut body = vec![self.parse_literal()?];
-                while self.peek() == &Tok::Comma {
-                    self.bump();
+                while self.peek() == Tok::Comma {
+                    self.bump()?;
                     let (l, c) = self.here();
                     body_spans.push(Span::new(l, c));
                     body.push(self.parse_literal()?);
                 }
-                self.expect(&Tok::Dot)?;
+                self.expect(Tok::Dot)?;
                 let mut rule = Rule::new(head, body);
                 rule.spans = Some(RuleSpans {
                     rule: head_span,
@@ -402,17 +424,17 @@ impl Parser {
             }
             Tok::Ampersand | Tok::Arrow => {
                 let mut lhs = vec![head];
-                while self.peek() == &Tok::Ampersand {
-                    self.bump();
+                while self.peek() == Tok::Ampersand {
+                    self.bump()?;
                     lhs.push(self.parse_atom()?);
                 }
-                self.expect(&Tok::Arrow)?;
+                self.expect(Tok::Arrow)?;
                 let mut rhs = vec![self.parse_atom()?];
-                while self.peek() == &Tok::Ampersand {
-                    self.bump();
+                while self.peek() == Tok::Ampersand {
+                    self.bump()?;
                     rhs.push(self.parse_atom()?);
                 }
-                self.expect(&Tok::Dot)?;
+                self.expect(Tok::Dot)?;
                 Ok(Statement::Tgd(Tgd::new(lhs, rhs)))
             }
             other => Err(self.error(format!("expected `.`, `:-`, `&`, or `->`, found {other}"))),
@@ -421,46 +443,46 @@ impl Parser {
 
     /// `@decl pred(type, …).` with types `int`, `sym`, `any`.
     fn parse_decl(&mut self) -> Result<Statement, ParseError> {
-        self.expect(&Tok::At)?;
-        match self.bump() {
-            Tok::LowerIdent(kw) if kw == "decl" => {}
+        self.expect(Tok::At)?;
+        match self.bump()? {
+            Tok::LowerIdent("decl") => {}
             other => return Err(self.error(format!("expected `decl` after `@`, found {other}"))),
         }
-        let name = match self.bump() {
+        let name = match self.bump()? {
             Tok::LowerIdent(name) => name,
             other => return Err(self.error(format!("expected a predicate name, found {other}"))),
         };
         let mut columns = Vec::new();
-        self.expect(&Tok::LParen)?;
-        if self.peek() != &Tok::RParen {
+        self.expect(Tok::LParen)?;
+        if self.peek() != Tok::RParen {
             loop {
-                match self.bump() {
-                    Tok::LowerIdent(t) if t == "int" => columns.push(ColType::Int),
-                    Tok::LowerIdent(t) if t == "sym" => columns.push(ColType::Sym),
-                    Tok::LowerIdent(t) if t == "any" => columns.push(ColType::Any),
+                match self.bump()? {
+                    Tok::LowerIdent("int") => columns.push(ColType::Int),
+                    Tok::LowerIdent("sym") => columns.push(ColType::Sym),
+                    Tok::LowerIdent("any") => columns.push(ColType::Any),
                     other => {
                         return Err(self.error(format!(
                             "expected a column type (int, sym, any), found {other}"
                         )))
                     }
                 }
-                if self.peek() == &Tok::Comma {
-                    self.bump();
+                if self.peek() == Tok::Comma {
+                    self.bump()?;
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
-        self.expect(&Tok::Dot)?;
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::Dot)?;
         Ok(Statement::Decl(Schema {
-            pred: Pred::new(&name),
+            pred: Pred::new(name),
             columns,
         }))
     }
 
     fn at_eof(&self) -> bool {
-        self.peek() == &Tok::Eof
+        self.peek() == Tok::Eof
     }
 }
 
@@ -468,6 +490,19 @@ enum Statement {
     Rule(Rule),
     Tgd(Tgd),
     Decl(Schema),
+}
+
+/// The names one parse has interned, so that a name the input repeats
+/// costs a hash probe instead of a turn at the global interner's lock. The
+/// names come from outside the program, so the map keeps the default
+/// (collision-resistant) hasher.
+#[derive(Default)]
+struct Names<'a>(HashMap<&'a str, Sym>);
+
+impl<'a> Names<'a> {
+    fn intern(&mut self, name: &'a str) -> Sym {
+        *self.0.entry(name).or_insert_with(|| Sym::new(name))
+    }
 }
 
 /// Parse a program: a sequence of rules and facts. Tgds are rejected here —
@@ -536,46 +571,36 @@ pub fn parse_tgds(src: &str) -> Result<Vec<Tgd>, ParseError> {
 }
 
 /// Parse a database: ground facts only, e.g. `a(1,2). a(1,4). g(4,1).`
+///
+/// Each fact is read straight into a row of its relation; no atom is built.
+/// A statement that is not a ground fact goes to the statement parser from
+/// its first token, which says what it is instead.
 pub fn parse_database(src: &str) -> Result<Database, ParseError> {
     let mut p = Parser::new(src)?;
     let mut db = Database::new();
+    let mut names = Names::default();
+    let mut row = Vec::new();
     while !p.at_eof() {
-        let (line, col) = p.here();
-        match p.parse_statement()? {
-            Statement::Rule(r) if r.body.is_empty() => match r.head.to_ground() {
-                Some(g) => {
-                    db.insert(g);
-                }
-                None => {
-                    return Err(ParseError {
-                        line,
-                        col,
-                        message: format!("fact `{}` is not ground", r.head),
-                    })
-                }
-            },
-            Statement::Rule(_) => {
-                return Err(ParseError {
-                    line,
-                    col,
-                    message: "expected a ground fact, found a rule with a body".into(),
-                })
-            }
-            Statement::Tgd(_) => {
-                return Err(ParseError {
-                    line,
-                    col,
-                    message: "expected a ground fact, found a tgd".into(),
-                })
-            }
-            Statement::Decl(_) => {
-                return Err(ParseError {
-                    line,
-                    col,
-                    message: "expected a ground fact, found a declaration".into(),
-                })
-            }
+        let start = p.clone();
+        if let Some(pred) = p.ground_fact(&mut names, &mut row)? {
+            db.insert_row(pred, &row);
+            continue;
         }
+        // `ground_fact` reads every ground fact the statement parser would,
+        // so what is left is a syntax error or a statement of another kind.
+        p = start;
+        let (line, col) = p.here();
+        let found = match p.parse_statement()? {
+            Statement::Rule(r) if r.body.is_empty() => format!("fact `{}` is not ground", r.head),
+            Statement::Rule(_) => "expected a ground fact, found a rule with a body".into(),
+            Statement::Tgd(_) => "expected a ground fact, found a tgd".into(),
+            Statement::Decl(_) => "expected a ground fact, found a declaration".into(),
+        };
+        return Err(ParseError {
+            line,
+            col,
+            message: found,
+        });
     }
     Ok(db)
 }
@@ -659,6 +684,18 @@ mod tests {
     fn parse_negative_integers() {
         let a = parse_atom("p(-5, 3)").unwrap();
         assert_eq!(a.terms[0], Term::int(-5));
+    }
+
+    /// The sign is part of the literal: `i64::MIN` has no positive twin to
+    /// negate, and a fixpoint that holds it must read back.
+    #[test]
+    fn parse_i64_extremes() {
+        let a = parse_atom("p(-9223372036854775808, 9223372036854775807)").unwrap();
+        assert_eq!(a.terms, [Term::int(i64::MIN), Term::int(i64::MAX)]);
+        let db = parse_database("p(-9223372036854775808).").unwrap();
+        assert!(db.contains_tuple(Pred::new("p"), &[Const::Int(i64::MIN)]));
+        let err = parse_atom("p(-9223372036854775809)").unwrap_err();
+        assert_eq!(err.message, "integer `-9223372036854775809` out of range");
     }
 
     #[test]

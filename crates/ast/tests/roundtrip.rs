@@ -1,9 +1,13 @@
 //! Property tests for the concrete syntax: printing any well-formed AST
 //! and re-parsing it must give the same AST back, and the parser must never
-//! panic on arbitrary input.
+//! panic on arbitrary input. A database printed as a fact file reads back
+//! as the same database, and `parse_database` — which reads facts straight
+//! into rows — accepts exactly the inputs `parse_unit` reads as ground facts
+//! only.
 
 use datalog_ast::{
-    atom, parse_atom, parse_program, parse_rule, parse_tgd, Atom, Literal, Program, Rule, Term, Tgd,
+    atom, parse_atom, parse_database, parse_program, parse_rule, parse_tgd, parse_unit, Atom,
+    Const, Database, GroundAtom, Literal, Program, Rule, Term, Tgd,
 };
 use proptest::prelude::*;
 
@@ -60,6 +64,43 @@ fn arb_program() -> impl Strategy<Value = Program> {
     prop::collection::vec(arb_rule(), 0..6).prop_map(Program::new)
 }
 
+/// Any `i64` (the extremes drawn on purpose) or a named constant.
+fn arb_const() -> impl Strategy<Value = Const> {
+    prop_oneof![
+        any::<i64>().prop_map(Const::Int),
+        prop::sample::select(vec![i64::MIN, i64::MAX, -1, 0]).prop_map(Const::Int),
+        const_name().prop_map(|c| Const::from(c.as_str())),
+    ]
+}
+
+/// Facts of arity 0 to 3 under a few predicate names, so one predicate
+/// often holds rows of two arities.
+fn arb_database() -> impl Strategy<Value = Database> {
+    prop::collection::vec(
+        (pred_name(), prop::collection::vec(arb_const(), 0..4)),
+        0..16,
+    )
+    .prop_map(|facts| {
+        facts
+            .into_iter()
+            .map(|(pred, tuple)| GroundAtom::new(pred.as_str(), tuple))
+            .collect()
+    })
+}
+
+/// `parse_database` accepts `src` exactly when `parse_unit` reads nothing
+/// but ground facts from it, and then both read the same database.
+fn check_against_parse_unit(src: &str) -> Result<(), TestCaseError> {
+    let db = parse_database(src);
+    match parse_unit(src) {
+        Ok(unit) if unit.program.is_empty() && unit.tgds.is_empty() && unit.schemas.is_empty() => {
+            prop_assert_eq!(db, Ok(Database::from_atoms(unit.facts)), "{:?}", src);
+        }
+        _ => prop_assert!(db.is_err(), "{:?} read as {:?}", src, db),
+    }
+    Ok(())
+}
+
 fn arb_tgd() -> impl Strategy<Value = Tgd> {
     (
         prop::collection::vec(arb_atom(), 1..3),
@@ -103,6 +144,14 @@ proptest! {
     }
 
     #[test]
+    fn database_roundtrip(db in arb_database()) {
+        let printed = db.facts().to_string();
+        let atoms: String = db.iter().map(|a| format!("{a}.\n")).collect();
+        prop_assert_eq!(&printed, &atoms);
+        prop_assert_eq!(parse_database(&printed).unwrap(), db);
+    }
+
+    #[test]
     fn parser_never_panics_on_arbitrary_input(s in "\\PC*") {
         // Any result is fine; crashing is not.
         let _ = parse_program(&s);
@@ -115,6 +164,7 @@ proptest! {
     #[test]
     fn parser_never_panics_on_almost_valid_input(
         base in arb_program(),
+        db in arb_database(),
         cut in any::<prop::sample::Index>(),
         junk in "[a-zX,():.%&!-]{0,6}",
     ) {
@@ -128,5 +178,76 @@ proptest! {
         let mangled = format!("{}{}", &printed[..idx], junk);
         let _ = parse_program(&mangled);
         let _ = datalog_ast::parse_unit(&mangled);
+        check_against_parse_unit(&mangled)?;
+
+        // The same for a printed database.
+        let printed = db.facts().to_string();
+        let mut idx = cut.index(printed.len().max(1)).min(printed.len());
+        while !printed.is_char_boundary(idx) {
+            idx -= 1;
+        }
+        check_against_parse_unit(&format!("{}{}", &printed[..idx], junk))?;
+    }
+}
+
+/// `parse_database` errors pinned by line, column and message, one error per
+/// input: the statement that is not a ground fact is named from its first
+/// token, a lexical error where the lexer stops.
+#[test]
+fn parse_database_errors() {
+    let cases: [(&str, (usize, usize, &str)); 8] = [
+        (
+            "a(1, 2).\nb(X, 3).\n",
+            (2, 1, "fact `b(X, 3)` is not ground"),
+        ),
+        (
+            "a(1).\n  g(X) :- a(X).\n",
+            (2, 3, "expected a ground fact, found a rule with a body"),
+        ),
+        (
+            "a(1).\ng(X, Z) -> a(X, W).\n",
+            (2, 1, "expected a ground fact, found a tgd"),
+        ),
+        (
+            "@decl edge(int, int).\n",
+            (1, 1, "expected a ground fact, found a declaration"),
+        ),
+        ("a(1, 2).\na(3, $).\n", (2, 6, "unexpected character `$`")),
+        (
+            "a(1).\na(99999999999999999999).\n",
+            (2, 23, "integer `99999999999999999999` out of range"),
+        ),
+        (
+            "a(1, 2)\na(3, 4).\n",
+            (
+                2,
+                1,
+                "expected `.`, `:-`, `&`, or `->`, found identifier `a`",
+            ),
+        ),
+        ("a(1, 2.\n", (1, 7, "expected `)`, found `.`")),
+    ];
+    for (src, (line, col, message)) in cases {
+        let err = parse_database(src).unwrap_err();
+        assert_eq!(
+            (err.line, err.col, err.message.as_str()),
+            (line, col, message),
+            "{src:?}"
+        );
+    }
+}
+
+/// With a syntax error before a lexical one, the syntax error is reported:
+/// nothing past the first error is lexed.
+#[test]
+fn the_first_error_in_source_order_is_reported() {
+    for parse in [
+        |s: &str| parse_database(s).map(drop),
+        |s: &str| parse_program(s).map(drop),
+        |s: &str| parse_unit(s).map(drop),
+    ] {
+        let err = parse("a(1 2).\nb($).\n").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 5), "{err}");
+        assert_eq!(err.message, "expected `)`, found integer `2`");
     }
 }

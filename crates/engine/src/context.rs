@@ -44,10 +44,15 @@
 //!   `(rule × delta-position)` work items — further sharded by striding
 //!   the first join step's postings list, so even a single recursive rule
 //!   parallelises — are dispatched to a shared [`crate::pool::ThreadPool`]
-//!   against a read-only snapshot of the indexes. Derived tuples merge
-//!   through the existing set-semantics dedup, so the result is
-//!   tuple-identical to sequential evaluation at any worker count — on the
-//!   kernel and on the reference alike.
+//!   against a read-only snapshot of the indexes. Each worker dedups its
+//!   heads into arenas of its own, and the round merges those row by row,
+//!   so the result is tuple-identical to sequential evaluation at any
+//!   worker count — on the kernel and on the reference alike.
+//!
+//! * **A round's arenas are its delta.** The set-semantics dedup a round
+//!   runs its heads through (`Seen`) holds each head new to the database
+//!   once, so committing is inserting those rows into the database and
+//!   handing the arenas on, as they are, as the next round's delta.
 //!
 //! * **Derivations on request.** A context made [`EvalContext::traced`]
 //!   keeps the first justification of every atom it commits, decoded from
@@ -68,6 +73,7 @@ use datalog_ast::{
     hash_codes_fold, hash_codes_seed, Const, Database, GroundAtom, Pred, Program, Relation,
     RowHashMap,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 
@@ -442,10 +448,69 @@ pub(crate) fn step_source<'a>(
     }
 }
 
+/// The heads a round queued, per head predicate and arity: the round's
+/// set-semantics dedup arena — each head once, in the order it was first
+/// queued, so a repeated head costs a hash probe, not a `Box` — and, in a
+/// traced round, one justification per arena row, by row-id. A committing
+/// round's arenas are its delta.
+#[derive(Default)]
+pub(crate) struct Seen {
+    rows: HashMap<(Pred, usize), Relation>,
+    why: Option<HashMap<(Pred, usize), Vec<Justification>>>,
+}
+
+impl Seen {
+    fn new(traced: bool) -> Seen {
+        Seen {
+            rows: HashMap::new(),
+            why: traced.then(HashMap::new),
+        }
+    }
+
+    /// Add the heads another worker queued this round. A head both queued
+    /// is kept once, with this side's justification.
+    fn merge(&mut self, other: Seen) {
+        let Seen {
+            rows,
+            why: mut other_why,
+        } = other;
+        for (key, theirs) in rows {
+            let why = other_why.as_mut().and_then(|w| w.remove(&key));
+            match self.rows.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(theirs);
+                    if let (Some(kept), Some(why)) = (&mut self.why, why) {
+                        kept.insert(key, why);
+                    }
+                }
+                Entry::Occupied(mut slot) => {
+                    let mut why = why.into_iter().flatten();
+                    for row in theirs.rows() {
+                        let why = why.next();
+                        if slot.get_mut().insert(row).is_some() {
+                            if let (Some(kept), Some(why)) = (&mut self.why, why) {
+                                kept.entry(key).or_default().push(why);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The queued heads as a database, their arenas moved in whole.
+    fn into_database(self) -> Database {
+        let mut db = Database::new();
+        for ((pred, _), rows) in self.rows {
+            db.insert_relation(pred, rows);
+        }
+        db
+    }
+}
+
+/// What the tasks of a round one thread runs produce: work counters and the
+/// heads they queued. Workers each fill their own and the round merges them.
 pub(crate) struct TaskOutput {
-    pub(crate) derived: Vec<GroundAtom>,
-    /// Traced contexts only: why each head in `derived` holds, in parallel.
-    pub(crate) why: Option<Vec<Justification>>,
     pub(crate) probes: u64,
     pub(crate) matches: u64,
     /// In-flight rows pushed through the kernel's probe stages.
@@ -462,10 +527,8 @@ pub(crate) struct TaskOutput {
     /// them. Valid for committing rounds (the commit would discard them
     /// anyway); the DRed overdeletion sweep must keep them.
     pub(crate) filter_known: bool,
-    /// Head tuples this output has queued, per head predicate: the
-    /// round's set-semantics dedup before allocation, itself arena-backed
-    /// so a repeated head costs a hash probe, not a `Box`.
-    seen: HashMap<Pred, Relation>,
+    /// The heads this output has queued.
+    seen: Seen,
     /// The kernel's per-task duplicate filter in code space, reused by
     /// every task this output serves.
     pub(crate) heads: kernels::HeadFilter,
@@ -481,8 +544,6 @@ pub(crate) struct TaskOutput {
 impl TaskOutput {
     fn new(filter_known: bool, traced: bool) -> TaskOutput {
         TaskOutput {
-            derived: Vec::new(),
-            why: traced.then(Vec::new),
             probes: 0,
             matches: 0,
             batch_rows: 0,
@@ -490,7 +551,7 @@ impl TaskOutput {
             simd_blocks: 0,
             batch_reuse: 0,
             filter_known,
-            seen: HashMap::new(),
+            seen: Seen::new(traced),
             heads: kernels::HeadFilter::default(),
             keys: Vec::new(),
             neg_buf: Vec::new(),
@@ -503,14 +564,15 @@ impl TaskOutput {
     /// calls it on every match; the kernel's leaf on a task's first
     /// sighting of each head, counting the repeats itself.
     ///
-    /// Dedup before allocating: bloated programs re-derive the same head
-    /// many times per round, and the commit step would drop the duplicates
-    /// anyway. A head already in the database is dropped first (under
-    /// `filter_known`), so `seen` holds only heads new to the database —
-    /// and `seen` is an arena, so neither path allocates a per-tuple `Box`.
+    /// A head already in the database is dropped first (under
+    /// `filter_known`), then one this round already queued, so `seen` holds
+    /// each head new to the database once — a row of an arena, never a
+    /// per-tuple `Box` — and a committing round hands `seen` on as its
+    /// delta.
     ///
     /// Returns where a traced context wants the justification of the head
-    /// just queued; `None` when nothing was queued or nothing is traced.
+    /// just queued (its `seen` row's slot); `None` when nothing was queued
+    /// or nothing is traced.
     pub(crate) fn emit_head(
         &mut self,
         head_pred: Pred,
@@ -520,17 +582,26 @@ impl TaskOutput {
         if self.filter_known && db.contains_tuple(head_pred, &self.head_buf) {
             return None;
         }
-        let head_arity = self.head_buf.len();
-        let seen = self
+        let key = (head_pred, self.head_buf.len());
+        let rows = self
             .seen
-            .entry(head_pred)
-            .or_insert_with(|| Relation::new(head_arity));
-        seen.insert(&self.head_buf)?;
-        self.derived.push(GroundAtom {
-            pred: head_pred,
-            tuple: self.head_buf.as_slice().into(),
-        });
-        self.why.as_mut()
+            .rows
+            .entry(key)
+            .or_insert_with(|| Relation::new(key.1));
+        rows.insert(&self.head_buf)?;
+        Some(self.seen.why.as_mut()?.entry(key).or_default())
+    }
+
+    /// Fold a worker's output into this one: counters add up, queued heads
+    /// merge.
+    fn merge(&mut self, part: TaskOutput) {
+        self.probes += part.probes;
+        self.matches += part.matches;
+        self.batch_rows += part.batch_rows;
+        self.dict_filtered += part.dict_filtered;
+        self.simd_blocks += part.simd_blocks;
+        self.batch_reuse += part.batch_reuse;
+        self.seen.merge(part.seen);
     }
 }
 
@@ -839,18 +910,18 @@ impl EvalContext {
         Arc::try_unwrap(self.db).unwrap_or_else(|arc| (*arc).clone())
     }
 
-    /// Insert one atom, keeping the live indexes synchronized. Returns
-    /// whether it was new. (Does not count as a derivation — used for
-    /// externally asserted facts.)
-    pub(crate) fn add_fact(&mut self, atom: GroundAtom) -> bool {
-        let arity = atom.tuple.len();
-        let Some(id) = Arc::make_mut(&mut self.db).insert_row_id(atom.pred, &atom.tuple) else {
+    /// Insert one row under `pred`, keeping the live indexes synchronized.
+    /// Returns whether it was new. (Does not count as a derivation — used
+    /// for externally asserted facts.)
+    pub(crate) fn add_fact(&mut self, pred: Pred, row: &[Const]) -> bool {
+        let Some(id) = Arc::make_mut(&mut self.db).insert_row_id(pred, row) else {
             return false;
         };
+        let arity = row.len();
         self.stats.tuples_allocated += 1;
         self.stats.arena_bytes += arity as u64 * CONST_BYTES;
         self.stats.index_appends +=
-            Arc::make_mut(&mut self.store).absorb(&self.db, &[(atom.pred, arity, id)]);
+            Arc::make_mut(&mut self.store).absorb(&self.db, &[(pred, arity, id)]);
         true
     }
 
@@ -859,8 +930,10 @@ impl EvalContext {
     /// lazily from the shrunken database.
     pub(crate) fn remove_atoms(&mut self, atoms: &Database) {
         let db = Arc::make_mut(&mut self.db);
-        for atom in atoms.iter() {
-            db.remove(&atom);
+        for pred in atoms.predicates() {
+            for row in atoms.relation(pred) {
+                db.remove_row(pred, row);
+            }
         }
         Arc::make_mut(&mut self.store).clear();
     }
@@ -868,8 +941,8 @@ impl EvalContext {
     /// Round 1 of a (sub)fixpoint: evaluate `rules` in full over the
     /// current database, commit the new atoms, and return them.
     pub(crate) fn full_round(&mut self, rules: &[usize]) -> Database {
-        let (derived, why) = self.run_round(rules, None, true);
-        self.commit(derived, why)
+        let seen = self.run_round(rules, None, true);
+        self.commit(seen)
     }
 
     /// A semi-naive delta round: evaluate `rules` with each positive body
@@ -877,14 +950,15 @@ impl EvalContext {
     /// turn) to `delta`, commit the new atoms, and return them as the next
     /// delta.
     pub(crate) fn delta_round(&mut self, rules: &[usize], delta: &Database) -> Database {
-        let (derived, why) = self.run_round(rules, Some(delta), true);
-        self.commit(derived, why)
+        let seen = self.run_round(rules, Some(delta), true);
+        self.commit(seen)
     }
 
-    /// A delta round over a *frozen* database: derived heads are returned
-    /// raw, nothing is committed (the DRed overdeletion sweep).
-    pub(crate) fn sweep_round(&mut self, rules: &[usize], delta: &Database) -> Vec<GroundAtom> {
-        self.run_round(rules, Some(delta), false).0
+    /// A delta round over a *frozen* database: nothing is committed, and
+    /// every head the round derived — known ones included — is returned,
+    /// once (the DRed overdeletion sweep).
+    pub(crate) fn sweep_round(&mut self, rules: &[usize], delta: &Database) -> Database {
+        self.run_round(rules, Some(delta), false).into_database()
     }
 
     /// Run `rules` to their fixpoint over the current database: one full
@@ -911,46 +985,47 @@ impl EvalContext {
         false
     }
 
-    /// Insert the derived atoms that are new, append their row-ids to the
-    /// live indexes, and return them as a delta database. A traced round's
-    /// justification is kept for exactly those atoms, so every recorded
-    /// premise was in the database before its conclusion.
-    fn commit(&mut self, derived: Vec<GroundAtom>, why: Option<Vec<Justification>>) -> Database {
-        let mut fresh = Database::new();
+    /// Insert a committing round's heads — each new to the database, once —
+    /// append their row-ids to the live indexes, and return the round's
+    /// arenas as they are as the next delta. A traced round's justifications
+    /// are kept for exactly these atoms, so every recorded premise was in the
+    /// database before its conclusion.
+    fn commit(&mut self, seen: Seen) -> Database {
+        let Seen { rows, mut why } = seen;
+        let mut delta = Database::new();
         let mut fresh_ids: Vec<(Pred, usize, u32)> = Vec::new();
-        {
-            let db = Arc::make_mut(&mut self.db);
-            let mut why = why.into_iter().flatten();
-            for atom in derived {
-                let arity = atom.tuple.len();
-                let why = why.next();
-                if let Some(id) = db.insert_row_id(atom.pred, &atom.tuple) {
-                    fresh_ids.push((atom.pred, arity, id));
-                    if let (Some(kept), Some(why)) = (&mut self.justifications, why) {
-                        kept.insert(atom.clone(), why);
-                    }
-                    fresh.insert(atom);
-                    self.stats.derivations += 1;
-                    self.stats.tuples_allocated += 1;
-                    self.stats.arena_bytes += arity as u64 * CONST_BYTES;
+        let db = Arc::make_mut(&mut self.db);
+        for ((pred, arity), heads) in rows {
+            let mut why = why
+                .as_mut()
+                .and_then(|w| w.remove(&(pred, arity)))
+                .into_iter()
+                .flatten();
+            for row in heads.rows() {
+                let id = db
+                    .insert_row_id(pred, row)
+                    .expect("a committing round queues only heads new to the database");
+                fresh_ids.push((pred, arity, id));
+                if let (Some(kept), Some(why)) = (&mut self.justifications, why.next()) {
+                    kept.insert(GroundAtom::new(pred, row), why);
                 }
             }
+            let new = heads.len() as u64;
+            self.stats.derivations += new;
+            self.stats.tuples_allocated += new;
+            self.stats.arena_bytes += new * arity as u64 * CONST_BYTES;
+            delta.insert_relation(pred, heads);
         }
         if !fresh_ids.is_empty() {
             self.stats.index_appends += Arc::make_mut(&mut self.store).absorb(&self.db, &fresh_ids);
         }
-        fresh
+        delta
     }
 
     /// Evaluate one round of `rules` (full or delta-restricted) and return
-    /// the derived head atoms (possibly with duplicates), with their
-    /// justifications when the context is traced.
-    fn run_round(
-        &mut self,
-        rules: &[usize],
-        delta: Option<&Database>,
-        filter_known: bool,
-    ) -> (Vec<GroundAtom>, Option<Vec<Justification>>) {
+    /// the heads it queued, with their justifications when the context is
+    /// traced.
+    fn run_round(&mut self, rules: &[usize], delta: Option<&Database>, filter_known: bool) -> Seen {
         self.stats.iterations += 1;
         let traced = self.justifications.is_some();
 
@@ -994,7 +1069,7 @@ impl EvalContext {
             }
         }
         if items.is_empty() {
-            return (Vec::new(), None);
+            return Seen::default();
         }
         // Every round invalidates the previous round's cached delta-side
         // gather batches: the delta changed, so their keys can never match
@@ -1111,16 +1186,7 @@ impl EvalContext {
             let mut received = 0;
             while let Ok(part) = rx.recv() {
                 received += 1;
-                out.derived.extend(part.derived);
-                if let (Some(why), Some(part)) = (&mut out.why, part.why) {
-                    why.extend(part);
-                }
-                out.probes += part.probes;
-                out.matches += part.matches;
-                out.batch_rows += part.batch_rows;
-                out.dict_filtered += part.dict_filtered;
-                out.simd_blocks += part.simd_blocks;
-                out.batch_reuse += part.batch_reuse;
+                out.merge(part);
             }
             assert_eq!(
                 received, expected,
@@ -1147,9 +1213,7 @@ impl EvalContext {
         self.stats.dict_filtered_probes += out.dict_filtered;
         self.stats.simd_hash_blocks += out.simd_blocks;
         self.stats.batch_reuse_hits += out.batch_reuse;
-        // The rest of `out` — the round's dedup arenas — goes before the
-        // commit grows the database.
-        (out.derived, out.why)
+        out.seen
     }
 }
 
@@ -1338,7 +1402,7 @@ mod tests {
         let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
         cx.saturate(&[0, 1]);
         let builds_before = cx.stats().index_builds;
-        assert!(cx.add_fact(datalog_ast::fact("a", [2, 3])));
+        assert!(cx.add_fact(Pred::new("a"), &[Const::Int(2), Const::Int(3)]));
         let mut delta = Database::new();
         delta.insert(datalog_ast::fact("a", [2, 3]));
         while !delta.is_empty() {

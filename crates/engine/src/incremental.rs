@@ -26,7 +26,12 @@
 //!
 //! When overdeletion is total (one edge of a dense cyclic graph) these are
 //! three passes where a recompute is one — measured at 3.0–3.6x the probes
-//! of a from-scratch fixpoint; there is no fallback to one (ROADMAP item 1).
+//! of a from-scratch fixpoint; there is no fallback to one (ROADMAP item
+//! 8(a)).
+//!
+//! Every round works on rows: a sweep returns the heads it derived as a
+//! database, and the overdeleted set grows from those rows without a
+//! `GroundAtom` per atom.
 //!
 //! The materialisation lives on a persistent [`EvalContext`], so its rule
 //! plans are compiled once at construction and its hash indexes survive
@@ -154,10 +159,10 @@ impl Materialized {
         // Seed delta with the genuinely new facts.
         let mut delta = Database::new();
         for f in facts {
-            self.base.insert(f.clone());
-            if self.cx.add_fact(f.clone()) {
-                delta.insert(f);
+            if self.cx.add_fact(f.pred, &f.tuple) {
+                delta.insert_row(f.pred, &f.tuple);
             }
+            self.base.insert(f);
         }
 
         // Delta-driven rounds: any rule whose body mentions a predicate with
@@ -206,14 +211,17 @@ impl Materialized {
         let mut overdeleted = delta.clone();
         let old_len = self.database().len();
         while !delta.is_empty() {
-            let mut next_delta = Database::new();
-            for atom in self.cx.sweep_round(&rules, &delta) {
-                if !overdeleted.contains(&atom) {
-                    overdeleted.insert(atom.clone());
-                    next_delta.insert(atom);
+            let swept = self.cx.sweep_round(&rules, &delta);
+            delta = Database::new();
+            for pred in swept.predicates() {
+                for rel in swept.relations_of(pred) {
+                    for row in rel.rows() {
+                        if overdeleted.insert_row(pred, row) {
+                            delta.insert_row(pred, row);
+                        }
+                    }
                 }
             }
-            delta = next_delta;
         }
 
         // The one operation that invalidates the live indexes.
@@ -231,7 +239,7 @@ impl Materialized {
             let seed = overdeleted_pred(pred);
             for row in overdeleted.relation(pred) {
                 if self.base.contains_tuple(pred, row) {
-                    self.cx.add_fact(GroundAtom::new(pred, row));
+                    self.cx.add_fact(pred, row);
                     restored.insert_row(pred, row);
                 } else {
                     seeds.insert_row(seed, row);

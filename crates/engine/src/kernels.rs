@@ -33,11 +33,13 @@
 //! that tuple in a bitmap ([`HeadFilter`], indexed by mixed radix over the
 //! source columns' `dict_len`) before it reads an arena; a repeat is
 //! counted as a match and goes no further. Only a task's first sighting of
-//! a head is built as a `Const` tuple and handed to
-//! [`TaskOutput::emit_head`], whose database check and round-level `seen`
-//! set catch what the bitmap cannot: heads already in the database, and
-//! the same head from another task. A head space above [`HEAD_BITS_MAX`]
-//! skips the bitmap and goes straight to `emit_head`.
+//! a head is built as a `Const` tuple — in one reused buffer — and handed
+//! to [`TaskOutput::emit_head`], whose database check and round-level
+//! `seen` arenas catch what the bitmap cannot: heads already in the
+//! database, and the same head from another task. What `seen` keeps is a
+//! row of the round's output, which a committing round hands on as its
+//! delta; no head becomes a `GroundAtom`. A head space above
+//! [`HEAD_BITS_MAX`] skips the bitmap and goes straight to `emit_head`.
 //!
 //! The row-at-a-time interpreter in [`crate::context`] is not a tier of
 //! this kernel but its reference: `EvalOptions::interpreted()` runs every
@@ -657,7 +659,8 @@ impl Pipeline<'_> {
     /// Otherwise the head tuple is built — the values `row` determines once
     /// per row (`built` says whether they are in `head_buf` already), the
     /// last match's own values per match — and goes through
-    /// [`TaskOutput::emit_head`].
+    /// [`TaskOutput::emit_head`]; a traced context gets the justification of
+    /// each head it queues, one per `seen` row.
     #[inline]
     fn emit(&self, row: &[u32], id: Option<u32>, built: &mut bool, out: &mut TaskOutput) {
         if let Some(codes) = &self.codes {

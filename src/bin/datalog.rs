@@ -34,6 +34,7 @@ use sagiv_datalog::optimizer::{minimize_stratified, ChaseTermination};
 use sagiv_datalog::prelude::*;
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
+use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -215,13 +216,24 @@ fn stdout_error(e: io::Error) -> String {
     format!("cannot write to stdout: {e}")
 }
 
-/// Print every atom of `db` as `atom.`, one per line.
+/// Print every atom of `db` as `atom.`, one per line, straight from the
+/// relations' rows.
 fn print_atoms(db: &Database) -> Result<(), String> {
     let mut out = buffered_stdout();
-    for atom in db.iter() {
-        writeln!(out, "{atom}.").map_err(stdout_error)?;
-    }
+    write!(out, "{}", db.facts()).map_err(stdout_error)?;
     out.flush().map_err(stdout_error)
+}
+
+/// The second `--stats` line of `eval` and `run`: where the wall time
+/// between the start of the command and the end of its output went.
+fn phases_line(start: Instant, loaded: Instant, evaluated: Instant, printed: Instant) -> String {
+    let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
+    format!(
+        "phases load_ms={:.1} eval_ms={:.1} print_ms={:.1}",
+        ms(start, loaded),
+        ms(loaded, evaluated),
+        ms(evaluated, printed)
+    )
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
@@ -401,6 +413,7 @@ fn cmd_optimize(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
+    let start = Instant::now();
     let (pos, flags) = split_flags(args, "eval", &["edb", "engine", "stats"])?;
     let [path] = pos.as_slice() else {
         return Err(
@@ -409,6 +422,7 @@ fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
     };
     let program = load_program(path)?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
+    let loaded = Instant::now();
     // As `run` does: negation picks the engine that can evaluate it.
     let default = if program.is_positive() {
         "seminaive"
@@ -429,14 +443,18 @@ fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
         }
         other => return Err(format!("unknown engine `{other}`")),
     };
+    let evaluated = Instant::now();
     print_atoms(&out)?;
+    let printed = Instant::now();
     if flags.has("stats") {
         eprintln!("% {stats}");
+        eprintln!("% {}", phases_line(start, loaded, evaluated, printed));
     }
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
+    let start = Instant::now();
     let (pos, flags) = split_flags(args, "run", &["stats", "fuel"])?;
     let [path] = pos.as_slice() else {
         return Err("usage: datalog run <unit.dl> [--stats]".into());
@@ -448,6 +466,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         return Err(msgs.join("; "));
     }
     let input = Database::from_atoms(unit.facts.iter().cloned());
+    let loaded = Instant::now();
     let (out, stats) = if unit.tgds.is_empty() {
         if unit.program.is_positive() {
             seminaive::evaluate_with_stats(&unit.program, &input)
@@ -461,9 +480,12 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("% chase status: {:?}", result.status);
         (result.db, Stats::default())
     };
+    let evaluated = Instant::now();
     print_atoms(&out)?;
+    let printed = Instant::now();
     if flags.has("stats") {
         eprintln!("% {stats}");
+        eprintln!("% {}", phases_line(start, loaded, evaluated, printed));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -975,9 +997,7 @@ fn repl_step(
             return Ok(ReplOutcome::Continue);
         }
         ":db" => {
-            for a in m.database().iter() {
-                writeln!(out, "{a}.").map_err(stdout_error)?;
-            }
+            write!(out, "{}", m.database().facts()).map_err(stdout_error)?;
             return Ok(ReplOutcome::Continue);
         }
         ":minimize" => {

@@ -132,6 +132,53 @@ fn eval_produces_closure() {
     assert!(stderr(&out).contains("derivations=6"));
 }
 
+/// Under `--stats`, `eval` and `run` follow the counters with a line that
+/// splits the wall time into loading, evaluation and printing.
+#[test]
+fn stats_split_the_wall_time_into_phases() {
+    let dir = TempDir::new("phases");
+    let p = dir.file("tc.dl", TC);
+    let e = dir.file("chain.dl", CHAIN);
+    let unit = dir.file("unit.dl", &format!("{TC}{CHAIN}"));
+    for args in [
+        vec!["eval", &p, "--edb", &e, "--stats"],
+        vec!["run", &unit, "--stats"],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert!(out.status.success(), "{}", stderr(&out));
+        let err = stderr(&out);
+        let lines: Vec<&str> = err.lines().collect();
+        assert_eq!(lines.len(), 2, "{err}");
+        assert!(lines[0].contains("derivations=6"), "{err}");
+        let phases = lines[1].strip_prefix("% phases ").expect("a phases line");
+        let keys: Vec<&str> = phases
+            .split(' ')
+            .map(|kv| {
+                let (key, ms) = kv.split_once('=').expect("key=value");
+                assert!(ms.parse::<f64>().is_ok_and(|ms| ms >= 0.0), "{kv}");
+                key
+            })
+            .collect();
+        assert_eq!(keys, ["load_ms", "eval_ms", "print_ms"]);
+
+        let quiet = bin().args(&args[..args.len() - 1]).output().unwrap();
+        assert!(stderr(&quiet).is_empty(), "{}", stderr(&quiet));
+    }
+}
+
+/// A fixpoint that holds `i64::MIN` prints a fact file that `--edb` reads
+/// back byte for byte: the sign is lexed with the digits.
+#[test]
+fn eval_reads_back_the_i64_extremes() {
+    let dir = TempDir::new("i64");
+    let facts = "p(-9223372036854775808).\np(9223372036854775807).\n";
+    let p = dir.file("empty.dl", "");
+    let e = dir.file("extremes.dl", facts);
+    let out = bin().args(["eval", &p, "--edb", &e]).output().unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(stdout(&out), facts);
+}
+
 /// A reader that takes one line and goes away (`datalog eval … | head -1`)
 /// ends the output, not the program: exit 0 and no panic, for each command
 /// that prints a database. The output is far larger than a pipe buffer, so

@@ -446,6 +446,48 @@ fn head_spaces_on_both_sides_of_the_bitmap_bound() {
     assert_eq!(stats.matches, 3 * (2048 + 2049));
 }
 
+/// A committing round's dedup arenas are its delta, and parallel workers
+/// merge theirs. Two tasks queue the same new head — `h(X)` from its rules
+/// over `a` and `b` (one worker each when sliced), `g` from its two
+/// recursive rules — and a delta round derives `g`, `k` and `h` at two
+/// arities at once. Fixpoint, `derivations` and `tuples_allocated` must not
+/// depend on the thread count or the executor.
+#[test]
+fn round_arenas_become_the_delta() {
+    let program = parse_program(
+        "g(X, Z) :- a(X, Z).\
+         g(X, Z) :- g(X, Y), a(Y, Z).\
+         g(X, Z) :- a(X, Y), g(Y, Z).\
+         h(X) :- a(X, Y).\
+         h(X) :- b(X, Y).\
+         h(Y) :- g(X, Y), b(Y, Z).\
+         h(X, Y) :- b(X, Y), g(Y, X).\
+         k(Y) :- g(X, Y), b(Y, X).",
+    )
+    .unwrap();
+    let counts = |s: &Stats| (s.derivations, s.tuples_allocated);
+    for seed in 0..6u64 {
+        let db = random_db(&[("a", 2), ("b", 2)], 30, 12, 0xa7e4 + seed);
+        let what = format!("round arenas, seed {seed}");
+        let want = naive::evaluate(&program, &db);
+        assert_eq!(want.relations_of(Pred::new("h")).len(), 2, "{what}");
+        let (_, reference) =
+            stratified::evaluate_with_opts(&program, &db, EvalOptions::interpreted()).unwrap();
+        for threads in [1usize, 2, 4] {
+            let (got, stats) = check(&program, &db, threads, &what);
+            assert_eq!(got, want, "naive fixpoint, {what}, {threads} threads");
+            assert_eq!(
+                counts(&stats),
+                counts(&reference),
+                "{what}, {threads} threads"
+            );
+        }
+        // Each derived atom is counted and allocated once.
+        let derived = (want.len() - db.len()) as u64;
+        assert_eq!(counts(&reference), (derived, want.len() as u64), "{what}");
+    }
+}
+
 /// The DRed sweep runs the kernel without the database check, so every
 /// head it derives — old ones included — must come out once. Removing
 /// edges from `bloated_tc`'s view one batch at a time, then putting them

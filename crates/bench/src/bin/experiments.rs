@@ -549,21 +549,17 @@ fn e1_to_e15(r: &mut Report) {
     }
 }
 
-/// E16 — incremental indexes + parallel rule evaluation.
+/// E16 — incremental indexes.
 ///
-/// Runs the [`EvalContext`]-backed semi-naive evaluator on bloated
-/// transitive-closure workloads (the redundancy-heavy programs of E10,
-/// evaluated as-is), sequentially (`incr`: persistent,
-/// incrementally-appended indexes and per-round compiled join scripts) and
-/// with two workers (`parallel2`; `speedup-parallel2` is `incr / parallel2`).
+/// Times the [`EvalContext`]-backed semi-naive evaluator (`incr`:
+/// persistent, incrementally-appended indexes and per-round compiled join
+/// scripts) on bloated transitive-closure workloads — the redundancy-heavy
+/// programs of E10, evaluated as-is.
 ///
-/// Checks: both runs produce identical fixpoints, and index builds stay
-/// under the static per-pattern bound however many rounds the fixpoint
-/// takes (`incr-builds`).
+/// Checks: index builds stay under the static per-pattern bound however
+/// many rounds the fixpoint takes (`incr-builds`).
 fn e16(r: &mut Report, smoke: bool) {
-    use datalog_engine::EvalOptions;
-
-    println!("== E16: incremental indexes + parallel rule evaluation ==");
+    println!("== E16: incremental indexes ==");
     let program = bloated_tc(6, 99);
     let pattern_bound: u64 = program
         .rules
@@ -581,30 +577,10 @@ fn e16(r: &mut Report, smoke: bool) {
         let db = standard_edb(kind, n);
         let workload = format!("bloated6-{kind}{n}");
 
-        let mut outputs = Vec::new();
         let mut incr_stats = Default::default();
         let t_incr = ms(
-            || {
-                let (out, stats) = seminaive::evaluate_with_stats(&program, &db);
-                outputs.push(out);
-                incr_stats = stats;
-            },
+            || incr_stats = seminaive::evaluate_with_stats(&program, &db).1,
             reps,
-        );
-        let t_par = ms(
-            || {
-                let (out, _) =
-                    seminaive::evaluate_with_opts(&program, &db, EvalOptions::with_threads(2));
-                outputs.push(out);
-            },
-            reps,
-        );
-
-        let first = &outputs[0];
-        r.check(
-            "E16",
-            &format!("{workload}: sequential and 2-worker runs agree on the fixpoint"),
-            outputs.iter().all(|o| o == first),
         );
         r.check(
             "E16",
@@ -629,26 +605,10 @@ fn e16(r: &mut Report, smoke: bool) {
         r.row(Row::new(
             "E16",
             &workload,
-            "parallel2",
-            n as u64,
-            t_par,
-            "ms",
-        ));
-        r.row(Row::new(
-            "E16",
-            &workload,
             "incr-builds",
             n as u64,
             incr_stats.index_builds as f64,
             "builds",
-        ));
-        r.row(Row::new(
-            "E16",
-            &workload,
-            "speedup-parallel2",
-            n as u64,
-            t_incr / t_par,
-            "x",
         ));
     }
 }

@@ -5,9 +5,9 @@
 //! — as one batched pipeline over dictionary-code columns:
 //!
 //! * **Stage 0** enumerates the first positive literal: candidate row-ids
-//!   come from its constant-key postings list (or the whole relation, cut
-//!   to the task's strided shard slice), are verified by an integer
-//!   compare per bound column, and flow on in blocks of [`BLOCK`] rows.
+//!   come from its constant-key postings list (or the whole relation), are
+//!   verified by an integer compare per bound column, and flow on in blocks
+//!   of [`BLOCK`] rows.
 //!   Ground negated literals the planner placed *before* it bind nothing
 //!   and see nothing in flight, so they are one-shot gates on the task.
 //! * A **probe** stage (positive literal) gathers its key from the
@@ -49,10 +49,10 @@
 //! in-flight row per later stage), both stop an existential stage at its
 //! first verified candidate, and both count every complete match — so
 //! `matches` counts body matches up to the variables nobody reads, on
-//! either executor and at any thread count. The reference sends every
-//! match through `emit_head` and keeps no codes; the kernel's bitmap drops
-//! only heads `emit_head` would have dropped, in the order it would have,
-//! so both queue the same heads in the same order.
+//! either executor. The reference sends every match through `emit_head`
+//! and keeps no codes; the kernel's bitmap drops only heads `emit_head`
+//! would have dropped, in the order it would have, so both queue the same
+//! heads in the same order.
 //!
 //! Cross-dictionary translation: codes are local to one (relation, column)
 //! dictionary, so an in-flight row's code is translated into the target
@@ -70,8 +70,8 @@
 //! delta side once and publishes the block into the round's
 //! [`BatchCache`]; the others replay it (`batch_reuse_hits`), including
 //! the gather-phase counter deltas, so all counters stay invariant to hit
-//! order and thread count. Entries are keyed on the gather shape and the
-//! delta generation, and dropped when the next round begins.
+//! order. Entries are keyed on the gather shape; the cache is a local of
+//! the round, so it never outlives the delta it was gathered from.
 
 use crate::context::{
     step_source, IndexStore, JoinScript, KeySrc, Postings, Step, Task, TaskOutput,
@@ -81,9 +81,8 @@ use datalog_ast::{
     hash_codes_batch, hash_codes_fold, hash_codes_seed, Const, Database, GroundAtom, Pred, Relation,
 };
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Rows per in-flight block.
 const BLOCK: usize = 1024;
@@ -118,15 +117,12 @@ enum GatherKeyElem {
 }
 
 /// Structural identity of a delta-side gather: which delta relation is
-/// enumerated (with which constant key, repeated-variable checks, and
-/// shard slice), and which probed index the keys are translated for. Two
-/// tasks with equal keys gather bit-identical blocks, whatever rule they
-/// came from.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct BatchKey {
-    /// Delta generation the gathered blocks belong to (bumped every
-    /// round; stale entries are dropped wholesale at round start).
-    generation: u64,
+/// enumerated (with which constant key and repeated-variable checks), and
+/// which probed index the keys are translated for. Two tasks of a round
+/// with equal keys gather bit-identical blocks, whatever rule they came
+/// from.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct BatchKey {
     opred: Pred,
     oarity: usize,
     opositions: Box<[usize]>,
@@ -136,13 +132,10 @@ struct BatchKey {
     iarity: usize,
     ipositions: Box<[usize]>,
     ikey: Vec<GatherKeyElem>,
-    offset: usize,
-    stride: usize,
 }
 
-fn batch_key(s0: &Step, s1: &Step, task: Task, generation: u64) -> BatchKey {
+fn batch_key(s0: &Step, s1: &Step) -> BatchKey {
     BatchKey {
-        generation,
         opred: s0.pred,
         oarity: s0.arity,
         opositions: s0.positions.clone(),
@@ -162,51 +155,21 @@ fn batch_key(s0: &Step, s1: &Step, task: Task, generation: u64) -> BatchKey {
                 ),
             })
             .collect(),
-        offset: task.offset,
-        stride: task.stride,
     }
 }
 
 /// A gathered, translated, batch-hashed delta side, plus the gather-phase
 /// counter deltas it cost — replayed verbatim on every reuse so `probes`
 /// and `dict_filtered` stay invariant to which task gathered first.
-struct CachedGather {
+pub(crate) struct CachedGather {
     block: Block,
     probes: u64,
     dict_filtered: u64,
     simd_blocks: u64,
 }
 
-/// Per-round cache of gathered delta-side key blocks, shared by every
-/// task (and worker) of one [`crate::EvalContext`].
-#[derive(Default)]
-pub(crate) struct BatchCache {
-    generation: AtomicU64,
-    map: Mutex<HashMap<BatchKey, Arc<CachedGather>>>,
-}
-
-impl BatchCache {
-    /// Start a new evaluation round: bump the delta generation and drop
-    /// every entry (gathered blocks are valid for one round's delta only).
-    pub(crate) fn begin_round(&self) {
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().unwrap().clear();
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    fn lookup(&self, key: &BatchKey) -> Option<Arc<CachedGather>> {
-        self.map.lock().unwrap().get(key).cloned()
-    }
-
-    fn insert(&self, key: BatchKey, entry: Arc<CachedGather>) {
-        // First publisher wins; concurrent gatherers computed the same
-        // blocks anyway (the key fully determines them).
-        self.map.lock().unwrap().entry(key).or_insert(entry);
-    }
-}
+/// One round's gathered delta-side key blocks, shared by the round's tasks.
+pub(crate) type BatchCache = HashMap<BatchKey, CachedGather>;
 
 // ---------------------------------------------------------------------------
 // The pipeline
@@ -436,7 +399,7 @@ pub(crate) fn run(
     delta_store: &IndexStore,
     db: &Database,
     delta_db: &Database,
-    cache: &BatchCache,
+    cache: &mut BatchCache,
     out: &mut TaskOutput,
 ) {
     // Negated literals ahead of the first positive one are ground: each is
@@ -582,60 +545,51 @@ pub(crate) fn run(
     // The one batch-reuse site: a delta-led task whose stage 1 is a probe
     // gathers a block other tasks of the round can replay.
     if task.delta_atom == Some(s0.atom) && steps.get(1).is_some_and(|s1| !s1.negated) {
-        let key = batch_key(s0, &steps[1], task, cache.generation());
         let (sc0, rest) = scratch.split_first_mut().expect("stage 1 exists");
-        let hit = match cache.lookup(&key) {
-            Some(hit) => {
+        let hit = match cache.entry(batch_key(s0, &steps[1])) {
+            Entry::Occupied(hit) => {
+                let hit = hit.into_mut();
                 out.batch_reuse += 1;
                 out.probes += hit.probes;
                 out.dict_filtered += hit.dict_filtered;
                 out.simd_blocks += hit.simd_blocks;
                 hit
             }
-            None => {
+            Entry::Vacant(slot) => {
                 // Enumerate, gather and hash the whole delta side as one
                 // block, recording what the gather phase cost.
                 let mark = (out.probes, out.dict_filtered, out.simd_blocks);
-                pipe.enumerate(&cands, task, |oid| sc0.next.push(oid));
+                pipe.enumerate(&cands, |oid| sc0.next.push(oid));
                 pipe.gather(1, sc0, out);
-                let entry = Arc::new(CachedGather {
+                slot.insert(CachedGather {
                     block: std::mem::take(&mut sc0.gathered),
                     probes: out.probes - mark.0,
                     dict_filtered: out.dict_filtered - mark.1,
                     simd_blocks: out.simd_blocks - mark.2,
-                });
-                cache.insert(key, Arc::clone(&entry));
-                entry
+                })
             }
         };
         pipe.probe(1, &hit.block, rest, out);
         return;
     }
-    pipe.enumerate(&cands, task, |oid| {
+    pipe.enumerate(&cands, |oid| {
         pipe.push(0, &[], Some(oid), &mut scratch, out)
     });
     pipe.flush(0, &mut scratch, out);
 }
 
 impl Pipeline<'_> {
-    /// Stage 0: visit the task's strided slice of the candidates that carry
-    /// the constant key and satisfy the repeated-variable checks.
-    fn enumerate(&self, cands: &Cands<'_>, task: Task, mut visit: impl FnMut(u32)) {
+    /// Stage 0: visit the candidates that carry the constant key and
+    /// satisfy the repeated-variable checks.
+    fn enumerate(&self, cands: &Cands<'_>, mut visit: impl FnMut(u32)) {
         let mut offer = |id: u32| {
             if self.target0.accepts(id, &self.key0) {
                 visit(id);
             }
         };
-        let stride = task.stride.max(1);
         match *cands {
-            Cands::Ids(ids) => ids
-                .iter()
-                .skip(task.offset)
-                .step_by(stride)
-                .for_each(|&id| offer(id)),
-            Cands::All(n) => (task.offset..n)
-                .step_by(stride)
-                .for_each(|id| offer(id as u32)),
+            Cands::Ids(ids) => ids.iter().for_each(|&id| offer(id)),
+            Cands::All(n) => (0..n as u32).for_each(offer),
         }
     }
 
@@ -870,8 +824,7 @@ mod tests {
     /// negation, nine-column keys (at stage 1 and at stage 2), 1- to
     /// 4-literal and bodiless rules, the kernel-task counter equals the
     /// number of tasks scheduled — and fixpoint and logical work equal the
-    /// reference's. (Thread counts and more shapes:
-    /// `tests/join_pipeline_differential.rs`.)
+    /// reference's. (More shapes: `tests/join_pipeline_differential.rs`.)
     #[test]
     fn every_script_shape_runs_on_the_kernel() {
         let mut p = parse_program(

@@ -17,16 +17,14 @@
 //!   backtracking join interpreter only [`naive`] runs.
 //! * [`context`] — persistent [`EvalContext`]s: per-`(pred, positions)`
 //!   indexes maintained incrementally across fixpoint rounds, compiled
-//!   join scripts, and parallel round execution over [`pool`].
+//!   join scripts, and rounds that run every task on the calling thread.
 //! * [`provenance`] — proof trees read off a traced [`EvalContext`], and
 //!   their independent checker.
-//! * [`pool`] — the std-only worker thread pool (shared with
-//!   `datalog-service`).
 //! * [`incremental`] — [`Materialized`], the maintained fixpoint: delta
 //!   insertion and DRed deletion on one [`EvalContext`] (the substrate of
 //!   `datalog-service` views).
 //! * [`stats`] — work counters (probes ≈ joins, derivations, rounds,
-//!   index builds/appends, parallel tasks) that make the paper's "fewer
+//!   index builds/appends, kernel tasks) that make the paper's "fewer
 //!   joins" claim measurable.
 
 #![warn(rust_2018_idioms)]
@@ -37,7 +35,6 @@ mod kernels;
 pub mod magic;
 pub mod naive;
 pub mod plan;
-pub mod pool;
 pub mod provenance;
 pub mod qsq;
 pub mod query;
@@ -56,7 +53,6 @@ pub use magic::{
 };
 pub use naive::apply_once;
 pub use plan::RulePlan;
-pub use pool::ThreadPool;
 pub use provenance::{Justification, Proof, Traced};
 pub use query::{PlanCache, QueryPlan, Strategy};
 pub use stats::Stats;

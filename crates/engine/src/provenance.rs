@@ -42,13 +42,14 @@ pub struct Traced {
 
 impl Traced {
     /// Trace every rule of `program` over `input`.
-    pub fn new(program: &Program, input: Database, opts: EvalOptions) -> Traced {
+    pub fn new(program: &Program, input: Database) -> Traced {
         assert!(
             program.is_positive(),
             "provenance tracking requires a positive program"
         );
         let rules = (0..program.len()).collect();
-        Traced::over(EvalContext::new(program, input, opts), rules)
+        let cx = EvalContext::new(program, input, EvalOptions::sequential());
+        Traced::over(cx, rules)
     }
 
     /// Trace `rules` (indices into `cx`'s program) from `cx`'s current
@@ -197,7 +198,7 @@ mod tests {
 
     fn traced(facts: &str) -> Traced {
         let edb = parse_database(facts).unwrap();
-        Traced::new(&tc(), edb, EvalOptions::sequential())
+        Traced::new(&tc(), edb)
     }
 
     #[test]
@@ -259,18 +260,15 @@ mod tests {
     }
 
     #[test]
-    fn proofs_are_well_founded_at_any_thread_count() {
+    fn proofs_are_well_founded_on_cyclic_data() {
         // Cyclic data must still give finite proofs, whichever task's
-        // justification a parallel round happens to keep.
+        // justification a round keeps.
         let edb = parse_database("a(1,2). a(2,1).").unwrap();
-        for threads in [1, 2] {
-            let opts = EvalOptions::with_threads(threads);
-            let mut traced = Traced::new(&tc(), edb.clone(), opts);
-            for atom in crate::naive::evaluate(&tc(), &edb).iter() {
-                let proof = traced.explain(&atom).unwrap();
-                assert!(proof.depth() <= 16, "proof for {atom} too deep");
-                assert_eq!(proof.check(&tc(), &edb), Ok(()));
-            }
+        let mut traced = Traced::new(&tc(), edb.clone());
+        for atom in crate::naive::evaluate(&tc(), &edb).iter() {
+            let proof = traced.explain(&atom).unwrap();
+            assert!(proof.depth() <= 16, "proof for {atom} too deep");
+            assert_eq!(proof.check(&tc(), &edb), Ok(()));
         }
     }
 
@@ -281,7 +279,7 @@ mod tests {
         // the premise.
         let p = parse_program("h(X) :- e(X, W), t(X, Y), s(Y).").unwrap();
         let edb = parse_database("e(1,7). e(1,8). e(2,9). t(1,5). t(2,6). s(5).").unwrap();
-        let mut traced = Traced::new(&p, edb.clone(), EvalOptions::sequential());
+        let mut traced = Traced::new(&p, edb.clone());
         let proof = traced.explain(&fact("h", [1])).unwrap();
         let premises = proof.premises.iter().map(|p| p.conclusion.pred);
         assert!(premises.eq(p.rules[0].positive_body().map(|a| a.pred)));

@@ -37,9 +37,6 @@ pub struct Stats {
     /// Number of delta tuples appended into already-built indexes instead
     /// of triggering a rebuild (the incremental-index maintenance work).
     pub index_appends: u64,
-    /// Number of join work items dispatched to worker threads (0 for a
-    /// fully sequential evaluation).
-    pub parallel_tasks: u64,
     /// Join work items that ran on the join kernel: every task of a
     /// context, or none when it was built with `specialize == false` and
     /// runs the reference interpreter.
@@ -80,7 +77,6 @@ impl AddAssign for Stats {
         self.derivations += rhs.derivations;
         self.index_builds += rhs.index_builds;
         self.index_appends += rhs.index_appends;
-        self.parallel_tasks += rhs.parallel_tasks;
         self.specialized_tasks += rhs.specialized_tasks;
         self.batch_probe_rows += rhs.batch_probe_rows;
         self.pipelined_tasks += rhs.pipelined_tasks;
@@ -105,7 +101,6 @@ impl Sub for Stats {
             derivations: self.derivations.saturating_sub(rhs.derivations),
             index_builds: self.index_builds.saturating_sub(rhs.index_builds),
             index_appends: self.index_appends.saturating_sub(rhs.index_appends),
-            parallel_tasks: self.parallel_tasks.saturating_sub(rhs.parallel_tasks),
             specialized_tasks: self.specialized_tasks.saturating_sub(rhs.specialized_tasks),
             batch_probe_rows: self.batch_probe_rows.saturating_sub(rhs.batch_probe_rows),
             pipelined_tasks: self.pipelined_tasks.saturating_sub(rhs.pipelined_tasks),
@@ -124,14 +119,13 @@ impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "iterations={} probes={} matches={} derivations={} index_builds={} index_appends={} parallel_tasks={} specialized_tasks={} batch_probe_rows={} pipelined_tasks={} batch_reuse_hits={} simd_hash_blocks={} dict_filtered_probes={} tuples_allocated={} arena_bytes={}",
+            "iterations={} probes={} matches={} derivations={} index_builds={} index_appends={} specialized_tasks={} batch_probe_rows={} pipelined_tasks={} batch_reuse_hits={} simd_hash_blocks={} dict_filtered_probes={} tuples_allocated={} arena_bytes={}",
             self.iterations,
             self.probes,
             self.matches,
             self.derivations,
             self.index_builds,
             self.index_appends,
-            self.parallel_tasks,
             self.specialized_tasks,
             self.batch_probe_rows,
             self.pipelined_tasks,
@@ -157,7 +151,6 @@ mod tests {
             derivations: 3,
             index_builds: 2,
             index_appends: 7,
-            parallel_tasks: 4,
             specialized_tasks: 3,
             batch_probe_rows: 100,
             pipelined_tasks: 2,
@@ -174,7 +167,6 @@ mod tests {
             derivations: 1,
             index_builds: 1,
             index_appends: 1,
-            parallel_tasks: 1,
             specialized_tasks: 1,
             batch_probe_rows: 1,
             pipelined_tasks: 1,
@@ -193,7 +185,6 @@ mod tests {
                 derivations: 4,
                 index_builds: 3,
                 index_appends: 8,
-                parallel_tasks: 5,
                 specialized_tasks: 4,
                 batch_probe_rows: 101,
                 pipelined_tasks: 3,
@@ -215,7 +206,6 @@ mod tests {
             derivations: 4,
             index_builds: 3,
             index_appends: 8,
-            parallel_tasks: 5,
             specialized_tasks: 4,
             batch_probe_rows: 101,
             pipelined_tasks: 9,
@@ -232,7 +222,6 @@ mod tests {
             derivations: 3,
             index_builds: 2,
             index_appends: 7,
-            parallel_tasks: 4,
             specialized_tasks: 1,
             batch_probe_rows: 100,
             pipelined_tasks: 4,
@@ -270,7 +259,7 @@ mod tests {
         };
         assert_eq!(
             s.to_string(),
-            "iterations=2 probes=7 matches=4 derivations=3 index_builds=0 index_appends=0 parallel_tasks=0 specialized_tasks=0 batch_probe_rows=0 pipelined_tasks=0 batch_reuse_hits=0 simd_hash_blocks=0 dict_filtered_probes=0 tuples_allocated=0 arena_bytes=0"
+            "iterations=2 probes=7 matches=4 derivations=3 index_builds=0 index_appends=0 specialized_tasks=0 batch_probe_rows=0 pipelined_tasks=0 batch_reuse_hits=0 simd_hash_blocks=0 dict_filtered_probes=0 tuples_allocated=0 arena_bytes=0"
         );
     }
 }

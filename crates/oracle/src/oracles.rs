@@ -7,12 +7,11 @@
 //! state is compared against it (or against a from-scratch recomputation
 //! seeded by it).
 //!
-//! * **Engine matrix** — naive, SCC-layered, stratified, parallel (2/4
-//!   workers), and interpreted (columnar join kernels disabled, sequential
-//!   and 2 workers) evaluation must produce identical fixpoints; magic-sets
-//!   and QSQ answers must equal the pattern-filtered fixpoint for every
-//!   query; and the proof a traced context (1 and 2 workers) gives for a
-//!   sample of the fixpoint must pass [`Proof::check`].
+//! * **Engine matrix** — naive, SCC-layered, stratified, interpreted
+//!   (columnar join kernels disabled) and a second kernel run must produce
+//!   identical fixpoints; magic-sets and QSQ answers must equal the
+//!   pattern-filtered fixpoint for every query; and the proof a traced
+//!   context gives for a sample of the fixpoint must pass [`Proof::check`].
 //! * **Optimization soundness** — `minimize_program` (Fig. 2),
 //!   `minimize_program_in_order` under a random consideration order, and a
 //!   redundancy-injected bloat must all agree with the original program on
@@ -203,37 +202,29 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
     let db = &case.db;
 
     if !program.is_positive() {
-        // Stratified negation: the worker-count matrix is the only other
-        // evaluator that supports it.
+        // Stratified negation: the row-at-a-time interpreter is the only
+        // other evaluator that supports it, and the differential reference
+        // for the join kernel: negated literals run as anti-probe stages on
+        // the reference side and as membership tests on this one.
         let Ok(reference) = stratified::evaluate(program, db) else {
             return out; // not stratifiable — nothing to compare
         };
-        let variants: Vec<(String, EvalOptions)> = vec![
-            ("stratified-2".into(), EvalOptions::with_threads(2)),
-            ("stratified-4".into(), EvalOptions::with_threads(4)),
-            // The row-at-a-time interpreter is the differential reference
-            // for the join kernel: negated literals run as anti-probe
-            // stages on the reference side above and as membership tests
-            // here.
-            ("stratified-interpreted".into(), EvalOptions::interpreted()),
-        ];
-        for (name, opts) in variants {
-            match stratified::evaluate_with_opts(program, db, opts) {
-                Ok((got, _)) if got == reference => {}
-                Ok((got, _)) => out.push(Divergence {
-                    family: Family::Engines,
-                    kind: format!("engine:{name}"),
-                    message: format!(
-                        "{name} disagrees with sequential: {}",
-                        diff_sample(&reference, &got)
-                    ),
-                }),
-                Err(e) => out.push(Divergence {
-                    family: Family::Engines,
-                    kind: format!("engine:{name}"),
-                    message: format!("{name} errored: {e}"),
-                }),
-            }
+        let name = "stratified-interpreted";
+        match stratified::evaluate_with_opts(program, db, EvalOptions::interpreted()) {
+            Ok((got, _)) if got == reference => {}
+            Ok((got, _)) => out.push(Divergence {
+                family: Family::Engines,
+                kind: format!("engine:{name}"),
+                message: format!(
+                    "{name} disagrees with sequential: {}",
+                    diff_sample(&reference, &got)
+                ),
+            }),
+            Err(e) => out.push(Divergence {
+                family: Family::Engines,
+                kind: format!("engine:{name}"),
+                message: format!("{name} errored: {e}"),
+            }),
         }
         return out;
     }
@@ -246,23 +237,12 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
     if let Ok(strat) = stratified::evaluate(program, db) {
         engines.push(("stratified".into(), strat));
     }
-    for workers in [2usize, 4] {
-        let (got, _) =
-            seminaive::evaluate_with_opts(program, db, EvalOptions::with_threads(workers));
-        engines.push((format!("parallel-{workers}"), got));
-    }
     // The join kernel vs the row-at-a-time interpreter: the reference above
     // runs on the kernel, so evaluating with it switched off makes every
     // engines case — 1-, 2- and 3+-atom bodies alike — a differential test
-    // of the two executors (sequential and under parallel task slicing).
+    // of the two executors.
     let (got, _) = seminaive::evaluate_with_opts(program, db, EvalOptions::interpreted());
     engines.push(("interpreted".into(), got));
-    let (got, _) = seminaive::evaluate_with_opts(
-        program,
-        db,
-        EvalOptions::with_threads(2).with_specialize(false),
-    );
-    engines.push(("interpreted-parallel-2".into(), got));
     // A second kernel run double-checks that the cross-task batch cache
     // is deterministic.
     let (got, _) = seminaive::evaluate_with_opts(program, db, EvalOptions::sequential());
@@ -280,25 +260,22 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
         }
     }
 
-    // The derivation recorder: whatever first justification a round kept —
-    // at 2 workers that depends on which task reported first — the proof
-    // built from it must hold up under the independent checker.
-    for workers in [1usize, 2] {
-        let mut traced = Traced::new(program, db.clone(), EvalOptions::with_threads(workers));
-        let stride = reference.len().div_ceil(8).max(1);
-        for atom in reference.iter().step_by(stride) {
-            let verdict = match traced.explain(&atom) {
-                Some(proof) if proof.conclusion == atom => proof.check(program, db),
-                Some(proof) => Err(format!("the proof concludes {}", proof.conclusion)),
-                None => Err("in the fixpoint, but no derivation was found".into()),
-            };
-            if let Err(message) = verdict {
-                out.push(Divergence {
-                    family: Family::Engines,
-                    kind: format!("engine:explain-{workers}"),
-                    message: format!("explain {atom} at {workers} worker(s): {message}"),
-                });
-            }
+    // The derivation recorder: whatever first justification a round kept,
+    // the proof built from it must hold up under the independent checker.
+    let mut traced = Traced::new(program, db.clone());
+    let step = reference.len().div_ceil(8).max(1);
+    for atom in reference.iter().step_by(step) {
+        let verdict = match traced.explain(&atom) {
+            Some(proof) if proof.conclusion == atom => proof.check(program, db),
+            Some(proof) => Err(format!("the proof concludes {}", proof.conclusion)),
+            None => Err("in the fixpoint, but no derivation was found".into()),
+        };
+        if let Err(message) = verdict {
+            out.push(Divergence {
+                family: Family::Engines,
+                kind: "engine:explain".into(),
+                message: format!("explain {atom}: {message}"),
+            });
         }
     }
 
@@ -342,9 +319,9 @@ fn magic_answers(full: &Database, answer_pred: Pred, query: &Atom) -> Database {
 
 /// The metamorphic chain (ROADMAP item 4): optimizations and query
 /// transformations compose, so chaining them must not change any answer.
-/// For each query the chain is minimize → magic-sets transform → parallel
-/// evaluation (2 workers, pipelined kernels) of the transformed program →
-/// minimize the transformed program again and re-evaluate sequentially.
+/// For each query the chain is minimize → magic-sets transform → evaluation
+/// (pipelined kernels) of the transformed program → minimize the
+/// transformed program again and re-evaluate.
 /// Every hop's answer must equal the pattern-filtered fixpoint of the
 /// untouched program on the untouched database.
 fn check_metamorphic(case: &Case) -> Vec<Divergence> {
@@ -386,14 +363,12 @@ fn check_metamorphic(case: &Case) -> Vec<Divergence> {
         let mut input = db.clone();
         input.insert(magic.seed.clone());
 
-        // Hop 3: evaluate the transformed program in parallel (2 workers),
-        // exercising the pipelined kernels on the guarded multi-atom magic
-        // rules under task slicing.
-        let (full, _) =
-            seminaive::evaluate_with_opts(&magic.program, &input, EvalOptions::with_threads(2));
+        // Hop 3: evaluate the transformed program, exercising the
+        // pipelined kernels on the guarded multi-atom magic rules.
+        let full = seminaive::evaluate(&magic.program, &input);
         let got = magic_answers(&full, magic.answer_pred, query);
         if got != expected {
-            out.push(diverge("minimize-magic-parallel", query, &expected, &got));
+            out.push(diverge("minimize-magic", query, &expected, &got));
             continue;
         }
 

@@ -68,7 +68,6 @@ impl FuzzReport {
                     ("derivations", Value::from(self.eval.derivations)),
                     ("index_builds", Value::from(self.eval.index_builds)),
                     ("index_appends", Value::from(self.eval.index_appends)),
-                    ("parallel_tasks", Value::from(self.eval.parallel_tasks)),
                     ("pipelined_tasks", Value::from(self.eval.pipelined_tasks)),
                     ("batch_reuse_hits", Value::from(self.eval.batch_reuse_hits)),
                     ("simd_hash_blocks", Value::from(self.eval.simd_hash_blocks)),

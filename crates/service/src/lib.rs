@@ -23,9 +23,8 @@
 //!   published `Arc<Database>`, swapped after every write batch;
 //! * [`metrics`] — per-program and server-wide request counts, latency, and
 //!   aggregated [`datalog_engine::Stats`], served by the `stats` request;
-//! * [`pool`] — the fixed-size worker thread pool, re-exported from
-//!   `datalog-engine` (one shared primitive drives both the engine's
-//!   parallel rule evaluation and this server's connection handling);
+//! * [`pool`] — the fixed-size worker thread pool the server runs requests
+//!   on;
 //! * [`server`] — the TCP daemon: a readiness-driven `poll(2)` event loop
 //!   (idle connections cost no threads and no wake-ups) feeding a bounded
 //!   worker pool, with admission control, streaming payload-limit
@@ -54,7 +53,7 @@
 
 pub mod client;
 pub mod metrics;
-pub use datalog_engine::pool;
+pub mod pool;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -100,7 +100,6 @@ impl Metrics {
                     ("derivations", Value::from(inner.eval.derivations)),
                     ("index_builds", Value::from(inner.eval.index_builds)),
                     ("index_appends", Value::from(inner.eval.index_appends)),
-                    ("parallel_tasks", Value::from(inner.eval.parallel_tasks)),
                     (
                         "specialized_tasks",
                         Value::from(inner.eval.specialized_tasks),
@@ -140,7 +139,6 @@ mod tests {
             derivations: 3,
             index_builds: 4,
             index_appends: 9,
-            parallel_tasks: 6,
             specialized_tasks: 5,
             batch_probe_rows: 40,
             pipelined_tasks: 3,
@@ -167,7 +165,10 @@ mod tests {
         assert_eq!(eval.get("probes").unwrap().as_u64(), Some(10));
         assert_eq!(eval.get("index_builds").unwrap().as_u64(), Some(4));
         assert_eq!(eval.get("index_appends").unwrap().as_u64(), Some(9));
-        assert_eq!(eval.get("parallel_tasks").unwrap().as_u64(), Some(6));
+        assert!(
+            eval.get("parallel_tasks").is_none(),
+            "removed from the wire"
+        );
         assert_eq!(eval.get("specialized_tasks").unwrap().as_u64(), Some(5));
         assert_eq!(eval.get("batch_probe_rows").unwrap().as_u64(), Some(40));
         assert_eq!(eval.get("pipelined_tasks").unwrap().as_u64(), Some(3));

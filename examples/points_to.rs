@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example points_to`
 
-use sagiv_datalog::engine::{EvalOptions, Traced};
+use sagiv_datalog::engine::Traced;
 use sagiv_datalog::prelude::*;
 
 fn main() {
@@ -92,7 +92,7 @@ fn main() {
     );
 
     // Explain WHY s points to y — the provenance proof tree.
-    let mut traced = Traced::new(&minimized, edb, EvalOptions::sequential());
+    let mut traced = Traced::new(&minimized, edb);
     let proof = traced.explain(&s_to_y).expect("derivable");
     println!("\nderivation of pts(s, y):\n{proof}");
 }

@@ -29,7 +29,7 @@
 //! does not take included —, parse/validation failures), 2 property does not hold (e.g. `contains` finds none; `lint`
 //! emits an error-severity diagnostic).
 
-use sagiv_datalog::engine::{EvalOptions, Traced};
+use sagiv_datalog::engine::Traced;
 use sagiv_datalog::optimizer::{minimize_stratified, ChaseTermination};
 use sagiv_datalog::prelude::*;
 use std::io::{self, BufWriter, Write};
@@ -573,7 +573,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
     let program = load_program(path)?;
     require_positive(&program, "explain")?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
-    let mut traced = Traced::new(&program, edb, EvalOptions::sequential());
+    let mut traced = Traced::new(&program, edb);
     match traced.explain(&goal) {
         Some(proof) => {
             print!("{proof}");
@@ -950,7 +950,7 @@ fn repl_step(
             .map_err(|e| e.to_string())?
             .to_ground()
             .ok_or("the atom to explain must be ground")?;
-        let mut traced = Traced::new(program, base.clone(), EvalOptions::sequential());
+        let mut traced = Traced::new(program, base.clone());
         match traced.explain(&goal) {
             Some(proof) => write!(out, "{proof}"),
             None => writeln!(out, "% {goal} is not derivable"),

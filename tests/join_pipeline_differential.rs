@@ -6,7 +6,7 @@
 //! `with_specialize(false)` runs the same scripts on the row-at-a-time
 //! reference interpreter. For every seeded random program the two must be
 //! tuple-identical and do the same logical work — `probes`, `matches`,
-//! `derivations` — sequentially and under parallel task slicing.
+//! `derivations`.
 //!
 //! The generator draws what used to decide the executor: 1- to 4-literal
 //! bodies, repeated variables, constants, negated literals (one of them
@@ -108,19 +108,19 @@ fn logical(s: &Stats) -> (u64, u64, u64) {
     (s.probes, s.matches, s.derivations)
 }
 
-/// Evaluate on the kernel and on the reference at `threads` workers: same
-/// fixpoint, same logical work, every kernel task on the kernel and none of
-/// the reference's. Returns the kernel run.
-fn check(program: &Program, db: &Database, threads: usize, what: &str) -> (Database, Stats) {
-    let opts = EvalOptions::with_threads(threads);
-    let (got, kernel) = stratified::evaluate_with_opts(program, db, opts).unwrap();
+/// Evaluate on the kernel and on the reference: same fixpoint, same
+/// logical work, every kernel task on the kernel and none of the
+/// reference's. Returns the kernel run.
+fn check(program: &Program, db: &Database, what: &str) -> (Database, Stats) {
+    let (got, kernel) =
+        stratified::evaluate_with_opts(program, db, EvalOptions::sequential()).unwrap();
     let (want, reference) =
-        stratified::evaluate_with_opts(program, db, opts.with_specialize(false)).unwrap();
-    assert_eq!(got, want, "fixpoint, {what}, {threads} threads");
+        stratified::evaluate_with_opts(program, db, EvalOptions::interpreted()).unwrap();
+    assert_eq!(got, want, "fixpoint, {what}");
     assert_eq!(
         logical(&kernel),
         logical(&reference),
-        "probes/matches/derivations, {what}, {threads} threads"
+        "probes/matches/derivations, {what}"
     );
     assert!(kernel.specialized_tasks > 0, "{what}");
     assert_eq!(reference.specialized_tasks, 0, "{what}");
@@ -133,7 +133,7 @@ fn kernel_matches_the_interpreter_on_random_programs() {
     let (mut long_bodies, mut reuse) = (0, 0);
     for seed in 0..15u64 {
         let (program, db) = random_case(seed);
-        let (_, stats) = check(&program, &db, 1, &format!("seed {seed}"));
+        let (_, stats) = check(&program, &db, &format!("seed {seed}"));
         long_bodies += stats.pipelined_tasks;
         reuse += stats.batch_reuse_hits;
     }
@@ -146,15 +146,16 @@ fn kernel_is_partition_invariant() {
     for seed in 0..8u64 {
         let (program, db) = random_case(seed.wrapping_mul(104_729) + 17);
         let what = format!("seed {seed}");
-        let (sequential, seq_stats) = check(&program, &db, 1, &what);
-        for workers in [2usize, 4] {
-            // Sharding strides stage 0 only: who finds a match changes,
-            // never how many there are.
-            let (parallel, par_stats) = check(&program, &db, workers, &what);
-            assert_eq!(parallel, sequential, "parallel({workers}), {what}");
-            assert_eq!(par_stats.matches, seq_stats.matches, "{what}");
-            assert_eq!(par_stats.derivations, seq_stats.derivations, "{what}");
-        }
+        let (forward, fwd_stats) = check(&program, &db, &what);
+        // The same facts loaded back to front get other row numbers, so
+        // stage 0 enumerates them in another order: who finds a match
+        // changes, never how many there are.
+        let atoms: Vec<GroundAtom> = db.iter().collect();
+        let reversed = Database::from_atoms(atoms.into_iter().rev());
+        let (backward, bwd_stats) = check(&program, &reversed, &what);
+        assert_eq!(backward, forward, "reversed input, {what}");
+        assert_eq!(bwd_stats.matches, fwd_stats.matches, "{what}");
+        assert_eq!(bwd_stats.derivations, fwd_stats.derivations, "{what}");
     }
 }
 
@@ -167,10 +168,7 @@ fn ring(pred: &str, n: i64, step: i64) -> String {
 fn check_source(rules: &str, facts: &str) -> (Database, Stats) {
     let program = parse_program(rules).unwrap();
     let db = parse_database(facts).unwrap();
-    for threads in [2usize, 4] {
-        check(&program, &db, threads, rules);
-    }
-    check(&program, &db, 1, rules)
+    check(&program, &db, rules)
 }
 
 /// One stage, one probe stage, two probe stages, a repeated variable in the
@@ -307,16 +305,14 @@ fn existential_literals_on_every_stage() {
         let db = existential_db(seed);
         let what = format!("existential shapes, seed {seed}");
         let want = naive::evaluate(&program, &db);
-        for threads in [1usize, 2, 4] {
-            let (got, _) = check(&program, &db, threads, &what);
-            assert_eq!(got, want, "naive fixpoint, {what}, {threads} threads");
-            let (out, stats) = check(&three, &db, threads, &what);
-            assert_eq!(
-                stats.matches,
-                out.relation_len(Pred::new("three")) as u64,
-                "{what}, {threads} threads"
-            );
-        }
+        let (got, _) = check(&program, &db, &what);
+        assert_eq!(got, want, "naive fixpoint, {what}");
+        let (out, stats) = check(&three, &db, &what);
+        assert_eq!(
+            stats.matches,
+            out.relation_len(Pred::new("three")) as u64,
+            "{what}"
+        );
         heads += want.relation_len(Pred::new("three")) as u64;
         // One naive round derives everything, a second finds nothing new.
         enumerated += naive::evaluate_with_stats(&three, &db).1.matches / 2;
@@ -343,11 +339,9 @@ fn existential_literal_followed_by_a_negated_one() {
         let db = existential_db(seed);
         let mut want = db.clone();
         want.union_with(&naive::apply_once(&program, &db));
-        for threads in [1usize, 2, 4] {
-            let what = format!("existential + negation, seed {seed}");
-            let (got, _) = check(&program, &db, threads, &what);
-            assert_eq!(got, want, "one application, {what}, {threads} threads");
-        }
+        let what = format!("existential + negation, seed {seed}");
+        let (got, _) = check(&program, &db, &what);
+        assert_eq!(got, want, "one application, {what}");
         // `reads(X)` although some `e(X, W)` names a bad `W`.
         exhaustive += want
             .relation(Pred::new("reads"))
@@ -375,15 +369,11 @@ fn one_step_delta_tasks_do_not_touch_the_batch_cache() {
     assert_eq!(stats.batch_probe_rows, 0, "no probe stage ever ran");
 }
 
-/// [`check`] at 1, 2 and 4 workers for a positive program, whose fixpoint
-/// must also be `naive::evaluate`'s. Returns the sequential kernel run.
+/// [`check`] for a positive program, whose fixpoint must also be
+/// `naive::evaluate`'s. Returns the kernel run.
 fn check_positive(program: &Program, db: &Database, what: &str) -> (Database, Stats) {
     let want = naive::evaluate(program, db);
-    for threads in [2usize, 4] {
-        let (got, _) = check(program, db, threads, what);
-        assert_eq!(got, want, "naive fixpoint, {what}, {threads} threads");
-    }
-    let (got, stats) = check(program, db, 1, what);
+    let (got, stats) = check(program, db, what);
     assert_eq!(got, want, "naive fixpoint, {what}");
     (got, stats)
 }
@@ -446,12 +436,11 @@ fn head_spaces_on_both_sides_of_the_bitmap_bound() {
     assert_eq!(stats.matches, 3 * (2048 + 2049));
 }
 
-/// A committing round's dedup arenas are its delta, and parallel workers
-/// merge theirs. Two tasks queue the same new head — `h(X)` from its rules
-/// over `a` and `b` (one worker each when sliced), `g` from its two
+/// A committing round's dedup arenas are its delta. Two tasks queue the
+/// same new head — `h(X)` from its rules over `a` and `b`, `g` from its two
 /// recursive rules — and a delta round derives `g`, `k` and `h` at two
 /// arities at once. Fixpoint, `derivations` and `tuples_allocated` must not
-/// depend on the thread count or the executor.
+/// depend on the executor.
 #[test]
 fn round_arenas_become_the_delta() {
     let program = parse_program(
@@ -473,15 +462,9 @@ fn round_arenas_become_the_delta() {
         assert_eq!(want.relations_of(Pred::new("h")).len(), 2, "{what}");
         let (_, reference) =
             stratified::evaluate_with_opts(&program, &db, EvalOptions::interpreted()).unwrap();
-        for threads in [1usize, 2, 4] {
-            let (got, stats) = check(&program, &db, threads, &what);
-            assert_eq!(got, want, "naive fixpoint, {what}, {threads} threads");
-            assert_eq!(
-                counts(&stats),
-                counts(&reference),
-                "{what}, {threads} threads"
-            );
-        }
+        let (got, stats) = check(&program, &db, &what);
+        assert_eq!(got, want, "naive fixpoint, {what}");
+        assert_eq!(counts(&stats), counts(&reference), "{what}");
         // Each derived atom is counted and allocated once.
         let derived = (want.len() - db.len()) as u64;
         assert_eq!(counts(&reference), (derived, want.len() as u64), "{what}");
@@ -517,7 +500,7 @@ fn bloated_tc_remove_matches_a_recompute() {
 
 /// A traced context records the justification of each head the kernel
 /// queues; the filter decides which match that is. Every proof of a
-/// `bloated_tc` fixpoint must pass `Proof::check`, at any thread count.
+/// `bloated_tc` fixpoint must pass `Proof::check`.
 #[test]
 fn bloated_tc_explanations_check() {
     let program = bloated_tc(6, 1);
@@ -525,16 +508,14 @@ fn bloated_tc_explanations_check() {
     let fixpoint = naive::evaluate(&program, &db);
     let derived: Vec<GroundAtom> = fixpoint.iter().filter(|a| !db.contains(a)).collect();
     assert!(derived.len() > 20);
-    for threads in [1usize, 2, 4] {
-        let mut traced = Traced::new(&program, db.clone(), EvalOptions::with_threads(threads));
-        for goal in derived.iter().step_by(derived.len() / 20) {
-            let proof = traced.explain(goal).expect("in the fixpoint");
-            assert_eq!(&proof.conclusion, goal);
-            proof.check(&program, &db).unwrap();
-        }
-        assert!(traced.explain(&fact("g", [99, 99])).is_none());
-        assert_eq!(traced.database(), &fixpoint, "{threads} threads");
+    let mut traced = Traced::new(&program, db.clone());
+    for goal in derived.iter().step_by(derived.len() / 20) {
+        let proof = traced.explain(goal).expect("in the fixpoint");
+        assert_eq!(&proof.conclusion, goal);
+        proof.check(&program, &db).unwrap();
     }
+    assert!(traced.explain(&fact("g", [99, 99])).is_none());
+    assert_eq!(traced.database(), &fixpoint);
 }
 
 #[test]
@@ -545,7 +526,7 @@ fn bloated_tc_reuses_delta_batches_across_tasks() {
     // fixpoint or the logical counters.
     let program = bloated_tc(6, 99);
     let db = random_db(&[("a", 2)], 24, 12, 0xfeed);
-    let (_, stats) = check(&program, &db, 1, "bloated_tc(6, 99)");
+    let (_, stats) = check(&program, &db, "bloated_tc(6, 99)");
     assert!(stats.pipelined_tasks > 0, "bloat rules have 3+ literals");
     assert!(
         stats.batch_reuse_hits > 0,

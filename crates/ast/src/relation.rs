@@ -73,9 +73,11 @@ fn fold(h: u64, x: u64) -> u64 {
     (h.rotate_left(5) ^ x).wrapping_mul(FX)
 }
 
-/// FX-fold streaming hasher for dictionary maps keyed by [`Const`].
-/// Dictionary lookups sit on the engine's probe path, so the default
-/// SipHash would be pure overhead for a 16-byte `Copy` key.
+/// FX-fold streaming hasher for maps keyed by [`Const`]s, symbol ids and
+/// small integers — never by outside input, since it has no defence
+/// against keys crafted to collide. Dictionary lookups sit on the engine's
+/// probe path, so the default SipHash would be pure overhead for a 16-byte
+/// `Copy` key.
 #[derive(Default)]
 pub struct FxConstHasher(u64);
 
@@ -111,7 +113,10 @@ impl Hasher for FxConstHasher {
     }
 }
 
-type ConstMap<V> = HashMap<Const, V, BuildHasherDefault<FxConstHasher>>;
+/// A `HashMap` on [`FxConstHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxConstHasher>>;
+
+type ConstMap<V> = FxHashMap<Const, V>;
 
 /// Deterministic, well-mixed hash of a row of constants. Stable within a
 /// process run (symbol ids are interning-order dependent across runs).

@@ -17,12 +17,42 @@
 //! test stops the round the frozen head is derived
 //! ([`EvalContext::saturate_until`]). The same test on a traced context
 //! ([`Containment::evidence`]) returns the derivation it found, or the
-//! saturated countermodel.
+//! saturated countermodel. Every test a thread runs is counted, with the
+//! engine work it did, in that thread's [`tally`].
 
 use crate::freeze::freeze_rule;
 use datalog_ast::{validate_positive, Database, GroundAtom, Program, Rule, ValidationError};
-use datalog_engine::{EvalContext, EvalOptions, Proof, RulePlan, Traced};
+use datalog_engine::{EvalContext, EvalOptions, Proof, RulePlan, Stats, Traced};
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// The §VI tests [`Containment`] ran on one thread, and the engine work
+/// they did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    pub tests: u64,
+    pub work: Stats,
+}
+
+thread_local! {
+    static TALLY: Cell<Tally> = Cell::new(Tally::default());
+}
+
+/// The §VI tests run on the calling thread so far: `datalog optimize
+/// --stats` reads it around the optimizer. A counter per thread, so that
+/// concurrent callers do not see each other's tests.
+pub fn tally() -> Tally {
+    TALLY.with(Cell::get)
+}
+
+fn count(work: Stats) {
+    TALLY.with(|t| {
+        let mut tally = t.get();
+        tally.tests += 1;
+        tally.work += work;
+        t.set(tally);
+    });
+}
 
 /// Error type for containment queries on programs outside the decidable
 /// fragment.
@@ -108,7 +138,9 @@ impl Containment {
         let (cx, rules, goal) = self.freeze(r, None);
         let canonical_db = cx.database().clone();
         let mut traced = Traced::over(cx, rules);
-        match traced.explain(&goal) {
+        let found = traced.explain(&goal);
+        count(traced.stats());
+        match found {
             Some(proof) => Ok(Witness {
                 canonical_db,
                 goal,
@@ -147,7 +179,9 @@ impl Containment {
 
     fn test(&self, r: &Rule, without: Option<usize>) -> bool {
         let (mut cx, rules, goal) = self.freeze(r, without);
-        cx.saturate_until(&rules, &goal)
+        let holds = cx.saturate_until(&rules, &goal);
+        count(cx.stats());
+        holds
     }
 }
 

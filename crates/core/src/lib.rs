@@ -68,9 +68,9 @@ pub use chase::{
     uniformly_contains_given, ChaseResult, ChaseStatus, Proof,
 };
 pub use containment::{
-    rule_contained, rule_contained_with_evidence, uniformly_contains,
+    rule_contained, rule_contained_with_evidence, tally, uniformly_contains,
     uniformly_contains_with_evidence, uniformly_equivalent, Containment, ContainmentError,
-    ContainmentEvidence, Refutation, Witness,
+    ContainmentEvidence, Refutation, Tally, Witness,
 };
 pub use cq::{cq_contained, equivalent_nonrecursive, homomorphism, minimize_cq, union_contained};
 pub use equivalence::{

@@ -10,12 +10,14 @@
 //! copying tuples at all:
 //!
 //! * **Incremental row-id indexes in dictionary-code space.** The context
-//!   owns an [`IndexStore`] of per-`(pred, arity, positions)` postings
-//!   lists that live across fixpoint rounds: a map from the hash of the
-//!   projected **dictionary codes** (see [`Relation::codes`]) to the `u32`
-//!   row-ids carrying it in the database's arena. Building an index is a
-//!   fold over `u32` code columns — it never touches the row arena — and
-//!   appending a derived row is pushing one `u32` per live index
+//!   owns an [`IndexStore`] of per-`(pred, arity, positions)` indexes that
+//!   live across fixpoint rounds. An index chains the row-ids whose
+//!   projected **dictionary codes** (see [`Relation::codes`]) hash alike:
+//!   a map from the hash to the chain's first and last id, and one `next`
+//!   array linking each row to the next of its chain, so candidates come in
+//!   insertion order. Building an index is a fold over `u32` code columns —
+//!   it never touches the row arena — into two allocations, and appending
+//!   a derived row is one `u32` pushed and one linked per live index
 //!   ([`Stats::index_appends`]); an index is built at most once per pattern
 //!   per context ([`Stats::index_builds`]). The invariant: **every
 //!   mutation of the context database flows through the context**, so ids
@@ -24,27 +26,35 @@
 //!   conservatively clear the store, which re-fills lazily).
 //!
 //! * **Compiled join scripts, one kernel, one reference.** Each `(rule,
-//!   order)` pair compiles once per round into a [`JoinScript`] whose
-//!   steps know statically which index to probe, how to build the probe
-//!   key, and which tuple positions bind which variable slots. Every
-//!   script — any body length, any key width, negation included — runs on
-//!   the batched columnar pipeline in [`crate::kernels`]. The row-at-a-time
-//!   interpreter in this module is never selected by script shape: it runs
-//!   only under [`EvalOptions::interpreted`] /
+//!   delta position, order)` compiles once per plan into a [`JoinScript`]
+//!   — the [`RulePlan`] keeps it for every later round and every other
+//!   context over the same plans — whose steps know statically which index
+//!   to probe, how to build the probe key, and which tuple positions bind
+//!   which variable slots, and which carries the kernel's whole task setup
+//!   ([`kernels::Recipe`]). A step names its index by the plan's pattern
+//!   number, which the store resolves to a slot with one integer lookup.
+//!   Every script — any body length, any key width, negation included —
+//!   runs on the batched columnar pipeline in [`crate::kernels`]. The
+//!   row-at-a-time interpreter in this module is never selected by script
+//!   shape: it runs only under [`EvalOptions::interpreted`] /
 //!   [`EvalOptions::with_specialize`]`(false)`, as the reference the
 //!   differential tests, the oracle fuzzer and the benchmarks compare the
-//!   kernel against. Both probe in code space: a probe key's constants are
-//!   translated through the target column's dictionary first, so a
-//!   constant that never appears in a column matches nothing without
-//!   touching a single row ([`Stats::dict_filtered_probes`]), and
+//!   kernel against, and it compiles its scripts afresh every round rather
+//!   than sharing the plan's. Both probe in code space: a probe key's
+//!   constants are translated through the target column's dictionary
+//!   first, so a constant that never appears in a column matches nothing
+//!   without touching a single row ([`Stats::dict_filtered_probes`]), and
 //!   candidate verification is a `u32` compare per bound column. Hash
-//!   collisions are therefore admitted by the postings map but never
-//!   produce a wrong answer.
+//!   collisions are therefore admitted by the chains but never produce a
+//!   wrong answer.
 //!
 //! * **One thread, one output per round.** A round's `(rule ×
 //!   delta-position)` tasks run one after another on the calling thread
 //!   into a single `TaskOutput`, against the context's indexes and the
-//!   borrowed delta; the round's delta-batch cache is a local of the round.
+//!   borrowed delta, which the delta literal scans; the round's
+//!   delta-batch cache is a local of the round. What a round costs beyond
+//!   its joins is one relation size per body atom and a greedy order per
+//!   task, a memo lookup per task, and a slot lookup per positive literal.
 //!
 //! * **A round's arenas are its delta.** The set-semantics dedup a round
 //!   runs its heads through (`Seen`) holds each head new to the database
@@ -58,14 +68,16 @@
 //!   of its own. Untraced, the cost is one branch per queued head.
 
 use crate::kernels;
-use crate::plan::{RulePlan, Slot};
+use crate::plan::{pattern_number, OrderScratch, RulePlan, Slot};
 use crate::provenance::Justification;
 use crate::stats::Stats;
 use datalog_ast::{
-    hash_codes_fold, hash_codes_seed, Const, Database, GroundAtom, Pred, Program, Relation,
-    RowHashMap,
+    hash_codes_fold, hash_codes_seed, Const, Database, FxHashMap, GroundAtom, Pred, Program,
+    Relation, RowHashMap,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Evaluation tuning knobs.
@@ -111,87 +123,140 @@ impl Default for EvalOptions {
     }
 }
 
-/// One hash index: hash of the projected dictionary codes on a fixed
-/// position list → the row-ids whose projection carries that hash
-/// (collisions possible; executors verify candidates code-by-code).
-type Index = RowHashMap<Vec<u32>>;
+/// The end of a chain, and the slot of a step that reads no index.
+pub(crate) const NONE: u32 = u32::MAX;
 
-/// The per-`(pred, arity)` index group: one [`Index`] per bound-position
-/// pattern ever probed.
-type IndexGroup = HashMap<Box<[usize]>, Index>;
+/// One hash index over the rows of `(pred, arity)`, keyed on their
+/// dictionary codes at `positions`. Rows whose projections hash alike form
+/// a chain in insertion order: `heads` maps the hash to the chain's first
+/// and last row-id, and `next[id]` is the row after `id` in its chain
+/// (`NONE` at the end). Collisions share a chain; executors verify
+/// candidates code-by-code.
+#[derive(Clone, Debug)]
+pub(crate) struct Index {
+    pred: Pred,
+    arity: usize,
+    positions: Box<[usize]>,
+    heads: RowHashMap<(u32, u32)>,
+    next: Vec<u32>,
+}
+
+impl Index {
+    /// Index every row `db` holds at `(pred, arity)`. The map is sized for
+    /// the distinct keys the code columns allow, so a build allocates the
+    /// map and `next` once each.
+    fn build(db: &Database, pred: Pred, arity: usize, positions: &[usize]) -> Index {
+        let rel = db.relation_of(pred, arity);
+        let rows = rel.map_or(0, Relation::len);
+        let keys = rel.map_or(0, |rel| {
+            positions
+                .iter()
+                .try_fold(1usize, |n, &p| n.checked_mul(rel.dict_len(p)))
+                .map_or(rows, |n| n.min(rows))
+        });
+        let mut index = Index {
+            pred,
+            arity,
+            positions: positions.into(),
+            heads: RowHashMap::with_capacity_and_hasher(keys, Default::default()),
+            next: Vec::with_capacity(rows),
+        };
+        if let Some(rel) = rel {
+            for id in 0..rows as u32 {
+                index.append(rel, id);
+            }
+        }
+        index
+    }
+
+    /// Link row `id` of `rel` — the next row of the relation — to the end
+    /// of its chain.
+    #[inline]
+    fn append(&mut self, rel: &Relation, id: u32) {
+        debug_assert_eq!(id as usize, self.next.len(), "rows are indexed in id order");
+        let mut h = hash_codes_seed(self.positions.len());
+        for &p in self.positions.iter() {
+            h = hash_codes_fold(h, rel.code_at(p, id));
+        }
+        self.next.push(NONE);
+        match self.heads.entry(h) {
+            Entry::Occupied(mut chain) => {
+                let (_, last) = chain.get_mut();
+                self.next[*last as usize] = id;
+                *last = id;
+            }
+            Entry::Vacant(chain) => {
+                chain.insert((id, id));
+            }
+        }
+    }
+}
 
 /// Owned, incrementally-maintained row-id indexes over a database.
 ///
 /// The store holds only `u32` ids into the database's arenas and survives
 /// rounds: new rows are appended, never re-scanned. Ids are valid against
-/// the exact database the store was ensured/absorbed from. Keys are hashes
+/// the exact database the store was resolved/absorbed from. Keys are hashes
 /// of projected *dictionary codes*, so building and appending read only
 /// `u32` columns.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct IndexStore {
-    map: HashMap<(Pred, usize), IndexGroup>,
+    /// The indexes, by slot.
+    indexes: Vec<Index>,
+    /// The slot of each `(rule, pattern)` a step of this context has
+    /// probed, where the pattern is the number the rule's plan gave the
+    /// step's index (`Step::index`). The plans of a context never change,
+    /// so neither does the answer.
+    slots: FxHashMap<(usize, usize), u32>,
 }
 
 impl IndexStore {
-    /// Build the `(pred, arity, positions)` index from `db` if it does not
-    /// exist yet. Returns whether a build happened.
-    fn ensure(&mut self, db: &Database, pred: Pred, arity: usize, positions: &[usize]) -> bool {
-        let by_pos = self.map.entry((pred, arity)).or_default();
-        if by_pos.contains_key(positions) {
-            return false;
+    /// The slot of the index `step` of `rule` probes, built from `db` if no
+    /// step has probed its `(pred, arity, positions)` yet — in which case
+    /// the second component is `true`.
+    fn resolve(&mut self, db: &Database, rule: usize, step: &Step) -> (u32, bool) {
+        if let Some(&slot) = self.slots.get(&(rule, step.index)) {
+            return (slot, false);
         }
-        let mut index = Index::default();
-        if let Some(rel) = db.relation_of(pred, arity) {
-            // Columnar build: fold the projected code columns, never the
-            // row arena.
-            let cols: Vec<&[u32]> = positions.iter().map(|&p| rel.codes(p)).collect();
-            let seed = hash_codes_seed(positions.len());
-            for id in 0..rel.len() as u32 {
-                let mut h = seed;
-                for col in &cols {
-                    h = hash_codes_fold(h, col[id as usize]);
-                }
-                index.entry(h).or_default().push(id);
+        let known = self.indexes.iter().position(|ix| {
+            ix.pred == step.pred && ix.arity == step.arity && ix.positions == step.positions
+        });
+        let (slot, built) = match known {
+            Some(slot) => (slot, false),
+            None => {
+                let index = Index::build(db, step.pred, step.arity, &step.positions);
+                self.indexes.push(index);
+                (self.indexes.len() - 1, true)
             }
-        }
-        by_pos.insert(positions.into(), index);
-        true
+        };
+        self.slots.insert((rule, step.index), slot as u32);
+        (slot as u32, built)
     }
 
-    /// The `(pred, arity, positions)` index, resolved once so that each of
-    /// a join step's probes is a single map lookup. The index must have
-    /// been [`IndexStore::ensure`]d.
-    pub(crate) fn postings(&self, pred: Pred, arity: usize, positions: &[usize]) -> Postings<'_> {
-        let index = self.map.get(&(pred, arity)).and_then(|m| m.get(positions));
-        debug_assert!(
-            index.is_some(),
-            "probe of an index that was never ensured: {pred:?}/{arity} {positions:?}"
-        );
-        Postings(index)
+    /// The index at `slot`, as [`IndexStore::resolve`] handed it out.
+    #[inline]
+    pub(crate) fn postings(&self, slot: u32) -> Postings<'_> {
+        Postings(Some(&self.indexes[slot as usize]))
     }
 
-    /// Append freshly inserted rows (given as `(pred, arity, row-id)`, ids
-    /// valid in `db`) into every live index of their predicate. Callers
-    /// guarantee the rows are new w.r.t. the indexed database (the
-    /// semi-naive discipline), so this never introduces duplicates.
-    /// Returns the number of (row, index) appends performed.
-    fn absorb(&mut self, db: &Database, fresh: &[(Pred, usize, u32)]) -> u64 {
+    /// Append the freshly inserted rows `ids` of `(pred, arity)` (valid in
+    /// `db`) into every live index of that relation. Callers guarantee the
+    /// rows are new w.r.t. the indexed database (the semi-naive
+    /// discipline), so this never introduces duplicates. Returns the number
+    /// of (row, index) appends performed.
+    fn absorb(&mut self, db: &Database, pred: Pred, arity: usize, ids: Range<u32>) -> u64 {
         let mut appends = 0;
-        for &(pred, arity, id) in fresh {
-            let Some(by_pos) = self.map.get_mut(&(pred, arity)) else {
+        for index in &mut self.indexes {
+            if index.pred != pred || index.arity != arity {
                 continue;
-            };
+            }
             let rel = db
                 .relation_of(pred, arity)
-                .expect("freshly inserted row has a relation");
-            for (positions, index) in by_pos.iter_mut() {
-                let mut h = hash_codes_seed(positions.len());
-                for &p in positions.iter() {
-                    h = hash_codes_fold(h, rel.code_at(p, id));
-                }
-                index.entry(h).or_default().push(id);
-                appends += 1;
+                .expect("freshly inserted rows have a relation");
+            for id in ids.clone() {
+                index.append(rel, id);
             }
+            appends += ids.len() as u64;
         }
         appends
     }
@@ -199,7 +264,8 @@ impl IndexStore {
     /// Drop every index (after a non-monotone mutation, which invalidates
     /// row-ids); they re-fill lazily from the current database.
     fn clear(&mut self) {
-        self.map.clear();
+        self.indexes.clear();
+        self.slots.clear();
     }
 }
 
@@ -209,12 +275,57 @@ pub(crate) struct Postings<'a>(Option<&'a Index>);
 
 impl<'a> Postings<'a> {
     /// Row-ids whose code projection on the index's positions hashes to
-    /// `hash`.
+    /// `hash`, in insertion order.
     #[inline]
-    pub(crate) fn get(self, hash: u64) -> &'a [u32] {
-        self.0
-            .and_then(|index| index.get(&hash))
-            .map_or(&[], Vec::as_slice)
+    pub(crate) fn get(self, hash: u64) -> Chain<'a> {
+        match self.0 {
+            Some(index) => Chain {
+                next: &index.next,
+                at: index.heads.get(&hash).map_or(NONE, |&(first, _)| first),
+            },
+            None => Chain {
+                next: &[],
+                at: NONE,
+            },
+        }
+    }
+}
+
+/// The row-ids of one chain of an [`Index`].
+#[derive(Clone, Copy)]
+pub(crate) struct Chain<'a> {
+    next: &'a [u32],
+    at: u32,
+}
+
+impl Iterator for Chain<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        let id = self.at;
+        (id != NONE).then(|| {
+            self.at = self.next[id as usize];
+            id
+        })
+    }
+}
+
+/// The candidate row-ids of a literal: a chain, or a whole relation.
+pub(crate) enum Cands<'a> {
+    Chain(Chain<'a>),
+    All(Range<u32>),
+}
+
+impl Iterator for Cands<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Cands::Chain(chain) => chain.next(),
+            Cands::All(ids) => ids.next(),
+        }
     }
 }
 
@@ -239,14 +350,21 @@ impl KeySrc {
 /// and which tuple positions bind which variable slots.
 #[derive(Clone, Debug)]
 pub(crate) struct Step {
-    /// Body index of the atom (identifies the delta-restricted step).
+    /// Body index of the atom.
     pub(crate) atom: usize,
     pub(crate) negated: bool,
+    /// The delta literal of a delta script: the step reads the round's delta,
+    /// every row of it, where any other step reads the database through its
+    /// index.
+    pub(crate) delta: bool,
     pub(crate) pred: Pred,
     /// The atom's arity (selects the arena relation to read rows from).
     pub(crate) arity: usize,
     /// Statically-bound argument positions (the index pattern).
     pub(crate) positions: Box<[usize]>,
+    /// The index pattern's number in the plan the step was compiled from
+    /// (see [`IndexStore::resolve`]); unused by negated steps.
+    pub(crate) index: usize,
     /// Sources of the probe key, one per bound position. For negated
     /// atoms: sources of the full ground tuple (one per argument).
     pub(crate) key: Vec<KeySrc>,
@@ -286,13 +404,15 @@ impl Step {
     }
 }
 
-/// A rule's body compiled for a fixed atom order, plus its head recipe.
-#[derive(Clone, Debug)]
+/// A rule's body compiled for a fixed atom order and delta position, plus
+/// its head recipe and the kernel's task setup.
+#[derive(Debug)]
 pub(crate) struct JoinScript {
     pub(crate) steps: Vec<Step>,
     pub(crate) head_pred: Pred,
     pub(crate) head: Vec<KeySrc>,
     pub(crate) num_vars: usize,
+    pub(crate) kernel: kernels::Recipe,
 }
 
 fn keysrc(slot: Slot) -> KeySrc {
@@ -302,10 +422,18 @@ fn keysrc(slot: Slot) -> KeySrc {
     }
 }
 
-/// Compile `plan`'s body under `order` into a [`JoinScript`]. The binding
-/// pattern at each depth is fully determined by the order, which is what
-/// lets the executor run against pre-built, read-only indexes.
-pub(crate) fn compile_script(plan: &RulePlan, order: &[usize]) -> JoinScript {
+/// Compile `plan`'s body under `order` into a [`JoinScript`], with the
+/// delta at body atom `delta` (which `order` must lead with) or none. The
+/// binding pattern at each depth is fully determined by the order, which
+/// is what lets the executor run against pre-built, read-only indexes.
+/// Index patterns are numbered through `patterns`, the plan's table.
+pub(crate) fn compile_script(
+    plan: &RulePlan,
+    order: &[usize],
+    delta: Option<usize>,
+    patterns: &mut Vec<(usize, Box<[usize]>)>,
+) -> JoinScript {
+    debug_assert!(delta.is_none_or(|d| order.first() == Some(&d)));
     let mut bound = vec![false; plan.num_vars()];
     let mut steps = Vec::with_capacity(order.len());
     for &atom_i in order {
@@ -315,9 +443,11 @@ pub(crate) fn compile_script(plan: &RulePlan, order: &[usize]) -> JoinScript {
             steps.push(Step {
                 atom: atom_i,
                 negated: true,
+                delta: false,
                 pred: atom.pred,
                 arity: atom.slots.len(),
                 positions: Box::default(),
+                index: 0,
                 key: atom.slots.iter().map(|&s| keysrc(s)).collect(),
                 bind: Vec::new(),
                 check: Vec::new(),
@@ -351,8 +481,10 @@ pub(crate) fn compile_script(plan: &RulePlan, order: &[usize]) -> JoinScript {
         steps.push(Step {
             atom: atom_i,
             negated: false,
+            delta: delta == Some(atom_i),
             pred: atom.pred,
             arity: atom.slots.len(),
+            index: pattern_number(patterns, atom_i, &positions),
             positions: positions.into(),
             key,
             bind,
@@ -363,6 +495,7 @@ pub(crate) fn compile_script(plan: &RulePlan, order: &[usize]) -> JoinScript {
     let head: Vec<KeySrc> = plan.head.slots.iter().map(|&s| keysrc(s)).collect();
     mark_existential(&mut steps, &head, plan.num_vars());
     JoinScript {
+        kernel: kernels::Recipe::new(&steps, &head),
         steps,
         head_pred: plan.head.pred,
         head,
@@ -393,32 +526,42 @@ fn mark_existential(steps: &mut [Step], head: &[KeySrc], num_vars: usize) {
     }
 }
 
-/// One schedulable unit: a script, optionally delta-restricted at one body
-/// atom.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Task {
-    pub(crate) script: usize,
+/// One schedulable unit of a round: a script of a rule, with the store
+/// slots of its steps' indexes (`NONE` for a negated step).
+#[derive(Clone, Copy)]
+pub(crate) struct Task<'r> {
+    pub(crate) script: &'r JoinScript,
     /// The script's rule, as an index into the context's plans.
     pub(crate) rule: usize,
-    pub(crate) delta_atom: Option<usize>,
+    pub(crate) slots: &'r [u32],
 }
 
-/// The index store and relation a step reads from: the per-round delta
-/// pair when the task is delta-restricted at this step, the persistent
-/// pair otherwise. Shared by the interpreter and the kernel so source
+/// The relation a step reads: the round's delta for the delta literal, the
+/// database otherwise. Shared by the interpreter and the kernel so source
 /// selection cannot diverge between them.
-pub(crate) fn step_source<'a>(
+pub(crate) fn step_relation<'a>(
     step: &Step,
-    task: Task,
-    store: &'a IndexStore,
-    delta_store: &'a IndexStore,
     db: &'a Database,
     delta_db: &'a Database,
-) -> (&'a IndexStore, Option<&'a Relation>) {
-    if task.delta_atom == Some(step.atom) {
-        (delta_store, delta_db.relation_of(step.pred, step.arity))
+) -> Option<&'a Relation> {
+    let source = if step.delta { delta_db } else { db };
+    source.relation_of(step.pred, step.arity)
+}
+
+/// The candidates a step visits for the key hashing to `hash`: every row of
+/// the delta for the delta literal (verification against the key does what
+/// an index would), the index's chain otherwise. In id order either way.
+pub(crate) fn step_cands<'a>(
+    step: &Step,
+    slot: u32,
+    rel: &Relation,
+    store: &'a IndexStore,
+    hash: u64,
+) -> Cands<'a> {
+    if step.delta || step.positions.is_empty() {
+        Cands::All(0..rel.len() as u32)
     } else {
-        (store, db.relation_of(step.pred, step.arity))
+        Cands::Chain(store.postings(slot).get(hash))
     }
 }
 
@@ -429,15 +572,15 @@ pub(crate) fn step_source<'a>(
 /// round's arenas are its delta.
 #[derive(Default)]
 pub(crate) struct Seen {
-    rows: HashMap<(Pred, usize), Relation>,
-    why: Option<HashMap<(Pred, usize), Vec<Justification>>>,
+    rows: FxHashMap<(Pred, usize), Relation>,
+    why: Option<FxHashMap<(Pred, usize), Vec<Justification>>>,
 }
 
 impl Seen {
     fn new(traced: bool) -> Seen {
         Seen {
-            rows: HashMap::new(),
-            why: traced.then(HashMap::new),
+            rows: FxHashMap::default(),
+            why: traced.then(FxHashMap::default),
         }
     }
 
@@ -452,8 +595,10 @@ impl Seen {
 }
 
 /// What the tasks of a round produce: work counters and the heads they
-/// queued.
-pub(crate) struct TaskOutput {
+/// queued — plus the buffers every task of the round sets up in, so that
+/// none allocates its own. `'a` is the round's borrow of the database, the
+/// delta, the index store and the scripts.
+pub(crate) struct TaskOutput<'a> {
     pub(crate) probes: u64,
     pub(crate) matches: u64,
     /// In-flight rows pushed through the kernel's probe stages.
@@ -475,6 +620,9 @@ pub(crate) struct TaskOutput {
     /// The kernel's per-task duplicate filter in code space, reused by
     /// every task this output serves.
     pub(crate) heads: kernels::HeadFilter,
+    /// The kernel's pipeline buffers, reused by every task this output
+    /// serves.
+    pub(crate) frame: kernels::Frame<'a>,
     /// Per-depth probe-key scratch of the interpreter (translated codes;
     /// no per-probe allocation).
     keys: Vec<Vec<u32>>,
@@ -484,8 +632,8 @@ pub(crate) struct TaskOutput {
     pub(crate) head_buf: Vec<Const>,
 }
 
-impl TaskOutput {
-    fn new(filter_known: bool, traced: bool) -> TaskOutput {
+impl TaskOutput<'_> {
+    fn new(filter_known: bool, traced: bool) -> Self {
         TaskOutput {
             probes: 0,
             matches: 0,
@@ -496,6 +644,7 @@ impl TaskOutput {
             filter_known,
             seen: Seen::new(traced),
             heads: kernels::HeadFilter::default(),
+            frame: kernels::Frame::default(),
             keys: Vec::new(),
             neg_buf: Vec::new(),
             head_buf: Vec::new(),
@@ -539,59 +688,55 @@ impl TaskOutput {
 /// Run one task: on the kernel, or — only when the context was built with
 /// `specialize == false` — on the reference interpreter. The choice never
 /// depends on the script.
-#[allow(clippy::too_many_arguments)]
-fn run_task(
-    script: &JoinScript,
+fn run_task<'a>(
+    task: Task<'a>,
     specialize: bool,
-    task: Task,
-    store: &IndexStore,
-    delta_store: &IndexStore,
-    db: &Database,
-    delta_db: &Database,
-    cache: &mut kernels::BatchCache,
-    out: &mut TaskOutput,
+    store: &'a IndexStore,
+    db: &'a Database,
+    delta_db: &'a Database,
+    cache: &mut kernels::BatchCache<'a>,
+    out: &mut TaskOutput<'a>,
 ) {
     if specialize {
-        kernels::run(script, task, store, delta_store, db, delta_db, cache, out);
+        kernels::run(task, store, db, delta_db, cache, out);
         return;
     }
-    if out.keys.len() < script.steps.len() {
-        out.keys.resize_with(script.steps.len(), Vec::new);
+    let steps = task.script.steps.len();
+    if out.keys.len() < steps {
+        out.keys.resize_with(steps, Vec::new);
     }
-    let mut assignment: Vec<Option<Const>> = vec![None; script.num_vars];
-    exec(
-        script,
-        0,
-        task,
+    let mut assignment: Vec<Option<Const>> = vec![None; task.script.num_vars];
+    let sources = Sources {
         store,
-        delta_store,
         db,
         delta_db,
-        &mut assignment,
-        out,
-    );
+    };
+    exec(task, 0, &sources, &mut assignment, out);
+}
+
+/// What the interpreter reads: the index store, the database and the delta.
+struct Sources<'a> {
+    store: &'a IndexStore,
+    db: &'a Database,
+    delta_db: &'a Database,
 }
 
 /// The reference executor: row-at-a-time recursive descent over the
 /// script's steps.
-#[allow(clippy::too_many_arguments)]
 fn exec(
-    script: &JoinScript,
+    task: Task<'_>,
     depth: usize,
-    task: Task,
-    store: &IndexStore,
-    delta_store: &IndexStore,
-    db: &Database,
-    delta_db: &Database,
+    src: &Sources<'_>,
     assignment: &mut Vec<Option<Const>>,
-    out: &mut TaskOutput,
+    out: &mut TaskOutput<'_>,
 ) {
+    let script = task.script;
     let Some(step) = script.steps.get(depth) else {
         out.head_buf.clear();
         for s in &script.head {
             out.head_buf.push(s.value(assignment));
         }
-        let trace = out.emit_head(script.head_pred, db);
+        let trace = out.emit_head(script.head_pred, src.db);
         debug_assert!(trace.is_none(), "a traced context runs the kernel");
         return;
     };
@@ -602,27 +747,16 @@ fn exec(
             let key = &mut out.neg_buf;
             key.clear();
             key.extend(step.key.iter().map(|s| s.value(assignment)));
-            !db.contains_tuple(step.pred, key)
+            !src.db.contains_tuple(step.pred, key)
         };
         if absent {
-            exec(
-                script,
-                depth + 1,
-                task,
-                store,
-                delta_store,
-                db,
-                delta_db,
-                assignment,
-                out,
-            );
+            exec(task, depth + 1, src, assignment, out);
         }
         return;
     }
 
     out.probes += 1;
-    let (source, rel) = step_source(step, task, store, delta_store, db, delta_db);
-    let Some(rel) = rel else {
+    let Some(rel) = step_relation(step, src.db, src.delta_db) else {
         return; // no rows at this predicate/arity — the join is empty here
     };
     // Translate the probe key into the target relation's code space and
@@ -644,18 +778,16 @@ fn exec(
             }
         }
     }
-    let ids: &[u32] = if present {
-        source
-            .postings(step.pred, step.arity, &step.positions)
-            .get(hash)
+    let cands = if present {
+        step_cands(step, task.slots[depth], rel, src.store, hash)
     } else {
         out.dict_filtered += 1;
-        &[]
+        Cands::All(0..0)
     };
-    for &id in ids {
-        // The postings list is keyed by hash; verify the candidate's code
-        // projection against the translated key (collision safety, one
-        // integer compare per bound column).
+    for id in cands {
+        // Candidates share a hash, not necessarily a key: verify the
+        // candidate's code projection against the translated key (collision
+        // safety, one integer compare per bound column).
         if !step
             .positions
             .iter()
@@ -673,17 +805,7 @@ fn exec(
             .iter()
             .all(|&(pos, v)| assignment[v] == Some(t[pos]));
         if passes {
-            exec(
-                script,
-                depth + 1,
-                task,
-                store,
-                delta_store,
-                db,
-                delta_db,
-                assignment,
-                out,
-            );
+            exec(task, depth + 1, src, assignment, out);
         }
         for &(_, v) in &step.bind {
             assignment[v] = None;
@@ -711,6 +833,8 @@ pub struct EvalContext {
     /// A traced context's record: the first justification of every atom it
     /// committed ([`EvalContext::traced`]).
     justifications: Option<HashMap<GroundAtom, Justification>>,
+    /// The greedy planner's buffers, reused by every task of every round.
+    orders: OrderScratch,
 }
 
 impl std::fmt::Debug for EvalContext {
@@ -761,6 +885,7 @@ impl EvalContext {
             specialize: opts.specialize,
             stats,
             justifications: None,
+            orders: OrderScratch::default(),
         }
     }
 
@@ -791,6 +916,7 @@ impl EvalContext {
             specialize: self.specialize,
             stats: self.stats,
             justifications: None,
+            orders: OrderScratch::default(),
         }
     }
 
@@ -825,7 +951,7 @@ impl EvalContext {
         self.stats.tuples_allocated += 1;
         self.stats.arena_bytes += arity as u64 * CONST_BYTES;
         self.stats.index_appends +=
-            Arc::make_mut(&mut self.store).absorb(&self.db, &[(pred, arity, id)]);
+            Arc::make_mut(&mut self.store).absorb(&self.db, pred, arity, id..id + 1);
         true
     }
 
@@ -835,7 +961,7 @@ impl EvalContext {
     pub(crate) fn remove_atoms(&mut self, atoms: &Database) {
         let db = Arc::make_mut(&mut self.db);
         for pred in atoms.predicates() {
-            for row in atoms.relation(pred) {
+            for row in atoms.relations_of(pred).iter().flat_map(Relation::rows) {
                 db.remove_row(pred, row);
             }
         }
@@ -897,31 +1023,30 @@ impl EvalContext {
     fn commit(&mut self, seen: Seen) -> Database {
         let Seen { rows, mut why } = seen;
         let mut delta = Database::new();
-        let mut fresh_ids: Vec<(Pred, usize, u32)> = Vec::new();
-        let db = Arc::make_mut(&mut self.db);
         for ((pred, arity), heads) in rows {
             let mut why = why
                 .as_mut()
                 .and_then(|w| w.remove(&(pred, arity)))
                 .into_iter()
                 .flatten();
+            // The heads are new, so they take the next ids of their relation.
+            let db = Arc::make_mut(&mut self.db);
+            let first = db.relation_of(pred, arity).map_or(0, Relation::len) as u32;
             for row in heads.rows() {
-                let id = db
-                    .insert_row_id(pred, row)
+                db.insert_row_id(pred, row)
                     .expect("a committing round queues only heads new to the database");
-                fresh_ids.push((pred, arity, id));
                 if let (Some(kept), Some(why)) = (&mut self.justifications, why.next()) {
                     kept.insert(GroundAtom::new(pred, row), why);
                 }
             }
             let new = heads.len() as u64;
+            let fresh = first..first + new as u32;
+            self.stats.index_appends +=
+                Arc::make_mut(&mut self.store).absorb(&self.db, pred, arity, fresh);
             self.stats.derivations += new;
             self.stats.tuples_allocated += new;
             self.stats.arena_bytes += new * arity as u64 * CONST_BYTES;
             delta.insert_relation(pred, heads);
-        }
-        if !fresh_ids.is_empty() {
-            self.stats.index_appends += Arc::make_mut(&mut self.store).absorb(&self.db, &fresh_ids);
         }
         delta
     }
@@ -932,80 +1057,74 @@ impl EvalContext {
     fn run_round(&mut self, rules: &[usize], delta: Option<&Database>, filter_known: bool) -> Seen {
         self.stats.iterations += 1;
         let traced = self.justifications.is_some();
+        let no_delta = Database::new();
+        let delta_db = delta.unwrap_or(&no_delta);
 
-        // Compile the scripts. Full rounds get one greedy script per rule;
+        // Schedule the tasks. Full rounds get one greedy script per rule;
         // delta rounds get one script per (rule, delta position), seeded so
         // the delta atom drives the join — the delta is the small side, and
         // a persistent-relation-first order would rescan that full relation
-        // once per delta position per round.
+        // once per delta position per round. A delta position is a positive
+        // literal whose relation — predicate and arity — has delta rows.
         //
         // An item cannot fire when a positive literal reads a relation with
         // no rows, and is dropped before it costs an order, a script and its
         // indexes. The delta literal is exempt: it reads the delta, whose
         // predicate may have no rows in the database (the `$overdeleted`
         // seeds of DRed rederivation never do).
-        let db = &self.db;
-        let can_fire = |plan: &RulePlan, delta_pos: Option<usize>| {
-            plan.body.iter().enumerate().all(|(i, a)| {
-                a.negated
-                    || Some(i) == delta_pos
-                    || db
-                        .relation_of(a.pred, a.slots.len())
-                        .is_some_and(|rel| !rel.is_empty())
-            })
-        };
-        let mut scripts: Vec<JoinScript> = Vec::new();
-        let mut tasks: Vec<Task> = Vec::new();
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut tasks: Vec<(Arc<JoinScript>, usize)> = Vec::new();
         for &rule in rules {
             let plan = &self.plans[rule];
-            let positions: Vec<Option<usize>> = match delta {
-                None => vec![None],
-                Some(d) => (0..plan.body.len())
-                    .filter(|&p| !plan.body[p].negated && d.relation_len(plan.body[p].pred) > 0)
-                    .map(Some)
-                    .collect(),
+            sizes.clear();
+            sizes.extend(plan.body.iter().map(|a| a.relation_len(&self.db)));
+            let empty = |i: usize| !plan.body[i].negated && sizes[i] == 0;
+            let empties = (0..plan.body.len()).filter(|&i| empty(i)).count();
+            let mut schedule = |pos: Option<usize>| {
+                plan.greedy_order_seeded(&sizes, pos, &mut self.orders);
+                let order = &self.orders.order;
+                let script = if self.specialize {
+                    plan.script(pos, order)
+                } else {
+                    Arc::new(plan.fresh_script(pos, order))
+                };
+                tasks.push((script, rule));
             };
-            for pos in positions.into_iter().filter(|&pos| can_fire(plan, pos)) {
-                let order = plan.greedy_order_seeded(&self.db, pos);
-                scripts.push(compile_script(plan, &order));
-                tasks.push(Task {
-                    script: scripts.len() - 1,
-                    rule,
-                    delta_atom: pos,
-                });
+            match delta {
+                None if empties == 0 => schedule(None),
+                None => {}
+                Some(d) => {
+                    for (p, atom) in plan.body.iter().enumerate() {
+                        let in_delta = !atom.negated && atom.relation_len(d) > 0;
+                        if in_delta && empties == usize::from(empty(p)) {
+                            schedule(Some(p));
+                        }
+                    }
+                }
             }
         }
         if tasks.is_empty() {
             return Seen::default();
         }
 
-        // Ensure every index the scripts will probe; on steady-state rounds
-        // nothing is missing and this is a no-op.
+        // Resolve the index of every positive step, building the missing
+        // ones; on steady-state rounds nothing is missing. The delta
+        // literal scans the delta, but its pattern is resolved (and, the
+        // first time, built and counted in `index_builds`) like any other.
+        let mut slots: Vec<u32> = Vec::new();
         {
             let store = Arc::make_mut(&mut self.store);
-            for script in &scripts {
+            for (script, rule) in &tasks {
                 for step in &script.steps {
-                    if !step.negated
-                        && store.ensure(&self.db, step.pred, step.arity, &step.positions)
-                    {
-                        self.stats.index_builds += 1;
-                    }
+                    let slot = if step.negated {
+                        NONE
+                    } else {
+                        let (slot, built) = store.resolve(&self.db, *rule, step);
+                        self.stats.index_builds += u64::from(built);
+                        slot
+                    };
+                    slots.push(slot);
                 }
-            }
-        }
-        // Per-round delta-side indexes (ephemeral; not counted as builds),
-        // over the borrowed delta.
-        let no_delta = Database::new();
-        let delta_db = delta.unwrap_or(&no_delta);
-        let mut delta_store = IndexStore::default();
-        for task in &tasks {
-            if let Some(p) = task.delta_atom {
-                let step = scripts[task.script]
-                    .steps
-                    .iter()
-                    .find(|st| st.atom == p)
-                    .expect("delta atom present in its own script");
-                delta_store.ensure(delta_db, step.pred, step.arity, &step.positions);
             }
         }
 
@@ -1013,20 +1132,26 @@ impl EvalContext {
             self.stats.specialized_tasks += tasks.len() as u64;
             self.stats.pipelined_tasks += tasks
                 .iter()
-                .filter(|t| scripts[t.script].steps.len() >= 3)
+                .filter(|(script, _)| script.steps.len() >= 3)
                 .count() as u64;
         }
         let mut out = TaskOutput::new(filter_known, traced);
         // Gathered delta-side key blocks are valid for this round's delta
         // only, so the cache lives and dies with the round.
         let mut cache = kernels::BatchCache::default();
-        for task in tasks {
+        let mut slots = slots.as_slice();
+        for (script, rule) in &tasks {
+            let (task_slots, rest) = slots.split_at(script.steps.len());
+            slots = rest;
+            let task = Task {
+                script,
+                rule: *rule,
+                slots: task_slots,
+            };
             run_task(
-                &scripts[task.script],
-                self.specialize,
                 task,
+                self.specialize,
                 &self.store,
-                &delta_store,
                 &self.db,
                 delta_db,
                 &mut cache,
@@ -1088,7 +1213,7 @@ mod tests {
     fn existential_steps_follow_liveness() {
         let marks = |rule: &str, order: &[usize]| -> Vec<bool> {
             let plan = RulePlan::compile(&datalog_ast::parse_rule(rule).unwrap());
-            let script = compile_script(&plan, order);
+            let script = compile_script(&plan, order, None, &mut Vec::new());
             script.steps.iter().map(|s| s.exists).collect()
         };
         // Stage 1, mid-pipeline and last; `t` binds the Y that `e` keys on.
@@ -1127,6 +1252,22 @@ mod tests {
             marks("h(X) :- !bad(1), e(X, W), s(X).", &[0, 1, 2]),
             [false, false, true]
         );
+    }
+
+    /// A delta position is a literal whose relation — predicate *and*
+    /// arity — has delta rows: `p/3` rows in the delta schedule no task for
+    /// the `p/2` literal.
+    #[test]
+    fn delta_tasks_key_on_predicate_and_arity() {
+        let p = parse_program("h(X) :- p(X, Y). k(X) :- p(X, Y, Z). p(X, Y, Z) :- q(X, Y, Z).")
+            .unwrap();
+        let edb = parse_database("p(1, 2). q(3, 4, 5). q(6, 7, 8).").unwrap();
+        let mut cx = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
+        cx.saturate(&[0, 1, 2]);
+        // Round 1: `h` and `p/3` (`k` reads a `p/3` with no rows yet).
+        // Round 2: the delta holds `h` and `p/3` rows, so only `k` runs.
+        assert_eq!(cx.stats().specialized_tasks, 3);
+        assert_eq!(cx.into_database(), crate::naive::evaluate(&p, &edb));
     }
 
     #[test]
@@ -1239,6 +1380,100 @@ mod tests {
             "insertions append, never rebuild"
         );
         assert!(cx.database().contains(&datalog_ast::fact("g", [1, 3])));
+    }
+
+    /// Contexts over shared plans share compiled scripts, never orders: each
+    /// orders the body by its own relation sizes, and the plan keeps a
+    /// script per order.
+    #[test]
+    fn contexts_sharing_plans_run_their_own_orders() {
+        let p = parse_program("h(X) :- p(X), q(X).").unwrap();
+        let plans: Arc<Vec<RulePlan>> = Arc::new(p.rules.iter().map(RulePlan::compile).collect());
+        let few_p = parse_database("p(1). q(1). q(2). q(3). q(4). q(5).").unwrap();
+        let few_q = parse_database("q(1). p(1). p(2). p(3). p(4). p(5).").unwrap();
+        for db in [&few_p, &few_q, &few_p, &few_q] {
+            let opts = EvalOptions::sequential();
+            let mut shared = EvalContext::with_plans(Arc::clone(&plans), db.clone(), opts);
+            shared.saturate(&[0]);
+            let mut own = EvalContext::new(&p, db.clone(), opts);
+            own.saturate(&[0]);
+            assert_eq!(shared.stats(), own.stats());
+            // The one-row relation leads: a probe to enumerate it, and one
+            // into the other for its row.
+            assert_eq!(shared.stats().probes, 2);
+            assert_eq!(*shared.database(), *own.database());
+        }
+    }
+
+    /// Every key of every index of `store` collides with every other: each
+    /// index becomes one chain of all its rows, in id order, that each of
+    /// its keys reaches. Valid until the next append.
+    fn collide(store: &mut IndexStore) {
+        for index in &mut store.indexes {
+            let n = index.next.len() as u32;
+            for id in 0..n {
+                index.next[id as usize] = if id + 1 < n { id + 1 } else { NONE };
+            }
+            for chain in index.heads.values_mut() {
+                *chain = (0, n.saturating_sub(1));
+            }
+        }
+    }
+
+    /// Chains hand candidates out in insertion order, and a collision only
+    /// lengthens one: with every key of every index colliding, a round
+    /// derives the same heads, with the same counters, on the kernel and on
+    /// the interpreter, as over true chains — and an existential literal's
+    /// first verified candidate, which the kernel's justifications name, is
+    /// still the first row inserted with its key.
+    #[test]
+    fn colliding_keys_only_lengthen_chains() {
+        let p = parse_program("j(X, Z) :- e(X, Y), f(Y, Z). k(X) :- e(X, Y), f(Y, W).").unwrap();
+        let mut facts = String::from("e(0, 0).");
+        for i in 0..60 {
+            facts.push_str(&format!("f({}, {i}).", i % 4));
+        }
+        let edb = parse_database(&facts).unwrap();
+        let e = |x: i64| [Const::Int(x), Const::Int(x % 5)];
+        let run = |opts: EvalOptions, collide_keys: bool| {
+            let mut cx = EvalContext::new(&p, edb.clone(), opts);
+            if opts.specialize {
+                cx = cx.traced();
+            }
+            cx.saturate(&[0, 1]);
+            let before = cx.stats();
+            let mut delta = Database::new();
+            for x in 1..8 {
+                cx.add_fact(Pred::new("e"), &e(x));
+                delta.insert_row(Pred::new("e"), &e(x));
+            }
+            if collide_keys {
+                collide(Arc::make_mut(&mut cx.store));
+            }
+            let derived = cx.delta_round(&[0, 1], &delta);
+            let why: Vec<_> = (1..8)
+                .map(|x| cx.justification(&datalog_ast::fact("k", [x])).cloned())
+                .collect();
+            (derived, cx.stats() - before, why)
+        };
+        let kernel = run(EvalOptions::sequential(), false);
+        let reference = run(EvalOptions::interpreted(), false);
+        assert_eq!(run(EvalOptions::sequential(), true), kernel);
+        assert_eq!(run(EvalOptions::interpreted(), true), reference);
+        assert_eq!(kernel.0, reference.0);
+        let work = |s: &Stats| (s.probes, s.matches, s.derivations);
+        assert_eq!(work(&kernel.1), work(&reference.1));
+        for (x, why) in (1..8).zip(&kernel.2) {
+            let y = x % 5;
+            let expected = (y < 4).then(|| Justification::Rule {
+                rule_idx: 1,
+                premises: vec![
+                    datalog_ast::fact("e", [x, y]),
+                    datalog_ast::fact("f", [y, y]),
+                ],
+            });
+            assert_eq!(why.as_ref(), expected.as_ref(), "k({x})");
+        }
     }
 
     #[test]

@@ -25,13 +25,17 @@
 //!    finishes the fixpoint.
 //!
 //! When overdeletion is total (one edge of a dense cyclic graph) these are
-//! three passes where a recompute is one — measured at 3.0–3.6x the probes
-//! of a from-scratch fixpoint; there is no fallback to one (ROADMAP item
-//! 8(a)).
+//! three passes where a recompute is one — 1.7x the probes of a
+//! from-scratch fixpoint on a 32-node ring with chords (3.0x while the sweep
+//! ran a last round over the wholly overdeleted closure); there is no
+//! fallback to one (ROADMAP item 8(a)).
 //!
 //! Every round works on rows: a sweep returns the heads it derived as a
 //! database, and the overdeleted set grows from those rows without a
-//! `GroundAtom` per atom.
+//! `GroundAtom` per atom. A sweep round runs only the rules whose head
+//! relation still has an atom that is not overdeleted — any other rule could
+//! only find atoms the set already holds — and the sweep ends when no rule
+//! is left, even if the last round found new atoms.
 //!
 //! The materialisation lives on a persistent [`EvalContext`], so its rule
 //! plans are compiled once at construction and its hash indexes survive
@@ -41,7 +45,8 @@
 
 use crate::context::{EvalContext, EvalOptions};
 use crate::stats::Stats;
-use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Rule};
+use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Relation, Rule};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A materialised fixpoint that can absorb insertions and deletions
@@ -71,6 +76,9 @@ pub struct Materialized {
     /// live indexes. Plans `0..n` are `program`'s rules, plans `n..2n` their
     /// [`rederivation_twin`]s.
     cx: EvalContext,
+    /// The seed predicate `pred$overdeleted` the twins read, for each head
+    /// predicate `pred` of the program.
+    seeds: BTreeMap<Pred, Pred>,
 }
 
 impl Clone for Materialized {
@@ -79,6 +87,7 @@ impl Clone for Materialized {
             program: self.program.clone(),
             base: self.base.clone(),
             cx: self.cx.fork(),
+            seeds: self.seeds.clone(),
         }
     }
 }
@@ -101,7 +110,15 @@ impl Materialized {
             program.is_positive(),
             "incremental maintenance requires a positive program"
         );
-        let twins = program.rules.iter().map(rederivation_twin);
+        let seeds: BTreeMap<Pred, Pred> = program
+            .rules
+            .iter()
+            .map(|r| (r.head.pred, overdeleted_pred(r.head.pred)))
+            .collect();
+        let twins = program
+            .rules
+            .iter()
+            .map(|r| rederivation_twin(r, seeds[&r.head.pred]));
         let compiled = Program::new(program.rules.iter().cloned().chain(twins).collect());
         let mut cx = EvalContext::new(&compiled, input.clone(), EvalOptions::sequential());
         let delta = cx.full_round(&all_rules(&program));
@@ -109,6 +126,7 @@ impl Materialized {
             program,
             base: input.clone(),
             cx,
+            seeds,
         };
         m.propagate(delta);
         m
@@ -210,8 +228,23 @@ impl Materialized {
         }
         let mut overdeleted = delta.clone();
         let old_len = self.database().len();
+        let mut live = rules.clone();
         while !delta.is_empty() {
-            let swept = self.cx.sweep_round(&rules, &delta);
+            // A rule whose head relation is overdeleted whole can only find
+            // atoms the set already holds: it sits out, and once every rule
+            // does, nothing is left to find.
+            live.retain(|&r| {
+                let head = &self.program.rules[r].head;
+                let len = |db: &Database| {
+                    db.relation_of(head.pred, head.arity())
+                        .map_or(0, Relation::len)
+                };
+                len(&overdeleted) < len(self.database())
+            });
+            if live.is_empty() {
+                break;
+            }
+            let swept = self.cx.sweep_round(&live, &delta);
             delta = Database::new();
             for pred in swept.predicates() {
                 for rel in swept.relations_of(pred) {
@@ -233,15 +266,20 @@ impl Materialized {
         // commits exactly those with a derivation that needs no other
         // overdeleted atom (one restored from another would let a cycle
         // justify itself).
+        // A predicate no rule derives has no twin to seed.
         let mut restored = Database::new();
         let mut seeds = Database::new();
         for pred in overdeleted.predicates() {
-            let seed = overdeleted_pred(pred);
-            for row in overdeleted.relation(pred) {
+            let seed = self.seeds.get(&pred);
+            for row in overdeleted
+                .relations_of(pred)
+                .iter()
+                .flat_map(Relation::rows)
+            {
                 if self.base.contains_tuple(pred, row) {
                     self.cx.add_fact(pred, row);
                     restored.insert_row(pred, row);
-                } else {
+                } else if let Some(&seed) = seed {
                     seeds.insert_row(seed, row);
                 }
             }
@@ -268,11 +306,12 @@ fn overdeleted_pred(pred: Pred) -> Pred {
 }
 
 /// `h :- body` restricted to the overdeleted instances of its head:
-/// `h :- h$overdeleted(args of h), body`. In a delta round whose delta holds
-/// only `$overdeleted` atoms the seed is the one delta position, so it
-/// drives the join and every other body atom reads the context database.
-fn rederivation_twin(rule: &Rule) -> Rule {
-    let seed = Atom::new(overdeleted_pred(rule.head.pred), rule.head.terms.clone());
+/// `h :- h$overdeleted(args of h), body`, where `seed` is `h$overdeleted`.
+/// In a delta round whose delta holds only `$overdeleted` atoms the seed is
+/// the one delta position, so it drives the join and every other body atom
+/// reads the context database.
+fn rederivation_twin(rule: &Rule, seed: Pred) -> Rule {
+    let seed = Atom::new(seed, rule.head.terms.clone());
     let body = std::iter::once(Literal::pos(seed)).chain(rule.body.iter().cloned());
     Rule::new(rule.head.clone(), body.collect())
 }
@@ -444,7 +483,10 @@ mod tests {
         // seeded IDB atom), remove two edges. The script's join work is
         // pinned exactly: a change here means the maintenance path joins
         // differently. (405 probes before the first full round stopped
-        // scheduling `g :- g, g` over a database that has no `g` row yet.)
+        // scheduling `g :- g, g` over a database that has no `g` row yet;
+        // (404, 1298) and 17 rounds before the sweep stopped running rules
+        // whose head relation is overdeleted whole: the sweep round that
+        // started with every `g` atom overdeleted is gone.)
         let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,1). a(4,5). a(5,6).").unwrap();
         let mut m = Materialized::new(tc(), &edb);
         m.insert([fact("a", [6, 7]), fact("a", [7, 1]), fact("g", [9, 1])]);
@@ -453,9 +495,9 @@ mod tests {
         let s = m.stats();
         assert_eq!(
             (s.probes, s.matches, s.derivations, s.index_builds),
-            (404, 1298, 69, 10)
+            (342, 888, 69, 10)
         );
-        assert_eq!(s.iterations, 17);
+        assert_eq!(s.iterations, 16);
     }
 }
 
@@ -743,7 +785,9 @@ mod deletion_tests {
         // removing any edge overdeletes the whole closure, the worst case
         // for DRed. Sweep, rederivation round and propagation are then three
         // passes over what a recompute does in one — a small constant, not a
-        // function of |overdeleted| x |relation|.
+        // function of |overdeleted| x |relation|. The sweep stops the round
+        // the closure is overdeleted whole: 2 708 probes against a 1 553-probe
+        // recompute (4 632 while it ran one more round over the whole of it).
         let n = 32i64;
         let mut base = Database::new();
         for i in 0..n {
@@ -759,7 +803,7 @@ mod deletion_tests {
         let (scratch_db, scratch_stats) = crate::seminaive::evaluate_with_stats(&tc(), &base);
         assert_eq!(m.database(), &scratch_db);
         assert!(
-            del_stats.probes <= 5 * scratch_stats.probes,
+            del_stats.probes <= 2 * scratch_stats.probes,
             "remove {} vs recompute {} probes",
             del_stats.probes,
             scratch_stats.probes

@@ -5,15 +5,15 @@
 //! — as one batched pipeline over dictionary-code columns:
 //!
 //! * **Stage 0** enumerates the first positive literal: candidate row-ids
-//!   come from its constant-key postings list (or the whole relation), are
-//!   verified by an integer compare per bound column, and flow on in blocks
-//!   of [`BLOCK`] rows.
+//!   come from its constant key's index chain (or the whole relation, which
+//!   for the delta literal is the whole delta), are verified by an integer
+//!   compare per bound column, and flow on in blocks of [`BLOCK`] rows.
 //!   Ground negated literals the planner placed *before* it bind nothing
 //!   and see nothing in flight, so they are one-shot gates on the task.
 //! * A **probe** stage (positive literal) gathers its key from the
 //!   in-flight rows, translated into the probed relation's code space,
-//!   hashes the block's keys through [`hash_codes_batch`], probes the
-//!   postings lists, verifies candidates code-by-code, and appends the
+//!   hashes the block's keys through [`hash_codes_batch`], walks the
+//!   index's chains, verifies candidates code-by-code, and appends the
 //!   matched row-id to each surviving row. When nothing reads what the
 //!   literal binds (`Step::exists`, a liveness pass at compile time) the
 //!   stage is **existential**: the first verified candidate passes the row
@@ -26,6 +26,18 @@
 //! passed; intermediate *tuples* are never materialized, and only the last
 //! stage reads the row arenas to build head tuples. A one-literal body is
 //! the pipeline with no later stage, a bodiless rule emits its head once.
+//!
+//! What a task sets up: everything its script fixes — the leading gates,
+//! each stage's key sources (a constant, or the slot and position where an
+//! earlier stage bound the variable) and repeated-variable check pairs, the
+//! head recipe and its code-space digits, the batch-cache key — is a
+//! [`Recipe`], compiled once with the script and kept by its plan. [`run`]
+//! only binds the recipe to the round: the relation each literal reads, the
+//! code columns at each key position, each probe stage's index by the slot
+//! the round resolved, and the translation caches, sized to the source
+//! columns' dictionaries. It binds into the round's [`Frame`], whose
+//! buffers and inter-stage queues every task of the round reuses, so a task
+//! allocates only where a buffer has to grow.
 //!
 //! Duplicate heads die in code space: within one task every head variable
 //! is read from one fixed (relation, slot, position), so the tuple of its
@@ -60,8 +72,9 @@
 //! code ([`KeyElem::From`]). Steady state is one array read per key
 //! element; a value absent from the target dictionary is in no row, so a
 //! probe dies (and an anti-probe passes) without touching one
-//! (`dict_filtered`). A literal whose relation does not exist yet runs
-//! against an empty one, which is the same case.
+//! (`dict_filtered`). A negated literal whose relation does not exist yet
+//! passes every row, which is the same case; a positive one never gets
+//! here (the round does not schedule a task that cannot fire).
 //!
 //! Delta-batch reuse: within one evaluation round, every delta-restricted
 //! task leads with the delta atom (see `run_round`'s seeded ordering), and
@@ -74,15 +87,16 @@
 //! the round, so it never outlives the delta it was gathered from.
 
 use crate::context::{
-    step_source, IndexStore, JoinScript, KeySrc, Postings, Step, Task, TaskOutput,
+    step_cands, step_relation, Cands, IndexStore, KeySrc, Postings, Step, Task, TaskOutput,
 };
 use crate::provenance::Justification;
 use datalog_ast::{
-    hash_codes_batch, hash_codes_fold, hash_codes_seed, Const, Database, GroundAtom, Pred, Relation,
+    hash_codes_batch, hash_codes_fold, hash_codes_seed, Const, Database, FxConstHasher, FxHashMap,
+    GroundAtom, Pred, Relation,
 };
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// Rows per in-flight block.
 const BLOCK: usize = 1024;
@@ -104,6 +118,161 @@ fn constant(src: &KeySrc) -> Const {
 }
 
 // ---------------------------------------------------------------------------
+// What a script fixes about its tasks
+// ---------------------------------------------------------------------------
+
+/// Where in-flight rows carry a bound variable: the id at `slot` names a
+/// row of the relation literal `lit` (counted from the enumerated one)
+/// reads, and the value sits at tuple position `pos`.
+#[derive(Clone, Copy, Debug)]
+struct Site {
+    lit: usize,
+    slot: usize,
+    pos: usize,
+}
+
+/// Where a stage key column or a head position comes from.
+#[derive(Clone, Copy, Debug)]
+enum Src {
+    Const(Const),
+    At(Site),
+}
+
+/// One literal after the enumerated one, as its script fixes it.
+#[derive(Debug)]
+struct StageRecipe {
+    negated: bool,
+    exists: bool,
+    /// The key positions: `step.positions` for a probe, every argument
+    /// position for an anti-probe.
+    positions: Box<[usize]>,
+    /// One per key position.
+    keys: Box<[Src]>,
+    /// Repeated-variable checks as `(position, position)` pairs.
+    checks: Box<[(usize, usize)]>,
+    /// Ids per in-flight row entering this stage.
+    width: usize,
+}
+
+/// Everything about a task's pipeline that its script determines: what
+/// [`run`] would otherwise work out for every task, compiled once with the
+/// script. At run time a task only binds it to the relations and indexes
+/// of the round.
+#[derive(Debug)]
+pub(crate) struct Recipe {
+    /// Leading ground negated literals, each of which ends the task when
+    /// the database holds its tuple.
+    gates: Box<[(Pred, Box<[Const]>)]>,
+    /// The enumerated literal's constant key and repeated-variable checks.
+    key0: Box<[Const]>,
+    checks0: Box<[(usize, usize)]>,
+    /// `stages[k - 1]` is stage `k`.
+    stages: Box<[StageRecipe]>,
+    head: Box<[Src]>,
+    /// `(head position, tuple position)` of the head values the last
+    /// stage's own match supplies.
+    own: Box<[(usize, usize)]>,
+    /// One site per distinct head variable: the digits of [`HeadCodes`].
+    digits: Box<[Site]>,
+    /// The gather a delta-led task whose stage 1 is a probe shares through
+    /// the round's [`BatchCache`].
+    batch: Option<BatchKey>,
+}
+
+impl Recipe {
+    /// The recipe of the script whose steps and head these are.
+    pub(crate) fn new(steps: &[Step], head: &[KeySrc]) -> Recipe {
+        // Negated literals ahead of the first positive one are ground: each
+        // is checked once and either ends the task or drops out of the join.
+        let lead = steps.iter().take_while(|s| s.negated).count();
+        let gates = steps[..lead]
+            .iter()
+            .map(|g| (g.pred, g.key.iter().map(constant).collect()))
+            .collect();
+        let steps = &steps[lead..];
+        let Some(s0) = steps.first() else {
+            // No positive literal: the head is ground.
+            return Recipe {
+                gates,
+                key0: Box::default(),
+                checks0: Box::default(),
+                stages: Box::default(),
+                head: head.iter().map(|k| Src::Const(constant(k))).collect(),
+                own: Box::default(),
+                digits: Box::default(),
+                batch: None,
+            };
+        };
+        // Positive stages append one id to the in-flight row; `slots[j]` is
+        // where stage `j`'s id sits (anti-probes bind nothing and add none).
+        let mut slots = Vec::with_capacity(steps.len());
+        let mut width = 0;
+        for step in steps {
+            slots.push(width);
+            width += usize::from(!step.negated);
+        }
+        let locate = |v: usize, upto: usize| -> Site {
+            (0..upto)
+                .find_map(|lit| {
+                    let pos = steps[lit].bind_pos(v)?;
+                    let slot = slots[lit];
+                    Some(Site { lit, slot, pos })
+                })
+                .expect("variable bound by an earlier positive literal (safety)")
+        };
+        let src = |k: &KeySrc, upto: usize| match *k {
+            KeySrc::Const(c) => Src::Const(c),
+            KeySrc::Var(v) => Src::At(locate(v, upto)),
+        };
+        let stages = steps
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(k, step)| StageRecipe {
+                negated: step.negated,
+                exists: step.exists,
+                positions: if step.negated {
+                    (0..step.arity).collect()
+                } else {
+                    step.positions.clone()
+                },
+                keys: step.key.iter().map(|key| src(key, k)).collect(),
+                checks: step.check_pairs().into(),
+                width: slots[k],
+            })
+            .collect();
+        let last = steps.len() - 1;
+        let (mut own, mut vars, mut digits) = (Vec::new(), Vec::new(), Vec::new());
+        for (h, key) in head.iter().enumerate() {
+            if let KeySrc::Var(v) = *key {
+                let at = locate(v, steps.len());
+                if at.slot == slots[last] {
+                    own.push((h, at.pos));
+                }
+                if !vars.contains(&v) {
+                    vars.push(v);
+                    digits.push(at);
+                }
+            }
+        }
+        let batch = match steps.get(1) {
+            Some(s1) if s0.delta && !s1.negated => Some(BatchKey::new(s0, s1)),
+            _ => None,
+        };
+        Recipe {
+            gates,
+            key0: s0.key.iter().map(constant).collect(),
+            checks0: s0.check_pairs().into(),
+            stages,
+            head: head.iter().map(|k| src(k, steps.len())).collect(),
+            own: own.into(),
+            digits: digits.into(),
+            batch,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Delta-batch reuse cache
 // ---------------------------------------------------------------------------
 
@@ -120,9 +289,10 @@ enum GatherKeyElem {
 /// enumerated (with which constant key and repeated-variable checks), and
 /// which probed index the keys are translated for. Two tasks of a round
 /// with equal keys gather bit-identical blocks, whatever rule they came
-/// from.
-#[derive(PartialEq, Eq, Hash)]
+/// from. The hash of the rest is computed once, with the script.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct BatchKey {
+    hash: u64,
     opred: Pred,
     oarity: usize,
     opositions: Box<[usize]>,
@@ -134,27 +304,48 @@ pub(crate) struct BatchKey {
     ikey: Vec<GatherKeyElem>,
 }
 
-fn batch_key(s0: &Step, s1: &Step) -> BatchKey {
-    BatchKey {
-        opred: s0.pred,
-        oarity: s0.arity,
-        opositions: s0.positions.clone(),
-        okey: s0.key.iter().map(constant).collect(),
-        ochecks: s0.check_pairs(),
-        ipred: s1.pred,
-        iarity: s1.arity,
-        ipositions: s1.positions.clone(),
-        ikey: s1
-            .key
-            .iter()
-            .map(|k| match *k {
-                KeySrc::Const(c) => GatherKeyElem::Const(c),
-                KeySrc::Var(v) => GatherKeyElem::FromOuter(
-                    s0.bind_pos(v)
-                        .expect("stage-1 key variable bound by the delta step"),
-                ),
-            })
-            .collect(),
+impl BatchKey {
+    fn new(s0: &Step, s1: &Step) -> BatchKey {
+        let mut key = BatchKey {
+            hash: 0,
+            opred: s0.pred,
+            oarity: s0.arity,
+            opositions: s0.positions.clone(),
+            okey: s0.key.iter().map(constant).collect(),
+            ochecks: s0.check_pairs(),
+            ipred: s1.pred,
+            iarity: s1.arity,
+            ipositions: s1.positions.clone(),
+            ikey: s1
+                .key
+                .iter()
+                .map(|k| match *k {
+                    KeySrc::Const(c) => GatherKeyElem::Const(c),
+                    KeySrc::Var(v) => GatherKeyElem::FromOuter(
+                        s0.bind_pos(v)
+                            .expect("stage-1 key variable bound by the delta step"),
+                    ),
+                })
+                .collect(),
+        };
+        let mut h = FxConstHasher::default();
+        (
+            key.opred,
+            key.oarity,
+            &key.opositions,
+            &key.okey,
+            &key.ochecks,
+        )
+            .hash(&mut h);
+        (key.ipred, key.iarity, &key.ipositions, &key.ikey).hash(&mut h);
+        key.hash = h.finish();
+        key
+    }
+}
+
+impl Hash for BatchKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -168,15 +359,15 @@ pub(crate) struct CachedGather {
     simd_blocks: u64,
 }
 
-/// One round's gathered delta-side key blocks, shared by the round's tasks.
-pub(crate) type BatchCache = HashMap<BatchKey, CachedGather>;
+/// One round's gathered delta-side key blocks, shared by the round's tasks
+/// and keyed on the scripts' [`BatchKey`]s.
+pub(crate) type BatchCache<'a> = FxHashMap<&'a BatchKey, CachedGather>;
 
 // ---------------------------------------------------------------------------
 // The pipeline
 // ---------------------------------------------------------------------------
 
-/// Where in-flight rows carry a bound variable: the id at `slot` names a
-/// row of `rel`, the value sits at tuple position `pos`.
+/// A [`Site`] bound to the relation it reads.
 #[derive(Clone, Copy)]
 struct Loc<'a> {
     rel: &'a Relation,
@@ -205,31 +396,15 @@ enum HeadElem<'a> {
     At(Loc<'a>),
 }
 
-/// A task's head tuples as numbers below `space`. Each distinct head
-/// variable is a digit: its source code column, the slot whose id reads
-/// it, and its weight. A column's codes name its values one-to-one, so
-/// equal numbers mean equal heads; constant positions add nothing.
-struct HeadCodes<'a> {
-    digits: Vec<(&'a [u32], usize, usize)>,
-    space: usize,
+/// A task's head tuples as numbers. Each distinct head variable is a
+/// digit: its source code column, the slot whose id reads it, and its
+/// weight. A column's codes name its values one-to-one, so equal numbers
+/// mean equal heads; constant positions add nothing.
+struct HeadCodes<'f, 'a> {
+    digits: &'f [(&'a [u32], usize, usize)],
 }
 
-impl<'a> HeadCodes<'a> {
-    /// Number the heads read from `locs` (one per distinct variable) in
-    /// mixed radix over their columns' `dict_len`; `None` when the product
-    /// exceeds [`HEAD_BITS_MAX`].
-    fn new(locs: &[Loc<'a>]) -> Option<HeadCodes<'a>> {
-        let mut digits = Vec::with_capacity(locs.len());
-        let mut space = 1usize;
-        for at in locs {
-            digits.push((at.rel.codes(at.pos), at.slot, space));
-            space = space
-                .checked_mul(at.rel.dict_len(at.pos))
-                .filter(|&s| s <= HEAD_BITS_MAX)?;
-        }
-        Some(HeadCodes { digits, space })
-    }
-
+impl HeadCodes<'_, '_> {
     /// The number of the head the match `row` + `id` derives: a digit
     /// whose slot `row` does not reach is the last stage's own, read off
     /// `id`.
@@ -289,23 +464,15 @@ impl HeadFilter {
 /// The relation a literal reads, with what verifying a candidate row of
 /// it takes: the code columns at the key positions and the literal's
 /// repeated-variable checks.
-struct Target<'a> {
+struct Target<'f, 'a> {
     rel: &'a Relation,
-    cols: Vec<&'a [u32]>,
-    checks: Vec<(usize, usize)>,
+    cols: &'f [&'a [u32]],
+    checks: &'a [(usize, usize)],
 }
 
-impl<'a> Target<'a> {
-    fn new(rel: &'a Relation, positions: &[usize], step: &Step) -> Target<'a> {
-        Target {
-            rel,
-            cols: positions.iter().map(|&p| rel.codes(p)).collect(),
-            checks: step.check_pairs(),
-        }
-    }
-
-    /// Row `id` carries `key` (postings lists are keyed by hash, so
-    /// collisions get here) and satisfies the checks.
+impl Target<'_, '_> {
+    /// Row `id` carries `key` (chains are keyed by hash, so collisions get
+    /// here) and satisfies the checks.
     #[inline]
     fn accepts(&self, id: u32, key: &[u32]) -> bool {
         let i = id as usize;
@@ -319,19 +486,23 @@ impl<'a> Target<'a> {
     }
 }
 
-/// One literal after the enumerated one: a probe (positive) or an
-/// anti-probe (`negated`).
+/// One literal after the enumerated one, bound to the round: a probe
+/// (positive) or an anti-probe (`negated`).
 struct Stage<'a> {
     negated: bool,
     /// A probe whose match binds nothing read later (`Step::exists`): the
     /// first verified candidate passes the row on.
     exists: bool,
-    target: Target<'a>,
+    /// The relation the literal reads. Only a negated literal's can be
+    /// missing, and then every row passes it.
+    rel: Option<&'a Relation>,
+    /// `cols[..]` of the frame: the code columns at a probe's key positions.
+    cols: Range<usize>,
+    checks: &'a [(usize, usize)],
     /// The index a probe reads (an anti-probe has none).
     postings: Postings<'a>,
-    /// One element per key column: `step.positions` for a probe, every
-    /// argument position for an anti-probe.
-    keys: Vec<KeyElem<'a>>,
+    /// `keys[..]` of the frame: one element per key column.
+    keys: Range<usize>,
     /// Ids per in-flight row entering this stage.
     width: usize,
 }
@@ -347,12 +518,13 @@ struct Block {
 /// The buffers between stage `k` and stage `k + 1` (`scratch[k]`), kept so
 /// blocks re-flow without reallocating. Stage `k + 1` reads `scratch[k]`
 /// and writes `scratch[k + 1]`, so recursion only ever borrows the tail of
-/// the slice.
+/// the slice. Every queue is empty between tasks.
 #[derive(Default)]
 struct Scratch {
     /// Rows that survived stage `k`, queued for stage `k + 1`.
     next: Vec<u32>,
-    /// Stage `k + 1`'s translation caches, parallel to its `keys`.
+    /// Stage `k + 1`'s translation caches, parallel to its keys (a
+    /// constant's entry is unused).
     xlate: Vec<Vec<u64>>,
     /// `next` as gathered for a probe (an anti-probe borrows its `keys`).
     gathered: Block,
@@ -360,62 +532,75 @@ struct Scratch {
     tuple: Vec<Const>,
 }
 
-/// Stage-0 candidates: a postings list or the whole relation.
-enum Cands<'a> {
-    Ids(&'a [u32]),
-    All(usize),
+/// What a task's pipeline is bound in: the relations its literals read and
+/// its stages, key elements, code columns and head recipe bound to them,
+/// plus the inter-stage queues. One frame serves every task of a round
+/// (see [`TaskOutput`]): a task clears what the previous one bound and
+/// reuses the allocations.
+#[derive(Default)]
+pub(crate) struct Frame<'a> {
+    rels: Vec<Option<&'a Relation>>,
+    stages: Vec<Stage<'a>>,
+    keys: Vec<KeyElem<'a>>,
+    cols: Vec<&'a [u32]>,
+    key0: Vec<u32>,
+    head: Vec<HeadElem<'a>>,
+    digits: Vec<(&'a [u32], usize, usize)>,
+    scratch: Vec<Scratch>,
 }
 
-struct Pipeline<'a> {
+struct Pipeline<'f, 'a> {
     db: &'a Database,
     /// The task's rule and its literals with the relations they read — what
     /// a traced context decodes an in-flight row against.
     rule: usize,
     steps: &'a [Step],
-    sources: &'a [(&'a IndexStore, Cow<'a, Relation>)],
+    rels: &'f [Option<&'a Relation>],
     head_pred: Pred,
-    head: Vec<HeadElem<'a>>,
+    head: &'f [HeadElem<'a>],
     /// The head in code space, for the task's duplicate filter; `None`
     /// when the head space is too large for the bitmap.
-    codes: Option<HeadCodes<'a>>,
+    codes: Option<HeadCodes<'f, 'a>>,
     /// `(head position, tuple position)` of the head values the last
     /// stage's own match supplies, and that stage's relation.
-    own: Vec<(usize, usize)>,
-    last_rel: &'a Relation,
+    own: &'a [(usize, usize)],
+    last_rel: Option<&'a Relation>,
     /// Stage 0's relation and its constant key in that relation's codes.
-    target0: Target<'a>,
-    key0: Vec<u32>,
+    target0: Target<'f, 'a>,
+    key0: &'f [u32],
     /// `stages[k - 1]` is stage `k`.
-    stages: Vec<Stage<'a>>,
+    stages: &'f [Stage<'a>],
+    keys: &'f [KeyElem<'a>],
+    cols: &'f [&'a [u32]],
 }
 
-/// Execute `script` for `task`, accumulating derived heads and counters
-/// into `out`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    script: &JoinScript,
-    task: Task,
-    store: &IndexStore,
-    delta_store: &IndexStore,
-    db: &Database,
-    delta_db: &Database,
-    cache: &mut BatchCache,
-    out: &mut TaskOutput,
+/// Execute `task` on the kernel, accumulating derived heads and counters
+/// into `out`. The task's pipeline is its script's [`Recipe`] bound to the
+/// round's relations and indexes, in the buffers of `out.frame`.
+pub(crate) fn run<'a>(
+    task: Task<'a>,
+    store: &'a IndexStore,
+    db: &'a Database,
+    delta_db: &'a Database,
+    cache: &mut BatchCache<'a>,
+    out: &mut TaskOutput<'a>,
 ) {
-    // Negated literals ahead of the first positive one are ground: each is
-    // checked once and either ends the task or drops out of the join.
-    let lead = script.steps.iter().take_while(|s| s.negated).count();
-    for gate in &script.steps[..lead] {
+    let script = task.script;
+    let recipe = &script.kernel;
+    for (pred, tuple) in recipe.gates.iter() {
         out.probes += 1;
-        let tuple: Vec<Const> = gate.key.iter().map(constant).collect();
-        if db.contains_tuple(gate.pred, &tuple) {
+        if db.contains_tuple(*pred, tuple) {
             return;
         }
     }
-    let steps = &script.steps[lead..];
+    let lead = recipe.gates.len();
+    let (steps, slots) = (&script.steps[lead..], &task.slots[lead..]);
     let Some(s0) = steps.first() else {
         out.head_buf.clear();
-        out.head_buf.extend(script.head.iter().map(constant));
+        out.head_buf.extend(recipe.head.iter().map(|h| match *h {
+            Src::Const(c) => c,
+            Src::At(_) => unreachable!("a rule without positive literals has a ground head"),
+        }));
         if let Some(trace) = out.emit_head(script.head_pred, db) {
             let (rule_idx, premises) = (task.rule, Vec::new());
             trace.push(Justification::Rule { rule_idx, premises });
@@ -423,130 +608,69 @@ pub(crate) fn run(
         return;
     };
 
-    // A relation nobody has inserted into yet is an empty one.
-    let sources: Vec<(&IndexStore, Cow<'_, Relation>)> = steps
-        .iter()
-        .map(|step| {
-            let (src, rel) = step_source(step, task, store, delta_store, db, delta_db);
-            let rel = rel.map_or_else(|| Cow::Owned(Relation::new(step.arity)), Cow::Borrowed);
-            (src, rel)
-        })
-        .collect();
-
     out.probes += 1;
-    let (src0, rel0) = (sources[0].0, &*sources[0].1);
-    let mut key0 = Vec::with_capacity(s0.positions.len());
+    let rel0 =
+        step_relation(s0, db, delta_db).expect("a scheduled task's enumerated literal has rows");
+    // The constant key in the enumerated relation's codes; a constant the
+    // column has never seen matches no row, and the task ends before it
+    // binds anything.
+    let mut frame = std::mem::take(&mut out.frame);
+    frame.key0.clear();
     let mut hash0 = hash_codes_seed(s0.positions.len());
-    for (&pos, k) in s0.positions.iter().zip(&s0.key) {
-        let Some(code) = rel0.lookup_code(pos, constant(k)) else {
+    for (&pos, &c) in s0.positions.iter().zip(recipe.key0.iter()) {
+        let Some(code) = rel0.lookup_code(pos, c) else {
             out.dict_filtered += 1;
+            out.frame = frame;
             return;
         };
-        key0.push(code);
+        frame.key0.push(code);
         hash0 = hash_codes_fold(hash0, code);
     }
-    let cands = if s0.positions.is_empty() {
-        Cands::All(rel0.len())
-    } else {
-        Cands::Ids(src0.postings(s0.pred, s0.arity, &s0.positions).get(hash0))
-    };
+    let cands = step_cands(s0, slots[0], rel0, store, hash0);
+    let space = frame.bind(task, steps, store, db, delta_db);
+    if let Some(space) = space {
+        out.heads.reset(space);
+    }
 
-    // Positive stages append one id to the in-flight row; `slots[j]` is
-    // where stage `j`'s id sits (anti-probes bind nothing and add none).
-    let mut slots = Vec::with_capacity(steps.len());
-    let mut width = 0;
-    for step in steps {
-        slots.push(width);
-        width += usize::from(!step.negated);
-    }
-    let locate = |v: usize, upto: usize| -> Loc<'_> {
-        (0..upto)
-            .find_map(|j| {
-                steps[j].bind_pos(v).map(|pos| Loc {
-                    rel: &sources[j].1,
-                    slot: slots[j],
-                    pos,
-                })
-            })
-            .expect("variable bound by an earlier positive literal (safety)")
-    };
-    let mut scratch: Vec<Scratch> = (1..steps.len()).map(|_| Scratch::default()).collect();
-    let mut stages = Vec::with_capacity(steps.len() - 1);
-    for (k, step) in steps.iter().enumerate().skip(1) {
-        let (src, rel) = (sources[k].0, &*sources[k].1);
-        let (positions, postings): (Vec<usize>, _) = if step.negated {
-            ((0..step.arity).collect(), Postings::default())
-        } else {
-            let postings = src.postings(step.pred, step.arity, &step.positions);
-            (step.positions.to_vec(), postings)
-        };
-        let mut keys = Vec::with_capacity(positions.len());
-        for (&ipos, k_src) in positions.iter().zip(&step.key) {
-            let (elem, cache) = match *k_src {
-                KeySrc::Const(c) => (KeyElem::Code(rel.lookup_code(ipos, c)), Vec::new()),
-                KeySrc::Var(v) => {
-                    let at = locate(v, k);
-                    let col = at.rel.codes(at.pos);
-                    let cache = vec![XLATE_UNKNOWN; at.rel.dict_len(at.pos)];
-                    (KeyElem::From { col, at, ipos }, cache)
-                }
-            };
-            keys.push(elem);
-            scratch[k - 1].xlate.push(cache);
-        }
-        stages.push(Stage {
-            negated: step.negated,
-            exists: step.exists,
-            target: Target::new(rel, &positions, step),
-            postings,
-            keys,
-            width: slots[k],
-        });
-    }
+    let Frame {
+        rels,
+        stages,
+        keys,
+        cols,
+        key0,
+        head,
+        digits,
+        scratch,
+    } = &mut frame;
+    let n0 = s0.positions.len();
     let last = steps.len() - 1;
-    let mut own = Vec::new();
-    let mut head = Vec::with_capacity(script.head.len());
-    let (mut vars, mut digits) = (Vec::new(), Vec::new());
-    for (h, src) in script.head.iter().enumerate() {
-        head.push(match *src {
-            KeySrc::Const(c) => HeadElem::Const(c),
-            KeySrc::Var(v) => {
-                let at = locate(v, steps.len());
-                if at.slot == slots[last] {
-                    own.push((h, at.pos));
-                }
-                if !vars.contains(&v) {
-                    vars.push(v);
-                    digits.push(at);
-                }
-                HeadElem::At(at)
-            }
-        });
-    }
-    let codes = HeadCodes::new(&digits);
-    if let Some(codes) = &codes {
-        out.heads.reset(codes.space);
-    }
     let pipe = Pipeline {
         db,
         rule: task.rule,
         steps,
-        sources: &sources,
+        rels: rels.as_slice(),
         head_pred: script.head_pred,
-        head,
-        codes,
-        own,
-        last_rel: &sources[last].1,
-        target0: Target::new(rel0, &s0.positions, s0),
-        key0,
-        stages,
+        head: head.as_slice(),
+        codes: space.map(|_| HeadCodes { digits }),
+        own: &recipe.own,
+        last_rel: rels[last],
+        target0: Target {
+            rel: rel0,
+            cols: &cols[..n0],
+            checks: &recipe.checks0,
+        },
+        key0: key0.as_slice(),
+        stages: stages.as_slice(),
+        keys: keys.as_slice(),
+        cols: cols.as_slice(),
     };
+    let scratch = &mut scratch[..last];
 
     // The one batch-reuse site: a delta-led task whose stage 1 is a probe
     // gathers a block other tasks of the round can replay.
-    if task.delta_atom == Some(s0.atom) && steps.get(1).is_some_and(|s1| !s1.negated) {
+    if let Some(key) = &recipe.batch {
         let (sc0, rest) = scratch.split_first_mut().expect("stage 1 exists");
-        let hit = match cache.entry(batch_key(s0, &steps[1])) {
+        let hit = match cache.entry(key) {
             Entry::Occupied(hit) => {
                 let hit = hit.into_mut();
                 out.batch_reuse += 1;
@@ -559,8 +683,9 @@ pub(crate) fn run(
                 // Enumerate, gather and hash the whole delta side as one
                 // block, recording what the gather phase cost.
                 let mark = (out.probes, out.dict_filtered, out.simd_blocks);
-                pipe.enumerate(&cands, |oid| sc0.next.push(oid));
+                pipe.enumerate(cands, |oid| sc0.next.push(oid));
                 pipe.gather(1, sc0, out);
+                sc0.next.clear();
                 slot.insert(CachedGather {
                     block: std::mem::take(&mut sc0.gathered),
                     probes: out.probes - mark.0,
@@ -570,33 +695,125 @@ pub(crate) fn run(
             }
         };
         pipe.probe(1, &hit.block, rest, out);
-        return;
+    } else {
+        pipe.enumerate(cands, |oid| pipe.push(0, &[], Some(oid), scratch, out));
+        pipe.flush(0, scratch, out);
     }
-    pipe.enumerate(&cands, |oid| {
-        pipe.push(0, &[], Some(oid), &mut scratch, out)
-    });
-    pipe.flush(0, &mut scratch, out);
+    out.frame = frame;
 }
 
-impl Pipeline<'_> {
+impl<'a> Frame<'a> {
+    /// Bind `task`'s recipe, whose literals from the enumerated one on are
+    /// `steps`, to the relations and indexes of the round (`key0` is the
+    /// caller's to fill). Returns the size
+    /// of the task's head space, `None` when it exceeds [`HEAD_BITS_MAX`]
+    /// and the task runs without the duplicate filter.
+    fn bind(
+        &mut self,
+        task: Task<'a>,
+        steps: &'a [Step],
+        store: &'a IndexStore,
+        db: &'a Database,
+        delta_db: &'a Database,
+    ) -> Option<usize> {
+        let recipe = &task.script.kernel;
+        let slots = &task.slots[recipe.gates.len()..];
+        self.rels.clear();
+        self.stages.clear();
+        self.keys.clear();
+        self.cols.clear();
+        self.head.clear();
+        self.digits.clear();
+        if self.scratch.len() < steps.len() {
+            self.scratch.resize_with(steps.len(), Scratch::default);
+        }
+        self.rels
+            .extend(steps.iter().map(|step| step_relation(step, db, delta_db)));
+        let rels = &self.rels;
+        let loc = |at: Site| Loc {
+            rel: rels[at.lit].expect("a positive literal of a scheduled task has rows"),
+            slot: at.slot,
+            pos: at.pos,
+        };
+        let rel0 = rels[0].expect("a scheduled task's enumerated literal has rows");
+        self.cols
+            .extend(steps[0].positions.iter().map(|&p| rel0.codes(p)));
+        for (k, sr) in recipe.stages.iter().enumerate().map(|(i, sr)| (i + 1, sr)) {
+            let rel = rels[k];
+            let cols =
+                self.cols.len()..self.cols.len() + usize::from(!sr.negated) * sr.positions.len();
+            if !sr.negated {
+                let rel = rel.expect("a positive literal of a scheduled task has rows");
+                self.cols.extend(sr.positions.iter().map(|&p| rel.codes(p)));
+            }
+            let keys = self.keys.len()..self.keys.len() + sr.keys.len();
+            let xlate = &mut self.scratch[k - 1].xlate;
+            if xlate.len() < sr.keys.len() {
+                xlate.resize_with(sr.keys.len(), Vec::new);
+            }
+            for ((&ipos, key), cache) in sr.positions.iter().zip(sr.keys.iter()).zip(xlate) {
+                self.keys.push(match *key {
+                    Src::Const(c) => KeyElem::Code(rel.and_then(|rel| rel.lookup_code(ipos, c))),
+                    Src::At(at) => {
+                        let at = loc(at);
+                        cache.clear();
+                        cache.resize(at.rel.dict_len(at.pos), XLATE_UNKNOWN);
+                        KeyElem::From {
+                            col: at.rel.codes(at.pos),
+                            at,
+                            ipos,
+                        }
+                    }
+                });
+            }
+            self.stages.push(Stage {
+                negated: sr.negated,
+                exists: sr.exists,
+                rel,
+                cols,
+                checks: &sr.checks,
+                postings: if sr.negated {
+                    Postings::default()
+                } else {
+                    store.postings(slots[k])
+                },
+                keys,
+                width: sr.width,
+            });
+        }
+        self.head.extend(recipe.head.iter().map(|h| match *h {
+            Src::Const(c) => HeadElem::Const(c),
+            Src::At(at) => HeadElem::At(loc(at)),
+        }));
+        // Number the heads in mixed radix over the digits' `dict_len`, if
+        // the product stays within the bitmap's bound.
+        let mut space = 1usize;
+        for &at in recipe.digits.iter() {
+            let at = loc(at);
+            self.digits.push((at.rel.codes(at.pos), at.slot, space));
+            space = space
+                .checked_mul(at.rel.dict_len(at.pos))
+                .filter(|&s| s <= HEAD_BITS_MAX)?;
+        }
+        Some(space)
+    }
+}
+
+impl Pipeline<'_, '_> {
     /// Stage 0: visit the candidates that carry the constant key and
     /// satisfy the repeated-variable checks.
-    fn enumerate(&self, cands: &Cands<'_>, mut visit: impl FnMut(u32)) {
-        let mut offer = |id: u32| {
-            if self.target0.accepts(id, &self.key0) {
+    fn enumerate(&self, cands: Cands<'_>, mut visit: impl FnMut(u32)) {
+        for id in cands {
+            if self.target0.accepts(id, self.key0) {
                 visit(id);
             }
-        };
-        match *cands {
-            Cands::Ids(ids) => ids.iter().for_each(|&id| offer(id)),
-            Cands::All(n) => (0..n as u32).for_each(offer),
         }
     }
 
     /// Fill `head_buf` with every head value `row` determines; the values
     /// the last stage's own match supplies (`own`) are placeholders.
     #[inline]
-    fn head_of(&self, row: &[u32], out: &mut TaskOutput) {
+    fn head_of(&self, row: &[u32], out: &mut TaskOutput<'_>) {
         out.head_buf.clear();
         out.head_buf.extend(self.head.iter().map(|h| {
             match *h {
@@ -616,7 +833,7 @@ impl Pipeline<'_> {
     /// [`TaskOutput::emit_head`]; a traced context gets the justification of
     /// each head it queues, one per `seen` row.
     #[inline]
-    fn emit(&self, row: &[u32], id: Option<u32>, built: &mut bool, out: &mut TaskOutput) {
+    fn emit(&self, row: &[u32], id: Option<u32>, built: &mut bool, out: &mut TaskOutput<'_>) {
         if let Some(codes) = &self.codes {
             if !out.heads.insert(codes.of(row, id)) {
                 out.matches += 1;
@@ -627,9 +844,9 @@ impl Pipeline<'_> {
             self.head_of(row, out);
             *built = true;
         }
-        if let Some(id) = id {
-            let t = self.last_rel.row(id);
-            for &(h, pos) in &self.own {
+        if let (Some(id), Some(rel)) = (id, self.last_rel) {
+            let t = rel.row(id);
+            for &(h, pos) in self.own {
                 out.head_buf[h] = t[pos];
             }
         }
@@ -645,11 +862,12 @@ impl Pipeline<'_> {
     /// one verified candidate.
     fn why(&self, row: &[u32], id: Option<u32>) -> Justification {
         let mut ids = row.iter().copied().chain(id);
-        let literals = self.steps.iter().zip(self.sources);
+        let literals = self.steps.iter().zip(self.rels);
         let mut premises: Vec<(usize, GroundAtom)> = literals
             .filter(|(step, _)| !step.negated)
-            .map(|(step, (_, rel))| {
+            .map(|(step, rel)| {
                 let id = ids.next().expect("one id per positive stage");
+                let rel = rel.expect("a positive literal of a scheduled task has rows");
                 (step.atom, GroundAtom::new(step.pred, rel.row(id)))
             })
             .collect();
@@ -669,7 +887,7 @@ impl Pipeline<'_> {
         row: &[u32],
         id: Option<u32>,
         sc: &mut [Scratch],
-        out: &mut TaskOutput,
+        out: &mut TaskOutput<'_>,
     ) {
         if k == self.stages.len() {
             self.emit(row, id, &mut false, out);
@@ -684,7 +902,7 @@ impl Pipeline<'_> {
     }
 
     /// Run stage `k + 1` over the rows queued behind stage `k`.
-    fn flush(&self, k: usize, sc: &mut [Scratch], out: &mut TaskOutput) {
+    fn flush(&self, k: usize, sc: &mut [Scratch], out: &mut TaskOutput<'_>) {
         let Some((cur, rest)) = sc.split_first_mut() else {
             return; // stage `k` is the last one: nothing queues
         };
@@ -704,9 +922,15 @@ impl Pipeline<'_> {
     /// `keys`. `false` (nothing appended) when some value is absent from
     /// the stage relation's dictionary: no row of it carries the key.
     #[inline]
-    fn key_of(stage: &Stage<'_>, row: &[u32], xlate: &mut [Vec<u64>], keys: &mut Vec<u32>) -> bool {
+    fn key_of(
+        &self,
+        stage: &Stage<'_>,
+        row: &[u32],
+        xlate: &mut [Vec<u64>],
+        keys: &mut Vec<u32>,
+    ) -> bool {
         let base = keys.len();
-        for (e, cache) in stage.keys.iter().zip(xlate) {
+        for (e, cache) in self.keys[stage.keys.clone()].iter().zip(xlate) {
             let code = match *e {
                 KeyElem::Code(code) => code,
                 KeyElem::From { col, at, ipos } => {
@@ -714,9 +938,8 @@ impl Pipeline<'_> {
                     let mut t = cache[ocode as usize];
                     if t == XLATE_UNKNOWN {
                         t = stage
-                            .target
                             .rel
-                            .lookup_code(ipos, at.rel.decode(at.pos, ocode))
+                            .and_then(|rel| rel.lookup_code(ipos, at.rel.decode(at.pos, ocode)))
                             .map_or(XLATE_ABSENT, u64::from);
                         cache[ocode as usize] = t;
                     }
@@ -734,7 +957,7 @@ impl Pipeline<'_> {
 
     /// Probe stage, first half: translate the keys of the queued rows and
     /// batch-hash them; `gathered` receives the rows that can still match.
-    fn gather(&self, k: usize, cur: &mut Scratch, out: &mut TaskOutput) {
+    fn gather(&self, k: usize, cur: &mut Scratch, out: &mut TaskOutput<'_>) {
         let stage = &self.stages[k - 1];
         let block = &mut cur.gathered;
         block.rows.clear();
@@ -742,7 +965,7 @@ impl Pipeline<'_> {
         block.hashes.clear();
         for row in cur.next.chunks_exact(stage.width) {
             out.probes += 1;
-            if Self::key_of(stage, row, &mut cur.xlate, &mut block.keys) {
+            if self.key_of(stage, row, &mut cur.xlate, &mut block.keys) {
                 block.rows.extend_from_slice(row);
             } else {
                 out.dict_filtered += 1;
@@ -760,20 +983,23 @@ impl Pipeline<'_> {
     /// Probe stage, second half: look the gathered rows up in stage `k`'s
     /// index and verify the candidates code-by-code; each match extends
     /// its row.
-    fn probe(&self, k: usize, block: &Block, sc: &mut [Scratch], out: &mut TaskOutput) {
+    fn probe(&self, k: usize, block: &Block, sc: &mut [Scratch], out: &mut TaskOutput<'_>) {
         let stage = &self.stages[k - 1];
+        let target = Target {
+            rel: stage
+                .rel
+                .expect("a positive literal of a scheduled task has rows"),
+            cols: &self.cols[stage.cols.clone()],
+            checks: stage.checks,
+        };
         let w = stage.keys.len();
         let last = k == self.stages.len();
         out.batch_rows += block.hashes.len() as u64;
         for (i, row) in block.rows.chunks_exact(stage.width).enumerate() {
-            let ids = stage.postings.get(block.hashes[i]);
-            if ids.is_empty() {
-                continue;
-            }
             let key = &block.keys[i * w..(i + 1) * w];
             let mut built = false;
-            for &id in ids {
-                if !stage.target.accepts(id, key) {
+            for id in stage.postings.get(block.hashes[i]) {
+                if !target.accepts(id, key) {
                     continue;
                 }
                 if last {
@@ -791,20 +1017,27 @@ impl Pipeline<'_> {
 
     /// Anti-probe stage: a queued row passes unless stage `k`'s relation
     /// holds the literal's ground tuple.
-    fn anti_probe(&self, k: usize, cur: &mut Scratch, sc: &mut [Scratch], out: &mut TaskOutput) {
+    fn anti_probe(
+        &self,
+        k: usize,
+        cur: &mut Scratch,
+        sc: &mut [Scratch],
+        out: &mut TaskOutput<'_>,
+    ) {
         let stage = &self.stages[k - 1];
-        let rel = stage.target.rel;
         let keys = &mut cur.gathered.keys;
         for row in cur.next.chunks_exact(stage.width) {
             out.probes += 1;
             keys.clear();
-            if Self::key_of(stage, row, &mut cur.xlate, keys) {
-                cur.tuple.clear();
-                let codes = keys.iter().enumerate();
-                cur.tuple
-                    .extend(codes.map(|(pos, &code)| rel.decode(pos, code)));
-                if rel.contains(&cur.tuple) {
-                    continue;
+            if let Some(rel) = stage.rel {
+                if self.key_of(stage, row, &mut cur.xlate, keys) {
+                    cur.tuple.clear();
+                    let codes = keys.iter().enumerate();
+                    cur.tuple
+                        .extend(codes.map(|(pos, &code)| rel.decode(pos, code)));
+                    if rel.contains(&cur.tuple) {
+                        continue;
+                    }
                 }
             }
             self.push(k, row, None, sc, out);

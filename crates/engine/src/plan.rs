@@ -4,7 +4,9 @@
 //! indices) so that a partial assignment is a `Vec<Option<Const>>` rather
 //! than a map, and orders body atoms greedily by bound-variable count.
 //! Plans are what every evaluator starts from: [`crate::EvalContext`]
-//! compiles them further into join scripts for its kernel.
+//! compiles them further into join scripts for its kernel, and the plan
+//! keeps those scripts (see [`RulePlan`]), so every context built over the
+//! same plans compiles each script once.
 //!
 //! [`join_body`] evaluates a plan directly — left-to-right backtracking
 //! against per-predicate hash indices built on demand ([`IndexSet`]) and
@@ -12,8 +14,10 @@
 //! left, [`crate::naive`], the share-nothing reference the oracles compare
 //! every other evaluator against.
 
-use datalog_ast::{Atom, Const, Database, GroundAtom, Pred, Rule, Term, Tuple, Var};
+use crate::context::{compile_script, JoinScript};
+use datalog_ast::{Atom, Const, Database, GroundAtom, Pred, Relation, Rule, Term, Tuple, Var};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A term in a compiled atom: either a constant or a variable slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,25 +61,27 @@ impl AtomPlan {
         }
     }
 
-    /// Slots that are bound given the currently-bound variable set.
-    fn bound_positions(&self, bound: &[bool]) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| match s {
-                Slot::Const(_) => true,
-                Slot::Var(v) => bound[*v],
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    fn count_bound(&self, bound: &[bool]) -> usize {
-        self.bound_positions(bound).len()
+    /// The number of rows of the relation this atom reads in `db` (its
+    /// predicate at its arity).
+    pub(crate) fn relation_len(&self, db: &Database) -> usize {
+        db.relation_of(self.pred, self.slots.len())
+            .map_or(0, Relation::len)
     }
 }
 
 /// A compiled rule.
+///
+/// A plan also keeps the join scripts contexts compile from it (`script`):
+/// a script is a pure function of the plan, the delta position it is
+/// compiled for and the body order, so every context over the same plans —
+/// each §VI test of one `Containment`, each round of one view — compiles a
+/// given script once. Nothing outside the plan can make a kept script stale,
+/// and a new plan ([`RulePlan::compile`], or a clone) starts with none,
+/// which is what invalidates them when `Containment` replaces or removes a
+/// rule. The memo is bounded: per delta position (the full round, and each
+/// body atom) it keeps the scripts of at most `body.len()` orders, and a
+/// position that is full forgets its oldest, so a plan keeps at most
+/// `body.len() * (body.len() + 1)` scripts.
 #[derive(Clone, Debug)]
 pub struct RulePlan {
     /// Head slots.
@@ -84,6 +90,69 @@ pub struct RulePlan {
     pub body: Vec<AtomPlan>,
     /// The rule's distinct variables, in slot order.
     pub vars: Vec<Var>,
+    /// For each variable slot, the body atom of each of its occurrences.
+    occurrences: Vec<Vec<usize>>,
+    memo: ScriptMemo,
+}
+
+/// What a [`RulePlan`] keeps of the scripts compiled from it.
+#[derive(Default)]
+struct Memo {
+    /// The index patterns — `(body atom, bound positions)` — the plan's
+    /// scripts probe, numbered in first-compile order. A compiled step
+    /// names its pattern by this number (`Step::index`), so a context finds
+    /// the step's index by two integers instead of hashing a position list.
+    patterns: Vec<(usize, Box<[usize]>)>,
+    /// `scripts[0]` holds the full round's scripts, `scripts[p + 1]` those
+    /// of the delta at body atom `p`, oldest first.
+    scripts: Vec<Vec<Kept>>,
+}
+
+/// A kept script and the order it was compiled for.
+type Kept = (Box<[usize]>, Arc<JoinScript>);
+
+/// The memo behind a [`RulePlan`], shared (like the plans themselves) by
+/// every context over them, which may live on other threads.
+#[derive(Default)]
+struct ScriptMemo(Mutex<Memo>);
+
+impl ScriptMemo {
+    fn lock(&self) -> MutexGuard<'_, Memo> {
+        // Every update leaves the memo whole (a script is pushed only once
+        // compiled), so a panic elsewhere cannot have left it half-written.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A copy is a new plan: it compiles its own scripts.
+impl Clone for ScriptMemo {
+    fn clone(&self) -> ScriptMemo {
+        ScriptMemo::default()
+    }
+}
+
+impl std::fmt::Debug for ScriptMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let memo = self.lock();
+        f.debug_struct("ScriptMemo")
+            .field("patterns", &memo.patterns.len())
+            .field("scripts", &memo.scripts.iter().map(Vec::len).sum::<usize>())
+            .finish()
+    }
+}
+
+/// Reusable buffers for [`RulePlan::greedy_order_seeded`]: the order it
+/// computes, and its placement state.
+#[derive(Default)]
+pub(crate) struct OrderScratch {
+    pub(crate) order: Vec<usize>,
+    /// The positive atoms not placed yet, in no particular order.
+    positive: Vec<usize>,
+    /// The negated atoms not placed yet, in body order.
+    negated: Vec<usize>,
+    bound: Vec<bool>,
+    /// Per body atom, how many of its argument positions are bound.
+    count: Vec<usize>,
 }
 
 impl RulePlan {
@@ -98,7 +167,21 @@ impl RulePlan {
             .map(|l| AtomPlan::compile(&l.atom, l.negated, &mut vars))
             .collect();
         let head = AtomPlan::compile(&rule.head, false, &mut vars);
-        RulePlan { head, body, vars }
+        let mut occurrences = vec![Vec::new(); vars.len()];
+        for (i, atom) in body.iter().enumerate() {
+            for s in &atom.slots {
+                if let Slot::Var(v) = *s {
+                    occurrences[v].push(i);
+                }
+            }
+        }
+        RulePlan {
+            head,
+            body,
+            vars,
+            occurrences,
+            memo: ScriptMemo::default(),
+        }
     }
 
     pub fn num_vars(&self) -> usize {
@@ -112,74 +195,159 @@ impl RulePlan {
     ///
     /// Returns a permutation of body indices.
     pub fn greedy_order(&self, db: &Database) -> Vec<usize> {
-        self.greedy_order_seeded(db, None)
+        let sizes: Vec<usize> = self.body.iter().map(|a| a.relation_len(db)).collect();
+        let mut scratch = OrderScratch::default();
+        self.greedy_order_seeded(&sizes, None, &mut scratch);
+        scratch.order
     }
 
-    /// [`RulePlan::greedy_order`], optionally forcing one positive atom to
-    /// the front. Delta-restricted rounds seed with the delta atom: the
-    /// delta relation is the small side, so driving the join from it avoids rescanning a full
-    /// persistent relation once per round per delta position.
-    pub(crate) fn greedy_order_seeded(&self, db: &Database, seed: Option<usize>) -> Vec<usize> {
-        let n = self.body.len();
-        let mut placed = vec![false; n];
-        let mut bound = vec![false; self.num_vars()];
-        let mut order = Vec::with_capacity(n);
-        if let Some(first) = seed {
-            debug_assert!(!self.body[first].negated, "cannot seed on a negated atom");
-            placed[first] = true;
-            order.push(first);
-            for s in &self.body[first].slots {
-                if let Slot::Var(v) = s {
-                    bound[*v] = true;
+    /// [`RulePlan::greedy_order`] into `scratch.order`, over `sizes[i]`, the
+    /// number of rows body atom `i` reads, and optionally forcing one
+    /// positive atom to the front. Delta-restricted rounds seed with the
+    /// delta atom: the delta relation is the small side, so driving the
+    /// join from it avoids rescanning a full persistent relation once per
+    /// round per delta position.
+    pub(crate) fn greedy_order_seeded(
+        &self,
+        sizes: &[usize],
+        seed: Option<usize>,
+        scratch: &mut OrderScratch,
+    ) {
+        let OrderScratch {
+            order,
+            positive,
+            negated,
+            bound,
+            count,
+        } = scratch;
+        order.clear();
+        positive.clear();
+        negated.clear();
+        for (i, atom) in self.body.iter().enumerate() {
+            if atom.negated {
+                negated.push(i);
+            } else if Some(i) != seed {
+                positive.push(i);
+            }
+        }
+        bound.clear();
+        bound.resize(self.num_vars(), false);
+        // Constants are bound from the start; a variable's occurrences are
+        // counted in the moment it is bound, so no placement rescans a slot.
+        count.clear();
+        count.extend(self.body.iter().map(|a| {
+            let consts = a.slots.iter().filter(|s| matches!(s, Slot::Const(_)));
+            consts.count()
+        }));
+        debug_assert!(
+            seed.is_none_or(|i| !self.body[i].negated),
+            "cannot seed on a negated atom"
+        );
+        let mut first = seed;
+        while let Some(i) = first
+            .take()
+            .or_else(|| self.next_atom(sizes, positive, negated, count))
+        {
+            order.push(i);
+            for s in &self.body[i].slots {
+                if let Slot::Var(v) = *s {
+                    if !bound[v] {
+                        bound[v] = true;
+                        for &j in &self.occurrences[v] {
+                            count[j] += 1;
+                        }
+                    }
                 }
             }
         }
-        while order.len() < n {
-            // Prefer any negated atom whose variables are all bound.
-            let ready_neg = (0..n).find(|&i| {
-                !placed[i]
-                    && self.body[i].negated
-                    && self.body[i].slots.iter().all(|s| match s {
-                        Slot::Const(_) => true,
-                        Slot::Var(v) => bound[*v],
-                    })
-            });
-            let pick = ready_neg.unwrap_or_else(|| {
-                (0..n)
-                    .filter(|&i| !placed[i] && !self.body[i].negated)
-                    .max_by_key(|&i| {
-                        let b = self.body[i].count_bound(&bound);
-                        let size = db.relation_len(self.body[i].pred);
-                        // More bound positions first; among equals, smaller
-                        // relation first (hence Reverse on size).
-                        (b, std::cmp::Reverse(size))
-                    })
-                    .unwrap_or_else(|| {
-                        // Only negated atoms left but not all vars bound —
-                        // unsafe rule; fall back to source order.
-                        (0..n).find(|&i| !placed[i]).expect("order not complete")
-                    })
-            });
-            placed[pick] = true;
-            order.push(pick);
-            for s in &self.body[pick].slots {
-                if let Slot::Var(v) = s {
-                    bound[*v] = true;
-                }
-            }
+    }
+
+    /// Take the atom the greedy order places next out of the unplaced
+    /// `positive` and `negated` atoms, given how many argument positions of
+    /// each atom are bound; `None` when every atom is placed.
+    fn next_atom(
+        &self,
+        sizes: &[usize],
+        positive: &mut Vec<usize>,
+        negated: &mut Vec<usize>,
+        count: &[usize],
+    ) -> Option<usize> {
+        // Prefer any negated atom whose variables are all bound.
+        let ready = negated
+            .iter()
+            .position(|&i| count[i] == self.body[i].slots.len());
+        if let Some(k) = ready {
+            return Some(negated.remove(k));
         }
-        order
+        // More bound positions first; among equals, smaller relation first
+        // (hence Reverse on size), then the later atom.
+        let best = (0..positive.len()).max_by_key(|&k| {
+            let i = positive[k];
+            (count[i], std::cmp::Reverse(sizes[i]), i)
+        });
+        match best {
+            Some(k) => Some(positive.swap_remove(k)),
+            // Only negated atoms left but not all vars bound — unsafe rule;
+            // fall back to source order.
+            None => (!negated.is_empty()).then(|| negated.remove(0)),
+        }
+    }
+
+    /// The join script for `order` with the delta at body atom `delta`
+    /// (`None`: a full round), compiled on first request and kept (see
+    /// [`RulePlan`]).
+    pub(crate) fn script(&self, delta: Option<usize>, order: &[usize]) -> Arc<JoinScript> {
+        let mut memo = self.memo.lock();
+        let Memo { patterns, scripts } = &mut *memo;
+        if scripts.is_empty() {
+            scripts.resize_with(self.body.len() + 1, Vec::new);
+        }
+        let kept = &mut scripts[delta.map_or(0, |p| p + 1)];
+        if let Some((_, script)) = kept.iter().find(|(o, _)| **o == *order) {
+            return Arc::clone(script);
+        }
+        let script = Arc::new(compile_script(self, order, delta, patterns));
+        if kept.len() >= self.body.len().max(1) {
+            kept.remove(0);
+        }
+        kept.push((order.into(), Arc::clone(&script)));
+        script
+    }
+
+    /// [`RulePlan::script`] compiled afresh and not kept: what the reference
+    /// interpreter runs, so that it checks the kept scripts rather than
+    /// sharing them.
+    pub(crate) fn fresh_script(&self, delta: Option<usize>, order: &[usize]) -> JoinScript {
+        compile_script(self, order, delta, &mut self.memo.lock().patterns)
     }
 }
 
-/// Key of an index: the positions of a relation used for probing.
-type IndexKey = (Pred, Vec<usize>);
+/// The number `patterns` gives the index pattern `(atom, positions)`, a new
+/// one if it has none yet.
+pub(crate) fn pattern_number(
+    patterns: &mut Vec<(usize, Box<[usize]>)>,
+    atom: usize,
+    positions: &[usize],
+) -> usize {
+    let known = patterns
+        .iter()
+        .position(|(a, p)| *a == atom && **p == *positions);
+    known.unwrap_or_else(|| {
+        patterns.push((atom, positions.into()));
+        patterns.len() - 1
+    })
+}
+
+/// Key of an index: a relation (predicate and arity) and the positions of
+/// it used for probing.
+type IndexKey = (Pred, usize, Vec<usize>);
 
 /// On-demand hash indices over a database snapshot.
 ///
-/// For each `(predicate, bound-positions)` pair requested, builds (once) a
-/// hash map from the projection onto those positions to the matching tuples.
-/// Indices are built lazily because most rules only probe a few patterns.
+/// For each `(predicate, arity, bound-positions)` triple requested, builds
+/// (once) a hash map from the projection onto those positions to the
+/// matching tuples. Indices are built lazily because most rules only probe a
+/// few patterns.
 pub(crate) struct IndexSet<'db> {
     db: &'db Database,
     indices: HashMap<IndexKey, HashMap<Vec<Const>, Vec<&'db [Const]>>>,
@@ -197,26 +365,40 @@ impl<'db> IndexSet<'db> {
         }
     }
 
-    /// Tuples of `pred` whose projection on `positions` equals `key`.
-    fn probe(&mut self, pred: Pred, positions: &[usize], key: &[Const]) -> &[&'db [Const]] {
+    /// Tuples of `pred` at `arity` whose projection on `positions` equals
+    /// `key`.
+    fn probe(
+        &mut self,
+        pred: Pred,
+        arity: usize,
+        positions: &[usize],
+        key: &[Const],
+    ) -> &[&'db [Const]] {
         self.probes += 1;
+        let rows = || {
+            self.db
+                .relation_of(pred, arity)
+                .into_iter()
+                .flat_map(Relation::iter_sorted)
+        };
         if positions.is_empty() {
             // Full scan; cache under the empty position list with unit key.
-            let db = self.db;
-            let entry = self.indices.entry((pred, Vec::new())).or_insert_with(|| {
-                let mut m: HashMap<Vec<Const>, Vec<&'db [Const]>> = HashMap::new();
-                m.insert(Vec::new(), db.relation(pred).collect());
-                m
-            });
+            let entry = self
+                .indices
+                .entry((pred, arity, Vec::new()))
+                .or_insert_with(|| {
+                    let mut m: HashMap<Vec<Const>, Vec<&'db [Const]>> = HashMap::new();
+                    m.insert(Vec::new(), rows().collect());
+                    m
+                });
             return entry.get(&[] as &[Const]).map_or(&[], Vec::as_slice);
         }
-        let db = self.db;
         let entry = self
             .indices
-            .entry((pred, positions.to_vec()))
+            .entry((pred, arity, positions.to_vec()))
             .or_insert_with(|| {
                 let mut m: HashMap<Vec<Const>, Vec<&'db [Const]>> = HashMap::new();
-                for t in db.relation(pred) {
+                for t in rows() {
                     let k: Vec<Const> = positions.iter().map(|&i| t[i]).collect();
                     m.entry(k).or_default().push(t);
                 }
@@ -293,7 +475,7 @@ fn join_rec<F: FnMut(&[Option<Const>])>(
     }
 
     let matches: Vec<Tuple> = idx
-        .probe(atom.pred, &positions, &key)
+        .probe(atom.pred, atom.slots.len(), &positions, &key)
         .iter()
         .map(|&t| Tuple::from(t))
         .collect();

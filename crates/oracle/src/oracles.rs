@@ -9,9 +9,13 @@
 //!
 //! * **Engine matrix** — naive, SCC-layered, stratified, interpreted
 //!   (columnar join kernels disabled) and a second kernel run must produce
-//!   identical fixpoints; magic-sets and QSQ answers must equal the
-//!   pattern-filtered fixpoint for every query; and the proof a traced
-//!   context gives for a sample of the fixpoint must pass [`Proof::check`].
+//!   identical fixpoints; the kernel and the interpreter must also do the
+//!   same logical work (`probes`, `matches`, `derivations`) — the
+//!   interpreter compiles its join scripts afresh every round, so this is
+//!   what checks the scripts the kernel's plans keep; magic-sets and QSQ
+//!   answers must equal the pattern-filtered fixpoint for every query; and
+//!   the proof a traced context gives for a sample of the fixpoint must
+//!   pass [`Proof::check`].
 //! * **Optimization soundness** — `minimize_program` (Fig. 2),
 //!   `minimize_program_in_order` under a random consideration order, and a
 //!   redundancy-injected bloat must all agree with the original program on
@@ -21,7 +25,9 @@
 //!   goal-directed [`Containment`] and by the unshortened test (the full
 //!   fixpoint of the frozen body, then a lookup of the frozen head), and its
 //!   evidence re-checked: a witness's proof against [`Proof::check`], a
-//!   refutation's countermodel against that fixpoint.
+//!   refutation's countermodel against that fixpoint. Edits Fig. 2 never
+//!   makes — a rule replaced by an instance of itself, as wide as it — must
+//!   leave the edited `Containment` answering as one built from scratch.
 //! * **Incremental consistency** — after every insert/remove batch the
 //!   [`Materialized`] fixpoint must equal a from-scratch evaluation of the
 //!   surviving base.
@@ -43,7 +49,7 @@
 //!   exactly the filtered from-scratch fixpoint, in its order.
 
 use crate::workload::{Case, Mutation};
-use datalog_ast::{match_atom, Atom, Database, GroundAtom, Pred, Program, Rule};
+use datalog_ast::{match_atom, Atom, Database, GroundAtom, Pred, Program, Rule, Subst, Term, Var};
 use datalog_engine::query::{PlanCache, Strategy};
 use datalog_engine::{
     magic, naive, qsq, scc_eval, seminaive, stratified, EvalOptions, Materialized, Stats, Traced,
@@ -206,12 +212,14 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
         // other evaluator that supports it, and the differential reference
         // for the join kernel: negated literals run as anti-probe stages on
         // the reference side and as membership tests on this one.
-        let Ok(reference) = stratified::evaluate(program, db) else {
+        let Ok((reference, kernel)) = stratified::evaluate_with_stats(program, db) else {
             return out; // not stratifiable — nothing to compare
         };
         let name = "stratified-interpreted";
         match stratified::evaluate_with_opts(program, db, EvalOptions::interpreted()) {
-            Ok((got, _)) if got == reference => {}
+            Ok((got, interpreted)) if got == reference => {
+                out.extend(work_divergence(name, &kernel, &interpreted));
+            }
             Ok((got, _)) => out.push(Divergence {
                 family: Family::Engines,
                 kind: format!("engine:{name}"),
@@ -229,7 +237,7 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
         return out;
     }
 
-    let reference = seminaive::evaluate(program, db);
+    let (reference, kernel) = seminaive::evaluate_with_stats(program, db);
     let mut engines: Vec<(String, Database)> = vec![
         ("naive".into(), naive::evaluate(program, db)),
         ("scc".into(), scc_eval::evaluate(program, db)),
@@ -241,7 +249,8 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
     // runs on the kernel, so evaluating with it switched off makes every
     // engines case — 1-, 2- and 3+-atom bodies alike — a differential test
     // of the two executors.
-    let (got, _) = seminaive::evaluate_with_opts(program, db, EvalOptions::interpreted());
+    let (got, interpreted) = seminaive::evaluate_with_opts(program, db, EvalOptions::interpreted());
+    out.extend(work_divergence("interpreted", &kernel, &interpreted));
     engines.push(("interpreted".into(), got));
     // A second kernel run double-checks that the cross-task batch cache
     // is deterministic.
@@ -303,6 +312,22 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
 /// Pattern-filter the `answer_pred` tuples of an evaluated magic program
 /// back into the query's own predicate (consistently binding repeated
 /// variables), mirroring what [`magic::answer`] serves.
+/// The kernel and the interpreter must do the same logical work: one probe
+/// per literal visit, one match per body match (up to dead variables), and
+/// the same derivations.
+fn work_divergence(name: &str, kernel: &Stats, interpreted: &Stats) -> Option<Divergence> {
+    let work = |s: &Stats| (s.probes, s.matches, s.derivations);
+    (work(kernel) != work(interpreted)).then(|| Divergence {
+        family: Family::Engines,
+        kind: format!("engine:{name}-work"),
+        message: format!(
+            "(probes, matches, derivations) {:?} on the kernel, {:?} on the interpreter",
+            work(kernel),
+            work(interpreted)
+        ),
+    })
+}
+
 fn magic_answers(full: &Database, answer_pred: Pred, query: &Atom) -> Database {
     let mut out = Database::new();
     for tuple in full.relation(answer_pred) {
@@ -428,6 +453,13 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
             message: format!("minimize_program failed on a valid program: {e}"),
         }),
     }
+    if let Err(message) = same_width_edits(program) {
+        out.push(Divergence {
+            family: Family::Optimization,
+            kind: "opt:containment-edit".into(),
+            message,
+        });
+    }
     // A random consideration order — the satellite audit: every order must
     // yield a uniformly equivalent (if not syntactically identical) program.
     let mut rng = StdRng::seed_from_u64(case.seed ^ 0x5bd1_e995);
@@ -547,6 +579,39 @@ fn fig2_unshortened(program: &Program) -> Result<Program, String> {
         }
     }
     Ok(current)
+}
+
+/// Every rule in turn replaced by an instance of itself — its first two
+/// variables unified, so the body is as wide — and then put back: after
+/// each edit, every rule of the original program and the instance must
+/// test the same against the edited [`Containment`] as against one built
+/// from scratch on the edited program. Fig. 2's own edits shrink a rule, so
+/// only an edit like this one can meet a compiled script of the rule it
+/// replaced under the same order.
+fn same_width_edits(program: &Program) -> Result<(), String> {
+    let mut containment = Containment::new(program);
+    let mut current = program.clone();
+    for (i, rule) in program.rules.iter().enumerate() {
+        let vars: Vec<Var> = rule.vars().into_iter().collect();
+        let [x, y, ..] = vars[..] else {
+            continue;
+        };
+        let instance = Subst::singleton(x, Term::Var(y)).apply_rule(rule);
+        for edit in [&instance, rule] {
+            containment.replace(i, edit);
+            current.rules[i] = edit.clone();
+            let scratch = Containment::new(&current);
+            for r in program.rules.iter().chain([&instance]) {
+                let (edited, fresh) = (containment.holds(r), scratch.holds(r));
+                if edited != fresh {
+                    return Err(format!(
+                        "`{r}`: {edited} after rule {i} was replaced by `{edit}`, {fresh} from scratch, against:\n{current}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 fn permutation(rng: &mut StdRng, n: usize) -> Vec<usize> {

@@ -5,8 +5,8 @@
 //! datalog lint     <program.dl> [--format text|json]  structural + semantic lints
 //!                  [--deny <code>]... [--fuel N]
 //! datalog analyze  <program.dl>                       predicates, recursion, strata
-//! datalog minimize <program.dl>                       Fig. 2 minimization (≡u)
-//! datalog optimize <program.dl> [--fuel N]            Fig. 2 + §X–XI equivalence phase
+//! datalog minimize <program.dl> [--stats]             Fig. 2 minimization (≡u)
+//! datalog optimize <program.dl> [--fuel N] [--stats]  Fig. 2 + §X–XI equivalence phase
 //! datalog eval     <program.dl> --edb <facts.dl>      bottom-up evaluation
 //!                  [--engine naive|seminaive|scc|stratified] [--stats]
 //! datalog run      <unit.dl> [--stats]                evaluate rules + facts [+ tgds] in one file
@@ -30,7 +30,7 @@
 //! emits an error-severity diagnostic).
 
 use sagiv_datalog::engine::Traced;
-use sagiv_datalog::optimizer::{minimize_stratified, ChaseTermination};
+use sagiv_datalog::optimizer::{minimize_stratified, tally, ChaseTermination, Tally};
 use sagiv_datalog::prelude::*;
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
@@ -86,8 +86,8 @@ usage:
   datalog check    <program.dl>
   datalog lint     <program.dl> [--format text|json] [--deny <code>]... [--fuel N]
   datalog analyze  <program.dl>
-  datalog minimize <program.dl>
-  datalog optimize <program.dl> [--fuel N]
+  datalog minimize <program.dl> [--stats]
+  datalog optimize <program.dl> [--fuel N] [--stats]
   datalog eval     <program.dl> --edb <facts.dl> [--engine naive|seminaive|scc|stratified] [--stats]
   datalog run      <unit.dl>   (rules + facts [+ tgds] in one file)
   datalog repl     [<program.dl>]   interactive session
@@ -362,36 +362,79 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// The `--stats` line of `minimize` and `optimize`: the §VI tests the
+/// command ran with the engine work they summed to, and where the wall time
+/// went — parsing, the optimizer (`phase`), printing.
+fn tests_line(tests: Tally, phase: &str, start: Instant, parsed: Instant, ran: Instant) -> String {
+    let printed = Instant::now();
+    let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
+    format!(
+        "tests={} rounds={} tasks={} matches={} parse_ms={:.1} {phase}_ms={:.1} print_ms={:.1}",
+        tests.tests,
+        tests.work.iterations,
+        tests.work.specialized_tasks,
+        tests.work.matches,
+        ms(start, parsed),
+        ms(parsed, ran),
+        ms(ran, printed)
+    )
+}
+
+/// The §VI tests run on this thread since `before`.
+fn tests_since(before: Tally) -> Tally {
+    let now = tally();
+    Tally {
+        tests: now.tests - before.tests,
+        work: now.work - before.work,
+    }
+}
+
+/// Print a program to stdout, one flush.
+fn print_program(program: &Program) -> Result<(), String> {
+    let mut out = buffered_stdout();
+    write!(out, "{program}").map_err(stdout_error)?;
+    out.flush().map_err(stdout_error)
+}
+
 fn cmd_minimize(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, _) = split_flags(args, "minimize", &[])?;
+    let start = Instant::now();
+    let (pos, flags) = split_flags(args, "minimize", &["stats"])?;
     let [path] = pos.as_slice() else {
-        return Err("usage: datalog minimize <program.dl>".into());
+        return Err("usage: datalog minimize <program.dl> [--stats]".into());
     };
     let program = load_program(path)?;
+    let (parsed, before) = (Instant::now(), tally());
     let (minimized, removal) = if program.is_positive() {
         minimize_program(&program).map_err(|e| e.to_string())?
     } else {
         minimize_stratified(&program).map_err(|e| e.to_string())?
     };
-    print!("{minimized}");
+    let (ran, tests) = (Instant::now(), tests_since(before));
+    print_program(&minimized)?;
     for (idx, atom) in &removal.atoms {
         eprintln!("% removed atom {atom} (rule {idx})");
     }
     for rule in &removal.rules {
         eprintln!("% removed rule {rule}");
     }
+    if flags.has("stats") {
+        eprintln!("% {}", tests_line(tests, "minimize", start, parsed, ran));
+    }
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_optimize(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args, "optimize", &["fuel"])?;
+    let start = Instant::now();
+    let (pos, flags) = split_flags(args, "optimize", &["fuel", "stats"])?;
     let [path] = pos.as_slice() else {
-        return Err("usage: datalog optimize <program.dl> [--fuel N]".into());
+        return Err("usage: datalog optimize <program.dl> [--fuel N] [--stats]".into());
     };
     let program = load_program(path)?;
+    let (parsed, before) = (Instant::now(), tally());
     let (optimized, removal, applied) =
         optimize(&program, flags.fuel()?).map_err(|e| e.to_string())?;
-    print!("{optimized}");
+    let (ran, tests) = (Instant::now(), tests_since(before));
+    print_program(&optimized)?;
     for (idx, atom) in &removal.atoms {
         eprintln!("% [≡u] removed atom {atom} (rule {idx})");
     }
@@ -408,6 +451,9 @@ fn cmd_optimize(args: &[String]) -> Result<ExitCode, String> {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
+    }
+    if flags.has("stats") {
+        eprintln!("% {}", tests_line(tests, "optimize", start, parsed, ran));
     }
     Ok(ExitCode::SUCCESS)
 }

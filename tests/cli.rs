@@ -166,6 +166,49 @@ fn stats_split_the_wall_time_into_phases() {
     }
 }
 
+/// `minimize` and `optimize` take `--stats` too: one line with the §VI
+/// tests the command ran, the engine work they summed to, and the walls of
+/// its phases. Fig. 2 makes one test per body atom and one per rule.
+#[test]
+fn optimizer_stats_count_the_section_vi_tests() {
+    let dir = TempDir::new("optimizer-stats");
+    let p = dir.file("guarded.dl", GUARDED);
+    for (cmd, phase) in [("minimize", "minimize_ms"), ("optimize", "optimize_ms")] {
+        let out = bin().args([cmd, &p, "--stats"]).output().unwrap();
+        assert!(out.status.success(), "{}", stderr(&out));
+        let quiet = bin().args([cmd, &p]).output().unwrap();
+        assert_eq!(stdout(&out), stdout(&quiet), "--stats leaves stdout alone");
+        assert!(!stderr(&quiet).contains("tests="), "{}", stderr(&quiet));
+
+        let err = stderr(&out);
+        let line = err.lines().last().and_then(|l| l.strip_prefix("% "));
+        let fields: Vec<(&str, f64)> = line
+            .unwrap_or_else(|| panic!("a stats line: {err}"))
+            .split(' ')
+            .map(|kv| {
+                let (key, value) = kv.split_once('=').expect("key=value");
+                (key, value.parse().expect("a number"))
+            })
+            .collect();
+        let keys: Vec<&str> = fields.iter().map(|&(k, _)| k).collect();
+        let expected = [
+            "tests", "rounds", "tasks", "matches", "parse_ms", phase, "print_ms",
+        ];
+        assert_eq!(keys, expected, "{err}");
+        let tests = fields[0].1;
+        if cmd == "minimize" {
+            assert_eq!(tests, 6.0, "4 atoms and 2 rules: {err}");
+        } else {
+            assert!(tests > 6.0, "Fig. 2, then the tgd candidates: {err}");
+        }
+        assert!(
+            fields[1].1 >= 1.0 && fields[2].1 >= 1.0 && fields[3].1 >= 1.0,
+            "{err}"
+        );
+        assert!(fields[4..].iter().all(|&(_, ms)| ms >= 0.0), "{err}");
+    }
+}
+
 /// A fixpoint that holds `i64::MIN` prints a fact file that `--edb` reads
 /// back byte for byte: the sign is lexed with the digits.
 #[test]
@@ -252,7 +295,7 @@ fn unknown_flags_exit_1() {
     let cases: [&[&str]; 3] = [
         &["check", &p, "--foo", "1"],
         &["eval", &p, "--edb", &e, "--engin", "seminaive"],
-        &["optimize", &p, "--stats"],
+        &["optimize", &p, "--engine", "naive"],
     ];
     for args in cases {
         let out = bin().args(args).output().unwrap();

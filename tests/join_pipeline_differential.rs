@@ -30,7 +30,7 @@ use datalog_ast::{
     Rule, Term, Var,
 };
 use datalog_engine::context::EvalOptions;
-use datalog_engine::{naive, seminaive, stratified, Materialized, Stats, Traced};
+use datalog_engine::{naive, seminaive, stratified, Justification, Materialized, Stats, Traced};
 use datalog_generate::{bloated_tc, random_db, random_program, RandomProgramSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -532,4 +532,35 @@ fn bloated_tc_reuses_delta_batches_across_tasks() {
         stats.batch_reuse_hits > 0,
         "same-shape delta gathers must hit the batch cache: {stats:?}"
     );
+}
+
+/// Long chains: a thousand rows behind each key of `d`, inserted in
+/// descending value order — keys 0 to 2 indexed in one build, key 3's rows
+/// appended to the built index a round later. A full probe and an
+/// existential one walk them alike on both executors, and the existential
+/// literal's first verified candidate — the premise the kernel records — is
+/// the first row inserted with its key, not the smallest.
+#[test]
+fn long_chains_hand_out_candidates_in_insertion_order() {
+    let rules = "d(K, V) :- e(K, V). d(K, V) :- d(J, V), hop(J, K).\
+                 w(K) :- hop(J, K), d(K, V). z(K) :- k0(K). z(K) :- w(K).\
+                 all(K, V) :- z(K), d(K, V). first(K) :- z(K), d(K, V).";
+    let mut facts = String::from("k0(0). k0(1). k0(2). hop(2, 3).");
+    for i in (0..3000).rev() {
+        facts.push_str(&format!("e({}, {i}).", i % 3));
+    }
+    let (out, stats) = check_source(rules, &facts);
+    assert_eq!(out.relation_len(Pred::new("all")), 4000);
+    assert!(stats.iterations >= 5, "z(3) comes after key 3's chain");
+
+    let program = parse_program(rules).unwrap();
+    let mut traced = Traced::new(&program, parse_database(&facts).unwrap());
+    for (k, v) in [(0, 2997), (1, 2998), (2, 2999), (3, 2999)] {
+        traced.explain(&fact("first", [k])).expect("derived");
+        let Some(Justification::Rule { premises, .. }) = traced.justification(&fact("first", [k]))
+        else {
+            panic!("first({k}) derived by a rule");
+        };
+        assert_eq!(premises, &[fact("z", [k]), fact("d", [k, v])], "first({k})");
+    }
 }

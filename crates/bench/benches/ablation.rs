@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datalog_ast::{fact, parse_program};
 use datalog_bench::standard_edb;
-use datalog_engine::{incremental::Materialized, scc_eval, seminaive};
+use datalog_engine::{evaluate, incremental::Materialized, EvalOptions, Schedule};
 use datalog_generate::{edge_db, edges, GraphKind};
 use std::time::Duration;
 
@@ -29,10 +29,28 @@ fn bench_scc_layering(c: &mut Criterion) {
             db.insert(fact("f", [y, x]));
         }
         group.bench_with_input(BenchmarkId::new("monolithic", n), &n, |b, _| {
-            b.iter(|| seminaive::evaluate(std::hint::black_box(&p), std::hint::black_box(&db)));
+            b.iter(|| {
+                evaluate(
+                    std::hint::black_box(&p),
+                    std::hint::black_box(&db),
+                    Schedule::Strata,
+                    EvalOptions::default(),
+                )
+                .unwrap()
+                .0
+            });
         });
         group.bench_with_input(BenchmarkId::new("scc_layered", n), &n, |b, _| {
-            b.iter(|| scc_eval::evaluate(std::hint::black_box(&p), std::hint::black_box(&db)));
+            b.iter(|| {
+                evaluate(
+                    std::hint::black_box(&p),
+                    std::hint::black_box(&db),
+                    Schedule::Scc,
+                    EvalOptions::default(),
+                )
+                .unwrap()
+                .0
+            });
         });
     }
     group.finish();
@@ -60,7 +78,16 @@ fn bench_incremental_vs_scratch(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("from_scratch", n), &n, |b, _| {
-            b.iter(|| seminaive::evaluate(std::hint::black_box(&p), std::hint::black_box(&base)));
+            b.iter(|| {
+                evaluate(
+                    std::hint::black_box(&p),
+                    std::hint::black_box(&base),
+                    Schedule::Strata,
+                    EvalOptions::default(),
+                )
+                .unwrap()
+                .0
+            });
         });
     }
     group.finish();

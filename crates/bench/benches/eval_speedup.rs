@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datalog_bench::{guarded_tc, standard_edb};
-use datalog_engine::{naive, seminaive};
+use datalog_engine::{evaluate, naive, EvalOptions, Schedule};
 use datalog_generate::bloated_tc;
 use datalog_optimizer::{minimize_program, optimize};
 use std::time::Duration;
@@ -26,12 +26,26 @@ fn bench_seminaive_chain(c: &mut Criterion) {
         let edb = standard_edb("chain", n);
         group.bench_with_input(BenchmarkId::new("bloated", n), &n, |b, _| {
             b.iter(|| {
-                seminaive::evaluate(std::hint::black_box(&bloated), std::hint::black_box(&edb))
+                evaluate(
+                    std::hint::black_box(&bloated),
+                    std::hint::black_box(&edb),
+                    Schedule::Strata,
+                    EvalOptions::default(),
+                )
+                .unwrap()
+                .0
             });
         });
         group.bench_with_input(BenchmarkId::new("minimized", n), &n, |b, _| {
             b.iter(|| {
-                seminaive::evaluate(std::hint::black_box(&minimized), std::hint::black_box(&edb))
+                evaluate(
+                    std::hint::black_box(&minimized),
+                    std::hint::black_box(&edb),
+                    Schedule::Strata,
+                    EvalOptions::default(),
+                )
+                .unwrap()
+                .0
             });
         });
     }
@@ -72,12 +86,26 @@ fn bench_equivalence_phase_guards(c: &mut Criterion) {
         assert!(!applied.is_empty());
         group.bench_with_input(BenchmarkId::new("guarded", k), &k, |b, _| {
             b.iter(|| {
-                seminaive::evaluate(std::hint::black_box(&guarded), std::hint::black_box(&edb))
+                evaluate(
+                    std::hint::black_box(&guarded),
+                    std::hint::black_box(&edb),
+                    Schedule::Strata,
+                    EvalOptions::default(),
+                )
+                .unwrap()
+                .0
             });
         });
         group.bench_with_input(BenchmarkId::new("optimized", k), &k, |b, _| {
             b.iter(|| {
-                seminaive::evaluate(std::hint::black_box(&optimized), std::hint::black_box(&edb))
+                evaluate(
+                    std::hint::black_box(&optimized),
+                    std::hint::black_box(&edb),
+                    Schedule::Strata,
+                    EvalOptions::default(),
+                )
+                .unwrap()
+                .0
             });
         });
     }

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datalog_ast::parse_atom;
 use datalog_bench::standard_edb;
-use datalog_engine::{magic, seminaive};
+use datalog_engine::{evaluate, magic, EvalOptions, Schedule};
 use datalog_generate::bloated_tc;
 use datalog_optimizer::minimize_program;
 use std::time::Duration;
@@ -71,7 +71,14 @@ fn bench_magic_vs_full(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("full", n), &n, |b, _| {
             b.iter(|| {
-                seminaive::evaluate(std::hint::black_box(&program), std::hint::black_box(&edb))
+                evaluate(
+                    std::hint::black_box(&program),
+                    std::hint::black_box(&edb),
+                    Schedule::Strata,
+                    EvalOptions::default(),
+                )
+                .unwrap()
+                .0
             });
         });
     }

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datalog_bench::wide_rule;
-use datalog_engine::seminaive;
+use datalog_engine::{evaluate, EvalOptions, Schedule};
 use datalog_generate::{bloated_tc, edge_db, GraphKind};
 use datalog_optimizer::{minimize_program, minimize_rule};
 use std::time::Duration;
@@ -68,10 +68,14 @@ fn bench_e12_program_vs_edb_cost(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("evaluate", n), &n, |b, _| {
             b.iter(|| {
-                seminaive::evaluate(
+                evaluate(
                     std::hint::black_box(&to_evaluate),
                     std::hint::black_box(&edb),
+                    Schedule::Strata,
+                    EvalOptions::default(),
                 )
+                .unwrap()
+                .0
             });
         });
     }

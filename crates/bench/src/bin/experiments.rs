@@ -22,7 +22,7 @@
 
 use datalog_ast::{fact, parse_atom, parse_database, parse_program, parse_tgds, Program};
 use datalog_bench::{guarded_tc, portable_source, standard_edb, wide_rule, Row};
-use datalog_engine::{magic, naive, seminaive, stratified};
+use datalog_engine::{evaluate, magic, naive, EvalOptions, Schedule};
 use datalog_generate::{bloated_tc, transitive_closure, TcVariant};
 use datalog_optimizer::{
     is_minimal, minimize_program, minimize_rule, minimize_stratified, models_condition, optimize,
@@ -292,18 +292,18 @@ fn e1_to_e15(r: &mut Report) {
         let (minimized, _) = minimize_program(&bloated).unwrap();
         let tb = ms(
             || {
-                seminaive::evaluate(&bloated, &edb);
+                evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
             },
             1,
         );
         let tm = ms(
             || {
-                seminaive::evaluate(&minimized, &edb);
+                evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
             },
             3,
         );
-        let (_, sb) = seminaive::evaluate_with_stats(&bloated, &edb);
-        let (_, sm) = seminaive::evaluate_with_stats(&minimized, &edb);
+        let (_, sb) = evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (_, sm) = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
         r.check(
             "E10",
             &format!(
@@ -328,18 +328,18 @@ fn e1_to_e15(r: &mut Report) {
         let (optg, _, _) = optimize(&g, FUEL).unwrap();
         let tg = ms(
             || {
-                seminaive::evaluate(&g, &edb);
+                evaluate(&g, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
             },
             20,
         );
         let to = ms(
             || {
-                seminaive::evaluate(&optg, &edb);
+                evaluate(&optg, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
             },
             20,
         );
-        let (_, sg) = seminaive::evaluate_with_stats(&g, &edb);
-        let (_, so) = seminaive::evaluate_with_stats(&optg, &edb);
+        let (_, sg) = evaluate(&g, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (_, so) = evaluate(&optg, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
         r.check(
             "E10",
             &format!(
@@ -408,7 +408,7 @@ fn e1_to_e15(r: &mut Report) {
             let edb = standard_edb("chain", n);
             let te = ms(
                 || {
-                    seminaive::evaluate(&clean, &edb);
+                    evaluate(&clean, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
                 },
                 1,
             );
@@ -452,8 +452,8 @@ fn e1_to_e15(r: &mut Report) {
         .unwrap();
         let (min, removal) = minimize_stratified(&p).unwrap();
         let edb = parse_database("src(1). node(1). node(2). edge(1, 2).").unwrap();
-        let same =
-            stratified::evaluate(&p, &edb).unwrap() == stratified::evaluate(&min, &edb).unwrap();
+        let run = |p| evaluate(p, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let same = run(&p).0 == run(&min).0;
         r.check(
             "E14",
             "stratified minimization removed the duplicate and preserved semantics",
@@ -579,7 +579,11 @@ fn e16(r: &mut Report, smoke: bool) {
 
         let mut incr_stats = Default::default();
         let t_incr = ms(
-            || incr_stats = seminaive::evaluate_with_stats(&program, &db).1,
+            || {
+                incr_stats = evaluate(&program, &db, Schedule::Strata, EvalOptions::default())
+                    .unwrap()
+                    .1
+            },
             reps,
         );
         r.check(
@@ -712,7 +716,7 @@ fn e17(r: &mut Report, smoke: bool) {
     let n = if smoke { 48 } else { 96 };
     let program = bloated_tc(6, 99);
     let db = standard_edb("cycle", n);
-    let (out, stats) = seminaive::evaluate_with_stats(&program, &db);
+    let (out, stats) = evaluate(&program, &db, Schedule::Strata, EvalOptions::default()).unwrap();
     let const_bytes = std::mem::size_of::<Const>() as u64;
     r.check(
         "E17",
@@ -953,7 +957,9 @@ fn e18(r: &mut Report, smoke: bool) {
         "qps",
     ));
     let final_state = view.state();
-    let reference = filter(&seminaive::evaluate(&program, &final_state.base), &query);
+    let base = &final_state.base;
+    let (full, _) = evaluate(&program, base, Schedule::Strata, EvalOptions::default()).unwrap();
+    let reference = filter(&full, &query);
     r.check(
         "E18",
         &format!("{workload}: post-churn view reads match a from-scratch evaluation"),
@@ -1167,7 +1173,6 @@ fn e19(r: &mut Report, smoke: bool) {
 /// candidate-row probes dominate, not emit cost).
 fn e20(r: &mut Report, smoke: bool) {
     use datalog_ast::{Const, Database, GroundAtom, Pred};
-    use datalog_engine::EvalOptions;
 
     println!("== E20: columnar join kernel ==");
     let n: usize = if smoke { 60_000 } else { 1_000_000 };
@@ -1249,7 +1254,7 @@ fn e20(r: &mut Report, smoke: bool) {
     let t_spec = ms(
         || {
             let (out, stats) =
-                seminaive::evaluate_with_opts(&program, &db, EvalOptions::sequential());
+                evaluate(&program, &db, Schedule::Strata, EvalOptions::sequential()).unwrap();
             outputs.push(out);
             spec_stats = stats;
         },
@@ -1259,7 +1264,7 @@ fn e20(r: &mut Report, smoke: bool) {
     let t_interp = ms(
         || {
             let (out, stats) =
-                seminaive::evaluate_with_opts(&program, &db, EvalOptions::interpreted());
+                evaluate(&program, &db, Schedule::Strata, EvalOptions::interpreted()).unwrap();
             outputs.push(out);
             interp_stats = stats;
         },
@@ -1400,7 +1405,7 @@ fn e20(r: &mut Report, smoke: bool) {
     let t_pipe = ms(
         || {
             let (out, stats) =
-                seminaive::evaluate_with_opts(&program3, &db3, EvalOptions::sequential());
+                evaluate(&program3, &db3, Schedule::Strata, EvalOptions::sequential()).unwrap();
             outputs3.push(out);
             pipe_stats = stats;
         },
@@ -1409,8 +1414,13 @@ fn e20(r: &mut Report, smoke: bool) {
     let mut interp3_stats = Default::default();
     let t_interp3 = ms(
         || {
-            let (out, stats) =
-                seminaive::evaluate_with_opts(&program3, &db3, EvalOptions::interpreted());
+            let (out, stats) = evaluate(
+                &program3,
+                &db3,
+                Schedule::Strata,
+                EvalOptions::interpreted(),
+            )
+            .unwrap();
             outputs3.push(out);
             interp3_stats = stats;
         },

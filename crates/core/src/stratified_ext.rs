@@ -29,7 +29,7 @@
 use crate::containment::ContainmentError;
 use crate::minimize::{minimize_program, Removal};
 use datalog_ast::{Atom, Literal, Pred, Program, Rule};
-use datalog_engine::stratified::NotStratifiable;
+use datalog_engine::NotStratifiable;
 
 /// Errors from stratified minimization.
 #[derive(Debug)]
@@ -205,7 +205,7 @@ fn minimize_stratified_once(program: &Program) -> Result<(Program, Removal), Str
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program};
-    use datalog_engine::stratified;
+    use datalog_engine::{evaluate, EvalOptions, Schedule};
 
     #[test]
     fn positive_program_minimizes_as_usual() {
@@ -274,8 +274,12 @@ mod tests {
         assert!(min.total_width() < p.total_width());
         let edb = parse_database("src(1). node(1). node(2). node(3). edge(1, 2).").unwrap();
         assert_eq!(
-            stratified::evaluate(&p, &edb).unwrap(),
-            stratified::evaluate(&min, &edb).unwrap()
+            evaluate(&p, &edb, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0,
+            evaluate(&min, &edb, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0
         );
     }
 

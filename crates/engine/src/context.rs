@@ -820,9 +820,8 @@ fn exec(
 /// A persistent evaluation context: the program's compiled rule plans, the
 /// growing database, and incrementally-maintained indexes over it.
 ///
-/// Constructed from a starting database, driven to fixpoint by the
-/// evaluators in [`crate::seminaive`] / [`crate::stratified`] /
-/// [`crate::scc_eval`] / [`crate::incremental`], and consumed with
+/// Constructed from a starting database, driven to fixpoint by
+/// [`crate::evaluate`] or [`crate::incremental`], and consumed with
 /// [`EvalContext::into_database`].
 pub struct EvalContext {
     plans: Arc<Vec<RulePlan>>,

@@ -341,6 +341,7 @@ impl std::ops::DerefMut for ShardedMaterialized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{evaluate, Schedule};
     use datalog_ast::{fact, parse_database, parse_program, Pred};
 
     fn tc() -> Program {
@@ -352,10 +353,17 @@ mod tests {
         let edb = parse_database("a(1,2). a(2,3). a(4,1). a(4,5).").unwrap();
         let full_edb = parse_database("a(1,2). a(2,3). a(4,1). a(4,5). a(3,4). a(5,6).").unwrap();
         let mut m = Materialized::new(tc(), &edb);
-        assert_eq!(m.database(), &crate::seminaive::evaluate(&tc(), &edb));
+        assert_eq!(
+            m.database(),
+            &evaluate(&tc(), &edb, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0
+        );
 
         m.insert([fact("a", [3, 4]), fact("a", [5, 6])]);
-        let scratch = crate::seminaive::evaluate(&tc(), &full_edb);
+        let scratch = evaluate(&tc(), &full_edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(m.database(), &scratch);
     }
 
@@ -389,7 +397,12 @@ mod tests {
         assert!(m.database().contains(&fact("g", [1, 13])));
 
         let full = parse_database("a(1,2). a(2,3). a(11,12). a(12,13). a(3,11).").unwrap();
-        assert_eq!(m.database(), &crate::seminaive::evaluate(&tc(), &full));
+        assert_eq!(
+            m.database(),
+            &evaluate(&tc(), &full, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0
+        );
     }
 
     #[test]
@@ -410,7 +423,8 @@ mod tests {
         let mut full_src = src;
         full_src.push_str(&format!("a({}, {}).", n, n + 1));
         let full_edb = parse_database(&full_src).unwrap();
-        let (scratch, full_stats) = crate::seminaive::evaluate_with_stats(&p, &full_edb);
+        let (scratch, full_stats) =
+            evaluate(&p, &full_edb, Schedule::Strata, EvalOptions::default()).unwrap();
         assert_eq!(m.database(), &scratch);
         assert!(
             inc_stats.matches * 4 < full_stats.matches,
@@ -461,7 +475,14 @@ mod tests {
             m.insert([fact("a", [i, i + 1])]);
         }
         let full: String = (0..10).map(|i| format!("a({}, {}).", i, i + 1)).collect();
-        let scratch = crate::seminaive::evaluate(&tc(), &parse_database(&full).unwrap());
+        let scratch = evaluate(
+            &tc(),
+            &parse_database(&full).unwrap(),
+            Schedule::Strata,
+            EvalOptions::default(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(m.database(), &scratch);
     }
 
@@ -504,6 +525,7 @@ mod tests {
 #[cfg(test)]
 mod deletion_tests {
     use super::*;
+    use crate::{evaluate, Schedule};
     use datalog_ast::{fact, parse_database, parse_program, Pred, Program};
 
     fn tc() -> Program {
@@ -511,7 +533,9 @@ mod deletion_tests {
     }
 
     fn scratch(p: &Program, base: &Database) -> Database {
-        crate::seminaive::evaluate(p, base)
+        evaluate(p, base, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -740,7 +764,9 @@ mod deletion_tests {
                 }
                 assert_eq!(
                     m.database(),
-                    &crate::seminaive::evaluate(&p, &base),
+                    &evaluate(&p, &base, Schedule::Strata, EvalOptions::default())
+                        .unwrap()
+                        .0,
                     "seed {seed} step {step}"
                 );
             }
@@ -763,7 +789,8 @@ mod deletion_tests {
 
         let mut eb = base.clone();
         eb.remove(&fact("a", [n - 1, n]));
-        let (scratch_db, scratch_stats) = crate::seminaive::evaluate_with_stats(&p, &eb);
+        let (scratch_db, scratch_stats) =
+            evaluate(&p, &eb, Schedule::Strata, EvalOptions::default()).unwrap();
         assert_eq!(m.database(), &scratch_db);
         assert!(
             del_stats.matches < scratch_stats.matches,
@@ -800,7 +827,8 @@ mod deletion_tests {
         let (_, del_stats) = m.remove_with_stats([fact("a", [5, 6])]);
 
         base.remove(&fact("a", [5, 6]));
-        let (scratch_db, scratch_stats) = crate::seminaive::evaluate_with_stats(&tc(), &base);
+        let (scratch_db, scratch_stats) =
+            evaluate(&tc(), &base, Schedule::Strata, EvalOptions::default()).unwrap();
         assert_eq!(m.database(), &scratch_db);
         assert!(
             del_stats.probes <= 2 * scratch_stats.probes,

@@ -7,11 +7,12 @@
 //! * [`naive`] — the paper's §III semantics taken literally: repeat full
 //!   rule instantiation until fixpoint. Also provides the non-recursive
 //!   single application `Pⁿ(d)` of §IX ([`naive::apply_once`]).
-//! * [`seminaive`] — delta-driven evaluation; same fixpoint, asymptotically
-//!   less rediscovery. This is the engine the optimizer's chase runs on.
+//! * [`schedule`] — [`evaluate`], the one entry point of delta-driven
+//!   evaluation: same fixpoint, asymptotically less rediscovery, stratified
+//!   negation (the §XII extension) under either [`Schedule`]. This is the
+//!   engine the optimizer's chase runs on.
 //! * [`magic`] — the generalized magic-sets query rewriting the paper cites
 //!   as its motivating consumer (§I).
-//! * [`stratified`] — stratified-negation evaluation (the §XII extension).
 //! * [`plan`] — compiled rule plans ([`RulePlan`]: variables as dense
 //!   slots, greedy join orders), which every evaluator starts from, plus the
 //!   backtracking join interpreter only [`naive`] runs.
@@ -38,10 +39,8 @@ pub mod plan;
 pub mod provenance;
 pub mod qsq;
 pub mod query;
-pub mod scc_eval;
-pub mod seminaive;
+pub mod schedule;
 pub mod stats;
-pub mod stratified;
 
 pub use context::{EvalContext, EvalOptions};
 pub use incremental::Materialized;
@@ -55,5 +54,41 @@ pub use naive::apply_once;
 pub use plan::RulePlan;
 pub use provenance::{Justification, Proof, Traced};
 pub use query::{PlanCache, QueryPlan, Strategy};
+pub use schedule::{evaluate, NotStratifiable, Schedule};
 pub use stats::Stats;
-pub use stratified::NotStratifiable;
+
+// Kept only for the repo benchmark (`benchmark/src/layers.rs`), until the
+// benchmark-only change of ROADMAP.md item 2 moves it to `evaluate`.
+#[doc(hidden)]
+pub mod seminaive {
+    use crate::{EvalOptions, Schedule, Stats};
+    use datalog_ast::{Database, Program};
+
+    pub fn evaluate(program: &Program, input: &Database) -> Database {
+        evaluate_with_opts(program, input, EvalOptions::default()).0
+    }
+
+    pub fn evaluate_with_opts(
+        program: &Program,
+        input: &Database,
+        opts: EvalOptions,
+    ) -> (Database, Stats) {
+        crate::evaluate(program, input, Schedule::Strata, opts).expect("a stratifiable program")
+    }
+}
+
+// Kept only for the repo benchmark (`benchmark/src/layers.rs`), until the
+// benchmark-only change of ROADMAP.md item 2 moves it to `evaluate`.
+#[doc(hidden)]
+pub mod stratified {
+    use crate::{EvalOptions, NotStratifiable, Schedule, Stats};
+    use datalog_ast::{Database, Program};
+
+    pub fn evaluate_with_opts(
+        program: &Program,
+        input: &Database,
+        opts: EvalOptions,
+    ) -> Result<(Database, Stats), NotStratifiable> {
+        crate::evaluate(program, input, Schedule::Strata, opts)
+    }
+}

@@ -14,6 +14,7 @@
 //! query's bindings is produced. Evaluating the transformed program
 //! semi-naively computes exactly the query-relevant portion of the fixpoint.
 
+use crate::{evaluate, EvalOptions, Schedule};
 use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Rule, Term, Var};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -259,7 +260,7 @@ pub fn magic_template(program: &Program, pred: Pred, adornment: &Adornment) -> M
 /// bound arguments, e.g. `g(1, X)`). The program must be positive.
 ///
 /// Returns the transformed program plus the seed fact; evaluate with
-/// [`crate::seminaive::evaluate`] after inserting the seed and the EDB.
+/// [`evaluate`] after inserting the seed and the EDB.
 /// Batch callers answering many queries with the same binding pattern
 /// should build one [`magic_template`] and stamp per-query seeds instead.
 pub fn magic_transform(program: &Program, query: &Atom) -> MagicProgram {
@@ -300,7 +301,13 @@ pub fn answer_with_stats(
     let magic = magic_transform(program, query);
     let mut input = edb.clone();
     input.insert(magic.seed.clone());
-    let (result, stats) = crate::seminaive::evaluate_with_stats(&magic.program, &input);
+    let (result, stats) = evaluate(
+        &magic.program,
+        &input,
+        Schedule::Strata,
+        EvalOptions::default(),
+    )
+    .expect("a magic program is positive");
     (read_answers(&result, magic.answer_pred, query), stats)
 }
 
@@ -322,12 +329,13 @@ pub(crate) fn read_answers(result: &Database, answer_pred: Pred, query: &Atom) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seminaive;
     use datalog_ast::{match_atom, parse_atom, parse_database, parse_program};
 
     /// Reference answer: evaluate the whole program, filter by the query.
     fn reference(program: &Program, edb: &Database, query: &Atom) -> Database {
-        let full = seminaive::evaluate(program, edb);
+        let full = evaluate(program, edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0;
         let mut out = Database::new();
         for tuple in full.relation(query.pred) {
             let g = GroundAtom {
@@ -369,7 +377,8 @@ mod tests {
         let (got, magic_stats) = answer_with_stats(&tc(), &edb, &query);
         assert_eq!(got.len(), 20);
 
-        let (_, full_stats) = seminaive::evaluate_with_stats(&tc(), &edb);
+        let (_, full_stats) =
+            evaluate(&tc(), &edb, Schedule::Strata, EvalOptions::default()).unwrap();
         assert!(
             magic_stats.derivations < full_stats.derivations,
             "magic {} vs full {}",

@@ -19,7 +19,7 @@ use datalog_ast::{Database, Program};
 /// Emden–Kowalski). The input database may contain atoms for intentional
 /// predicates; they are kept (the output contains the input).
 ///
-/// Negation-free programs only; use [`crate::stratified`] for stratified
+/// Negation-free programs only; use [`crate::evaluate`] for stratified
 /// programs. Rules with negated literals cause a panic here — callers are
 /// expected to validate with `datalog_ast::validate_positive` first.
 pub fn evaluate(program: &Program, input: &Database) -> Database {
@@ -30,7 +30,7 @@ pub fn evaluate(program: &Program, input: &Database) -> Database {
 pub fn evaluate_with_stats(program: &Program, input: &Database) -> (Database, Stats) {
     assert!(
         program.is_positive(),
-        "naive::evaluate requires a positive program; use stratified::evaluate"
+        "naive::evaluate requires a positive program; use datalog_engine::evaluate"
     );
     let plans: Vec<RulePlan> = program.rules.iter().map(RulePlan::compile).collect();
     let mut db = input.clone();

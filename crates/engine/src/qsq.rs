@@ -224,7 +224,7 @@ pub fn answer_with_stats(program: &Program, edb: &Database, query: &Atom) -> (Da
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{magic, seminaive};
+    use crate::{evaluate, magic, EvalOptions, Schedule};
     use datalog_ast::{parse_atom, parse_database, parse_program};
 
     fn tc_left() -> Program {
@@ -270,7 +270,9 @@ mod tests {
         .unwrap();
         let query = parse_atom("sg(1, Y)").unwrap();
         let got = answer(&p, &edb, &query);
-        let full = seminaive::evaluate(&p, &edb);
+        let full = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0;
         let expected: Database = full
             .relation(Pred::new("sg"))
             .filter(|t| t[0] == Const::Int(1))
@@ -293,7 +295,8 @@ mod tests {
         let query = parse_atom("g(0, X)").unwrap();
         let (got, qsq_stats) = answer_with_stats(&tc_left(), &edb, &query);
         assert_eq!(got.len(), 15);
-        let (_, full_stats) = seminaive::evaluate_with_stats(&tc_left(), &edb);
+        let (_, full_stats) =
+            evaluate(&tc_left(), &edb, Schedule::Strata, EvalOptions::default()).unwrap();
         assert!(
             qsq_stats.derivations < full_stats.derivations,
             "qsq {} vs full {}",
@@ -331,7 +334,14 @@ mod tests {
         let edb = parse_database("a(1,2). a(2,3). a(3,1).").unwrap();
         let query = parse_atom("g(X, X)").unwrap();
         let got = answer(&tc_doubling(), &edb, &query);
-        let full = seminaive::evaluate(&tc_doubling(), &edb);
+        let full = evaluate(
+            &tc_doubling(),
+            &edb,
+            Schedule::Strata,
+            EvalOptions::default(),
+        )
+        .unwrap()
+        .0;
         let expected: Database = full
             .relation(Pred::new("g"))
             .filter(|t| t[0] == t[1])
@@ -381,7 +391,7 @@ mod tests {
 #[cfg(test)]
 mod recursion_tests {
     use super::*;
-    use crate::seminaive;
+    use crate::{evaluate, EvalOptions, Schedule};
     use datalog_ast::{parse_atom, parse_database, parse_program};
 
     #[test]
@@ -403,7 +413,9 @@ mod recursion_tests {
         assert!(miss.is_empty());
         // Free query agrees with bottom-up.
         let all = answer(&p, &edb, &parse_atom("odd(X)").unwrap());
-        let full = seminaive::evaluate(&p, &edb);
+        let full = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(all.len(), full.relation_len(Pred::new("odd")));
     }
 

@@ -19,6 +19,7 @@
 use crate::magic::{self, Adornment, MagicTemplate};
 use crate::qsq;
 use crate::stats::Stats;
+use crate::{evaluate, EvalOptions, Schedule};
 use datalog_ast::{Atom, Database, Pred, Program};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -128,8 +129,13 @@ impl QueryPlan {
                 let template = self.template.as_ref().expect("magic plan holds a template");
                 let mut input = base.clone();
                 input.insert(template.seed_for(query));
-                let (result, stats) =
-                    crate::seminaive::evaluate_with_stats(&template.program, &input);
+                let (result, stats) = evaluate(
+                    &template.program,
+                    &input,
+                    Schedule::Strata,
+                    EvalOptions::default(),
+                )
+                .expect("a magic program is positive");
                 let answers = magic::read_answers(&result, template.answer_pred, query);
                 (answers, stats)
             }
@@ -196,7 +202,6 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seminaive;
     use datalog_ast::{match_atom, parse_atom, parse_database, parse_program, GroundAtom};
 
     fn tc() -> Arc<Program> {
@@ -205,7 +210,9 @@ mod tests {
 
     /// Reference answer: evaluate the whole program, filter by the query.
     fn reference(program: &Program, edb: &Database, query: &Atom) -> Database {
-        let full = seminaive::evaluate(program, edb);
+        let full = evaluate(program, edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0;
         let mut out = Database::new();
         for tuple in full.relation(query.pred) {
             let g = GroundAtom {
@@ -276,7 +283,7 @@ mod tests {
         let plan = QueryPlan::for_query(tc(), &parse_atom("g(0, X)").unwrap(), Strategy::Magic);
         let (got, stats) = plan.answer(&edb, &parse_atom("g(0, X)").unwrap());
         assert_eq!(got.len(), 30);
-        let (_, full) = seminaive::evaluate_with_stats(&tc(), &edb);
+        let (_, full) = evaluate(&tc(), &edb, Schedule::Strata, EvalOptions::default()).unwrap();
         assert!(stats.derivations < full.derivations);
     }
 }

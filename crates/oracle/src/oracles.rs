@@ -2,14 +2,15 @@
 //!
 //! Each check recomputes the same answer several independent ways and
 //! reports every disagreement as a [`Divergence`]. The reference result is
-//! always the sequential semi-naive fixpoint ([`seminaive::evaluate`]) —
-//! every other evaluator, query strategy, optimizer output, and incremental
-//! state is compared against it (or against a from-scratch recomputation
-//! seeded by it).
+//! always the semi-naive fixpoint on the default schedule ([`evaluate`]
+//! with [`Schedule::Strata`]) — every other evaluator, query strategy,
+//! optimizer output, and incremental state is compared against it (or
+//! against a from-scratch recomputation seeded by it).
 //!
-//! * **Engine matrix** — naive, SCC-layered, stratified, interpreted
-//!   (columnar join kernels disabled) and a second kernel run must produce
-//!   identical fixpoints; the kernel and the interpreter must also do the
+//! * **Engine matrix** — [`Schedule::Scc`], interpreted (columnar join
+//!   kernels disabled) and a second kernel run must produce the reference
+//!   fixpoint on every program, negated or not, and naive on every positive
+//!   one; the kernel and the interpreter must also do the
 //!   same logical work (`probes`, `matches`, `derivations`) — the
 //!   interpreter compiles its join scripts afresh every round, so this is
 //!   what checks the scripts the kernel's plans keep; magic-sets and QSQ
@@ -52,7 +53,8 @@ use crate::workload::{Case, Mutation};
 use datalog_ast::{match_atom, Atom, Database, GroundAtom, Pred, Program, Rule, Subst, Term, Var};
 use datalog_engine::query::{PlanCache, Strategy};
 use datalog_engine::{
-    magic, naive, qsq, scc_eval, seminaive, stratified, EvalOptions, Materialized, Stats, Traced,
+    evaluate, magic, naive, qsq, EvalOptions, Materialized, NotStratifiable, Schedule, Stats,
+    Traced,
 };
 use datalog_optimizer::{
     freeze_rule, minimize_program, minimize_program_in_order, uniformly_equivalent, Containment,
@@ -149,15 +151,25 @@ pub fn check(case: &Case) -> Vec<Divergence> {
 /// run this surfaces the storage layer's allocation behaviour
 /// (`tuples_allocated`, `arena_bytes`) in the fuzz report.
 pub fn reference_stats(case: &Case) -> Stats {
-    let program = &case.program;
-    let db = &case.db;
-    if program.is_positive() {
-        seminaive::evaluate_with_opts(program, db, EvalOptions::sequential()).1
-    } else {
-        stratified::evaluate_with_opts(program, db, EvalOptions::sequential())
-            .map(|(_, stats)| stats)
-            .unwrap_or_default()
-    }
+    reference_fixpoint(&case.program, &case.db)
+        .map(|(_, stats)| stats)
+        .unwrap_or_default()
+}
+
+/// The reference fixpoint and its work: [`evaluate`] on the default
+/// schedule, on the join kernel.
+fn reference_fixpoint(
+    program: &Program,
+    db: &Database,
+) -> Result<(Database, Stats), NotStratifiable> {
+    evaluate(program, db, Schedule::Strata, EvalOptions::sequential())
+}
+
+/// The reference fixpoint of a positive program.
+fn fixpoint(program: &Program, db: &Database) -> Database {
+    reference_fixpoint(program, db)
+        .expect("a positive program is stratifiable")
+        .0
 }
 
 /// Render a compact sample of the symmetric difference between two
@@ -206,67 +218,50 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
     let mut out = Vec::new();
     let program = &case.program;
     let db = &case.db;
-
-    if !program.is_positive() {
-        // Stratified negation: the row-at-a-time interpreter is the only
-        // other evaluator that supports it, and the differential reference
-        // for the join kernel: negated literals run as anti-probe stages on
-        // the reference side and as membership tests on this one.
-        let Ok((reference, kernel)) = stratified::evaluate_with_stats(program, db) else {
-            return out; // not stratifiable — nothing to compare
-        };
-        let name = "stratified-interpreted";
-        match stratified::evaluate_with_opts(program, db, EvalOptions::interpreted()) {
-            Ok((got, interpreted)) if got == reference => {
-                out.extend(work_divergence(name, &kernel, &interpreted));
-            }
-            Ok((got, _)) => out.push(Divergence {
-                family: Family::Engines,
-                kind: format!("engine:{name}"),
-                message: format!(
-                    "{name} disagrees with sequential: {}",
-                    diff_sample(&reference, &got)
-                ),
-            }),
-            Err(e) => out.push(Divergence {
-                family: Family::Engines,
-                kind: format!("engine:{name}"),
-                message: format!("{name} errored: {e}"),
-            }),
-        }
-        return out;
-    }
-
-    let (reference, kernel) = seminaive::evaluate_with_stats(program, db);
-    let mut engines: Vec<(String, Database)> = vec![
-        ("naive".into(), naive::evaluate(program, db)),
-        ("scc".into(), scc_eval::evaluate(program, db)),
-    ];
-    if let Ok(strat) = stratified::evaluate(program, db) {
-        engines.push(("stratified".into(), strat));
-    }
+    let Ok((reference, kernel)) = reference_fixpoint(program, db) else {
+        return out; // not stratifiable — nothing to compare
+    };
+    let run = |schedule, opts| evaluate(program, db, schedule, opts);
     // The join kernel vs the row-at-a-time interpreter: the reference above
     // runs on the kernel, so evaluating with it switched off makes every
-    // engines case — 1-, 2- and 3+-atom bodies alike — a differential test
-    // of the two executors.
-    let (got, interpreted) = seminaive::evaluate_with_opts(program, db, EvalOptions::interpreted());
-    out.extend(work_divergence("interpreted", &kernel, &interpreted));
-    engines.push(("interpreted".into(), got));
-    // A second kernel run double-checks that the cross-task batch cache
-    // is deterministic.
-    let (got, _) = seminaive::evaluate_with_opts(program, db, EvalOptions::sequential());
-    engines.push(("kernel-rerun".into(), got));
+    // engines case — 1-, 2- and 3+-atom bodies, negated literals as
+    // anti-probe stages on one side and membership tests on the other — a
+    // differential test of the two executors.
+    let interpreted = run(Schedule::Strata, EvalOptions::interpreted());
+    if let Ok((_, work)) = &interpreted {
+        out.extend(work_divergence("interpreted", &kernel, work));
+    }
+    let mut engines = vec![
+        ("scc", run(Schedule::Scc, EvalOptions::sequential())),
+        ("interpreted", interpreted),
+        // A second kernel run double-checks that the cross-task batch
+        // cache is deterministic.
+        (
+            "kernel-rerun",
+            run(Schedule::Strata, EvalOptions::sequential()),
+        ),
+    ];
+    if program.is_positive() {
+        engines.insert(0, ("naive", Ok(naive::evaluate_with_stats(program, db))));
+    }
     for (name, got) in engines {
-        if got != reference {
-            out.push(Divergence {
-                family: Family::Engines,
-                kind: format!("engine:{name}"),
-                message: format!(
-                    "{name} disagrees with sequential semi-naive: {}",
-                    diff_sample(&reference, &got)
-                ),
-            });
-        }
+        let message = match got {
+            Ok((got, _)) if got == reference => continue,
+            Ok((got, _)) => format!(
+                "{name} disagrees with the reference: {}",
+                diff_sample(&reference, &got)
+            ),
+            Err(e) => format!("{name} errored: {e}"),
+        };
+        out.push(Divergence {
+            family: Family::Engines,
+            kind: format!("engine:{name}"),
+            message,
+        });
+    }
+    // Proofs and top-down strategies are for positive programs only.
+    if !program.is_positive() {
+        return out;
     }
 
     // The derivation recorder: whatever first justification a round kept,
@@ -356,7 +351,7 @@ fn check_metamorphic(case: &Case) -> Vec<Divergence> {
         return out;
     }
     let db = &case.db;
-    let reference = seminaive::evaluate(program, db);
+    let reference = fixpoint(program, db);
     let diverge = |kind: &str, query: &Atom, expected: &Database, got: &Database| Divergence {
         family: Family::Metamorphic,
         kind: format!("meta:{kind}"),
@@ -390,7 +385,7 @@ fn check_metamorphic(case: &Case) -> Vec<Divergence> {
 
         // Hop 3: evaluate the transformed program, exercising the
         // pipelined kernels on the guarded multi-atom magic rules.
-        let full = seminaive::evaluate(&magic.program, &input);
+        let full = fixpoint(&magic.program, &input);
         let got = magic_answers(&full, magic.answer_pred, query);
         if got != expected {
             out.push(diverge("minimize-magic", query, &expected, &got));
@@ -402,7 +397,7 @@ fn check_metamorphic(case: &Case) -> Vec<Divergence> {
         // optimizer must be able to digest its own downstream.
         match minimize_program(&magic.program) {
             Ok((again, _)) => {
-                let full = seminaive::evaluate(&again, &input);
+                let full = fixpoint(&again, &input);
                 let got = magic_answers(&full, magic.answer_pred, query);
                 if got != expected {
                     out.push(diverge("minimize-again", query, &expected, &got));
@@ -425,7 +420,7 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
         return out;
     }
     let db = &case.db;
-    let reference = seminaive::evaluate(program, db);
+    let reference = fixpoint(program, db);
 
     let mut candidates: Vec<(String, Program)> = Vec::new();
     match minimize_program(program) {
@@ -485,7 +480,7 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
     }
 
     for (name, candidate) in candidates {
-        let got = seminaive::evaluate(&candidate, db);
+        let got = fixpoint(&candidate, db);
         if got != reference {
             out.push(Divergence {
                 family: Family::Optimization,
@@ -527,12 +522,12 @@ fn fig2_unshortened(program: &Program) -> Result<Program, String> {
     let mut containment = Containment::new(&current);
     let decide = |shortened: bool, evidence: Result<Witness, Refutation>, r: &Rule, p: &Program| {
         let frozen = freeze_rule(r);
-        let fixpoint = seminaive::evaluate(p, &frozen.body_db);
-        let unshortened = fixpoint.contains(&frozen.goal);
+        let full = fixpoint(p, &frozen.body_db);
+        let unshortened = full.contains(&frozen.goal);
         let upheld = match &evidence {
             Ok(w) if w.proof.conclusion == frozen.goal => w.proof.check(p, &w.canonical_db),
             Ok(w) => Err(format!("the proof concludes {}", w.proof.conclusion)),
-            Err(refutation) if refutation.countermodel == fixpoint => Ok(()),
+            Err(refutation) if refutation.countermodel == full => Ok(()),
             Err(_) => Err("the countermodel is not the fixpoint".into()),
         };
         if shortened != unshortened || evidence.is_ok() != unshortened {
@@ -634,7 +629,7 @@ fn check_incremental(case: &Case) -> Vec<Divergence> {
     let mut shadow = case.db.clone();
 
     // Commit 0: initial saturation.
-    let scratch = seminaive::evaluate(program, &shadow);
+    let scratch = fixpoint(program, &shadow);
     if m.database() != &scratch {
         out.push(Divergence {
             family: Family::Incremental,
@@ -662,7 +657,7 @@ fn check_incremental(case: &Case) -> Vec<Divergence> {
                 m.remove(facts.iter().cloned());
             }
         }
-        let scratch = seminaive::evaluate(program, &shadow);
+        let scratch = fixpoint(program, &shadow);
         if m.database() != &scratch {
             let op = if mutation.is_insert() {
                 "insert"
@@ -705,7 +700,7 @@ fn check_view_query(case: &Case) -> Vec<Divergence> {
     // Rounds: the initial base, then the base after each mutation batch.
     for round in 0..=case.mutations.len() {
         let published = view.state();
-        let reference = seminaive::evaluate(program, &published.base);
+        let reference = fixpoint(program, &published.base);
         if *published.fixpoint != reference {
             out.push(Divergence {
                 family: Family::ViewQuery,
@@ -833,7 +828,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
     // With no writer running, every strategy must serve exactly the
     // filtered from-scratch fixpoint of the published base, in its order.
     let compare_strategies = |base: &Database, out: &mut Vec<Divergence>| {
-        let reference = seminaive::evaluate(program, base);
+        let reference = fixpoint(program, base);
         for query in &case.queries {
             let expected: Vec<String> = filtered_fixpoint(&reference, query)
                 .iter()
@@ -935,7 +930,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
         ));
         return out;
     }
-    let expected = seminaive::evaluate(program, &expected_base);
+    let expected = fixpoint(program, &expected_base);
     let got = entry.view.snapshot();
     if *got != expected {
         out.push(diverge(

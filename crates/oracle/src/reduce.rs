@@ -240,6 +240,7 @@ mod tests {
     use super::*;
     use crate::oracles::Family;
     use datalog_ast::{fact, parse_atom, parse_database, parse_program};
+    use datalog_engine::{evaluate, EvalOptions, Schedule};
 
     fn base_case() -> Case {
         Case {
@@ -262,7 +263,10 @@ mod tests {
         // Synthetic failure: "the fixpoint contains g(4, 4)" — needs the
         // 4→5→6→4 cycle and both g-rules, but not h, c, or the stray edge.
         let failing = |c: &Case| {
-            datalog_engine::seminaive::evaluate(&c.program, &c.db).contains(&fact("g", [4, 4]))
+            evaluate(&c.program, &c.db, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0
+                .contains(&fact("g", [4, 4]))
         };
         let case = base_case();
         assert!(failing(&case));
@@ -276,7 +280,9 @@ mod tests {
     #[test]
     fn reduction_is_idempotent_and_deterministic() {
         let failing = |c: &Case| {
-            let out = datalog_engine::seminaive::evaluate(&c.program, &c.db);
+            let out = evaluate(&c.program, &c.db, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0;
             out.relation_len(datalog_ast::Pred::new("g")) >= 3
         };
         let case = base_case();
@@ -293,7 +299,9 @@ mod tests {
         // A predicate insensitive to the concrete constants: any nonempty
         // g-relation. Renumbering applies and maps 4.. onto 0..
         let failing = |c: &Case| {
-            datalog_engine::seminaive::evaluate(&c.program, &c.db)
+            evaluate(&c.program, &c.db, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0
                 .relation(datalog_ast::Pred::new("g"))
                 .next()
                 .is_some()

@@ -78,8 +78,12 @@ fn main() {
         edb.insert(fact("c", [i]));
     }
     assert_eq!(
-        seminaive::evaluate(&p1, &edb),
-        seminaive::evaluate(&optimized, &edb)
+        evaluate(&p1, &edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0,
+        evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0
     );
     println!("identical outputs on a 30-chain with full certificates ✓");
 

@@ -65,7 +65,8 @@ fn main() {
     )
     .unwrap();
 
-    let (full, stats) = seminaive::evaluate_with_stats(&minimized, &edb);
+    let (full, stats) =
+        evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
     println!("\nevaluation: {stats}");
     println!("ancestor tuples: {}", full.relation_len(Pred::new("anc")));
     println!(

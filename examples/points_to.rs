@@ -59,10 +59,13 @@ fn main() {
     )
     .unwrap();
 
-    let (result, stats) = seminaive::evaluate_with_stats(&minimized, &edb);
+    let (result, stats) =
+        evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
     assert_eq!(
         result,
-        seminaive::evaluate(&program, &edb),
+        evaluate(&program, &edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0,
         "optimization is sound"
     );
 

@@ -54,8 +54,12 @@ fn main() {
     )
     .unwrap();
 
-    let full = stratified::evaluate(&minimized, &edb).unwrap();
-    let orig = stratified::evaluate(&program, &edb).unwrap();
+    let full = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default())
+        .unwrap()
+        .0;
+    let orig = evaluate(&program, &edb, Schedule::Strata, EvalOptions::default())
+        .unwrap()
+        .0;
     assert_eq!(
         full, orig,
         "minimization preserved the stratified semantics"

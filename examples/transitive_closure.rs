@@ -23,8 +23,12 @@ fn main() {
             seed: 42,
         },
     );
-    let o1 = seminaive::evaluate(&doubling, &edb);
-    let o2 = seminaive::evaluate(&left_linear, &edb);
+    let o1 = evaluate(&doubling, &edb, Schedule::Strata, EvalOptions::default())
+        .unwrap()
+        .0;
+    let o2 = evaluate(&left_linear, &edb, Schedule::Strata, EvalOptions::default())
+        .unwrap()
+        .0;
     assert_eq!(o1, o2);
     println!(
         "on a random 15-node graph both compute {} closure tuples\n",
@@ -72,8 +76,10 @@ fn main() {
     );
     for n in [16usize, 32, 64, 128] {
         let edb = edge_db("a", GraphKind::Chain { n });
-        let (out_g, stats_g) = seminaive::evaluate_with_stats(&guarded, &edb);
-        let (out_o, stats_o) = seminaive::evaluate_with_stats(&optimized, &edb);
+        let (out_g, stats_g) =
+            evaluate(&guarded, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (out_o, stats_o) =
+            evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
         assert_eq!(out_g, out_o);
         let saved = 100.0 * (1.0 - stats_o.probes as f64 / stats_g.probes as f64);
         println!(

@@ -8,7 +8,7 @@
 //! datalog minimize <program.dl> [--stats]             Fig. 2 minimization (≡u)
 //! datalog optimize <program.dl> [--fuel N] [--stats]  Fig. 2 + §X–XI equivalence phase
 //! datalog eval     <program.dl> --edb <facts.dl>      bottom-up evaluation
-//!                  [--engine naive|seminaive|scc|stratified] [--stats]
+//!                  [--engine stratified|scc|naive] [--stats]   (seminaive = stratified)
 //! datalog run      <unit.dl> [--stats]                evaluate rules + facts [+ tgds] in one file
 //! datalog repl     [<program.dl>]                     interactive session
 //! datalog query    '<atom>'... <program.dl> --edb <facts.dl>  top-down point queries
@@ -88,7 +88,8 @@ usage:
   datalog analyze  <program.dl>
   datalog minimize <program.dl> [--stats]
   datalog optimize <program.dl> [--fuel N] [--stats]
-  datalog eval     <program.dl> --edb <facts.dl> [--engine naive|seminaive|scc|stratified] [--stats]
+  datalog eval     <program.dl> --edb <facts.dl> [--engine stratified|scc|naive] [--stats]
+                   (stratified and scc evaluate negation; seminaive = stratified)
   datalog run      <unit.dl>   (rules + facts [+ tgds] in one file)
   datalog repl     [<program.dl>]   interactive session
   datalog query    '<atom>'... <program.dl> --edb <facts.dl> [--strategy magic|qsq] [--stats]
@@ -182,8 +183,8 @@ fn load_program(path: &str) -> Result<Program, String> {
     parse_program(&src).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The guard of every command whose engine asserts positivity: an ordinary
-/// error instead of that panic.
+/// The guard of `eval --engine naive`, `query`, `explain` and the repl, whose
+/// engines assert positivity: an ordinary error instead of that panic.
 fn require_positive(program: &Program, what: &str) -> Result<(), String> {
     if program.is_positive() {
         return Ok(());
@@ -469,25 +470,21 @@ fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
     let program = load_program(path)?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
     let loaded = Instant::now();
-    // As `run` does: negation picks the engine that can evaluate it.
-    let default = if program.is_positive() {
-        "seminaive"
-    } else {
-        "stratified"
-    };
-    let engine = flags.get("engine").unwrap_or(default);
-    let positive = |evaluate: fn(&Program, &Database) -> (Database, Stats)| {
-        require_positive(&program, &format!("--engine {engine}"))?;
-        Ok::<_, String>(evaluate(&program, &edb))
-    };
-    let (out, stats) = match engine {
-        "naive" => positive(naive::evaluate_with_stats)?,
-        "seminaive" => positive(seminaive::evaluate_with_stats)?,
-        "scc" => positive(scc_eval::evaluate_with_stats)?,
-        "stratified" => {
-            stratified::evaluate_with_stats(&program, &edb).map_err(|e| e.to_string())?
-        }
+    // `seminaive` and `stratified` are both the default schedule.
+    let schedule = match flags.get("engine").unwrap_or("stratified") {
+        "naive" => None,
+        "seminaive" | "stratified" => Some(Schedule::Strata),
+        "scc" => Some(Schedule::Scc),
         other => return Err(format!("unknown engine `{other}`")),
+    };
+    let (out, stats) = match schedule {
+        Some(schedule) => {
+            evaluate(&program, &edb, schedule, EvalOptions::default()).map_err(|e| e.to_string())?
+        }
+        None => {
+            require_positive(&program, "--engine naive")?;
+            naive::evaluate_with_stats(&program, &edb)
+        }
     };
     let evaluated = Instant::now();
     print_atoms(&out)?;
@@ -514,11 +511,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let input = Database::from_atoms(unit.facts.iter().cloned());
     let loaded = Instant::now();
     let (out, stats) = if unit.tgds.is_empty() {
-        if unit.program.is_positive() {
-            seminaive::evaluate_with_stats(&unit.program, &input)
-        } else {
-            stratified::evaluate_with_stats(&unit.program, &input).map_err(|e| e.to_string())?
-        }
+        evaluate(
+            &unit.program,
+            &input,
+            Schedule::Strata,
+            EvalOptions::default(),
+        )
+        .map_err(|e| e.to_string())?
     } else {
         // With tgds: run the combined [P, T] chase (fuel-bounded).
         let fuel = sagiv_datalog::optimizer::fuel_for(&unit.tgds, flags.fuel()?);

@@ -30,7 +30,7 @@ use datalog_ast::{
     Rule, Term, Var,
 };
 use datalog_engine::context::EvalOptions;
-use datalog_engine::{naive, seminaive, stratified, Justification, Materialized, Stats, Traced};
+use datalog_engine::{evaluate, naive, Justification, Materialized, Schedule, Stats, Traced};
 use datalog_generate::{bloated_tc, random_db, random_program, RandomProgramSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,10 +112,9 @@ fn logical(s: &Stats) -> (u64, u64, u64) {
 /// logical work, every kernel task on the kernel and none of the
 /// reference's. Returns the kernel run.
 fn check(program: &Program, db: &Database, what: &str) -> (Database, Stats) {
-    let (got, kernel) =
-        stratified::evaluate_with_opts(program, db, EvalOptions::sequential()).unwrap();
+    let (got, kernel) = evaluate(program, db, Schedule::Strata, EvalOptions::sequential()).unwrap();
     let (want, reference) =
-        stratified::evaluate_with_opts(program, db, EvalOptions::interpreted()).unwrap();
+        evaluate(program, db, Schedule::Strata, EvalOptions::interpreted()).unwrap();
     assert_eq!(got, want, "fixpoint, {what}");
     assert_eq!(
         logical(&kernel),
@@ -461,7 +460,7 @@ fn round_arenas_become_the_delta() {
         let want = naive::evaluate(&program, &db);
         assert_eq!(want.relations_of(Pred::new("h")).len(), 2, "{what}");
         let (_, reference) =
-            stratified::evaluate_with_opts(&program, &db, EvalOptions::interpreted()).unwrap();
+            evaluate(&program, &db, Schedule::Strata, EvalOptions::interpreted()).unwrap();
         let (got, stats) = check(&program, &db, &what);
         assert_eq!(got, want, "naive fixpoint, {what}");
         assert_eq!(counts(&stats), counts(&reference), "{what}");
@@ -485,14 +484,18 @@ fn bloated_tc_remove_matches_a_recompute() {
         for batch in edges.chunks(7).take(4) {
             let before = m.database().len() as u64;
             let removed = m.remove(batch.iter().cloned());
-            let want = seminaive::evaluate(&program, m.base());
+            let want = evaluate(&program, m.base(), Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0;
             assert_eq!(m.database(), &want, "remove, seed {seed}");
             assert_eq!(removed, before - want.len() as u64, "seed {seed}");
         }
         m.insert(edges);
         assert_eq!(
             m.database(),
-            &seminaive::evaluate(&program, &db),
+            &evaluate(&program, &db, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0,
             "seed {seed}"
         );
     }

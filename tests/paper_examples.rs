@@ -36,7 +36,9 @@ fn example_2_bottom_up_computation() {
     )
     .unwrap();
     assert_eq!(naive::evaluate(&example1_program(), &edb), expected);
-    assert_eq!(seminaive::evaluate(&example1_program(), &edb), expected);
+    let program = example1_program();
+    let (out, _) = evaluate(&program, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    assert_eq!(out, expected);
 }
 
 #[test]
@@ -73,8 +75,12 @@ fn example_4_equivalent_but_not_uniformly() {
     ] {
         let edb = edge_db("a", kind);
         assert_eq!(
-            seminaive::evaluate(&p1, &edb),
-            seminaive::evaluate(&p2, &edb),
+            evaluate(&p1, &edb, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0,
+            evaluate(&p2, &edb, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0,
             "equivalent on {kind:?}"
         );
     }
@@ -265,8 +271,10 @@ fn example_18_equivalence_optimization() {
             seed: 3,
         },
     );
-    let (out_orig, stats_orig) = seminaive::evaluate_with_stats(&p1, &edb);
-    let (out_opt, stats_opt) = seminaive::evaluate_with_stats(&optimized, &edb);
+    let (out_orig, stats_orig) =
+        evaluate(&p1, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (out_opt, stats_opt) =
+        evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
     assert_eq!(out_orig, out_opt);
     assert!(stats_opt.probes <= stats_orig.probes);
 }
@@ -296,8 +304,12 @@ fn example_19_guarded_program_optimization() {
         }
     }
     assert_eq!(
-        seminaive::evaluate(&p1, &edb),
-        seminaive::evaluate(&optimized, &edb)
+        evaluate(&p1, &edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0,
+        evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0
     );
 }
 

@@ -27,9 +27,15 @@ fn bloat_minimize_optimize_evaluate() {
             },
         ] {
             let edb = edge_db("a", kind);
-            let reference = seminaive::evaluate(&bloated, &edb);
-            let via_min = seminaive::evaluate(&minimized, &edb);
-            let via_opt = seminaive::evaluate(&optimized, &edb);
+            let reference = evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0;
+            let via_min = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0;
+            let via_opt = evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default())
+                .unwrap()
+                .0;
             assert_eq!(reference, via_min, "seed {seed}, {kind:?}");
             assert_eq!(reference, via_opt, "seed {seed}, {kind:?}");
         }
@@ -69,8 +75,12 @@ fn slice_then_minimize_preserves_query() {
 
     let mut edb = edge_db("e", GraphKind::Chain { n: 10 });
     edb.union_with(&edge_db("f", GraphKind::Cycle { n: 5 }));
-    let full = seminaive::evaluate(&p, &edb);
-    let lean = seminaive::evaluate(&min, &edb);
+    let full = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default())
+        .unwrap()
+        .0;
+    let lean = evaluate(&min, &edb, Schedule::Strata, EvalOptions::default())
+        .unwrap()
+        .0;
     assert_eq!(
         full.relation(Pred::new("t")).collect::<Vec<_>>(),
         lean.relation(Pred::new("t")).collect::<Vec<_>>()
@@ -89,7 +99,13 @@ fn incremental_on_optimized_program() {
         all_facts.insert(f.clone());
         m.insert([f]);
         if i % 5 == 4 {
-            let scratch = seminaive::evaluate(&optimized, &all_facts);
+            let (scratch, _) = evaluate(
+                &optimized,
+                &all_facts,
+                Schedule::Strata,
+                EvalOptions::default(),
+            )
+            .unwrap();
             assert_eq!(m.database(), &scratch, "after {} insertions", i + 1);
         }
     }
@@ -110,8 +126,12 @@ fn scc_engine_agrees_on_optimized_programs() {
         },
     );
     assert_eq!(
-        scc_eval::evaluate(&minimized, &edb),
-        seminaive::evaluate(&minimized, &edb)
+        evaluate(&minimized, &edb, Schedule::Scc, EvalOptions::default())
+            .unwrap()
+            .0,
+        evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default())
+            .unwrap()
+            .0
     );
 }
 
@@ -123,9 +143,9 @@ fn probe_counts_improve_monotonically() {
     let (minimized, _) = minimize_program(&bloated).unwrap();
     let (optimized, _) = optimize_under_equivalence(&minimized, 10_000).unwrap();
     let edb = edge_db("a", GraphKind::Chain { n: 24 });
-    let (_, sb) = seminaive::evaluate_with_stats(&bloated, &edb);
-    let (_, sm) = seminaive::evaluate_with_stats(&minimized, &edb);
-    let (_, so) = seminaive::evaluate_with_stats(&optimized, &edb);
+    let (_, sb) = evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (_, sm) = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (_, so) = evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
     assert!(
         sm.probes <= sb.probes,
         "minimized {} vs bloated {}",

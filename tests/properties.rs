@@ -8,8 +8,8 @@
 //! * the uniform-containment verdict is sound against a brute-force
 //!   enumeration of small databases (Proposition 1: uniform containment
 //!   implies containment on every input we can afford to enumerate);
-//! * naive, semi-naive, and stratified evaluation agree (they compute the
-//!   same minimal model, §IV);
+//! * naive evaluation and semi-naive evaluation under either schedule
+//!   agree (they compute the same minimal model, §IV);
 //! * magic sets is answer-preserving;
 //! * redundancy injections are fully recovered by minimization.
 
@@ -31,6 +31,13 @@ fn spec_strategy() -> impl Strategy<Value = (RandomProgramSpec, u64)> {
             )
         },
     )
+}
+
+/// `P(d)` on the default schedule.
+fn fixpoint(p: &Program, d: &Database) -> Database {
+    evaluate(p, d, Schedule::Strata, EvalOptions::default())
+        .unwrap()
+        .0
 }
 
 proptest! {
@@ -68,7 +75,7 @@ proptest! {
         let p = random_program(&spec, seed);
         let edb = random_db(&[("a", 2), ("b", 2), ("c", 1)], 8, 6, seed);
         let n = naive::evaluate(&p, &edb);
-        let s = seminaive::evaluate(&p, &edb);
+        let s = fixpoint(&p, &edb);
         prop_assert_eq!(n, s);
     }
 
@@ -76,8 +83,11 @@ proptest! {
     fn stratified_agrees_on_positive_programs((spec, seed) in spec_strategy()) {
         let p = random_program(&spec, seed);
         let edb = random_db(&[("a", 2), ("b", 2), ("c", 1)], 6, 5, seed);
-        let s = stratified::evaluate(&p, &edb).unwrap();
-        prop_assert_eq!(s, naive::evaluate(&p, &edb));
+        let n = naive::evaluate(&p, &edb);
+        for schedule in [Schedule::Strata, Schedule::Scc] {
+            let s = evaluate(&p, &edb, schedule, EvalOptions::default()).unwrap().0;
+            prop_assert_eq!(&s, &n);
+        }
     }
 
     #[test]
@@ -86,7 +96,7 @@ proptest! {
         // d and applying P adds nothing.
         let p = random_program(&spec, seed);
         let edb = random_db(&[("a", 2), ("b", 2), ("c", 1), ("p", 2), ("q", 2)], 5, 5, seed);
-        let out = seminaive::evaluate(&p, &edb);
+        let out = fixpoint(&p, &edb);
         prop_assert!(edb.is_subset_of(&out));
         let again = naive::evaluate(&p, &out);
         prop_assert_eq!(again, out);
@@ -146,7 +156,7 @@ proptest! {
         let query = atom("g", [Term::Const(Const::Int(src % n as i64)), Term::var("X")]);
         let got = magic::answer(&program, &edb, &query);
         // Reference: full evaluation filtered on the first column.
-        let full = seminaive::evaluate(&program, &edb);
+        let full = fixpoint(&program, &edb);
         let mut expected = Database::new();
         for t in full.relation(Pred::new("g")) {
             if t[0] == Const::Int(src % n as i64) {
@@ -254,8 +264,8 @@ proptest! {
         // Plain equivalence: same output for every EDB (sampled).
         for s in 0..4u64 {
             let edb = random_db(&[("a", 2), ("c2", 2)], 10, 6, db_seed.wrapping_add(s));
-            let o1 = seminaive::evaluate(&p, &edb);
-            let o2 = seminaive::evaluate(&optimized, &edb);
+            let o1 = fixpoint(&p, &edb);
+            let o2 = fixpoint(&optimized, &edb);
             prop_assert_eq!(
                 o1, o2,
                 "optimizer claimed equivalence but outputs differ\noriginal:\n{}\noptimized:\n{}",
@@ -271,8 +281,8 @@ proptest! {
         for s in 0..3u64 {
             let edb = random_db(&[("a", 2), ("c2", 2)], 8, 5, db_seed.wrapping_add(s));
             prop_assert_eq!(
-                seminaive::evaluate(&p, &edb),
-                seminaive::evaluate(&optimized, &edb)
+                fixpoint(&p, &edb),
+                fixpoint(&optimized, &edb)
             );
         }
     }
@@ -295,7 +305,7 @@ proptest! {
         let via_magic = magic::answer(&program, &edb, &query);
         prop_assert_eq!(&via_qsq, &via_magic);
         // And against the filtered full fixpoint.
-        let full = seminaive::evaluate(&program, &edb);
+        let full = fixpoint(&program, &edb);
         let mut expected = Database::new();
         for t in full.relation(Pred::new("g")) {
             if t[0] == Const::Int(src % n as i64) {
@@ -324,7 +334,7 @@ proptest! {
                 base.remove(&f);
                 m.remove([f]);
             }
-            prop_assert_eq!(m.database(), &seminaive::evaluate(&program, &base));
+            prop_assert_eq!(m.database(), &fixpoint(&program, &base));
         }
     }
 }

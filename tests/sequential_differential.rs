@@ -5,17 +5,18 @@
 //! repository's `EvalContext` introduces — are where correctness bugs hide.
 //! These tests pin the optimized paths to reference semantics on generated
 //! workloads: for every seeded random program and database, the context
-//! evaluators must be **tuple-identical** to the naive reference (which
-//! shares no code with them), the SCC-layered schedule to the single-layer
-//! one, and stratified evaluation on the join kernel to the same schedule
-//! on the row-at-a-time reference interpreter.
+//! evaluator must be **tuple-identical** to the naive reference (which
+//! shares no code with it), `Schedule::Scc` to `Schedule::Strata` with and
+//! without negation, and stratified evaluation on the join kernel under
+//! either schedule to the same schedule on the row-at-a-time reference
+//! interpreter.
 //!
 //! All generators are seeded (no wall-clock, no ambient randomness), so a
 //! failure reproduces exactly.
 
 use datalog_bench::{guarded_tc, standard_edb};
 use datalog_engine::context::EvalOptions;
-use datalog_engine::{naive, scc_eval, seminaive, stratified};
+use datalog_engine::{evaluate, naive, Schedule};
 use datalog_generate::{random_db, random_program, random_stratified_program, RandomProgramSpec};
 
 #[test]
@@ -25,7 +26,8 @@ fn random_positive_programs_match_naive() {
         let program = random_program(&spec, seed);
         let db = random_db(&[("a", 2), ("b", 2), ("c", 1)], 10, 6, seed ^ 0x5eed);
 
-        let (out, stats) = seminaive::evaluate_with_stats(&program, &db);
+        let (out, stats) =
+            evaluate(&program, &db, Schedule::Strata, EvalOptions::default()).unwrap();
         assert_eq!(
             out,
             naive::evaluate(&program, &db),
@@ -45,12 +47,20 @@ fn random_stratified_programs_match_the_interpreter() {
         let program = random_stratified_program(3, 2, seed);
         let db = random_db(&[("a", 2), ("b", 2)], 12, 7, seed ^ 0xdead);
 
-        let kernel = stratified::evaluate(&program, &db).expect("stratifiable by construction");
-        let (reference, _) =
-            stratified::evaluate_with_opts(&program, &db, EvalOptions::interpreted())
-                .expect("stratifiable by construction");
-        assert_eq!(kernel, reference, "stratified divergence, seed {seed}");
-        assert!(db.iter().all(|a| kernel.contains(&a)), "seed {seed}");
+        for schedule in [Schedule::Strata, Schedule::Scc] {
+            let run = |opts| {
+                evaluate(&program, &db, schedule, opts)
+                    .expect("stratifiable by construction")
+                    .0
+            };
+            let kernel = run(EvalOptions::sequential());
+            assert_eq!(
+                kernel,
+                run(EvalOptions::interpreted()),
+                "{schedule:?} divergence, seed {seed}"
+            );
+            assert!(db.iter().all(|a| kernel.contains(&a)), "seed {seed}");
+        }
     }
 }
 
@@ -60,12 +70,29 @@ fn scc_layered_evaluation_matches_seminaive() {
         rules: 6,
         ..RandomProgramSpec::default()
     };
-    for seed in 0..6u64 {
+    let positive = (0..6u64).map(|seed| {
         let program = random_program(&spec, seed.wrapping_mul(977));
-        let db = random_db(&[("a", 2), ("b", 2), ("c", 1)], 8, 5, seed ^ 0xbeef);
-
-        let (layered, _) = scc_eval::evaluate_with_stats(&program, &db);
-        assert_eq!(layered, seminaive::evaluate(&program, &db), "seed {seed}");
+        (
+            program,
+            random_db(&[("a", 2), ("b", 2), ("c", 1)], 8, 5, seed ^ 0xbeef),
+        )
+    });
+    // Stratified negation: a negated predicate's SCC is saturated before
+    // any rule that negates it.
+    let negated = (0..6u64).map(|seed| {
+        let program = random_stratified_program(3, 2, seed.wrapping_mul(977));
+        (
+            program,
+            random_db(&[("a", 2), ("b", 2)], 12, 7, seed ^ 0xbeef),
+        )
+    });
+    for (i, (program, db)) in positive.chain(negated).enumerate() {
+        let run = |schedule| {
+            evaluate(&program, &db, schedule, EvalOptions::default())
+                .expect("stratifiable by construction")
+                .0
+        };
+        assert_eq!(run(Schedule::Scc), run(Schedule::Strata), "case {i}");
     }
 }
 
@@ -78,7 +105,8 @@ fn bench_workloads_match_naive() {
     let program = guarded_tc(1);
     for kind in ["chain", "cycle", "er"] {
         let db = standard_edb(kind, 32);
-        let (out, stats) = seminaive::evaluate_with_stats(&program, &db);
+        let (out, stats) =
+            evaluate(&program, &db, Schedule::Strata, EvalOptions::default()).unwrap();
         assert_eq!(out, naive::evaluate(&program, &db), "{kind}");
         assert_eq!(stats.derivations, (out.len() - db.len()) as u64, "{kind}");
     }
@@ -91,7 +119,7 @@ fn incremental_index_reuse_reports_zero_rebuilds_after_round_one() {
     // (pred, positions) patterns — rounds after the first only append.
     let program = guarded_tc(3);
     let db = standard_edb("chain", 64);
-    let (_, stats) = seminaive::evaluate_with_stats(&program, &db);
+    let (_, stats) = evaluate(&program, &db, Schedule::Strata, EvalOptions::default()).unwrap();
     assert!(
         stats.iterations > 3,
         "chain workload must be genuinely multi-round (got {})",

@@ -183,7 +183,9 @@ fn concurrent_clients_with_writer_and_minimizing_install() {
             base.remove(&fact("a", [i - 2, i - 1]));
         }
     }
-    let expected = seminaive::evaluate(&parse_program(REDUNDANT_TC).unwrap(), &base);
+    let program = parse_program(REDUNDANT_TC).unwrap();
+    let (expected, _) =
+        evaluate(&program, &base, Schedule::Strata, EvalOptions::default()).unwrap();
     for pred in ["a", "g"] {
         let resp = request(
             &mut admin,
@@ -812,7 +814,9 @@ fn daemon_matches_fresh_evaluation_under_racing_writer() {
             base.remove(&fact("a", [i - 2, i - 1]));
         }
     }
-    let expected = seminaive::evaluate(&parse_program(TC).unwrap(), &base);
+    let program = parse_program(TC).unwrap();
+    let (expected, _) =
+        evaluate(&program, &base, Schedule::Strata, EvalOptions::default()).unwrap();
     let resp = request(
         &mut admin,
         "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\"}",

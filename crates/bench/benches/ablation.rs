@@ -93,42 +93,5 @@ fn bench_incremental_vs_scratch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_magic_vs_qsq(c: &mut Criterion) {
-    // The two query-directed strategies over the same bound query.
-    let p = parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- a(X, Y), g(Y, Z).").unwrap();
-    let query = datalog_ast::parse_atom("g(0, X)").unwrap();
-    let mut group = c.benchmark_group("ablation/magic_vs_qsq");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(3));
-    for n in [32usize, 64] {
-        let edb = standard_edb("chain", n);
-        group.bench_with_input(BenchmarkId::new("magic", n), &n, |b, _| {
-            b.iter(|| {
-                datalog_engine::magic::answer(
-                    std::hint::black_box(&p),
-                    std::hint::black_box(&edb),
-                    &query,
-                )
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("qsq", n), &n, |b, _| {
-            b.iter(|| {
-                datalog_engine::qsq::answer(
-                    std::hint::black_box(&p),
-                    std::hint::black_box(&edb),
-                    &query,
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_scc_layering,
-    bench_incremental_vs_scratch,
-    bench_magic_vs_qsq
-);
+criterion_group!(benches, bench_scc_layering, bench_incremental_vs_scratch);
 criterion_main!(benches);

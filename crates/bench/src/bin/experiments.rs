@@ -828,7 +828,7 @@ fn e17(r: &mut Report, smoke: bool) {
 ///   check against a from-scratch evaluation.
 fn e18(r: &mut Report, smoke: bool) {
     use datalog_ast::{match_atom, Atom, Database, GroundAtom};
-    use datalog_engine::query::{PlanCache, Strategy};
+    use datalog_engine::PlanCache;
     use datalog_service::View;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -886,7 +886,7 @@ fn e18(r: &mut Report, smoke: bool) {
     // On demand: every ask re-runs the demand-driven magic-sets evaluation
     // (the plan stays compiled — plans depend only on the adornment).
     let plans = PlanCache::new(Arc::new(program.clone()));
-    let (first, _) = plans.answer(&state.base, &query, Strategy::Magic);
+    let (first, _) = plans.answer(&state.base, &query);
     r.check(
         "E18",
         &format!("{workload}: top-down answers agree with the snapshot scan"),
@@ -903,7 +903,7 @@ fn e18(r: &mut Report, smoke: bool) {
     );
     let t_magic = ms(
         || {
-            std::hint::black_box(plans.answer(&state.base, &query, Strategy::Magic));
+            std::hint::black_box(plans.answer(&state.base, &query));
         },
         if smoke { 2 } else { 10 },
     );

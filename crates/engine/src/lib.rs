@@ -12,7 +12,11 @@
 //!   negation (the §XII extension) under either [`Schedule`]. This is the
 //!   engine the optimizer's chase runs on.
 //! * [`magic`] — the generalized magic-sets query rewriting the paper cites
-//!   as its motivating consumer (§I).
+//!   as its motivating consumer (§I); [`MagicTemplate::answer`] is the one
+//!   top-down query path.
+//! * [`query`] — [`PlanCache`], one memoized [`MagicTemplate`] per
+//!   `(predicate, adornment)` of a program, for callers that ask many
+//!   point queries.
 //! * [`plan`] — compiled rule plans ([`RulePlan`]: variables as dense
 //!   slots, greedy join orders), which every evaluator starts from, plus the
 //!   backtracking join interpreter only [`naive`] runs.
@@ -37,7 +41,6 @@ pub mod magic;
 pub mod naive;
 pub mod plan;
 pub mod provenance;
-pub mod qsq;
 pub mod query;
 pub mod schedule;
 pub mod stats;
@@ -46,14 +49,11 @@ pub use context::{EvalContext, EvalOptions};
 pub use incremental::Materialized;
 #[doc(hidden)]
 pub use incremental::ShardedMaterialized;
-pub use magic::{
-    answer, answer_with_stats, magic_template, magic_transform, Adornment, MagicProgram,
-    MagicTemplate,
-};
+pub use magic::{answer, answer_with_stats, magic_template, Adornment, MagicTemplate};
 pub use naive::apply_once;
 pub use plan::RulePlan;
 pub use provenance::{Justification, Proof, Traced};
-pub use query::{PlanCache, QueryPlan, Strategy};
+pub use query::PlanCache;
 pub use schedule::{evaluate, NotStratifiable, Schedule};
 pub use stats::Stats;
 

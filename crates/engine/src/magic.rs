@@ -13,8 +13,11 @@
 //! predicate to relevant bindings are introduced, and a seed fact for the
 //! query's bindings is produced. Evaluating the transformed program
 //! semi-naively computes exactly the query-relevant portion of the fixpoint.
+//! [`MagicTemplate::answer`] is the one place that evaluation happens: the
+//! free functions [`answer`] / [`answer_with_stats`], the per-program
+//! [`crate::query::PlanCache`], the service and the CLI all reach it.
 
-use crate::{evaluate, EvalOptions, Schedule};
+use crate::{evaluate, EvalOptions, Schedule, Stats};
 use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Rule, Term, Var};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -33,7 +36,7 @@ impl Adornment {
 
     /// Adornment of an atom given the set of currently-bound variables:
     /// a position is bound if it holds a constant or a bound variable.
-    pub(crate) fn of_atom(atom: &Atom, bound: &BTreeSet<Var>) -> Adornment {
+    fn of_atom(atom: &Atom, bound: &BTreeSet<Var>) -> Adornment {
         Adornment(
             atom.terms
                 .iter()
@@ -51,10 +54,6 @@ impl Adornment {
             .enumerate()
             .filter(|(_, &b)| b)
             .map(|(i, _)| i)
-    }
-
-    pub fn all_free(arity: usize) -> Adornment {
-        Adornment(vec![false; arity])
     }
 
     /// Number of argument positions this adornment covers.
@@ -82,18 +81,6 @@ impl fmt::Debug for Adornment {
     }
 }
 
-/// The result of the magic transformation.
-#[derive(Clone, Debug)]
-pub struct MagicProgram {
-    /// The rewritten rules (adorned rules guarded by magic atoms, plus the
-    /// magic rules themselves).
-    pub program: Program,
-    /// The seed fact asserting the query's bindings.
-    pub seed: GroundAtom,
-    /// The adorned predicate holding the query's answers.
-    pub answer_pred: Pred,
-}
-
 fn adorned_pred(p: Pred, a: &Adornment) -> Pred {
     Pred::new(&format!("{}__{}", p.name(), a))
 }
@@ -111,12 +98,12 @@ fn magic_atom(atom: &Atom, a: &Adornment) -> Atom {
     }
 }
 
-/// The constant-independent half of the magic transformation: everything
-/// the rewriting produces for a `(predicate, adornment)` pair *except* the
-/// seed fact. The rewritten rules depend only on which positions are bound,
+/// The magic transformation of a program for one `(predicate, adornment)`
+/// pair. The rewritten rules depend only on which positions are bound,
 /// never on the bound constants themselves, so one template answers every
-/// query with the same binding pattern — [`crate::query::QueryPlan`] caches
-/// these and stamps a per-query seed via [`MagicTemplate::seed_for`].
+/// query with the same binding pattern: [`crate::query::PlanCache`] keeps
+/// one per pair, and each ask stamps its own seed fact
+/// ([`MagicTemplate::seed_for`]).
 #[derive(Clone, Debug)]
 pub struct MagicTemplate {
     /// The rewritten rules (adorned rules guarded by magic atoms, the magic
@@ -155,6 +142,23 @@ impl MagicTemplate {
                 })
                 .collect(),
         }
+    }
+
+    /// Answer `query` against `base`: seed the template with the query's
+    /// bound constants, evaluate semi-naively and read the matching answer
+    /// tuples back under the query's own predicate. The returned [`Stats`]
+    /// count only this evaluation's work.
+    pub fn answer(&self, base: &Database, query: &Atom) -> (Database, Stats) {
+        let mut input = base.clone();
+        input.insert(self.seed_for(query));
+        let (result, stats) = evaluate(
+            &self.program,
+            &input,
+            Schedule::Strata,
+            EvalOptions::default(),
+        )
+        .expect("a magic program is positive");
+        (read_answers(&result, self.answer_pred, query), stats)
     }
 }
 
@@ -256,26 +260,8 @@ pub fn magic_template(program: &Program, pred: Pred, adornment: &Adornment) -> M
     }
 }
 
-/// Rewrite `program` for `query` (an atom whose constant positions are the
-/// bound arguments, e.g. `g(1, X)`). The program must be positive.
-///
-/// Returns the transformed program plus the seed fact; evaluate with
-/// [`evaluate`] after inserting the seed and the EDB.
-/// Batch callers answering many queries with the same binding pattern
-/// should build one [`magic_template`] and stamp per-query seeds instead.
-pub fn magic_transform(program: &Program, query: &Atom) -> MagicProgram {
-    let template = magic_template(program, query.pred, &Adornment::of_query(query));
-    let seed = template.seed_for(query);
-    MagicProgram {
-        program: template.program,
-        seed,
-        answer_pred: template.answer_pred,
-    }
-}
-
-/// Answer `query` over `edb`: run the magic transformation, evaluate
-/// semi-naively, and return the matching answer tuples under the *original*
-/// query predicate name.
+/// Answer `query` over `edb`: build the query's [`MagicTemplate`] and ask
+/// it once ([`MagicTemplate::answer`]).
 ///
 /// ```
 /// use datalog_ast::{parse_atom, parse_database, parse_program};
@@ -293,28 +279,14 @@ pub fn answer(program: &Program, edb: &Database, query: &Atom) -> Database {
 }
 
 /// [`answer`], also returning the evaluation statistics.
-pub fn answer_with_stats(
-    program: &Program,
-    edb: &Database,
-    query: &Atom,
-) -> (Database, crate::Stats) {
-    let magic = magic_transform(program, query);
-    let mut input = edb.clone();
-    input.insert(magic.seed.clone());
-    let (result, stats) = evaluate(
-        &magic.program,
-        &input,
-        Schedule::Strata,
-        EvalOptions::default(),
-    )
-    .expect("a magic program is positive");
-    (read_answers(&result, magic.answer_pred, query), stats)
+pub fn answer_with_stats(program: &Program, edb: &Database, query: &Atom) -> (Database, Stats) {
+    magic_template(program, query.pred, &Adornment::of_query(query)).answer(edb, query)
 }
 
 /// The answers to `query` in the fixpoint of its magic program: the
 /// `answer_pred` rows that match the query atom — constants AND repeated
 /// variables (e.g. `g(X, X)`) — under the query's own predicate.
-pub(crate) fn read_answers(result: &Database, answer_pred: Pred, query: &Atom) -> Database {
+fn read_answers(result: &Database, answer_pred: Pred, query: &Atom) -> Database {
     let pattern = Atom {
         pred: answer_pred,
         terms: query.terms.clone(),
@@ -454,11 +426,12 @@ mod tests {
 
     #[test]
     fn transform_shape() {
-        let m = magic_transform(&tc(), &parse_atom("g(1, X)").unwrap());
+        let query = parse_atom("g(1, X)").unwrap();
+        let m = magic_template(&tc(), query.pred, &Adornment::of_query(&query));
         // Adorned rules: 2 for g__bf; magic rules: 1 (for the recursive g);
         // import rules: 1 (seeded `g` input facts for the bf adornment).
         assert_eq!(m.program.len(), 4);
-        assert_eq!(m.seed.to_string(), "m__g__bf(1)");
+        assert_eq!(m.seed_for(&query).to_string(), "m__g__bf(1)");
         assert_eq!(m.answer_pred, Pred::new("g__bf"));
     }
 

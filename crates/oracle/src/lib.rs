@@ -4,9 +4,9 @@
 //! workspace, after Zhang et al., *"Finding Cross-rule Optimization Bugs in
 //! Datalog Engines"* (2024): the repo computes the same answers many ways —
 //! naive/semi-naive/SCC/stratified/interpreted fixpoints, magic-sets
-//! and QSQ query answering, incremental insert/DRed-remove maintenance,
+//! query answering, incremental insert/DRed-remove maintenance,
 //! §VII uniform-equivalence minimization, the service's view reads beside
-//! its magic/QSQ plans, and racing clients against the concurrent service
+//! its magic-sets plans, and racing clients against the concurrent service
 //! registry — and precisely that redundancy is the test oracle.
 //! Random workloads are generated from `datalog-generate`,
 //! every computation path is cross-checked, and any disagreement is shrunk

@@ -13,8 +13,8 @@
 //!   one; the kernel and the interpreter must also do the
 //!   same logical work (`probes`, `matches`, `derivations`) — the
 //!   interpreter compiles its join scripts afresh every round, so this is
-//!   what checks the scripts the kernel's plans keep; magic-sets and QSQ
-//!   answers must equal the pattern-filtered fixpoint for every query; and
+//!   what checks the scripts the kernel's plans keep; magic-sets answers
+//!   must equal the pattern-filtered fixpoint for every query; and
 //!   the proof a traced context gives for a sample of the fixpoint must
 //!   pass [`Proof::check`].
 //! * **Optimization soundness** — `minimize_program` (Fig. 2),
@@ -37,24 +37,23 @@
 //!   interleaved adorned queries and write batches. On every published
 //!   version the published snapshot must be the from-scratch fixpoint of
 //!   the published base, and `Database::select`
-//!   over it (what the service's default `auto` serves, order included),
-//!   the `magic` plan and the `qsq` plan over that base must each answer
-//!   exactly the pattern-filtered fixpoint.
+//!   over it (what the service's default `auto` serves, order included)
+//!   and the `magic` plan over that base must each answer exactly the
+//!   pattern-filtered fixpoint.
 //! * **Concurrent service** — racing client threads drive
 //!   interleaving-independent insert/remove batches (plus readers) through
 //!   an in-process [`Registry`]; because no fact is both
 //!   inserted and removed, every interleaving must converge to the same
 //!   final base, whose from-scratch fixpoint the served snapshot must
-//!   equal. Readers cycle `auto`, `magic` and `qsq`; at both quiescent
-//!   versions (before and after the race) each of the three must reply with
+//!   equal. Readers alternate `auto` and `magic`; at both quiescent
+//!   versions (before and after the race) each of the two must reply with
 //!   exactly the filtered from-scratch fixpoint, in its order.
 
 use crate::workload::{Case, Mutation};
 use datalog_ast::{match_atom, Atom, Database, GroundAtom, Pred, Program, Rule, Subst, Term, Var};
-use datalog_engine::query::{PlanCache, Strategy};
 use datalog_engine::{
-    evaluate, magic, naive, qsq, EvalOptions, Materialized, NotStratifiable, Schedule, Stats,
-    Traced,
+    evaluate, magic, naive, Adornment, EvalOptions, Materialized, NotStratifiable, PlanCache,
+    Schedule, Stats, Traced,
 };
 use datalog_optimizer::{
     freeze_rule, minimize_program, minimize_program_in_order, uniformly_equivalent, Containment,
@@ -259,7 +258,7 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
             message,
         });
     }
-    // Proofs and top-down strategies are for positive programs only.
+    // Proofs and magic sets are for positive programs only.
     if !program.is_positive() {
         return out;
     }
@@ -285,28 +284,21 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
 
     for query in &case.queries {
         let expected = filtered_fixpoint(&reference, query);
-        for (strategy, got) in [
-            ("magic", magic::answer(program, db, query)),
-            ("qsq", qsq::answer(program, db, query)),
-        ] {
-            if got != expected {
-                out.push(Divergence {
-                    family: Family::Engines,
-                    kind: format!("query:{strategy}"),
-                    message: format!(
-                        "{strategy} answer for `{query}` disagrees with the filtered fixpoint: {}",
-                        diff_sample(&expected, &got)
-                    ),
-                });
-            }
+        let got = magic::answer(program, db, query);
+        if got != expected {
+            out.push(Divergence {
+                family: Family::Engines,
+                kind: "query:magic".into(),
+                message: format!(
+                    "magic answer for `{query}` disagrees with the filtered fixpoint: {}",
+                    diff_sample(&expected, &got)
+                ),
+            });
         }
     }
     out
 }
 
-/// Pattern-filter the `answer_pred` tuples of an evaluated magic program
-/// back into the query's own predicate (consistently binding repeated
-/// variables), mirroring what [`magic::answer`] serves.
 /// The kernel and the interpreter must do the same logical work: one probe
 /// per literal visit, one match per body match (up to dead variables), and
 /// the same derivations.
@@ -323,6 +315,9 @@ fn work_divergence(name: &str, kernel: &Stats, interpreted: &Stats) -> Option<Di
     })
 }
 
+/// Pattern-filter the `answer_pred` tuples of an evaluated magic program
+/// back into the query's own predicate (consistently binding repeated
+/// variables), mirroring what [`magic::answer`] serves.
 fn magic_answers(full: &Database, answer_pred: Pred, query: &Atom) -> Database {
     let mut out = Database::new();
     for tuple in full.relation(answer_pred) {
@@ -379,9 +374,9 @@ fn check_metamorphic(case: &Case) -> Vec<Divergence> {
         let expected = filtered_fixpoint(&reference, query);
 
         // Hop 2: magic-sets transform of the *minimized* program.
-        let magic = magic::magic_transform(&minimized, query);
+        let magic = magic::magic_template(&minimized, query.pred, &Adornment::of_query(query));
         let mut input = db.clone();
-        input.insert(magic.seed.clone());
+        input.insert(magic.seed_for(query));
 
         // Hop 3: evaluate the transformed program, exercising the
         // pipelined kernels on the guarded multi-atom magic rules.
@@ -694,7 +689,7 @@ fn check_view_query(case: &Case) -> Vec<Divergence> {
         ),
     };
     // The pair the service keeps per installed program: the view, and the
-    // plans its named strategies evaluate from the published base.
+    // plans its `magic` strategy evaluates from the published base.
     let view = View::new(program.clone(), &case.db);
     let plans = PlanCache::new(Arc::new(program.clone()));
     // Rounds: the initial base, then the base after each mutation batch.
@@ -725,12 +720,10 @@ fn check_view_query(case: &Case) -> Vec<Divergence> {
                     .collect();
                 out.push(diverge("select", query, &expected, &got));
             }
-            // What a named strategy serves: its plan over the published base.
-            for strategy in [Strategy::Magic, Strategy::Qsq] {
-                let (got, _) = plans.answer(&published.base, query, strategy);
-                if got != expected {
-                    out.push(diverge(strategy.name(), query, &expected, &got));
-                }
+            // What `magic` serves: its plan over the published base.
+            let (got, _) = plans.answer(&published.base, query);
+            if got != expected {
+                out.push(diverge("magic", query, &expected, &got));
             }
         }
         match case.mutations.get(round) {
@@ -810,8 +803,8 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
         })
         .collect();
     // Every query under the default strategy (a read of the published
-    // view) and under both top-down ones (evaluated from its base).
-    const STRATEGIES: [&str; 3] = ["auto", "magic", "qsq"];
+    // view) and under `magic` (evaluated from its base).
+    const STRATEGIES: [&str; 2] = ["auto", "magic"];
     let query_line = |q: &Atom, strategy: &str| {
         let fields = [
             ("program", "p"),

@@ -63,7 +63,7 @@ pub struct Case {
     pub program: Program,
     /// The initial database (may seed IDB predicates).
     pub db: Database,
-    /// Adorned queries for the magic/QSQ differential (engine family).
+    /// Adorned queries for the magic-sets differential (engine family).
     pub queries: Vec<Atom>,
     /// Insert/remove interleaving (incremental family).
     pub mutations: Vec<Mutation>,

@@ -13,10 +13,10 @@
 //!   shapes, stable error codes, field accessors (spec: `docs/SERVICE.md`);
 //! * [`registry`] — named programs; the install pipeline (parse → validate
 //!   → lint gate → §VII minimize) and the request dispatcher. A `query`
-//!   reads the published fixpoint (`Database::select`) unless it names a
-//!   top-down `strategy`, which evaluates magic sets or QSQR from the
-//!   view's base facts on every ask, through a per-program
-//!   [`datalog_engine::query::PlanCache`] (plans are kept, answers are not);
+//!   reads the published fixpoint (`Database::select`) unless it names
+//!   `"strategy":"magic"`, which evaluates magic sets from the view's base
+//!   facts on every ask, through a per-program
+//!   [`datalog_engine::PlanCache`] (plans are kept, answers are not);
 //! * [`view`] — per-program materialisations
 //!   ([`datalog_engine::Materialized`], one context each) with batched
 //!   insert/remove and snapshot-isolated, never-blocking reads: one

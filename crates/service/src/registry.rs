@@ -18,7 +18,7 @@ use datalog_ast::{
     parse_atom, parse_database, parse_program, validate, Database, GroundAtom, Pred, Program,
     RowDisplay, Unit,
 };
-use datalog_engine::query::{PlanCache, Strategy};
+use datalog_engine::PlanCache;
 use datalog_json::Value;
 use datalog_optimizer::minimize_program;
 use std::collections::BTreeMap;
@@ -51,9 +51,9 @@ pub struct ProgramEntry {
     pub rules_removed: usize,
     /// The maintained materialisation queries read.
     pub view: View,
-    /// The magic-sets / QSQR plans of `installed`, one per adornment, for
-    /// requests that name a top-down `strategy`. Answers are not kept: every
-    /// such ask evaluates from the published base facts.
+    /// The magic-sets plans of `installed`, one per adornment, for requests
+    /// that name `"strategy":"magic"`. Answers are not kept: every such ask
+    /// evaluates from the published base facts.
     pub plans: PlanCache,
     pub metrics: Metrics,
 }
@@ -436,31 +436,30 @@ impl Registry {
         entry.check_arity("atom", &pattern, pattern.pred, pattern.arity())?;
         // `auto` (and its synonym `scan`) reads the published fixpoint: the
         // view already holds every answer, so no top-down evaluation can
-        // beat selecting them. `magic` / `qsq` evaluate from the base facts
-        // through the program's plans — unless the program has no rule for
-        // the predicate, when the stored relation is all there is and a plan
+        // beat selecting them. `magic` evaluates from the base facts through
+        // the program's plans — unless the program has no rule for the
+        // predicate, when the stored relation is all there is and a plan
         // would only take up room.
-        let strategy = match strategy_field {
-            "auto" | "scan" => None,
-            other => Some(Strategy::parse(other).ok_or_else(|| {
-                ServiceError::bad_request(format!(
-                    "field 'strategy' must be auto|scan|magic|qsq, got '{other}'"
-                ))
-            })?),
+        let magic = match strategy_field {
+            "auto" | "scan" => false,
+            "magic" => true,
+            other => {
+                let message = format!("field 'strategy' must be auto|scan|magic, got '{other}'");
+                return Err(ServiceError::bad_request(message));
+            }
         };
         let rules = &entry.installed.rules;
-        let defined = |_: &Strategy| rules.iter().any(|r| r.head.pred == pattern.pred);
         // Queries run entirely against a published state: no lock is held
         // while evaluating or matching, so writers never stall readers.
         let state = entry.view.state();
-        let top_down = strategy.filter(defined).map(|strategy| {
-            let (answers, stats) = entry.plans.answer(&state.base, &pattern, strategy);
+        let evaluated = (magic && rules.iter().any(|r| r.head.pred == pattern.pred)).then(|| {
+            let (answers, stats) = entry.plans.answer(&state.base, &pattern);
             entry.metrics.record_eval(stats);
             self.metrics.record_eval(stats);
-            (strategy.name(), answers)
+            answers
         });
-        let (strategy_name, rows) = match &top_down {
-            Some((strategy, answers)) => (*strategy, answers.select(&pattern)),
+        let (strategy_name, rows) = match &evaluated {
+            Some(answers) => ("magic", answers.select(&pattern)),
             None => ("scan", state.fixpoint.select(&pattern)),
         };
         let count = rows.len();
@@ -671,10 +670,11 @@ mod tests {
     }
 
     /// `auto`, adorned or not, reads the published fixpoint and compiles no
-    /// plan. `magic` / `qsq` evaluate top-down, only for a predicate the
-    /// program has a rule for, and list exactly `auto`'s answers in its
-    /// order. A query atom at an arity the program contradicts is refused
-    /// like a fact of that arity.
+    /// plan. `magic` evaluates top-down, only for a predicate the program
+    /// has a rule for, and lists exactly `auto`'s answers in its order; any
+    /// other strategy (`qsq` included) is a `bad_request`. A query atom at
+    /// an arity the program contradicts is refused like a fact of that
+    /// arity.
     #[test]
     fn default_queries_read_the_view_and_named_strategies_agree_with_it() {
         let reg = Registry::new();
@@ -719,22 +719,31 @@ mod tests {
         assert_eq!(entry.plans.len(), 0);
 
         for (atom, expected) in &table {
-            for strategy in ["magic", "qsq"] {
-                let resp = query(atom, Some(strategy));
-                assert_eq!(&answers(&resp), expected, "{strategy}: {resp}");
-                let path = if atom.starts_with("g(") {
-                    strategy
-                } else {
-                    "scan"
-                };
-                assert_eq!(field(&resp, "strategy").as_deref(), Some(path), "{resp}");
-            }
+            let resp = query(atom, Some("magic"));
+            assert_eq!(&answers(&resp), expected, "{resp}");
+            let path = if atom.starts_with("g(") {
+                "magic"
+            } else {
+                "scan"
+            };
+            assert_eq!(field(&resp, "strategy").as_deref(), Some(path), "{resp}");
         }
-        // g at four adornments (bf, fb, ff, bb) under two strategies.
-        assert_eq!(entry.plans.len(), 8);
+        // g at four adornments (bf, fb, ff, bb).
+        assert_eq!(entry.plans.len(), 4);
+
+        let resp = query("g(1, X)", Some("qsq"));
+        assert_eq!(
+            field(&resp, "code").as_deref(),
+            Some("bad_request"),
+            "{resp}"
+        );
+        assert!(
+            field(&resp, "error").unwrap().contains("auto|scan|magic,"),
+            "{resp}"
+        );
 
         for atom in ["g(1)", "g(1, X, Y)", "a(X)"] {
-            for strategy in [None, Some("magic"), Some("qsq")] {
+            for strategy in [None, Some("magic")] {
                 let resp = query(atom, strategy);
                 assert_eq!(
                     resp.get("code").unwrap().as_str(),
@@ -743,7 +752,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(entry.plans.len(), 8);
+        assert_eq!(entry.plans.len(), 4);
     }
 
     /// A failed request counts on the program it names, and a line that is

@@ -11,8 +11,8 @@
 //!                  [--engine stratified|scc|naive] [--stats]   (seminaive = stratified)
 //! datalog run      <unit.dl> [--stats]                evaluate rules + facts [+ tgds] in one file
 //! datalog repl     [<program.dl>]                     interactive session
-//! datalog query    '<atom>'... <program.dl> --edb <facts.dl>  top-down point queries
-//!                  [--strategy magic|qsq] [--stats]          (one plan per adornment)
+//! datalog query    '<atom>'... <program.dl> --edb <facts.dl>  magic-sets point queries
+//!                  [--stats]                                 (one plan per adornment)
 //! datalog explain  '<atom>' <program.dl> --edb <facts.dl>   provenance proof tree
 //! datalog contains <p1.dl> <p2.dl>                    uniform containment, both ways
 //! datalog equiv    <p1.dl> <p2.dl> [--fuel N] [--samples N] equivalence analysis (§X–§XI)
@@ -92,7 +92,7 @@ usage:
                    (stratified and scc evaluate negation; seminaive = stratified)
   datalog run      <unit.dl>   (rules + facts [+ tgds] in one file)
   datalog repl     [<program.dl>]   interactive session
-  datalog query    '<atom>'... <program.dl> --edb <facts.dl> [--strategy magic|qsq] [--stats]
+  datalog query    '<atom>'... <program.dl> --edb <facts.dl> [--stats]
   datalog explain  '<atom>' <program.dl> --edb <facts.dl>
   datalog contains <p1.dl> <p2.dl>
   datalog equiv    <p1.dl> <p2.dl> [--fuel N] [--samples N]
@@ -536,31 +536,26 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Answer one or more point queries. An atom of a predicate the program
-/// derives is evaluated top-down; all atoms of one invocation share a
-/// [`PlanCache`], so the magic/QSQ plan for a binding pattern is built
-/// once. A predicate the program has no rule for is read straight from the
-/// EDB, and an atom whose arity contradicts the program is refused before
+/// derives is evaluated by magic sets; all atoms of one invocation share a
+/// [`PlanCache`], so the plan for a binding pattern is built once. A
+/// predicate the program has no rule for is read straight from the EDB,
+/// and an atom whose arity contradicts the program is refused before
 /// anything runs.
 ///
-/// [`PlanCache`]: datalog_engine::query::PlanCache
+/// [`PlanCache`]: datalog_engine::PlanCache
 fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
     use datalog_ast::RowDisplay;
-    use datalog_engine::query::{PlanCache, Strategy};
+    use datalog_engine::PlanCache;
 
-    let (pos, flags) = split_flags(args, "query", &["edb", "strategy", "stats"])?;
+    let (pos, flags) = split_flags(args, "query", &["edb", "stats"])?;
     let Some((path, query_srcs)) = pos.split_last().filter(|(_, qs)| !qs.is_empty()) else {
         return Err(
-            "usage: datalog query '<atom>'... <program.dl> --edb <facts.dl> \
-             [--strategy magic|qsq] [--stats]"
-                .into(),
+            "usage: datalog query '<atom>'... <program.dl> --edb <facts.dl> [--stats]".into(),
         );
     };
     let program = load_program(path)?;
     require_positive(&program, "query")?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
-    let strategy_name = flags.get("strategy").unwrap_or("magic");
-    let strategy = Strategy::parse(strategy_name)
-        .ok_or_else(|| format!("unknown strategy `{strategy_name}` (magic|qsq)"))?;
     let arities = program.arities();
     let queries = query_srcs
         .iter()
@@ -582,9 +577,9 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
     for query in &queries {
         let evaluated = derived
             .contains(&query.pred)
-            .then(|| plans.answer(&edb, query, strategy));
+            .then(|| plans.answer(&edb, query));
         let (rows, how, stats) = match &evaluated {
-            Some((answers, stats)) => (answers.select(query), strategy.name(), *stats),
+            Some((answers, stats)) => (answers.select(query), "magic", *stats),
             None => (edb.select(query), "scan", Stats::default()),
         };
         if queries.len() > 1 {

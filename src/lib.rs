@@ -66,7 +66,7 @@ pub mod prelude {
         GroundAtom, Literal, Pred, Program, Rule, Schema, SchemaSet, Subst, Term, Tgd, Var,
     };
     pub use datalog_engine::{
-        evaluate, magic, naive, qsq, EvalOptions, NotStratifiable, Schedule, Stats,
+        evaluate, magic, naive, EvalOptions, NotStratifiable, Schedule, Stats,
     };
     pub use datalog_generate::{
         bloated_tc, edge_db, random_db, random_program, random_stratified_program,

@@ -291,10 +291,11 @@ fn unknown_flags_exit_1() {
     let dir = TempDir::new("unknown-flag");
     let p = dir.file("tc.dl", TC);
     let e = dir.file("chain.dl", CHAIN);
-    let cases: [&[&str]; 3] = [
+    let cases: [&[&str]; 4] = [
         &["check", &p, "--foo", "1"],
         &["eval", &p, "--edb", &e, "--engin", "seminaive"],
         &["optimize", &p, "--engine", "naive"],
+        &["query", "g(1, X)", &p, "--edb", &e, "--strategy", "magic"],
     ];
     for args in cases {
         let out = bin().args(args).output().unwrap();
@@ -590,14 +591,11 @@ fn query_with_negation_is_an_ordinary_error() {
     let dir = TempDir::new("query-neg");
     let p = dir.file("unreach.dl", UNREACH);
     let f = dir.file("facts.dl", UNREACH_FACTS);
-    for strategy in ["magic", "qsq"] {
-        let out = bin()
-            .args(["query", "unreach(X)", &p, "--edb", &f])
-            .args(["--strategy", strategy])
-            .output()
-            .unwrap();
-        assert_refused_as_not_positive(&out);
-    }
+    let out = bin()
+        .args(["query", "unreach(X)", &p, "--edb", &f])
+        .output()
+        .unwrap();
+    assert_refused_as_not_positive(&out);
 }
 
 #[test]
@@ -724,23 +722,6 @@ fn repl_rejects_invalid_rule_but_continues() {
     assert!(stderr(&out).contains("head variable"), "{}", stderr(&out));
     assert!(stdout(&out).contains("good(X) :- a(X)."));
     assert!(!stdout(&out).contains("bad(X, W)"));
-}
-
-#[test]
-fn query_strategy_qsq_agrees_with_magic() {
-    let dir = TempDir::new("query-qsq");
-    let p = dir.file("tc.dl", TC);
-    let e = dir.file("chain.dl", CHAIN);
-    let magic = bin()
-        .args(["query", "g(1, X)", &p, "--edb", &e])
-        .output()
-        .unwrap();
-    let qsq = bin()
-        .args(["query", "g(1, X)", &p, "--edb", &e, "--strategy", "qsq"])
-        .output()
-        .unwrap();
-    assert!(qsq.status.success(), "{}", stderr(&qsq));
-    assert_eq!(stdout(&magic), stdout(&qsq));
 }
 
 #[test]

@@ -1,9 +1,15 @@
 //! Regenerate every experiment of EXPERIMENTS.md (E1–E20) and print
-//! paper-claim vs. measured rows. Also writes `experiments.json` with the
-//! raw series, plus one `BENCH_<experiment>.json` file and matching
-//! machine-readable `BENCH_<experiment>.json {...}` stdout line per
-//! perf-trajectory experiment (E16, E17, E18, E19, E20), so CI logs and
-//! committed artifacts track regressions across PRs.
+//! paper-claim vs. measured rows. A full run without `--smoke` whose checks
+//! all pass writes every row to `experiments.json`, headed by the commit of
+//! the source tree at run time, the host's cores and the samples per timed
+//! row. Every run prints one
+//! machine-readable `BENCH_<experiment>.json [...]` stdout line per
+//! perf-trajectory experiment (E16, E17, E18, E19, E20) it ran, so CI logs
+//! track them.
+//!
+//! Every timing is a [`time_ms`] sample: the median and interquartile
+//! spread of [`REPS`] runs. Wall-time acceptance checks and `speedup-*`
+//! rows compare medians.
 //!
 //! Run with: `cargo run -p datalog-bench --bin experiments --release`
 //!
@@ -19,11 +25,18 @@
 //! * `--smoke` — shrink E16/E17/E18/E19/E20 workloads and skip wall-time
 //!   acceptance checks, so shared CI runners only verify correctness
 //!   invariants.
+//!
+//! Either flag makes a partial run, which leaves `experiments.json` as it
+//! is; so does a run with a failed check.
 
 use datalog_ast::{fact, parse_atom, parse_database, parse_program, parse_tgds, Program};
-use datalog_bench::{guarded_tc, portable_source, standard_edb, wide_rule, Row};
+use datalog_bench::{
+    guarded_tc, portable_source, standard_edb, time_ms, wide_rule, Row, Run, Sample, REPS,
+};
 use datalog_engine::{evaluate, magic, naive, EvalOptions, Schedule};
-use datalog_generate::{bloated_tc, transitive_closure, TcVariant};
+use datalog_generate::{
+    bloated_tc, random_program, transitive_closure, RandomProgramSpec, TcVariant,
+};
 use datalog_optimizer::{
     is_minimal, minimize_program, minimize_rule, minimize_stratified, models_condition, optimize,
     optimize_under_equivalence, preliminary_db_satisfies, preserves_nonrecursively, rule_contained,
@@ -32,16 +45,6 @@ use datalog_optimizer::{
 use std::time::Instant;
 
 const FUEL: u64 = 10_000;
-
-fn ms<F: FnMut()>(mut f: F, reps: u32) -> f64 {
-    // Warm-up once, then average.
-    f();
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e3 / reps as f64
-}
 
 struct Report {
     rows: Vec<Row>,
@@ -58,10 +61,39 @@ impl Report {
 
     fn row(&mut self, row: Row) {
         println!(
-            "    {:<10} {:<24} x={:<6} {:>12.4} {}",
-            row.series, row.workload, row.x, row.value, row.unit
+            "    {:<10} {:<24} x={:<6} {}",
+            row.series,
+            row.workload,
+            row.x,
+            row.cell()
         );
         self.rows.push(row);
+    }
+
+    fn count(
+        &mut self,
+        experiment: &str,
+        workload: &str,
+        series: &str,
+        x: u64,
+        n: u64,
+        unit: &str,
+    ) {
+        self.row(Row::new(experiment, workload, series, x, n as f64, unit));
+    }
+
+    /// Record a sampled row and return its median.
+    fn sampled(
+        &mut self,
+        experiment: &str,
+        workload: &str,
+        series: &str,
+        x: u64,
+        sample: Sample,
+        unit: &str,
+    ) -> f64 {
+        self.row(Row::sampled(experiment, workload, series, x, sample, unit));
+        sample.median
     }
 }
 
@@ -112,31 +144,41 @@ fn main() {
         e20(&mut r, smoke);
     }
 
-    // Persist raw rows.
-    let json =
-        datalog_json::Value::Array(r.rows.iter().map(|row| row.to_json()).collect()).to_pretty();
-    std::fs::write("experiments.json", &json).expect("write experiments.json");
-    println!("\n{} rows written to experiments.json", r.rows.len());
-
-    // One compact machine-readable artifact + stdout line per
-    // perf-trajectory experiment, so CI logs can be grepped for `BENCH_`
-    // and the files can be committed to track regressions across PRs.
-    const TRACKED: [&str; 5] = ["E16", "E17", "E18", "E19", "E20"];
-    let mut by_experiment: std::collections::BTreeMap<&str, Vec<&Row>> = Default::default();
-    for row in &r.rows {
-        if TRACKED.contains(&row.experiment.as_str()) {
-            by_experiment
-                .entry(row.experiment.as_str())
-                .or_default()
-                .push(row);
+    // One compact machine-readable stdout line per perf-trajectory
+    // experiment, so CI logs can be grepped for `BENCH_`.
+    for experiment in ["E16", "E17", "E18", "E19", "E20"] {
+        let rows: Vec<_> = r
+            .rows
+            .iter()
+            .filter(|row| row.experiment == experiment)
+            .map(Row::to_json)
+            .collect();
+        if !rows.is_empty() {
+            println!(
+                "BENCH_{experiment}.json {}",
+                datalog_json::Value::Array(rows).to_compact()
+            );
         }
     }
-    for (experiment, rows) in by_experiment {
-        let json =
-            datalog_json::Value::Array(rows.iter().map(|row| row.to_json()).collect()).to_compact();
-        let file = format!("BENCH_{experiment}.json");
-        println!("{file} {json}");
-        std::fs::write(&file, format!("{json}\n")).unwrap_or_else(|e| panic!("write {file}: {e}"));
+
+    if run_all && !smoke && r.failures == 0 {
+        let run = Run {
+            rev: git_rev(),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            reps: REPS as u64,
+            rows: r.rows,
+        };
+        std::fs::write("experiments.json", run.to_json().to_pretty())
+            .expect("write experiments.json");
+        println!(
+            "\n{} rows of run {} written to experiments.json",
+            run.rows.len(),
+            run.rev
+        );
+    } else if r.failures > 0 {
+        println!("\nfailed run: experiments.json left as it is");
+    } else {
+        println!("\npartial run: experiments.json left as it is");
     }
 
     if r.failures > 0 {
@@ -144,6 +186,25 @@ fn main() {
         std::process::exit(1);
     }
     println!("all checks passed");
+}
+
+/// The commit the source tree is at when the binary runs, `-dirty` if the
+/// tree has uncommitted changes. A binary built from an older tree still
+/// reports the current one.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args([
+            "-C",
+            env!("CARGO_MANIFEST_DIR"),
+            "describe",
+            "--always",
+            "--dirty",
+        ])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |rev| rev.trim().to_string())
 }
 
 fn e1_to_e15(r: &mut Report) {
@@ -205,18 +266,18 @@ fn e1_to_e15(r: &mut Report) {
     println!("== E6: Fig. 2 recovers planted redundancy ==");
     for k in [2usize, 4, 8] {
         let bloated = bloated_tc(k, 99);
-        let t = ms(
-            || {
+        let [t] = time_ms(
+            1,
+            [&mut || {
                 minimize_program(&bloated).unwrap();
-            },
-            3,
+            }],
         );
         let (min, _) = minimize_program(&bloated).unwrap();
         let recovered = uniformly_equivalent(&min, &tc).unwrap()
             && min.len() == tc.len()
             && min.total_width() == tc.total_width();
         r.check("E6", &format!("k={k}: minimal form recovered"), recovered);
-        r.row(Row::new("E6", "bloated_tc", "minimize", k as u64, t, "ms"));
+        r.sampled("E6", "bloated_tc", "minimize", k as u64, t, "ms");
     }
 
     println!("== E7: tgds and the [P,T] chase (Examples 9–11) ==");
@@ -255,13 +316,13 @@ fn e1_to_e15(r: &mut Report) {
         "Example 15: 4-combination case preserved",
         preserves_nonrecursively(&ex13_p, &ex15_t, FUEL) == Proof::Proved,
     );
-    let t8 = ms(
-        || {
+    let [t8] = time_ms(
+        1,
+        [&mut || {
             preserves_nonrecursively(&guarded, &tgds, FUEL);
-        },
-        5,
+        }],
     );
-    r.row(Row::new("E8", "example14", "fig3", 1, t8, "ms"));
+    r.sampled("E8", "example14", "fig3", 1, t8, "ms");
 
     println!("== E9: equivalence optimization (Examples 17–19) ==");
     r.check(
@@ -286,21 +347,20 @@ fn e1_to_e15(r: &mut Report) {
     );
 
     println!("== E10: evaluation speedup from minimization ==");
+    let bloated = bloated_tc(6, 99);
+    let (minimized, _) = minimize_program(&bloated).unwrap();
     for n in [32usize, 64, 96] {
         let edb = standard_edb("chain", n);
-        let bloated = bloated_tc(6, 99);
-        let (minimized, _) = minimize_program(&bloated).unwrap();
-        let tb = ms(
-            || {
-                evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-            },
+        let [tb, tm] = time_ms(
             1,
-        );
-        let tm = ms(
-            || {
-                evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-            },
-            3,
+            [
+                &mut || {
+                    evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                },
+                &mut || {
+                    evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                },
+            ],
         );
         let (_, sb) = evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
         let (_, sm) = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
@@ -312,31 +372,79 @@ fn e1_to_e15(r: &mut Report) {
             ),
             sm.probes < sb.probes,
         );
-        r.row(Row::new("E10", "chain", "bloated", n as u64, tb, "ms"));
-        r.row(Row::new("E10", "chain", "minimized", n as u64, tm, "ms"));
-        r.row(Row::new("E10", "chain", "speedup", n as u64, tb / tm, "x"));
+        let x = n as u64;
+        let tb = r.sampled("E10", "chain", "bloated", x, tb, "ms");
+        let tm = r.sampled("E10", "chain", "minimized", x, tm, "ms");
+        r.row(Row::new("E10", "chain", "speedup", x, tb / tm, "x"));
+        r.count("E10", "chain", "probes-bloated", x, sb.probes, "probes");
+        r.count("E10", "chain", "probes-minimized", x, sm.probes, "probes");
+    }
+    // The same pair on the naive engine, which shares no code with the
+    // semi-naive one: the saving is in the program, not in an engine.
+    for n in [8usize, 16] {
+        let edb = standard_edb("chain", n);
+        let [tb, tm] = time_ms(
+            1,
+            [
+                &mut || {
+                    naive::evaluate(&bloated, &edb);
+                },
+                &mut || {
+                    naive::evaluate(&minimized, &edb);
+                },
+            ],
+        );
+        let (_, sb) = naive::evaluate_with_stats(&bloated, &edb);
+        let (_, sm) = naive::evaluate_with_stats(&minimized, &edb);
+        r.check(
+            "E10",
+            &format!(
+                "naive chain n={n}: minimized does fewer matches ({} vs {})",
+                sm.matches, sb.matches
+            ),
+            sm.matches < sb.matches,
+        );
+        let x = n as u64;
+        let tb = r.sampled("E10", "chain-naive", "bloated", x, tb, "ms");
+        let tm = r.sampled("E10", "chain-naive", "minimized", x, tm, "ms");
+        r.row(Row::new("E10", "chain-naive", "speedup", x, tb / tm, "x"));
+        r.count(
+            "E10",
+            "chain-naive",
+            "matches-bloated",
+            x,
+            sb.matches,
+            "matches",
+        );
+        r.count(
+            "E10",
+            "chain-naive",
+            "matches-minimized",
+            x,
+            sm.matches,
+            "matches",
+        );
     }
     {
         // Equivalence-phase guards on a denser graph. Each guard used to
         // multiply the join's fan-out by the average degree (775 ms against
         // 2.2 ms here); its variable is read nowhere else, so the engine now
         // probes it once per row. What the optimizer still saves is that
-        // probe: a count that repeats exactly, where the wall-time gap (about
-        // 5 % of 2 ms) is inside this host's run-to-run spread.
+        // probe: a count that repeats exactly, where the wall-time gap is
+        // about the size of the samples' spread.
         let edb = standard_edb("er", 32);
         let g = guarded_tc(3);
         let (optg, _, _) = optimize(&g, FUEL).unwrap();
-        let tg = ms(
-            || {
-                evaluate(&g, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-            },
-            20,
-        );
-        let to = ms(
-            || {
-                evaluate(&optg, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-            },
-            20,
+        let [tg, to] = time_ms(
+            1,
+            [
+                &mut || {
+                    evaluate(&g, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                },
+                &mut || {
+                    evaluate(&optg, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                },
+            ],
         );
         let (_, sg) = evaluate(&g, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
         let (_, so) = evaluate(&optg, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
@@ -348,8 +456,24 @@ fn e1_to_e15(r: &mut Report) {
             ),
             so.probes < sg.probes,
         );
-        r.row(Row::new("E10", "er32-guarded", "guarded", 3, tg, "ms"));
-        r.row(Row::new("E10", "er32-guarded", "optimized", 3, to, "ms"));
+        r.sampled("E10", "er32-guarded", "guarded", 3, tg, "ms");
+        r.sampled("E10", "er32-guarded", "optimized", 3, to, "ms");
+        r.count(
+            "E10",
+            "er32-guarded",
+            "probes-guarded",
+            3,
+            sg.probes,
+            "probes",
+        );
+        r.count(
+            "E10",
+            "er32-guarded",
+            "probes-optimized",
+            3,
+            so.probes,
+            "probes",
+        );
     }
 
     println!("== E11: minimization composes with magic sets ==");
@@ -358,61 +482,79 @@ fn e1_to_e15(r: &mut Report) {
         let bloated = bloated_tc(6, 123);
         let (minimized, _) = minimize_program(&bloated).unwrap();
         let query = parse_atom("g(0, X)").unwrap();
-        let tb = ms(
-            || {
-                magic::answer(&bloated, &edb, &query);
-            },
+        let [tb, tm] = time_ms(
             1,
-        );
-        let tm = ms(
-            || {
-                magic::answer(&minimized, &edb, &query);
-            },
-            3,
+            [
+                &mut || {
+                    magic::answer(&bloated, &edb, &query);
+                },
+                &mut || {
+                    magic::answer(&minimized, &edb, &query);
+                },
+            ],
         );
         let same = magic::answer(&bloated, &edb, &query) == magic::answer(&minimized, &edb, &query);
         r.check("E11", &format!("chain n={n}: identical answers"), same);
-        r.row(Row::new(
+        let tb = r.sampled("E11", "chain", "magic+bloated", n as u64, tb, "ms");
+        let tm = r.sampled("E11", "chain", "magic+minimized", n as u64, tm, "ms");
+        r.row(Row::new("E11", "chain", "speedup", n as u64, tb / tm, "x"));
+    }
+    // The baseline magic sets must beat to be worth running: the full
+    // fixpoint, on a bound query whose answers lie in one of two disjoint
+    // chains (the other one is the irrelevant data magic never touches).
+    let left = transitive_closure(TcVariant::LeftLinear);
+    let query = parse_atom("g(0, X)").unwrap();
+    for n in [64usize, 128] {
+        let mut edb = standard_edb("chain", n);
+        for i in 0..n as i64 {
+            edb.insert(fact("a", [i + 1000, i + 1001]));
+        }
+        let [tm, tf] = time_ms(
+            1,
+            [
+                &mut || {
+                    magic::answer(&left, &edb, &query);
+                },
+                &mut || {
+                    evaluate(&left, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                },
+            ],
+        );
+        let (full, _) = evaluate(&left, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        r.check(
             "E11",
-            "chain",
-            "magic+bloated",
-            n as u64,
-            tb,
-            "ms",
-        ));
-        r.row(Row::new(
-            "E11",
-            "chain",
-            "magic+minimized",
-            n as u64,
-            tm,
-            "ms",
-        ));
+            &format!("two chains n={n}: magic answers the query as the full fixpoint does"),
+            full.select(&query)
+                .into_iter()
+                .eq(magic::answer(&left, &edb, &query).relation(query.pred)),
+        );
+        r.sampled("E11", "two-chains-left-tc", "magic", n as u64, tm, "ms");
+        r.sampled("E11", "two-chains-left-tc", "full", n as u64, tf, "ms");
     }
 
     println!("== E12: minimization cost independent of EDB size ==");
     {
         let program = bloated_tc(4, 7);
-        let tmin = ms(
-            || {
+        let [tmin] = time_ms(
+            1,
+            [&mut || {
                 minimize_program(&program).unwrap();
-            },
-            3,
+            }],
         );
-        r.row(Row::new("E12", "any-EDB", "minimize", 0, tmin, "ms"));
+        r.sampled("E12", "any-EDB", "minimize", 0, tmin, "ms");
         // Evaluation cost grows with the EDB; use the clean TC program so
         // the sweep finishes quickly (the claim is about where the costs
         // live, not about redundancy).
         let clean = transitive_closure(TcVariant::Doubling);
         for n in [64usize, 128, 512] {
             let edb = standard_edb("chain", n);
-            let te = ms(
-                || {
-                    evaluate(&clean, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-                },
+            let [te] = time_ms(
                 1,
+                [&mut || {
+                    evaluate(&clean, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                }],
             );
-            r.row(Row::new("E12", "chain", "evaluate", n as u64, te, "ms"));
+            r.sampled("E12", "chain", "evaluate", n as u64, te, "ms");
         }
         r.check(
             "E12",
@@ -425,20 +567,30 @@ fn e1_to_e15(r: &mut Report) {
     for width in [4usize, 8, 12] {
         let program = wide_rule(width);
         let rule = program.rules[0].clone();
-        let t = ms(
-            || {
+        let [t] = time_ms(
+            1,
+            [&mut || {
                 rule_contained(&rule, &program);
-            },
-            5,
+            }],
         );
-        r.row(Row::new(
-            "E13",
-            "wide_rule",
-            "contained",
-            width as u64,
-            t,
-            "ms",
-        ));
+        r.sampled("E13", "wide_rule", "contained", width as u64, t, "ms");
+    }
+    // The containing program's size: random programs of 2..16 rules.
+    for rules in [2usize, 4, 8, 16] {
+        let spec = RandomProgramSpec {
+            rules,
+            body_len: (1, 3),
+            var_pool: 4,
+            ..Default::default()
+        };
+        let (p1, p2) = (random_program(&spec, 11), random_program(&spec, 12));
+        let [t] = time_ms(
+            1,
+            [&mut || {
+                uniformly_contains(&p1, &p2).unwrap();
+            }],
+        );
+        r.sampled("E13", "random-programs", "contains", rules as u64, t, "ms");
     }
     r.check("E13", "test terminates at every width (decidability)", true);
 
@@ -461,7 +613,7 @@ fn e1_to_e15(r: &mut Report) {
         );
     }
 
-    println!("== E15: materialized-view service throughput ==");
+    println!("== E15: minimize-on-install in the materialized-view service ==");
     {
         use datalog_service::{Client, Server, ServerConfig};
 
@@ -517,35 +669,6 @@ fn e1_to_e15(r: &mut Report) {
             "bloated and minimized views serve identical nonzero closures",
             cb == cm && cb > 0,
         );
-
-        const QUERIES: usize = 200;
-        for name in ["bloated", "minimized"] {
-            for threads in [1usize, 4] {
-                let start = Instant::now();
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(|| {
-                            let mut c = Client::connect(&addr).expect("connect");
-                            for _ in 0..QUERIES / threads {
-                                c.request_line(&format!(
-                                    "{{\"op\":\"query\",\"program\":\"{name}\",\"atom\":\"g(X, Y)\"}}"
-                                ))
-                                .expect("query");
-                            }
-                        });
-                    }
-                });
-                let qps = QUERIES as f64 / start.elapsed().as_secs_f64();
-                r.row(Row::new(
-                    "E15",
-                    "chain48-service",
-                    name,
-                    threads as u64,
-                    qps,
-                    "qps",
-                ));
-            }
-        }
     }
 }
 
@@ -571,20 +694,18 @@ fn e16(r: &mut Report, smoke: bool) {
     } else {
         &[("chain", 96), ("cycle", 64), ("cycle", 96)]
     };
-    let reps = if smoke { 1 } else { 3 };
-
     for &(kind, n) in workloads {
         let db = standard_edb(kind, n);
         let workload = format!("bloated6-{kind}{n}");
 
         let mut incr_stats = Default::default();
-        let t_incr = ms(
-            || {
+        let [t_incr] = time_ms(
+            1,
+            [&mut || {
                 incr_stats = evaluate(&program, &db, Schedule::Strata, EvalOptions::default())
                     .unwrap()
                     .1
-            },
-            reps,
+            }],
         );
         r.check(
             "E16",
@@ -605,15 +726,15 @@ fn e16(r: &mut Report, smoke: bool) {
             ),
             incr_stats.pipelined_tasks > 0 && incr_stats.batch_reuse_hits > 0,
         );
-        r.row(Row::new("E16", &workload, "incr", n as u64, t_incr, "ms"));
-        r.row(Row::new(
+        r.sampled("E16", &workload, "incr", n as u64, t_incr, "ms");
+        r.count(
             "E16",
             &workload,
             "incr-builds",
             n as u64,
-            incr_stats.index_builds as f64,
+            incr_stats.index_builds,
             "builds",
-        ));
+        );
     }
 }
 
@@ -652,25 +773,24 @@ fn e17(r: &mut Report, smoke: bool) {
         let b = (state >> 13) % 3;
         stream.push([Const::Int(a as i64), Const::Int(b as i64)]);
     }
-    let t_arena = ms(
-        || {
-            let mut rel = Relation::new(2);
-            for row in &stream {
-                rel.insert(row);
-            }
-        },
-        if smoke { 1 } else { 3 },
-    );
-    let t_boxed = ms(
-        || {
-            let mut set: BTreeSet<Box<[Const]>> = BTreeSet::new();
-            for row in &stream {
-                if !set.contains(row.as_slice()) {
-                    set.insert(row.as_slice().into());
+    let [t_arena, t_boxed] = time_ms(
+        1,
+        [
+            &mut || {
+                let mut rel = Relation::new(2);
+                for row in &stream {
+                    rel.insert(row);
                 }
-            }
-        },
-        if smoke { 1 } else { 3 },
+            },
+            &mut || {
+                let mut set: BTreeSet<Box<[Const]>> = BTreeSet::new();
+                for row in &stream {
+                    if !set.contains(row.as_slice()) {
+                        set.insert(row.as_slice().into());
+                    }
+                }
+            },
+        ],
     );
     let mut rel = Relation::new(2);
     let mut set: BTreeSet<Box<[Const]>> = BTreeSet::new();
@@ -687,22 +807,22 @@ fn e17(r: &mut Report, smoke: bool) {
         ),
         rel.len() == set.len() && rel.iter_sorted().eq(set.iter().map(|b| &**b)),
     );
-    r.row(Row::new(
+    let t_arena = r.sampled(
         "E17",
         "dup-stream",
         "arena-insert",
         rows_n as u64,
         t_arena,
         "ms",
-    ));
-    r.row(Row::new(
+    );
+    let t_boxed = r.sampled(
         "E17",
         "dup-stream",
         "boxed-insert",
         rows_n as u64,
         t_boxed,
         "ms",
-    ));
+    );
     r.row(Row::new(
         "E17",
         "dup-stream",
@@ -735,39 +855,39 @@ fn e17(r: &mut Report, smoke: bool) {
         ),
         stats.arena_bytes == stats.tuples_allocated * 2 * const_bytes,
     );
-    r.row(Row::new(
+    r.count(
         "E17",
         &format!("bloated6-cycle{n}"),
         "tuples-allocated",
         n as u64,
-        stats.tuples_allocated as f64,
+        stats.tuples_allocated,
         "rows",
-    ));
-    r.row(Row::new(
+    );
+    r.count(
         "E17",
         &format!("bloated6-cycle{n}"),
         "arena-bytes",
         n as u64,
-        stats.arena_bytes as f64,
+        stats.arena_bytes,
         "bytes",
-    ));
+    );
 
     // -- snapshot publication -----------------------------------------
-    let t_clone = ms(
-        || {
-            std::hint::black_box(out.clone());
-        },
+    let [t_clone] = time_ms(
         if smoke { 100 } else { 1000 },
+        [&mut || {
+            std::hint::black_box(out.clone());
+        }],
     );
-    let t_deep = ms(
-        || {
+    let [t_deep] = time_ms(
+        1,
+        [&mut || {
             let mut copy = Database::new();
             for atom in out.iter() {
                 copy.insert(GroundAtom::new(atom.pred, atom.tuple.clone()));
             }
             std::hint::black_box(copy);
-        },
-        if smoke { 1 } else { 3 },
+        }],
     );
     let snap = out.clone();
     let g = Pred::new("g");
@@ -781,22 +901,10 @@ fn e17(r: &mut Report, smoke: bool) {
         "snapshot: cloned database shares its arenas (O(1) publication)",
         shares && snap == out,
     );
-    r.row(Row::new(
-        "E17",
-        &format!("bloated6-cycle{n}"),
-        "snapshot-clone",
-        out.len() as u64,
-        t_clone,
-        "ms",
-    ));
-    r.row(Row::new(
-        "E17",
-        &format!("bloated6-cycle{n}"),
-        "deep-copy",
-        out.len() as u64,
-        t_deep,
-        "ms",
-    ));
+    let workload = format!("bloated6-cycle{n}");
+    let x = out.len() as u64;
+    let t_clone = r.sampled("E17", &workload, "snapshot-clone", x, t_clone, "ms");
+    let t_deep = r.sampled("E17", &workload, "deep-copy", x, t_deep, "ms");
     if !smoke {
         r.check(
             "E17",
@@ -838,7 +946,7 @@ fn e18(r: &mut Report, smoke: bool) {
     let n: usize = if smoke { 48 } else { 96 };
     let db = standard_edb("chain", n);
     let workload = format!("bloated6-chain{n}");
-    let reps = if smoke { 20 } else { 200 };
+    let batch = if smoke { 20 } else { 200 };
 
     let view = View::new(program.clone(), &db);
     let state = view.state();
@@ -866,21 +974,19 @@ fn e18(r: &mut Report, smoke: bool) {
         expected.len() >= n,
     );
 
-    // The pre-`select` serving path: every query walks the full relation of
-    // the materialized snapshot.
-    let t_scan = ms(
-        || {
-            std::hint::black_box(filter(&state.fixpoint, &query));
-        },
-        reps,
-    );
-
-    // The default serving path: the same rows off the code columns.
-    let t_select = ms(
-        || {
-            std::hint::black_box(state.fixpoint.select(&query));
-        },
-        reps,
+    // The pre-`select` serving path, which walks the full relation of the
+    // materialized snapshot, against the default one, which reads the same
+    // rows off the code columns.
+    let [t_scan, t_select] = time_ms(
+        batch,
+        [
+            &mut || {
+                std::hint::black_box(filter(&state.fixpoint, &query));
+            },
+            &mut || {
+                std::hint::black_box(state.fixpoint.select(&query));
+            },
+        ],
     );
 
     // On demand: every ask re-runs the demand-driven magic-sets evaluation
@@ -901,18 +1007,16 @@ fn e18(r: &mut Report, smoke: bool) {
             .into_iter()
             .eq(first.relation(query.pred)),
     );
-    let t_magic = ms(
-        || {
+    let [t_magic] = time_ms(
+        1,
+        [&mut || {
             std::hint::black_box(plans.answer(&state.base, &query));
-        },
-        if smoke { 2 } else { 10 },
+        }],
     );
 
-    r.row(Row::new("E18", &workload, "scan", n as u64, t_scan, "ms"));
-    r.row(Row::new(
-        "E18", &workload, "select", n as u64, t_select, "ms",
-    ));
-    r.row(Row::new("E18", &workload, "magic", n as u64, t_magic, "ms"));
+    let t_scan = r.sampled("E18", &workload, "scan", n as u64, t_scan, "ms");
+    let t_select = r.sampled("E18", &workload, "select", n as u64, t_select, "ms");
+    r.sampled("E18", &workload, "magic", n as u64, t_magic, "ms");
     if !smoke {
         r.check(
             "E18",
@@ -929,33 +1033,29 @@ fn e18(r: &mut Report, smoke: bool) {
     // answers than before, and the final read is checked against a
     // from-scratch evaluation of the final base.
     let churn_batches: i64 = if smoke { 4 } else { 32 };
-    let writing = AtomicBool::new(true);
-    let mut asked = 0u64;
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            for i in 0..churn_batches {
-                let edge = fact("a", [n as i64 + i, n as i64 + i + 1]);
-                view.insert(vec![edge.clone()]);
-                view.remove(vec![edge]);
+    let churn = || {
+        let writing = AtomicBool::new(true);
+        let mut asked = 0u64;
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..churn_batches {
+                    let edge = fact("a", [n as i64 + i, n as i64 + i + 1]);
+                    view.insert(vec![edge.clone()]);
+                    view.remove(vec![edge]);
+                }
+                writing.store(false, Ordering::Release);
+            });
+            while writing.load(Ordering::Acquire) {
+                let live = view.state();
+                assert!(live.fixpoint.select(&query).len() >= expected.len());
+                asked += 1;
             }
-            writing.store(false, Ordering::Release);
         });
-        while writing.load(Ordering::Acquire) {
-            let live = view.state();
-            assert!(live.fixpoint.select(&query).len() >= expected.len());
-            asked += 1;
-        }
-    });
-    let qps = asked as f64 / start.elapsed().as_secs_f64();
-    r.row(Row::new(
-        "E18",
-        &workload,
-        "churn-qps",
-        n as u64,
-        qps,
-        "qps",
-    ));
+        asked as f64 / start.elapsed().as_secs_f64()
+    };
+    let qps = Sample::of((0..REPS).map(|_| churn()).collect());
+    r.sampled("E18", &workload, "churn-qps", n as u64, qps, "qps");
     let final_state = view.state();
     let base = &final_state.base;
     let (full, _) = evaluate(&program, base, Schedule::Strata, EvalOptions::default()).unwrap();
@@ -1019,7 +1119,8 @@ fn e19(r: &mut Report, smoke: bool) {
         format!("{{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"{base_facts}\"}}");
     let query_line = "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\"}";
 
-    let measure = |addr: &str| -> Vec<f64> {
+    // One sample: every client's requests, then their 99th percentile.
+    let p99_of_one_round = |addr: &str| -> f64 {
         let samples = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for _ in 0..clients {
@@ -1035,8 +1136,9 @@ fn e19(r: &mut Report, smoke: bool) {
                 });
             }
         });
-        samples.into_inner().unwrap()
+        p99(&mut samples.into_inner().unwrap())
     };
+    let measure = |addr: &str| Sample::of((0..REPS).map(|_| p99_of_one_round(addr)).collect());
 
     // Event loop: all connections multiplexed over `threads` workers.
     let config = ServerConfig {
@@ -1055,8 +1157,7 @@ fn e19(r: &mut Report, smoke: bool) {
             .contains("\"ok\":true"));
         admin.request_line(&insert_line).expect("insert");
     }
-    let mut event_samples = measure(&addr);
-    let p99_event = p99(&mut event_samples);
+    let p99_event = measure(&addr);
     flag.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(&addr); // nudge the loop past its poll nap
     handle.join().expect("server thread").expect("server run");
@@ -1111,29 +1212,22 @@ fn e19(r: &mut Report, smoke: bool) {
             drop(pool);
         })
     };
-    let mut baseline_samples = measure(&baseline_addr);
-    let p99_baseline = p99(&mut baseline_samples);
+    let p99_baseline = measure(&baseline_addr);
     baseline_stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(&baseline_addr); // unblock the acceptor
     acceptor.join().expect("baseline acceptor");
 
     let p99_workload = format!("bloat6-svc-{clients}conns");
-    r.row(Row::new(
+    let x = clients as u64;
+    let p99_baseline = r.sampled(
         "E19",
         &p99_workload,
         "p99-thread-per-conn",
-        clients as u64,
+        x,
         p99_baseline,
         "ms",
-    ));
-    r.row(Row::new(
-        "E19",
-        &p99_workload,
-        "p99-event-loop",
-        clients as u64,
-        p99_event,
-        "ms",
-    ));
+    );
+    let p99_event = r.sampled("E19", &p99_workload, "p99-event-loop", x, p99_event, "ms");
     if !smoke {
         r.check(
             "E19",
@@ -1200,44 +1294,29 @@ fn e20(r: &mut Report, smoke: bool) {
         .relation_of(Pred::new("e"), 2)
         .expect("e relation exists");
     let rows = rel.len() as u32;
-    let t_col = ms(
-        || {
-            let mut acc = 0u64;
-            for &code in rel.codes(1) {
-                acc = acc.wrapping_add(code as u64);
-            }
-            std::hint::black_box(acc);
-        },
-        if smoke { 3 } else { 10 },
-    );
-    let t_row = ms(
-        || {
-            let mut acc = 0u64;
-            for id in 0..rows {
-                if let Const::Int(v) = rel.row(id)[1] {
-                    acc = acc.wrapping_add(v as u64);
+    let [t_col, t_row] = time_ms(
+        1,
+        [
+            &mut || {
+                let mut acc = 0u64;
+                for &code in rel.codes(1) {
+                    acc = acc.wrapping_add(code as u64);
                 }
-            }
-            std::hint::black_box(acc);
-        },
-        if smoke { 3 } else { 10 },
+                std::hint::black_box(acc);
+            },
+            &mut || {
+                let mut acc = 0u64;
+                for id in 0..rows {
+                    if let Const::Int(v) = rel.row(id)[1] {
+                        acc = acc.wrapping_add(v as u64);
+                    }
+                }
+                std::hint::black_box(acc);
+            },
+        ],
     );
-    r.row(Row::new(
-        "E20",
-        &workload,
-        "row-gather",
-        n as u64,
-        t_row,
-        "ms",
-    ));
-    r.row(Row::new(
-        "E20",
-        &workload,
-        "col-gather",
-        n as u64,
-        t_col,
-        "ms",
-    ));
+    let t_row = r.sampled("E20", &workload, "row-gather", n as u64, t_row, "ms");
+    let t_col = r.sampled("E20", &workload, "col-gather", n as u64, t_col, "ms");
     r.row(Row::new(
         "E20",
         &workload,
@@ -1248,39 +1327,36 @@ fn e20(r: &mut Report, smoke: bool) {
     ));
 
     // -- probe: the kernel with one probe stage vs the interpreter ------
-    let reps = if smoke { 1 } else { 2 };
-    let mut outputs = Vec::new();
-    let mut spec_stats = Default::default();
-    let t_spec = ms(
-        || {
-            let (out, stats) =
-                evaluate(&program, &db, Schedule::Strata, EvalOptions::sequential()).unwrap();
-            outputs.push(out);
-            spec_stats = stats;
-        },
-        reps,
+    // Every run of either executor keeps its fixpoint, and all of them
+    // must be identical; the counters are read off each executor's last.
+    let (mut spec, mut interp) = (Vec::new(), Vec::new());
+    let [t_spec, t_interp] = time_ms(
+        1,
+        [
+            &mut || {
+                spec.push(
+                    evaluate(&program, &db, Schedule::Strata, EvalOptions::sequential()).unwrap(),
+                );
+            },
+            &mut || {
+                interp.push(
+                    evaluate(&program, &db, Schedule::Strata, EvalOptions::interpreted()).unwrap(),
+                );
+            },
+        ],
     );
-    let mut interp_stats = Default::default();
-    let t_interp = ms(
-        || {
-            let (out, stats) =
-                evaluate(&program, &db, Schedule::Strata, EvalOptions::interpreted()).unwrap();
-            outputs.push(out);
-            interp_stats = stats;
-        },
-        reps,
-    );
-
-    let first = &outputs[0];
+    let first = &spec[0].0;
     r.check(
         "E20",
         &format!(
-            "{workload}: specialized and interpreted fixpoints are identical \
-             ({} derived atoms)",
+            "{workload}: every specialized and interpreted fixpoint is identical \
+             ({} runs, {} derived atoms)",
+            spec.len() + interp.len(),
             first.len() - db.len()
         ),
-        outputs.iter().all(|o| o == first),
+        spec.iter().chain(&interp).all(|(out, _)| out == first),
     );
+    let (spec_stats, interp_stats) = (&spec[spec.len() - 1].1, &interp[interp.len() - 1].1);
     r.check(
         "E20",
         &format!(
@@ -1311,22 +1387,8 @@ fn e20(r: &mut Report, smoke: bool) {
             && interp_stats.specialized_tasks == 0
             && interp_stats.batch_probe_rows == 0,
     );
-    r.row(Row::new(
-        "E20",
-        &workload,
-        "interpreted",
-        n as u64,
-        t_interp,
-        "ms",
-    ));
-    r.row(Row::new(
-        "E20",
-        &workload,
-        "specialized",
-        n as u64,
-        t_spec,
-        "ms",
-    ));
+    let t_interp = r.sampled("E20", &workload, "interpreted", n as u64, t_interp, "ms");
+    let t_spec = r.sampled("E20", &workload, "specialized", n as u64, t_spec, "ms");
     r.row(Row::new(
         "E20",
         &workload,
@@ -1335,22 +1397,22 @@ fn e20(r: &mut Report, smoke: bool) {
         t_interp / t_spec,
         "x",
     ));
-    r.row(Row::new(
+    r.count(
         "E20",
         &workload,
         "batch-probe-rows",
         n as u64,
-        spec_stats.batch_probe_rows as f64,
+        spec_stats.batch_probe_rows,
         "rows",
-    ));
-    r.row(Row::new(
+    );
+    r.count(
         "E20",
         &workload,
         "dict-filtered",
         n as u64,
-        spec_stats.dict_filtered_probes as f64,
+        spec_stats.dict_filtered_probes,
         "probes",
-    ));
+    );
     // Nobody reads `X`, so the probe of `e` is an existential stage: a driver
     // row passes on at its first verified candidate. Both executors used to
     // visit all n / keys candidates per row (500 000 matches at n = 10^6;
@@ -1400,43 +1462,40 @@ fn e20(r: &mut Report, smoke: bool) {
     }
     let program3 = parse_program("t(Y, U) :- m(Y, Z), e(Z, X, X2, U), f(X, X2).").unwrap();
 
-    let mut outputs3 = Vec::new();
-    let mut pipe_stats = Default::default();
-    let t_pipe = ms(
-        || {
-            let (out, stats) =
-                evaluate(&program3, &db3, Schedule::Strata, EvalOptions::sequential()).unwrap();
-            outputs3.push(out);
-            pipe_stats = stats;
-        },
-        reps,
+    let (mut pipe, mut interp3) = (Vec::new(), Vec::new());
+    let [t_pipe, t_interp3] = time_ms(
+        1,
+        [
+            &mut || {
+                pipe.push(
+                    evaluate(&program3, &db3, Schedule::Strata, EvalOptions::sequential()).unwrap(),
+                );
+            },
+            &mut || {
+                interp3.push(
+                    evaluate(
+                        &program3,
+                        &db3,
+                        Schedule::Strata,
+                        EvalOptions::interpreted(),
+                    )
+                    .unwrap(),
+                );
+            },
+        ],
     );
-    let mut interp3_stats = Default::default();
-    let t_interp3 = ms(
-        || {
-            let (out, stats) = evaluate(
-                &program3,
-                &db3,
-                Schedule::Strata,
-                EvalOptions::interpreted(),
-            )
-            .unwrap();
-            outputs3.push(out);
-            interp3_stats = stats;
-        },
-        reps,
-    );
-
-    let first3 = &outputs3[0];
+    let first3 = &pipe[0].0;
     r.check(
         "E20",
         &format!(
-            "{workload3}: pipelined and interpreted fixpoints are identical \
-             ({} derived atoms)",
+            "{workload3}: every pipelined and interpreted fixpoint is identical \
+             ({} runs, {} derived atoms)",
+            pipe.len() + interp3.len(),
             first3.len() - db3.len()
         ),
-        outputs3.iter().all(|o| o == first3),
+        pipe.iter().chain(&interp3).all(|(out, _)| out == first3),
     );
+    let (pipe_stats, interp3_stats) = (&pipe[pipe.len() - 1].1, &interp3[interp3.len() - 1].1);
     r.check(
         "E20",
         &format!(
@@ -1461,22 +1520,15 @@ fn e20(r: &mut Report, smoke: bool) {
             && interp3_stats.pipelined_tasks == 0
             && interp3_stats.simd_hash_blocks == 0,
     );
-    r.row(Row::new(
+    let t_interp3 = r.sampled(
         "E20",
         &workload3,
         "interpreted-3atom",
         n as u64,
         t_interp3,
         "ms",
-    ));
-    r.row(Row::new(
-        "E20",
-        &workload3,
-        "pipelined-3atom",
-        n as u64,
-        t_pipe,
-        "ms",
-    ));
+    );
+    let t_pipe = r.sampled("E20", &workload3, "pipelined-3atom", n as u64, t_pipe, "ms");
     r.row(Row::new(
         "E20",
         &workload3,
@@ -1485,14 +1537,14 @@ fn e20(r: &mut Report, smoke: bool) {
         t_interp3 / t_pipe,
         "x",
     ));
-    r.row(Row::new(
+    r.count(
         "E20",
         &workload3,
         "simd-hash-blocks",
         n as u64,
-        pipe_stats.simd_hash_blocks as f64,
+        pipe_stats.simd_hash_blocks,
         "blocks",
-    ));
+    );
     if !smoke {
         r.check(
             "E20",

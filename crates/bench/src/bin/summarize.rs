@@ -1,11 +1,10 @@
-//! Render `experiments.json` (written by the `experiments` binary) as the
-//! markdown tables used in EXPERIMENTS.md.
+//! Render `experiments.json` (written by a full run of the `experiments`
+//! binary) as the markdown tables used in EXPERIMENTS.md.
 //!
 //! Run with:
 //! `cargo run -p datalog-bench --bin summarize --release [experiments.json]`
 
-use datalog_bench::Row;
-use std::collections::BTreeMap;
+use datalog_bench::Run;
 
 fn main() {
     let path = std::env::args()
@@ -19,56 +18,9 @@ fn main() {
         }
     };
     let parsed = datalog_json::Value::parse(&data).expect("experiments.json parses");
-    let rows: Vec<Row> = parsed
-        .as_array()
-        .expect("experiments.json is an array")
-        .iter()
-        .map(|v| Row::from_json(v).expect("row deserialises"))
-        .collect();
-
-    // Group by (experiment, workload); columns = series; rows = x.
-    type Cells = BTreeMap<String, (f64, String)>;
-    type Table = BTreeMap<u64, Cells>;
-    let mut groups: BTreeMap<(String, String), Table> = BTreeMap::new();
-    for r in rows {
-        groups
-            .entry((r.experiment.clone(), r.workload.clone()))
-            .or_default()
-            .entry(r.x)
-            .or_default()
-            .insert(r.series, (r.value, r.unit));
-    }
-
-    for ((experiment, workload), by_x) in &groups {
-        println!("### {experiment} — {workload}\n");
-        // Collect the union of series names for the header.
-        let mut series: Vec<&String> = by_x
-            .values()
-            .flat_map(|m| m.keys())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        series.sort();
-        print!("| x |");
-        for s in &series {
-            print!(" {s} |");
-        }
-        println!();
-        print!("|---|");
-        for _ in &series {
-            print!("---|");
-        }
-        println!();
-        for (x, cells) in by_x {
-            print!("| {x} |");
-            for s in &series {
-                match cells.get(*s) {
-                    Some((v, unit)) => print!(" {v:.3} {unit} |"),
-                    None => print!(" — |"),
-                }
-            }
-            println!();
-        }
-        println!();
-    }
+    let run = Run::from_json(&parsed).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(1);
+    });
+    print!("{}", run.summary());
 }

@@ -56,6 +56,17 @@
 //!   its joins is one relation size per body atom and a greedy order per
 //!   task, a memo lookup per task, and a slot lookup per positive literal.
 //!
+//! * **Every body match once.** A literal repeating an earlier one (a
+//!   twin, see [`RulePlan`]) gets no step and no delta task. A committing
+//!   delta round's delta is the newest rows of its relations (the contract
+//!   of [`EvalContext::delta_round`], asserted in debug builds), so a
+//!   positive literal ahead of the delta literal in body order reads only
+//!   the rows below `len - |Δ|` of its relation ([`Step::old`]); chains run
+//!   in ascending id order, so the kernel and the interpreter both stop at
+//!   that bound. A match is found by the task at its first new row and by
+//!   no other. Full rounds and the DRed sweep, whose delta is not the newest
+//!   rows, read whole relations.
+//!
 //! * **A round's arenas are its delta.** The set-semantics dedup a round
 //!   runs its heads through (`Seen`) holds each head new to the database
 //!   once, so committing is inserting those rows into the database and
@@ -274,28 +285,33 @@ impl IndexStore {
 pub(crate) struct Postings<'a>(Option<&'a Index>);
 
 impl<'a> Postings<'a> {
-    /// Row-ids whose code projection on the index's positions hashes to
-    /// `hash`, in insertion order.
+    /// Row-ids below `end` whose code projection on the index's positions
+    /// hashes to `hash`, in insertion order (`end == NONE`: every one).
     #[inline]
-    pub(crate) fn get(self, hash: u64) -> Chain<'a> {
+    pub(crate) fn get(self, hash: u64, end: u32) -> Chain<'a> {
         match self.0 {
             Some(index) => Chain {
                 next: &index.next,
                 at: index.heads.get(&hash).map_or(NONE, |&(first, _)| first),
+                end,
             },
             None => Chain {
                 next: &[],
                 at: NONE,
+                end,
             },
         }
     }
 }
 
-/// The row-ids of one chain of an [`Index`].
+/// The row-ids below `end` of one chain of an [`Index`]. A chain is in
+/// ascending id order, so the first id at or past `end` ends it; `NONE`,
+/// which ends every chain, is past every `end`.
 #[derive(Clone, Copy)]
 pub(crate) struct Chain<'a> {
     next: &'a [u32],
     at: u32,
+    end: u32,
 }
 
 impl Iterator for Chain<'_> {
@@ -304,7 +320,7 @@ impl Iterator for Chain<'_> {
     #[inline]
     fn next(&mut self) -> Option<u32> {
         let id = self.at;
-        (id != NONE).then(|| {
+        (id < self.end).then(|| {
             self.at = self.next[id as usize];
             id
         })
@@ -357,6 +373,11 @@ pub(crate) struct Step {
     /// every row of it, where any other step reads the database through its
     /// index.
     pub(crate) delta: bool,
+    /// A positive literal ahead of the delta literal in body order: in a
+    /// committing delta round it reads only the rows its relation held
+    /// before the delta (see [`EvalContext::delta_round`]), so that each
+    /// body match is found by one task, the one at its first new row.
+    pub(crate) old: bool,
     pub(crate) pred: Pred,
     /// The atom's arity (selects the arena relation to read rows from).
     pub(crate) arity: usize,
@@ -426,7 +447,8 @@ fn keysrc(slot: Slot) -> KeySrc {
 /// delta at body atom `delta` (which `order` must lead with) or none. The
 /// binding pattern at each depth is fully determined by the order, which
 /// is what lets the executor run against pre-built, read-only indexes.
-/// Index patterns are numbered through `patterns`, the plan's table.
+/// Index patterns are numbered through `patterns`, the plan's table. An
+/// atom `order` leaves out (a twin) gets no step.
 pub(crate) fn compile_script(
     plan: &RulePlan,
     order: &[usize],
@@ -444,6 +466,7 @@ pub(crate) fn compile_script(
                 atom: atom_i,
                 negated: true,
                 delta: false,
+                old: false,
                 pred: atom.pred,
                 arity: atom.slots.len(),
                 positions: Box::default(),
@@ -482,6 +505,7 @@ pub(crate) fn compile_script(
             atom: atom_i,
             negated: false,
             delta: delta == Some(atom_i),
+            old: delta.is_some_and(|d| atom_i < d),
             pred: atom.pred,
             arity: atom.slots.len(),
             index: pattern_number(patterns, atom_i, &positions),
@@ -527,13 +551,17 @@ fn mark_existential(steps: &mut [Step], head: &[KeySrc], num_vars: usize) {
 }
 
 /// One schedulable unit of a round: a script of a rule, with the store
-/// slots of its steps' indexes (`NONE` for a negated step).
+/// slots of its steps' indexes (`NONE` for a negated step) and the row-id
+/// each step's candidates stop at (`NONE`: none; see [`Step::old`]).
 #[derive(Clone, Copy)]
 pub(crate) struct Task<'r> {
     pub(crate) script: &'r JoinScript,
-    /// The script's rule, as an index into the context's plans.
+    /// The script's rule, as an index into the context's plans, and its
+    /// plan.
     pub(crate) rule: usize,
+    pub(crate) plan: &'r RulePlan,
     pub(crate) slots: &'r [u32],
+    pub(crate) ends: &'r [u32],
 }
 
 /// The relation a step reads: the round's delta for the delta literal, the
@@ -548,20 +576,22 @@ pub(crate) fn step_relation<'a>(
     source.relation_of(step.pred, step.arity)
 }
 
-/// The candidates a step visits for the key hashing to `hash`: every row of
-/// the delta for the delta literal (verification against the key does what
-/// an index would), the index's chain otherwise. In id order either way.
+/// The candidates below row-id `end` a step visits for the key hashing to
+/// `hash`: every such row of the delta for the delta literal (verification
+/// against the key does what an index would), the index's chain otherwise.
+/// In id order either way.
 pub(crate) fn step_cands<'a>(
     step: &Step,
     slot: u32,
+    end: u32,
     rel: &Relation,
     store: &'a IndexStore,
     hash: u64,
 ) -> Cands<'a> {
     if step.delta || step.positions.is_empty() {
-        Cands::All(0..rel.len() as u32)
+        Cands::All(0..end.min(rel.len() as u32))
     } else {
-        Cands::Chain(store.postings(slot).get(hash))
+        Cands::Chain(store.postings(slot).get(hash, end))
     }
 }
 
@@ -779,7 +809,8 @@ fn exec(
         }
     }
     let cands = if present {
-        step_cands(step, task.slots[depth], rel, src.store, hash)
+        let (slot, end) = (task.slots[depth], task.ends[depth]);
+        step_cands(step, slot, end, rel, src.store, hash)
     } else {
         out.dict_filtered += 1;
         Cands::All(0..0)
@@ -978,14 +1009,28 @@ impl EvalContext {
     /// occurrence of a predicate that has tuples in `delta` restricted (in
     /// turn) to `delta`, commit the new atoms, and return them as the next
     /// delta.
+    ///
+    /// The contract: `delta` is what the database gained last — each of its
+    /// relations is the newest `|Δ|` rows of the database's, as a commit or
+    /// [`EvalContext::add_fact`] appended them — or a relation the database
+    /// does not hold at all (DRed's `$overdeleted` seeds, which only their
+    /// delta literal reads). The rows below `len - |Δ|` are then exactly the
+    /// old ones, and a positive literal ahead of the delta literal in body
+    /// order reads only those ([`Step::old`]): a match whose first new row
+    /// sits at literal `p` is found by the task at `p` and by no other.
     pub(crate) fn delta_round(&mut self, rules: &[usize], delta: &Database) -> Database {
+        debug_assert!(
+            is_newest(&self.db, delta),
+            "a committing round's delta is the newest rows of its relations"
+        );
         let seen = self.run_round(rules, Some(delta), true);
         self.commit(seen)
     }
 
     /// A delta round over a *frozen* database: nothing is committed, and
     /// every head the round derived — known ones included — is returned,
-    /// once (the DRed overdeletion sweep).
+    /// once (the DRed overdeletion sweep). The delta is not the newest rows
+    /// of anything, so every literal reads its whole relation.
     pub(crate) fn sweep_round(&mut self, rules: &[usize], delta: &Database) -> Database {
         self.run_round(rules, Some(delta), false).into_database()
     }
@@ -1052,8 +1097,10 @@ impl EvalContext {
 
     /// Evaluate one round of `rules` (full or delta-restricted) and return
     /// the heads it queued, with their justifications when the context is
-    /// traced.
-    fn run_round(&mut self, rules: &[usize], delta: Option<&Database>, filter_known: bool) -> Seen {
+    /// traced. A `committing` round drops heads the database holds already
+    /// and, if it is a delta round, keeps the literals ahead of the delta
+    /// literal to the old rows ([`EvalContext::delta_round`]).
+    fn run_round(&mut self, rules: &[usize], delta: Option<&Database>, committing: bool) -> Seen {
         self.stats.iterations += 1;
         let traced = self.justifications.is_some();
         let no_delta = Database::new();
@@ -1066,6 +1113,9 @@ impl EvalContext {
         // once per delta position per round. A delta position is a positive
         // literal whose relation — predicate and arity — has delta rows.
         //
+        // A twin (a literal repeating an earlier one) is folded into its
+        // first copy: it is no delta position, and no order places it.
+        //
         // An item cannot fire when a positive literal reads a relation with
         // no rows, and is dropped before it costs an order, a script and its
         // indexes. The delta literal is exempt: it reads the delta, whose
@@ -1077,7 +1127,7 @@ impl EvalContext {
             let plan = &self.plans[rule];
             sizes.clear();
             sizes.extend(plan.body.iter().map(|a| a.relation_len(&self.db)));
-            let empty = |i: usize| !plan.body[i].negated && sizes[i] == 0;
+            let empty = |i: usize| !plan.body[i].negated && !plan.is_twin(i) && sizes[i] == 0;
             let empties = (0..plan.body.len()).filter(|&i| empty(i)).count();
             let mut schedule = |pos: Option<usize>| {
                 plan.greedy_order_seeded(&sizes, pos, &mut self.orders);
@@ -1094,7 +1144,8 @@ impl EvalContext {
                 None => {}
                 Some(d) => {
                     for (p, atom) in plan.body.iter().enumerate() {
-                        let in_delta = !atom.negated && atom.relation_len(d) > 0;
+                        let in_delta =
+                            !atom.negated && !plan.is_twin(p) && atom.relation_len(d) > 0;
                         if in_delta && empties == usize::from(empty(p)) {
                             schedule(Some(p));
                         }
@@ -1110,7 +1161,10 @@ impl EvalContext {
         // ones; on steady-state rounds nothing is missing. The delta
         // literal scans the delta, but its pattern is resolved (and, the
         // first time, built and counted in `index_builds`) like any other.
+        // In a committing delta round an old step's candidates end where its
+        // relation's delta rows begin.
         let mut slots: Vec<u32> = Vec::new();
+        let mut ends: Vec<u32> = Vec::new();
         {
             let store = Arc::make_mut(&mut self.store);
             for (script, rule) in &tasks {
@@ -1123,6 +1177,15 @@ impl EvalContext {
                         slot
                     };
                     slots.push(slot);
+                    ends.push(if committing && step.old {
+                        let len = |db: &Database| {
+                            db.relation_of(step.pred, step.arity)
+                                .map_or(0, Relation::len)
+                        };
+                        len(&self.db).saturating_sub(len(delta_db)) as u32
+                    } else {
+                        NONE
+                    });
                 }
             }
         }
@@ -1134,18 +1197,22 @@ impl EvalContext {
                 .filter(|(script, _)| script.steps.len() >= 3)
                 .count() as u64;
         }
-        let mut out = TaskOutput::new(filter_known, traced);
+        let mut out = TaskOutput::new(committing, traced);
         // Gathered delta-side key blocks are valid for this round's delta
         // only, so the cache lives and dies with the round.
         let mut cache = kernels::BatchCache::default();
-        let mut slots = slots.as_slice();
+        let (mut slots, mut ends) = (slots.as_slice(), ends.as_slice());
         for (script, rule) in &tasks {
             let (task_slots, rest) = slots.split_at(script.steps.len());
             slots = rest;
+            let (task_ends, rest) = ends.split_at(script.steps.len());
+            ends = rest;
             let task = Task {
                 script,
                 rule: *rule,
+                plan: &self.plans[*rule],
                 slots: task_slots,
+                ends: task_ends,
             };
             run_task(
                 task,
@@ -1165,6 +1232,24 @@ impl EvalContext {
         self.stats.batch_reuse_hits += out.batch_reuse;
         out.seen
     }
+}
+
+/// Whether every relation of `delta` is the newest rows of its relation in
+/// `db`, or one `db` does not hold at all: [`EvalContext::delta_round`]'s
+/// contract.
+fn is_newest(db: &Database, delta: &Database) -> bool {
+    delta.predicates().all(|pred| {
+        delta.relations_of(pred).iter().all(|d| {
+            let Some(rel) = db.relation_of(pred, d.arity()) else {
+                return true;
+            };
+            let old = rel.len().checked_sub(d.len());
+            old.is_some_and(|old| {
+                d.rows()
+                    .all(|row| rel.find(row).is_some_and(|id| id as usize >= old))
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1483,15 +1568,88 @@ mod tests {
         cx.saturate(&[0, 1]);
         let mut gone = Database::new();
         gone.insert(datalog_ast::fact("g", [1, 3]));
+        gone.insert(datalog_ast::fact("g", [2, 3]));
         cx.remove_atoms(&gone);
         assert!(!cx.database().contains(&datalog_ast::fact("g", [1, 3])));
-        // The next round rebuilds lazily and still computes correctly.
+        // `g(2, 3)` comes back through `add_fact`, so it is the newest `g`
+        // row, as a delta must be; the next round rebuilds lazily and still
+        // computes correctly.
+        assert!(cx.add_fact(Pred::new("g"), &[Const::Int(2), Const::Int(3)]));
         let mut delta = Database::new();
         delta.insert(datalog_ast::fact("g", [2, 3]));
         while !delta.is_empty() {
             delta = cx.delta_round(&[0, 1], &delta);
         }
         assert!(cx.database().contains(&datalog_ast::fact("g", [1, 3])));
+    }
+
+    /// The fixpoint of `src` over a chain of `n` edges `a(i, i + 1)`, on the
+    /// kernel and on the interpreter, which must agree on the database and
+    /// on the work; returns the kernel's counters.
+    fn chain_work(src: &str, n: i64) -> Stats {
+        let p = parse_program(src).unwrap();
+        let facts: String = (0..n).map(|i| format!("a({i}, {}).", i + 1)).collect();
+        let edb = parse_database(&facts).unwrap();
+        let run = |opts: EvalOptions| {
+            let rules: Vec<usize> = (0..p.rules.len()).collect();
+            let mut cx = EvalContext::new(&p, edb.clone(), opts);
+            cx.saturate(&rules);
+            (cx.stats(), cx.into_database())
+        };
+        let (kernel, db) = run(EvalOptions::sequential());
+        let (reference, reference_db) = run(EvalOptions::interpreted());
+        let work = |s: &Stats| (s.probes, s.matches, s.derivations);
+        assert_eq!(work(&kernel), work(&reference));
+        assert_eq!(db, reference_db);
+        assert_eq!(db, crate::naive::evaluate(&p, &edb));
+        kernel
+    }
+
+    /// Semi-naive evaluation finds every body match once: a literal ahead of
+    /// the delta literal reads only old rows, so a match is found by the
+    /// task at its first new row alone. Doubling transitive closure over a
+    /// chain of n edges matches the n edges, then each of the C(n + 1, 3)
+    /// node triples `x < y < z` once; left-linear closure matches each of
+    /// its C(n + 1, 2) pairs once.
+    #[test]
+    fn every_body_match_is_found_once() {
+        let doubling = "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).";
+        assert_eq!(chain_work(doubling, 20).matches, 20 + 1_330);
+        let left = "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), a(Y, Z).";
+        assert_eq!(chain_work(left, 20).matches, 210);
+    }
+
+    /// A literal that repeats an earlier one is folded into it: no step, no
+    /// delta task, so the rule does the work of the rule without it.
+    #[test]
+    fn twin_literals_cost_nothing() {
+        let folded = chain_work("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).", 20);
+        let twin = chain_work(
+            "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z), g(Y, Z).",
+            20,
+        );
+        let work = |s: &Stats| (s.probes, s.matches, s.derivations, s.iterations);
+        assert_eq!(work(&twin), work(&folded));
+        assert_eq!(twin.specialized_tasks, folded.specialized_tasks);
+    }
+
+    /// A twin keeps its premise: the justification lists one row per
+    /// positive body literal as written, the twin repeating its first
+    /// copy's, so the proof checks against the rule as written.
+    #[test]
+    fn a_twin_premise_repeats_its_first_copy() {
+        let p = parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z), g(Y, Z).").unwrap();
+        let edb = parse_database("a(1, 2). a(2, 3).").unwrap();
+        let mut traced = crate::provenance::Traced::new(&p, edb.clone());
+        let proof = traced.explain(&datalog_ast::fact("g", [1, 3])).unwrap();
+        assert_eq!(proof.rule_idx, Some(1));
+        let premises: Vec<_> = proof.premises.iter().map(|q| &q.conclusion).collect();
+        let (g12, g23) = (
+            datalog_ast::fact("g", [1, 2]),
+            datalog_ast::fact("g", [2, 3]),
+        );
+        assert_eq!(premises, [&g12, &g23, &g23]);
+        proof.check(&p, &edb).unwrap();
     }
 
     #[test]

@@ -507,7 +507,9 @@ mod tests {
         // scheduling `g :- g, g` over a database that has no `g` row yet;
         // (404, 1298) and 17 rounds before the sweep stopped running rules
         // whose head relation is overdeleted whole: the sweep round that
-        // started with every `g` atom overdeleted is gone.)
+        // started with every `g` atom overdeleted is gone; (342, 888) before
+        // committing delta rounds kept the literals ahead of the delta
+        // literal to the old rows, so no match is found twice.)
         let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,1). a(4,5). a(5,6).").unwrap();
         let mut m = Materialized::new(tc(), &edb);
         m.insert([fact("a", [6, 7]), fact("a", [7, 1]), fact("g", [9, 1])]);
@@ -516,7 +518,7 @@ mod tests {
         let s = m.stats();
         assert_eq!(
             (s.probes, s.matches, s.derivations, s.index_builds),
-            (342, 888, 69, 10)
+            (342, 792, 69, 10)
         );
         assert_eq!(s.iterations, 16);
     }

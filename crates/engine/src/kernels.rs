@@ -14,10 +14,11 @@
 //!   in-flight rows, translated into the probed relation's code space,
 //!   hashes the block's keys through [`hash_codes_batch`], walks the
 //!   index's chains, verifies candidates code-by-code, and appends the
-//!   matched row-id to each surviving row. When nothing reads what the
-//!   literal binds (`Step::exists`, a liveness pass at compile time) the
-//!   stage is **existential**: the first verified candidate passes the row
-//!   on and the others are never visited.
+//!   matched row-id to each surviving row; a literal ahead of the delta
+//!   literal stops its chains at the delta's first row-id (`Task::ends`).
+//!   When nothing reads what the literal binds (`Step::exists`, a liveness
+//!   pass at compile time) the stage is **existential**: the first verified
+//!   candidate passes the row on and the others are never visited.
 //! * An **anti-probe** stage (negated literal) translates the literal's
 //!   ground tuple the same way and rejects the row when the relation holds
 //!   it. It needs no index and adds no id to the row.
@@ -59,9 +60,10 @@
 //! identical fixpoints and identical `probes` / `matches` / `derivations`.
 //! Both count one probe per literal visit (the enumeration, then one per
 //! in-flight row per later stage), both stop an existential stage at its
-//! first verified candidate, and both count every complete match — so
-//! `matches` counts body matches up to the variables nobody reads, on
-//! either executor. The reference sends every match through `emit_head`
+//! first verified candidate and a literal ahead of the delta literal at the
+//! same row-id (`step_cands`, `Postings::get`), and both count every
+//! complete match — so `matches` counts body matches up to the variables
+//! nobody reads, on either executor. The reference sends every match through `emit_head`
 //! and keeps no codes; the kernel's bitmap drops only heads `emit_head`
 //! would have dropped, in the order it would have, so both queue the same
 //! heads in the same order.
@@ -89,6 +91,7 @@
 use crate::context::{
     step_cands, step_relation, Cands, IndexStore, KeySrc, Postings, Step, Task, TaskOutput,
 };
+use crate::plan::RulePlan;
 use crate::provenance::Justification;
 use datalog_ast::{
     hash_codes_batch, hash_codes_fold, hash_codes_seed, Const, Database, FxConstHasher, FxHashMap,
@@ -499,8 +502,10 @@ struct Stage<'a> {
     /// `cols[..]` of the frame: the code columns at a probe's key positions.
     cols: Range<usize>,
     checks: &'a [(usize, usize)],
-    /// The index a probe reads (an anti-probe has none).
+    /// The index a probe reads (an anti-probe has none), and the row-id its
+    /// candidates stop at (`Task::ends`).
     postings: Postings<'a>,
+    end: u32,
     /// `keys[..]` of the frame: one element per key column.
     keys: Range<usize>,
     /// Ids per in-flight row entering this stage.
@@ -551,9 +556,10 @@ pub(crate) struct Frame<'a> {
 
 struct Pipeline<'f, 'a> {
     db: &'a Database,
-    /// The task's rule and its literals with the relations they read — what
-    /// a traced context decodes an in-flight row against.
+    /// The task's rule, its plan and its literals with the relations they
+    /// read — what a traced context decodes an in-flight row against.
     rule: usize,
+    plan: &'a RulePlan,
     steps: &'a [Step],
     rels: &'f [Option<&'a Relation>],
     head_pred: Pred,
@@ -594,7 +600,11 @@ pub(crate) fn run<'a>(
         }
     }
     let lead = recipe.gates.len();
-    let (steps, slots) = (&script.steps[lead..], &task.slots[lead..]);
+    let (steps, slots, ends) = (
+        &script.steps[lead..],
+        &task.slots[lead..],
+        &task.ends[lead..],
+    );
     let Some(s0) = steps.first() else {
         out.head_buf.clear();
         out.head_buf.extend(recipe.head.iter().map(|h| match *h {
@@ -626,7 +636,7 @@ pub(crate) fn run<'a>(
         frame.key0.push(code);
         hash0 = hash_codes_fold(hash0, code);
     }
-    let cands = step_cands(s0, slots[0], rel0, store, hash0);
+    let cands = step_cands(s0, slots[0], ends[0], rel0, store, hash0);
     let space = frame.bind(task, steps, store, db, delta_db);
     if let Some(space) = space {
         out.heads.reset(space);
@@ -648,6 +658,7 @@ pub(crate) fn run<'a>(
         db,
         rule: task.rule,
         steps,
+        plan: task.plan,
         rels: rels.as_slice(),
         head_pred: script.head_pred,
         head: head.as_slice(),
@@ -717,7 +728,8 @@ impl<'a> Frame<'a> {
         delta_db: &'a Database,
     ) -> Option<usize> {
         let recipe = &task.script.kernel;
-        let slots = &task.slots[recipe.gates.len()..];
+        let lead = recipe.gates.len();
+        let (slots, ends) = (&task.slots[lead..], &task.ends[lead..]);
         self.rels.clear();
         self.stages.clear();
         self.keys.clear();
@@ -777,6 +789,7 @@ impl<'a> Frame<'a> {
                 } else {
                     store.postings(slots[k])
                 },
+                end: ends[k],
                 keys,
                 width: sr.width,
             });
@@ -856,25 +869,34 @@ impl Pipeline<'_, '_> {
     }
 
     /// The complete match `row` + `id` as a justification: the rows the
-    /// positive literals matched, in body order. In-flight rows carry one id
-    /// per positive stage, each naming a row of the relation that stage read
-    /// (the delta for the delta literal); an existential stage's id is its
-    /// one verified candidate.
+    /// positive literals matched, in body order, a twin repeating its first
+    /// copy's. In-flight rows carry one id per positive stage, each naming a
+    /// row of the relation that stage read (the delta for the delta
+    /// literal); an existential stage's id is its one verified candidate.
     fn why(&self, row: &[u32], id: Option<u32>) -> Justification {
         let mut ids = row.iter().copied().chain(id);
         let literals = self.steps.iter().zip(self.rels);
-        let mut premises: Vec<(usize, GroundAtom)> = literals
+        let mut matched: Vec<(usize, Pred, &[Const])> = literals
             .filter(|(step, _)| !step.negated)
             .map(|(step, rel)| {
                 let id = ids.next().expect("one id per positive stage");
                 let rel = rel.expect("a positive literal of a scheduled task has rows");
-                (step.atom, GroundAtom::new(step.pred, rel.row(id)))
+                (step.atom, step.pred, rel.row(id))
             })
             .collect();
-        premises.sort_by_key(|&(atom, _)| atom);
-        let premises = premises.into_iter().map(|(_, p)| p).collect();
+        matched.sort_unstable_by_key(|&(atom, _, _)| atom);
+        let body = self.plan.body.iter().enumerate();
+        let premises = body.filter(|(_, a)| !a.negated).map(|(i, _)| {
+            let atom = self.plan.first_copy(i);
+            let at = matched.binary_search_by_key(&atom, |&(a, _, _)| a);
+            let (_, pred, row) = matched[at.expect("a premise's literal has a step")];
+            GroundAtom::new(pred, row)
+        });
         let rule_idx = self.rule;
-        Justification::Rule { rule_idx, premises }
+        Justification::Rule {
+            rule_idx,
+            premises: premises.collect(),
+        }
     }
 
     /// A row survived stage `k` (`id`: the row-id a positive stage matched).
@@ -998,7 +1020,7 @@ impl Pipeline<'_, '_> {
         for (i, row) in block.rows.chunks_exact(stage.width).enumerate() {
             let key = &block.keys[i * w..(i + 1) * w];
             let mut built = false;
-            for id in stage.postings.get(block.hashes[i]) {
+            for id in stage.postings.get(block.hashes[i], stage.end) {
                 if !target.accepts(id, key) {
                     continue;
                 }

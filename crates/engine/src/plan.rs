@@ -2,7 +2,10 @@
 //!
 //! A [`RulePlan`] compiles a rule's variables to dense slots (`usize`
 //! indices) so that a partial assignment is a `Vec<Option<Const>>` rather
-//! than a map, and orders body atoms greedily by bound-variable count.
+//! than a map, orders body atoms greedily by bound-variable count, and
+//! records each body literal that repeats an earlier one (a *twin*): a rule
+//! body is a set of atoms (§II), so the context's scripts fold a twin into
+//! its first copy.
 //! Plans are what every evaluator starts from: [`crate::EvalContext`]
 //! compiles them further into join scripts for its kernel, and the plan
 //! keeps those scripts (see [`RulePlan`]), so every context built over the
@@ -27,7 +30,7 @@ pub enum Slot {
 }
 
 /// A compiled atom: predicate plus slots.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AtomPlan {
     pub pred: Pred,
     pub slots: Vec<Slot>,
@@ -82,6 +85,14 @@ impl AtomPlan {
 /// body atom) it keeps the scripts of at most `body.len()` orders, and a
 /// position that is full forgets its oldest, so a plan keeps at most
 /// `body.len() * (body.len() + 1)` scripts.
+///
+/// A body literal that repeats an earlier one — same polarity, predicate
+/// and terms — is a *twin*. Any match of the body gives a twin its first
+/// copy's row, so the context's orders leave twins out
+/// ([`RulePlan::greedy_order_seeded`]): a twin gets no step and no delta
+/// task, and a justification gives it its first copy's row. The reference
+/// join ([`RulePlan::greedy_order`], [`join_body`]) joins the body as
+/// written.
 #[derive(Clone, Debug)]
 pub struct RulePlan {
     /// Head slots.
@@ -92,6 +103,9 @@ pub struct RulePlan {
     pub vars: Vec<Var>,
     /// For each variable slot, the body atom of each of its occurrences.
     occurrences: Vec<Vec<usize>>,
+    /// For each body atom, the first body atom it is a copy of (itself
+    /// unless it is a twin).
+    first: Vec<usize>,
     memo: ScriptMemo,
 }
 
@@ -175,11 +189,15 @@ impl RulePlan {
                 }
             }
         }
+        let first = (0..body.len())
+            .map(|i| (0..i).find(|&j| body[j] == body[i]).unwrap_or(i))
+            .collect();
         RulePlan {
             head,
             body,
             vars,
             occurrences,
+            first,
             memo: ScriptMemo::default(),
         }
     }
@@ -188,29 +206,52 @@ impl RulePlan {
         self.vars.len()
     }
 
+    /// The first body atom that body atom `i` is a copy of: `i` itself,
+    /// unless `i` is a twin.
+    pub(crate) fn first_copy(&self, i: usize) -> usize {
+        self.first[i]
+    }
+
+    /// Whether body atom `i` repeats an earlier one.
+    pub(crate) fn is_twin(&self, i: usize) -> bool {
+        self.first[i] != i
+    }
+
     /// A greedy join order: repeatedly pick the not-yet-placed *positive*
     /// atom with the most bound argument positions (ties: smaller relation
     /// first); negated atoms are placed as soon as all their variables are
     /// bound, and always after at least one positive atom.
     ///
-    /// Returns a permutation of body indices.
+    /// Returns a permutation of body indices, twins included: this is the
+    /// order of the reference join.
     pub fn greedy_order(&self, db: &Database) -> Vec<usize> {
         let sizes: Vec<usize> = self.body.iter().map(|a| a.relation_len(db)).collect();
         let mut scratch = OrderScratch::default();
-        self.greedy_order_seeded(&sizes, None, &mut scratch);
+        self.order_into(&sizes, None, false, &mut scratch);
         scratch.order
     }
 
-    /// [`RulePlan::greedy_order`] into `scratch.order`, over `sizes[i]`, the
-    /// number of rows body atom `i` reads, and optionally forcing one
-    /// positive atom to the front. Delta-restricted rounds seed with the
-    /// delta atom: the delta relation is the small side, so driving the
-    /// join from it avoids rescanning a full persistent relation once per
-    /// round per delta position.
+    /// [`RulePlan::greedy_order`] without the twins, into `scratch.order`,
+    /// over `sizes[i]`, the number of rows body atom `i` reads, and
+    /// optionally forcing one positive atom to the front. Delta-restricted
+    /// rounds seed with the delta atom: the delta relation is the small
+    /// side, so driving the join from it avoids rescanning a full
+    /// persistent relation once per round per delta position.
     pub(crate) fn greedy_order_seeded(
         &self,
         sizes: &[usize],
         seed: Option<usize>,
+        scratch: &mut OrderScratch,
+    ) {
+        self.order_into(sizes, seed, true, scratch);
+    }
+
+    /// The greedy order, leaving the twins out when `fold` says so.
+    fn order_into(
+        &self,
+        sizes: &[usize],
+        seed: Option<usize>,
+        fold: bool,
         scratch: &mut OrderScratch,
     ) {
         let OrderScratch {
@@ -224,7 +265,9 @@ impl RulePlan {
         positive.clear();
         negated.clear();
         for (i, atom) in self.body.iter().enumerate() {
-            if atom.negated {
+            if fold && self.is_twin(i) {
+                continue;
+            } else if atom.negated {
                 negated.push(i);
             } else if Some(i) != seed {
                 positive.push(i);
@@ -240,8 +283,8 @@ impl RulePlan {
             consts.count()
         }));
         debug_assert!(
-            seed.is_none_or(|i| !self.body[i].negated),
-            "cannot seed on a negated atom"
+            seed.is_none_or(|i| !self.body[i].negated && !self.is_twin(i)),
+            "cannot seed on a negated atom or a twin"
         );
         let mut first = seed;
         while let Some(i) = first

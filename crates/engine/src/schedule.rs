@@ -6,9 +6,12 @@
 //! head atom if at least one body atom matches a tuple derived in the
 //! previous round (the delta). Each rule is therefore evaluated once per
 //! delta-position, for every body occurrence of an intentional predicate,
-//! with that occurrence restricted to the delta and the remaining atoms
-//! ranging over the full database. A match may be enumerated twice when two
-//! body atoms both hit the delta (the set-semantics insert dedupes).
+//! with that occurrence restricted to the delta, the atoms before it in the
+//! body restricted to the rows the database held before the delta, and the
+//! atoms after it ranging over the full database. Every body match is then
+//! enumerated once, by the task at the first body atom that matches a delta
+//! row; a literal repeating an earlier one is folded into it and is no
+//! delta position at all (see [`crate::EvalContext`]).
 //!
 //! # Schedules
 //!
@@ -337,11 +340,13 @@ mod tests {
     }
 
     #[test]
-    fn layering_reduces_matches_on_cross_tower_joins() {
-        // A rule joining two independent recursive towers: one layer
-        // re-evaluates the join once per delta position per round,
-        // rediscovering partial answers; SCC layers compute both towers
-        // first and sweep the join once over complete inputs.
+    fn layering_matches_one_layer_on_cross_tower_joins() {
+        // A rule joining two independent recursive towers. SCC layers
+        // compute both towers first and sweep the join once over complete
+        // inputs; one layer runs it once per delta position per round. Since
+        // a literal ahead of the delta literal reads only old rows, every
+        // match of the join is found once either way, so the layering saves
+        // no match here: the two counts are equal.
         let p = parse_program(
             "t1(X, Z) :- e(X, Z). t1(X, Z) :- t1(X, Y), e(Y, Z).
              t2(X, Z) :- f(X, Z). t2(X, Z) :- t2(X, Y), f(Y, Z).
@@ -357,12 +362,7 @@ mod tests {
         let (out_l, stats_l) = run(&p, &edb, Schedule::Scc);
         let (out_m, stats_m) = run(&p, &edb, Schedule::Strata);
         assert_eq!(out_l, out_m);
-        assert!(
-            stats_l.matches < stats_m.matches,
-            "layered {} vs monolithic {}",
-            stats_l.matches,
-            stats_m.matches
-        );
+        assert_eq!(stats_l.matches, stats_m.matches, "layered vs monolithic");
     }
 
     fn reach_program() -> Program {

@@ -13,7 +13,9 @@
 //!   one; the kernel and the interpreter must also do the
 //!   same logical work (`probes`, `matches`, `derivations`) — the
 //!   interpreter compiles its join scripts afresh every round, so this is
-//!   what checks the scripts the kernel's plans keep; magic-sets answers
+//!   what checks the scripts the kernel's plans keep; on a positive
+//!   program the kernel must count no more matches than one naive pass over
+//!   the fixpoint enumerates (semi-naive finds each match once); magic-sets answers
 //!   must equal the pattern-filtered fixpoint for every query; and
 //!   the proof a traced context gives for a sample of the fixpoint must
 //!   pass [`Proof::check`].
@@ -261,6 +263,23 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
     // Proofs and magic sets are for positive programs only.
     if !program.is_positive() {
         return out;
+    }
+
+    // Semi-naive evaluation finds each body match once: a literal ahead of
+    // the delta literal reads only old rows, and a twin literal folds into
+    // its first copy. Each match the kernel counts is then a distinct match
+    // over the fixpoint, so there are no more of them than one naive pass
+    // over the fixpoint enumerates.
+    let every = naive::evaluate_with_stats(program, &reference).1.matches;
+    if kernel.matches > every {
+        out.push(Divergence {
+            family: Family::Engines,
+            kind: "engine:exactly-once".into(),
+            message: format!(
+                "the kernel counted {} matches; the fixpoint has {every}",
+                kernel.matches
+            ),
+        });
     }
 
     // The derivation recorder: whatever first justification a round kept,

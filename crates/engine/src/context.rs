@@ -12,12 +12,14 @@
 //! * **Incremental row-id indexes in dictionary-code space.** The context
 //!   owns an [`IndexStore`] of per-`(pred, arity, positions)` indexes that
 //!   live across fixpoint rounds. An index chains the row-ids whose
-//!   projected **dictionary codes** (see [`Relation::codes`]) hash alike:
-//!   a map from the hash to the chain's first and last id, and one `next`
-//!   array linking each row to the next of its chain, so candidates come in
-//!   insertion order. Building an index is a fold over `u32` code columns —
-//!   it never touches the row arena — into two allocations, and appending
-//!   a derived row is one `u32` pushed and one linked per live index
+//!   projected **dictionary codes** (see [`Relation::codes`]) are equal —
+//!   one key per chain: a map from a slot of the key's probe sequence
+//!   (its hash, then steps of [`PROBE_STEP`] past the chains of colliding
+//!   keys) to the chain's first and last id, and one `next` array linking
+//!   each row to the next of its chain, so candidates come in insertion
+//!   order. Building an index is a fold over `u32` code columns — it never
+//!   touches the row arena — into two allocations, and appending a derived
+//!   row is one `u32` pushed and one linked per live index
 //!   ([`Stats::index_appends`]); an index is built at most once per pattern
 //!   per context ([`Stats::index_builds`]). The invariant: **every
 //!   mutation of the context database flows through the context**, so ids
@@ -43,10 +45,13 @@
 //!   than sharing the plan's. Both probe in code space: a probe key's
 //!   constants are translated through the target column's dictionary
 //!   first, so a constant that never appears in a column matches nothing
-//!   without touching a single row ([`Stats::dict_filtered_probes`]), and
-//!   candidate verification is a `u32` compare per bound column. Hash
-//!   collisions are therefore admitted by the chains but never produce a
-//!   wrong answer.
+//!   without touching a single row ([`Stats::dict_filtered_probes`]). A
+//!   lookup compares its key, a `u32` per bound column, with the first row
+//!   of each chain its probe sequence passes — one chain unless two keys'
+//!   64-bit hashes collide — and every candidate of the chain it stops at
+//!   carries the key, so only repeated-variable checks remain per
+//!   candidate. A scan (the delta literal, a literal with no bound
+//!   position) still compares the key on every row.
 //!
 //! * **One thread, one output per round.** A round's `(rule ×
 //!   delta-position)` tasks run one after another on the calling thread
@@ -137,12 +142,21 @@ impl Default for EvalOptions {
 /// The end of a chain, and the slot of a step that reads no index.
 pub(crate) const NONE: u32 = u32::MAX;
 
+/// The stride of an [`Index`]'s probe sequences: the chain of a key whose
+/// hash is `h` sits at the first of `h`, `h + PROBE_STEP`, `h + 2 ·
+/// PROBE_STEP`, … (wrapping) that is empty or holds a chain whose first
+/// row carries the key. The stride is odd, so a sequence reaches every
+/// slot before it repeats one.
+const PROBE_STEP: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// One hash index over the rows of `(pred, arity)`, keyed on their
-/// dictionary codes at `positions`. Rows whose projections hash alike form
-/// a chain in insertion order: `heads` maps the hash to the chain's first
-/// and last row-id, and `next[id]` is the row after `id` in its chain
-/// (`NONE` at the end). Collisions share a chain; executors verify
-/// candidates code-by-code.
+/// dictionary codes at `positions`. Rows with one key form a chain in
+/// insertion order, and a chain holds exactly one key: `heads` maps a slot
+/// of the key's probe sequence ([`PROBE_STEP`]) to the chain's first and
+/// last row-id, and `next[id]` is the row after `id` in its chain (`NONE`
+/// at the end). Keys whose hashes collide take successive slots of the
+/// sequence, so a lookup compares its key with one row per chain it
+/// passes, and every candidate of the chain it stops at carries the key.
 #[derive(Clone, Debug)]
 pub(crate) struct Index {
     pred: Pred,
@@ -181,23 +195,56 @@ impl Index {
     }
 
     /// Link row `id` of `rel` — the next row of the relation — to the end
-    /// of its chain.
+    /// of its key's chain.
     #[inline]
     fn append(&mut self, rel: &Relation, id: u32) {
-        debug_assert_eq!(id as usize, self.next.len(), "rows are indexed in id order");
         let mut h = hash_codes_seed(self.positions.len());
         for &p in self.positions.iter() {
             h = hash_codes_fold(h, rel.code_at(p, id));
         }
+        self.link(rel, id, h);
+    }
+
+    /// [`Index::append`] with the key's hash `h` given: walk the key's
+    /// probe sequence to its chain, or to the empty slot that starts it.
+    #[inline]
+    fn link(&mut self, rel: &Relation, id: u32, mut h: u64) {
+        debug_assert_eq!(id as usize, self.next.len(), "rows are indexed in id order");
+        let positions = &self.positions;
+        let same_key = |first: u32| {
+            positions
+                .iter()
+                .all(|&p| rel.code_at(p, first) == rel.code_at(p, id))
+        };
         self.next.push(NONE);
-        match self.heads.entry(h) {
-            Entry::Occupied(mut chain) => {
-                let (_, last) = chain.get_mut();
-                self.next[*last as usize] = id;
-                *last = id;
+        loop {
+            match self.heads.entry(h) {
+                Entry::Occupied(mut chain) if same_key(chain.get().0) => {
+                    let (_, last) = chain.get_mut();
+                    self.next[*last as usize] = id;
+                    *last = id;
+                    return;
+                }
+                Entry::Occupied(_) => h = h.wrapping_add(PROBE_STEP),
+                Entry::Vacant(chain) => {
+                    chain.insert((id, id));
+                    return;
+                }
             }
-            Entry::Vacant(chain) => {
-                chain.insert((id, id));
+        }
+    }
+
+    /// The first row of the chain whose key hashes to `hash` and is carried
+    /// by the rows `carries` accepts — `NONE` when the index holds no such
+    /// row. One `carries` call per chain on the key's probe sequence.
+    #[inline]
+    fn first(&self, hash: u64, carries: impl Fn(u32) -> bool) -> u32 {
+        let mut h = hash;
+        loop {
+            match self.heads.get(&h) {
+                None => return NONE,
+                Some(&(first, _)) if carries(first) => return first,
+                Some(_) => h = h.wrapping_add(PROBE_STEP),
             }
         }
     }
@@ -285,14 +332,16 @@ impl IndexStore {
 pub(crate) struct Postings<'a>(Option<&'a Index>);
 
 impl<'a> Postings<'a> {
-    /// Row-ids below `end` whose code projection on the index's positions
-    /// hashes to `hash`, in insertion order (`end == NONE`: every one).
+    /// The row-ids below `end` that carry the key hashing to `hash`, in
+    /// insertion order (`end == NONE`: every one). `carries(id)` says
+    /// whether row `id` carries the key; the lookup asks it once per chain
+    /// it passes, and no candidate needs asking again.
     #[inline]
-    pub(crate) fn get(self, hash: u64, end: u32) -> Chain<'a> {
+    pub(crate) fn get(self, hash: u64, end: u32, carries: impl Fn(u32) -> bool) -> Chain<'a> {
         match self.0 {
             Some(index) => Chain {
                 next: &index.next,
-                at: index.heads.get(&hash).map_or(NONE, |&(first, _)| first),
+                at: index.first(hash, carries),
                 end,
             },
             None => Chain {
@@ -576,10 +625,12 @@ pub(crate) fn step_relation<'a>(
     source.relation_of(step.pred, step.arity)
 }
 
-/// The candidates below row-id `end` a step visits for the key hashing to
-/// `hash`: every such row of the delta for the delta literal (verification
-/// against the key does what an index would), the index's chain otherwise.
-/// In id order either way.
+/// The candidates below row-id `end` a step visits for the key `key`
+/// (codes of `rel` at the step's positions) hashing to `hash`: every such
+/// row of the relation for the delta literal or a literal with no bound
+/// position — a scan, whose rows the caller checks against the key — and
+/// otherwise the rows of the key's chain, each of which carries it. In id
+/// order either way.
 pub(crate) fn step_cands<'a>(
     step: &Step,
     slot: u32,
@@ -587,12 +638,23 @@ pub(crate) fn step_cands<'a>(
     rel: &Relation,
     store: &'a IndexStore,
     hash: u64,
+    key: &[u32],
 ) -> Cands<'a> {
     if step.delta || step.positions.is_empty() {
         Cands::All(0..end.min(rel.len() as u32))
     } else {
-        Cands::Chain(store.postings(slot).get(hash, end))
+        let postings = store.postings(slot);
+        Cands::Chain(postings.get(hash, end, |id| carries(rel, &step.positions, key, id)))
     }
+}
+
+/// Whether row `id` of `rel` carries `key`, its codes at `positions`.
+#[inline]
+pub(crate) fn carries(rel: &Relation, positions: &[usize], key: &[u32], id: u32) -> bool {
+    positions
+        .iter()
+        .zip(key)
+        .all(|(&pos, &code)| rel.code_at(pos, id) == code)
 }
 
 /// The heads a round queued, per head predicate and arity: the round's
@@ -810,21 +872,16 @@ fn exec(
     }
     let cands = if present {
         let (slot, end) = (task.slots[depth], task.ends[depth]);
-        step_cands(step, slot, end, rel, src.store, hash)
+        step_cands(step, slot, end, rel, src.store, hash, &key_codes)
     } else {
         out.dict_filtered += 1;
         Cands::All(0..0)
     };
+    // A chain holds one key, which its lookup compared; a scan's rows are
+    // compared here, one integer compare per bound column.
+    let scan = matches!(cands, Cands::All(_));
     for id in cands {
-        // Candidates share a hash, not necessarily a key: verify the
-        // candidate's code projection against the translated key (collision
-        // safety, one integer compare per bound column).
-        if !step
-            .positions
-            .iter()
-            .zip(&key_codes)
-            .all(|(&pos, &code)| rel.code_at(pos, id) == code)
-        {
+        if scan && !carries(rel, &step.positions, &key_codes, id) {
             continue;
         }
         let t = rel.row(id);
@@ -1489,36 +1546,94 @@ mod tests {
         }
     }
 
-    /// Every key of every index of `store` collides with every other: each
-    /// index becomes one chain of all its rows, in id order, that each of
-    /// its keys reaches. Valid until the next append.
-    fn collide(store: &mut IndexStore) {
-        for index in &mut store.indexes {
-            let n = index.next.len() as u32;
-            for id in 0..n {
-                index.next[id as usize] = if id + 1 < n { id + 1 } else { NONE };
-            }
-            for chain in index.heads.values_mut() {
-                *chain = (0, n.saturating_sub(1));
-            }
+    /// Two keys under one hash: the second key's chain takes the next slot
+    /// of the probe sequence, appends and lookups walk to it past the
+    /// first key's chain, and every row a lookup hands out carries its key.
+    #[test]
+    fn one_hash_two_keys_walk_to_their_own_chains() {
+        let db = parse_database("r(1, 10). r(2, 20). r(1, 11). r(2, 21). r(1, 12).").unwrap();
+        let rel = db.relation_of(Pred::new("r"), 2).unwrap();
+        let mut index = Index {
+            pred: Pred::new("r"),
+            arity: 2,
+            positions: Box::new([0]),
+            heads: RowHashMap::default(),
+            next: Vec::new(),
+        };
+        let h = 42;
+        for id in 0..rel.len() as u32 {
+            index.link(rel, id, h);
         }
+        assert_eq!(index.heads.len(), 2, "one chain per key");
+        assert_eq!(index.heads[&h], (0, 4), "key 1 took the hash's slot");
+        assert_eq!(index.heads[&h.wrapping_add(PROBE_STEP)], (1, 3));
+        let code = |v: i64| rel.lookup_code(0, Const::Int(v)).unwrap();
+        let lookup = |key: u32, end: u32| -> (Vec<u32>, usize) {
+            let asked = std::cell::Cell::new(0);
+            let carries = |id| {
+                asked.set(asked.get() + 1);
+                rel.code_at(0, id) == key
+            };
+            let ids = Postings(Some(&index)).get(h, end, carries).collect();
+            (ids, asked.get())
+        };
+        assert_eq!(lookup(code(1), NONE), (vec![0, 2, 4], 1));
+        // One compare per chain passed, and the bound still ends the walk.
+        assert_eq!(lookup(code(2), NONE), (vec![1, 3], 2));
+        assert_eq!(lookup(code(2), 3), (vec![1], 2));
+        // A key no row carries passes both chains and stops at the empty slot.
+        assert_eq!(lookup(u32::MAX, NONE), (vec![], 2));
+        assert_eq!(Postings::default().get(h, NONE, |_| true).count(), 0);
     }
 
-    /// Chains hand candidates out in insertion order, and a collision only
-    /// lengthens one: with every key of every index colliding, a round
-    /// derives the same heads, with the same counters, on the kernel and on
-    /// the interpreter, as over true chains — and an existential literal's
-    /// first verified candidate, which the kernel's justifications name, is
-    /// still the first row inserted with its key.
+    /// Force a collision on every key of every index of `store` that holds
+    /// two keys or more: each chain moves one step along its key's probe
+    /// sequence, and the slot it leaves holds the chain of another key (the
+    /// next in first-row order). Every lookup of a key the index holds, and
+    /// every later append of one, passes another key's chain before it
+    /// reaches its own. Returns how many indexes it rewired.
+    fn collide(store: &mut IndexStore) -> usize {
+        let mut rewired = 0;
+        for index in &mut store.indexes {
+            if index.heads.len() < 2 {
+                continue;
+            }
+            let mut chains: Vec<(u64, (u32, u32))> = index.heads.drain().collect();
+            chains.sort_unstable_by_key(|&(_, (first, _))| first);
+            for &(h, chain) in &chains {
+                index.heads.insert(h.wrapping_add(PROBE_STEP), chain);
+            }
+            for (i, &(h, _)) in chains.iter().enumerate() {
+                let parked = chains[(i + 1) % chains.len()].1;
+                let moved = index.heads.insert(h, parked);
+                assert!(moved.is_none(), "no hash sits one step past another");
+            }
+            rewired += 1;
+        }
+        rewired
+    }
+
+    /// The walk past another key's chain is the only thing that keeps keys
+    /// apart: with every chain displaced by a forced collision, appends to
+    /// existing keys, delta probes and a full round's constant-key stage 0
+    /// derive the same heads, with the same counters and the same
+    /// justifications, on the kernel and on the interpreter, as over
+    /// undisturbed indexes — and an existential literal's first candidate,
+    /// which the kernel's justifications name, is still the first row
+    /// inserted with its key.
     #[test]
-    fn colliding_keys_only_lengthen_chains() {
-        let p = parse_program("j(X, Z) :- e(X, Y), f(Y, Z). k(X) :- e(X, Y), f(Y, W).").unwrap();
+    fn forced_collisions_change_no_result() {
+        let p = parse_program(
+            "j(X, Z) :- e(X, Y), f(Y, Z). k(X) :- e(X, Y), f(Y, W). c(Z) :- f(2, Z).",
+        )
+        .unwrap();
         let mut facts = String::from("e(0, 0).");
         for i in 0..60 {
             facts.push_str(&format!("f({}, {i}).", i % 4));
         }
         let edb = parse_database(&facts).unwrap();
         let e = |x: i64| [Const::Int(x), Const::Int(x % 5)];
+        let f = |x: i64| [Const::Int(x % 4), Const::Int(100 + x)];
         let run = |opts: EvalOptions, collide_keys: bool| {
             let mut cx = EvalContext::new(&p, edb.clone(), opts);
             if opts.specialize {
@@ -1526,15 +1641,18 @@ mod tests {
             }
             cx.saturate(&[0, 1]);
             let before = cx.stats();
+            if collide_keys {
+                assert!(collide(Arc::make_mut(&mut cx.store)) > 0);
+            }
             let mut delta = Database::new();
             for x in 1..8 {
                 cx.add_fact(Pred::new("e"), &e(x));
                 delta.insert_row(Pred::new("e"), &e(x));
+                cx.add_fact(Pred::new("f"), &f(x));
+                delta.insert_row(Pred::new("f"), &f(x));
             }
-            if collide_keys {
-                collide(Arc::make_mut(&mut cx.store));
-            }
-            let derived = cx.delta_round(&[0, 1], &delta);
+            let mut derived = cx.delta_round(&[0, 1], &delta);
+            derived.extend(cx.full_round(&[2]).iter());
             let why: Vec<_> = (1..8)
                 .map(|x| cx.justification(&datalog_ast::fact("k", [x])).cloned())
                 .collect();
@@ -1547,6 +1665,8 @@ mod tests {
         assert_eq!(kernel.0, reference.0);
         let work = |s: &Stats| (s.probes, s.matches, s.derivations);
         assert_eq!(work(&kernel.1), work(&reference.1));
+        // `c` reads only the 15 + 2 rows of `f(2, _)`.
+        assert_eq!(kernel.0.relation_len(Pred::new("c")), 17);
         for (x, why) in (1..8).zip(&kernel.2) {
             let y = x % 5;
             let expected = (y < 4).then(|| Justification::Rule {

@@ -5,17 +5,21 @@
 //! — as one batched pipeline over dictionary-code columns:
 //!
 //! * **Stage 0** enumerates the first positive literal: candidate row-ids
-//!   come from its constant key's index chain (or the whole relation, which
-//!   for the delta literal is the whole delta), are verified by an integer
-//!   compare per bound column, and flow on in blocks of [`BLOCK`] rows.
+//!   come from its constant key's index chain — which holds that key
+//!   alone, so only repeated-variable checks remain — or from the whole
+//!   relation (for the delta literal, the whole delta), whose rows are
+//!   verified by an integer compare per bound column; they flow on in
+//!   blocks of [`BLOCK`] rows.
 //!   Ground negated literals the planner placed *before* it bind nothing
 //!   and see nothing in flight, so they are one-shot gates on the task.
 //! * A **probe** stage (positive literal) gathers its key from the
 //!   in-flight rows, translated into the probed relation's code space,
-//!   hashes the block's keys through [`hash_codes_batch`], walks the
-//!   index's chains, verifies candidates code-by-code, and appends the
-//!   matched row-id to each surviving row; a literal ahead of the delta
-//!   literal stops its chains at the delta's first row-id (`Task::ends`).
+//!   hashes the block's keys through [`hash_codes_batch`], looks each key's
+//!   chain up — comparing the key with the first row of each chain on its
+//!   probe sequence, one chain unless 64-bit hashes collide — checks each
+//!   candidate's repeated variables, and appends the matched row-id to
+//!   each surviving row; a literal ahead of the delta literal stops its
+//!   chains at the delta's first row-id (`Task::ends`).
 //!   When nothing reads what the literal binds (`Step::exists`, a liveness
 //!   pass at compile time) the stage is **existential**: the first verified
 //!   candidate passes the row on and the others are never visited.
@@ -45,12 +49,16 @@
 //! *source* dictionary codes names the head exactly. The leaf test-and-sets
 //! that tuple in a bitmap ([`HeadFilter`], indexed by mixed radix over the
 //! source columns' `dict_len`) before it reads an arena; a repeat is
-//! counted as a match and goes no further. Only a task's first sighting of
-//! a head is built as a `Const` tuple — in one reused buffer — and handed
-//! to [`TaskOutput::emit_head`], whose database check and round-level
-//! `seen` arenas catch what the bitmap cannot: heads already in the
-//! database, and the same head from another task. What `seen` keeps is a
-//! row of the round's output, which a committing round hands on as its
+//! counted as a match and goes no further. The number is split by who
+//! fixes its digits ([`HeadCodes`]): the in-flight row's are summed once
+//! per row, and the last stage's own cost one code read each per
+//! candidate, so in the last probe stage a repeated head costs one chain
+//! step, one code read per own digit and one bit. Only a task's first
+//! sighting of a head is built as a `Const` tuple — in one reused buffer —
+//! and handed to [`TaskOutput::emit_head`], whose database check and
+//! round-level `seen` arenas catch what the bitmap cannot: heads already in
+//! the database, and the same head from another task. What `seen` keeps is
+//! a row of the round's output, which a committing round hands on as its
 //! delta; no head becomes a `GroundAtom`. A head space above
 //! [`HEAD_BITS_MAX`] skips the bitmap and goes straight to `emit_head`.
 //!
@@ -401,26 +409,35 @@ enum HeadElem<'a> {
 
 /// A task's head tuples as numbers. Each distinct head variable is a
 /// digit: its source code column, the slot whose id reads it, and its
-/// weight. A column's codes name its values one-to-one, so equal numbers
-/// mean equal heads; constant positions add nothing.
+/// weight. A column's codes name their values one-to-one, so equal numbers
+/// mean equal heads; constant positions add nothing. The digits split by
+/// who fixes them: `fixed` ones by the in-flight row, summed once per row;
+/// `own` ones by the last stage's match, one code read each per candidate.
 struct HeadCodes<'f, 'a> {
-    digits: &'f [(&'a [u32], usize, usize)],
+    fixed: &'f [(&'a [u32], usize, usize)],
+    own: &'f [(&'a [u32], usize, usize)],
 }
 
 impl HeadCodes<'_, '_> {
-    /// The number of the head the match `row` + `id` derives: a digit
-    /// whose slot `row` does not reach is the last stage's own, read off
-    /// `id`.
+    /// What the in-flight `row` adds to the number of every head it derives.
     #[inline]
-    fn of(&self, row: &[u32], id: Option<u32>) -> usize {
-        self.digits
-            .iter()
-            .map(|&(col, slot, weight)| {
-                let rid = row.get(slot).copied().or(id);
-                let rid = rid.expect("a head value the last stage binds comes with its match");
-                col[rid as usize] as usize * weight
-            })
-            .sum()
+    fn base(&self, row: &[u32]) -> usize {
+        let digit = |&(col, slot, weight): &(&[u32], usize, usize)| {
+            col[row[slot] as usize] as usize * weight
+        };
+        self.fixed.iter().map(digit).sum()
+    }
+
+    /// The number of the head the match `row` + `id` derives, where `base`
+    /// is [`HeadCodes::base`] of `row`.
+    #[inline]
+    fn of(&self, base: usize, id: Option<u32>) -> usize {
+        let Some(id) = id else {
+            debug_assert!(self.own.is_empty(), "an anti-probe binds no head value");
+            return base;
+        };
+        let digit = |&(col, _, weight): &(&[u32], usize, usize)| col[id as usize] as usize * weight;
+        base + self.own.iter().map(digit).sum::<usize>()
     }
 }
 
@@ -474,14 +491,18 @@ struct Target<'f, 'a> {
 }
 
 impl Target<'_, '_> {
-    /// Row `id` carries `key` (chains are keyed by hash, so collisions get
-    /// here) and satisfies the checks.
+    /// Row `id` carries `key`. A chain's lookup asks this of one row per
+    /// chain it passes; a scan asks it of every row.
     #[inline]
-    fn accepts(&self, id: u32, key: &[u32]) -> bool {
+    fn carries(&self, id: u32, key: &[u32]) -> bool {
         let i = id as usize;
-        if !self.cols.iter().zip(key).all(|(col, &c)| col[i] == c) {
-            return false;
-        }
+        self.cols.iter().zip(key).all(|(col, &c)| col[i] == c)
+    }
+
+    /// Row `id` satisfies the repeated-variable checks: all a chain's
+    /// candidate still needs.
+    #[inline]
+    fn passes(&self, id: u32) -> bool {
         self.checks.is_empty() || {
             let t = self.rel.row(id);
             self.checks.iter().all(|&(p, q)| t[p] == t[q])
@@ -550,7 +571,10 @@ pub(crate) struct Frame<'a> {
     cols: Vec<&'a [u32]>,
     key0: Vec<u32>,
     head: Vec<HeadElem<'a>>,
+    /// The head's digits, `(code column, slot, weight)`: those the
+    /// in-flight row fixes, then from `own_from` on the last stage's own.
     digits: Vec<(&'a [u32], usize, usize)>,
+    own_from: usize,
     scratch: Vec<Scratch>,
 }
 
@@ -636,7 +660,7 @@ pub(crate) fn run<'a>(
         frame.key0.push(code);
         hash0 = hash_codes_fold(hash0, code);
     }
-    let cands = step_cands(s0, slots[0], ends[0], rel0, store, hash0);
+    let cands = step_cands(s0, slots[0], ends[0], rel0, store, hash0, &frame.key0);
     let space = frame.bind(task, steps, store, db, delta_db);
     if let Some(space) = space {
         out.heads.reset(space);
@@ -650,6 +674,7 @@ pub(crate) fn run<'a>(
         key0,
         head,
         digits,
+        own_from,
         scratch,
     } = &mut frame;
     let n0 = s0.positions.len();
@@ -662,7 +687,10 @@ pub(crate) fn run<'a>(
         rels: rels.as_slice(),
         head_pred: script.head_pred,
         head: head.as_slice(),
-        codes: space.map(|_| HeadCodes { digits }),
+        codes: space.map(|_| {
+            let (fixed, own) = digits.split_at(*own_from);
+            HeadCodes { fixed, own }
+        }),
         own: &recipe.own,
         last_rel: rels[last],
         target0: Target {
@@ -808,19 +836,34 @@ impl<'a> Frame<'a> {
                 .checked_mul(at.rel.dict_len(at.pos))
                 .filter(|&s| s <= HEAD_BITS_MAX)?;
         }
+        // Split the digits: a digit the last stage's match supplies sits at
+        // the slot its id takes, the width of the rows that stage reads, and
+        // no digit of the in-flight row reaches that far.
+        let own_slot = recipe.stages.last().map_or(0, |s| s.width);
+        let own = |&(_, slot, _): &(&[u32], usize, usize)| slot == own_slot;
+        self.digits.sort_unstable_by_key(own);
+        self.own_from = self.digits.partition_point(|d| !own(d));
         Some(space)
     }
 }
 
 impl Pipeline<'_, '_> {
-    /// Stage 0: visit the candidates that carry the constant key and
-    /// satisfy the repeated-variable checks.
-    fn enumerate(&self, cands: Cands<'_>, mut visit: impl FnMut(u32)) {
-        for id in cands {
-            if self.target0.accepts(id, self.key0) {
-                visit(id);
-            }
+    /// Stage 0: visit the candidates that carry the constant key — all of
+    /// a chain's do — and satisfy the repeated-variable checks.
+    fn enumerate(&self, cands: Cands<'_>, visit: impl FnMut(u32)) {
+        let t = &self.target0;
+        match cands {
+            Cands::Chain(chain) => chain.filter(|&id| t.passes(id)).for_each(visit),
+            Cands::All(ids) => ids
+                .filter(|&id| t.carries(id, self.key0) && t.passes(id))
+                .for_each(visit),
         }
+    }
+
+    /// [`HeadCodes::base`] of `row`, when the task numbers its heads.
+    #[inline]
+    fn base(&self, row: &[u32]) -> usize {
+        self.codes.as_ref().map_or(0, |codes| codes.base(row))
     }
 
     /// Fill `head_buf` with every head value `row` determines; the values
@@ -838,21 +881,38 @@ impl Pipeline<'_, '_> {
         }));
     }
 
-    /// The leaf, once per complete match `row` + `id`. A head the task has
-    /// already emitted is counted and dropped on its source codes alone.
-    /// Otherwise the head tuple is built — the values `row` determines once
-    /// per row (`built` says whether they are in `head_buf` already), the
-    /// last match's own values per match — and goes through
-    /// [`TaskOutput::emit_head`]; a traced context gets the justification of
-    /// each head it queues, one per `seen` row.
+    /// The leaf, once per complete match `row` + `id`, where `base` is
+    /// [`Pipeline::base`] of `row`. A head the task has already emitted is
+    /// counted and dropped on its source codes alone: one code read per
+    /// digit the match supplies, and one bit. Otherwise the head tuple is
+    /// built — the values `row` determines once per row (`built` says
+    /// whether they are in `head_buf` already), the last match's own values
+    /// per match — and goes through [`TaskOutput::emit_head`]; a traced
+    /// context gets the justification of each head it queues, one per
+    /// `seen` row.
     #[inline]
-    fn emit(&self, row: &[u32], id: Option<u32>, built: &mut bool, out: &mut TaskOutput<'_>) {
+    fn emit(
+        &self,
+        row: &[u32],
+        id: Option<u32>,
+        base: usize,
+        built: &mut bool,
+        out: &mut TaskOutput<'_>,
+    ) {
         if let Some(codes) = &self.codes {
-            if !out.heads.insert(codes.of(row, id)) {
+            if !out.heads.insert(codes.of(base, id)) {
                 out.matches += 1;
                 return;
             }
         }
+        self.queue(row, id, built, out);
+    }
+
+    /// [`Pipeline::emit`] past the duplicate filter: build the head tuple
+    /// and hand it to [`TaskOutput::emit_head`]. Kept out of line, so the
+    /// per-candidate loop holds only the filter.
+    #[inline(never)]
+    fn queue(&self, row: &[u32], id: Option<u32>, built: &mut bool, out: &mut TaskOutput<'_>) {
         if !*built {
             self.head_of(row, out);
             *built = true;
@@ -912,7 +972,7 @@ impl Pipeline<'_, '_> {
         out: &mut TaskOutput<'_>,
     ) {
         if k == self.stages.len() {
-            self.emit(row, id, &mut false, out);
+            self.emit(row, id, self.base(row), &mut false, out);
             return;
         }
         let next = &mut sc[0].next;
@@ -1003,8 +1063,9 @@ impl Pipeline<'_, '_> {
     }
 
     /// Probe stage, second half: look the gathered rows up in stage `k`'s
-    /// index and verify the candidates code-by-code; each match extends
-    /// its row.
+    /// index, whose chains hold one key each, so a candidate is checked
+    /// only for repeated variables; each match extends its row. In the last
+    /// stage the head digits the row fixes are summed once per row.
     fn probe(&self, k: usize, block: &Block, sc: &mut [Scratch], out: &mut TaskOutput<'_>) {
         let stage = &self.stages[k - 1];
         let target = Target {
@@ -1019,13 +1080,14 @@ impl Pipeline<'_, '_> {
         out.batch_rows += block.hashes.len() as u64;
         for (i, row) in block.rows.chunks_exact(stage.width).enumerate() {
             let key = &block.keys[i * w..(i + 1) * w];
-            let mut built = false;
-            for id in stage.postings.get(block.hashes[i], stage.end) {
-                if !target.accepts(id, key) {
+            let carries = |first| target.carries(first, key);
+            let (mut built, base) = (false, if last { self.base(row) } else { 0 });
+            for id in stage.postings.get(block.hashes[i], stage.end, carries) {
+                if !target.passes(id) {
                     continue;
                 }
                 if last {
-                    self.emit(row, Some(id), &mut built, out);
+                    self.emit(row, Some(id), base, &mut built, out);
                 } else {
                     self.push(k, row, Some(id), sc, out);
                 }

@@ -23,7 +23,10 @@
 //! sends every match through the `Const`-level dedup, and the head — its
 //! constants, repeated variables, the stages that bind it, a head space on
 //! either side of the bitmap's bound — decides what the kernel's filter
-//! keys on.
+//! keys on. In the last probe stage the filter's number is split: the
+//! digits the in-flight row fixes are summed once per row, the candidate's
+//! own read per candidate, so the last-stage shapes take 0, 1 and 2 digits
+//! from the candidate.
 
 use datalog_ast::{
     fact, parse_database, parse_program, Atom, Const, Database, GroundAtom, Literal, Pred, Program,
@@ -433,6 +436,103 @@ fn head_spaces_on_both_sides_of_the_bitmap_bound() {
     assert_eq!(out.relation_len(Pred::new("below")), 2048);
     assert_eq!(out.relation_len(Pred::new("above")), 2049);
     assert_eq!(stats.matches, 3 * (2048 + 2049));
+}
+
+/// Seeded rows for the last-stage head shapes: `s`, `e` and the ternary
+/// `t` grow in that order, so the planner runs `s`, then `e`, then `t`,
+/// and every rule over `s(X), e(X, W), t(W, …)` ends in a probe of `t`.
+/// Six values per column make repeated heads common.
+fn last_stage_db(seed: u64) -> Database {
+    let mut db = Database::new();
+    let sized: [(&[(&str, usize)], usize); 3] =
+        [(&[("s", 1)], 4), (&[("e", 2)], 12), (&[("t", 3)], 40)];
+    for (i, (preds, rows)) in sized.into_iter().enumerate() {
+        db.union_with(&random_db(preds, rows, 6, seed * 37 + i as u64));
+    }
+    db
+}
+
+/// The last probe stage numbers a head from two parts: the digits the
+/// in-flight row fixes, summed once per row, and the candidate's own, one
+/// code read each. Heads that take 0, 1 and 2 digits from the candidate
+/// (0 only when the literal is existential), none from the row, a
+/// constant, a variable repeated among the candidate's digits and among
+/// the row's, and a repeated variable inside the last literal — in full
+/// rounds and, through `reach`, in delta-led ones. Every fixpoint must be
+/// the naive evaluator's, with the reference's work.
+#[test]
+fn last_stage_head_digits() {
+    let program = parse_program(
+        "none(X, W) :- s(X), e(X, W), t(W, V, U).\
+         one(X, V) :- s(X), e(X, W), t(W, V, U).\
+         two(X, V, U) :- s(X), e(X, W), t(W, V, U).\
+         owned(V, U) :- s(X), e(X, W), t(W, V, U).\
+         konst(V, 7, X) :- s(X), e(X, W), t(W, V, U).\
+         again(V, X, V, U, V) :- s(X), e(X, W), t(W, V, U).\
+         fixed(X, X, V) :- s(X), e(X, W), t(W, V, U).\
+         diag(X, V) :- s(X), e(X, W), t(W, V, V).\
+         reach(X) :- s(X).\
+         reach(V) :- reach(X), e(X, W), t(W, V, U).",
+    )
+    .unwrap();
+    let mut repeats = 0;
+    for seed in 0..10u64 {
+        let db = last_stage_db(seed);
+        let what = format!("last-stage heads, seed {seed}");
+        let (out, stats) = check_positive(&program, &db, &what);
+        let len = |p: &str| out.relation_len(Pred::new(p));
+        assert_eq!(len("again"), len("two"), "{what}");
+        assert_eq!(len("fixed"), len("one"), "{what}");
+        assert_eq!(len("konst"), len("one"), "{what}");
+        repeats += stats.matches - stats.derivations;
+    }
+    assert!(repeats > 0, "the seeds drew repeated heads");
+}
+
+/// A negated last literal takes no digit from a candidate: every digit is
+/// the in-flight row's. The heads occur in no body, so one application of
+/// the rules is the fixpoint, which `naive::apply_once` computes without
+/// the engine's executors.
+#[test]
+fn anti_probe_last_stage_head_digits() {
+    let program = parse_program(
+        "kept(X, W) :- s(X), e(X, W), !t(W, W, X).\
+         lone(W) :- s(X), e(X, W), !t(X, W, W).",
+    )
+    .unwrap();
+    for seed in 0..10u64 {
+        let db = last_stage_db(seed);
+        let mut want = db.clone();
+        want.union_with(&naive::apply_once(&program, &db));
+        let what = format!("anti-probe last stage, seed {seed}");
+        let (got, _) = check(&program, &db, &what);
+        assert_eq!(got, want, "one application, {what}");
+    }
+}
+
+/// Above the bitmap's bound a task numbers no head: X, V and U have 170
+/// values each, and 170³ bits exceed `HEAD_BITS_MAX` (2²² bits). Every
+/// head comes twice, once through each of its `X`'s two `W`s, and
+/// `emit_head` alone drops the second.
+#[test]
+fn last_stage_heads_above_the_bitmap_bound() {
+    let program = parse_program("big(X, V, U) :- s(X), e(X, W), t(W, V, U).").unwrap();
+    let n = 170i64;
+    let mut db = Database::new();
+    for x in 0..n {
+        db.insert(fact("s", [x]));
+        db.insert(fact("e", [x, x % 10]));
+        db.insert(fact("e", [x, (x + 5) % 10]));
+    }
+    for w in 0..10 {
+        for v in 0..n {
+            db.insert(fact("t", [w, v, (v * 7) % n]));
+        }
+    }
+    assert!(n.pow(3) > 1 << 22);
+    let (out, stats) = check_positive(&program, &db, "heads above the bitmap bound");
+    assert_eq!(out.relation_len(Pred::new("big")) as i64, n * n);
+    assert_eq!(stats.matches as i64, 2 * n * n);
 }
 
 /// A committing round's dedup arenas are its delta. Two tasks queue the

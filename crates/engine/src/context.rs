@@ -937,6 +937,18 @@ impl std::fmt::Debug for EvalContext {
 
 const CONST_BYTES: u64 = std::mem::size_of::<Const>() as u64;
 
+/// Seed the allocation counters with the rows a context starts from, so
+/// `tuples_allocated` reflects everything resident in the arenas, not just
+/// rows derived later.
+fn count_resident(stats: &mut Stats, input: &Database) {
+    for pred in input.predicates() {
+        for rel in input.relations_of(pred) {
+            stats.tuples_allocated += rel.len() as u64;
+            stats.arena_bytes += rel.len() as u64 * rel.arity() as u64 * CONST_BYTES;
+        }
+    }
+}
+
 impl EvalContext {
     /// Compile `program` and take ownership of `input` as the starting
     /// database.
@@ -956,15 +968,7 @@ impl EvalContext {
         opts: EvalOptions,
     ) -> EvalContext {
         let mut stats = Stats::default();
-        // Seed the allocation counters with the rows the context starts
-        // from, so `tuples_allocated` reflects everything resident in the
-        // arenas, not just rows derived later.
-        for pred in input.predicates() {
-            for rel in input.relations_of(pred) {
-                stats.tuples_allocated += rel.len() as u64;
-                stats.arena_bytes += rel.len() as u64 * rel.arity() as u64 * CONST_BYTES;
-            }
-        }
+        count_resident(&mut stats, &input);
         EvalContext {
             plans,
             db: Arc::new(input),
@@ -974,6 +978,15 @@ impl EvalContext {
             justifications: None,
             orders: OrderScratch::default(),
         }
+    }
+
+    /// Start over from `input`: the database becomes `input` and the
+    /// indexes go (they re-fill lazily), while the plans, their script memo
+    /// and the counters stay.
+    pub(crate) fn restart(&mut self, input: Database) {
+        count_resident(&mut self.stats, &input);
+        self.db = Arc::new(input);
+        self.store = Arc::new(IndexStore::default());
     }
 
     /// Keep, from here on, the first justification of every atom a round

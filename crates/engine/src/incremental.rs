@@ -24,11 +24,16 @@
 //! 3. *Propagate*: the restored atoms are an insertion; the insert path
 //!    finishes the fixpoint.
 //!
-//! When overdeletion is total (one edge of a dense cyclic graph) these are
-//! three passes where a recompute is one — 1.7x the probes of a
-//! from-scratch fixpoint on a 32-node ring with chords (3.0x while the sweep
-//! ran a last round over the wholly overdeleted closure); there is no
-//! fallback to one (ROADMAP item 8(a)).
+//! When overdeletion is near total (one edge of a dense cyclic graph) these
+//! are three passes where a recompute is one, so the sweep does not run to
+//! the end: once the overdeleted atoms are at least as many as the derived
+//! atoms that would survive, checked after every sweep round, the removal
+//! saturates the base again on the live context instead — the function
+//! [`Materialized::new`] runs, so there is one way to saturate a base. A
+//! 32-node ring with chords then costs 1.08x the probes of a from-scratch
+//! fixpoint (1.7x with all three passes). A removal below the threshold runs
+//! DRed unchanged; cuts that overdelete a fifth to a half of a chain's
+//! closure still cost up to 5.6x a recompute (ROADMAP item 12(a)).
 //!
 //! Every round works on rows: a sweep returns the heads it derived as a
 //! database, and the overdeleted set grows from those rows without a
@@ -120,16 +125,25 @@ impl Materialized {
             .iter()
             .map(|r| rederivation_twin(r, seeds[&r.head.pred]));
         let compiled = Program::new(program.rules.iter().cloned().chain(twins).collect());
-        let mut cx = EvalContext::new(&compiled, input.clone(), EvalOptions::sequential());
-        let delta = cx.full_round(&all_rules(&program));
+        let cx = EvalContext::new(&compiled, Database::new(), EvalOptions::sequential());
         let mut m = Materialized {
             program,
             base: input.clone(),
             cx,
             seeds,
         };
-        m.propagate(delta);
+        m.saturate();
         m
+    }
+
+    /// Saturate `base` from scratch on the live context: the database starts
+    /// over as `base` (plans, script memo and counters stay), then one full
+    /// round and delta rounds to fixpoint. Construction runs it, and so does
+    /// a removal that overdeletes at least half the derived atoms.
+    fn saturate(&mut self) {
+        self.cx.restart(self.base.clone());
+        let delta = self.cx.full_round(&all_rules(&self.program));
+        self.propagate(delta);
     }
 
     /// The current fixpoint.
@@ -201,8 +215,10 @@ impl Materialized {
         derived
     }
 
-    /// Delete base facts and propagate (DRed: overdelete, then rederive).
-    /// Returns the net number of atoms removed from the fixpoint.
+    /// Delete base facts and propagate (DRed: overdelete, then rederive — or
+    /// saturate the base again once the overdeletion reaches half the
+    /// derived atoms). Returns the net number of atoms removed from the
+    /// fixpoint.
     pub fn remove(&mut self, facts: impl IntoIterator<Item = GroundAtom>) -> u64 {
         self.remove_with_stats(facts).0
     }
@@ -226,10 +242,19 @@ impl Materialized {
                 delta.insert(f);
             }
         }
+        if delta.is_empty() {
+            return (0, Stats::default());
+        }
         let mut overdeleted = delta.clone();
         let old_len = self.database().len();
+        // Once the overdeleted atoms are at least as many as the derived
+        // atoms that would survive them, rederiving and propagating cost more
+        // than saturating the base again, and the view does that instead. The
+        // set only grows, so the sweep stops the round the test first holds.
+        let derived = old_len - self.base.len();
+        let resaturates = |od: &Database| 2 * od.len() >= derived;
         let mut live = rules.clone();
-        while !delta.is_empty() {
+        while !delta.is_empty() && !resaturates(&overdeleted) {
             // A rule whose head relation is overdeleted whole can only find
             // atoms the set already holds: it sits out, and once every rule
             // does, nothing is left to find.
@@ -256,9 +281,20 @@ impl Materialized {
                 }
             }
         }
+        if resaturates(&overdeleted) {
+            self.saturate();
+        } else {
+            self.rederive(&overdeleted);
+        }
+        let removed = old_len - self.database().len();
+        (removed as u64, self.stats() - before)
+    }
 
-        // The one operation that invalidates the live indexes.
-        self.cx.remove_atoms(&overdeleted);
+    /// DRed's rounds 2 and 3: take `overdeleted` out of the context, restore
+    /// what the survivors derive in one step, and propagate from there.
+    fn rederive(&mut self, overdeleted: &Database) {
+        // DRed's one operation that invalidates the live indexes.
+        self.cx.remove_atoms(overdeleted);
 
         // Round 2 — rederive, one step. Overdeleted atoms still in the base
         // come straight back; the rest seed one delta round of the twins,
@@ -284,14 +320,12 @@ impl Materialized {
                 }
             }
         }
-        let twins: Vec<usize> = (rules.len()..2 * rules.len()).collect();
+        let n = self.program.rules.len();
+        let twins: Vec<usize> = (n..2 * n).collect();
         restored.union_with(&self.cx.delta_round(&twins, &seeds));
 
         // Round 3 — whatever the restored atoms re-enable is an insertion.
         self.propagate(restored);
-
-        let removed = old_len - self.database().len();
-        (removed as u64, self.stats() - before)
     }
 }
 
@@ -509,7 +543,9 @@ mod tests {
         // whose head relation is overdeleted whole: the sweep round that
         // started with every `g` atom overdeleted is gone; (342, 888) before
         // committing delta rounds kept the literals ahead of the delta
-        // literal to the old rows, so no match is found twice.)
+        // literal to the old rows, so no match is found twice; (342, 792, 69,
+        // 10) before the second removal, which overdeletes 15 of 21 derived
+        // atoms, stopped its sweep and saturated the base again.)
         let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,1). a(4,5). a(5,6).").unwrap();
         let mut m = Materialized::new(tc(), &edb);
         m.insert([fact("a", [6, 7]), fact("a", [7, 1]), fact("g", [9, 1])]);
@@ -518,7 +554,7 @@ mod tests {
         let s = m.stats();
         assert_eq!(
             (s.probes, s.matches, s.derivations, s.index_builds),
-            (342, 792, 69, 10)
+            (224, 792, 69, 8)
         );
         assert_eq!(s.iterations, 16);
     }
@@ -812,11 +848,13 @@ mod deletion_tests {
     fn remove_on_a_cycle_costs_a_few_recomputes() {
         // A 32-node ring with chords is one strongly connected component:
         // removing any edge overdeletes the whole closure, the worst case
-        // for DRed. Sweep, rederivation round and propagation are then three
-        // passes over what a recompute does in one — a small constant, not a
-        // function of |overdeleted| x |relation|. The sweep stops the round
-        // the closure is overdeleted whole: 2 708 probes against a 1 553-probe
-        // recompute (4 632 while it ran one more round over the whole of it).
+        // for DRed. Sweep, rederivation round and propagation would be three
+        // passes over what a recompute does in one; the sweep instead stops
+        // once half the derived atoms are overdeleted and the base is
+        // saturated again, so the removal costs the sweep's first rounds on
+        // top of one recompute. (2 708 probes against a 1 553-probe
+        // recompute while DRed ran all three passes; 4 632 while the sweep
+        // ran one more round over the wholly overdeleted closure.)
         let n = 32i64;
         let mut base = Database::new();
         for i in 0..n {
@@ -833,10 +871,42 @@ mod deletion_tests {
             evaluate(&tc(), &base, Schedule::Strata, EvalOptions::default()).unwrap();
         assert_eq!(m.database(), &scratch_db);
         assert!(
-            del_stats.probes <= 2 * scratch_stats.probes,
+            del_stats.probes * 4 <= scratch_stats.probes * 5,
             "remove {} vs recompute {} probes",
             del_stats.probes,
             scratch_stats.probes
         );
+    }
+
+    #[test]
+    fn a_removal_resaturates_once_it_overdeletes_half_the_derived_atoms() {
+        // A 64-node chain under doubling TC has 2 016 closure atoms. Cutting
+        // the last or the first edge overdeletes 63 of them: DRed runs, at
+        // its exact probes. Cutting the middle one overdeletes 1 024: the
+        // view saturates the base again at about a recompute's probes, where
+        // DRed's three passes took 19 977 against a 1 997-probe recompute.
+        let n = 64i64;
+        let base: Database = (0..n - 1).map(|i| fact("a", [i, i + 1])).collect();
+        let view = Materialized::new(tc(), &base);
+        let cut = |i: i64| {
+            let edge = fact("a", [i, i + 1]);
+            let mut m = view.clone();
+            let (_, stats) = m.remove_with_stats([edge.clone()]);
+            let mut rest = base.clone();
+            rest.remove(&edge);
+            let (db, recompute) =
+                evaluate(&tc(), &rest, Schedule::Strata, EvalOptions::default()).unwrap();
+            assert_eq!(m.database(), &db, "cut {i}");
+            (stats.probes, recompute.probes)
+        };
+        assert_eq!(cut(n - 2).0, 259, "far edge");
+        assert_eq!(cut(0).0, 2_212, "near edge");
+        let (middle, recompute) = cut(n / 2 - 1);
+        assert!(
+            middle * 10 <= recompute * 11,
+            "middle edge {middle} vs recompute {recompute} probes"
+        );
+        let (removed, empty) = view.clone().remove_with_stats([]);
+        assert_eq!((removed, empty.iterations, empty.probes), (0, 0, 0));
     }
 }

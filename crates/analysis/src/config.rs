@@ -13,7 +13,7 @@ pub struct LintConfig {
     pub deny: BTreeSet<String>,
     /// Budget for semantic lints, in §VI freeze+saturate tests. Each
     /// uniform-containment test costs one unit; structural lints are free.
-    /// `0` disables the semantic tier entirely.
+    /// Below Σ body widths + rules, `L201`/`L202` are skipped whole.
     pub fuel: u64,
 }
 

@@ -8,11 +8,10 @@
 //!   bodies, duplicate literals. These never invoke the chase and consume
 //!   no fuel.
 //! * **Semantic** (`L2xx`, [`semantic`]): redundancy checks grounded in the
-//!   paper's decision procedures — redundant body atoms and redundant
-//!   rules via the §VI freeze+saturate uniform-containment test (Fig. 1
-//!   and Fig. 2), and rule subsumption hints via the §V Chandra–Merlin
-//!   homomorphism test. Each §VI saturation test costs one unit of
-//!   [`LintConfig::fuel`].
+//!   paper's decision procedures — the body atoms and rules Fig. 2 removes
+//!   (one run, §VI freeze+saturate tests, sound together by Theorem 2),
+//!   and rule subsumption hints via the §V Chandra–Merlin homomorphism
+//!   test. Each §VI saturation test costs one unit of [`LintConfig::fuel`].
 //!
 //! Every finding is a structured [`Diagnostic`] carrying a stable code, a
 //! severity, the offending rule index, a source [`datalog_ast::Span`] when

@@ -3,9 +3,11 @@
 
 use crate::config::LintConfig;
 use crate::diagnostic::{Diagnostic, Severity};
-use datalog_ast::{DepGraph, GroundAtom, Pred, Program, Unit};
+use datalog_ast::{validate_positive, DepGraph, GroundAtom, Pred, Program, Unit};
 use datalog_json::Value;
+use datalog_optimizer::{minimize_program_with_evidence, tally, Removal, Witness};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Everything a lint run looks at: the program plus whatever EDB context
 /// its source file carried.
@@ -56,21 +58,24 @@ pub trait Lint {
     /// One-line description with the paper citation grounding the lint.
     fn description(&self) -> &'static str;
     fn default_severity(&self) -> Severity;
-    /// Semantic lints invoke the §VI freeze+saturate machinery and are
-    /// metered by fuel; structural lints never are.
-    fn is_semantic(&self) -> bool {
-        false
-    }
     fn run(&self, cx: &mut LintContext<'_>);
 }
+
+/// What Fig. 2 removed, in the order it removed it, and the witness of the
+/// test that accepted each removal: atoms first, then rules
+/// ([`minimize_program_with_evidence`]).
+pub type Fig2Run = Rc<(Removal, Vec<Witness>)>;
 
 /// Shared state for one lint run over one program.
 pub struct LintContext<'a> {
     pub input: &'a LintInput,
     pub depgraph: DepGraph,
-    fuel_remaining: u64,
+    fuel: u64,
     fuel_used: u64,
     skipped_semantic_checks: u64,
+    /// Fig. 2's run, once the first semantic lint asked for it; `Some(None)`
+    /// when the tier did not run.
+    minimization: Option<Option<Fig2Run>>,
     diagnostics: Vec<Diagnostic>,
 }
 
@@ -79,9 +84,10 @@ impl<'a> LintContext<'a> {
         LintContext {
             depgraph: DepGraph::new(&input.program),
             input,
-            fuel_remaining: fuel,
+            fuel,
             fuel_used: 0,
             skipped_semantic_checks: 0,
+            minimization: None,
             diagnostics: Vec::new(),
         }
     }
@@ -95,20 +101,30 @@ impl<'a> LintContext<'a> {
         self.diagnostics.push(diagnostic);
     }
 
-    /// Reserve one unit of fuel for a §VI saturation test. Returns `false`
-    /// (and counts the check as skipped) when the budget is exhausted.
-    pub fn burn_fuel(&mut self) -> bool {
-        if self.fuel_remaining == 0 {
-            self.skipped_semantic_checks += 1;
-            return false;
+    /// Fig. 2's run, made once per lint run and shared by the lints that
+    /// report it; `None` outside the positive fragment. The tier is all or
+    /// nothing: it runs when the fuel covers the most tests Fig. 2 can make,
+    /// Σ widths + |P|, and costs the §VI tests it ran; otherwise it is
+    /// `None` and those tests count as skipped.
+    pub fn minimization(&mut self) -> Option<Fig2Run> {
+        if let Some(run) = &self.minimization {
+            return run.clone();
         }
-        self.fuel_remaining -= 1;
-        self.fuel_used += 1;
-        true
-    }
-
-    pub fn fuel_used(&self) -> u64 {
-        self.fuel_used
+        let program = self.program();
+        let most = (program.total_width() + program.len()) as u64;
+        let run = if validate_positive(program).is_err() {
+            None
+        } else if self.fuel < most {
+            self.skipped_semantic_checks += most;
+            None
+        } else {
+            let before = tally().tests;
+            let run = minimize_program_with_evidence(program).ok();
+            self.fuel_used += tally().tests - before;
+            run.map(|(_, removal, witnesses)| Rc::new((removal, witnesses)))
+        };
+        self.minimization = Some(run.clone());
+        run
     }
 
     /// Findings emitted so far (lints may consult earlier passes to avoid
@@ -123,9 +139,9 @@ impl<'a> LintContext<'a> {
 pub struct Report {
     /// All findings, sorted by (rule, code) for deterministic output.
     pub diagnostics: Vec<Diagnostic>,
-    /// §VI saturation tests performed by semantic lints.
+    /// §VI saturation tests Fig. 2 ran for the semantic lints.
     pub fuel_used: u64,
-    /// Semantic checks skipped because the fuel budget ran out.
+    /// §VI tests not run because the fuel did not cover Fig. 2's most.
     pub skipped_semantic_checks: u64,
 }
 
@@ -194,10 +210,6 @@ impl Registry {
 
     pub fn register(&mut self, lint: Box<dyn Lint>) {
         self.lints.push(lint);
-    }
-
-    pub fn lints(&self) -> impl Iterator<Item = &dyn Lint> {
-        self.lints.iter().map(Box::as_ref)
     }
 
     /// Run every enabled lint and assemble the report. Severities of codes

@@ -634,7 +634,6 @@ fn e1_to_e15(r: &mut Report) {
                 ("program", datalog_json::Value::from(name)),
                 ("rules", datalog_json::Value::from(rules.clone())),
                 ("optimize", datalog_json::Value::from(optimize)),
-                ("lint", datalog_json::Value::from(false)),
             ]);
             let resp = admin.request(&install).expect("install");
             assert_eq!(
@@ -1112,7 +1111,6 @@ fn e19(r: &mut Report, smoke: bool) {
         ("program", datalog_json::Value::from("tc")),
         ("rules", datalog_json::Value::from(rules)),
         ("optimize", datalog_json::Value::from(false)),
-        ("lint", datalog_json::Value::from(false)),
     ])
     .to_compact();
     let insert_line =

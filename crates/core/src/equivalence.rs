@@ -300,9 +300,7 @@ pub fn optimize(
     let mut applied_all = Vec::new();
     loop {
         let (minimized, r) = crate::minimize::minimize_program(&current)?;
-        removal.atoms.extend(r.atoms);
-        removal.rules.extend(r.rules);
-        removal.rule_indices.extend(r.rule_indices);
+        removal.append(r);
         let (optimized, applied) = optimize_under_equivalence(&minimized, fuel)?;
         let shrunk_eq = !applied.is_empty();
         applied_all.extend(applied);

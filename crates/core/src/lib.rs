@@ -79,7 +79,8 @@ pub use equivalence::{
 };
 pub use freeze::{freeze_rule, freeze_tgd_lhs, freezing_subst, FrozenRule};
 pub use minimize::{
-    is_minimal, minimize_program, minimize_program_in_order, minimize_rule, minimized, Removal,
+    is_minimal, minimize_program, minimize_program_in_order, minimize_program_with_evidence,
+    minimize_rule, minimized, Removal,
 };
 pub use preserve::{
     preliminary_db_satisfies, preliminary_db_satisfies_k, preserves_nonrecursively,

@@ -6,6 +6,8 @@
 //! * [`minimize_program`] — Fig. 2: first minimize every rule's body testing
 //!   against the whole program (`r̂ ⊑u P`), then delete redundant rules
 //!   (`r ⊑u P̂`).
+//! * [`minimize_program_with_evidence`] — the same loop with every test
+//!   traced, returning each removal's witness; `datalog lint` reports it.
 //!
 //! Theorem 2 (appendix) proves each atom and each rule needs to be
 //! considered **once**: an atom that survives its test can never become
@@ -17,7 +19,7 @@
 //! property tests that verify all orders yield uniformly-equivalent,
 //! locally-minimal programs.
 
-use crate::containment::{uniformly_contains, Containment, ContainmentError};
+use crate::containment::{uniformly_contains, Containment, ContainmentError, Witness};
 use datalog_ast::{validate_positive, Atom, Program, Rule};
 
 /// What the minimizer removed, for reporting and assertions.
@@ -25,6 +27,9 @@ use datalog_ast::{validate_positive, Atom, Program, Rule};
 pub struct Removal {
     /// `(original rule index, deleted atom)` pairs, in deletion order.
     pub atoms: Vec<(usize, Atom)>,
+    /// The deleted atoms' positions in their rule's *original* body,
+    /// parallel to [`Removal::atoms`].
+    pub atom_positions: Vec<usize>,
     /// Rules deleted outright, in deletion order.
     pub rules: Vec<Rule>,
     /// Indices (into the input program) of the deleted rules, parallel to
@@ -40,6 +45,14 @@ impl Removal {
     /// Total parts removed.
     pub fn len(&self) -> usize {
         self.atoms.len() + self.rules.len()
+    }
+
+    /// Append a later pass's removals.
+    pub(crate) fn append(&mut self, later: Removal) {
+        self.atoms.extend(later.atoms);
+        self.atom_positions.extend(later.atom_positions);
+        self.rules.extend(later.rules);
+        self.rule_indices.extend(later.rule_indices);
     }
 }
 
@@ -74,12 +87,7 @@ pub fn minimize_rule(rule: &Rule) -> Result<(Rule, Vec<Atom>), ContainmentError>
 /// assert_eq!(removal.rules.len(), 1);
 /// ```
 pub fn minimize_program(program: &Program) -> Result<(Program, Removal), ContainmentError> {
-    let rule_order: Vec<usize> = (0..program.len()).collect();
-    let atom_orders: Vec<Vec<usize>> = program
-        .rules
-        .iter()
-        .map(|r| (0..r.width()).collect())
-        .collect();
+    let (rule_order, atom_orders) = source_order(program);
     minimize_program_in_order(program, &rule_order, &atom_orders)
 }
 
@@ -96,6 +104,54 @@ pub fn minimize_program_in_order(
     rule_order: &[usize],
     atom_orders: &[Vec<usize>],
 ) -> Result<(Program, Removal), ContainmentError> {
+    let (minimized, removal, _) = fig2(program, rule_order, atom_orders, |c, r, without| {
+        match without {
+            None => c.holds(r),
+            Some(i) => c.holds_without(r, i),
+        }
+        .then_some(())
+    })?;
+    Ok((minimized, removal))
+}
+
+/// [`minimize_program`] with the evidence: the witness of the test that
+/// accepted each removal, tested against the program as it stood at that
+/// step — atoms first, in [`Removal::atoms`] order, then rules, in
+/// [`Removal::rules`] order. Every test runs traced
+/// ([`Containment::evidence`]); the removals are [`minimize_program`]'s.
+pub fn minimize_program_with_evidence(
+    program: &Program,
+) -> Result<(Program, Removal, Vec<Witness>), ContainmentError> {
+    let (rule_order, atom_orders) = source_order(program);
+    fig2(program, &rule_order, &atom_orders, |c, r, without| {
+        match without {
+            None => c.evidence(r),
+            Some(i) => c.evidence_without(r, i),
+        }
+        .ok()
+    })
+}
+
+/// Rules top-to-bottom, each rule's atoms left-to-right.
+fn source_order(program: &Program) -> (Vec<usize>, Vec<Vec<usize>>) {
+    let atom_orders = program
+        .rules
+        .iter()
+        .map(|r| (0..r.width()).collect())
+        .collect();
+    ((0..program.len()).collect(), atom_orders)
+}
+
+/// The one Fig. 2 loop. `accepts(containment, r, None)` decides `r ⊑u P`
+/// and `accepts(containment, r, Some(i))` decides `r ⊑u P − {rule i}`, each
+/// against `P` as it currently stands; a `Some` accepts the removal and is
+/// kept, in removal order.
+fn fig2<W>(
+    program: &Program,
+    rule_order: &[usize],
+    atom_orders: &[Vec<usize>],
+    mut accepts: impl FnMut(&Containment, &Rule, Option<usize>) -> Option<W>,
+) -> Result<(Program, Removal, Vec<W>), ContainmentError> {
     if let Err(e) = validate_positive(program) {
         return Err(ContainmentError::Invalid(e));
     }
@@ -110,6 +166,7 @@ pub fn minimize_program_in_order(
     // `current`, compiled; edited in step with it.
     let mut containment = Containment::new(&current);
     let mut removal = Removal::default();
+    let mut evidence = Vec::new();
 
     // Phase 1 (Fig. 2, first repeat-loop): remove redundant atoms from each
     // rule, testing the shrunken rule against the WHOLE current program —
@@ -124,10 +181,18 @@ pub fn minimize_program_in_order(
                 continue; // already deleted (cannot happen with valid orders)
             };
             let candidate = current.rules[rule_idx].without_body_atom(pos);
-            if containment.holds(&candidate) {
+            // A candidate that strands a head variable freezes it to a
+            // constant no frozen body holds (`freeze_rule`'s precondition is
+            // range restriction): its test could only answer no.
+            if !candidate.is_range_restricted() {
+                continue;
+            }
+            if let Some(w) = accepts(&containment, &candidate, None) {
                 removal
                     .atoms
                     .push((rule_idx, current.rules[rule_idx].body[pos].atom.clone()));
+                removal.atom_positions.push(orig_atom_idx);
+                evidence.push(w);
                 containment.replace(rule_idx, &candidate);
                 current.rules[rule_idx] = candidate;
                 remaining.remove(pos);
@@ -143,15 +208,16 @@ pub fn minimize_program_in_order(
         let Some(pos) = live.iter().position(|&o| o == orig_rule_idx) else {
             continue;
         };
-        if containment.holds_without(&current.rules[pos], pos) {
+        if let Some(w) = accepts(&containment, &current.rules[pos], Some(pos)) {
             removal.rules.push(current.rules.remove(pos));
             removal.rule_indices.push(orig_rule_idx);
+            evidence.push(w);
             containment.remove(pos);
             live.remove(pos);
         }
     }
 
-    Ok((current, removal))
+    Ok((current, removal, evidence))
 }
 
 /// Check local minimality: no single atom deletion and no single rule

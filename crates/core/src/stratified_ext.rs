@@ -131,9 +131,7 @@ pub fn minimize_stratified(program: &Program) -> Result<(Program, Removal), Stra
     loop {
         let (next, r) = minimize_stratified_once(&current)?;
         let done = r.is_empty();
-        removal.atoms.extend(r.atoms);
-        removal.rules.extend(r.rules);
-        removal.rule_indices.extend(r.rule_indices);
+        removal.append(r);
         current = next;
         if done {
             return Ok((current, removal));
@@ -177,6 +175,7 @@ fn minimize_stratified_once(program: &Program) -> Result<(Program, Removal), Str
             };
             removal.atoms.push((indices[local_idx], mapped));
         }
+        removal.atom_positions.extend(layer_removal.atom_positions);
         let removed_local: std::collections::BTreeSet<usize> =
             layer_removal.rule_indices.iter().copied().collect();
         for (rule, &local_idx) in layer_removal

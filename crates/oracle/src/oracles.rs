@@ -31,6 +31,8 @@
 //!   refutation's countermodel against that fixpoint. Edits Fig. 2 never
 //!   makes — a rule replaced by an instance of itself, as wide as it — must
 //!   leave the edited `Containment` answering as one built from scratch.
+//!   Every removal `datalog lint` suggests, applied together, must leave a
+//!   valid program ≡u to the original.
 //! * **Incremental consistency** — after every insert/remove batch the
 //!   [`Materialized`] fixpoint must equal a from-scratch evaluation of the
 //!   surviving base.
@@ -52,7 +54,10 @@
 //!   exactly the filtered from-scratch fixpoint, in its order.
 
 use crate::workload::{Case, Mutation};
-use datalog_ast::{match_atom, Atom, Database, GroundAtom, Pred, Program, Rule, Subst, Term, Var};
+use datalog_analysis::{analyze_program, LintConfig};
+use datalog_ast::{
+    match_atom, validate, Atom, Database, GroundAtom, Pred, Program, Rule, Subst, Term, Var,
+};
 use datalog_engine::{
     evaluate, magic, naive, Adornment, EvalOptions, Materialized, NotStratifiable, PlanCache,
     Schedule, Stats, Traced,
@@ -469,6 +474,13 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
             message,
         });
     }
+    if let Err(message) = lint_applied(program) {
+        out.push(Divergence {
+            family: Family::Optimization,
+            kind: "opt:lint-applied".into(),
+            message,
+        });
+    }
     // A random consideration order — the satellite audit: every order must
     // yield a uniformly equivalent (if not syntactically identical) program.
     let mut rng = StdRng::seed_from_u64(case.seed ^ 0x5bd1_e995);
@@ -561,6 +573,11 @@ fn fig2_unshortened(program: &Program) -> Result<Program, String> {
         let mut pos = 0;
         while pos < current.rules[rule_idx].width() {
             let candidate = current.rules[rule_idx].without_body_atom(pos);
+            // Fig. 2 does not test a candidate that strands a head variable.
+            if !candidate.is_range_restricted() {
+                pos += 1;
+                continue;
+            }
             let evidence = containment.evidence(&candidate);
             if decide(
                 containment.holds(&candidate),
@@ -588,6 +605,45 @@ fn fig2_unshortened(program: &Program) -> Result<Program, String> {
         }
     }
     Ok(current)
+}
+
+/// Every `L122`/`L201`/`L202`/`L203` suggestion of the default lint set
+/// applied at once, as a user would apply them: a named literal leaves its
+/// rule (one occurrence per finding), a flagged rule goes. The result must
+/// be valid and ≡u to the original.
+fn lint_applied(program: &Program) -> Result<(), String> {
+    let report = analyze_program(program, &LintConfig::default());
+    let mut rules: Vec<Option<Rule>> = program.rules.iter().cloned().map(Some).collect();
+    for d in &report.diagnostics {
+        let (Some(i), "L122" | "L201" | "L202" | "L203") = (d.rule_idx, d.code) else {
+            continue;
+        };
+        let Some(rule) = rules[i].as_mut() else {
+            continue;
+        };
+        if matches!(d.code, "L202" | "L203") {
+            rules[i] = None;
+            continue;
+        }
+        let literal = d.message.split('`').nth(1).unwrap_or_default();
+        let Some(pos) = rule.body.iter().position(|l| l.to_string() == literal) else {
+            return Err(format!("{d}\nnames no literal left in `{rule}`"));
+        };
+        rule.body.remove(pos);
+    }
+    let applied = Program::new(rules.into_iter().flatten().collect());
+    if let Err(errors) = validate(&applied) {
+        return Err(format!(
+            "every suggestion applied gives an invalid program ({errors:?}):\n{applied}"
+        ));
+    }
+    match uniformly_equivalent(&applied, program) {
+        Ok(true) => Ok(()),
+        Ok(false) => Err(format!(
+            "every suggestion applied gives a program not ≡u to the original:\n{applied}"
+        )),
+        Err(e) => Err(format!("≡u check failed: {e}")),
+    }
 }
 
 /// Every rule in turn replaced by an instance of itself — its first two
@@ -795,7 +851,7 @@ fn check_concurrent_service(case: &Case) -> Vec<Divergence> {
     let registry = Registry::new();
     // Lint gate off: generated programs may trip style lints; this oracle
     // tests serving, not the gate.
-    let entry = match registry.install("p", &program.to_string(), true, false) {
+    let entry = match registry.install("p", &program.to_string(), true) {
         Ok(entry) => entry,
         Err(e) => {
             out.push(diverge(

@@ -12,7 +12,7 @@
 //! * [`protocol`] — the line-delimited JSON wire format: request/response
 //!   shapes, stable error codes, field accessors (spec: `docs/SERVICE.md`);
 //! * [`registry`] — named programs; the install pipeline (parse → validate
-//!   → lint gate → §VII minimize) and the request dispatcher. A `query`
+//!   → §VII minimize) and the request dispatcher. A `query`
 //!   reads the published fixpoint (`Database::select`) unless it names
 //!   `"strategy":"magic"`, which evaluates magic sets from the view's base
 //!   facts on every ask, through a per-program

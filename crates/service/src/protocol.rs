@@ -41,8 +41,6 @@ pub enum ErrorCode {
     ParseError,
     /// The program parsed but failed validation (range restriction etc.).
     ValidationError,
-    /// The install lint gate found error-severity diagnostics.
-    LintRejected,
     /// The request is well-formed but asks for something the service does
     /// not support (e.g. installing a program with negation).
     Unsupported,
@@ -64,7 +62,6 @@ impl ErrorCode {
             ErrorCode::UnknownProgram => "unknown_program",
             ErrorCode::ParseError => "parse_error",
             ErrorCode::ValidationError => "validation_error",
-            ErrorCode::LintRejected => "lint_rejected",
             ErrorCode::Unsupported => "unsupported",
             ErrorCode::Internal => "internal",
             ErrorCode::Overloaded => "overloaded",
@@ -188,7 +185,6 @@ mod tests {
             ErrorCode::BadJson,
             ErrorCode::PayloadTooLarge,
             ErrorCode::ReadTimeout,
-            ErrorCode::LintRejected,
             ErrorCode::Internal,
             ErrorCode::Overloaded,
         ] {

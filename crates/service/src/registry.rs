@@ -1,8 +1,8 @@
 //! The named program registry and the request dispatcher.
 //!
 //! Installing a program runs the full pipeline the paper argues for doing
-//! **once, ahead of evaluation**: parse → validate → lint gate (reusing
-//! `datalog-analysis`) → §VII minimization (`datalog_optimizer::minimize_program`).
+//! **once, ahead of evaluation**: parse → validate → §VII minimization
+//! (`datalog_optimizer::minimize_program`).
 //! The minimized program then backs a [`View`] — a materialisation absorbing
 //! insert/remove batches — so the §VII join savings are paid for exactly
 //! once and harvested on every subsequent query and maintenance batch of a
@@ -13,10 +13,9 @@ use crate::protocol::{
     bool_field, error_response, ok_response, str_field, ErrorCode, ServiceError,
 };
 use crate::view::View;
-use datalog_analysis::{analyze_unit, LintConfig, Severity};
 use datalog_ast::{
     parse_atom, parse_database, parse_program, validate, Database, GroundAtom, Pred, Program,
-    RowDisplay, Unit,
+    RowDisplay,
 };
 use datalog_engine::PlanCache;
 use datalog_json::Value;
@@ -128,8 +127,8 @@ impl Registry {
         self.programs.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Run the install pipeline: parse → validate → lint gate → minimize →
-    /// materialize (over an empty base). Reinstalling a name atomically
+    /// Run the install pipeline: parse → validate → minimize → materialize
+    /// (over an empty base). Reinstalling a name atomically
     /// replaces the entry; readers holding the old `Arc` finish against the
     /// old view.
     pub fn install(
@@ -137,7 +136,6 @@ impl Registry {
         name: &str,
         rules_src: &str,
         optimize: bool,
-        lint_gate: bool,
     ) -> Result<Arc<ProgramEntry>, ServiceError> {
         if name.is_empty() || name.len() > 256 {
             return Err(ServiceError::bad_request(
@@ -158,25 +156,6 @@ impl Registry {
                 ErrorCode::Unsupported,
                 "materialized views require a positive program (no negation)",
             ));
-        }
-        if lint_gate {
-            let unit = Unit {
-                program: source.clone(),
-                ..Unit::default()
-            };
-            let report = analyze_unit(&unit, &LintConfig::default());
-            if report.max_severity() == Some(Severity::Error) {
-                let msgs: Vec<String> = report
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.severity == Severity::Error)
-                    .map(ToString::to_string)
-                    .collect();
-                return Err(ServiceError::new(
-                    ErrorCode::LintRejected,
-                    format!("lint gate: {}", msgs.join("; ")),
-                ));
-            }
         }
         let (installed, removal) = if optimize {
             minimize_program(&source)
@@ -315,8 +294,7 @@ impl Registry {
         let name = str_field(request, "program")?;
         let rules = str_field(request, "rules")?;
         let optimize = bool_field(request, "optimize", true)?;
-        let lint_gate = bool_field(request, "lint", true)?;
-        let entry = self.install(name, rules, optimize, lint_gate)?;
+        let entry = self.install(name, rules, optimize)?;
         let response = ok_response(
             None,
             "install",
@@ -630,8 +608,7 @@ mod tests {
     #[test]
     fn query_limit_truncates() {
         let reg = Registry::new();
-        reg.install("tc", "g(X, Z) :- a(X, Z).", true, true)
-            .unwrap();
+        reg.install("tc", "g(X, Z) :- a(X, Z).", true).unwrap();
         reg.handle(&req(
             "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(1,2). a(2,3). a(3,4).\"}",
         ));
@@ -679,7 +656,7 @@ mod tests {
     fn default_queries_read_the_view_and_named_strategies_agree_with_it() {
         let reg = Registry::new();
         let tc = "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).";
-        reg.install("tc", tc, true, true).unwrap();
+        reg.install("tc", tc, true).unwrap();
         reg.handle(&req(
             "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(1,2). a(2,3). a(3,3). zz(1,4).\"}",
         ));
@@ -760,8 +737,7 @@ mod tests {
     #[test]
     fn failures_are_counted_where_they_happen() {
         let reg = Registry::new();
-        reg.install("tc", "g(X, Z) :- a(X, Z).", true, true)
-            .unwrap();
+        reg.install("tc", "g(X, Z) :- a(X, Z).", true).unwrap();
         for line in [
             "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\"}",
             "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(\"}",
@@ -790,8 +766,8 @@ mod tests {
     #[test]
     fn uninstall_and_list() {
         let reg = Registry::new();
-        reg.install("a", "p(X) :- e(X).", true, true).unwrap();
-        reg.install("b", "q(X) :- e(X).", true, true).unwrap();
+        reg.install("a", "p(X) :- e(X).", true).unwrap();
+        reg.install("b", "q(X) :- e(X).", true).unwrap();
         let (resp, _) = reg.handle(&req("{\"op\":\"list\"}"));
         assert_eq!(resp.get("programs").unwrap().as_array().unwrap().len(), 2);
         let (resp, _) = reg.handle(&req("{\"op\":\"uninstall\",\"program\":\"a\"}"));
@@ -810,11 +786,11 @@ mod tests {
     #[test]
     fn reinstall_replaces_but_old_snapshots_survive() {
         let reg = Registry::new();
-        reg.install("p", "g(X, Z) :- a(X, Z).", true, true).unwrap();
+        reg.install("p", "g(X, Z) :- a(X, Z).", true).unwrap();
         let old = reg.get("p").unwrap();
         old.view.insert(vec![datalog_ast::fact("a", [1, 2])]);
         let old_snapshot = old.view.snapshot();
-        reg.install("p", "h(X) :- b(X).", true, true).unwrap();
+        reg.install("p", "h(X) :- b(X).", true).unwrap();
         assert!(old_snapshot.contains(&datalog_ast::fact("g", [1, 2])));
         assert_eq!(reg.get("p").unwrap().view.snapshot().len(), 0);
     }

@@ -240,6 +240,61 @@ fn l202_redundant_rule() {
     assert!(out.contains("(rule 2)"), "{out}");
 }
 
+/// Every suggestion applied at once is Fig. 2's result: the twin copy is
+/// `L122`'s alone, the rule Fig. 2 then deletes is `L202`'s, and the other
+/// recursive rule — which a one-at-a-time test would also flag — stays.
+#[test]
+fn every_suggestion_applied_together_is_what_minimize_prints() {
+    let src = "g(X, Z) :- a(X, Z).\n\
+               g(X, Z) :- g(X, Y), g(Y, Z), g(Y, Z).\n\
+               g(X, Z) :- g(X, Y), g(Y, Z).\n";
+    let (code, out, _) = lint("applied", src, &["--format", "json"]);
+    assert_eq!(code, 0);
+    let report = datalog_json::Value::parse(&out).unwrap();
+    let diags = report.get("diagnostics").unwrap().as_array().unwrap();
+    let findings: Vec<(&str, u64)> = diags
+        .iter()
+        .map(|d| {
+            let code = d.get("code").unwrap().as_str().unwrap();
+            (code, d.get("rule").unwrap().as_u64().unwrap())
+        })
+        .collect();
+    assert_eq!(findings, [("L122", 1), ("L202", 1)], "{out}");
+
+    let mut rules: Vec<Option<datalog_ast::Rule>> = datalog_ast::parse_program(src)
+        .unwrap()
+        .rules
+        .into_iter()
+        .map(Some)
+        .collect();
+    for d in diags {
+        let i = d.get("rule").unwrap().as_u64().unwrap() as usize;
+        let message = d.get("message").unwrap().as_str().unwrap();
+        match (d.get("code").unwrap().as_str().unwrap(), rules[i].as_mut()) {
+            ("L202", _) => rules[i] = None,
+            ("L122", Some(rule)) => {
+                let literal = message.split('`').nth(1).unwrap();
+                let pos = rule.body.iter().position(|l| l.to_string() == literal);
+                rule.body.remove(pos.unwrap());
+            }
+            other => panic!("unexpected finding {other:?}"),
+        }
+    }
+    let applied = datalog_ast::Program::new(rules.into_iter().flatten().collect());
+
+    let dir = TempDir::new("applied-minimize");
+    let original = dir.file("original.dl", src);
+    let minimized = bin().args(["minimize", &original]).output().unwrap();
+    assert_eq!(applied.to_string(), stdout(&minimized));
+    let applied = dir.file("applied.dl", &applied.to_string());
+    let contains = bin()
+        .args(["contains", &original, &applied])
+        .output()
+        .unwrap();
+    assert_eq!(contains.status.code(), Some(0), "{}", stdout(&contains));
+    assert!(stdout(&contains).contains("uniformly equivalent: true"));
+}
+
 #[test]
 fn l203_subsumed_rule_hint() {
     let (_, out, _) = lint(

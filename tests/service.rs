@@ -705,13 +705,11 @@ fn default_daemon_checks_fact_arities_and_maintains_views() {
     expect_clean_exit(child);
 }
 
-/// `guarded_tc(8)` through `install` with the default lint gate, which runs
-/// under the registry lock: 6 min 27 s while a lint hit re-derived its
-/// witness by enumerating every binding of the guards. Asserted by what the
-/// install reports, not by time — a return of that tail is a test that does
-/// not come back.
+/// `guarded_tc(8)` through `install`, whose Fig. 2 run holds the registry
+/// lock. Asserted by what the install reports, not by time — a §VI test
+/// that loses its goal is a test that does not come back.
 #[test]
-fn install_of_guarded_tc_8_passes_the_default_lint_gate() {
+fn install_of_guarded_tc_8_minimizes_under_the_registry_lock() {
     let (child, addr) = spawn_daemon(&[]);
     let mut c = Client::connect(&addr).expect("connect");
     let rules = datalog_bench::guarded_tc(8).to_string().replace('\n', " ");

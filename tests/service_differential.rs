@@ -35,13 +35,11 @@ fn portable_source(program: &Program) -> String {
 
 fn install(registry: &Registry, name: &str, program: &Program) -> Value {
     // Build the request as a JSON value so multi-line program text needs
-    // no manual escaping. Bloated programs are redundant *by construction*,
-    // so the lint gate (which exists to reject exactly that) stays off.
+    // no manual escaping.
     let request = Value::object([
         ("op", Value::from("install")),
         ("program", Value::from(name)),
         ("rules", Value::from(program.to_string())),
-        ("lint", Value::from(false)),
     ]);
     let (response, _) = registry.handle(&request);
     assert_eq!(

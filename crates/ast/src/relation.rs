@@ -8,7 +8,7 @@
 //! collision chains resolved by comparing slices against the arena.
 //!
 //! Alongside the row arena, every column carries a **dictionary-encoded code
-//! column**: a per-(relation, position) [`Dict`] interns each distinct
+//! column**: a per-(relation, position) `Dict` interns each distinct
 //! [`Const`] to a dense `u32` code, and `cols[k].codes[id]` is row `id`'s
 //! code at position `k`. Codes make join-key equality an integer compare and
 //! key hashing a fold over `u32`s — the engine's index postings and
@@ -22,7 +22,7 @@
 //! cloning a `Relation` (and hence a `Database`) is a reference-count bump,
 //! so snapshot publication in the service layer is O(1) and a snapshot's
 //! arenas are shared until the next mutation touches them. All mutation
-//! paths unshare through one choke point ([`Relation::make_mut`]) which also
+//! paths unshare through one choke point (`Relation::make_mut`) which also
 //! drops the lazily built sorted-id cache — an unshare clones a *populated*
 //! cache that would silently go stale under the first mutation otherwise.
 //!

@@ -33,7 +33,7 @@ use datalog_ast::{fact, parse_atom, parse_database, parse_program, parse_tgds, P
 use datalog_bench::{
     guarded_tc, portable_source, standard_edb, time_ms, wide_rule, Row, Run, Sample, REPS,
 };
-use datalog_engine::{evaluate, magic, naive, EvalOptions, Schedule};
+use datalog_engine::{evaluate, evaluate_with, magic, naive, EvalOptions};
 use datalog_generate::{
     bloated_tc, random_program, transitive_closure, RandomProgramSpec, TcVariant,
 };
@@ -355,15 +355,15 @@ fn e1_to_e15(r: &mut Report) {
             1,
             [
                 &mut || {
-                    evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                    evaluate(&bloated, &edb).unwrap();
                 },
                 &mut || {
-                    evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                    evaluate(&minimized, &edb).unwrap();
                 },
             ],
         );
-        let (_, sb) = evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-        let (_, sm) = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (_, sb) = evaluate(&bloated, &edb).unwrap();
+        let (_, sm) = evaluate(&minimized, &edb).unwrap();
         r.check(
             "E10",
             &format!(
@@ -439,15 +439,15 @@ fn e1_to_e15(r: &mut Report) {
             1,
             [
                 &mut || {
-                    evaluate(&g, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                    evaluate(&g, &edb).unwrap();
                 },
                 &mut || {
-                    evaluate(&optg, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                    evaluate(&optg, &edb).unwrap();
                 },
             ],
         );
-        let (_, sg) = evaluate(&g, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-        let (_, so) = evaluate(&optg, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (_, sg) = evaluate(&g, &edb).unwrap();
+        let (_, so) = evaluate(&optg, &edb).unwrap();
         r.check(
             "E10",
             &format!(
@@ -516,11 +516,11 @@ fn e1_to_e15(r: &mut Report) {
                     magic::answer(&left, &edb, &query);
                 },
                 &mut || {
-                    evaluate(&left, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                    evaluate(&left, &edb).unwrap();
                 },
             ],
         );
-        let (full, _) = evaluate(&left, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (full, _) = evaluate(&left, &edb).unwrap();
         r.check(
             "E11",
             &format!("two chains n={n}: magic answers the query as the full fixpoint does"),
@@ -551,7 +551,7 @@ fn e1_to_e15(r: &mut Report) {
             let [te] = time_ms(
                 1,
                 [&mut || {
-                    evaluate(&clean, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+                    evaluate(&clean, &edb).unwrap();
                 }],
             );
             r.sampled("E12", "chain", "evaluate", n as u64, te, "ms");
@@ -604,7 +604,7 @@ fn e1_to_e15(r: &mut Report) {
         .unwrap();
         let (min, removal) = minimize_stratified(&p).unwrap();
         let edb = parse_database("src(1). node(1). node(2). edge(1, 2).").unwrap();
-        let run = |p| evaluate(p, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let run = |p| evaluate(p, &edb).unwrap();
         let same = run(&p).0 == run(&min).0;
         r.check(
             "E14",
@@ -673,7 +673,7 @@ fn e1_to_e15(r: &mut Report) {
 
 /// E16 — incremental indexes.
 ///
-/// Times the [`EvalContext`]-backed semi-naive evaluator (`incr`:
+/// Times the [`EvalContext`](datalog_engine::EvalContext)-backed semi-naive evaluator (`incr`:
 /// persistent, incrementally-appended indexes and per-round compiled join
 /// scripts) on bloated transitive-closure workloads — the redundancy-heavy
 /// programs of E10, evaluated as-is.
@@ -698,14 +698,7 @@ fn e16(r: &mut Report, smoke: bool) {
         let workload = format!("bloated6-{kind}{n}");
 
         let mut incr_stats = Default::default();
-        let [t_incr] = time_ms(
-            1,
-            [&mut || {
-                incr_stats = evaluate(&program, &db, Schedule::Strata, EvalOptions::default())
-                    .unwrap()
-                    .1
-            }],
-        );
+        let [t_incr] = time_ms(1, [&mut || incr_stats = evaluate(&program, &db).unwrap().1]);
         r.check(
             "E16",
             &format!(
@@ -742,13 +735,13 @@ fn e16(r: &mut Report, smoke: bool) {
 /// Isolates the storage layer introduced with [`datalog_ast::Relation`]:
 ///
 /// * `insert` — raw insert+dedup throughput of the arena-backed
-///   [`Relation`] vs the seed representation (`BTreeSet<Box<[Const]>>`) on
+///   [`Relation`](datalog_ast::Relation) vs the seed representation (`BTreeSet<Box<[Const]>>`) on
 ///   a duplicate-heavy row stream;
 /// * `alloc`  — allocation accounting of a full semi-naive fixpoint:
 ///   `Stats::tuples_allocated` must equal the fixpoint cardinality (every
 ///   row is arena-committed exactly once) and `Stats::arena_bytes` must be
 ///   the exact columnar footprint of those rows;
-/// * `snapshot` — publication cost: cloning a materialized [`Database`] is
+/// * `snapshot` — publication cost: cloning a materialized [`Database`](datalog_ast::Database) is
 ///   O(1) `Arc` bumps (arenas shared, verified structurally), against a
 ///   deep per-tuple rebuild of the same database.
 fn e17(r: &mut Report, smoke: bool) {
@@ -835,7 +828,7 @@ fn e17(r: &mut Report, smoke: bool) {
     let n = if smoke { 48 } else { 96 };
     let program = bloated_tc(6, 99);
     let db = standard_edb("cycle", n);
-    let (out, stats) = evaluate(&program, &db, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (out, stats) = evaluate(&program, &db).unwrap();
     let const_bytes = std::mem::size_of::<Const>() as u64;
     r.check(
         "E17",
@@ -1057,7 +1050,7 @@ fn e18(r: &mut Report, smoke: bool) {
     r.sampled("E18", &workload, "churn-qps", n as u64, qps, "qps");
     let final_state = view.state();
     let base = &final_state.base;
-    let (full, _) = evaluate(&program, base, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (full, _) = evaluate(&program, base).unwrap();
     let reference = filter(&full, &query);
     r.check(
         "E18",
@@ -1332,14 +1325,10 @@ fn e20(r: &mut Report, smoke: bool) {
         1,
         [
             &mut || {
-                spec.push(
-                    evaluate(&program, &db, Schedule::Strata, EvalOptions::sequential()).unwrap(),
-                );
+                spec.push(evaluate(&program, &db).unwrap());
             },
             &mut || {
-                interp.push(
-                    evaluate(&program, &db, Schedule::Strata, EvalOptions::interpreted()).unwrap(),
-                );
+                interp.push(evaluate_with(&program, &db, EvalOptions::interpreted()).unwrap());
             },
         ],
     );
@@ -1465,20 +1454,10 @@ fn e20(r: &mut Report, smoke: bool) {
         1,
         [
             &mut || {
-                pipe.push(
-                    evaluate(&program3, &db3, Schedule::Strata, EvalOptions::sequential()).unwrap(),
-                );
+                pipe.push(evaluate(&program3, &db3).unwrap());
             },
             &mut || {
-                interp3.push(
-                    evaluate(
-                        &program3,
-                        &db3,
-                        Schedule::Strata,
-                        EvalOptions::interpreted(),
-                    )
-                    .unwrap(),
-                );
+                interp3.push(evaluate_with(&program3, &db3, EvalOptions::interpreted()).unwrap());
             },
         ],
     );

@@ -14,7 +14,7 @@
 //! practice.
 
 use datalog_ast::{Const, Database, GroundAtom, Pred, Program};
-use datalog_engine::{evaluate, EvalOptions, Schedule};
+use datalog_engine::evaluate;
 use std::collections::BTreeSet;
 
 /// A counterexample to `P1 ≡ P2`.
@@ -44,7 +44,7 @@ fn shared_edb_vocabulary(p1: &Program, p2: &Program) -> Vec<(Pred, usize)> {
 /// Compare outputs on one EDB; returns a witness if they differ.
 fn compare(p1: &Program, p2: &Program, edb: &Database) -> Option<(GroundAtom, bool)> {
     let run = |p| {
-        evaluate(p, edb, Schedule::Strata, EvalOptions::default())
+        evaluate(p, edb)
             .expect("the programs compared are positive")
             .0
     };
@@ -245,12 +245,8 @@ mod tests {
         let sep = find_separating_edb(&p1, &p2, 100).expect("separable");
         // Minimal counterexample: a single non-symmetric atom.
         assert!(sep.edb.len() <= 2, "minimal-ish witness: {}", sep.edb);
-        let o1 = evaluate(&p1, &sep.edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0;
-        let o2 = evaluate(&p2, &sep.edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0;
+        let o1 = evaluate(&p1, &sep.edb).unwrap().0;
+        let o2 = evaluate(&p2, &sep.edb).unwrap().0;
         assert_ne!(o1, o2);
         if sep.in_first {
             assert!(o1.contains(&sep.witness) && !o2.contains(&sep.witness));

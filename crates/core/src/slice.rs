@@ -52,7 +52,7 @@ pub fn slice_for_query(program: &Program, query: Pred) -> Program {
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program};
-    use datalog_engine::{evaluate, EvalOptions, Schedule};
+    use datalog_engine::evaluate;
 
     fn two_towers() -> Program {
         parse_program(
@@ -88,12 +88,8 @@ mod tests {
         let p = two_towers();
         let sliced = slice_for_query(&p, Pred::new("s"));
         let edb = parse_database("e(1,2). e(2,1). e(3,3). f(7,8). f(8,7).").unwrap();
-        let full = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0;
-        let cut = evaluate(&sliced, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0;
+        let full = evaluate(&p, &edb).unwrap().0;
+        let cut = evaluate(&sliced, &edb).unwrap().0;
         assert_eq!(
             full.relation(Pred::new("s")).collect::<Vec<_>>(),
             cut.relation(Pred::new("s")).collect::<Vec<_>>()

@@ -204,7 +204,7 @@ fn minimize_stratified_once(program: &Program) -> Result<(Program, Removal), Str
 mod tests {
     use super::*;
     use datalog_ast::{parse_database, parse_program};
-    use datalog_engine::{evaluate, EvalOptions, Schedule};
+    use datalog_engine::evaluate;
 
     #[test]
     fn positive_program_minimizes_as_usual() {
@@ -273,12 +273,8 @@ mod tests {
         assert!(min.total_width() < p.total_width());
         let edb = parse_database("src(1). node(1). node(2). node(3). edge(1, 2).").unwrap();
         assert_eq!(
-            evaluate(&p, &edb, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0,
-            evaluate(&min, &edb, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0
+            evaluate(&p, &edb).unwrap().0,
+            evaluate(&min, &edb).unwrap().0
         );
     }
 

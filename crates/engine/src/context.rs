@@ -10,11 +10,11 @@
 //! copying tuples at all:
 //!
 //! * **Incremental row-id indexes in dictionary-code space.** The context
-//!   owns an [`IndexStore`] of per-`(pred, arity, positions)` indexes that
+//!   owns an `IndexStore` of per-`(pred, arity, positions)` indexes that
 //!   live across fixpoint rounds. An index chains the row-ids whose
 //!   projected **dictionary codes** (see [`Relation::codes`]) are equal —
 //!   one key per chain: a map from a slot of the key's probe sequence
-//!   (its hash, then steps of [`PROBE_STEP`] past the chains of colliding
+//!   (its hash, then steps of `PROBE_STEP` past the chains of colliding
 //!   keys) to the chain's first and last id, and one `next` array linking
 //!   each row to the next of its chain, so candidates come in insertion
 //!   order. Building an index is a fold over `u32` code columns — it never
@@ -28,21 +28,20 @@
 //!   conservatively clear the store, which re-fills lazily).
 //!
 //! * **Compiled join scripts, one kernel, one reference.** Each `(rule,
-//!   delta position, order)` compiles once per plan into a [`JoinScript`]
+//!   delta position, order)` compiles once per plan into a `JoinScript`
 //!   — the [`RulePlan`] keeps it for every later round and every other
 //!   context over the same plans — whose steps know statically which index
 //!   to probe, how to build the probe key, and which tuple positions bind
 //!   which variable slots, and which carries the kernel's whole task setup
-//!   ([`kernels::Recipe`]). A step names its index by the plan's pattern
+//!   (`kernels::Recipe`). A step names its index by the plan's pattern
 //!   number, which the store resolves to a slot with one integer lookup.
 //!   Every script — any body length, any key width, negation included —
-//!   runs on the batched columnar pipeline in [`crate::kernels`]. The
+//!   runs on the batched columnar pipeline in `kernels`. The
 //!   row-at-a-time interpreter in this module is never selected by script
-//!   shape: it runs only under [`EvalOptions::interpreted`] /
-//!   [`EvalOptions::with_specialize`]`(false)`, as the reference the
-//!   differential tests, the oracle fuzzer and the benchmarks compare the
-//!   kernel against, and it compiles its scripts afresh every round rather
-//!   than sharing the plan's. Both probe in code space: a probe key's
+//!   shape: it runs only under [`EvalOptions::interpreted`], as the
+//!   reference the differential tests, the oracle fuzzer and the
+//!   benchmarks compare the kernel against, and it compiles its scripts
+//!   afresh every round rather than sharing the plan's. Both probe in code space: a probe key's
 //!   constants are translated through the target column's dictionary
 //!   first, so a constant that never appears in a column matches nothing
 //!   without touching a single row ([`Stats::dict_filtered_probes`]). A
@@ -64,9 +63,9 @@
 //! * **Every body match once.** A literal repeating an earlier one (a
 //!   twin, see [`RulePlan`]) gets no step and no delta task. A committing
 //!   delta round's delta is the newest rows of its relations (the contract
-//!   of [`EvalContext::delta_round`], asserted in debug builds), so a
+//!   of `EvalContext::delta_round`, asserted in debug builds), so a
 //!   positive literal ahead of the delta literal in body order reads only
-//!   the rows below `len - |Δ|` of its relation ([`Step::old`]); chains run
+//!   the rows below `len - |Δ|` of its relation (`Step::old`); chains run
 //!   in ascending id order, so the kernel and the interpreter both stop at
 //!   that bound. A match is found by the task at its first new row and by
 //!   no other. Full rounds and the DRed sweep, whose delta is not the newest
@@ -116,13 +115,6 @@ impl EvalOptions {
     /// the kernel differentials.
     pub fn interpreted() -> EvalOptions {
         EvalOptions { specialize: false }
-    }
-
-    /// Choose between the kernel (`true`) and the reference interpreter
-    /// (`false`) on this option set.
-    pub fn with_specialize(mut self, specialize: bool) -> EvalOptions {
-        self.specialize = specialize;
-        self
     }
 
     /// [`EvalOptions::sequential`]: evaluation has no worker threads.
@@ -1111,7 +1103,7 @@ impl EvalContext {
         self.saturate_to(rules, None);
     }
 
-    /// [`EvalContext::saturate`], stopping the round `goal` is committed:
+    /// `EvalContext::saturate`, stopping the round `goal` is committed:
     /// `true` iff `goal` is in the fixpoint (Corollary 2 needs no more). On
     /// `true` the database holds the goal but need not be saturated.
     pub fn saturate_until(&mut self, rules: &[usize], goal: &GroundAtom) -> bool {
@@ -1176,7 +1168,7 @@ impl EvalContext {
         let no_delta = Database::new();
         let delta_db = delta.unwrap_or(&no_delta);
 
-        // Schedule the tasks. Full rounds get one greedy script per rule;
+        // Lay out the tasks. Full rounds get one greedy script per rule;
         // delta rounds get one script per (rule, delta position), seeded so
         // the delta atom drives the join — the delta is the small side, and
         // a persistent-relation-first order would rescan that full relation

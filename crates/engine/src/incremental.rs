@@ -375,7 +375,7 @@ impl std::ops::DerefMut for ShardedMaterialized {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate, Schedule};
+    use crate::evaluate;
     use datalog_ast::{fact, parse_database, parse_program, Pred};
 
     fn tc() -> Program {
@@ -387,17 +387,10 @@ mod tests {
         let edb = parse_database("a(1,2). a(2,3). a(4,1). a(4,5).").unwrap();
         let full_edb = parse_database("a(1,2). a(2,3). a(4,1). a(4,5). a(3,4). a(5,6).").unwrap();
         let mut m = Materialized::new(tc(), &edb);
-        assert_eq!(
-            m.database(),
-            &evaluate(&tc(), &edb, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0
-        );
+        assert_eq!(m.database(), &evaluate(&tc(), &edb).unwrap().0);
 
         m.insert([fact("a", [3, 4]), fact("a", [5, 6])]);
-        let scratch = evaluate(&tc(), &full_edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0;
+        let scratch = evaluate(&tc(), &full_edb).unwrap().0;
         assert_eq!(m.database(), &scratch);
     }
 
@@ -431,12 +424,7 @@ mod tests {
         assert!(m.database().contains(&fact("g", [1, 13])));
 
         let full = parse_database("a(1,2). a(2,3). a(11,12). a(12,13). a(3,11).").unwrap();
-        assert_eq!(
-            m.database(),
-            &evaluate(&tc(), &full, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0
-        );
+        assert_eq!(m.database(), &evaluate(&tc(), &full).unwrap().0);
     }
 
     #[test]
@@ -457,8 +445,7 @@ mod tests {
         let mut full_src = src;
         full_src.push_str(&format!("a({}, {}).", n, n + 1));
         let full_edb = parse_database(&full_src).unwrap();
-        let (scratch, full_stats) =
-            evaluate(&p, &full_edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (scratch, full_stats) = evaluate(&p, &full_edb).unwrap();
         assert_eq!(m.database(), &scratch);
         assert!(
             inc_stats.matches * 4 < full_stats.matches,
@@ -509,14 +496,7 @@ mod tests {
             m.insert([fact("a", [i, i + 1])]);
         }
         let full: String = (0..10).map(|i| format!("a({}, {}).", i, i + 1)).collect();
-        let scratch = evaluate(
-            &tc(),
-            &parse_database(&full).unwrap(),
-            Schedule::Strata,
-            EvalOptions::default(),
-        )
-        .unwrap()
-        .0;
+        let scratch = evaluate(&tc(), &parse_database(&full).unwrap()).unwrap().0;
         assert_eq!(m.database(), &scratch);
     }
 
@@ -563,7 +543,7 @@ mod tests {
 #[cfg(test)]
 mod deletion_tests {
     use super::*;
-    use crate::{evaluate, Schedule};
+    use crate::evaluate;
     use datalog_ast::{fact, parse_database, parse_program, Pred, Program};
 
     fn tc() -> Program {
@@ -571,9 +551,7 @@ mod deletion_tests {
     }
 
     fn scratch(p: &Program, base: &Database) -> Database {
-        evaluate(p, base, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0
+        evaluate(p, base).unwrap().0
     }
 
     #[test]
@@ -802,9 +780,7 @@ mod deletion_tests {
                 }
                 assert_eq!(
                     m.database(),
-                    &evaluate(&p, &base, Schedule::Strata, EvalOptions::default())
-                        .unwrap()
-                        .0,
+                    &evaluate(&p, &base).unwrap().0,
                     "seed {seed} step {step}"
                 );
             }
@@ -827,8 +803,7 @@ mod deletion_tests {
 
         let mut eb = base.clone();
         eb.remove(&fact("a", [n - 1, n]));
-        let (scratch_db, scratch_stats) =
-            evaluate(&p, &eb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (scratch_db, scratch_stats) = evaluate(&p, &eb).unwrap();
         assert_eq!(m.database(), &scratch_db);
         assert!(
             del_stats.matches < scratch_stats.matches,
@@ -867,8 +842,7 @@ mod deletion_tests {
         let (_, del_stats) = m.remove_with_stats([fact("a", [5, 6])]);
 
         base.remove(&fact("a", [5, 6]));
-        let (scratch_db, scratch_stats) =
-            evaluate(&tc(), &base, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (scratch_db, scratch_stats) = evaluate(&tc(), &base).unwrap();
         assert_eq!(m.database(), &scratch_db);
         assert!(
             del_stats.probes * 4 <= scratch_stats.probes * 5,
@@ -894,8 +868,7 @@ mod deletion_tests {
             let (_, stats) = m.remove_with_stats([edge.clone()]);
             let mut rest = base.clone();
             rest.remove(&edge);
-            let (db, recompute) =
-                evaluate(&tc(), &rest, Schedule::Strata, EvalOptions::default()).unwrap();
+            let (db, recompute) = evaluate(&tc(), &rest).unwrap();
             assert_eq!(m.database(), &db, "cut {i}");
             (stats.probes, recompute.probes)
         };

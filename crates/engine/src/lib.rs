@@ -9,8 +9,8 @@
 //!   single application `Pⁿ(d)` of §IX ([`naive::apply_once`]).
 //! * [`schedule`] — [`evaluate`], the one entry point of delta-driven
 //!   evaluation: same fixpoint, asymptotically less rediscovery, stratified
-//!   negation (the §XII extension) under either [`Schedule`]. This is the
-//!   engine the optimizer's chase runs on.
+//!   negation (the §XII extension). This is the engine the optimizer's
+//!   chase runs on.
 //! * [`magic`] — the generalized magic-sets query rewriting the paper cites
 //!   as its motivating consumer (§I); [`MagicTemplate::answer`] is the one
 //!   top-down query path.
@@ -54,14 +54,14 @@ pub use naive::apply_once;
 pub use plan::RulePlan;
 pub use provenance::{Justification, Proof, Traced};
 pub use query::PlanCache;
-pub use schedule::{evaluate, NotStratifiable, Schedule};
+pub use schedule::{evaluate, evaluate_with, NotStratifiable};
 pub use stats::Stats;
 
 // Kept only for the repo benchmark (`benchmark/src/layers.rs`), until the
 // benchmark-only change of ROADMAP.md item 2 moves it to `evaluate`.
 #[doc(hidden)]
 pub mod seminaive {
-    use crate::{EvalOptions, Schedule, Stats};
+    use crate::{EvalOptions, Stats};
     use datalog_ast::{Database, Program};
 
     pub fn evaluate(program: &Program, input: &Database) -> Database {
@@ -73,7 +73,7 @@ pub mod seminaive {
         input: &Database,
         opts: EvalOptions,
     ) -> (Database, Stats) {
-        crate::evaluate(program, input, Schedule::Strata, opts).expect("a stratifiable program")
+        crate::evaluate_with(program, input, opts).expect("a stratifiable program")
     }
 }
 
@@ -81,7 +81,7 @@ pub mod seminaive {
 // benchmark-only change of ROADMAP.md item 2 moves it to `evaluate`.
 #[doc(hidden)]
 pub mod stratified {
-    use crate::{EvalOptions, NotStratifiable, Schedule, Stats};
+    use crate::{EvalOptions, NotStratifiable, Stats};
     use datalog_ast::{Database, Program};
 
     pub fn evaluate_with_opts(
@@ -89,6 +89,6 @@ pub mod stratified {
         input: &Database,
         opts: EvalOptions,
     ) -> Result<(Database, Stats), NotStratifiable> {
-        crate::evaluate(program, input, Schedule::Strata, opts)
+        crate::evaluate_with(program, input, opts)
     }
 }

@@ -17,7 +17,7 @@
 //! free functions [`answer`] / [`answer_with_stats`], the per-program
 //! [`crate::query::PlanCache`], the service and the CLI all reach it.
 
-use crate::{evaluate, EvalOptions, Schedule, Stats};
+use crate::{evaluate, Stats};
 use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Rule, Term, Var};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -151,13 +151,7 @@ impl MagicTemplate {
     pub fn answer(&self, base: &Database, query: &Atom) -> (Database, Stats) {
         let mut input = base.clone();
         input.insert(self.seed_for(query));
-        let (result, stats) = evaluate(
-            &self.program,
-            &input,
-            Schedule::Strata,
-            EvalOptions::default(),
-        )
-        .expect("a magic program is positive");
+        let (result, stats) = evaluate(&self.program, &input).expect("a magic program is positive");
         (read_answers(&result, self.answer_pred, query), stats)
     }
 }
@@ -305,9 +299,7 @@ mod tests {
 
     /// Reference answer: evaluate the whole program, filter by the query.
     fn reference(program: &Program, edb: &Database, query: &Atom) -> Database {
-        let full = evaluate(program, edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0;
+        let full = evaluate(program, edb).unwrap().0;
         let mut out = Database::new();
         for tuple in full.relation(query.pred) {
             let g = GroundAtom {
@@ -349,8 +341,7 @@ mod tests {
         let (got, magic_stats) = answer_with_stats(&tc(), &edb, &query);
         assert_eq!(got.len(), 20);
 
-        let (_, full_stats) =
-            evaluate(&tc(), &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (_, full_stats) = evaluate(&tc(), &edb).unwrap();
         assert!(
             magic_stats.derivations < full_stats.derivations,
             "magic {} vs full {}",

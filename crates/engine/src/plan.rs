@@ -11,8 +11,8 @@
 //! keeps those scripts (see [`RulePlan`]), so every context built over the
 //! same plans compiles each script once.
 //!
-//! [`join_body`] evaluates a plan directly — left-to-right backtracking
-//! against per-predicate hash indices built on demand ([`IndexSet`]) and
+//! `join_body` evaluates a plan directly — left-to-right backtracking
+//! against per-predicate hash indices built on demand (`IndexSet`) and
 //! thrown away with the round. It is the seed's executor and has one caller
 //! left, [`crate::naive`], the share-nothing reference the oracles compare
 //! every other evaluator against.
@@ -89,9 +89,9 @@ impl AtomPlan {
 /// A body literal that repeats an earlier one — same polarity, predicate
 /// and terms — is a *twin*. Any match of the body gives a twin its first
 /// copy's row, so the context's orders leave twins out
-/// ([`RulePlan::greedy_order_seeded`]): a twin gets no step and no delta
+/// (`RulePlan::greedy_order_seeded`): a twin gets no step and no delta
 /// task, and a justification gives it its first copy's row. The reference
-/// join ([`RulePlan::greedy_order`], [`join_body`]) joins the body as
+/// join ([`RulePlan::greedy_order`], `join_body`) joins the body as
 /// written.
 #[derive(Clone, Debug)]
 pub struct RulePlan {

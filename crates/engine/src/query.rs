@@ -92,7 +92,7 @@ impl QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate, EvalOptions, Schedule};
+    use crate::evaluate;
     use datalog_ast::{match_atom, parse_atom, parse_database, parse_program, GroundAtom};
 
     fn tc() -> Arc<Program> {
@@ -101,9 +101,7 @@ mod tests {
 
     /// Reference answer: evaluate the whole program, filter by the query.
     fn reference(program: &Program, edb: &Database, query: &Atom) -> Database {
-        let full = evaluate(program, edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0;
+        let full = evaluate(program, edb).unwrap().0;
         let mut out = Database::new();
         for tuple in full.relation(query.pred) {
             let g = GroundAtom {
@@ -165,7 +163,7 @@ mod tests {
         let edb = parse_database(&facts).unwrap();
         let (got, stats) = PlanCache::new(tc()).answer(&edb, &parse_atom("g(0, X)").unwrap());
         assert_eq!(got.len(), 30);
-        let (_, full) = evaluate(&tc(), &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (_, full) = evaluate(&tc(), &edb).unwrap();
         assert!(stats.derivations < full.derivations);
     }
 }

@@ -1,5 +1,5 @@
 //! Semi-naive bottom-up evaluation, the one entry point of the context
-//! evaluators: [`evaluate`] computes `P(d)` under a [`Schedule`].
+//! evaluators: [`evaluate`] computes `P(d)`.
 //!
 //! The fixpoint is the same as [`crate::naive`]'s, without rediscovering
 //! old facts: after the first full round, a rule can only produce a *new*
@@ -13,46 +13,25 @@
 //! row; a literal repeating an earlier one is folded into it and is no
 //! delta position at all (see [`crate::EvalContext`]).
 //!
-//! # Schedules
+//! # Strata
 //!
-//! A schedule groups the rules into layers that are saturated in order, on
-//! one [`EvalContext`] (indexes built for an early layer are appended to by
-//! later ones, never rebuilt):
-//!
-//! * [`Schedule::Strata`] — a positive program is one layer. A program with
-//!   negation is split into strata by the dependence graph (negative edges
-//!   must cross strictly upward), the §XII extension.
-//! * [`Schedule::Scc`] — one layer per strongly connected component of the
-//!   dependence graph, in dependency order. Delta rounds then never revisit
-//!   rules whose inputs can no longer change.
-//!
-//! Both are sound under stratified negation: a negated literal is a
-//! membership test against the context database, and every rule that
-//! defines the negated predicate sits in an earlier layer, which is
-//! saturated before the rule that negates it runs. For strata that is their
-//! definition. For SCCs it holds because a stratifiable program has no
-//! negative edge inside a component, and components come dependencies
-//! first. A program with a cycle through negation is [`NotStratifiable`]
-//! under either schedule.
+//! A positive program is one stratum. A program with negation is split
+//! into strata by the dependence graph (negative edges must cross strictly
+//! upward), the §XII extension, and the strata are saturated in order on
+//! one [`EvalContext`]: indexes built for an early stratum are appended to
+//! by later ones, never rebuilt. A negated literal is then a membership
+//! test against the context database, since every rule that defines the
+//! negated predicate sits in an earlier stratum, saturated before the rule
+//! that negates it runs. A program with a cycle through negation is
+//! [`NotStratifiable`].
 //!
 //! The reference it is tested against is [`crate::naive`], which shares
 //! none of this.
 
 use crate::context::{EvalContext, EvalOptions};
 use crate::stats::Stats;
-use datalog_ast::{Database, DepGraph, Pred, Program};
-use std::collections::BTreeMap;
+use datalog_ast::{Database, DepGraph, Program};
 use std::fmt;
-
-/// How [`evaluate`] groups a program's rules into layers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Schedule {
-    /// One layer per stratum; a positive program is a single layer.
-    #[default]
-    Strata,
-    /// One layer per strongly connected component, in dependency order.
-    Scc,
-}
 
 /// Error: the program has no stratification (a cycle through negation).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,83 +48,73 @@ impl fmt::Display for NotStratifiable {
 
 impl std::error::Error for NotStratifiable {}
 
-/// Compute `P(d)` semi-naively, saturating `schedule`'s layers of
-/// `program` in order. The output contains the input, including atoms it
-/// supplies for intentional predicates.
-pub fn evaluate(
+/// Compute `P(d)` semi-naively, saturating the strata of `program` in
+/// order. The output contains the input, including atoms it supplies for
+/// intentional predicates.
+pub fn evaluate(program: &Program, input: &Database) -> Result<(Database, Stats), NotStratifiable> {
+    evaluate_with(program, input, EvalOptions::default())
+}
+
+/// [`evaluate`] under `opts`, for the kernel differentials:
+/// [`EvalOptions::interpreted`] runs every join script on the row-at-a-time
+/// reference interpreter they compare the kernel against.
+pub fn evaluate_with(
     program: &Program,
     input: &Database,
-    schedule: Schedule,
     opts: EvalOptions,
 ) -> Result<(Database, Stats), NotStratifiable> {
-    let layers = schedule.layers(program)?;
+    let strata = strata(program)?;
     let mut cx = EvalContext::new(program, input.clone(), opts);
-    for rules in layers.iter().filter(|rules| !rules.is_empty()) {
+    for rules in strata.iter().filter(|rules| !rules.is_empty()) {
         cx.saturate(rules);
     }
     let stats = cx.stats();
     Ok((cx.into_database(), stats))
 }
 
-impl Schedule {
-    /// `program`'s rule indices, grouped into the layers this schedule
-    /// saturates in order.
-    fn layers(self, program: &Program) -> Result<Vec<Vec<usize>>, NotStratifiable> {
-        if self == Schedule::Strata && program.is_positive() {
-            // Round 1 is a full pass over the input (EDB-only rules, facts
-            // and input-supplied IDB atoms in one go); later rounds are
-            // delta-driven.
-            return Ok(vec![(0..program.rules.len()).collect()]);
-        }
-        let graph = DepGraph::new(program);
-        let strata = graph.stratify().ok_or(NotStratifiable)?;
-        let layer_of: BTreeMap<Pred, usize> = match self {
-            Schedule::Strata => strata,
-            // Tarjan's SCCs come dependencies first.
-            Schedule::Scc => graph
-                .sccs()
-                .iter()
-                .enumerate()
-                .flat_map(|(i, scc)| scc.iter().map(move |&p| (p, i)))
-                .collect(),
-        };
-        let mut layers = vec![Vec::new(); layer_of.values().max().map_or(0, |&m| m + 1)];
-        for (i, rule) in program.rules.iter().enumerate() {
-            layers[layer_of[&rule.head.pred]].push(i);
-        }
-        Ok(layers)
+/// `program`'s rule indices, grouped into the strata [`evaluate`]
+/// saturates in order.
+fn strata(program: &Program) -> Result<Vec<Vec<usize>>, NotStratifiable> {
+    if program.is_positive() {
+        // Round 1 is a full pass over the input (EDB-only rules, facts and
+        // input-supplied IDB atoms in one go); later rounds are
+        // delta-driven.
+        return Ok(vec![(0..program.rules.len()).collect()]);
     }
+    let stratum_of = DepGraph::new(program).stratify().ok_or(NotStratifiable)?;
+    let mut strata = vec![Vec::new(); stratum_of.values().max().map_or(0, |&m| m + 1)];
+    for (i, rule) in program.rules.iter().enumerate() {
+        strata[stratum_of[&rule.head.pred]].push(i);
+    }
+    Ok(strata)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive;
-    use datalog_ast::{parse_database, parse_program, Const};
+    use datalog_ast::{parse_database, parse_program, Const, Pred};
 
-    const SCHEDULES: [Schedule; 2] = [Schedule::Strata, Schedule::Scc];
-
-    fn run(program: &Program, input: &Database, schedule: Schedule) -> (Database, Stats) {
-        evaluate(program, input, schedule, EvalOptions::default()).unwrap()
+    fn run(program: &Program, input: &Database) -> (Database, Stats) {
+        evaluate(program, input).unwrap()
     }
 
     fn eval(program: &Program, input: &Database) -> Database {
-        run(program, input, Schedule::Strata).0
+        run(program, input).0
     }
 
     fn tc_program() -> Program {
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap()
     }
 
-    /// The heads of each layer, in order.
-    fn layer_heads(program: &Program, schedule: Schedule) -> Vec<Vec<String>> {
-        schedule
-            .layers(program)
+    /// The heads of each stratum, in order.
+    fn strata_heads(program: &Program) -> Vec<Vec<String>> {
+        strata(program)
             .unwrap()
             .iter()
-            .filter(|layer| !layer.is_empty())
-            .map(|layer| {
-                layer
+            .filter(|stratum| !stratum.is_empty())
+            .map(|stratum| {
+                stratum
                     .iter()
                     .map(|&i| program.rules[i].head.pred.name())
                     .collect()
@@ -156,14 +125,11 @@ mod tests {
     #[test]
     fn agrees_with_naive_on_example2() {
         let edb = parse_database("a(1,2). a(1,4). a(4,1).").unwrap();
-        for schedule in SCHEDULES {
-            assert_eq!(
-                run(&tc_program(), &edb, schedule).0,
-                naive::evaluate(&tc_program(), &edb)
-            );
-        }
+        assert_eq!(
+            eval(&tc_program(), &edb),
+            naive::evaluate(&tc_program(), &edb)
+        );
     }
-
     #[test]
     fn agrees_with_naive_with_idb_input() {
         let input = parse_database("a(1,2). a(1,4). g(4,1).").unwrap();
@@ -222,7 +188,7 @@ mod tests {
         }
         let edb = parse_database(&facts).unwrap();
         let (out_n, stats_n) = naive::evaluate_with_stats(&tc_program(), &edb);
-        let (out_s, stats_s) = run(&tc_program(), &edb, Schedule::Strata);
+        let (out_s, stats_s) = run(&tc_program(), &edb);
         assert_eq!(out_n, out_s);
         assert!(
             stats_s.matches < stats_n.matches,
@@ -242,11 +208,7 @@ mod tests {
 
     #[test]
     fn empty_input_empty_program() {
-        for schedule in SCHEDULES {
-            assert!(run(&Program::empty(), &Database::new(), schedule)
-                .0
-                .is_empty());
-        }
+        assert!(eval(&Program::empty(), &Database::new()).is_empty());
     }
 
     #[test]
@@ -257,7 +219,7 @@ mod tests {
         }
         let edb = parse_database(&facts).unwrap();
         let program = tc_program();
-        let (out, stats) = run(&program, &edb, Schedule::Strata);
+        let (out, stats) = run(&program, &edb);
         assert_eq!(out, naive::evaluate(&program, &edb));
         // One index per (literal, binding pattern) a script can probe, however
         // many rounds the chain takes; later rounds only append.
@@ -286,67 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn layered_program_matches_one_layer() {
-        let p = parse_program(
-            "t(X, Z) :- e(X, Z).
-             t(X, Z) :- t(X, Y), e(Y, Z).
-             s(X) :- t(X, Y), mark(Y).
-             u(X) :- s(X), e(X, X).",
-        )
-        .unwrap();
-        let edb = parse_database("e(1,2). e(2,3). e(3,3). mark(3).").unwrap();
-        assert_eq!(run(&p, &edb, Schedule::Scc).0, eval(&p, &edb));
-    }
-
-    #[test]
-    fn mutually_recursive_preds_share_a_layer() {
-        let p = parse_program(
-            "even(X) :- zero(X).
-             odd(Y) :- even(X), succ(X, Y).
-             even(Y) :- odd(X), succ(X, Y).
-             report(X) :- even(X), interesting(X).",
-        )
-        .unwrap();
-        // even/odd rules together in one layer; report in a later layer.
-        assert_eq!(
-            layer_heads(&p, Schedule::Scc),
-            [vec!["even", "odd", "even"], vec!["report"]]
-        );
-        // A positive program is one stratum.
-        assert_eq!(layer_heads(&p, Schedule::Strata).len(), 1);
-
-        let edb = parse_database("zero(0). succ(0,1). succ(1,2). interesting(2).").unwrap();
-        assert_eq!(run(&p, &edb, Schedule::Scc).0, naive::evaluate(&p, &edb));
-    }
-
-    #[test]
-    fn layers_never_reorder_dependencies() {
-        let p = parse_program("c(X) :- b(X). b(X) :- a(X). d(X) :- c(X), b(X).").unwrap();
-        assert_eq!(
-            layer_heads(&p, Schedule::Scc),
-            [vec!["b"], vec!["c"], vec!["d"]]
-        );
-    }
-
-    #[test]
-    fn idb_seeded_inputs_still_agree() {
-        let p = parse_program("t(X, Z) :- e(X, Z). t(X, Z) :- t(X, Y), t(Y, Z). s(X) :- t(X, X).")
-            .unwrap();
-        let input = parse_database("e(1,2). t(2,1). s(9).").unwrap();
-        assert_eq!(
-            run(&p, &input, Schedule::Scc).0,
-            naive::evaluate(&p, &input)
-        );
-    }
-
-    #[test]
-    fn layering_matches_one_layer_on_cross_tower_joins() {
-        // A rule joining two independent recursive towers. SCC layers
-        // compute both towers first and sweep the join once over complete
-        // inputs; one layer runs it once per delta position per round. Since
-        // a literal ahead of the delta literal reads only old rows, every
-        // match of the join is found once either way, so the layering saves
-        // no match here: the two counts are equal.
+    fn cross_tower_joins_are_matched_exactly_once() {
+        // A rule joining two independent recursive towers runs once per
+        // delta position per round while both towers grow. Since a literal
+        // ahead of the delta literal reads only old rows, every body match
+        // is found by the task at its first new row and by no other, so the
+        // whole fixpoint matches exactly what one naive pass over the
+        // fixpoint does.
         let p = parse_program(
             "t1(X, Z) :- e(X, Z). t1(X, Z) :- t1(X, Y), e(Y, Z).
              t2(X, Z) :- f(X, Z). t2(X, Z) :- t2(X, Y), f(Y, Z).
@@ -359,10 +267,11 @@ mod tests {
             facts.push_str(&format!("f({}, {}).", i + 1, i));
         }
         let edb = parse_database(&facts).unwrap();
-        let (out_l, stats_l) = run(&p, &edb, Schedule::Scc);
-        let (out_m, stats_m) = run(&p, &edb, Schedule::Strata);
-        assert_eq!(out_l, out_m);
-        assert_eq!(stats_l.matches, stats_m.matches, "layered vs monolithic");
+        let (out, stats) = run(&p, &edb);
+        let (again, pass) = naive::evaluate_with_stats(&p, &out);
+        assert_eq!(again, out);
+        assert_eq!(pass.iterations, 1);
+        assert_eq!(stats.matches, pass.matches, "semi-naive vs one pass");
     }
 
     fn reach_program() -> Program {
@@ -381,12 +290,10 @@ mod tests {
              edge(1, 2). edge(3, 4).",
         )
         .unwrap();
-        for schedule in SCHEDULES {
-            let out = run(&reach_program(), &edb, schedule).0;
-            assert_eq!(out.relation_len(Pred::new("reach")), 2); // 1, 2
-            assert_eq!(out.relation_len(Pred::new("unreach")), 2); // 3, 4
-            assert!(out.contains_tuple(Pred::new("unreach"), &[Const::Int(3)]));
-        }
+        let out = eval(&reach_program(), &edb);
+        assert_eq!(out.relation_len(Pred::new("reach")), 2); // 1, 2
+        assert_eq!(out.relation_len(Pred::new("unreach")), 2); // 3, 4
+        assert!(out.contains_tuple(Pred::new("unreach"), &[Const::Int(3)]));
     }
 
     #[test]
@@ -398,34 +305,35 @@ mod tests {
         )
         .unwrap();
         let edb = parse_database("dom(1). dom(2). base(1).").unwrap();
-        for schedule in SCHEDULES {
-            let out = run(&p, &edb, schedule).0;
-            // p = {1}; q = {2}; r = {1}.
-            assert!(out.contains_tuple(Pred::new("q"), &[Const::Int(2)]));
-            assert!(out.contains_tuple(Pred::new("r"), &[Const::Int(1)]));
-            assert_eq!(out.relation_len(Pred::new("r")), 1);
-        }
+        let out = eval(&p, &edb);
+        // p = {1}; q = {2}; r = {1}.
+        assert!(out.contains_tuple(Pred::new("q"), &[Const::Int(2)]));
+        assert!(out.contains_tuple(Pred::new("r"), &[Const::Int(1)]));
+        assert_eq!(out.relation_len(Pred::new("r")), 1);
     }
 
     #[test]
-    fn unstratifiable_is_an_error_under_every_schedule() {
+    fn unstratifiable_is_an_error() {
         let p = parse_program("p(X) :- n(X), !q(X). q(X) :- n(X), !p(X).").unwrap();
         let edb = parse_database("n(1).").unwrap();
-        for schedule in SCHEDULES {
-            assert_eq!(
-                evaluate(&p, &edb, schedule, EvalOptions::default()),
-                Err(NotStratifiable),
-                "{schedule:?}"
-            );
-        }
+        assert_eq!(evaluate(&p, &edb), Err(NotStratifiable));
     }
 
     #[test]
     fn strata_partition_rules() {
         assert_eq!(
-            layer_heads(&reach_program(), Schedule::Strata),
+            strata_heads(&reach_program()),
             [vec!["reach", "reach"], vec!["unreach"]]
         );
+        // A positive program is one stratum.
+        let even_odd = parse_program(
+            "even(X) :- zero(X).
+             odd(Y) :- even(X), succ(X, Y).
+             even(Y) :- odd(X), succ(X, Y).
+             report(X) :- even(X), interesting(X).",
+        )
+        .unwrap();
+        assert_eq!(strata_heads(&even_odd).len(), 1);
     }
 
     #[test]
@@ -434,10 +342,8 @@ mod tests {
         let p =
             parse_program("t(X, Y) :- e(X, Y), !block(X). t(X, Z) :- t(X, Y), t(Y, Z).").unwrap();
         let edb = parse_database("e(1,2). e(2,3). block(2).").unwrap();
-        for schedule in SCHEDULES {
-            let out = run(&p, &edb, schedule).0;
-            assert!(out.contains_tuple(Pred::new("t"), &[1.into(), 2.into()]));
-            assert!(!out.contains_tuple(Pred::new("t"), &[2.into(), 3.into()]));
-        }
+        let out = eval(&p, &edb);
+        assert!(out.contains_tuple(Pred::new("t"), &[1.into(), 2.into()]));
+        assert!(!out.contains_tuple(Pred::new("t"), &[2.into(), 3.into()]));
     }
 }

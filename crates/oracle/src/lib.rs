@@ -17,7 +17,7 @@
 //! * [`oracles`] — the divergence checks (engine matrix, optimization
 //!   soundness, incremental consistency, view queries, concurrent service,
 //!   metamorphic chains);
-//! * [`reduce`] — greedy delta-debugging reduction (rules → atoms →
+//! * [`reduce`](mod@reduce) — greedy delta-debugging reduction (rules → atoms →
 //!   queries → mutations → facts → constant renumbering);
 //! * [`fixture`] — the `.repro` file format under `tests/repros/`;
 //! * [`report`] — aggregate results with JSON rendering for CI.

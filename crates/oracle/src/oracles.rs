@@ -2,13 +2,12 @@
 //!
 //! Each check recomputes the same answer several independent ways and
 //! reports every disagreement as a [`Divergence`]. The reference result is
-//! always the semi-naive fixpoint on the default schedule ([`evaluate`]
-//! with [`Schedule::Strata`]) — every other evaluator, query strategy,
-//! optimizer output, and incremental state is compared against it (or
-//! against a from-scratch recomputation seeded by it).
+//! always the semi-naive fixpoint of [`evaluate`] — every other evaluator,
+//! query strategy, optimizer output, and incremental state is compared
+//! against it (or against a from-scratch recomputation seeded by it).
 //!
-//! * **Engine matrix** — [`Schedule::Scc`], interpreted (columnar join
-//!   kernels disabled) and a second kernel run must produce the reference
+//! * **Engine matrix** — interpreted (columnar join kernels disabled,
+//!   [`evaluate_with`]) and a second kernel run must produce the reference
 //!   fixpoint on every program, negated or not, and naive on every positive
 //!   one; the kernel and the interpreter must also do the
 //!   same logical work (`probes`, `matches`, `derivations`) — the
@@ -18,7 +17,7 @@
 //!   the fixpoint enumerates (semi-naive finds each match once); magic-sets answers
 //!   must equal the pattern-filtered fixpoint for every query; and
 //!   the proof a traced context gives for a sample of the fixpoint must
-//!   pass [`Proof::check`].
+//!   pass [`Proof::check`](datalog_engine::Proof::check).
 //! * **Optimization soundness** — `minimize_program` (Fig. 2),
 //!   `minimize_program_in_order` under a random consideration order, and a
 //!   redundancy-injected bloat must all agree with the original program on
@@ -27,7 +26,7 @@
 //!   Every §VI test Fig. 2 makes on the way is also decided twice: by the
 //!   goal-directed [`Containment`] and by the unshortened test (the full
 //!   fixpoint of the frozen body, then a lookup of the frozen head), and its
-//!   evidence re-checked: a witness's proof against [`Proof::check`], a
+//!   evidence re-checked: a witness's proof against [`Proof::check`](datalog_engine::Proof::check), a
 //!   refutation's countermodel against that fixpoint. Edits Fig. 2 never
 //!   makes — a rule replaced by an instance of itself, as wide as it — must
 //!   leave the edited `Containment` answering as one built from scratch.
@@ -59,8 +58,8 @@ use datalog_ast::{
     match_atom, validate, Atom, Database, GroundAtom, Pred, Program, Rule, Subst, Term, Var,
 };
 use datalog_engine::{
-    evaluate, magic, naive, Adornment, EvalOptions, Materialized, NotStratifiable, PlanCache,
-    Schedule, Stats, Traced,
+    evaluate, evaluate_with, magic, naive, Adornment, EvalOptions, Materialized, PlanCache, Stats,
+    Traced,
 };
 use datalog_optimizer::{
     freeze_rule, minimize_program, minimize_program_in_order, uniformly_equivalent, Containment,
@@ -157,23 +156,14 @@ pub fn check(case: &Case) -> Vec<Divergence> {
 /// run this surfaces the storage layer's allocation behaviour
 /// (`tuples_allocated`, `arena_bytes`) in the fuzz report.
 pub fn reference_stats(case: &Case) -> Stats {
-    reference_fixpoint(&case.program, &case.db)
+    evaluate(&case.program, &case.db)
         .map(|(_, stats)| stats)
         .unwrap_or_default()
 }
 
-/// The reference fixpoint and its work: [`evaluate`] on the default
-/// schedule, on the join kernel.
-fn reference_fixpoint(
-    program: &Program,
-    db: &Database,
-) -> Result<(Database, Stats), NotStratifiable> {
-    evaluate(program, db, Schedule::Strata, EvalOptions::sequential())
-}
-
 /// The reference fixpoint of a positive program.
 fn fixpoint(program: &Program, db: &Database) -> Database {
-    reference_fixpoint(program, db)
+    evaluate(program, db)
         .expect("a positive program is stratifiable")
         .0
 }
@@ -224,28 +214,23 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
     let mut out = Vec::new();
     let program = &case.program;
     let db = &case.db;
-    let Ok((reference, kernel)) = reference_fixpoint(program, db) else {
+    let Ok((reference, kernel)) = evaluate(program, db) else {
         return out; // not stratifiable — nothing to compare
     };
-    let run = |schedule, opts| evaluate(program, db, schedule, opts);
     // The join kernel vs the row-at-a-time interpreter: the reference above
     // runs on the kernel, so evaluating with it switched off makes every
     // engines case — 1-, 2- and 3+-atom bodies, negated literals as
     // anti-probe stages on one side and membership tests on the other — a
     // differential test of the two executors.
-    let interpreted = run(Schedule::Strata, EvalOptions::interpreted());
+    let interpreted = evaluate_with(program, db, EvalOptions::interpreted());
     if let Ok((_, work)) = &interpreted {
         out.extend(work_divergence("interpreted", &kernel, work));
     }
     let mut engines = vec![
-        ("scc", run(Schedule::Scc, EvalOptions::sequential())),
         ("interpreted", interpreted),
         // A second kernel run double-checks that the cross-task batch
         // cache is deterministic.
-        (
-            "kernel-rerun",
-            run(Schedule::Strata, EvalOptions::sequential()),
-        ),
+        ("kernel-rerun", evaluate(program, db)),
     ];
     if program.is_positive() {
         engines.insert(0, ("naive", Ok(naive::evaluate_with_stats(program, db))));

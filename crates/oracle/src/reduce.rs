@@ -240,7 +240,7 @@ mod tests {
     use super::*;
     use crate::oracles::Family;
     use datalog_ast::{fact, parse_atom, parse_database, parse_program};
-    use datalog_engine::{evaluate, EvalOptions, Schedule};
+    use datalog_engine::evaluate;
 
     fn base_case() -> Case {
         Case {
@@ -263,7 +263,7 @@ mod tests {
         // Synthetic failure: "the fixpoint contains g(4, 4)" — needs the
         // 4→5→6→4 cycle and both g-rules, but not h, c, or the stray edge.
         let failing = |c: &Case| {
-            evaluate(&c.program, &c.db, Schedule::Strata, EvalOptions::default())
+            evaluate(&c.program, &c.db)
                 .unwrap()
                 .0
                 .contains(&fact("g", [4, 4]))
@@ -280,9 +280,7 @@ mod tests {
     #[test]
     fn reduction_is_idempotent_and_deterministic() {
         let failing = |c: &Case| {
-            let out = evaluate(&c.program, &c.db, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0;
+            let out = evaluate(&c.program, &c.db).unwrap().0;
             out.relation_len(datalog_ast::Pred::new("g")) >= 3
         };
         let case = base_case();
@@ -299,7 +297,7 @@ mod tests {
         // A predicate insensitive to the concrete constants: any nonempty
         // g-relation. Renumbering applies and maps 4.. onto 0..
         let failing = |c: &Case| {
-            evaluate(&c.program, &c.db, Schedule::Strata, EvalOptions::default())
+            evaluate(&c.program, &c.db)
                 .unwrap()
                 .0
                 .relation(datalog_ast::Pred::new("g"))

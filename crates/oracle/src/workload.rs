@@ -289,6 +289,41 @@ fn pick_mutations(rng: &mut StdRng, program: &Program, db: &Database) -> Vec<Mut
             out.push(Mutation::Remove(facts));
         }
     }
+    // Half of the cases then grow the base by a chain with doubled links,
+    // `(i, i + 1)` and `(i, i + 2)`, and remove one or two of its links a
+    // batch: the derived part of such a view outweighs what one link
+    // overdeletes, so these removals stay below the re-saturation
+    // threshold and run DRed's three rounds, and the other link gives most
+    // overdeleted atoms a derivation for the rederivation round to find.
+    // Drawn last, so the batches above do not depend on it.
+    let edb: Vec<(Pred, usize)> = arities
+        .iter()
+        .copied()
+        .filter(|(pred, _)| !idb.contains(pred))
+        .collect();
+    if !edb.is_empty() && rng.gen_bool(0.5) {
+        let start = rng.gen_range(0..domain);
+        let chain: Vec<GroundAtom> = (0..rng.gen_range(12..24))
+            .map(|i| {
+                let (pred, arity) = edb[rng.gen_range(0..edb.len())];
+                let (at, step) = (start + i / 2, 1 + i % 2);
+                let tuple: Vec<Const> = (0..arity as i64)
+                    .map(|j| Const::Int(at + j * step))
+                    .collect();
+                GroundAtom {
+                    pred,
+                    tuple: tuple.into(),
+                }
+            })
+            .collect();
+        out.push(Mutation::Insert(chain.clone()));
+        for _ in 0..rng.gen_range(1..3) {
+            let links = (0..rng.gen_range(1..3))
+                .map(|_| chain[rng.gen_range(0..chain.len())].clone())
+                .collect();
+            out.push(Mutation::Remove(links));
+        }
+    }
     out
 }
 

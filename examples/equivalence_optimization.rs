@@ -78,12 +78,8 @@ fn main() {
         edb.insert(fact("c", [i]));
     }
     assert_eq!(
-        evaluate(&p1, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0,
-        evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0
+        evaluate(&p1, &edb).unwrap().0,
+        evaluate(&optimized, &edb).unwrap().0
     );
     println!("identical outputs on a 30-chain with full certificates ✓");
 

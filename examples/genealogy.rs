@@ -65,8 +65,7 @@ fn main() {
     )
     .unwrap();
 
-    let (full, stats) =
-        evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (full, stats) = evaluate(&minimized, &edb).unwrap();
     println!("\nevaluation: {stats}");
     println!("ancestor tuples: {}", full.relation_len(Pred::new("anc")));
     println!(

@@ -59,13 +59,10 @@ fn main() {
     )
     .unwrap();
 
-    let (result, stats) =
-        evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (result, stats) = evaluate(&minimized, &edb).unwrap();
     assert_eq!(
         result,
-        evaluate(&program, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0,
+        evaluate(&program, &edb).unwrap().0,
         "optimization is sound"
     );
 

@@ -62,10 +62,8 @@ fn main() {
 
     // Evaluate both on the same EDB and confirm agreement + saved work.
     let edb = edge_db("edge", GraphKind::Chain { n: 64 });
-    let (out_orig, stats_orig) =
-        evaluate(&program, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-    let (out_opt, stats_opt) =
-        evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (out_orig, stats_orig) = evaluate(&program, &edb).unwrap();
+    let (out_opt, stats_opt) = evaluate(&optimized, &edb).unwrap();
     assert_eq!(out_orig, out_opt, "optimization preserved the semantics");
 
     println!("\nevaluation on a 64-edge chain:");

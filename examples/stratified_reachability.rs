@@ -54,12 +54,8 @@ fn main() {
     )
     .unwrap();
 
-    let full = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default())
-        .unwrap()
-        .0;
-    let orig = evaluate(&program, &edb, Schedule::Strata, EvalOptions::default())
-        .unwrap()
-        .0;
+    let full = evaluate(&minimized, &edb).unwrap().0;
+    let orig = evaluate(&program, &edb).unwrap().0;
     assert_eq!(
         full, orig,
         "minimization preserved the stratified semantics"

@@ -8,7 +8,7 @@
 //! datalog minimize <program.dl> [--stats]             Fig. 2 minimization (≡u)
 //! datalog optimize <program.dl> [--fuel N] [--stats]  Fig. 2 + §X–XI equivalence phase
 //! datalog eval     <program.dl> --edb <facts.dl>      bottom-up evaluation
-//!                  [--engine stratified|scc|naive] [--stats]   (seminaive = stratified)
+//!                  [--engine stratified|scc|naive] [--stats]   (seminaive = scc = stratified)
 //! datalog run      <unit.dl> [--stats]                evaluate rules + facts [+ tgds] in one file
 //! datalog repl     [<program.dl>]                     interactive session
 //! datalog query    '<atom>'... <program.dl> --edb <facts.dl>  magic-sets point queries
@@ -89,7 +89,8 @@ usage:
   datalog minimize <program.dl> [--stats]
   datalog optimize <program.dl> [--fuel N] [--stats]
   datalog eval     <program.dl> --edb <facts.dl> [--engine stratified|scc|naive] [--stats]
-                   (stratified and scc evaluate negation; seminaive = stratified)
+                   (seminaive, stratified and scc name one semi-naive evaluator,
+                   which evaluates negation by strata)
   datalog run      <unit.dl>   (rules + facts [+ tgds] in one file)
   datalog repl     [<program.dl>]   interactive session
   datalog query    '<atom>'... <program.dl> --edb <facts.dl> [--stats]
@@ -470,21 +471,16 @@ fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
     let program = load_program(path)?;
     let edb = load_database(flags.get("edb").ok_or("--edb <facts.dl> is required")?)?;
     let loaded = Instant::now();
-    // `seminaive` and `stratified` are both the default schedule.
-    let schedule = match flags.get("engine").unwrap_or("stratified") {
-        "naive" => None,
-        "seminaive" | "stratified" => Some(Schedule::Strata),
-        "scc" => Some(Schedule::Scc),
-        other => return Err(format!("unknown engine `{other}`")),
-    };
-    let (out, stats) = match schedule {
-        Some(schedule) => {
-            evaluate(&program, &edb, schedule, EvalOptions::default()).map_err(|e| e.to_string())?
-        }
-        None => {
+    // `seminaive`, `stratified` and `scc` all name the one semi-naive path.
+    let (out, stats) = match flags.get("engine").unwrap_or("stratified") {
+        "naive" => {
             require_positive(&program, "--engine naive")?;
             naive::evaluate_with_stats(&program, &edb)
         }
+        "seminaive" | "stratified" | "scc" => {
+            evaluate(&program, &edb).map_err(|e| e.to_string())?
+        }
+        other => return Err(format!("unknown engine `{other}`")),
     };
     let evaluated = Instant::now();
     print_atoms(&out)?;
@@ -511,13 +507,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let input = Database::from_atoms(unit.facts.iter().cloned());
     let loaded = Instant::now();
     let (out, stats) = if unit.tgds.is_empty() {
-        evaluate(
-            &unit.program,
-            &input,
-            Schedule::Strata,
-            EvalOptions::default(),
-        )
-        .map_err(|e| e.to_string())?
+        evaluate(&unit.program, &input).map_err(|e| e.to_string())?
     } else {
         // With tgds: run the combined [P, T] chase (fuel-bounded).
         let fuel = sagiv_datalog::optimizer::fuel_for(&unit.tgds, flags.fuel()?);

@@ -11,7 +11,7 @@
 //! * [`ast`] (`datalog-ast`) — programs, rules, atoms, tgds, parser,
 //!   validation, dependence-graph analysis;
 //! * [`engine`] (`datalog-engine`) — naive and semi-naive bottom-up
-//!   evaluation (stratified negation under either `Schedule`), magic sets;
+//!   evaluation (stratified negation by strata), magic sets;
 //! * [`optimizer`] (`datalog-optimizer`) — the paper's algorithms: uniform
 //!   containment (§VI), Fig. 1/2 minimization (§VII), the `[P, T]` chase
 //!   (§VIII), the Fig. 3 preservation test (§IX), and the §X–XI
@@ -43,8 +43,7 @@
 //!
 //! // Evaluate the minimized program bottom-up.
 //! let edb = parse_database("a(1, 1). g(0, 1, 1).").unwrap();
-//! let (out, _stats) =
-//!     evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+//! let (out, _stats) = evaluate(&minimized, &edb).unwrap();
 //! assert!(out.len() >= edb.len());
 //! ```
 
@@ -65,9 +64,7 @@ pub mod prelude {
         parse_unit, validate, validate_positive, Atom, ColType, Const, Database, DepGraph,
         GroundAtom, Literal, Pred, Program, Rule, Schema, SchemaSet, Subst, Term, Tgd, Var,
     };
-    pub use datalog_engine::{
-        evaluate, magic, naive, EvalOptions, NotStratifiable, Schedule, Stats,
-    };
+    pub use datalog_engine::{evaluate, magic, naive, NotStratifiable, Stats};
     pub use datalog_generate::{
         bloated_tc, edge_db, random_db, random_program, random_stratified_program,
         transitive_closure, GraphKind, RandomProgramSpec, TcVariant,

@@ -2,8 +2,8 @@
 //!
 //! Every join script runs on one batched pipeline (`crates/engine`'s
 //! `kernels`): stage 0 enumerates, later stages probe (positive literals) or
-//! anti-probe (negated ones). `EvalOptions::interpreted()` /
-//! `with_specialize(false)` runs the same scripts on the row-at-a-time
+//! anti-probe (negated ones). `evaluate_with` under
+//! `EvalOptions::interpreted()` runs the same scripts on the row-at-a-time
 //! reference interpreter. For every seeded random program the two must be
 //! tuple-identical and do the same logical work — `probes`, `matches`,
 //! `derivations`.
@@ -33,7 +33,7 @@ use datalog_ast::{
     Rule, Term, Var,
 };
 use datalog_engine::context::EvalOptions;
-use datalog_engine::{evaluate, naive, Justification, Materialized, Schedule, Stats, Traced};
+use datalog_engine::{evaluate, evaluate_with, naive, Justification, Materialized, Stats, Traced};
 use datalog_generate::{bloated_tc, random_db, random_program, RandomProgramSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,9 +115,8 @@ fn logical(s: &Stats) -> (u64, u64, u64) {
 /// logical work, every kernel task on the kernel and none of the
 /// reference's. Returns the kernel run.
 fn check(program: &Program, db: &Database, what: &str) -> (Database, Stats) {
-    let (got, kernel) = evaluate(program, db, Schedule::Strata, EvalOptions::sequential()).unwrap();
-    let (want, reference) =
-        evaluate(program, db, Schedule::Strata, EvalOptions::interpreted()).unwrap();
+    let (got, kernel) = evaluate(program, db).unwrap();
+    let (want, reference) = evaluate_with(program, db, EvalOptions::interpreted()).unwrap();
     assert_eq!(got, want, "fixpoint, {what}");
     assert_eq!(
         logical(&kernel),
@@ -559,8 +558,7 @@ fn round_arenas_become_the_delta() {
         let what = format!("round arenas, seed {seed}");
         let want = naive::evaluate(&program, &db);
         assert_eq!(want.relations_of(Pred::new("h")).len(), 2, "{what}");
-        let (_, reference) =
-            evaluate(&program, &db, Schedule::Strata, EvalOptions::interpreted()).unwrap();
+        let (_, reference) = evaluate_with(&program, &db, EvalOptions::interpreted()).unwrap();
         let (got, stats) = check(&program, &db, &what);
         assert_eq!(got, want, "naive fixpoint, {what}");
         assert_eq!(counts(&stats), counts(&reference), "{what}");
@@ -584,18 +582,14 @@ fn bloated_tc_remove_matches_a_recompute() {
         for batch in edges.chunks(7).take(4) {
             let before = m.database().len() as u64;
             let removed = m.remove(batch.iter().cloned());
-            let want = evaluate(&program, m.base(), Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0;
+            let want = evaluate(&program, m.base()).unwrap().0;
             assert_eq!(m.database(), &want, "remove, seed {seed}");
             assert_eq!(removed, before - want.len() as u64, "seed {seed}");
         }
         m.insert(edges);
         assert_eq!(
             m.database(),
-            &evaluate(&program, &db, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0,
+            &evaluate(&program, &db).unwrap().0,
             "seed {seed}"
         );
     }

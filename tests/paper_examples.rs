@@ -37,7 +37,7 @@ fn example_2_bottom_up_computation() {
     .unwrap();
     assert_eq!(naive::evaluate(&example1_program(), &edb), expected);
     let program = example1_program();
-    let (out, _) = evaluate(&program, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (out, _) = evaluate(&program, &edb).unwrap();
     assert_eq!(out, expected);
 }
 
@@ -75,12 +75,8 @@ fn example_4_equivalent_but_not_uniformly() {
     ] {
         let edb = edge_db("a", kind);
         assert_eq!(
-            evaluate(&p1, &edb, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0,
-            evaluate(&p2, &edb, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0,
+            evaluate(&p1, &edb).unwrap().0,
+            evaluate(&p2, &edb).unwrap().0,
             "equivalent on {kind:?}"
         );
     }
@@ -271,10 +267,8 @@ fn example_18_equivalence_optimization() {
             seed: 3,
         },
     );
-    let (out_orig, stats_orig) =
-        evaluate(&p1, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-    let (out_opt, stats_opt) =
-        evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (out_orig, stats_orig) = evaluate(&p1, &edb).unwrap();
+    let (out_opt, stats_opt) = evaluate(&optimized, &edb).unwrap();
     assert_eq!(out_orig, out_opt);
     assert!(stats_opt.probes <= stats_orig.probes);
 }
@@ -304,12 +298,8 @@ fn example_19_guarded_program_optimization() {
         }
     }
     assert_eq!(
-        evaluate(&p1, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0,
-        evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0
+        evaluate(&p1, &edb).unwrap().0,
+        evaluate(&optimized, &edb).unwrap().0
     );
 }
 

@@ -27,15 +27,9 @@ fn bloat_minimize_optimize_evaluate() {
             },
         ] {
             let edb = edge_db("a", kind);
-            let reference = evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0;
-            let via_min = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0;
-            let via_opt = evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0;
+            let reference = evaluate(&bloated, &edb).unwrap().0;
+            let via_min = evaluate(&minimized, &edb).unwrap().0;
+            let via_opt = evaluate(&optimized, &edb).unwrap().0;
             assert_eq!(reference, via_min, "seed {seed}, {kind:?}");
             assert_eq!(reference, via_opt, "seed {seed}, {kind:?}");
         }
@@ -75,12 +69,8 @@ fn slice_then_minimize_preserves_query() {
 
     let mut edb = edge_db("e", GraphKind::Chain { n: 10 });
     edb.union_with(&edge_db("f", GraphKind::Cycle { n: 5 }));
-    let full = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default())
-        .unwrap()
-        .0;
-    let lean = evaluate(&min, &edb, Schedule::Strata, EvalOptions::default())
-        .unwrap()
-        .0;
+    let full = evaluate(&p, &edb).unwrap().0;
+    let lean = evaluate(&min, &edb).unwrap().0;
     assert_eq!(
         full.relation(Pred::new("t")).collect::<Vec<_>>(),
         lean.relation(Pred::new("t")).collect::<Vec<_>>()
@@ -99,22 +89,16 @@ fn incremental_on_optimized_program() {
         all_facts.insert(f.clone());
         m.insert([f]);
         if i % 5 == 4 {
-            let (scratch, _) = evaluate(
-                &optimized,
-                &all_facts,
-                Schedule::Strata,
-                EvalOptions::default(),
-            )
-            .unwrap();
+            let (scratch, _) = evaluate(&optimized, &all_facts).unwrap();
             assert_eq!(m.database(), &scratch, "after {} insertions", i + 1);
         }
     }
 }
 
-/// The SCC-layered engine agrees with monolithic engines on every pipeline
-/// artifact.
+/// Semi-naive evaluation of a minimized program agrees with the naive
+/// reference.
 #[test]
-fn scc_engine_agrees_on_optimized_programs() {
+fn minimized_program_agrees_with_naive() {
     let bloated = bloated_tc(4, 1234);
     let (minimized, _) = minimize_program(&bloated).unwrap();
     let edb = edge_db(
@@ -126,12 +110,8 @@ fn scc_engine_agrees_on_optimized_programs() {
         },
     );
     assert_eq!(
-        evaluate(&minimized, &edb, Schedule::Scc, EvalOptions::default())
-            .unwrap()
-            .0,
-        evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0
+        naive::evaluate(&minimized, &edb),
+        evaluate(&minimized, &edb).unwrap().0
     );
 }
 
@@ -143,9 +123,9 @@ fn probe_counts_improve_monotonically() {
     let (minimized, _) = minimize_program(&bloated).unwrap();
     let (optimized, _) = optimize_under_equivalence(&minimized, 10_000).unwrap();
     let edb = edge_db("a", GraphKind::Chain { n: 24 });
-    let (_, sb) = evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-    let (_, sm) = evaluate(&minimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
-    let (_, so) = evaluate(&optimized, &edb, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (_, sb) = evaluate(&bloated, &edb).unwrap();
+    let (_, sm) = evaluate(&minimized, &edb).unwrap();
+    let (_, so) = evaluate(&optimized, &edb).unwrap();
     assert!(
         sm.probes <= sb.probes,
         "minimized {} vs bloated {}",

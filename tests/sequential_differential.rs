@@ -6,17 +6,16 @@
 //! These tests pin the optimized paths to reference semantics on generated
 //! workloads: for every seeded random program and database, the context
 //! evaluator must be **tuple-identical** to the naive reference (which
-//! shares no code with it), `Schedule::Scc` to `Schedule::Strata` with and
-//! without negation, and stratified evaluation on the join kernel under
-//! either schedule to the same schedule on the row-at-a-time reference
-//! interpreter.
+//! shares no code with it) where the program is positive, and stratified
+//! evaluation on the join kernel to the same strata on the row-at-a-time
+//! reference interpreter where it negates.
 //!
 //! All generators are seeded (no wall-clock, no ambient randomness), so a
 //! failure reproduces exactly.
 
 use datalog_bench::{guarded_tc, standard_edb};
 use datalog_engine::context::EvalOptions;
-use datalog_engine::{evaluate, naive, Schedule};
+use datalog_engine::{evaluate, evaluate_with, naive};
 use datalog_generate::{random_db, random_program, random_stratified_program, RandomProgramSpec};
 
 #[test]
@@ -26,8 +25,7 @@ fn random_positive_programs_match_naive() {
         let program = random_program(&spec, seed);
         let db = random_db(&[("a", 2), ("b", 2), ("c", 1)], 10, 6, seed ^ 0x5eed);
 
-        let (out, stats) =
-            evaluate(&program, &db, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (out, stats) = evaluate(&program, &db).unwrap();
         assert_eq!(
             out,
             naive::evaluate(&program, &db),
@@ -47,25 +45,23 @@ fn random_stratified_programs_match_the_interpreter() {
         let program = random_stratified_program(3, 2, seed);
         let db = random_db(&[("a", 2), ("b", 2)], 12, 7, seed ^ 0xdead);
 
-        for schedule in [Schedule::Strata, Schedule::Scc] {
-            let run = |opts| {
-                evaluate(&program, &db, schedule, opts)
-                    .expect("stratifiable by construction")
-                    .0
-            };
-            let kernel = run(EvalOptions::sequential());
-            assert_eq!(
-                kernel,
-                run(EvalOptions::interpreted()),
-                "{schedule:?} divergence, seed {seed}"
-            );
-            assert!(db.iter().all(|a| kernel.contains(&a)), "seed {seed}");
-        }
+        let run = |opts| {
+            evaluate_with(&program, &db, opts)
+                .expect("stratifiable by construction")
+                .0
+        };
+        let kernel = run(EvalOptions::sequential());
+        assert_eq!(
+            kernel,
+            run(EvalOptions::interpreted()),
+            "divergence, seed {seed}"
+        );
+        assert!(db.iter().all(|a| kernel.contains(&a)), "seed {seed}");
     }
 }
 
 #[test]
-fn scc_layered_evaluation_matches_seminaive() {
+fn generated_cases_match_naive_or_the_interpreter() {
     let spec = RandomProgramSpec {
         rules: 6,
         ..RandomProgramSpec::default()
@@ -77,8 +73,8 @@ fn scc_layered_evaluation_matches_seminaive() {
             random_db(&[("a", 2), ("b", 2), ("c", 1)], 8, 5, seed ^ 0xbeef),
         )
     });
-    // Stratified negation: a negated predicate's SCC is saturated before
-    // any rule that negates it.
+    // Stratified negation: a negated predicate's stratum is saturated
+    // before any rule that negates it.
     let negated = (0..6u64).map(|seed| {
         let program = random_stratified_program(3, 2, seed.wrapping_mul(977));
         (
@@ -87,12 +83,17 @@ fn scc_layered_evaluation_matches_seminaive() {
         )
     });
     for (i, (program, db)) in positive.chain(negated).enumerate() {
-        let run = |schedule| {
-            evaluate(&program, &db, schedule, EvalOptions::default())
-                .expect("stratifiable by construction")
+        let got = evaluate(&program, &db)
+            .expect("stratifiable by construction")
+            .0;
+        let want = if program.is_positive() {
+            naive::evaluate(&program, &db)
+        } else {
+            evaluate_with(&program, &db, EvalOptions::interpreted())
+                .unwrap()
                 .0
         };
-        assert_eq!(run(Schedule::Scc), run(Schedule::Strata), "case {i}");
+        assert_eq!(got, want, "case {i}");
     }
 }
 
@@ -105,8 +106,7 @@ fn bench_workloads_match_naive() {
     let program = guarded_tc(1);
     for kind in ["chain", "cycle", "er"] {
         let db = standard_edb(kind, 32);
-        let (out, stats) =
-            evaluate(&program, &db, Schedule::Strata, EvalOptions::default()).unwrap();
+        let (out, stats) = evaluate(&program, &db).unwrap();
         assert_eq!(out, naive::evaluate(&program, &db), "{kind}");
         assert_eq!(stats.derivations, (out.len() - db.len()) as u64, "{kind}");
     }
@@ -119,7 +119,7 @@ fn incremental_index_reuse_reports_zero_rebuilds_after_round_one() {
     // (pred, positions) patterns — rounds after the first only append.
     let program = guarded_tc(3);
     let db = standard_edb("chain", 64);
-    let (_, stats) = evaluate(&program, &db, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (_, stats) = evaluate(&program, &db).unwrap();
     assert!(
         stats.iterations > 3,
         "chain workload must be genuinely multi-round (got {})",

@@ -184,8 +184,7 @@ fn concurrent_clients_with_writer_and_minimizing_install() {
         }
     }
     let program = parse_program(REDUNDANT_TC).unwrap();
-    let (expected, _) =
-        evaluate(&program, &base, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (expected, _) = evaluate(&program, &base).unwrap();
     for pred in ["a", "g"] {
         let resp = request(
             &mut admin,
@@ -813,8 +812,7 @@ fn daemon_matches_fresh_evaluation_under_racing_writer() {
         }
     }
     let program = parse_program(TC).unwrap();
-    let (expected, _) =
-        evaluate(&program, &base, Schedule::Strata, EvalOptions::default()).unwrap();
+    let (expected, _) = evaluate(&program, &base).unwrap();
     let resp = request(
         &mut admin,
         "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\"}",

@@ -106,9 +106,7 @@ fn served_snapshots_match_fresh_evaluation_under_random_batches() {
             }
 
             let served = entry.view.snapshot();
-            let fresh = evaluate(&program, &base, Schedule::Strata, EvalOptions::default())
-                .unwrap()
-                .0;
+            let fresh = evaluate(&program, &base).unwrap().0;
             assert_eq!(
                 *served, fresh,
                 "seed {seed}, step {step}: served snapshot diverged from \
@@ -141,10 +139,5 @@ fn snapshots_taken_mid_stream_stay_frozen() {
     assert_eq!(before.iter().collect::<Vec<_>>(), frozen);
     // …while a new one reflects them exactly.
     let base = parse_database("a(2,3). a(3,4).").unwrap();
-    assert_eq!(
-        *entry.view.snapshot(),
-        evaluate(&program, &base, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0
-    );
+    assert_eq!(*entry.view.snapshot(), evaluate(&program, &base).unwrap().0);
 }

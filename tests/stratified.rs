@@ -29,9 +29,7 @@ fn game_positions() {
          move(1, 2). move(2, 3). move(1, 4).",
     )
     .unwrap();
-    let out = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default())
-        .unwrap()
-        .0;
+    let out = evaluate(&p, &edb).unwrap().0;
     // 3 and 4 are stuck; both reachable; both losing ends.
     assert_eq!(out.relation_len(Pred::new("losing_end")), 2);
     assert!(out.contains_tuple(Pred::new("losing_end"), &[Const::Int(3)]));
@@ -61,12 +59,8 @@ fn stratified_minimization_on_game_with_redundancy() {
     )
     .unwrap();
     assert_eq!(
-        evaluate(&bloated, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0,
-        evaluate(&min, &edb, Schedule::Strata, EvalOptions::default())
-            .unwrap()
-            .0
+        evaluate(&bloated, &edb).unwrap().0,
+        evaluate(&min, &edb).unwrap().0
     );
 }
 
@@ -84,8 +78,8 @@ proptest! {
         let (min, _) = minimize_stratified(&p).unwrap();
         // Compare on random EDBs.
         let edb = random_db(&[("a", 2), ("b", 2)], 8, 5, db_seed);
-        let full = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default()).unwrap().0;
-        let lean = evaluate(&min, &edb, Schedule::Strata, EvalOptions::default()).unwrap().0;
+        let full = evaluate(&p, &edb).unwrap().0;
+        let lean = evaluate(&min, &edb).unwrap().0;
         prop_assert_eq!(full, lean, "program:\n{}\nminimized:\n{}", p, min);
     }
 
@@ -127,8 +121,8 @@ proptest! {
     ) {
         let p = random_stratified_program(layers, rules_per, seed);
         let edb = random_db(&[("a", 2), ("b", 2)], 6, 4, db_seed);
-        let o1 = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default()).unwrap().0;
-        let o2 = evaluate(&p, &edb, Schedule::Strata, EvalOptions::default()).unwrap().0;
+        let o1 = evaluate(&p, &edb).unwrap().0;
+        let o2 = evaluate(&p, &edb).unwrap().0;
         prop_assert_eq!(&o1, &o2);
         prop_assert!(edb.is_subset_of(&o1));
     }

@@ -31,6 +31,9 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Tally {
     pub tests: u64,
+    /// Fig. 1 atom removals decided without a test, from the witness of an
+    /// earlier one ([`crate::minimize_program`]).
+    pub decided: u64,
     pub work: Stats,
 }
 
@@ -50,6 +53,14 @@ fn count(work: Stats) {
         let mut tally = t.get();
         tally.tests += 1;
         tally.work += work;
+        t.set(tally);
+    });
+}
+
+pub(crate) fn count_decided() {
+    TALLY.with(|t| {
+        let mut tally = t.get();
+        tally.decided += 1;
         t.set(tally);
     });
 }

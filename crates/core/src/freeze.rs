@@ -49,6 +49,14 @@ pub fn freeze_rule(rule: &Rule) -> FrozenRule {
     FrozenRule { body_db, goal }
 }
 
+/// One body atom as it stands in its rule's canonical database: θ is the
+/// same [`Const::Frozen`] map for every rule, so the atom needs no rule.
+pub(crate) fn freeze_atom(atom: &Atom) -> GroundAtom {
+    freezing_subst(atom.vars())
+        .ground_atom(atom)
+        .expect("freezing substitution binds every variable of the atom")
+}
+
 /// Freeze the left-hand side of a tgd (used by the Fig. 3 preservation test,
 /// §IX: "let θ map the universally quantified variables of τ to distinct
 /// constants"). Only universal variables are frozen; existential variables
@@ -132,6 +140,15 @@ mod tests {
         let r = parse_rule("g(X) :- a(X), a(X).").unwrap();
         let frozen = freeze_rule(&r);
         assert_eq!(frozen.body_db.len(), 1);
+    }
+
+    #[test]
+    fn a_frozen_atom_is_its_instance_in_the_canonical_database() {
+        let r = parse_rule("g(X, Z) :- a(X, Y), g(Y, Z), a(X, 3).").unwrap();
+        let frozen = freeze_rule(&r);
+        for atom in r.positive_body() {
+            assert!(frozen.body_db.contains(&freeze_atom(atom)), "{atom}");
+        }
     }
 
     #[test]

@@ -6,21 +6,27 @@
 //! * [`minimize_program`] — Fig. 2: first minimize every rule's body testing
 //!   against the whole program (`r̂ ⊑u P`), then delete redundant rules
 //!   (`r ⊑u P̂`).
-//! * [`minimize_program_with_evidence`] — the same loop with every test
-//!   traced, returning each removal's witness; `datalog lint` reports it.
+//! * [`minimize_program_with_evidence`] — the same loop, returning each
+//!   removal's witness; `datalog lint` reports it.
 //!
 //! Theorem 2 (appendix) proves each atom and each rule needs to be
 //! considered **once**: an atom that survives its test can never become
 //! redundant through later deletions, *provided atoms are processed before
-//! rules* — the implementation preserves that phase order. The final result
-//! has no redundant atom and no redundant rule, but is not unique: it
-//! depends on consideration order. The default order is deterministic
-//! (source order); [`minimize_program_in_order`] exposes the order for
-//! property tests that verify all orders yield uniformly-equivalent,
-//! locally-minimal programs.
+//! rules* — the implementation preserves that phase order. The same
+//! monotonicity lets an accepted test decide later atoms: an atom outside
+//! the support of its derivation is removed without a test of its own
+//! (`fig2`). The final result has no redundant atom and no redundant rule,
+//! but is not unique: it depends on consideration order. The default order
+//! is deterministic (source order); [`minimize_program_in_order`] exposes
+//! the order for property tests that verify all orders yield
+//! uniformly-equivalent, locally-minimal programs.
 
-use crate::containment::{uniformly_contains, Containment, ContainmentError, Witness};
+use crate::containment::{
+    count_decided, uniformly_contains, Containment, ContainmentError, Witness,
+};
+use crate::freeze::{freeze_atom, freeze_rule};
 use datalog_ast::{validate_positive, Atom, Program, Rule};
+use datalog_engine::Proof;
 
 /// What the minimizer removed, for reporting and assertions.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -104,32 +110,21 @@ pub fn minimize_program_in_order(
     rule_order: &[usize],
     atom_orders: &[Vec<usize>],
 ) -> Result<(Program, Removal), ContainmentError> {
-    let (minimized, removal, _) = fig2(program, rule_order, atom_orders, |c, r, without| {
-        match without {
-            None => c.holds(r),
-            Some(i) => c.holds_without(r, i),
-        }
-        .then_some(())
-    })?;
+    let (minimized, removal, _) = fig2::<()>(program, rule_order, atom_orders)?;
     Ok((minimized, removal))
 }
 
-/// [`minimize_program`] with the evidence: the witness of the test that
-/// accepted each removal, tested against the program as it stood at that
-/// step — atoms first, in [`Removal::atoms`] order, then rules, in
-/// [`Removal::rules`] order. Every test runs traced
-/// ([`Containment::evidence`]); the removals are [`minimize_program`]'s.
+/// [`minimize_program`] with the evidence: a witness of `r̂ ⊑u P` for each
+/// removal, against the program as it stood at that step, whose
+/// `canonical_db` is the shrunken rule's frozen body — atoms first, in
+/// [`Removal::atoms`] order, then rules, in [`Removal::rules`] order. A
+/// tested removal's witness is its test's; a decided one's is the held
+/// derivation it was decided by.
 pub fn minimize_program_with_evidence(
     program: &Program,
 ) -> Result<(Program, Removal, Vec<Witness>), ContainmentError> {
     let (rule_order, atom_orders) = source_order(program);
-    fig2(program, &rule_order, &atom_orders, |c, r, without| {
-        match without {
-            None => c.evidence(r),
-            Some(i) => c.evidence_without(r, i),
-        }
-        .ok()
-    })
+    fig2(program, &rule_order, &atom_orders)
 }
 
 /// Rules top-to-bottom, each rule's atoms left-to-right.
@@ -142,15 +137,50 @@ fn source_order(program: &Program) -> (Vec<usize>, Vec<Vec<usize>>) {
     ((0..program.len()).collect(), atom_orders)
 }
 
-/// The one Fig. 2 loop. `accepts(containment, r, None)` decides `r ⊑u P`
-/// and `accepts(containment, r, Some(i))` decides `r ⊑u P − {rule i}`, each
-/// against `P` as it currently stands; a `Some` accepts the removal and is
-/// kept, in removal order.
-fn fig2<W>(
+/// What a Fig. 2 run keeps of each removal: nothing, for
+/// [`minimize_program_in_order`], or its witness, for
+/// [`minimize_program_with_evidence`].
+trait Evidence: Sized {
+    /// An atom removal's evidence; `witness` is made only if it is kept.
+    fn atom(witness: impl FnOnce() -> Witness) -> Self;
+    /// Fig. 2's rule test, `r ⊑u P − {rule rule_idx}`; `Some` accepts.
+    fn rule(c: &Containment, r: &Rule, rule_idx: usize) -> Option<Self>;
+}
+
+impl Evidence for () {
+    fn atom(_: impl FnOnce() -> Witness) {}
+
+    fn rule(c: &Containment, r: &Rule, rule_idx: usize) -> Option<()> {
+        c.holds_without(r, rule_idx).then_some(())
+    }
+}
+
+impl Evidence for Witness {
+    fn atom(witness: impl FnOnce() -> Witness) -> Witness {
+        witness()
+    }
+
+    fn rule(c: &Containment, r: &Rule, rule_idx: usize) -> Option<Witness> {
+        c.evidence_without(r, rule_idx).ok()
+    }
+}
+
+/// The one Fig. 2 loop, keeping `W` of each removal, in removal order.
+///
+/// Phase 1 holds, per rule, the derivation of the frozen head `hθ` found by
+/// the last test that accepted a removal from it, edited along with the
+/// rule since ([`Proof::drop_premise`]): a derivation under `P` as it
+/// stands from input atoms `S` of the rule's frozen body. Every accepted
+/// edit keeps `P(d)` on every `d` (§IV) and `P(·)` is monotone, so a later
+/// candidate whose frozen body still holds `S` derives `hθ` too (Corollary
+/// 2): a candidate whose removed atom is no leaf of the held derivation is
+/// removed without a test, and its rule recompiled only before the next
+/// test that runs. The removals are those of a run that tests every
+/// candidate.
+fn fig2<W: Evidence>(
     program: &Program,
     rule_order: &[usize],
     atom_orders: &[Vec<usize>],
-    mut accepts: impl FnMut(&Containment, &Rule, Option<usize>) -> Option<W>,
 ) -> Result<(Program, Removal, Vec<W>), ContainmentError> {
     if let Err(e) = validate_positive(program) {
         return Err(ContainmentError::Invalid(e));
@@ -163,7 +193,7 @@ fn fig2<W>(
     assert_eq!(atom_orders.len(), program.len(), "one atom order per rule");
 
     let mut current = program.clone();
-    // `current`, compiled; edited in step with it.
+    // `current`, compiled; edited in step with it, a decided removal late.
     let mut containment = Containment::new(&current);
     let mut removal = Removal::default();
     let mut evidence = Vec::new();
@@ -176,6 +206,9 @@ fn fig2<W>(
     for (rule_idx, atom_order) in atom_orders.iter().enumerate() {
         // Deletions shift positions; track the original indices that remain.
         let mut remaining: Vec<usize> = (0..program.rules[rule_idx].width()).collect();
+        let mut held: Option<Proof> = None;
+        // Whether `containment` still holds an older body of this rule.
+        let mut stale = false;
         for &orig_atom_idx in atom_order {
             let Some(pos) = remaining.iter().position(|&o| o == orig_atom_idx) else {
                 continue; // already deleted (cannot happen with valid orders)
@@ -187,16 +220,50 @@ fn fig2<W>(
             if !candidate.is_range_restricted() {
                 continue;
             }
-            if let Some(w) = accepts(&containment, &candidate, None) {
-                removal
-                    .atoms
-                    .push((rule_idx, current.rules[rule_idx].body[pos].atom.clone()));
-                removal.atom_positions.push(orig_atom_idx);
-                evidence.push(w);
-                containment.replace(rule_idx, &candidate);
-                current.rules[rule_idx] = candidate;
-                remaining.remove(pos);
+            let atom = &current.rules[rule_idx].body[pos].atom;
+            let decided = held
+                .as_ref()
+                .filter(|proof| !proof.rests_on(&freeze_atom(atom)));
+            let w = if let Some(proof) = decided {
+                count_decided();
+                W::atom(|| Witness {
+                    canonical_db: freeze_rule(&candidate).body_db,
+                    goal: proof.conclusion.clone(),
+                    proof: proof.clone(),
+                })
+            } else {
+                if stale {
+                    containment.replace(rule_idx, &current.rules[rule_idx]);
+                    stale = false;
+                }
+                let Ok(Witness {
+                    canonical_db,
+                    goal,
+                    proof,
+                }) = containment.evidence(&candidate)
+                else {
+                    continue;
+                };
+                let w = W::atom(|| Witness {
+                    canonical_db,
+                    goal,
+                    proof: proof.clone(),
+                });
+                held = Some(proof);
+                w
+            };
+            if let Some(proof) = &mut held {
+                proof.drop_premise(rule_idx, pos);
             }
+            removal.atoms.push((rule_idx, atom.clone()));
+            removal.atom_positions.push(orig_atom_idx);
+            evidence.push(w);
+            current.rules[rule_idx] = candidate;
+            stale = true;
+            remaining.remove(pos);
+        }
+        if stale {
+            containment.replace(rule_idx, &current.rules[rule_idx]);
         }
     }
 
@@ -208,7 +275,7 @@ fn fig2<W>(
         let Some(pos) = live.iter().position(|&o| o == orig_rule_idx) else {
             continue;
         };
-        if let Some(w) = accepts(&containment, &current.rules[pos], Some(pos)) {
+        if let Some(w) = W::rule(&containment, &current.rules[pos], pos) {
             removal.rules.push(current.rules.remove(pos));
             removal.rule_indices.push(orig_rule_idx);
             evidence.push(w);
@@ -252,7 +319,7 @@ pub fn minimized(program: &Program) -> Result<Program, ContainmentError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::containment::uniformly_equivalent;
+    use crate::containment::{tally, uniformly_equivalent};
     use datalog_ast::{parse_program, parse_rule};
 
     #[test]
@@ -389,6 +456,86 @@ mod tests {
         assert_eq!(min_rev.len(), 1);
         assert!(uniformly_equivalent(&min_default, &min_rev).unwrap());
         assert!(uniformly_equivalent(&min_default, &p).unwrap());
+    }
+
+    /// `wide_rule`'s shape: Example 7's recursive rule, its `a(W, Y)` moved
+    /// to the end and grown into a chain of `width - 4` atoms off `W`.
+    fn wide(width: usize) -> Rule {
+        let chain: String = (0..width - 4)
+            .map(|i| {
+                format!(
+                    ", a({}, V{i})",
+                    if i == 0 {
+                        "W".into()
+                    } else {
+                        format!("V{}", i - 1)
+                    }
+                )
+            })
+            .collect();
+        parse_rule(&format!(
+            "g(X, Y, Z) :- g(X, W, Z), a(W, Z), a(Z, Z), a(Z, Y){chain}."
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_held_witness_decides_the_atoms_outside_its_support() {
+        // The first chain atom's test derives the frozen head from the
+        // first four atoms alone (every `V` to `z0`); the rest of the chain
+        // is decided from that witness. `a(W, Z)` and `a(Z, Z)` are tested
+        // and kept; dropping `g(X, W, Z)` or `a(Z, Y)` strands a head
+        // variable.
+        let p = Program::new(vec![wide(16)]);
+        let before = tally();
+        let (min, removal) = minimize_program(&p).unwrap();
+        let (tests, decided) = (
+            tally().tests - before.tests,
+            tally().decided - before.decided,
+        );
+        assert_eq!(
+            min.to_string().trim(),
+            "g(X, Y, Z) :- g(X, W, Z), a(W, Z), a(Z, Z), a(Z, Y)."
+        );
+        assert_eq!(
+            (tests, decided),
+            (3 + 1, 11),
+            "three atom tests, one rule test"
+        );
+        // The same removals as a run that tests every candidate.
+        let containment = Containment::new(&p);
+        let mut rule = p.rules[0].clone();
+        let mut tested = Vec::new();
+        let mut pos = 0;
+        while pos < rule.width() {
+            let candidate = rule.without_body_atom(pos);
+            if candidate.is_range_restricted() && containment.holds(&candidate) {
+                tested.push((0, rule.body[pos].atom.clone()));
+                rule = candidate;
+            } else {
+                pos += 1;
+            }
+        }
+        assert_eq!(removal.atoms, tested);
+    }
+
+    #[test]
+    fn a_decided_removal_carries_a_witness_that_checks() {
+        // Each witness checks against the one-rule program as it stood at
+        // its step and rests on the shrunken rule's frozen body.
+        let p = Program::new(vec![wide(12)]);
+        let (_, removal, witnesses) = minimize_program_with_evidence(&p).unwrap();
+        assert_eq!(witnesses.len(), 8);
+        let mut rule = p.rules[0].clone();
+        for ((_, atom), w) in removal.atoms.iter().zip(&witnesses) {
+            let pos = rule.body.iter().position(|l| l.atom == *atom).unwrap();
+            let candidate = rule.without_body_atom(pos);
+            let frozen = freeze_rule(&candidate);
+            assert_eq!((&w.canonical_db, &w.goal), (&frozen.body_db, &frozen.goal));
+            let at_step = Program::new(vec![rule.clone()]);
+            assert_eq!(w.proof.check(&at_step, &w.canonical_db), Ok(()), "{atom}");
+            rule = candidate;
+        }
     }
 
     #[test]

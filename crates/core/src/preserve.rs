@@ -143,12 +143,22 @@ fn combination_ok(
     }
 }
 
+/// The fuel every combination of Fig. 3 first runs at: most settle within
+/// it, and only those that do not are run again, at more.
+const FIRST_FUEL: u64 = 64;
+
 /// Fig. 3 — does `program` preserve `tgds` non-recursively?
 ///
 /// `Proof::Proved` means yes (hence `program` preserves `tgds` outright);
 /// `Proof::Disproved` means a counterexample combination was constructed;
 /// `Proof::OutOfFuel` means some combination's tgd-inference loop exceeded
 /// `fuel` added atoms before settling.
+///
+/// Every combination of every tgd runs first at a small fuel; those that
+/// run out of it run again at double the fuel, up to `fuel`. A run at more
+/// fuel extends the run at less, so a verdict a combination reached stands,
+/// and the first disproof — which decides the test ([`Proof::and`]) — is
+/// not kept waiting behind a combination that spends all of `fuel`.
 ///
 /// ```
 /// use datalog_ast::{parse_program, parse_tgds};
@@ -176,20 +186,15 @@ pub fn preserves_nonrecursively(program: &Program, tgds: &[Tgd], fuel: u64) -> P
         unification_rules.push(Program::trivial_rule(p, arity));
     }
 
-    let mut acc = Proof::Proved;
-    for tgd in tgds {
+    // Per tgd: the frozen lhs θ, its extensional atoms, and the choices for
+    // each intentional one.
+    let mut setups = Vec::with_capacity(tgds.len());
+    // Every combination, as (tgd, one choice per intentional lhs atom).
+    let mut unsettled: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (t, tgd) in tgds.iter().enumerate() {
         let (lhs_ground, theta) = freeze_tgd_lhs(tgd);
-        // Partition the instantiated lhs.
-        let mut base_d: Vec<GroundAtom> = Vec::new();
-        let mut intentional_atoms: Vec<GroundAtom> = Vec::new();
-        for g in lhs_ground {
-            if idb.contains(&g.pred) {
-                intentional_atoms.push(g);
-            } else {
-                base_d.push(g);
-            }
-        }
-        // Enumerate combinations: one choice per intentional atom.
+        let (intentional_atoms, base_d): (Vec<GroundAtom>, Vec<GroundAtom>) =
+            lhs_ground.into_iter().partition(|g| idb.contains(&g.pred));
         let mut fresh_counter = 0usize;
         let per_atom: Vec<Vec<Choice>> = intentional_atoms
             .iter()
@@ -197,41 +202,60 @@ pub fn preserves_nonrecursively(program: &Program, tgds: &[Tgd], fuel: u64) -> P
             .collect();
         // If some intentional atom has no producing rule at all, the lhs can
         // never be realised with that atom in Pⁿ(d) — vacuously satisfied.
-        if per_atom.iter().any(Vec::is_empty) {
-            continue;
-        }
-        let mut combo_indices = vec![0usize; per_atom.len()];
-        loop {
-            let mut d = Database::from_atoms(base_d.iter().cloned());
-            for (atom_i, &choice_i) in combo_indices.iter().enumerate() {
-                for g in &per_atom[atom_i][choice_i].body_atoms {
-                    d.insert(g.clone());
-                }
-            }
-            let verdict = combination_ok(program, tgds, tgd, &theta, d, fuel);
-            acc = acc.and(verdict);
-            if acc == Proof::Disproved {
-                return Proof::Disproved;
-            }
-            // Advance the mixed-radix counter over combinations.
-            let mut k = 0;
+        if !per_atom.iter().any(Vec::is_empty) {
+            let mut combo = vec![0usize; per_atom.len()];
             loop {
-                if k == combo_indices.len() {
+                unsettled.push((t, combo.clone()));
+                if !advance(&mut combo, |k| per_atom[k].len()) {
                     break;
                 }
-                combo_indices[k] += 1;
-                if combo_indices[k] < per_atom[k].len() {
-                    break;
-                }
-                combo_indices[k] = 0;
-                k += 1;
-            }
-            if k == combo_indices.len() {
-                break;
             }
         }
+        setups.push((theta, base_d, per_atom));
     }
-    acc
+
+    let run = |t: usize, combo: &[usize], fuel: u64| {
+        let (theta, base_d, per_atom) = &setups[t];
+        let mut d = Database::from_atoms(base_d.iter().cloned());
+        for (choices, &choice_i) in per_atom.iter().zip(combo) {
+            for g in &choices[choice_i].body_atoms {
+                d.insert(g.clone());
+            }
+        }
+        combination_ok(program, tgds, &tgds[t], theta, d, fuel)
+    };
+    let mut at = fuel.min(FIRST_FUEL);
+    loop {
+        let mut out_of_fuel = Vec::new();
+        for (t, combo) in unsettled {
+            match run(t, &combo, at) {
+                Proof::Disproved => return Proof::Disproved,
+                Proof::OutOfFuel => out_of_fuel.push((t, combo)),
+                Proof::Proved => {}
+            }
+        }
+        if out_of_fuel.is_empty() {
+            return Proof::Proved;
+        }
+        if at == fuel {
+            return Proof::OutOfFuel;
+        }
+        unsettled = out_of_fuel;
+        at = at.saturating_mul(2).min(fuel);
+    }
+}
+
+/// Step a mixed-radix counter over combinations, digit `k` below `len(k)`;
+/// `false` once it has wrapped round to all zeros.
+fn advance(combo: &mut [usize], len: impl Fn(usize) -> usize) -> bool {
+    for (k, digit) in combo.iter_mut().enumerate() {
+        *digit += 1;
+        if *digit < len(k) {
+            return true;
+        }
+        *digit = 0;
+    }
+    false
 }
 
 /// Condition (3′) of §X — does the *preliminary database* of `program`
@@ -282,19 +306,7 @@ pub fn preliminary_db_satisfies(program: &Program, tgds: &[Tgd]) -> bool {
             if !has_extension(&tgd.rhs, &full, &theta) {
                 return false;
             }
-            let mut k = 0;
-            loop {
-                if k == combo_indices.len() {
-                    break;
-                }
-                combo_indices[k] += 1;
-                if combo_indices[k] < per_atom[k].len() {
-                    break;
-                }
-                combo_indices[k] = 0;
-                k += 1;
-            }
-            if k == combo_indices.len() {
+            if !advance(&mut combo_indices, |k| per_atom[k].len()) {
                 break;
             }
         }
@@ -383,20 +395,7 @@ pub fn preliminary_db_satisfies_k(
             if !has_extension(&tgd.rhs, &full, &theta) {
                 return false;
             }
-            // Advance the combination counter.
-            let mut k = 0;
-            loop {
-                if k == combo.len() {
-                    break;
-                }
-                combo[k] += 1;
-                if combo[k] < per_atom[k].len() {
-                    break;
-                }
-                combo[k] = 0;
-                k += 1;
-            }
-            if k == combo.len() {
+            if !advance(&mut combo, |k| per_atom[k].len()) {
                 break;
             }
         }
@@ -468,19 +467,7 @@ fn realizations(
                 *truncated = true;
                 return out;
             }
-            let mut k = 0;
-            loop {
-                if k == combo.len() {
-                    break;
-                }
-                combo[k] += 1;
-                if combo[k] < sub_options[k].len() {
-                    break;
-                }
-                combo[k] = 0;
-                k += 1;
-            }
-            if k == combo.len() {
+            if !advance(&mut combo, |k| sub_options[k].len()) {
                 break;
             }
         }

@@ -7,8 +7,8 @@
 
 use datalog_ast::{parse_program, Program};
 use datalog_engine::{EvalContext, EvalOptions, Traced};
-use datalog_generate::bloated_tc;
-use datalog_optimizer::{freeze_rule, optimize};
+use datalog_generate::{bloated_tc, random_program, RandomProgramSpec};
+use datalog_optimizer::{freeze_rule, optimize, uniformly_equivalent};
 
 /// Doubling transitive closure whose recursive rule carries `k` guards
 /// `a(Y0, Wi)`: all but one fall to Fig. 2, the last to §X-XI.
@@ -66,4 +66,28 @@ fn a_guard_costs_one_probe_not_one_per_binding() {
     assert_eq!(traced.stats().matches, cx.stats().matches);
     assert_eq!(traced.stats().probes, cx.stats().probes);
     assert_eq!(proof.check(&program, &frozen.body_db), Ok(()));
+}
+
+/// Two random 100-rule programs on which `optimize` did not come back: Fig.
+/// 3 ran one tgd's combinations in order, each to the end of its fuel, and
+/// a combination that disproves the tgd in under a millisecond waited
+/// behind two that spent 16 s and 19 s out of fuel. The combinations now
+/// deepen their fuel together, and the first disproof ends the test.
+#[test]
+fn fig3_does_not_wait_behind_combinations_out_of_fuel() {
+    let spec = RandomProgramSpec {
+        rules: 100,
+        body_len: (2, 4),
+        ..RandomProgramSpec::default()
+    };
+    for seed in [2, 7] {
+        let program = random_program(&spec, seed);
+        let (optimized, _, applied) = optimize(&program, 10_000).unwrap();
+        // No tgd fires here, so what is left is Fig. 2's work: ≡u.
+        assert!(applied.is_empty(), "seed {seed}: {applied:?}");
+        assert!(
+            uniformly_equivalent(&optimized, &program).unwrap(),
+            "seed {seed}: {optimized}"
+        );
+    }
 }

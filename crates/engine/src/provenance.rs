@@ -132,6 +132,30 @@ impl Proof {
         usize::from(self.rule_idx.is_some()) + self.premises.iter().map(Proof::size).sum::<usize>()
     }
 
+    /// Whether `atom` is one of the tree's leaves, the input atoms it
+    /// rests on.
+    pub fn rests_on(&self, atom: &GroundAtom) -> bool {
+        match self.rule_idx {
+            None => self.conclusion == *atom,
+            Some(_) => self.premises.iter().any(|p| p.rests_on(atom)),
+        }
+    }
+
+    /// Edit the tree for the program in which rule `rule_idx` lost its body
+    /// atom at position `p`: every application of that rule drops its
+    /// `p`-th premise, with the subtree above it. A tree that checks against
+    /// the old program checks against the new one — the rest of each
+    /// instance is an instance of the shorter rule — and rests on a subset
+    /// of the old leaves.
+    pub fn drop_premise(&mut self, rule_idx: usize, p: usize) {
+        if self.rule_idx == Some(rule_idx) {
+            self.premises.remove(p);
+        }
+        for premise in &mut self.premises {
+            premise.drop_premise(rule_idx, p);
+        }
+    }
+
     /// Re-validate the tree bottom-up, trusting nothing that recorded it:
     /// every leaf is in `input`, and at every other node some substitution
     /// maps the named rule's head to the conclusion and its positive body,
@@ -285,6 +309,28 @@ mod tests {
         assert!(premises.eq(p.rules[0].positive_body().map(|a| a.pred)));
         assert_eq!(proof.check(&p, &edb), Ok(()));
         assert!(traced.explain(&fact("h", [2])).is_none());
+    }
+
+    #[test]
+    fn a_dropped_premise_leaves_a_proof_under_the_shorter_rule() {
+        // Left-linear closure: g(1, 4) takes rule 1 twice, each application
+        // resting on one `a` edge and a `g` premise.
+        let p = parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- a(X, Y), g(Y, Z).").unwrap();
+        let edb = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
+        let mut proof = Traced::new(&p, edb.clone())
+            .explain(&fact("g", [1, 4]))
+            .unwrap();
+        assert!(proof.rests_on(&fact("a", [1, 2])) && proof.rests_on(&fact("a", [2, 3])));
+        assert!(!proof.rests_on(&fact("g", [2, 4])), "derived, not a leaf");
+
+        // Without rule 1's `a(X, Y)`, both applications lose that premise.
+        let mut shorter = p.clone();
+        shorter.rules[1] = p.rules[1].without_body_atom(0);
+        proof.drop_premise(1, 0);
+        assert_eq!(proof.check(&shorter, &edb), Ok(()));
+        assert!(proof.check(&p, &edb).is_err());
+        assert!(!proof.rests_on(&fact("a", [1, 2])) && !proof.rests_on(&fact("a", [2, 3])));
+        assert!(proof.rests_on(&fact("a", [3, 4])), "rule 0's premise stays");
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod report;
 pub mod workload;
 
 pub use fixture::{Fixture, FixtureError};
-pub use oracles::{check, filtered_fixpoint, Divergence, Family};
+pub use oracles::{check, fig2_evidence, filtered_fixpoint, Divergence, Family};
 pub use reduce::reduce;
 pub use report::{Finding, FuzzReport};
 pub use workload::{Case, Mutation};

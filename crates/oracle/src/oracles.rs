@@ -31,7 +31,9 @@
 //!   makes — a rule replaced by an instance of itself, as wide as it — must
 //!   leave the edited `Containment` answering as one built from scratch.
 //!   Every removal `datalog lint` suggests, applied together, must leave a
-//!   valid program ≡u to the original.
+//!   valid program ≡u to the original, and every witness Fig. 2 keeps —
+//!   also of a removal it decided without a test — must check against the
+//!   program as it stood at that step ([`fig2_evidence`]).
 //! * **Incremental consistency** — after every insert/remove batch the
 //!   [`Materialized`] fixpoint must equal a from-scratch evaluation of the
 //!   surviving base.
@@ -62,8 +64,8 @@ use datalog_engine::{
     Traced,
 };
 use datalog_optimizer::{
-    freeze_rule, minimize_program, minimize_program_in_order, uniformly_equivalent, Containment,
-    Refutation, Witness,
+    freeze_rule, minimize_program, minimize_program_in_order, minimize_program_with_evidence,
+    uniformly_equivalent, Containment, Refutation, Witness,
 };
 use datalog_service::{Registry, View};
 use rand::rngs::StdRng;
@@ -452,6 +454,13 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
             message: format!("minimize_program failed on a valid program: {e}"),
         }),
     }
+    if let Err(message) = fig2_evidence(program) {
+        out.push(Divergence {
+            family: Family::Optimization,
+            kind: "opt:fig2-evidence".into(),
+            message,
+        });
+    }
     if let Err(message) = same_width_edits(program) {
         out.push(Divergence {
             family: Family::Optimization,
@@ -590,6 +599,71 @@ fn fig2_unshortened(program: &Program) -> Result<Program, String> {
         }
     }
     Ok(current)
+}
+
+/// Fig. 2's evidence, replayed without trusting the run that wrote it:
+/// [`minimize_program_with_evidence`] must remove what [`minimize_program`]
+/// does, and each removal's witness — a decided atom's as much as a tested
+/// one's — must name the frozen body of the shrunken rule (of the deleted
+/// rule, for a rule removal) as its `canonical_db`, conclude its frozen
+/// head, and pass [`Proof::check`](datalog_engine::Proof::check) against
+/// the program as it stood at that step (less the rule under test, for a
+/// rule removal). `Ok` is the number of witnesses checked.
+pub fn fig2_evidence(program: &Program) -> Result<usize, String> {
+    let (min, removal, witnesses) =
+        minimize_program_with_evidence(program).map_err(|e| e.to_string())?;
+    let untraced = minimize_program(program).map_err(|e| e.to_string())?;
+    if (&min, &removal) != (&untraced.0, &untraced.1) {
+        return Err(format!(
+            "Fig. 2 with evidence ends in\n{min}\nwithout it in\n{}",
+            untraced.0
+        ));
+    }
+    if witnesses.len() != removal.len() {
+        return Err(format!(
+            "{} witnesses for {} removals",
+            witnesses.len(),
+            removal.len()
+        ));
+    }
+    let upheld = |w: &Witness, r: &Rule, p: &Program| {
+        let frozen = freeze_rule(r);
+        let named = w.canonical_db == frozen.body_db && w.goal == frozen.goal;
+        let concluded = w.proof.conclusion == frozen.goal;
+        match (named && concluded).then(|| w.proof.check(p, &w.canonical_db)) {
+            Some(Ok(())) => Ok(()),
+            Some(Err(why)) => Err(format!("the witness for `{r}` fails ({why}) against:\n{p}")),
+            None => Err(format!(
+                "the witness for `{r}` is for another test:\n{}",
+                w.proof
+            )),
+        }
+    };
+    let (atom_witnesses, rule_witnesses) = witnesses.split_at(removal.atoms.len());
+    let mut current = program.clone();
+    let mut remaining: Vec<Vec<usize>> = (program.rules.iter())
+        .map(|r| (0..r.width()).collect())
+        .collect();
+    for (((rule_idx, _), &orig), w) in (removal.atoms.iter())
+        .zip(&removal.atom_positions)
+        .zip(atom_witnesses)
+    {
+        let pos = remaining[*rule_idx].iter().position(|&o| o == orig);
+        let pos = pos.ok_or_else(|| format!("atom {orig} of rule {rule_idx} removed twice"))?;
+        let candidate = current.rules[*rule_idx].without_body_atom(pos);
+        upheld(w, &candidate, &current)?;
+        current.rules[*rule_idx] = candidate;
+        remaining[*rule_idx].remove(pos);
+    }
+    let mut live: Vec<usize> = (0..current.len()).collect();
+    for (&orig, w) in removal.rule_indices.iter().zip(rule_witnesses) {
+        let pos = live.iter().position(|&o| o == orig);
+        let pos = pos.ok_or_else(|| format!("rule {orig} removed twice"))?;
+        upheld(w, &current.rules[pos], &current.without_rule(pos))?;
+        current.rules.remove(pos);
+        live.remove(pos);
+    }
+    Ok(witnesses.len())
 }
 
 /// Every `L122`/`L201`/`L202`/`L203` suggestion of the default lint set

@@ -365,14 +365,16 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// The `--stats` line of `minimize` and `optimize`: the §VI tests the
-/// command ran with the engine work they summed to, and where the wall time
-/// went — parsing, the optimizer (`phase`), printing.
+/// command ran with the engine work they summed to, the Fig. 1 removals it
+/// decided without a test, and where the wall time went — parsing, the
+/// optimizer (`phase`), printing.
 fn tests_line(tests: Tally, phase: &str, start: Instant, parsed: Instant, ran: Instant) -> String {
     let printed = Instant::now();
     let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
     format!(
-        "tests={} rounds={} tasks={} matches={} parse_ms={:.1} {phase}_ms={:.1} print_ms={:.1}",
+        "tests={} decided={} rounds={} tasks={} matches={} parse_ms={:.1} {phase}_ms={:.1} print_ms={:.1}",
         tests.tests,
+        tests.decided,
         tests.work.iterations,
         tests.work.specialized_tasks,
         tests.work.matches,
@@ -387,6 +389,7 @@ fn tests_since(before: Tally) -> Tally {
     let now = tally();
     Tally {
         tests: now.tests - before.tests,
+        decided: now.decided - before.decided,
         work: now.work - before.work,
     }
 }

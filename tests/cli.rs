@@ -166,10 +166,24 @@ fn stats_split_the_wall_time_into_phases() {
     }
 }
 
+/// The `--stats` line of `minimize` / `optimize`, as (key, value) pairs.
+fn optimizer_stats(out: &Output) -> Vec<(String, f64)> {
+    let err = stderr(out);
+    let line = err.lines().last().and_then(|l| l.strip_prefix("% "));
+    line.unwrap_or_else(|| panic!("a stats line: {err}"))
+        .split(' ')
+        .map(|kv| {
+            let (key, value) = kv.split_once('=').expect("key=value");
+            (key.to_owned(), value.parse().expect("a number"))
+        })
+        .collect()
+}
+
 /// `minimize` and `optimize` take `--stats` too: one line with the §VI
-/// tests the command ran, the engine work they summed to, and the walls of
-/// its phases. Fig. 2 makes one test per rule and one per body atom whose
-/// removal strands no head variable.
+/// tests the command ran, the Fig. 1 removals it decided without one, the
+/// engine work the tests summed to, and the walls of its phases. Fig. 2
+/// makes one test per rule and one per body atom whose removal strands no
+/// head variable and is not decided.
 #[test]
 fn optimizer_stats_count_the_section_vi_tests() {
     let dir = TempDir::new("optimizer-stats");
@@ -182,18 +196,10 @@ fn optimizer_stats_count_the_section_vi_tests() {
         assert!(!stderr(&quiet).contains("tests="), "{}", stderr(&quiet));
 
         let err = stderr(&out);
-        let line = err.lines().last().and_then(|l| l.strip_prefix("% "));
-        let fields: Vec<(&str, f64)> = line
-            .unwrap_or_else(|| panic!("a stats line: {err}"))
-            .split(' ')
-            .map(|kv| {
-                let (key, value) = kv.split_once('=').expect("key=value");
-                (key, value.parse().expect("a number"))
-            })
-            .collect();
-        let keys: Vec<&str> = fields.iter().map(|&(k, _)| k).collect();
+        let fields = optimizer_stats(&out);
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         let expected = [
-            "tests", "rounds", "tasks", "matches", "parse_ms", phase, "print_ms",
+            "tests", "decided", "rounds", "tasks", "matches", "parse_ms", phase, "print_ms",
         ];
         assert_eq!(keys, expected, "{err}");
         let tests = fields[0].1;
@@ -202,12 +208,37 @@ fn optimizer_stats_count_the_section_vi_tests() {
         } else {
             assert!(tests > 3.0, "Fig. 2, then the tgd candidates: {err}");
         }
+        assert_eq!(fields[1].1, 0.0, "the guard is the only candidate: {err}");
         assert!(
-            fields[1].1 >= 1.0 && fields[2].1 >= 1.0 && fields[3].1 >= 1.0,
+            fields[2].1 >= 1.0 && fields[3].1 >= 1.0 && fields[4].1 >= 1.0,
             "{err}"
         );
-        assert!(fields[4..].iter().all(|&(_, ms)| ms >= 0.0), "{err}");
+        assert!(fields[5..].iter().all(|&(_, ms)| ms >= 0.0), "{err}");
     }
+}
+
+/// Example 7's rule with a chain hung off `W`: the first chain atom's test
+/// derives the frozen head without the chain, so the other chain atoms go
+/// without a test of their own, and `decided=` counts them.
+#[test]
+fn optimizer_stats_count_the_decided_atoms() {
+    let dir = TempDir::new("optimizer-decided");
+    let p = dir.file(
+        "wide.dl",
+        "g(X, Y, Z) :- g(X, W, Z), a(W, Z), a(Z, Z), a(Z, Y), a(W, V0), a(V0, V1), a(V1, V2).\n",
+    );
+    let out = bin().args(["minimize", &p, "--stats"]).output().unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "g(X, Y, Z) :- g(X, W, Z), a(W, Z), a(Z, Z), a(Z, Y).\n"
+    );
+    let fields = optimizer_stats(&out);
+    // `a(W, Z)`, `a(Z, Z)` and `a(W, V0)` tested, then the rule.
+    assert_eq!(
+        fields[..2],
+        [("tests".into(), 4.0), ("decided".into(), 2.0)]
+    );
 }
 
 /// A fixpoint that holds `i64::MIN` prints a fact file that `--edb` reads

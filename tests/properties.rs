@@ -325,3 +325,45 @@ proptest! {
         }
     }
 }
+
+/// Every witness Fig. 2 keeps checks against the program as it stood at
+/// its step, a removal decided from an earlier test's witness included
+/// (`datalog_oracle::fig2_evidence` replays them): on the shipped examples,
+/// on `wide_rule` (one tested chain atom decides the rest) and on random
+/// programs of the benchmark corpus's shape.
+#[test]
+fn fig2_witnesses_check_where_atoms_are_decided() {
+    use sagiv_datalog::oracle::fig2_evidence;
+    let data = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/data");
+    let mut programs = Vec::new();
+    for entry in std::fs::read_dir(&data).expect("examples/data exists") {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) == Some("dl") {
+            let src = std::fs::read_to_string(&path).unwrap();
+            let unit = parse_unit(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            if unit.program.is_positive() {
+                programs.push(unit.program);
+            }
+        }
+    }
+    assert!(programs.len() >= 3, "examples/data holds positive programs");
+    programs.push(datalog_bench::wide_rule(32));
+    for seed in 0..4 {
+        let spec = RandomProgramSpec {
+            rules: 24,
+            ..RandomProgramSpec::default()
+        };
+        programs
+            .push(datalog_generate::inject(&random_program(&spec, seed), spec.rules, 300 + seed).0);
+    }
+    let before = datalog_optimizer::tally().decided;
+    for p in &programs {
+        if let Err(why) = fig2_evidence(p) {
+            panic!("{why}\nin:\n{p}");
+        }
+    }
+    assert!(
+        datalog_optimizer::tally().decided > before + 28,
+        "wide_rule(32) alone decides 27"
+    );
+}

@@ -15,10 +15,19 @@
 //! with a deterministic *fuel* budget (a bound on derived atoms) and report
 //! a three-valued [`Proof`]; the paper's own remedy is the same, phrased as
 //! "spend on optimization a predetermined amount of time" (§XI).
+//!
+//! The chase is a program the engine runs (Marnette, PAPERS.md): a tgd τ
+//! whose *frontier* ū is the lhs variables its rhs uses is read by two
+//! rules added to `P`, `trig_τ(ū) :- lhs(τ)` and `sat_τ(ū) :- rhs(τ)`
+//! (`Triggers`). A violation is a `trig_τ` row with no `sat_τ` row, and
+//! one [`Materialized`] view keeps both relations current as repairs and
+//! their rule consequences are inserted. The two auxiliary predicates per
+//! tgd are fresh names, kept out of the result and out of the counts.
 
 use crate::freeze::freeze_rule;
-use datalog_ast::{Atom, Const, Database, GroundAtom, Program, Rule, Subst, Term, Tgd};
-use datalog_engine::Materialized;
+use datalog_ast::{Atom, Const, Database, GroundAtom, Pred, Program, Rule, Subst, Term, Tgd, Var};
+use datalog_engine::{evaluate, Materialized};
+use std::collections::BTreeSet;
 
 /// Outcome of a semi-decidable test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,44 +77,114 @@ pub struct ChaseResult {
     pub added: u64,
 }
 
-/// Enumerate all matches of a conjunction of atoms against `db`, starting
-/// from `base`; calls `found` with each complete substitution. `found`
-/// returns `true` to stop early. Returns whether enumeration stopped early.
-pub(crate) fn for_each_match(
-    atoms: &[Atom],
-    db: &Database,
-    base: &Subst,
-    found: &mut dyn FnMut(&Subst) -> bool,
-) -> bool {
-    fn rec(
-        atoms: &[Atom],
-        db: &Database,
-        subst: &Subst,
-        found: &mut dyn FnMut(&Subst) -> bool,
-    ) -> bool {
-        let Some((first, rest)) = atoms.split_first() else {
-            return found(subst);
-        };
-        let pattern = subst.apply_atom(first);
-        for tuple in db.relation(pattern.pred) {
-            let g = GroundAtom {
-                pred: pattern.pred,
-                tuple: tuple.into(),
-            };
-            let mut s = subst.clone();
-            if datalog_ast::match_atom_into(&pattern, &g, &mut s) && rec(rest, db, &s, found) {
-                return true;
-            }
-        }
-        false
+/// Predicate names that collide with nothing the caller's program, tgds or
+/// database use: `$` cannot come out of the parser, and a name that is
+/// taken anyway gets another `$`.
+pub(crate) struct FreshPreds(BTreeSet<Pred>);
+
+impl FreshPreds {
+    pub(crate) fn new(program: &Program, tgds: &[Tgd], db: &Database) -> FreshPreds {
+        let mut taken = program.predicates();
+        taken.extend(
+            tgds.iter()
+                .flat_map(|t| t.lhs.iter().chain(&t.rhs))
+                .map(|a| a.pred),
+        );
+        taken.extend(db.predicates());
+        FreshPreds(taken)
     }
-    rec(atoms, db, base, found)
+
+    pub(crate) fn pred(&mut self, name: String) -> Pred {
+        let mut name = name;
+        while self.0.contains(&Pred::new(&name)) {
+            name.push('$');
+        }
+        let pred = Pred::new(&name);
+        self.0.insert(pred);
+        pred
+    }
 }
 
-/// Is there an extension of `base` making every atom of `atoms` a ground
-/// atom of `db`? (The tgd-satisfaction check of §VIII.)
-pub(crate) fn has_extension(atoms: &[Atom], db: &Database, base: &Subst) -> bool {
-    for_each_match(atoms, db, base, &mut |_| true)
+/// The two rules a tgd τ is read through: `trig(ū) :- lhs(τ)` and
+/// `sat(ū) :- rhs(τ)`, over τ's frontier ū.
+pub(crate) struct Triggers {
+    /// The lhs variables the rhs uses, in order of first occurrence.
+    frontier: Vec<Var>,
+    /// ū of every lhs match.
+    pub(crate) trig: Pred,
+    /// ū of every match of the rhs: the lhs matches τ holds at.
+    pub(crate) sat: Pred,
+}
+
+impl Triggers {
+    pub(crate) fn new(tgd: &Tgd, i: usize, fresh: &mut FreshPreds) -> Triggers {
+        let rhs_vars: BTreeSet<Var> = tgd.rhs.iter().flat_map(Atom::vars).collect();
+        let mut frontier: Vec<Var> = Vec::new();
+        for v in tgd.lhs.iter().flat_map(Atom::vars) {
+            if rhs_vars.contains(&v) && !frontier.contains(&v) {
+                frontier.push(v);
+            }
+        }
+        Triggers {
+            frontier,
+            trig: fresh.pred(format!("tgd{i}$trig")),
+            sat: fresh.pred(format!("tgd{i}$sat")),
+        }
+    }
+
+    /// The lhs variables the rhs uses, in order of first occurrence.
+    pub(crate) fn frontier(&self) -> &[Var] {
+        &self.frontier
+    }
+
+    fn head(&self, pred: Pred) -> Atom {
+        Atom::new(pred, self.frontier.iter().map(|&v| Term::Var(v)).collect())
+    }
+
+    /// `trig(ū) :- lhs(τ)` and `sat(ū) :- rhs(τ)`.
+    pub(crate) fn rules(&self, tgd: &Tgd) -> [Rule; 2] {
+        [
+            Rule::positive(self.head(self.trig), tgd.lhs.iter().cloned()),
+            self.sat_rule(self.sat, tgd.rhs.iter().cloned()),
+        ]
+    }
+
+    /// `sat(ū) :- rhs` for an rhs read from other predicates (Fig. 3 reads
+    /// it in `⟨d, Pⁿ(d)⟩`).
+    pub(crate) fn sat_rule(&self, sat: Pred, rhs: impl IntoIterator<Item = Atom>) -> Rule {
+        Rule::positive(self.head(sat), rhs)
+    }
+
+    /// The `trig` rows of `db` with no `sat` row: τ's violations.
+    pub(crate) fn violations(&self, db: &Database) -> Vec<Box<[Const]>> {
+        let Some(trig) = db.relation_of(self.trig, self.frontier.len()) else {
+            return Vec::new();
+        };
+        (trig.rows())
+            .filter(|row| !db.contains_tuple(self.sat, row))
+            .map(Box::from)
+            .collect()
+    }
+
+    /// The rhs atoms that repair the violation at `row`: the frontier takes
+    /// `row`, each existential variable a fresh labelled null.
+    pub(crate) fn repair(&self, tgd: &Tgd, row: &[Const], next_null: &mut u32) -> Vec<GroundAtom> {
+        let mut theta = Subst::new();
+        for (&v, &c) in self.frontier.iter().zip(row) {
+            theta.bind(v, Term::Const(c));
+        }
+        for v in tgd.existential_vars() {
+            theta.bind(v, Term::Const(Const::Null(*next_null)));
+            *next_null += 1;
+        }
+        (tgd.rhs.iter())
+            .map(|atom| {
+                theta
+                    .ground_atom(atom)
+                    .expect("the frontier bound by the row, existentials by nulls")
+            })
+            .collect()
+    }
 }
 
 /// Run the combined chase `[P, T]` on `input` until saturation, goal
@@ -117,12 +196,12 @@ pub(crate) fn has_extension(atoms: &[Atom], db: &Database, base: &Subst) -> bool
 ///   present goal is found in finite time even when `[P,T](bθ)` is
 ///   infinite.
 ///
-/// Rule saturation runs on an incrementally-maintained [`Materialized`]
-/// view: the initial fixpoint is computed once, and each tgd repair only
-/// propagates the consequences of the atoms it added — the indexes built
-/// for the first saturation are appended to across every repair pass. (The
-/// previous implementation recomputed the whole fixpoint from scratch,
-/// `naive::evaluate`, once per pass.)
+/// One [`Materialized`] view holds `P` and every tgd's `Triggers` rules:
+/// the initial fixpoint is computed once, and each repair only propagates
+/// the consequences of the atoms it added — rule consequences and `sat_τ`
+/// rows alike, so the restricted chase's "repaired meanwhile" re-check is a
+/// `sat_τ` lookup. A pass repairs, tgd by tgd, the violations the view
+/// holds when that tgd's turn comes.
 pub fn chase(
     program: &Program,
     tgds: &[Tgd],
@@ -131,7 +210,6 @@ pub fn chase(
     goal: Option<&GroundAtom>,
 ) -> ChaseResult {
     let mut null_counter = next_free_null(input);
-    let input_len = input.len();
 
     if let Some(g) = goal {
         if input.contains(g) {
@@ -143,69 +221,55 @@ pub fn chase(
         }
     }
 
-    // Initial rule saturation.
-    let mut m = Materialized::new(program.clone(), input);
-    let mut added_total = (m.database().len() - input_len) as u64;
-    let mut budget = fuel.saturating_sub(added_total);
-    if let Some(g) = goal {
-        if m.database().contains(g) {
-            return ChaseResult {
-                db: m.database().clone(),
-                status: ChaseStatus::GoalReached,
-                added: added_total,
-            };
+    let mut fresh = FreshPreds::new(program, tgds, input);
+    let triggers: Vec<Triggers> = (tgds.iter().enumerate())
+        .map(|(i, tgd)| Triggers::new(tgd, i, &mut fresh))
+        .collect();
+    let mut rules = program.rules.clone();
+    for (tgd, t) in tgds.iter().zip(&triggers) {
+        rules.extend(t.rules(tgd));
+    }
+    let aux: BTreeSet<Pred> = triggers.iter().flat_map(|t| [t.trig, t.sat]).collect();
+    // The atoms of `db` outside the auxiliary relations.
+    let visible_len =
+        |db: &Database| db.len() - aux.iter().map(|&p| db.relation_len(p)).sum::<usize>();
+    let result = |m: &Materialized, status, added| {
+        let db = m.database();
+        let visible: BTreeSet<Pred> = db.predicates().filter(|p| !aux.contains(p)).collect();
+        ChaseResult {
+            db: db.restrict_to(&visible),
+            status,
+            added,
         }
+    };
+
+    // Initial rule saturation.
+    let mut m = Materialized::new(Program::new(rules), input);
+    let mut added_total = (visible_len(m.database()) - input.len()) as u64;
+    let mut budget = fuel.saturating_sub(added_total);
+    if goal.is_some_and(|g| m.database().contains(g)) {
+        return result(&m, ChaseStatus::GoalReached, added_total);
     }
     if added_total > 0 && budget == 0 {
-        return ChaseResult {
-            db: m.database().clone(),
-            status: ChaseStatus::OutOfFuel,
-            added: added_total,
-        };
+        return result(&m, ChaseStatus::OutOfFuel, added_total);
     }
 
     loop {
         let mut added_this_pass: u64 = 0;
         let mut out_of_fuel = false;
-        for tgd in tgds {
-            // Collect violating substitutions first (don't mutate while
-            // matching); then repair. Re-check the violation at repair
-            // time: an earlier repair in this pass may have satisfied it —
-            // with the materialised view this includes *rule consequences*
-            // of earlier repairs, not just their direct rhs atoms.
-            let mut violations: Vec<Subst> = Vec::new();
-            for_each_match(&tgd.lhs, m.database(), &Subst::new(), &mut |s| {
-                // Restrict to universal variables (lhs vars) — existentials
-                // are never bound here.
-                if !has_extension(&tgd.rhs, m.database(), s) {
-                    violations.push(s.clone());
-                }
-                false
-            });
-            for theta in violations {
+        for (tgd, t) in tgds.iter().zip(&triggers) {
+            for row in t.violations(m.database()) {
                 if budget == 0 {
                     out_of_fuel = true;
                     break;
                 }
-                if has_extension(&tgd.rhs, m.database(), &theta) {
+                if m.database().contains_tuple(t.sat, &row) {
                     continue; // repaired meanwhile
                 }
-                let mut extended = theta.clone();
-                for v in tgd.existential_vars() {
-                    extended.bind(v, Term::Const(Const::Null(null_counter)));
-                    null_counter += 1;
-                }
-                let rhs: Vec<GroundAtom> = tgd
-                    .rhs
-                    .iter()
-                    .map(|atom| {
-                        extended
-                            .ground_atom(atom)
-                            .expect("universal vars bound by match, existential by nulls")
-                    })
-                    .collect();
                 // The insert also saturates the rules against the repair.
-                let added = m.insert(rhs);
+                let before = visible_len(m.database());
+                m.insert(t.repair(tgd, &row, &mut null_counter));
+                let added = (visible_len(m.database()) - before) as u64;
                 added_this_pass += added;
                 added_total += added;
                 budget = budget.saturating_sub(added);
@@ -215,29 +279,15 @@ pub fn chase(
             }
         }
 
-        if let Some(g) = goal {
-            // A goal derived by the very last funded step still counts.
-            if m.database().contains(g) {
-                return ChaseResult {
-                    db: m.database().clone(),
-                    status: ChaseStatus::GoalReached,
-                    added: added_total,
-                };
-            }
+        // A goal derived by the very last funded step still counts.
+        if goal.is_some_and(|g| m.database().contains(g)) {
+            return result(&m, ChaseStatus::GoalReached, added_total);
         }
         if added_this_pass == 0 && !out_of_fuel {
-            return ChaseResult {
-                db: m.database().clone(),
-                status: ChaseStatus::Saturated,
-                added: added_total,
-            };
+            return result(&m, ChaseStatus::Saturated, added_total);
         }
         if out_of_fuel || budget == 0 {
-            return ChaseResult {
-                db: m.database().clone(),
-                status: ChaseStatus::OutOfFuel,
-                added: added_total,
-            };
+            return result(&m, ChaseStatus::OutOfFuel, added_total);
         }
     }
 }
@@ -272,10 +322,12 @@ pub fn rule_contained_with_tgds(r: &Rule, p: &Program, tgds: &[Tgd], fuel: u64) 
 }
 
 /// Condition (1) of §X — `SAT(T) ∩ M(P1) ⊆ M(P2)`: every rule of `P2` must
-/// pass the Theorem-1 test against `[P1, T]`.
+/// pass the Theorem-1 test against `[P1, T]`. A rule of `P2` that occurs
+/// verbatim in `P1` passes without a chase: `P1` derives its frozen head
+/// from its frozen body in the first saturation, before any fuel is spent.
 pub fn models_condition(p1: &Program, p2: &Program, tgds: &[Tgd], fuel: u64) -> Proof {
     let mut acc = Proof::Proved;
-    for r in &p2.rules {
+    for r in p2.rules.iter().filter(|r| !p1.rules.contains(r)) {
         acc = acc.and(rule_contained_with_tgds(r, p1, tgds, fuel));
         if acc == Proof::Disproved {
             return acc;
@@ -310,11 +362,14 @@ pub fn uniformly_contains_given(p1: &Program, p2: &Program, tgds: &[Tgd], fuel: 
 }
 
 /// Does `db` satisfy the tgd (§VIII)? Every lhs match must extend to an rhs
-/// match.
+/// match: the tgd's `trig`/`sat` rules, evaluated once over `db`, leave no
+/// violation.
 pub fn satisfies_tgd(db: &Database, tgd: &Tgd) -> bool {
-    !for_each_match(&tgd.lhs, db, &Subst::new(), &mut |s| {
-        !has_extension(&tgd.rhs, db, s)
-    })
+    let tgds = std::slice::from_ref(tgd);
+    let triggers = Triggers::new(tgd, 0, &mut FreshPreds::new(&Program::empty(), tgds, db));
+    let rules = Program::new(triggers.rules(tgd).to_vec());
+    let (fixpoint, _) = evaluate(&rules, db).expect("trigger rules bind every variable");
+    triggers.violations(&fixpoint).is_empty()
 }
 
 /// Does `db` satisfy all of `tgds`?
@@ -471,6 +526,21 @@ mod tests {
         let result = chase(&p, &[], &input, 100, None);
         assert_eq!(result.added, 2);
         assert_eq!(result.status, ChaseStatus::Saturated);
+    }
+
+    #[test]
+    fn a_repair_the_rules_carry_over_repairs_a_later_violation_meanwhile() {
+        // Both p(1) and p(2) violate the tgd when the pass starts. Whichever
+        // is repaired first, q(x, δ0) reaches the other through the rule, so
+        // the restricted chase skips the second: one null, two atoms.
+        let p = parse_program("q(Y, Z) :- q(X, Z), e(X, Y).").unwrap();
+        let tgd = parse_tgd("p(X) -> q(X, W).").unwrap();
+        let input = parse_database("p(1). p(2). e(1, 2). e(2, 1).").unwrap();
+        let result = chase(&p, &[tgd], &input, 100, None);
+        assert_eq!(result.status, ChaseStatus::Saturated);
+        assert_eq!(result.added, 2);
+        let q: Vec<Const> = result.db.relation(Pred::new("q")).map(|t| t[1]).collect();
+        assert_eq!(q, vec![Const::Null(0); 2]);
     }
 
     #[test]

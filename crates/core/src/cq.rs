@@ -8,43 +8,57 @@
 //! equivalence".
 //!
 //! A single positive rule is a conjunctive query; `q1 ⊑ q2` iff there is a
-//! homomorphism from `q2` to `q1` mapping head to head. The freezing test
-//! of §VI specialises to exactly this when the containing program is a
-//! single non-recursive rule, so the implementation reuses it — one code
-//! path, two theories.
+//! homomorphism from `q2` to `q1` mapping head to head. [`homomorphism`]
+//! applies `q2` **once** to `q1`'s frozen body: the §VI test against `{q2}`
+//! would apply it to its own output too, which decides uniform containment
+//! — a different question whenever `q2` is recursive (a path of two edges
+//! is not a homomorphic image of a path of three, yet the doubling rule
+//! derives the longer path's endpoints).
 
-use crate::containment::rule_contained;
+use crate::chase::FreshPreds;
 use crate::freeze::freeze_rule;
 use crate::minimize::minimize_rule;
-use datalog_ast::{match_atom_into, Program, Rule, Subst};
+use datalog_ast::{match_atom_into, Atom, Program, Rule, Subst, Term, Var};
+use datalog_engine::evaluate;
 
 /// Chandra–Merlin: is `q1 ⊑ q2` as conjunctive queries? Both rules must be
 /// positive and have unifiable heads (same predicate and arity).
-///
-/// Equivalent to the §VI freezing test of `q1 ⊑u {q2}` — a single
-/// non-recursive containing rule applies at most once, so uniform
-/// containment coincides with CQ containment.
 pub fn cq_contained(q1: &Rule, q2: &Rule) -> bool {
-    rule_contained(q1, &Program::new(vec![q2.clone()]))
+    homomorphism(q1, q2).is_some()
 }
 
 /// Find an explicit homomorphism witnessing `q1 ⊑ q2`: a substitution h
 /// with `h(head(q2)) = head(q1)` and `h(body(q2)) ⊆ body(q1)` (viewing
 /// `q1`'s frozen body as a database). Returns `None` when not contained.
+///
+/// The head of `q2` is matched to `q1`'s frozen head first; the rest is one
+/// evaluation of `hom(v̄) :- body(q2)` over the frozen body, where v̄ is
+/// every variable the head left free. Each `hom` row is a homomorphism,
+/// and the first one is returned.
 pub fn homomorphism(q1: &Rule, q2: &Rule) -> Option<Subst> {
     let frozen = freeze_rule(q1);
     // h must map q2's head onto q1's frozen head.
-    let mut base = Subst::new();
-    if !match_atom_into(&q2.head, &frozen.goal, &mut base) {
+    let mut h = Subst::new();
+    if !match_atom_into(&q2.head, &frozen.goal, &mut h) {
         return None;
     }
-    let mut found: Option<Subst> = None;
-    let body: Vec<_> = q2.positive_body().cloned().collect();
-    crate::chase::for_each_match(&body, &frozen.body_db, &base, &mut |s| {
-        found = Some(s.clone());
-        true
-    });
-    found
+    let body: Vec<Atom> = q2.positive_body().map(|a| h.apply_atom(a)).collect();
+    let mut free: Vec<Var> = Vec::new();
+    for v in body.iter().flat_map(Atom::vars) {
+        if !free.contains(&v) {
+            free.push(v);
+        }
+    }
+    let hom =
+        FreshPreds::new(&Program::new(vec![q2.clone()]), &[], &frozen.body_db).pred("hom$".into());
+    let head = Atom::new(hom, free.iter().map(|&v| Term::Var(v)).collect());
+    let rules = Program::new(vec![Rule::positive(head, body)]);
+    let (images, _) = evaluate(&rules, &frozen.body_db).expect("the hom rule binds every variable");
+    let row = images.relation_of(hom, free.len())?.rows().next()?;
+    for (&v, &c) in free.iter().zip(row) {
+        h.bind(v, Term::Const(c));
+    }
+    Some(h)
 }
 
 /// Sagiv–Yannakakis union containment: for unions of conjunctive queries
@@ -186,6 +200,33 @@ mod tests {
         }
         // The core here: everything folds onto a(X, X).
         assert_eq!(results[0].width(), 1);
+    }
+
+    #[test]
+    fn a_recursive_containing_rule_is_applied_once() {
+        // q2 doubles paths, so the §VI fixpoint of {q2} derives q1's head
+        // from q1's three-edge path; as conjunctive queries q1 ⋢ q2, since
+        // no homomorphism maps a two-edge path onto the three-edge one with
+        // the endpoints fixed.
+        let q1 = parse_rule("g(X, Z) :- g(X, Y), g(Y, W), g(W, Z).").unwrap();
+        let q2 = parse_rule("g(X, Z) :- g(X, Y), g(Y, Z).").unwrap();
+        assert!(crate::containment::rule_contained(
+            &q1,
+            &Program::new(vec![q2.clone()])
+        ));
+        assert!(homomorphism(&q1, &q2).is_none());
+        assert!(!cq_contained(&q1, &q2));
+        assert!(!union_contained(
+            std::slice::from_ref(&q1),
+            std::slice::from_ref(&q2)
+        ));
+    }
+
+    #[test]
+    fn an_empty_body_maps_once_the_head_does() {
+        let q1 = parse_rule("g(1) :- a(X).").unwrap();
+        let q2 = datalog_ast::Rule::positive(datalog_ast::atom("g", [Term::int(1)]), []);
+        assert_eq!(homomorphism(&q1, &q2), Some(Subst::new()));
     }
 
     #[test]

@@ -51,24 +51,8 @@ pub struct Candidate {
     pub removable: Vec<usize>,
 }
 
-/// Configuration for the candidate-tgd search.
-#[derive(Clone, Copy, Debug)]
-pub struct CandidateConfig {
-    /// Maximum number of atoms in a candidate's lhs. The paper's §XI
-    /// heuristic uses 1; values ≥ 2 extend the search in the direction of
-    /// the Example 15 tgds (the paper's open problem 2 asks for richer
-    /// tgd-finding procedures).
-    pub max_lhs_atoms: usize,
-}
-
-impl Default for CandidateConfig {
-    fn default() -> Self {
-        CandidateConfig { max_lhs_atoms: 1 }
-    }
-}
-
 /// Enumerate §XI candidate tgds for `rule` (single-atom lhs — the paper's
-/// heuristic). See [`candidate_tgds_with`] for the multi-atom extension.
+/// heuristic).
 ///
 /// For every body atom `L` with the head's predicate (the lhs, property 1)
 /// and every *seed* variable `w` occurring in the body but in neither the
@@ -79,43 +63,11 @@ impl Default for CandidateConfig {
 /// as existential (violating property 3) or swallow `L` itself are
 /// discarded.
 pub fn candidate_tgds(rule: &Rule) -> Vec<Candidate> {
-    candidate_tgds_with(rule, CandidateConfig::default())
-}
-
-/// [`candidate_tgds`] with an explicit search configuration: lhs sets of up
-/// to `max_lhs_atoms` body atoms carrying the head's predicate.
-pub fn candidate_tgds_with(rule: &Rule, config: CandidateConfig) -> Vec<Candidate> {
     let head_vars: BTreeSet<Var> = rule.head.vars().collect();
     let body: Vec<&Atom> = rule.positive_body().collect();
-    let head_pred_atoms: Vec<usize> = (0..body.len())
-        .filter(|&i| body[i].pred == rule.head.pred)
-        .collect();
-
     let mut out: Vec<Candidate> = Vec::new();
-    for lhs_set in subsets_up_to(&head_pred_atoms, config.max_lhs_atoms.max(1)) {
-        collect_candidates(rule, &body, &head_vars, &lhs_set, &mut out);
-    }
-    out
-}
-
-/// Non-empty subsets of `items` of size ≤ `max`, smaller subsets first.
-fn subsets_up_to(items: &[usize], max: usize) -> Vec<Vec<usize>> {
-    let mut out: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<Vec<usize>> = vec![Vec::new()];
-    for _ in 0..max.min(items.len()) {
-        let mut next = Vec::new();
-        for base in &current {
-            let start = base.last().map_or(0, |&l| {
-                items.iter().position(|&x| x == l).expect("member") + 1
-            });
-            for &item in &items[start..] {
-                let mut s = base.clone();
-                s.push(item);
-                out.push(s.clone());
-                next.push(s);
-            }
-        }
-        current = next;
+    for lhs in (0..body.len()).filter(|&i| body[i].pred == rule.head.pred) {
+        collect_candidates(rule, &body, &head_vars, lhs, &mut out);
     }
     out
 }
@@ -124,10 +76,10 @@ fn collect_candidates(
     rule: &Rule,
     body: &[&Atom],
     head_vars: &BTreeSet<Var>,
-    lhs_set: &[usize],
+    lhs: usize,
     out: &mut Vec<Candidate>,
 ) {
-    let lhs_vars: BTreeSet<Var> = lhs_set.iter().flat_map(|&i| body[i].vars()).collect();
+    let lhs_vars: BTreeSet<Var> = body[lhs].vars().collect();
     let universal: BTreeSet<Var> = head_vars.union(&lhs_vars).copied().collect();
 
     // Seed variables: strictly local to the prospective rhs.
@@ -145,7 +97,7 @@ fn collect_candidates(
         let mut valid = true;
         while let Some(v) = frontier.pop() {
             for (i, a) in body.iter().enumerate() {
-                if lhs_set.contains(&i) || !a.vars().any(|w| w == v) {
+                if i == lhs || !a.vars().any(|w| w == v) {
                     continue;
                 }
                 if rhs_idx.insert(i) {
@@ -172,11 +124,11 @@ fn collect_candidates(
         debug_assert!(body
             .iter()
             .enumerate()
-            .filter(|(i, a)| !lhs_set.contains(i) && a.vars().any(|w| w == seed))
+            .filter(|&(i, a)| i != lhs && a.vars().any(|w| w == seed))
             .all(|(i, _)| rhs_idx.contains(&i)));
 
         let tgd = Tgd::new(
-            lhs_set.iter().map(|&i| body[i].clone()).collect(),
+            vec![body[lhs].clone()],
             rhs_idx.iter().map(|&i| body[i].clone()).collect(),
         );
         let removable: Vec<usize> = rhs_idx.into_iter().collect();
@@ -238,10 +190,8 @@ pub fn try_candidate(
     // Condition (3′): the preliminary DB of P1 satisfies T. When the
     // one-round (initialization-rule) preliminary DB does not establish T,
     // fall back to the §X closing remark's generalisation: two rounds of
-    // the whole program (crate::preserve::preliminary_db_satisfies_k).
-    if !preliminary_db_satisfies(program, tgds)
-        && !crate::preserve::preliminary_db_satisfies_k(program, tgds, 2, 4096)
-    {
+    // the whole program.
+    if !preliminary_db_satisfies(program, tgds, 1) && !preliminary_db_satisfies(program, tgds, 2) {
         return Ok(None);
     }
     Ok(Some(p2))
@@ -462,41 +412,5 @@ mod tests {
     fn no_candidates_without_head_predicate_in_body() {
         let r = parse_rule("g(X, Z) :- a(X, Y), a(Y, Z), b(Y, W).").unwrap();
         assert!(candidate_tgds(&r).is_empty());
-    }
-
-    #[test]
-    fn multi_atom_lhs_candidates() {
-        // With max_lhs_atoms = 2 the Example 15 shape appears:
-        // g(X,Y) & g(Y,Z) -> a(Y,W).
-        let r = parse_rule("g(X, Z) :- g(X, Y), g(Y, Z), a(Y, W).").unwrap();
-        let single = candidate_tgds(&r);
-        let multi = candidate_tgds_with(&r, CandidateConfig { max_lhs_atoms: 2 });
-        assert!(multi.len() > single.len());
-        assert!(
-            multi.iter().any(|c| c.tgd.lhs.len() == 2),
-            "expected a two-atom lhs candidate: {multi:?}"
-        );
-        // All single-atom candidates are still present.
-        for c in &single {
-            assert!(multi.iter().any(|m| m.tgd == c.tgd));
-        }
-    }
-
-    #[test]
-    fn subsets_enumeration_is_ordered_and_complete() {
-        let subs = subsets_up_to(&[0, 2, 5], 2);
-        assert_eq!(
-            subs,
-            vec![
-                vec![0],
-                vec![2],
-                vec![5],
-                vec![0, 2],
-                vec![0, 5],
-                vec![2, 5],
-            ]
-        );
-        assert_eq!(subsets_up_to(&[1], 3), vec![vec![1]]);
-        assert!(subsets_up_to(&[], 2).is_empty());
     }
 }

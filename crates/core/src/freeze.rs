@@ -7,7 +7,7 @@
 //! itself — one-to-one by construction, and disjoint from every source
 //! constant by the type system rather than by a runtime freshness check.
 
-use datalog_ast::{Atom, Const, Database, GroundAtom, Rule, Subst, Term, Tgd, Var};
+use datalog_ast::{Atom, Const, Database, GroundAtom, Rule, Subst, Term, Var};
 
 /// The freezing substitution θ for an iterator of variables.
 pub fn freezing_subst(vars: impl IntoIterator<Item = Var>) -> Subst {
@@ -57,47 +57,10 @@ pub(crate) fn freeze_atom(atom: &Atom) -> GroundAtom {
         .expect("freezing substitution binds every variable of the atom")
 }
 
-/// Freeze the left-hand side of a tgd (used by the Fig. 3 preservation test,
-/// §IX: "let θ map the universally quantified variables of τ to distinct
-/// constants"). Only universal variables are frozen; existential variables
-/// never occur in the lhs.
-pub fn freeze_tgd_lhs(tgd: &Tgd) -> (Vec<GroundAtom>, Subst) {
-    let theta = freezing_subst(tgd.universal_vars());
-    let atoms = tgd
-        .lhs
-        .iter()
-        .map(|a| {
-            theta
-                .ground_atom(a)
-                .expect("lhs variables are all universal")
-        })
-        .collect();
-    (atoms, theta)
-}
-
-/// Freeze an arbitrary conjunction of atoms with the given substitution
-/// already fixed for some variables, freezing the rest. Returns the ground
-/// atoms and the extended substitution.
-pub fn freeze_atoms_with(atoms: &[Atom], base: &Subst) -> (Vec<GroundAtom>, Subst) {
-    let mut theta = base.clone();
-    for a in atoms {
-        for v in a.vars() {
-            if theta.get(v).is_none() {
-                theta.bind(v, Term::Const(Const::Frozen(v)));
-            }
-        }
-    }
-    let ground = atoms
-        .iter()
-        .map(|a| theta.ground_atom(a).expect("all variables frozen"))
-        .collect();
-    (ground, theta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{parse_rule, parse_tgd, Pred};
+    use datalog_ast::{parse_rule, Pred};
 
     #[test]
     fn freeze_example6_rule() {
@@ -149,34 +112,5 @@ mod tests {
         for atom in r.positive_body() {
             assert!(frozen.body_db.contains(&freeze_atom(atom)), "{atom}");
         }
-    }
-
-    #[test]
-    fn freeze_tgd_lhs_only_universals() {
-        let t = parse_tgd("g(X, Z) -> a(X, W).").unwrap();
-        let (atoms, theta) = freeze_tgd_lhs(&t);
-        assert_eq!(atoms.len(), 1);
-        assert_eq!(
-            atoms[0],
-            GroundAtom::new(
-                "g",
-                vec![Const::Frozen(Var::new("X")), Const::Frozen(Var::new("Z"))]
-            )
-        );
-        // The existential variable W is NOT frozen.
-        assert!(theta.get(Var::new("W")).is_none());
-    }
-
-    #[test]
-    fn freeze_atoms_with_respects_base() {
-        let t = parse_tgd("g(X, Y) & g(Y, Z) -> a(Y, W).").unwrap();
-        let base = Subst::singleton(Var::new("Y"), Term::Const(Const::Int(42)));
-        let (atoms, theta) = freeze_atoms_with(&t.lhs, &base);
-        assert_eq!(atoms[0].tuple[1], Const::Int(42));
-        assert_eq!(atoms[1].tuple[0], Const::Int(42));
-        assert_eq!(
-            theta.get(Var::new("X")),
-            Some(Term::Const(Const::Frozen(Var::new("X"))))
-        );
     }
 }

@@ -74,17 +74,14 @@ pub use containment::{
 };
 pub use cq::{cq_contained, equivalent_nonrecursive, homomorphism, minimize_cq, union_contained};
 pub use equivalence::{
-    candidate_tgds, candidate_tgds_with, optimize, optimize_under_equivalence, try_candidate,
-    Candidate, CandidateConfig, EquivalenceOpt,
+    candidate_tgds, optimize, optimize_under_equivalence, try_candidate, Candidate, EquivalenceOpt,
 };
-pub use freeze::{freeze_rule, freeze_tgd_lhs, freezing_subst, FrozenRule};
+pub use freeze::{freeze_rule, freezing_subst, FrozenRule};
 pub use minimize::{
     is_minimal, minimize_program, minimize_program_in_order, minimize_program_with_evidence,
     minimize_rule, minimized, Removal,
 };
-pub use preserve::{
-    preliminary_db_satisfies, preliminary_db_satisfies_k, preserves_nonrecursively,
-};
+pub use preserve::{preliminary_db_satisfies, preserves_nonrecursively};
 pub use refute::{analyze_equivalence, find_separating_edb, EquivVerdict, SeparatingEdb};
 pub use slice::{relevant_predicates, slice_for_query};
 pub use stratified_ext::{minimize_stratified, StratifiedError};

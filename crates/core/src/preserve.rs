@@ -7,131 +7,244 @@
 //! bottom-up rounds), and is what the chase-style procedure of Fig. 3
 //! checks:
 //!
-//! 1. Freeze the lhs of each tgd τ.
-//! 2. Each intentional lhs atom must have entered `Pⁿ(d)` via some rule —
-//!    enumerate all *combinations* of unifying these atoms with rule heads.
-//!    The program is augmented with the trivial rules
+//! 1. Each intentional lhs atom of a tgd τ must have entered `Pⁿ(d)` via
+//!    some rule — enumerate all *combinations* of unifying these atoms with
+//!    rule heads. The program is augmented with the trivial rules
 //!    `Q(x̄) :- Q(x̄)` so that "the atom was already in `d`" is one of the
-//!    choices (§IX).
-//! 3. For the chosen rules: unify, instantiate leftover body variables with
-//!    fresh constants, and put the instantiated bodies (plus the extensional
-//!    lhs atoms) into `d`.
-//! 4. Interleave: apply `T` to `d` (inferences from `d ∈ SAT(T)`), recompute
-//!    `Pⁿ(d)`, and check whether the frozen lhs still exhibits a violation
-//!    of τ in `⟨d, Pⁿ(d)⟩`. Stop as soon as no violation is exhibited
-//!    (success for this combination); if `T`-application saturates and the
-//!    violation persists, a counterexample has been constructed.
+//!    choices (§IX). A most general unifier may equate lhs variables (a
+//!    head `p(X, X)` derives `p(x, y)` only when `x = y`), so the lhs is
+//!    frozen after unification, not before.
+//! 2. Freeze what the unifier left variable to distinct constants, and put
+//!    the instantiated bodies (plus the extensional lhs atoms) into `d`.
+//! 3. Interleave: apply `T` to `d` (inferences from `d ∈ SAT(T)`), and
+//!    check whether the frozen lhs still exhibits a violation of τ in
+//!    `⟨d, Pⁿ(d)⟩`. Stop as soon as no violation is exhibited (success for
+//!    this combination); if `T`-application saturates and the violation
+//!    persists, a counterexample has been constructed.
+//!
+//! Both steps of 3 are engine evaluations: one insert-only
+//! [`Materialized`] view of `d` holds `T`'s trigger rules
+//! (`crate::chase`), and `P` once more with its heads renamed, so that
+//! `⟨d, Pⁿ(d)⟩` is a relation of the view and the check is a lookup.
 //!
 //! With embedded tgds the `T`-application may introduce nulls forever; the
 //! interleaving finds positive answers in finite time (the procedure "is
 //! complete for proving non-recursive preservation", appendix II), while
 //! negative answers may need the fuel cutoff.
 
-use crate::chase::{has_extension, Proof};
-use crate::freeze::freeze_tgd_lhs;
+use crate::chase::{FreshPreds, Proof, Triggers};
 use datalog_ast::{
-    match_atom, rename_apart, Const, Database, GroundAtom, Program, Rule, Subst, Term, Tgd, Var,
+    rename_apart, unify_atoms, Atom, Const, Database, GroundAtom, Pred, Program, Rule, Subst, Term,
+    Tgd, Var,
 };
-use datalog_engine::naive;
-use std::collections::BTreeSet;
+use datalog_engine::{evaluate, Materialized};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One way an intentional lhs atom may have entered `Pⁿ(d)`.
-#[derive(Clone, Debug)]
-struct Choice {
-    /// Ground atoms the rule body contributes to `d`.
-    body_atoms: Vec<GroundAtom>,
+/// One way a tgd's lhs may stand in the database a test builds: the
+/// unifier its derivation imposes on the lhs, and the atoms it rests on.
+struct Unfolding {
+    sigma: Subst,
+    leaves: Vec<Atom>,
 }
 
-/// All ways to produce `target` with a single application of a rule of
-/// `rules`: unify `target` with the head, instantiate leftover body
-/// variables with fresh constants.
-fn choices_for(target: &GroundAtom, rules: &[Rule], fresh_counter: &mut usize) -> Vec<Choice> {
-    let mut out = Vec::new();
-    for rule in rules {
-        let mut n = 0usize;
-        let (renamed, _) = rename_apart(rule, "p", &mut n);
-        // `target` is ground, so one-way matching of the head suffices for
-        // unification.
-        let Some(mut sigma) = match_atom(&renamed.head, target) else {
-            continue;
+impl Unfolding {
+    /// Freeze what the unifier left variable (§IX: "instantiated to new
+    /// distinct constants"): the database the leaves make, and the frontier
+    /// row of the lhs instance.
+    fn freeze(&self, triggers: &Triggers) -> (Database, Vec<Const>) {
+        let frozen = |t: Term| match t {
+            Term::Var(v) => Const::Frozen(v),
+            Term::Const(c) => c,
         };
-        // Instantiate the body's leftover variables with fresh constants
-        // ("the rest of the variables of r are instantiated to new distinct
-        // constants", §IX).
-        for atom in renamed.positive_body() {
-            for v in atom.vars() {
-                if sigma.get(v).is_none() {
-                    sigma.bind(
-                        v,
-                        Term::Const(Const::Frozen(Var::fresh("fresh", *fresh_counter))),
-                    );
-                    *fresh_counter += 1;
-                }
-            }
-        }
-        let body_atoms: Vec<GroundAtom> = renamed
-            .positive_body()
-            .map(|a| sigma.ground_atom(a).expect("all body vars instantiated"))
+        // A leaf was set aside under the unifier of its time; later
+        // unifications may have bound its variables since.
+        let d = Database::from_atoms(self.leaves.iter().map(|a| {
+            let terms = a.terms.iter().map(|&t| frozen(self.sigma.apply_term(t)));
+            GroundAtom::new(a.pred, terms.collect::<Vec<_>>())
+        }));
+        let row = (triggers.frontier().iter())
+            .map(|&v| frozen(self.sigma.apply_term(Term::Var(v))))
             .collect();
-        out.push(Choice { body_atoms });
+        (d, row)
     }
-    out
 }
 
-/// Apply the tgds of `T` to `d` **as inferences about `d`** (§IX: "the
-/// applications of τ correspond to inferences implied by the fact that d
-/// satisfies T"), one repair pass. Returns atoms added.
-fn apply_tgds_to_d(tgds: &[Tgd], d: &mut Database, null_counter: &mut u32) -> u64 {
-    let mut added = 0;
-    for tgd in tgds {
-        let snapshot = d.clone();
-        let mut violations: Vec<Subst> = Vec::new();
-        crate::chase::for_each_match(&tgd.lhs, &snapshot, &Subst::new(), &mut |s| {
-            if !has_extension(&tgd.rhs, &snapshot, s) {
-                violations.push(s.clone());
+/// Every way to derive the intentional atoms of `lhs` within `rounds`
+/// applications of `rules`, depth first: each intentional atom is unified
+/// with the head of a rule renamed apart — a most general unifier, which
+/// may equate lhs variables — and that rule's body atoms are derived at one
+/// round less. An extensional atom is a leaf; so is an intentional atom at
+/// round 0 when `idb_leaves` (a database that may hold intentional atoms),
+/// which is otherwise underivable. `None` once more than `max` unfoldings
+/// turn up.
+fn unfoldings(
+    lhs: &[Atom],
+    rules: &[Rule],
+    idb: &BTreeSet<Pred>,
+    rounds: usize,
+    idb_leaves: bool,
+    max: usize,
+) -> Option<Vec<Unfolding>> {
+    struct Search<'a> {
+        rules: &'a [Rule],
+        idb: &'a BTreeSet<Pred>,
+        idb_leaves: bool,
+        max: usize,
+        renamed: usize,
+        out: Vec<Unfolding>,
+    }
+    impl Search<'_> {
+        /// `false` once the search is over `max`.
+        fn go(&mut self, goals: &[(Atom, usize)], sigma: &Subst, leaves: &mut Vec<Atom>) -> bool {
+            let Some(((atom, rounds), rest)) = goals.split_first() else {
+                self.out.push(Unfolding {
+                    sigma: sigma.clone(),
+                    leaves: leaves.clone(),
+                });
+                return self.out.len() <= self.max;
+            };
+            let atom = sigma.apply_atom(atom);
+            if !self.idb.contains(&atom.pred) || (*rounds == 0 && self.idb_leaves) {
+                leaves.push(atom);
+                let more = self.go(rest, sigma, leaves);
+                leaves.pop();
+                return more;
             }
-            false
-        });
-        for theta in violations {
-            if has_extension(&tgd.rhs, d, &theta) {
-                continue;
+            if *rounds == 0 {
+                return true; // no derivation this deep
             }
-            let mut extended = theta.clone();
-            for v in tgd.existential_vars() {
-                extended.bind(v, Term::Const(Const::Null(*null_counter)));
-                *null_counter += 1;
-            }
-            for atom in &tgd.rhs {
-                if d.insert(extended.ground_atom(atom).expect("fully instantiated")) {
-                    added += 1;
+            for rule in self.rules.iter().filter(|r| r.head.pred == atom.pred) {
+                let (rule, _) = rename_apart(rule, "unfold", &mut self.renamed);
+                let Some(mu) = unify_atoms(&atom, &rule.head) else {
+                    continue;
+                };
+                let mut next: Vec<(Atom, usize)> = rule
+                    .positive_body()
+                    .map(|a| (a.clone(), rounds - 1))
+                    .collect();
+                next.extend(rest.iter().cloned());
+                if !self.go(&next, &sigma.then(&mu), leaves) {
+                    return false;
                 }
             }
+            true
         }
     }
-    added
+    let mut search = Search {
+        rules,
+        idb,
+        idb_leaves,
+        max,
+        renamed: 0,
+        out: Vec::new(),
+    };
+    let goals: Vec<(Atom, usize)> = lhs.iter().map(|a| (a.clone(), rounds)).collect();
+    search
+        .go(&goals, &Subst::new(), &mut Vec::new())
+        .then_some(search.out)
+}
+
+/// The rules that read `tgd`'s rhs after `rounds` stacked applications of
+/// `program` to a database `d`. Level 0 is `d` itself; level `i + 1` holds
+/// level `i` (`q⁽ⁱ⁺¹⁾(x̄) :- q⁽ⁱ⁾(x̄)`) and what one application of the
+/// rules derives from it (each rule with its head renamed to level `i + 1`
+/// and its body read at level `i`). A level carries only the predicates
+/// the levels above it read. The last rule is `sat(ū) :- rhs(τ)` with the
+/// rhs read at the top level; its head predicate is returned with the
+/// rules. With `rounds = 1` the top level is `⟨d, Pⁿ(d)⟩`.
+fn rhs_after(
+    program: &Program,
+    tgd: &Tgd,
+    triggers: &Triggers,
+    rounds: usize,
+    fresh: &mut FreshPreds,
+) -> (Vec<Rule>, Pred) {
+    let key = |a: &Atom| (a.pred, a.arity());
+    // needs[i]: the (predicate, arity) pairs level `rounds - i` must hold.
+    let mut needs: Vec<BTreeSet<(Pred, usize)>> = vec![tgd.rhs.iter().map(key).collect()];
+    for _ in 1..rounds {
+        let above = needs.last().expect("the top level");
+        let mut below = above.clone();
+        for rule in program
+            .rules
+            .iter()
+            .filter(|r| above.contains(&key(&r.head)))
+        {
+            below.extend(rule.positive_body().map(key));
+        }
+        needs.push(below);
+    }
+    let sat = fresh.pred(format!("{}{rounds}", triggers.sat));
+    let mut names: BTreeMap<(Pred, usize), Pred> = BTreeMap::new();
+    let mut at = |q: Pred, level: usize| match level {
+        0 => q,
+        _ => *names
+            .entry((q, level))
+            .or_insert_with(|| fresh.pred(format!("{q}$r{level}"))),
+    };
+    let rename = |a: &Atom, pred: Pred| Atom::new(pred, a.terms.clone());
+    let mut rules = Vec::new();
+    for level in 1..=rounds {
+        let holds = &needs[rounds - level];
+        for &(q, arity) in holds {
+            let xs: Vec<Term> = (0..arity).map(|i| Term::Var(Var::fresh("x", i))).collect();
+            let below = Atom::new(at(q, level - 1), xs.clone());
+            rules.push(Rule::positive(Atom::new(at(q, level), xs), [below]));
+        }
+        for rule in program
+            .rules
+            .iter()
+            .filter(|r| holds.contains(&key(&r.head)))
+        {
+            let head = rename(&rule.head, at(rule.head.pred, level));
+            let body: Vec<Atom> = (rule.positive_body())
+                .map(|a| rename(a, at(a.pred, level - 1)))
+                .collect();
+            rules.push(Rule::positive(head, body));
+        }
+    }
+    let rhs: Vec<Atom> = tgd
+        .rhs
+        .iter()
+        .map(|a| rename(a, at(a.pred, rounds)))
+        .collect();
+    rules.push(triggers.sat_rule(sat, rhs));
+    (rules, sat)
 }
 
 /// Check one combination: does `⟨d, Pⁿ(d)⟩` (eventually) satisfy τ at the
-/// frozen lhs instantiation θ? Implements the interleaved loop of §IX.
+/// frozen lhs instantiation θ? Implements the interleaved loop of §IX on
+/// one insert-only [`Materialized`] view of `d`: the check is a `sat`
+/// lookup, and each step repairs, tgd by tgd, the violations of `T` in `d`.
+/// `fuel` counts the atoms the repairs add to `d`.
 fn combination_ok(
-    program: &Program,
+    rules: &Program,
+    sat: Pred,
+    row: &[Const],
     tgds: &[Tgd],
-    tgd: &Tgd,
-    theta: &Subst,
-    mut d: Database,
+    triggers: &[Triggers],
+    d: &Database,
     fuel: u64,
 ) -> Proof {
-    let mut null_counter = 0u32;
+    let mut m = Materialized::new(rules.clone(), d);
+    let mut next_null = 0u32;
     let mut budget = fuel;
     loop {
-        // ⟨d, Pⁿ(d)⟩.
-        let mut full = d.clone();
-        full.union_with(&naive::apply_once(program, &d));
-        if has_extension(&tgd.rhs, &full, theta) {
+        if m.database().contains_tuple(sat, row) {
             return Proof::Proved; // no violation exhibited
         }
         // Violation still exhibited: let the tgds of T infer more about d.
-        let added = apply_tgds_to_d(tgds, &mut d, &mut null_counter);
+        // No rule derives into d, so what the repairs add to it is what the
+        // view's base gains.
+        let before = m.base().len();
+        for (tgd, t) in tgds.iter().zip(triggers) {
+            for row in t.violations(m.database()) {
+                if !m.database().contains_tuple(t.sat, &row) {
+                    m.insert(t.repair(tgd, &row, &mut next_null));
+                }
+            }
+        }
+        let added = (m.base().len() - before) as u64;
         if added == 0 {
             // T saturated on d and the violation persists: counterexample.
             return Proof::Disproved;
@@ -176,61 +289,47 @@ pub fn preserves_nonrecursively(program: &Program, tgds: &[Tgd], fuel: u64) -> P
     // Augment with trivial rules Q(x̄) :- Q(x̄) for every intentional
     // predicate (§IX).
     let mut unification_rules: Vec<Rule> = program.rules.clone();
-    for (&p, &arity) in program
-        .arities()
-        .iter()
-        .filter(|(p, _)| idb.contains(*p))
-        .collect::<Vec<_>>()
-        .iter()
-    {
+    for (&p, &arity) in program.arities().iter().filter(|(p, _)| idb.contains(*p)) {
         unification_rules.push(Program::trivial_rule(p, arity));
     }
+    let mut fresh = FreshPreds::new(program, tgds, &Database::new());
+    let triggers: Vec<Triggers> = (tgds.iter().enumerate())
+        .map(|(i, tgd)| Triggers::new(tgd, i, &mut fresh))
+        .collect();
+    let t_rules: Vec<Rule> = (tgds.iter().zip(&triggers))
+        .flat_map(|(tgd, t)| t.rules(tgd))
+        .collect();
 
-    // Per tgd: the frozen lhs θ, its extensional atoms, and the choices for
-    // each intentional one.
+    // Per tgd: its Fig. 3 program and, per combination, `d` and the frozen
+    // lhs's frontier row. An lhs no combination derives is vacuously
+    // preserved.
     let mut setups = Vec::with_capacity(tgds.len());
-    // Every combination, as (tgd, one choice per intentional lhs atom).
-    let mut unsettled: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut unsettled: Vec<(usize, usize)> = Vec::new();
     for (t, tgd) in tgds.iter().enumerate() {
-        let (lhs_ground, theta) = freeze_tgd_lhs(tgd);
-        let (intentional_atoms, base_d): (Vec<GroundAtom>, Vec<GroundAtom>) =
-            lhs_ground.into_iter().partition(|g| idb.contains(&g.pred));
-        let mut fresh_counter = 0usize;
-        let per_atom: Vec<Vec<Choice>> = intentional_atoms
-            .iter()
-            .map(|g| choices_for(g, &unification_rules, &mut fresh_counter))
-            .collect();
-        // If some intentional atom has no producing rule at all, the lhs can
-        // never be realised with that atom in Pⁿ(d) — vacuously satisfied.
-        if !per_atom.iter().any(Vec::is_empty) {
-            let mut combo = vec![0usize; per_atom.len()];
-            loop {
-                unsettled.push((t, combo.clone()));
-                if !advance(&mut combo, |k| per_atom[k].len()) {
-                    break;
-                }
-            }
-        }
-        setups.push((theta, base_d, per_atom));
+        let combos: Vec<(Database, Vec<Const>)> =
+            unfoldings(&tgd.lhs, &unification_rules, &idb, 1, true, usize::MAX)
+                .expect("no bound on the combinations")
+                .iter()
+                .map(|u| u.freeze(&triggers[t]))
+                .collect();
+        unsettled.extend((0..combos.len()).map(|c| (t, c)));
+        let (mut rules, sat) = rhs_after(program, tgd, &triggers[t], 1, &mut fresh);
+        rules.extend(t_rules.iter().cloned());
+        setups.push((Program::new(rules), sat, combos));
     }
 
-    let run = |t: usize, combo: &[usize], fuel: u64| {
-        let (theta, base_d, per_atom) = &setups[t];
-        let mut d = Database::from_atoms(base_d.iter().cloned());
-        for (choices, &choice_i) in per_atom.iter().zip(combo) {
-            for g in &choices[choice_i].body_atoms {
-                d.insert(g.clone());
-            }
-        }
-        combination_ok(program, tgds, &tgds[t], theta, d, fuel)
+    let run = |t: usize, c: usize, fuel: u64| {
+        let (rules, sat, combos) = &setups[t];
+        let (d, row) = &combos[c];
+        combination_ok(rules, *sat, row, tgds, &triggers, d, fuel)
     };
     let mut at = fuel.min(FIRST_FUEL);
     loop {
         let mut out_of_fuel = Vec::new();
-        for (t, combo) in unsettled {
-            match run(t, &combo, at) {
+        for (t, c) in unsettled {
+            match run(t, c, at) {
                 Proof::Disproved => return Proof::Disproved,
-                Proof::OutOfFuel => out_of_fuel.push((t, combo)),
+                Proof::OutOfFuel => out_of_fuel.push((t, c)),
                 Proof::Proved => {}
             }
         }
@@ -245,234 +344,61 @@ pub fn preserves_nonrecursively(program: &Program, tgds: &[Tgd], fuel: u64) -> P
     }
 }
 
-/// Step a mixed-radix counter over combinations, digit `k` below `len(k)`;
-/// `false` once it has wrapped round to all zeros.
-fn advance(combo: &mut [usize], len: impl Fn(usize) -> usize) -> bool {
-    for (k, digit) in combo.iter_mut().enumerate() {
-        *digit += 1;
-        if *digit < len(k) {
-            return true;
-        }
-        *digit = 0;
-    }
-    false
-}
+/// The most derivations of one tgd's lhs (3′) enumerates; past it the test
+/// gives up and answers `false`.
+const MAX_UNFOLDINGS: usize = 4096;
 
 /// Condition (3′) of §X — does the *preliminary database* of `program`
 /// always satisfy `tgds`?
 ///
 /// The preliminary DB for an EDB `d` is `⟨d, Pⁱ(d)⟩` where `Pⁱ` is the
-/// initialization rules (§X). The test is the Fig. 3 procedure with two
-/// changes (§X Example 18): the tgds are *not* applied to `d` (an EDB is
-/// arbitrary, not assumed to satisfy `T`), and no trivial rules are added
-/// (an EDB has no intentional ground atoms).
-pub fn preliminary_db_satisfies(program: &Program, tgds: &[Tgd]) -> bool {
-    let init = program.initialization_rules();
-    let idb: BTreeSet<_> = program.intentional();
-
-    for tgd in tgds {
-        let (lhs_ground, theta) = freeze_tgd_lhs(tgd);
-        let mut base_d: Vec<GroundAtom> = Vec::new();
-        let mut intentional_atoms: Vec<GroundAtom> = Vec::new();
-        for g in lhs_ground {
-            if idb.contains(&g.pred) {
-                intentional_atoms.push(g);
-            } else {
-                base_d.push(g);
-            }
-        }
-        let mut fresh_counter = 0usize;
-        let per_atom: Vec<Vec<Choice>> = intentional_atoms
-            .iter()
-            .map(|g| choices_for(g, &init.rules, &mut fresh_counter))
-            .collect();
-        if per_atom.iter().any(Vec::is_empty) {
-            // Some intentional lhs atom can never appear in a preliminary
-            // DB: vacuously satisfied.
-            continue;
-        }
-        let mut combo_indices = vec![0usize; per_atom.len()];
-        loop {
-            let mut d = Database::from_atoms(base_d.iter().cloned());
-            for (atom_i, &choice_i) in combo_indices.iter().enumerate() {
-                for g in &per_atom[atom_i][choice_i].body_atoms {
-                    d.insert(g.clone());
-                }
-            }
-            // ⟨d, Pⁱ(d)⟩ — Pⁱ is non-recursive, one application saturates
-            // it for the violation check at θ.
-            let mut full = d.clone();
-            full.union_with(&naive::apply_once(&init, &d));
-            if !has_extension(&tgd.rhs, &full, &theta) {
-                return false;
-            }
-            if !advance(&mut combo_indices, |k| per_atom[k].len()) {
-                break;
-            }
-        }
-    }
-    true
-}
-
-/// Condition (3′) generalized per the final remark of §X: "it is not
+/// initialization rules (§X); per the closing remark of §X, "it is not
 /// necessary to choose the [preliminary DB] generated by the initialization
 /// rules. Instead, it is sufficient to consider any set of rules of `P1`
-/// and apply it a fixed number of times."
+/// and apply it a fixed number of times." This test takes the preliminary
+/// DB to be `P1` applied `rounds` times (cumulatively) to the EDB; with
+/// `rounds = 1` that is `⟨d, Pⁱ(d)⟩`, since only initialization rules fire
+/// on an EDB.
 ///
-/// This variant takes the preliminary DB to be `P1` applied `rounds` times
-/// (cumulatively) to the EDB. The lhs of each tgd is realised by
-/// enumerating derivation trees of depth ≤ `rounds` (extensional leaves
-/// form the canonical `d`); the violation check then looks for the rhs in
-/// the `rounds`-fold application of the whole program to `d`.
-///
-/// `rounds = 1` coincides with [`preliminary_db_satisfies`] (only
-/// initialization rules can fire on an intentional-free EDB in one round).
-/// Larger `rounds` certify tgds whose support needs a derivation pipeline —
-/// see the `two_round_preliminary_db` test for a program where `rounds = 2`
-/// succeeds and `rounds = 1` cannot.
-///
-/// The enumeration of derivation trees is truncated at `max_combinations`
-/// per tgd; if truncated, the function conservatively returns `false`.
-pub fn preliminary_db_satisfies_k(
-    program: &Program,
-    tgds: &[Tgd],
-    rounds: usize,
-    max_combinations: usize,
-) -> bool {
+/// The test is the Fig. 3 procedure with two changes (§X Example 18): the
+/// tgds are *not* applied to `d` (an EDB is arbitrary, not assumed to
+/// satisfy `T`), and no trivial rules are added (an EDB has no intentional
+/// ground atoms). The lhs of each tgd is derived within `rounds` rounds in
+/// every way (`unfoldings`; their extensional leaves, frozen, are `d`),
+/// and the violation check is one evaluation of `rhs_after`'s `rounds`
+/// stacked copies of the program over `d`. Larger `rounds` certify tgds
+/// whose support needs a derivation pipeline — see the
+/// `two_round_preliminary_db` test. More than `MAX_UNFOLDINGS` (4 096)
+/// derivations of one lhs answer `false`.
+pub fn preliminary_db_satisfies(program: &Program, tgds: &[Tgd], rounds: usize) -> bool {
     let idb: BTreeSet<_> = program.intentional();
-
-    for tgd in tgds {
-        let (lhs_ground, theta) = freeze_tgd_lhs(tgd);
-        let mut base_d: Vec<GroundAtom> = Vec::new();
-        let mut intentional_atoms: Vec<GroundAtom> = Vec::new();
-        for g in lhs_ground {
-            if idb.contains(&g.pred) {
-                intentional_atoms.push(g);
-            } else {
-                base_d.push(g);
-            }
-        }
-        // Realizations of each intentional lhs atom: sets of extensional
-        // atoms supporting a derivation of depth ≤ rounds.
-        let mut fresh_counter = 0usize;
-        let mut truncated = false;
-        let per_atom: Vec<Vec<Vec<GroundAtom>>> = intentional_atoms
-            .iter()
-            .map(|g| {
-                realizations(
-                    g,
-                    program,
-                    &idb,
-                    rounds,
-                    &mut fresh_counter,
-                    max_combinations,
-                    &mut truncated,
-                )
-            })
-            .collect();
-        if truncated {
+    let mut fresh = FreshPreds::new(program, tgds, &Database::new());
+    for (t, tgd) in tgds.iter().enumerate() {
+        let Some(unfoldings) = unfoldings(
+            &tgd.lhs,
+            &program.rules,
+            &idb,
+            rounds,
+            false,
+            MAX_UNFOLDINGS,
+        ) else {
             return false; // enumeration incomplete — stay conservative
+        };
+        if unfoldings.is_empty() {
+            continue; // lhs not derivable within `rounds` — vacuous
         }
-        if per_atom.iter().any(Vec::is_empty) {
-            continue; // lhs not realisable within `rounds` — vacuous
-        }
-        let mut combo = vec![0usize; per_atom.len()];
-        loop {
-            let mut d = Database::from_atoms(base_d.iter().cloned());
-            for (atom_i, &choice_i) in combo.iter().enumerate() {
-                for g in &per_atom[atom_i][choice_i] {
-                    d.insert(g.clone());
-                }
-            }
-            // Cumulative `rounds`-fold application of the whole program.
-            let mut full = d.clone();
-            for _ in 0..rounds {
-                let next = naive::apply_once(program, &full);
-                if full.union_with(&next) == 0 {
-                    break;
-                }
-            }
-            if !has_extension(&tgd.rhs, &full, &theta) {
+        let triggers = Triggers::new(tgd, t, &mut fresh);
+        let (rules, sat) = rhs_after(program, tgd, &triggers, rounds, &mut fresh);
+        let rules = Program::new(rules);
+        for unfolding in &unfoldings {
+            let (d, row) = unfolding.freeze(&triggers);
+            let (full, _) = evaluate(&rules, &d).expect("stacked rules bind every variable");
+            if !full.contains_tuple(sat, &row) {
                 return false;
-            }
-            if !advance(&mut combo, |k| per_atom[k].len()) {
-                break;
             }
         }
     }
     true
-}
-
-/// Enumerate the extensional-leaf sets of derivation trees for `target`
-/// with depth ≤ `depth`. Each returned set, placed in an EDB, makes
-/// `target` derivable within `depth` rounds.
-fn realizations(
-    target: &GroundAtom,
-    program: &Program,
-    idb: &BTreeSet<datalog_ast::Pred>,
-    depth: usize,
-    fresh_counter: &mut usize,
-    max: usize,
-    truncated: &mut bool,
-) -> Vec<Vec<GroundAtom>> {
-    if depth == 0 {
-        return Vec::new(); // an intentional atom cannot exist at depth 0
-    }
-    let mut out: Vec<Vec<GroundAtom>> = Vec::new();
-    for rule in program.rules_for(target.pred) {
-        let mut n = 0usize;
-        let (renamed, _) = rename_apart(rule, "q", &mut n);
-        let Some(mut sigma) = match_atom(&renamed.head, target) else {
-            continue;
-        };
-        for atom in renamed.positive_body() {
-            for v in atom.vars() {
-                if sigma.get(v).is_none() {
-                    sigma.bind(
-                        v,
-                        Term::Const(Const::Frozen(Var::fresh("pk", *fresh_counter))),
-                    );
-                    *fresh_counter += 1;
-                }
-            }
-        }
-        // Split the instantiated body into extensional leaves and
-        // intentional sub-goals.
-        let mut leaves: Vec<GroundAtom> = Vec::new();
-        let mut subgoals: Vec<GroundAtom> = Vec::new();
-        for atom in renamed.positive_body() {
-            let g = sigma.ground_atom(atom).expect("instantiated");
-            if idb.contains(&g.pred) {
-                subgoals.push(g);
-            } else {
-                leaves.push(g);
-            }
-        }
-        // Each subgoal needs its own realization at depth-1; combine.
-        let sub_options: Vec<Vec<Vec<GroundAtom>>> = subgoals
-            .iter()
-            .map(|g| realizations(g, program, idb, depth - 1, fresh_counter, max, truncated))
-            .collect();
-        if sub_options.iter().any(Vec::is_empty) {
-            continue; // some subgoal unrealisable at this depth
-        }
-        let mut combo = vec![0usize; sub_options.len()];
-        loop {
-            let mut set = leaves.clone();
-            for (i, &c) in combo.iter().enumerate() {
-                set.extend(sub_options[i][c].iter().cloned());
-            }
-            out.push(set);
-            if out.len() > max {
-                *truncated = true;
-                return out;
-            }
-            if !advance(&mut combo, |k| sub_options[k].len()) {
-                break;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -537,6 +463,17 @@ mod tests {
     }
 
     #[test]
+    fn a_head_that_equates_lhs_variables_is_a_combination() {
+        // Besides the trivial rule, p(V1, V0) is derived only as p(x, x),
+        // from c(x), whose ⟨d, Pⁿ(d)⟩ has no a-atom. A frozen p(v1, v0)
+        // with v1 ≠ v0 matches neither head, so that combination exists only
+        // if the lhs is unified with the heads before it is frozen.
+        let p = parse_program("p(V1, V1) :- a(V3, V2), p(V2, V1). p(V4, V4) :- c(V4).").unwrap();
+        let t = parse_tgds("p(V1, V0) -> a(V3, V1).").unwrap();
+        assert_eq!(preserves_nonrecursively(&p, &t, FUEL), Proof::Disproved);
+    }
+
+    #[test]
     fn empty_tgd_set_is_trivially_preserved() {
         let p = parse_program("g(X, Z) :- a(X, Z).").unwrap();
         assert_eq!(preserves_nonrecursively(&p, &[], FUEL), Proof::Proved);
@@ -549,7 +486,7 @@ mod tests {
         let p1 =
             parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z), a(Y, W).").unwrap();
         let t = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
-        assert!(preliminary_db_satisfies(&p1, &t));
+        assert!(preliminary_db_satisfies(&p1, &t, 1));
     }
 
     #[test]
@@ -562,7 +499,7 @@ mod tests {
         )
         .unwrap();
         let t = parse_tgds("g(Y, Z) -> g(Y, W) & c(W).").unwrap();
-        assert!(preliminary_db_satisfies(&p, &t));
+        assert!(preliminary_db_satisfies(&p, &t, 1));
     }
 
     #[test]
@@ -571,7 +508,19 @@ mod tests {
         // c-companion nothing provides.
         let p = parse_program("g(X, Z) :- a(X, Z).").unwrap();
         let t = parse_tgds("g(Y, Z) -> g(Y, W) & c(W).").unwrap();
-        assert!(!preliminary_db_satisfies(&p, &t));
+        assert!(!preliminary_db_satisfies(&p, &t, 1));
+    }
+
+    #[test]
+    fn a_preliminary_db_atom_may_equate_lhs_variables() {
+        // The EDB {b(0, 0)} gives the preliminary DB {b(0, 0), p(0, 0)},
+        // which has a p-atom and no q-atom. The initialization rule derives
+        // p only as p(x, x), which a frozen p(v4, v0) with v4 ≠ v0 does not
+        // match: frozen first, the lhs would look underivable.
+        let p = parse_program("p(V0, V0) :- p(V4, V0), q(V1). p(V0, V0) :- b(V0, V3).").unwrap();
+        let t = parse_tgds("p(V4, V0) -> q(V1).").unwrap();
+        assert!(!preliminary_db_satisfies(&p, &t, 1));
+        assert!(!preliminary_db_satisfies(&p, &t, 2));
     }
 
     #[test]
@@ -579,7 +528,7 @@ mod tests {
         // h never appears in an initialization rule head: vacuous.
         let p = parse_program("g(X) :- a(X). h(X) :- g(X), b(X).").unwrap();
         let t = parse_tgds("h(X) -> c(X, W).").unwrap();
-        assert!(preliminary_db_satisfies(&p, &t));
+        assert!(preliminary_db_satisfies(&p, &t, 1));
     }
 
     #[test]
@@ -595,22 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn k1_matches_init_rule_variant() {
-        // rounds = 1 agrees with the initialization-rule test on the
-        // paper's Example 18 setup.
-        let p1 =
-            parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z), a(Y, W).").unwrap();
-        let t = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
-        assert!(preliminary_db_satisfies(&p1, &t));
-        assert!(preliminary_db_satisfies_k(&p1, &t, 1, 1024));
-
-        let bad = parse_program("g(X, Z) :- a(X, Z).").unwrap();
-        let t2 = parse_tgds("g(Y, Z) -> g(Y, W) & c(W).").unwrap();
-        assert!(!preliminary_db_satisfies(&bad, &t2));
-        assert!(!preliminary_db_satisfies_k(&bad, &t2, 1, 1024));
-    }
-
-    #[test]
     fn two_round_preliminary_db() {
         // s needs two rounds: s :- t, t :- a. The tgd g(X,Z) → s(X,W) is
         // violated in the one-round preliminary DB (s not yet derived) but
@@ -623,14 +556,10 @@ mod tests {
         .unwrap();
         let tgd = parse_tgds("g(X, Z) -> s(X, W).").unwrap();
         assert!(
-            !preliminary_db_satisfies(&p, &tgd),
+            !preliminary_db_satisfies(&p, &tgd, 1),
             "init rules alone cannot see s"
         );
-        assert!(!preliminary_db_satisfies_k(&p, &tgd, 1, 1024));
-        assert!(
-            preliminary_db_satisfies_k(&p, &tgd, 2, 1024),
-            "two rounds derive s"
-        );
+        assert!(preliminary_db_satisfies(&p, &tgd, 2), "two rounds derive s");
     }
 
     #[test]
@@ -643,16 +572,8 @@ mod tests {
         // any realisation provides a(x0, ·)).
         let p = parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap();
         let tgd = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
-        assert!(preliminary_db_satisfies_k(&p, &tgd, 1, 1024));
-        assert!(preliminary_db_satisfies_k(&p, &tgd, 2, 1024));
-        assert!(preliminary_db_satisfies_k(&p, &tgd, 3, 4096));
-    }
-
-    #[test]
-    fn truncation_is_conservative() {
-        let p = parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap();
-        let tgd = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
-        // Absurdly small combination cap: must refuse rather than guess.
-        assert!(!preliminary_db_satisfies_k(&p, &tgd, 3, 1));
+        assert!(preliminary_db_satisfies(&p, &tgd, 1));
+        assert!(preliminary_db_satisfies(&p, &tgd, 2));
+        assert!(preliminary_db_satisfies(&p, &tgd, 3));
     }
 }

@@ -29,7 +29,7 @@
 use crate::containment::ContainmentError;
 use crate::minimize::{minimize_program, Removal};
 use datalog_ast::{Atom, Literal, Pred, Program, Rule};
-use datalog_engine::NotStratifiable;
+use datalog_engine::EvalError;
 
 /// Errors from stratified minimization.
 #[derive(Debug)]
@@ -44,19 +44,13 @@ pub enum StratifiedError {
 impl std::fmt::Display for StratifiedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StratifiedError::NotStratifiable => write!(f, "{NotStratifiable}"),
+            StratifiedError::NotStratifiable => write!(f, "{}", EvalError::NotStratifiable),
             StratifiedError::Containment(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for StratifiedError {}
-
-impl From<NotStratifiable> for StratifiedError {
-    fn from(_: NotStratifiable) -> Self {
-        StratifiedError::NotStratifiable
-    }
-}
 
 impl From<ContainmentError> for StratifiedError {
     fn from(e: ContainmentError) -> Self {

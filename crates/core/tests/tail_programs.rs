@@ -68,11 +68,13 @@ fn a_guard_costs_one_probe_not_one_per_binding() {
     assert_eq!(proof.check(&program, &frozen.body_db), Ok(()));
 }
 
-/// Two random 100-rule programs on which `optimize` did not come back: Fig.
-/// 3 ran one tgd's combinations in order, each to the end of its fuel, and
-/// a combination that disproves the tgd in under a millisecond waited
+/// Random 100-rule programs. On seeds 2 and 7 `optimize` did not come back:
+/// Fig. 3 ran one tgd's combinations in order, each to the end of its fuel,
+/// and a combination that disproves the tgd in under a millisecond waited
 /// behind two that spent 16 s and 19 s out of fuel. The combinations now
-/// deepen their fuel together, and the first disproof ends the test.
+/// deepen their fuel together, and the first disproof ends the test. Every
+/// Fig. 3 step, chase repair and (3′) check on these seeds is an engine
+/// evaluation, so a slow one shows here as a test that does not return.
 #[test]
 fn fig3_does_not_wait_behind_combinations_out_of_fuel() {
     let spec = RandomProgramSpec {
@@ -80,7 +82,7 @@ fn fig3_does_not_wait_behind_combinations_out_of_fuel() {
         body_len: (2, 4),
         ..RandomProgramSpec::default()
     };
-    for seed in [2, 7] {
+    for seed in 1..=8 {
         let program = random_program(&spec, seed);
         let (optimized, _, applied) = optimize(&program, 10_000).unwrap();
         // No tgd fires here, so what is left is Fig. 2's work: ≡u.

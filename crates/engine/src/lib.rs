@@ -5,12 +5,16 @@
 //! (Sagiv, PODS 1987).
 //!
 //! * [`naive`] — the paper's §III semantics taken literally: repeat full
-//!   rule instantiation until fixpoint. Also provides the non-recursive
-//!   single application `Pⁿ(d)` of §IX ([`naive::apply_once`]).
+//!   rule instantiation until fixpoint, and the single application `Pⁿ(d)`
+//!   of §IX ([`naive::apply_once`]). It is the reference the tests and the
+//!   fuzz oracles compare the engine against; nothing else calls it — the
+//!   optimizer's §IX-§X tests evaluate `Pⁿ(d)` as a program with renamed
+//!   heads.
 //! * [`schedule`] — [`evaluate`], the one entry point of delta-driven
 //!   evaluation: same fixpoint, asymptotically less rediscovery, stratified
-//!   negation (the §XII extension). This is the engine the optimizer's
-//!   chase runs on.
+//!   negation (the §XII extension). It, or a [`Materialized`] view, runs
+//!   every match the optimizer makes: the §VI test, the `[P, T]` chase,
+//!   Fig. 3, (3′) and §V's homomorphisms.
 //! * [`magic`] — the generalized magic-sets query rewriting the paper cites
 //!   as its motivating consumer (§I); [`MagicTemplate::answer`] is the one
 //!   top-down query path.
@@ -50,11 +54,10 @@ pub use incremental::Materialized;
 #[doc(hidden)]
 pub use incremental::ShardedMaterialized;
 pub use magic::{answer, answer_with_stats, magic_template, Adornment, MagicTemplate};
-pub use naive::apply_once;
 pub use plan::RulePlan;
 pub use provenance::{Justification, Proof, Traced};
 pub use query::PlanCache;
-pub use schedule::{evaluate, evaluate_with, NotStratifiable};
+pub use schedule::{evaluate, evaluate_with, EvalError};
 pub use stats::Stats;
 
 // Kept only for the repo benchmark (`benchmark/src/layers.rs`), until the
@@ -81,14 +84,14 @@ pub mod seminaive {
 // benchmark-only change of ROADMAP.md item 2 moves it to `evaluate`.
 #[doc(hidden)]
 pub mod stratified {
-    use crate::{EvalOptions, NotStratifiable, Stats};
+    use crate::{EvalError, EvalOptions, Stats};
     use datalog_ast::{Database, Program};
 
     pub fn evaluate_with_opts(
         program: &Program,
         input: &Database,
         opts: EvalOptions,
-    ) -> Result<(Database, Stats), NotStratifiable> {
+    ) -> Result<(Database, Stats), EvalError> {
         crate::evaluate_with(program, input, opts)
     }
 }

@@ -23,35 +23,59 @@
 //! test against the context database, since every rule that defines the
 //! negated predicate sits in an earlier stratum, saturated before the rule
 //! that negates it runs. A program with a cycle through negation is
-//! [`NotStratifiable`].
+//! [`EvalError::NotStratifiable`].
+//!
+//! # Validation
+//!
+//! [`evaluate`] validates the program it is given (`datalog_ast::validate`):
+//! the join kernels assume every head variable and every variable of a
+//! negated literal is bound by a positive literal, and a program that breaks
+//! that is [`EvalError::Invalid`] instead of a panic in a kernel. A
+//! predicate used at two arities is two relations to the engine, so that
+//! diagnostic alone is no error here.
 //!
 //! The reference it is tested against is [`crate::naive`], which shares
 //! none of this.
 
 use crate::context::{EvalContext, EvalOptions};
 use crate::stats::Stats;
-use datalog_ast::{Database, DepGraph, Program};
+use datalog_ast::{validate, Database, DepGraph, Program, ValidationError};
 use std::fmt;
 
-/// Error: the program has no stratification (a cycle through negation).
+/// Why [`evaluate`] refused a program.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NotStratifiable;
+pub enum EvalError {
+    /// A variable of a rule is bound by no positive literal of its body
+    /// (`datalog_ast::validate`'s diagnostics, arity ones left out).
+    Invalid(Vec<ValidationError>),
+    /// The program has no stratification (a cycle through negation).
+    NotStratifiable,
+}
 
-impl fmt::Display for NotStratifiable {
+impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "program is not stratifiable: a recursive cycle passes through negation"
-        )
+        match self {
+            EvalError::Invalid(errors) => {
+                write!(f, "invalid program:")?;
+                for e in errors {
+                    write!(f, "\n  {e}")?;
+                }
+                Ok(())
+            }
+            EvalError::NotStratifiable => write!(
+                f,
+                "program is not stratifiable: a recursive cycle passes through negation"
+            ),
+        }
     }
 }
 
-impl std::error::Error for NotStratifiable {}
+impl std::error::Error for EvalError {}
 
 /// Compute `P(d)` semi-naively, saturating the strata of `program` in
 /// order. The output contains the input, including atoms it supplies for
 /// intentional predicates.
-pub fn evaluate(program: &Program, input: &Database) -> Result<(Database, Stats), NotStratifiable> {
+pub fn evaluate(program: &Program, input: &Database) -> Result<(Database, Stats), EvalError> {
     evaluate_with(program, input, EvalOptions::default())
 }
 
@@ -62,7 +86,13 @@ pub fn evaluate_with(
     program: &Program,
     input: &Database,
     opts: EvalOptions,
-) -> Result<(Database, Stats), NotStratifiable> {
+) -> Result<(Database, Stats), EvalError> {
+    let unbound: Vec<ValidationError> = (validate(program).err().into_iter().flatten())
+        .filter(|e| !matches!(e, ValidationError::ArityMismatch { .. }))
+        .collect();
+    if !unbound.is_empty() {
+        return Err(EvalError::Invalid(unbound));
+    }
     let strata = strata(program)?;
     let mut cx = EvalContext::new(program, input.clone(), opts);
     for rules in strata.iter().filter(|rules| !rules.is_empty()) {
@@ -74,14 +104,16 @@ pub fn evaluate_with(
 
 /// `program`'s rule indices, grouped into the strata [`evaluate`]
 /// saturates in order.
-fn strata(program: &Program) -> Result<Vec<Vec<usize>>, NotStratifiable> {
+fn strata(program: &Program) -> Result<Vec<Vec<usize>>, EvalError> {
     if program.is_positive() {
         // Round 1 is a full pass over the input (EDB-only rules, facts and
         // input-supplied IDB atoms in one go); later rounds are
         // delta-driven.
         return Ok(vec![(0..program.rules.len()).collect()]);
     }
-    let stratum_of = DepGraph::new(program).stratify().ok_or(NotStratifiable)?;
+    let stratum_of = DepGraph::new(program)
+        .stratify()
+        .ok_or(EvalError::NotStratifiable)?;
     let mut strata = vec![Vec::new(); stratum_of.values().max().map_or(0, |&m| m + 1)];
     for (i, rule) in program.rules.iter().enumerate() {
         strata[stratum_of[&rule.head.pred]].push(i);
@@ -316,7 +348,19 @@ mod tests {
     fn unstratifiable_is_an_error() {
         let p = parse_program("p(X) :- n(X), !q(X). q(X) :- n(X), !p(X).").unwrap();
         let edb = parse_database("n(1).").unwrap();
-        assert_eq!(evaluate(&p, &edb), Err(NotStratifiable));
+        assert_eq!(evaluate(&p, &edb), Err(EvalError::NotStratifiable));
+    }
+
+    #[test]
+    fn an_unbound_variable_is_an_error_not_a_kernel_panic() {
+        let edb = parse_database("a(1). b(1, 1).").unwrap();
+        for src in ["p(X, Y) :- a(X).", "p(X) :- !b(X, X)."] {
+            let p = parse_program(src).unwrap();
+            assert!(
+                matches!(evaluate(&p, &edb), Err(EvalError::Invalid(_))),
+                "{src}"
+            );
+        }
     }
 
     #[test]

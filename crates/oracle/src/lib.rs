@@ -17,6 +17,8 @@
 //! * [`oracles`] — the divergence checks (engine matrix, optimization
 //!   soundness, incremental consistency, view queries, concurrent service,
 //!   metamorphic chains);
+//! * [`chase`](mod@chase) — the optimization family's `opt:chase` check and
+//!   its nested-loop reference matcher;
 //! * [`reduce`](mod@reduce) — greedy delta-debugging reduction (rules → atoms →
 //!   queries → mutations → facts → constant renumbering);
 //! * [`fixture`] — the `.repro` file format under `tests/repros/`;
@@ -27,6 +29,7 @@
 
 #![warn(rust_2018_idioms)]
 
+pub mod chase;
 pub mod fixture;
 pub mod oracles;
 pub mod reduce;

@@ -33,7 +33,10 @@
 //!   Every removal `datalog lint` suggests, applied together, must leave a
 //!   valid program ≡u to the original, and every witness Fig. 2 keeps —
 //!   also of a removal it decided without a test — must check against the
-//!   program as it stood at that step ([`fig2_evidence`]).
+//!   program as it stood at that step ([`fig2_evidence`]) The
+//!   chase, Fig. 3, (3′) and §X-XI's deletions must agree with a nested-loop
+//!   reference matcher and `naive::apply_once` on each case rule's
+//!   candidate tgds ([`crate::chase`]).
 //! * **Incremental consistency** — after every insert/remove batch the
 //!   [`Materialized`] fixpoint must equal a from-scratch evaluation of the
 //!   surviving base.
@@ -472,6 +475,13 @@ fn check_optimization(case: &Case) -> Vec<Divergence> {
         out.push(Divergence {
             family: Family::Optimization,
             kind: "opt:lint-applied".into(),
+            message,
+        });
+    }
+    if let Err(message) = crate::chase::check(program, db) {
+        out.push(Divergence {
+            family: Family::Optimization,
+            kind: "opt:chase".into(),
             message,
         });
     }

@@ -55,7 +55,7 @@ fn main() {
     assert_eq!(c2, Proof::Proved);
 
     // Step 4 — condition (3′): the preliminary DB of P1 satisfies T.
-    let c3 = preliminary_db_satisfies(&p1, &tgds);
+    let c3 = preliminary_db_satisfies(&p1, &tgds, 1);
     println!("condition (3') preliminary DB of P1 satisfies T: {c3}");
     assert!(c3);
 

@@ -179,9 +179,20 @@ fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
+/// Parse and validate a program: every command that reads one refuses an
+/// invalid program here, with the diagnostics `datalog check` prints.
 fn load_program(path: &str) -> Result<Program, String> {
     let src = read_file(path)?;
-    parse_program(&src).map_err(|e| format!("{path}: {e}"))
+    let program = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
+    check_valid(path, &program)?;
+    Ok(program)
+}
+
+fn check_valid(path: &str, program: &Program) -> Result<(), String> {
+    validate(program).map_err(|errors| {
+        let lines: Vec<String> = errors.iter().map(|e| format!("{path}: {e}")).collect();
+        lines.join("\n")
+    })
 }
 
 /// The guard of `eval --engine naive`, `query`, `explain` and the repl, whose
@@ -507,6 +518,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         let msgs: Vec<String> = errors.iter().map(ToString::to_string).collect();
         return Err(msgs.join("; "));
     }
+    check_valid(path, &unit.program)?;
     let input = Database::from_atoms(unit.facts.iter().cloned());
     let loaded = Instant::now();
     let (out, stats) = if unit.tgds.is_empty() {

@@ -64,7 +64,7 @@ pub mod prelude {
         parse_unit, validate, validate_positive, Atom, ColType, Const, Database, DepGraph,
         GroundAtom, Literal, Pred, Program, Rule, Schema, SchemaSet, Subst, Term, Tgd, Var,
     };
-    pub use datalog_engine::{evaluate, magic, naive, NotStratifiable, Stats};
+    pub use datalog_engine::{evaluate, magic, naive, EvalError, Stats};
     pub use datalog_generate::{
         bloated_tc, edge_db, random_db, random_program, random_stratified_program,
         transitive_closure, GraphKind, RandomProgramSpec, TcVariant,

@@ -65,6 +65,37 @@ fn check_invalid_program_exits_2() {
     assert!(stderr(&out).contains("head variable"));
 }
 
+/// A rule whose head or negated variable no positive literal binds is a
+/// validation error for every command that evaluates, as it is for `check`
+/// — not a panic in a join kernel.
+#[test]
+fn evaluating_commands_reject_an_unbound_variable() {
+    let dir = TempDir::new("unbound");
+    let edb = dir.file("edb.dl", "a(1). b(1, 1).\n");
+    for (name, rule, says) in [
+        ("head.dl", "p(X, Y) :- a(X).\n", "head variable Y"),
+        (
+            "neg.dl",
+            "p(X) :- !b(X, X).\n",
+            "variable X of a negated literal",
+        ),
+    ] {
+        let p = dir.file(name, rule);
+        let unit = dir.file(&format!("unit-{name}"), &format!("{rule}a(1). b(1, 1).\n"));
+        for args in [
+            vec!["eval", &p, "--edb", &edb],
+            vec!["run", &unit],
+            vec!["query", "p(X)", &p, "--edb", &edb],
+            vec!["explain", "p(1)", &p, "--edb", &edb],
+        ] {
+            let out = bin().args(&args).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+            assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
+            assert!(!stderr(&out).contains("panicked"), "{args:?}");
+        }
+    }
+}
+
 #[test]
 fn check_parse_error_exits_1() {
     let dir = TempDir::new("check-parse");

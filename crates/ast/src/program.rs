@@ -118,23 +118,6 @@ impl Program {
         self.rules.push(rule);
         self
     }
-
-    /// The trivial rule `Q(x1,…,xn) :- Q(x1,…,xn)` for predicate `p` (§IX:
-    /// programs are augmented with these when enumerating unification
-    /// combinations in the preservation test).
-    pub fn trivial_rule(p: Pred, arity: usize) -> Rule {
-        use crate::atom::Atom;
-        use crate::symbol::Var;
-        use crate::term::Term;
-        let terms: Vec<Term> = (0..arity).map(|i| Term::Var(Var::fresh("t", i))).collect();
-        Rule::positive(
-            Atom {
-                pred: p,
-                terms: terms.clone(),
-            },
-            [Atom { pred: p, terms }],
-        )
-    }
 }
 
 impl fmt::Debug for Program {
@@ -220,15 +203,6 @@ mod tests {
         let q = p.without_rule(0);
         assert_eq!(q.len(), 1);
         assert!(q.rules[0].is_directly_recursive());
-    }
-
-    #[test]
-    fn trivial_rule_shape() {
-        let r = Program::trivial_rule(Pred::new("Q"), 3);
-        assert_eq!(r.head.arity(), 3);
-        assert_eq!(r.width(), 1);
-        assert_eq!(r.head, r.body[0].atom);
-        assert!(r.is_range_restricted());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! `hθ ∈ [P, T](bθ) ⇔ SAT(T) ∩ M(P) ⊆ M(r)`.
 //! The left-hand side is semi-decidable: `hθ` is found in finite time when
 //! present, but saturation may never be reached. We therefore run the chase
-//! with a deterministic *fuel* budget (a bound on derived atoms) and report
+//! with a deterministic *fuel* budget (a bound on the atoms its tgd repairs
+//! and their rule consequences add) and report
 //! a three-valued [`Proof`]; the paper's own remedy is the same, phrased as
 //! "spend on optimization a predetermined amount of time" (§XI).
 //!
@@ -68,12 +69,25 @@ pub enum ChaseStatus {
     OutOfFuel,
 }
 
+/// A chase run for a goal decides it: reached, the goal holds; saturated
+/// without it, the goal is decidedly absent — a counterexample is built.
+impl From<ChaseStatus> for Proof {
+    fn from(status: ChaseStatus) -> Proof {
+        match status {
+            ChaseStatus::GoalReached => Proof::Proved,
+            ChaseStatus::Saturated => Proof::Disproved,
+            ChaseStatus::OutOfFuel => Proof::OutOfFuel,
+        }
+    }
+}
+
 /// Result of a chase run.
 #[derive(Clone, Debug)]
 pub struct ChaseResult {
     pub db: Database,
     pub status: ChaseStatus,
-    /// Number of atoms added by the chase (rule- and tgd-derived).
+    /// Number of atoms added by the chase (rule- and tgd-derived); fuel
+    /// counts those added after the first saturation.
     pub added: u64,
 }
 
@@ -105,58 +119,59 @@ impl FreshPreds {
     }
 }
 
+/// The *frontier* of a tgd: the lhs variables its rhs uses, in order of
+/// first occurrence.
+pub(crate) fn frontier(tgd: &Tgd) -> Vec<Var> {
+    let rhs_vars: BTreeSet<Var> = tgd.rhs.iter().flat_map(Atom::vars).collect();
+    let mut frontier: Vec<Var> = Vec::new();
+    for v in tgd.lhs.iter().flat_map(Atom::vars) {
+        if rhs_vars.contains(&v) && !frontier.contains(&v) {
+            frontier.push(v);
+        }
+    }
+    frontier
+}
+
+/// `pred(ū)` over a frontier ū.
+pub(crate) fn frontier_atom(pred: Pred, frontier: &[Var]) -> Atom {
+    Atom::new(pred, frontier.iter().map(|&v| Term::Var(v)).collect())
+}
+
 /// The two rules a tgd τ is read through: `trig(ū) :- lhs(τ)` and
 /// `sat(ū) :- rhs(τ)`, over τ's frontier ū.
-pub(crate) struct Triggers {
-    /// The lhs variables the rhs uses, in order of first occurrence.
+struct Triggers {
     frontier: Vec<Var>,
     /// ū of every lhs match.
-    pub(crate) trig: Pred,
+    trig: Pred,
     /// ū of every match of the rhs: the lhs matches τ holds at.
-    pub(crate) sat: Pred,
+    sat: Pred,
 }
 
 impl Triggers {
-    pub(crate) fn new(tgd: &Tgd, i: usize, fresh: &mut FreshPreds) -> Triggers {
-        let rhs_vars: BTreeSet<Var> = tgd.rhs.iter().flat_map(Atom::vars).collect();
-        let mut frontier: Vec<Var> = Vec::new();
-        for v in tgd.lhs.iter().flat_map(Atom::vars) {
-            if rhs_vars.contains(&v) && !frontier.contains(&v) {
-                frontier.push(v);
-            }
-        }
+    fn new(tgd: &Tgd, i: usize, fresh: &mut FreshPreds) -> Triggers {
         Triggers {
-            frontier,
+            frontier: frontier(tgd),
             trig: fresh.pred(format!("tgd{i}$trig")),
             sat: fresh.pred(format!("tgd{i}$sat")),
         }
     }
 
-    /// The lhs variables the rhs uses, in order of first occurrence.
-    pub(crate) fn frontier(&self) -> &[Var] {
-        &self.frontier
-    }
-
-    fn head(&self, pred: Pred) -> Atom {
-        Atom::new(pred, self.frontier.iter().map(|&v| Term::Var(v)).collect())
-    }
-
     /// `trig(ū) :- lhs(τ)` and `sat(ū) :- rhs(τ)`.
-    pub(crate) fn rules(&self, tgd: &Tgd) -> [Rule; 2] {
+    fn rules(&self, tgd: &Tgd) -> [Rule; 2] {
         [
-            Rule::positive(self.head(self.trig), tgd.lhs.iter().cloned()),
-            self.sat_rule(self.sat, tgd.rhs.iter().cloned()),
+            Rule::positive(
+                frontier_atom(self.trig, &self.frontier),
+                tgd.lhs.iter().cloned(),
+            ),
+            Rule::positive(
+                frontier_atom(self.sat, &self.frontier),
+                tgd.rhs.iter().cloned(),
+            ),
         ]
     }
 
-    /// `sat(ū) :- rhs` for an rhs read from other predicates (Fig. 3 reads
-    /// it in `⟨d, Pⁿ(d)⟩`).
-    pub(crate) fn sat_rule(&self, sat: Pred, rhs: impl IntoIterator<Item = Atom>) -> Rule {
-        Rule::positive(self.head(sat), rhs)
-    }
-
     /// The `trig` rows of `db` with no `sat` row: τ's violations.
-    pub(crate) fn violations(&self, db: &Database) -> Vec<Box<[Const]>> {
+    fn violations(&self, db: &Database) -> Vec<Box<[Const]>> {
         let Some(trig) = db.relation_of(self.trig, self.frontier.len()) else {
             return Vec::new();
         };
@@ -168,7 +183,7 @@ impl Triggers {
 
     /// The rhs atoms that repair the violation at `row`: the frontier takes
     /// `row`, each existential variable a fresh labelled null.
-    pub(crate) fn repair(&self, tgd: &Tgd, row: &[Const], next_null: &mut u32) -> Vec<GroundAtom> {
+    fn repair(&self, tgd: &Tgd, row: &[Const], next_null: &mut u32) -> Vec<GroundAtom> {
         let mut theta = Subst::new();
         for (&v, &c) in self.frontier.iter().zip(row) {
             theta.bind(v, Term::Const(c));
@@ -188,9 +203,13 @@ impl Triggers {
 }
 
 /// Run the combined chase `[P, T]` on `input` until saturation, goal
-/// discovery, or fuel exhaustion.
+/// discovery, or fuel exhaustion. This is the one loop that repairs tgd
+/// violations: condition (1) runs it over `P1`, Fig. 3 and (3′) over the
+/// rules that read a tgd's rhs after `P` (`crate::preserve`).
 ///
-/// * `fuel` bounds the number of atoms the chase may add.
+/// * `fuel` bounds the atoms the repairs add, their rule consequences
+///   included: a repair runs only while fewer than `fuel` atoms have been
+///   added since the first saturation, which is finite and free.
 /// * `goal`, when given, stops the chase as soon as the atom is present —
 ///   this is what makes Theorem 1's semi-decision procedure effective: a
 ///   present goal is found in finite time even when `[P,T](bθ)` is
@@ -201,7 +220,8 @@ impl Triggers {
 /// the consequences of the atoms it added — rule consequences and `sat_τ`
 /// rows alike, so the restricted chase's "repaired meanwhile" re-check is a
 /// `sat_τ` lookup. A pass repairs, tgd by tgd, the violations the view
-/// holds when that tgd's turn comes.
+/// holds when that tgd's turn comes; the view's base is the input and the
+/// repairs.
 pub fn chase(
     program: &Program,
     tgds: &[Tgd],
@@ -209,18 +229,6 @@ pub fn chase(
     fuel: u64,
     goal: Option<&GroundAtom>,
 ) -> ChaseResult {
-    let mut null_counter = next_free_null(input);
-
-    if let Some(g) = goal {
-        if input.contains(g) {
-            return ChaseResult {
-                db: input.clone(),
-                status: ChaseStatus::GoalReached,
-                added: 0,
-            };
-        }
-    }
-
     let mut fresh = FreshPreds::new(program, tgds, input);
     let triggers: Vec<Triggers> = (tgds.iter().enumerate())
         .map(|(i, tgd)| Triggers::new(tgd, i, &mut fresh))
@@ -233,62 +241,44 @@ pub fn chase(
     // The atoms of `db` outside the auxiliary relations.
     let visible_len =
         |db: &Database| db.len() - aux.iter().map(|&p| db.relation_len(p)).sum::<usize>();
-    let result = |m: &Materialized, status, added| {
-        let db = m.database();
-        let visible: BTreeSet<Pred> = db.predicates().filter(|p| !aux.contains(p)).collect();
-        ChaseResult {
-            db: db.restrict_to(&visible),
-            status,
-            added,
-        }
-    };
-
-    // Initial rule saturation.
     let mut m = Materialized::new(Program::new(rules), input);
-    let mut added_total = (visible_len(m.database()) - input.len()) as u64;
-    let mut budget = fuel.saturating_sub(added_total);
-    if goal.is_some_and(|g| m.database().contains(g)) {
-        return result(&m, ChaseStatus::GoalReached, added_total);
-    }
-    if added_total > 0 && budget == 0 {
-        return result(&m, ChaseStatus::OutOfFuel, added_total);
-    }
-
-    loop {
-        let mut added_this_pass: u64 = 0;
-        let mut out_of_fuel = false;
-        for (tgd, t) in tgds.iter().zip(&triggers) {
+    let saturated = visible_len(m.database());
+    let mut next_null = next_free_null(input);
+    let mut starved = false;
+    let status = loop {
+        // A goal derived by the very last funded repair still counts.
+        if goal.is_some_and(|g| m.database().contains(g)) {
+            break ChaseStatus::GoalReached;
+        }
+        if starved {
+            break ChaseStatus::OutOfFuel;
+        }
+        let before = m.base().len();
+        'pass: for (tgd, t) in tgds.iter().zip(&triggers) {
             for row in t.violations(m.database()) {
-                if budget == 0 {
-                    out_of_fuel = true;
-                    break;
-                }
                 if m.database().contains_tuple(t.sat, &row) {
                     continue; // repaired meanwhile
                 }
+                if (visible_len(m.database()) - saturated) as u64 >= fuel {
+                    starved = true;
+                    break 'pass;
+                }
                 // The insert also saturates the rules against the repair.
-                let before = visible_len(m.database());
-                m.insert(t.repair(tgd, &row, &mut null_counter));
-                let added = (visible_len(m.database()) - before) as u64;
-                added_this_pass += added;
-                added_total += added;
-                budget = budget.saturating_sub(added);
-            }
-            if out_of_fuel {
-                break;
+                m.insert(t.repair(tgd, &row, &mut next_null));
             }
         }
-
-        // A goal derived by the very last funded step still counts.
-        if goal.is_some_and(|g| m.database().contains(g)) {
-            return result(&m, ChaseStatus::GoalReached, added_total);
+        if !starved && m.base().len() == before {
+            break ChaseStatus::Saturated;
         }
-        if added_this_pass == 0 && !out_of_fuel {
-            return result(&m, ChaseStatus::Saturated, added_total);
-        }
-        if out_of_fuel || budget == 0 {
-            return result(&m, ChaseStatus::OutOfFuel, added_total);
-        }
+    };
+    let visible: BTreeSet<Pred> = (m.database().predicates())
+        .filter(|p| !aux.contains(p))
+        .collect();
+    let db = m.database().restrict_to(&visible);
+    ChaseResult {
+        added: (db.len() - input.len()) as u64,
+        db,
+        status,
     }
 }
 
@@ -309,16 +299,9 @@ fn next_free_null(db: &Database) -> u32 {
 /// `r` under `[P, T]` with the frozen head as goal.
 pub fn rule_contained_with_tgds(r: &Rule, p: &Program, tgds: &[Tgd], fuel: u64) -> Proof {
     let frozen = freeze_rule(r);
-    let result = chase(p, tgds, &frozen.body_db, fuel, Some(&frozen.goal));
-    match result.status {
-        ChaseStatus::GoalReached => Proof::Proved,
-        ChaseStatus::Saturated => {
-            // Saturated: goal is decidedly absent from [P,T](bθ).
-            debug_assert!(!result.db.contains(&frozen.goal));
-            Proof::Disproved
-        }
-        ChaseStatus::OutOfFuel => Proof::OutOfFuel,
-    }
+    chase(p, tgds, &frozen.body_db, fuel, Some(&frozen.goal))
+        .status
+        .into()
 }
 
 /// Condition (1) of §X — `SAT(T) ∩ M(P1) ⊆ M(P2)`: every rule of `P2` must
@@ -432,6 +415,20 @@ mod tests {
         assert_eq!(result.status, ChaseStatus::OutOfFuel);
         assert!(result.db.has_nulls());
         assert!(result.db.len() > 1);
+    }
+
+    #[test]
+    fn fuel_counts_the_rule_consequences_of_repairs() {
+        // Each repair extends an a-chain by a null, and the rules close it
+        // transitively: n repairs bring about n²/2 g-atoms. Fuel bounds
+        // them all, so the chase stops within one repair's consequences of
+        // the fuel, not after `fuel` repairs.
+        let p = parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap();
+        let tgd = parse_tgd("g(X, Y) -> a(Y, W).").unwrap();
+        let input = parse_database("a(1, 2).").unwrap();
+        let result = chase(&p, &[tgd], &input, 2_000, None);
+        assert_eq!(result.status, ChaseStatus::OutOfFuel);
+        assert!((2_000..2_100).contains(&result.added), "{}", result.added);
     }
 
     #[test]

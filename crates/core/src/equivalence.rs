@@ -29,6 +29,7 @@
 use crate::chase::{models_condition, Proof};
 use crate::containment::{check, Containment, ContainmentError};
 use crate::preserve::{preliminary_db_satisfies, preserves_nonrecursively};
+use crate::termination::fuel_for;
 use datalog_ast::{Atom, Program, Rule, Tgd, Var};
 use std::collections::BTreeSet;
 
@@ -175,16 +176,18 @@ pub fn try_candidate(
         return Ok(None);
     }
     let tgds = std::slice::from_ref(&candidate.tgd);
-    // When the candidate tgd set is provably chase-terminating (full or
-    // weakly acyclic), lift the fuel bound: no certifiable deletion is then
-    // lost to OutOfFuel (§XII open problem 1, crate::termination).
-    let fuel = crate::termination::fuel_for(tgds, fuel);
+    // When a chase is provably terminating (full or weakly acyclic), lift
+    // its fuel bound: no certifiable deletion is then lost to OutOfFuel
+    // (§XII open problem 1, crate::termination). Condition (1) chases
+    // [P1, T]; Fig. 3 chases T alone, since its renamed copy of P1 never
+    // feeds T.
     // Condition (1): SAT(T) ∩ M(P1) ⊆ M(P2).
-    if models_condition(program, &p2, tgds, fuel) != Proof::Proved {
+    if models_condition(program, &p2, tgds, fuel_for(program, tgds, fuel)) != Proof::Proved {
         return Ok(None);
     }
     // Condition (2): P1 preserves T.
-    if preserves_nonrecursively(program, tgds, fuel) != Proof::Proved {
+    let fig3_fuel = fuel_for(&Program::empty(), tgds, fuel);
+    if preserves_nonrecursively(program, tgds, fig3_fuel) != Proof::Proved {
         return Ok(None);
     }
     // Condition (3′): the preliminary DB of P1 satisfies T. When the

@@ -9,7 +9,7 @@
 //! | §VI | [`freeze`] | canonical databases via the dedicated `Const::Frozen` constant kind |
 //! | §VII, Figs. 1–2, Thm. 2 | [`minimize`] | remove redundant atoms then redundant rules, each considered once |
 //! | §VIII, Thm. 1 | [`mod@chase`] | the combined `[P, T]` chase with labelled nulls and fuel; `SAT(T) ∩ M(P1) ⊆ M(P2)` |
-//! | §IX, Fig. 3 | [`preserve`] | non-recursive preservation of tgds (trivial rules, combination enumeration, interleaved check) |
+//! | §IX, Fig. 3 | [`preserve`] | non-recursive preservation of tgds and condition (3′): combination enumeration, then one `[P, T]` chase per combination |
 //! | §X–XI | [`equivalence`] | the sound-but-incomplete equivalence optimizer: candidate-tgd heuristics + conditions (1), (2), (3′) |
 //! | §V background | [`cq`] | Chandra–Merlin / Sagiv–Yannakakis containment for the non-recursive case |
 //!
@@ -81,7 +81,7 @@ pub use minimize::{
     is_minimal, minimize_program, minimize_program_in_order, minimize_program_with_evidence,
     minimize_rule, minimized, Removal,
 };
-pub use preserve::{preliminary_db_satisfies, preserves_nonrecursively};
+pub use preserve::{preliminary_db_satisfies, preserved_after, preserves_nonrecursively};
 pub use refute::{analyze_equivalence, find_separating_edb, EquivVerdict, SeparatingEdb};
 pub use slice::{relevant_predicates, slice_for_query};
 pub use stratified_ext::{minimize_stratified, StratifiedError};

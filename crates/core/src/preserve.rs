@@ -1,4 +1,5 @@
-//! Non-recursive preservation of tgds — the Fig. 3 procedure (§IX).
+//! Non-recursive preservation of tgds — the Fig. 3 procedure (§IX) — and
+//! condition (3′) of §X, which is Fig. 3 with two changes.
 //!
 //! `P` *preserves* `T` if `P(d) ∈ SAT(T)` whenever `d ∈ SAT(T)`; it
 //! *preserves `T` non-recursively* if already `⟨d, Pⁿ(d)⟩ ∈ SAT(T)` for all
@@ -9,11 +10,11 @@
 //!
 //! 1. Each intentional lhs atom of a tgd τ must have entered `Pⁿ(d)` via
 //!    some rule — enumerate all *combinations* of unifying these atoms with
-//!    rule heads. The program is augmented with the trivial rules
-//!    `Q(x̄) :- Q(x̄)` so that "the atom was already in `d`" is one of the
-//!    choices (§IX). A most general unifier may equate lhs variables (a
-//!    head `p(X, X)` derives `p(x, y)` only when `x = y`), so the lhs is
-//!    frozen after unification, not before.
+//!    rule heads. "The atom was already in `d`" is one more choice, tried
+//!    last: the paper adds the trivial rules `Q(x̄) :- Q(x̄)` for it (§IX).
+//!    A most general unifier may equate lhs variables (a head `p(X, X)`
+//!    derives `p(x, y)` only when `x = y`), so the lhs is frozen after
+//!    unification, not before.
 //! 2. Freeze what the unifier left variable to distinct constants, and put
 //!    the instantiated bodies (plus the extensional lhs atoms) into `d`.
 //! 3. Interleave: apply `T` to `d` (inferences from `d ∈ SAT(T)`), and
@@ -22,22 +23,22 @@
 //!    this combination); if `T`-application saturates and the violation
 //!    persists, a counterexample has been constructed.
 //!
-//! Both steps of 3 are engine evaluations: one insert-only
-//! [`Materialized`] view of `d` holds `T`'s trigger rules
-//! (`crate::chase`), and `P` once more with its heads renamed, so that
-//! `⟨d, Pⁿ(d)⟩` is a relation of the view and the check is a lookup.
+//! Step 3 is the `[P, T]` chase ([`chase`]) of `d` over the rules that read
+//! τ's rhs in `⟨d, Pⁿ(d)⟩` (`rhs_after`), with the frozen lhs's frontier
+//! row of that rhs as the goal. Condition (3′) is the same chase with no
+//! tgds over `rounds` applications of `P` ([`preserved_after`]).
 //!
 //! With embedded tgds the `T`-application may introduce nulls forever; the
 //! interleaving finds positive answers in finite time (the procedure "is
 //! complete for proving non-recursive preservation", appendix II), while
 //! negative answers may need the fuel cutoff.
 
-use crate::chase::{FreshPreds, Proof, Triggers};
+use crate::chase::{chase, frontier, frontier_atom, satisfies_tgd, FreshPreds, Proof};
+use crate::freeze::freezing_subst;
 use datalog_ast::{
     rename_apart, unify_atoms, Atom, Const, Database, GroundAtom, Pred, Program, Rule, Subst, Term,
     Tgd, Var,
 };
-use datalog_engine::{evaluate, Materialized};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One way a tgd's lhs may stand in the database a test builds: the
@@ -49,23 +50,21 @@ struct Unfolding {
 
 impl Unfolding {
     /// Freeze what the unifier left variable (§IX: "instantiated to new
-    /// distinct constants"): the database the leaves make, and the frontier
-    /// row of the lhs instance.
-    fn freeze(&self, triggers: &Triggers) -> (Database, Vec<Const>) {
-        let frozen = |t: Term| match t {
+    /// distinct constants"): the database the leaves make, and the `sat`
+    /// atom of the lhs instance's frontier row.
+    fn freeze(&self, frontier: &[Var], sat: Pred) -> (Database, GroundAtom) {
+        let frozen = |t: Term| match self.sigma.apply_term(t) {
             Term::Var(v) => Const::Frozen(v),
             Term::Const(c) => c,
         };
         // A leaf was set aside under the unifier of its time; later
         // unifications may have bound its variables since.
         let d = Database::from_atoms(self.leaves.iter().map(|a| {
-            let terms = a.terms.iter().map(|&t| frozen(self.sigma.apply_term(t)));
+            let terms = a.terms.iter().map(|&t| frozen(t));
             GroundAtom::new(a.pred, terms.collect::<Vec<_>>())
         }));
-        let row = (triggers.frontier().iter())
-            .map(|&v| frozen(self.sigma.apply_term(Term::Var(v))))
-            .collect();
-        (d, row)
+        let row: Vec<Const> = frontier.iter().map(|&v| frozen(Term::Var(v))).collect();
+        (d, GroundAtom::new(sat, row))
     }
 }
 
@@ -73,10 +72,10 @@ impl Unfolding {
 /// applications of `rules`, depth first: each intentional atom is unified
 /// with the head of a rule renamed apart — a most general unifier, which
 /// may equate lhs variables — and that rule's body atoms are derived at one
-/// round less. An extensional atom is a leaf; so is an intentional atom at
-/// round 0 when `idb_leaves` (a database that may hold intentional atoms),
-/// which is otherwise underivable. `None` once more than `max` unfoldings
-/// turn up.
+/// round less. An extensional atom is a leaf. When `idb_leaves` (a database
+/// that may hold intentional atoms), so is an intentional atom, as the last
+/// choice after every rule; otherwise an intentional atom at round 0 is
+/// underivable. `None` once more than `max` unfoldings turn up.
 fn unfoldings(
     lhs: &[Atom],
     rules: &[Rule],
@@ -104,16 +103,9 @@ fn unfoldings(
                 return self.out.len() <= self.max;
             };
             let atom = sigma.apply_atom(atom);
-            if !self.idb.contains(&atom.pred) || (*rounds == 0 && self.idb_leaves) {
-                leaves.push(atom);
-                let more = self.go(rest, sigma, leaves);
-                leaves.pop();
-                return more;
-            }
-            if *rounds == 0 {
-                return true; // no derivation this deep
-            }
-            for rule in self.rules.iter().filter(|r| r.head.pred == atom.pred) {
+            let idb = self.idb.contains(&atom.pred);
+            let rules = if idb && *rounds > 0 { self.rules } else { &[] };
+            for rule in rules.iter().filter(|r| r.head.pred == atom.pred) {
                 let (rule, _) = rename_apart(rule, "unfold", &mut self.renamed);
                 let Some(mu) = unify_atoms(&atom, &rule.head) else {
                     continue;
@@ -127,7 +119,13 @@ fn unfoldings(
                     return false;
                 }
             }
-            true
+            if idb && !self.idb_leaves {
+                return true;
+            }
+            leaves.push(atom);
+            let more = self.go(rest, sigma, leaves);
+            leaves.pop();
+            more
         }
     }
     let mut search = Search {
@@ -149,16 +147,17 @@ fn unfoldings(
 /// level `i` (`q⁽ⁱ⁺¹⁾(x̄) :- q⁽ⁱ⁾(x̄)`) and what one application of the
 /// rules derives from it (each rule with its head renamed to level `i + 1`
 /// and its body read at level `i`). A level carries only the predicates
-/// the levels above it read. The last rule is `sat(ū) :- rhs(τ)` with the
-/// rhs read at the top level; its head predicate is returned with the
-/// rules. With `rounds = 1` the top level is `⟨d, Pⁿ(d)⟩`.
+/// the levels above it read. The last rule is `sat(ū) :- rhs(τ)` over τ's
+/// frontier ū, with the rhs read at the top level; its head predicate is
+/// returned with the rules. With `rounds = 1` the top level is
+/// `⟨d, Pⁿ(d)⟩`. No rule derives into level 0, so what a chase over these
+/// rules adds to `d` is what its tgd repairs add.
 fn rhs_after(
     program: &Program,
     tgd: &Tgd,
-    triggers: &Triggers,
     rounds: usize,
     fresh: &mut FreshPreds,
-) -> (Vec<Rule>, Pred) {
+) -> (Program, Pred) {
     let key = |a: &Atom| (a.pred, a.arity());
     // needs[i]: the (predicate, arity) pairs level `rounds - i` must hold.
     let mut needs: Vec<BTreeSet<(Pred, usize)>> = vec![tgd.rhs.iter().map(key).collect()];
@@ -174,7 +173,7 @@ fn rhs_after(
         }
         needs.push(below);
     }
-    let sat = fresh.pred(format!("{}{rounds}", triggers.sat));
+    let sat = fresh.pred(format!("tgd$sat{rounds}"));
     let mut names: BTreeMap<(Pred, usize), Pred> = BTreeMap::new();
     let mut at = |q: Pred, level: usize| match level {
         0 => q,
@@ -203,75 +202,112 @@ fn rhs_after(
             rules.push(Rule::positive(head, body));
         }
     }
-    let rhs: Vec<Atom> = tgd
-        .rhs
-        .iter()
-        .map(|a| rename(a, at(a.pred, rounds)))
-        .collect();
-    rules.push(triggers.sat_rule(sat, rhs));
-    (rules, sat)
+    let rhs = tgd.rhs.iter().map(|a| rename(a, at(a.pred, rounds)));
+    rules.push(Rule::positive(frontier_atom(sat, &frontier(tgd)), rhs));
+    (Program::new(rules), sat)
 }
 
-/// Check one combination: does `⟨d, Pⁿ(d)⟩` (eventually) satisfy τ at the
-/// frozen lhs instantiation θ? Implements the interleaved loop of §IX on
-/// one insert-only [`Materialized`] view of `d`: the check is a `sat`
-/// lookup, and each step repairs, tgd by tgd, the violations of `T` in `d`.
-/// `fuel` counts the atoms the repairs add to `d`.
-fn combination_ok(
-    rules: &Program,
-    sat: Pred,
-    row: &[Const],
-    tgds: &[Tgd],
-    triggers: &[Triggers],
-    d: &Database,
-    fuel: u64,
-) -> Proof {
-    let mut m = Materialized::new(rules.clone(), d);
-    let mut next_null = 0u32;
-    let mut budget = fuel;
-    loop {
-        if m.database().contains_tuple(sat, row) {
-            return Proof::Proved; // no violation exhibited
-        }
-        // Violation still exhibited: let the tgds of T infer more about d.
-        // No rule derives into d, so what the repairs add to it is what the
-        // view's base gains.
-        let before = m.base().len();
-        for (tgd, t) in tgds.iter().zip(triggers) {
-            for row in t.violations(m.database()) {
-                if !m.database().contains_tuple(t.sat, &row) {
-                    m.insert(t.repair(tgd, &row, &mut next_null));
-                }
-            }
-        }
-        let added = (m.base().len() - before) as u64;
-        if added == 0 {
-            // T saturated on d and the violation persists: counterexample.
-            return Proof::Disproved;
-        }
-        budget = budget.saturating_sub(added);
-        if budget == 0 {
-            return Proof::OutOfFuel;
-        }
-    }
-}
-
-/// The fuel every combination of Fig. 3 first runs at: most settle within
-/// it, and only those that do not are run again, at more.
+/// The fuel every combination first runs at: most settle within it, and
+/// only those that do not are run again, at more.
 const FIRST_FUEL: u64 = 64;
 
-/// Fig. 3 — does `program` preserve `tgds` non-recursively?
+/// The most derivations of one tgd's lhs a test enumerates; past it Fig. 3
+/// answers `OutOfFuel` and (3′) `false`.
+const MAX_UNFOLDINGS: usize = 4096;
+
+/// Fig. 3 (`rounds = 1`, `in_sat`) and condition (3′) (`in_sat = false`):
+/// does `⟨d, Pʳᵒᵘⁿᵈˢ(d)⟩` — `program` applied `rounds` times, cumulatively —
+/// satisfy `tgds` for every database `d`, or for every `d ∈ SAT(tgds)` when
+/// `in_sat`? A disproof carries the database that disproved: `d` after the
+/// tgds' repairs, which satisfies them when `in_sat`.
 ///
-/// `Proof::Proved` means yes (hence `program` preserves `tgds` outright);
-/// `Proof::Disproved` means a counterexample combination was constructed;
-/// `Proof::OutOfFuel` means some combination's tgd-inference loop exceeded
-/// `fuel` added atoms before settling.
+/// Every derivation of a tgd's lhs within `rounds` rounds (`unfoldings`;
+/// when `in_sat`, an intentional atom may already be in `d`) freezes to a
+/// `d`, which is chased — by the tgds when `in_sat`, by none otherwise —
+/// over `rhs_after` with the lhs instance's `sat` row as the goal. A tgd
+/// whose own frozen lhs satisfies it holds in every database and is not
+/// enumerated.
 ///
 /// Every combination of every tgd runs first at a small fuel; those that
 /// run out of it run again at double the fuel, up to `fuel`. A run at more
 /// fuel extends the run at less, so a verdict a combination reached stands,
 /// and the first disproof — which decides the test ([`Proof::and`]) — is
 /// not kept waiting behind a combination that spends all of `fuel`.
+pub fn preserved_after(
+    program: &Program,
+    tgds: &[Tgd],
+    rounds: usize,
+    in_sat: bool,
+    fuel: u64,
+) -> (Proof, Option<Database>) {
+    let idb = program.intentional();
+    let applied = if in_sat { tgds } else { &[] };
+    let mut fresh = FreshPreds::new(program, tgds, &Database::new());
+    let mut verdict = Proof::Proved;
+    // Per tgd: the rules that read its rhs and, per combination, `d` and
+    // the goal. An lhs no combination derives is vacuously preserved.
+    let mut tests: Vec<(Program, Vec<(Database, GroundAtom)>)> = Vec::new();
+    for tgd in tgds {
+        let lhs = freezing_subst(tgd.lhs.iter().flat_map(Atom::vars));
+        let lhs = Database::from_atoms(tgd.lhs.iter().filter_map(|a| lhs.ground_atom(a)));
+        if satisfies_tgd(&lhs, tgd) {
+            continue;
+        }
+        let Some(unfoldings) = unfoldings(
+            &tgd.lhs,
+            &program.rules,
+            &idb,
+            rounds,
+            in_sat,
+            MAX_UNFOLDINGS,
+        ) else {
+            verdict = Proof::OutOfFuel; // enumeration incomplete
+            continue;
+        };
+        let (rules, sat) = rhs_after(program, tgd, rounds, &mut fresh);
+        let frontier = frontier(tgd);
+        let combos = unfoldings.iter().map(|u| u.freeze(&frontier, sat));
+        tests.push((rules, combos.collect()));
+    }
+
+    let mut unsettled: Vec<(usize, usize)> = (tests.iter().enumerate())
+        .flat_map(|(t, (_, combos))| (0..combos.len()).map(move |c| (t, c)))
+        .collect();
+    let mut at = fuel.min(FIRST_FUEL);
+    loop {
+        let mut starved = Vec::new();
+        for (t, c) in unsettled {
+            let (rules, combos) = &tests[t];
+            let (d, goal) = &combos[c];
+            let result = chase(rules, applied, d, at, Some(goal));
+            match result.status.into() {
+                Proof::Disproved => {
+                    let derived = rules.intentional();
+                    let d = result.db.predicates().filter(|p| !derived.contains(p));
+                    return (Proof::Disproved, Some(result.db.restrict_to(&d.collect())));
+                }
+                Proof::OutOfFuel => starved.push((t, c)),
+                Proof::Proved => {}
+            }
+        }
+        if starved.is_empty() {
+            return (verdict, None);
+        }
+        if at == fuel {
+            return (Proof::OutOfFuel, None);
+        }
+        unsettled = starved;
+        at = at.saturating_mul(2).min(fuel);
+    }
+}
+
+/// Fig. 3 — does `program` preserve `tgds` non-recursively?
+///
+/// `Proof::Proved` means yes (hence `program` preserves `tgds` outright);
+/// `Proof::Disproved` means a counterexample combination was constructed;
+/// `Proof::OutOfFuel` means some combination's chase added `fuel` atoms —
+/// tgd repairs to `d` and what they add to `⟨d, Pⁿ(d)⟩` — before settling, or a tgd's lhs has more than
+/// `MAX_UNFOLDINGS` (4 096) combinations. See [`preserved_after`].
 ///
 /// ```
 /// use datalog_ast::{parse_program, parse_tgds};
@@ -285,68 +321,8 @@ const FIRST_FUEL: u64 = 64;
 /// assert_eq!(preserves_nonrecursively(&p, &t, 10_000), Proof::Proved);
 /// ```
 pub fn preserves_nonrecursively(program: &Program, tgds: &[Tgd], fuel: u64) -> Proof {
-    let idb: BTreeSet<_> = program.intentional();
-    // Augment with trivial rules Q(x̄) :- Q(x̄) for every intentional
-    // predicate (§IX).
-    let mut unification_rules: Vec<Rule> = program.rules.clone();
-    for (&p, &arity) in program.arities().iter().filter(|(p, _)| idb.contains(*p)) {
-        unification_rules.push(Program::trivial_rule(p, arity));
-    }
-    let mut fresh = FreshPreds::new(program, tgds, &Database::new());
-    let triggers: Vec<Triggers> = (tgds.iter().enumerate())
-        .map(|(i, tgd)| Triggers::new(tgd, i, &mut fresh))
-        .collect();
-    let t_rules: Vec<Rule> = (tgds.iter().zip(&triggers))
-        .flat_map(|(tgd, t)| t.rules(tgd))
-        .collect();
-
-    // Per tgd: its Fig. 3 program and, per combination, `d` and the frozen
-    // lhs's frontier row. An lhs no combination derives is vacuously
-    // preserved.
-    let mut setups = Vec::with_capacity(tgds.len());
-    let mut unsettled: Vec<(usize, usize)> = Vec::new();
-    for (t, tgd) in tgds.iter().enumerate() {
-        let combos: Vec<(Database, Vec<Const>)> =
-            unfoldings(&tgd.lhs, &unification_rules, &idb, 1, true, usize::MAX)
-                .expect("no bound on the combinations")
-                .iter()
-                .map(|u| u.freeze(&triggers[t]))
-                .collect();
-        unsettled.extend((0..combos.len()).map(|c| (t, c)));
-        let (mut rules, sat) = rhs_after(program, tgd, &triggers[t], 1, &mut fresh);
-        rules.extend(t_rules.iter().cloned());
-        setups.push((Program::new(rules), sat, combos));
-    }
-
-    let run = |t: usize, c: usize, fuel: u64| {
-        let (rules, sat, combos) = &setups[t];
-        let (d, row) = &combos[c];
-        combination_ok(rules, *sat, row, tgds, &triggers, d, fuel)
-    };
-    let mut at = fuel.min(FIRST_FUEL);
-    loop {
-        let mut out_of_fuel = Vec::new();
-        for (t, c) in unsettled {
-            match run(t, c, at) {
-                Proof::Disproved => return Proof::Disproved,
-                Proof::OutOfFuel => out_of_fuel.push((t, c)),
-                Proof::Proved => {}
-            }
-        }
-        if out_of_fuel.is_empty() {
-            return Proof::Proved;
-        }
-        if at == fuel {
-            return Proof::OutOfFuel;
-        }
-        unsettled = out_of_fuel;
-        at = at.saturating_mul(2).min(fuel);
-    }
+    preserved_after(program, tgds, 1, true, fuel).0
 }
-
-/// The most derivations of one tgd's lhs (3′) enumerates; past it the test
-/// gives up and answers `false`.
-const MAX_UNFOLDINGS: usize = 4096;
 
 /// Condition (3′) of §X — does the *preliminary database* of `program`
 /// always satisfy `tgds`?
@@ -363,42 +339,12 @@ const MAX_UNFOLDINGS: usize = 4096;
 /// The test is the Fig. 3 procedure with two changes (§X Example 18): the
 /// tgds are *not* applied to `d` (an EDB is arbitrary, not assumed to
 /// satisfy `T`), and no trivial rules are added (an EDB has no intentional
-/// ground atoms). The lhs of each tgd is derived within `rounds` rounds in
-/// every way (`unfoldings`; their extensional leaves, frozen, are `d`),
-/// and the violation check is one evaluation of `rhs_after`'s `rounds`
-/// stacked copies of the program over `d`. Larger `rounds` certify tgds
-/// whose support needs a derivation pipeline — see the
-/// `two_round_preliminary_db` test. More than `MAX_UNFOLDINGS` (4 096)
-/// derivations of one lhs answer `false`.
+/// ground atoms): [`preserved_after`] with `in_sat = false`, which spends
+/// no fuel. Larger `rounds` certify tgds whose support needs a derivation
+/// pipeline — see the `two_round_preliminary_db` test. More than
+/// `MAX_UNFOLDINGS` (4 096) derivations of one lhs answer `false`.
 pub fn preliminary_db_satisfies(program: &Program, tgds: &[Tgd], rounds: usize) -> bool {
-    let idb: BTreeSet<_> = program.intentional();
-    let mut fresh = FreshPreds::new(program, tgds, &Database::new());
-    for (t, tgd) in tgds.iter().enumerate() {
-        let Some(unfoldings) = unfoldings(
-            &tgd.lhs,
-            &program.rules,
-            &idb,
-            rounds,
-            false,
-            MAX_UNFOLDINGS,
-        ) else {
-            return false; // enumeration incomplete — stay conservative
-        };
-        if unfoldings.is_empty() {
-            continue; // lhs not derivable within `rounds` — vacuous
-        }
-        let triggers = Triggers::new(tgd, t, &mut fresh);
-        let (rules, sat) = rhs_after(program, tgd, &triggers, rounds, &mut fresh);
-        let rules = Program::new(rules);
-        for unfolding in &unfoldings {
-            let (d, row) = unfolding.freeze(&triggers);
-            let (full, _) = evaluate(&rules, &d).expect("stacked rules bind every variable");
-            if !full.contains_tuple(sat, &row) {
-                return false;
-            }
-        }
-    }
-    true
+    preserved_after(program, tgds, rounds, false, 0).0 == Proof::Proved
 }
 
 #[cfg(test)]
@@ -464,13 +410,48 @@ mod tests {
 
     #[test]
     fn a_head_that_equates_lhs_variables_is_a_combination() {
-        // Besides the trivial rule, p(V1, V0) is derived only as p(x, x),
+        // Besides being in d already, p(V1, V0) is derived only as p(x, x),
         // from c(x), whose ⟨d, Pⁿ(d)⟩ has no a-atom. A frozen p(v1, v0)
         // with v1 ≠ v0 matches neither head, so that combination exists only
         // if the lhs is unified with the heads before it is frozen.
         let p = parse_program("p(V1, V1) :- a(V3, V2), p(V2, V1). p(V4, V4) :- c(V4).").unwrap();
         let t = parse_tgds("p(V1, V0) -> a(V3, V1).").unwrap();
         assert_eq!(preserves_nonrecursively(&p, &t, FUEL), Proof::Disproved);
+    }
+
+    #[test]
+    fn a_disproof_carries_its_counterexample() {
+        // The combination that derives b(x, y) by the rule rests on
+        // d = {a(x, y)}, which satisfies the tgd (it has no b-atom), while
+        // ⟨d, Pⁿ(d)⟩ = {a(x, y), b(x, y)} lacks b(y, x). A proof carries none.
+        let p = parse_program("b(X, Y) :- a(X, Y).").unwrap();
+        let t = parse_tgds("b(X, Y) -> b(Y, X).").unwrap();
+        let (proof, d) = preserved_after(&p, &t, 1, true, FUEL);
+        assert_eq!(proof, Proof::Disproved);
+        let d = d.expect("a disproof carries its database");
+        assert_eq!((d.len(), d.relation_len(Pred::new("a"))), (1, 1));
+        let p = parse_program("g(X, Z) :- a(X, Z).").unwrap();
+        let t = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
+        assert_eq!(preserved_after(&p, &t, 1, false, 0), (Proof::Proved, None));
+    }
+
+    #[test]
+    fn a_tgd_its_own_lhs_satisfies_holds_without_enumeration() {
+        // g(X, Y) → g(X, W) holds in every database (W ↦ Y). The last
+        // rule's 8 g-atoms, each derivable in one round by 3 rules, give the
+        // lhs over 3^8 two-round derivations: past the cap, where (3′)
+        // would have to answer false.
+        let p = parse_program(
+            "g(X, Z) :- a(X, Z). g(X, Z) :- b(X, Z). g(X, Z) :- c(X, Z).
+             g(X, Z) :- g(X, Y1), g(Y1, Y2), g(Y2, Y3), g(Y3, Y4), g(Y4, Y5),
+                        g(Y5, Y6), g(Y6, Y7), g(Y7, Z).",
+        )
+        .unwrap();
+        let t = parse_tgds("g(X, Y) -> g(X, W).").unwrap();
+        let idb = p.intentional();
+        assert!(unfoldings(&t[0].lhs, &p.rules, &idb, 2, false, MAX_UNFOLDINGS).is_none());
+        assert!(preliminary_db_satisfies(&p, &t, 2));
+        assert_eq!(preserves_nonrecursively(&p, &t, FUEL), Proof::Proved);
     }
 
     #[test]

@@ -17,12 +17,16 @@
 //!   special edge, every chase sequence terminates (in polynomially many
 //!   steps in the data).
 //!
+//! Weak acyclicity is a property of every rule set the chase runs, so a
+//! program's rules enter the graph as full tgds (body → head): a tgd that
+//! only feeds the rules, and the rules feed it back, can chase forever
+//! although the tgd alone is weakly acyclic.
+//!
 //! The analysis is consulted by the §X–XI equivalence optimizer: when the
-//! candidate tgds are provably terminating, the chase and Fig. 3 loops run
-//! without a fuel cutoff, so no certifiable deletion is ever lost to
-//! `OutOfFuel`.
+//! chase a condition runs is provably terminating, it runs without a fuel
+//! cutoff, so no certifiable deletion is ever lost to `OutOfFuel`.
 
-use datalog_ast::{Pred, Tgd};
+use datalog_ast::{Pred, Program, Tgd};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A predicate position `(predicate, argument index)`.
@@ -188,21 +192,24 @@ pub fn is_weakly_acyclic(tgds: &[Tgd]) -> bool {
     !PositionGraph::build(tgds).has_special_cycle()
 }
 
-/// Classify a tgd set's chase-termination guarantee.
-pub fn analyze(tgds: &[Tgd]) -> ChaseTermination {
+/// Classify the chase-termination guarantee of `[program, tgds]`.
+pub fn analyze(program: &Program, tgds: &[Tgd]) -> ChaseTermination {
+    let rules = (program.rules.iter())
+        .map(|r| Tgd::new(r.positive_body().cloned().collect(), vec![r.head.clone()]));
     if tgds.iter().all(Tgd::is_full) {
         ChaseTermination::AllFull
-    } else if is_weakly_acyclic(tgds) {
+    } else if is_weakly_acyclic(&rules.chain(tgds.iter().cloned()).collect::<Vec<_>>()) {
         ChaseTermination::WeaklyAcyclic
     } else {
         ChaseTermination::Unknown
     }
 }
 
-/// The fuel budget to use for a chase over `tgds`: effectively unlimited
-/// when termination is guaranteed, the caller's `default` otherwise.
-pub fn fuel_for(tgds: &[Tgd], default: u64) -> u64 {
-    if analyze(tgds).is_guaranteed() {
+/// The fuel budget to use for a chase of `[program, tgds]`: effectively
+/// unlimited when termination is guaranteed, the caller's `default`
+/// otherwise.
+pub fn fuel_for(program: &Program, tgds: &[Tgd], default: u64) -> u64 {
+    if analyze(program, tgds).is_guaranteed() {
         u64::MAX
     } else {
         default
@@ -212,12 +219,12 @@ pub fn fuel_for(tgds: &[Tgd], default: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{parse_tgd, parse_tgds};
+    use datalog_ast::{parse_program, parse_tgd, parse_tgds};
 
     #[test]
     fn full_tgds_always_terminate() {
         let t = parse_tgds("a(X, Y) -> b(Y, X). a(X, Y) & b(Y, Z) -> a(X, Z).").unwrap();
-        assert_eq!(analyze(&t), ChaseTermination::AllFull);
+        assert_eq!(analyze(&Program::empty(), &t), ChaseTermination::AllFull);
         assert!(
             is_weakly_acyclic(&t),
             "full sets are trivially weakly acyclic"
@@ -226,11 +233,34 @@ mod tests {
 
     #[test]
     fn example11_tgd_is_weakly_acyclic() {
-        // g(X,Z) → a(X,W): the special edges leave g-positions and enter
-        // a-positions; nothing returns, so no special cycle. This is why
-        // every chase in Examples 11/14/18 terminated.
+        // g(X,Z) → a(X,W): the special edge g.0 → a.1 enters a.1, and P1's
+        // rules carry a.1 only to g.1 (g(X, Z) :- a(X, Z), and the doubling
+        // rule keeps Z in g.1), which has no edge to g.0: no special cycle,
+        // with or without P1. This is why every chase in Examples 11/14/18
+        // terminated.
         let t = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
-        assert_eq!(analyze(&t), ChaseTermination::WeaklyAcyclic);
+        let p1 =
+            parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z), a(Y, W).").unwrap();
+        assert_eq!(
+            analyze(&Program::empty(), &t),
+            ChaseTermination::WeaklyAcyclic
+        );
+        assert_eq!(analyze(&p1, &t), ChaseTermination::WeaklyAcyclic);
+    }
+
+    #[test]
+    fn rules_close_a_special_cycle() {
+        // g(X, Y) → a(Y, W) alone is weakly acyclic, but the rule
+        // g(X, Z) :- a(X, Z) carries the null in a.1 back to g.1, the
+        // position the special edge leaves: [P, T] chases forever.
+        let t = parse_tgds("g(X, Y) -> a(Y, W).").unwrap();
+        let p = parse_program("g(X, Z) :- a(X, Z).").unwrap();
+        assert_eq!(
+            analyze(&Program::empty(), &t),
+            ChaseTermination::WeaklyAcyclic
+        );
+        assert_eq!(analyze(&p, &t), ChaseTermination::Unknown);
+        assert_eq!(fuel_for(&p, &t, 50), 50);
     }
 
     #[test]
@@ -239,7 +269,7 @@ mod tests {
         // self-loop on g.0 — exactly the tgd whose chase ran out of fuel in
         // the chase tests.
         let t = parse_tgds("g(X, Y) -> a(X, W) & g(W, Y).").unwrap();
-        assert_eq!(analyze(&t), ChaseTermination::Unknown);
+        assert_eq!(analyze(&Program::empty(), &t), ChaseTermination::Unknown);
         assert!(!is_weakly_acyclic(&t));
     }
 
@@ -261,7 +291,7 @@ mod tests {
     fn regular_only_cycle_is_fine() {
         // Symmetry: b(X,Y) → b(Y,X) cycles through regular edges only.
         let t = parse_tgds("b(X, Y) -> b(Y, X).").unwrap();
-        assert_eq!(analyze(&t), ChaseTermination::AllFull);
+        assert_eq!(analyze(&Program::empty(), &t), ChaseTermination::AllFull);
         let g = PositionGraph::build(&t);
         assert!(!g.has_special_cycle());
         assert!(!g.regular.is_empty());
@@ -280,9 +310,9 @@ mod tests {
     #[test]
     fn fuel_selection() {
         let acyclic = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
-        assert_eq!(fuel_for(&acyclic, 100), u64::MAX);
+        assert_eq!(fuel_for(&Program::empty(), &acyclic, 100), u64::MAX);
         let cyclic = parse_tgds("g(X, Y) -> a(X, W) & g(W, Y).").unwrap();
-        assert_eq!(fuel_for(&cyclic, 100), 100);
+        assert_eq!(fuel_for(&Program::empty(), &cyclic, 100), 100);
     }
 
     #[test]

@@ -88,7 +88,7 @@ use crate::provenance::Justification;
 use crate::stats::Stats;
 use datalog_ast::{
     hash_codes_fold, hash_codes_seed, Const, Database, FxHashMap, GroundAtom, Pred, Program,
-    Relation, RowHashMap,
+    Relation, RowHashMap, Rule,
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -255,8 +255,8 @@ pub(crate) struct IndexStore {
     indexes: Vec<Index>,
     /// The slot of each `(rule, pattern)` a step of this context has
     /// probed, where the pattern is the number the rule's plan gave the
-    /// step's index (`Step::index`). The plans of a context never change,
-    /// so neither does the answer.
+    /// step's index (`Step::index`). A context's plans are only ever
+    /// appended to, so the answer never changes.
     slots: FxHashMap<(usize, usize), u32>,
 }
 
@@ -995,6 +995,24 @@ impl EvalContext {
     pub fn justification(&self, atom: &GroundAtom) -> Option<&Justification> {
         let recorded = self.justifications.as_ref().and_then(|j| j.get(atom));
         recorded.or_else(|| self.db.contains(atom).then_some(&Justification::Input))
+    }
+
+    /// The number of compiled rule plans.
+    pub(crate) fn plans(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Compile `rules` as plans `plans()..`: earlier plans, their indexes
+    /// and their scripts stay. Plans a fork shares are copied, and the
+    /// copies number their index patterns afresh, so the caller must have
+    /// dropped the indexes first ([`EvalContext::remove_atoms`] does).
+    pub(crate) fn append_plans(&mut self, rules: Vec<Rule>) {
+        debug_assert!(
+            Arc::get_mut(&mut self.plans).is_some() || self.store.slots.is_empty(),
+            "shared plans are renumbered: their indexes must be gone"
+        );
+        let plans = Arc::make_mut(&mut self.plans);
+        plans.extend(rules.iter().map(RulePlan::compile));
     }
 
     /// A cheap handle sharing this context's database and indexes

@@ -14,8 +14,10 @@
 //! 2. *Rederive*: overdeleted atoms that are still asserted (`base` keeps
 //!    asserted facts apart from derived atoms) go straight back. The others
 //!    seed **one** delta round of *rederivation twins* — for every rule
-//!    `h :- body` the context also compiles `h :- h$overdeleted(args), body`
-//!    — whose delta is the overdeleted set under the `$overdeleted` names.
+//!    `h :- body` the context also compiles `h :- h$overdeleted(args), body`,
+//!    at the first rederivation, so a view that only inserts (the chase's)
+//!    compiles none — whose delta is the overdeleted set under the
+//!    `$overdeleted` names.
 //!    The seed is the only delta position, so each join starts from one
 //!    overdeleted atom and reads nothing but survivors: the round commits
 //!    exactly the atoms with a one-step derivation from the surviving
@@ -43,7 +45,7 @@
 //! is left, even if the last round found new atoms.
 //!
 //! The materialisation lives on a persistent [`EvalContext`], so its rule
-//! plans are compiled once at construction and its hash indexes survive
+//! plans are compiled once and its hash indexes survive
 //! *across update batches*: an insertion batch appends its consequences
 //! into the live indexes, and only a deletion invalidates them (they
 //! re-fill lazily).
@@ -51,7 +53,6 @@
 use crate::context::{EvalContext, EvalOptions};
 use crate::stats::Stats;
 use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Relation, Rule};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A materialised fixpoint that can absorb insertions and deletions
@@ -78,12 +79,10 @@ pub struct Materialized {
     /// The asserted base facts (EDB and any seeded IDB atoms).
     base: Database,
     /// The persistent context: compiled plans, the saturated database and
-    /// live indexes. Plans `0..n` are `program`'s rules, plans `n..2n` their
-    /// [`rederivation_twin`]s.
+    /// live indexes. Plans `0..n` are `program`'s rules; the first removal
+    /// that rederives appends their [`rederivation_twin`]s as plans
+    /// `n..2n`, so a view that only inserts compiles none.
     cx: EvalContext,
-    /// The seed predicate `pred$overdeleted` the twins read, for each head
-    /// predicate `pred` of the program.
-    seeds: BTreeMap<Pred, Pred>,
 }
 
 impl Clone for Materialized {
@@ -92,7 +91,6 @@ impl Clone for Materialized {
             program: self.program.clone(),
             base: self.base.clone(),
             cx: self.cx.fork(),
-            seeds: self.seeds.clone(),
         }
     }
 }
@@ -115,22 +113,11 @@ impl Materialized {
             program.is_positive(),
             "incremental maintenance requires a positive program"
         );
-        let seeds: BTreeMap<Pred, Pred> = program
-            .rules
-            .iter()
-            .map(|r| (r.head.pred, overdeleted_pred(r.head.pred)))
-            .collect();
-        let twins = program
-            .rules
-            .iter()
-            .map(|r| rederivation_twin(r, seeds[&r.head.pred]));
-        let compiled = Program::new(program.rules.iter().cloned().chain(twins).collect());
-        let cx = EvalContext::new(&compiled, Database::new(), EvalOptions::sequential());
+        let cx = EvalContext::new(&program, Database::new(), EvalOptions::sequential());
         let mut m = Materialized {
             program,
             base: input.clone(),
             cx,
-            seeds,
         };
         m.saturate();
         m
@@ -302,11 +289,18 @@ impl Materialized {
         // commits exactly those with a derivation that needs no other
         // overdeleted atom (one restored from another would let a cycle
         // justify itself).
+        let n = self.program.rules.len();
+        if self.cx.plans() == n {
+            let twins = (self.program.rules.iter())
+                .map(|r| rederivation_twin(r, overdeleted_pred(r.head.pred)));
+            self.cx.append_plans(twins.collect());
+        }
         // A predicate no rule derives has no twin to seed.
+        let derived = self.program.intentional();
         let mut restored = Database::new();
         let mut seeds = Database::new();
         for pred in overdeleted.predicates() {
-            let seed = self.seeds.get(&pred);
+            let seed = derived.contains(&pred).then(|| overdeleted_pred(pred));
             for row in overdeleted
                 .relations_of(pred)
                 .iter()
@@ -315,12 +309,11 @@ impl Materialized {
                 if self.base.contains_tuple(pred, row) {
                     self.cx.add_fact(pred, row);
                     restored.insert_row(pred, row);
-                } else if let Some(&seed) = seed {
+                } else if let Some(seed) = seed {
                     seeds.insert_row(seed, row);
                 }
             }
         }
-        let n = self.program.rules.len();
         let twins: Vec<usize> = (n..2 * n).collect();
         restored.union_with(&self.cx.delta_round(&twins, &seeds));
 
@@ -510,6 +503,25 @@ mod tests {
         assert!(copy.database().contains(&fact("g", [1, 4])));
         assert!(!original.database().contains(&fact("g", [1, 4])));
         assert!(copy.stats().derivations > original.stats().derivations);
+    }
+
+    #[test]
+    fn only_a_view_that_rederives_compiles_the_twins() {
+        let edb = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
+        let mut m = Materialized::new(tc(), &edb);
+        m.insert([fact("a", [4, 5])]);
+        assert_eq!(m.cx.plans(), 2, "an insert-only view holds its n rules");
+        // A clone shares the plans until its removal of a(4, 5), which
+        // overdeletes 4 of 10 derived atoms and rederives.
+        let mut copy = m.clone();
+        copy.remove([fact("a", [4, 5])]);
+        assert_eq!(copy.cx.plans(), 4, "rederivation appends the n twins");
+        assert_eq!(m.cx.plans(), 2, "to the clone's own copy of the plans");
+        copy.remove([fact("a", [3, 4])]);
+        assert_eq!(copy.cx.plans(), 4, "once");
+        assert_eq!(copy.database(), &evaluate(&tc(), copy.base()).unwrap().0);
+        m.remove([fact("a", [4, 5])]);
+        assert_eq!(m.database(), &evaluate(&tc(), m.base()).unwrap().0);
     }
 
     #[test]

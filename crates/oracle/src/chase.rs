@@ -2,7 +2,8 @@
 //! `[P, T]` chase, Fig. 3, condition (3′) and §X-XI's deletions, all
 //! evaluated by the engine — against a reference that shares none of that:
 //! an unindexed nested-loop matcher over the database's rows, and
-//! [`naive::apply_once`] for `Pⁿ(d)`.
+//! [`naive::apply_once`] for `Pⁿ(d)`. A proof is checked on the case
+//! database, a disproof on the counterexample it carries.
 //!
 //! The tgds are each case rule's §XI candidates ([`candidate_tgds`]), the
 //! ones `optimize` tries.
@@ -10,8 +11,8 @@
 use datalog_ast::{match_atom_into, Atom, Database, GroundAtom, Program, Subst, Tgd};
 use datalog_engine::{evaluate, naive};
 use datalog_optimizer::{
-    candidate_tgds, chase, optimize_under_equivalence, preliminary_db_satisfies,
-    preserves_nonrecursively, satisfies_tgd, ChaseStatus, Proof,
+    candidate_tgds, chase, optimize_under_equivalence, preserved_after, satisfies_tgd, ChaseStatus,
+    Proof,
 };
 use std::collections::BTreeSet;
 
@@ -136,23 +137,56 @@ pub fn check(program: &Program, db: &Database) -> Result<(), String> {
         let t = std::slice::from_ref(tgd);
         // Fig. 3: P preserves τ non-recursively, so over any d ∈ SAT(τ) —
         // here the case database chased by τ alone — ⟨d, Pⁿ(d)⟩ ∈ SAT(τ).
-        if preserves_nonrecursively(program, t, FUEL) == Proof::Proved {
-            let d = chase(&Program::empty(), t, db, FUEL, None);
-            if d.status == ChaseStatus::Saturated && !all_satisfied(&applied(program, &d.db, 1), t)
-            {
+        // A disproof's d satisfies τ, and ⟨d, Pⁿ(d)⟩ violates it.
+        match preserved_after(program, t, 1, true, FUEL) {
+            (Proof::Proved, None) => {
+                let d = chase(&Program::empty(), t, db, FUEL, None);
+                if d.status == ChaseStatus::Saturated
+                    && !all_satisfied(&applied(program, &d.db, 1), t)
+                {
+                    return Err(format!(
+                        "Fig. 3 proves {tgd} preserved, but ⟨d, Pⁿ(d)⟩ violates it for a d that satisfies it"
+                    ));
+                }
+            }
+            (Proof::Disproved, Some(d)) => {
+                if !all_satisfied(&d, t) || all_satisfied(&applied(program, &d, 1), t) {
+                    return Err(format!(
+                        "Fig. 3 disproves {tgd} on a d that violates it, or whose ⟨d, Pⁿ(d)⟩ satisfies it:\n{d}"
+                    ));
+                }
+            }
+            (Proof::OutOfFuel, None) => {}
+            (proof, d) => {
                 return Err(format!(
-                    "Fig. 3 proves {tgd} preserved, but ⟨d, Pⁿ(d)⟩ violates it for a d that satisfies it"
-                ));
+                    "Fig. 3 answers {proof:?} for {tgd} with counterexample {d:?}"
+                ))
             }
         }
-        // (3′): the k-round preliminary database of the case EDB satisfies τ.
+        // (3′): the k-round preliminary database of the case EDB satisfies τ,
+        // and a disproof's EDB has one that violates it.
         for rounds in [1, 2] {
-            if preliminary_db_satisfies(program, t, rounds)
-                && !all_satisfied(&applied(program, &edb, rounds), t)
-            {
-                return Err(format!(
-                    "(3′) holds for {tgd} at {rounds} round(s), but the case EDB's preliminary database violates it"
-                ));
+            match preserved_after(program, t, rounds, false, FUEL) {
+                (Proof::Proved, None) => {
+                    if !all_satisfied(&applied(program, &edb, rounds), t) {
+                        return Err(format!(
+                            "(3′) holds for {tgd} at {rounds} round(s), but the case EDB's preliminary database violates it"
+                        ));
+                    }
+                }
+                (Proof::Disproved, Some(d)) => {
+                    if all_satisfied(&applied(program, &d, rounds), t) {
+                        return Err(format!(
+                            "(3′) fails for {tgd} at {rounds} round(s) on an EDB whose preliminary database satisfies it:\n{d}"
+                        ));
+                    }
+                }
+                (Proof::OutOfFuel, None) => {}
+                (proof, d) => {
+                    return Err(format!(
+                        "(3′) at {rounds} round(s) answers {proof:?} for {tgd} with counterexample {d:?}"
+                    ))
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 //! datalog optimize <program.dl> [--fuel N] [--stats]  Fig. 2 + §X–XI equivalence phase
 //! datalog eval     <program.dl> --edb <facts.dl>      bottom-up evaluation
 //!                  [--engine stratified|scc|naive] [--stats]   (seminaive = scc = stratified)
-//! datalog run      <unit.dl> [--stats]                evaluate rules + facts [+ tgds] in one file
+//! datalog run      <unit.dl> [--fuel N] [--stats]     evaluate rules + facts [+ tgds] in one file
 //! datalog repl     [<program.dl>]                     interactive session
 //! datalog query    '<atom>'... <program.dl> --edb <facts.dl>  magic-sets point queries
 //!                  [--stats]                                 (one plan per adornment)
@@ -30,7 +30,7 @@
 //! emits an error-severity diagnostic).
 
 use sagiv_datalog::engine::Traced;
-use sagiv_datalog::optimizer::{minimize_stratified, tally, ChaseTermination, Tally};
+use sagiv_datalog::optimizer::{minimize_stratified, tally, ChaseResult, ChaseTermination, Tally};
 use sagiv_datalog::prelude::*;
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
@@ -91,7 +91,7 @@ usage:
   datalog eval     <program.dl> --edb <facts.dl> [--engine stratified|scc|naive] [--stats]
                    (seminaive, stratified and scc name one semi-naive evaluator,
                    which evaluates negation by strata)
-  datalog run      <unit.dl>   (rules + facts [+ tgds] in one file)
+  datalog run      <unit.dl> [--fuel N] [--stats]   (rules + facts [+ tgds] in one file)
   datalog repl     [<program.dl>]   interactive session
   datalog query    '<atom>'... <program.dl> --edb <facts.dl> [--stats]
   datalog explain  '<atom>' <program.dl> --edb <facts.dl>
@@ -510,7 +510,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let start = Instant::now();
     let (pos, flags) = split_flags(args, "run", &["stats", "fuel"])?;
     let [path] = pos.as_slice() else {
-        return Err("usage: datalog run <unit.dl> [--stats]".into());
+        return Err("usage: datalog run <unit.dl> [--fuel N] [--stats]".into());
     };
     let src = read_file(path)?;
     let unit = parse_unit(&src).map_err(|e| format!("{path}: {e}"))?;
@@ -521,14 +521,14 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     check_valid(path, &unit.program)?;
     let input = Database::from_atoms(unit.facts.iter().cloned());
     let loaded = Instant::now();
-    let (out, stats) = if unit.tgds.is_empty() {
-        evaluate(&unit.program, &input).map_err(|e| e.to_string())?
+    let (out, stats, status) = if unit.tgds.is_empty() {
+        let (out, stats) = evaluate(&unit.program, &input).map_err(|e| e.to_string())?;
+        (out, stats, ChaseStatus::Saturated)
     } else {
         // With tgds: run the combined [P, T] chase (fuel-bounded).
-        let fuel = sagiv_datalog::optimizer::fuel_for(&unit.tgds, flags.fuel()?);
-        let result = chase(&unit.program, &unit.tgds, &input, fuel, None);
+        let result = run_chase(&unit.program, &unit.tgds, &input, flags.fuel()?);
         eprintln!("% chase status: {:?}", result.status);
-        (result.db, Stats::default())
+        (result.db, Stats::default(), result.status)
     };
     let evaluated = Instant::now();
     print_atoms(&out)?;
@@ -537,7 +537,31 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("% {stats}");
         eprintln!("% {}", phases_line(start, loaded, evaluated, printed));
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(chase_exit(status))
+}
+
+/// Run the `[program, tgds]` chase, with `fuel` lifted when the
+/// termination analysis of the rules and tgds guarantees it stops; the
+/// analysis is reported on stderr.
+fn run_chase(program: &Program, tgds: &[Tgd], db: &Database, fuel: u64) -> ChaseResult {
+    use sagiv_datalog::optimizer::{analyze_termination, fuel_for};
+    eprintln!(
+        "% termination: {}",
+        match analyze_termination(program, tgds) {
+            ChaseTermination::AllFull => "guaranteed (all tgds full)",
+            ChaseTermination::WeaklyAcyclic => "guaranteed (weakly acyclic)",
+            ChaseTermination::Unknown => "not guaranteed (fuel bound applies)",
+        }
+    );
+    chase(program, tgds, db, fuel_for(program, tgds, fuel), None)
+}
+
+/// A chase that ran out of fuel printed a partial database: exit 2.
+fn chase_exit(status: ChaseStatus) -> ExitCode {
+    match status {
+        ChaseStatus::Saturated | ChaseStatus::GoalReached => ExitCode::SUCCESS,
+        ChaseStatus::OutOfFuel => ExitCode::from(2),
+    }
 }
 
 /// Answer one or more point queries. An atom of a predicate the program
@@ -703,26 +727,13 @@ fn cmd_chase(args: &[String]) -> Result<ExitCode, String> {
     let tgds_src = read_file(flags.get("tgds").ok_or("--tgds <tgds.dl> is required")?)?;
     let tgds = parse_tgds(&tgds_src).map_err(|e| e.to_string())?;
     let db = load_database(flags.get("db").ok_or("--db <facts.dl> is required")?)?;
-    let termination = sagiv_datalog::optimizer::analyze_termination(&tgds);
-    eprintln!(
-        "% termination: {}",
-        match termination {
-            ChaseTermination::AllFull => "guaranteed (all tgds full)",
-            ChaseTermination::WeaklyAcyclic => "guaranteed (weakly acyclic)",
-            ChaseTermination::Unknown => "not guaranteed (fuel bound applies)",
-        }
-    );
-    let fuel = sagiv_datalog::optimizer::fuel_for(&tgds, flags.fuel()?);
-    let result = chase(&program, &tgds, &db, fuel, None);
+    let result = run_chase(&program, &tgds, &db, flags.fuel()?);
     print_atoms(&result.db)?;
     eprintln!(
         "% status: {:?}, atoms added: {}",
         result.status, result.added
     );
-    Ok(match result.status {
-        ChaseStatus::Saturated | ChaseStatus::GoalReached => ExitCode::SUCCESS,
-        ChaseStatus::OutOfFuel => ExitCode::from(2),
-    })
+    Ok(chase_exit(result.status))
 }
 
 /// Run the materialized-view daemon (see `docs/SERVICE.md` for the wire

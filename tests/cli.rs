@@ -537,6 +537,38 @@ fn chase_divergent_tgds_exits_2() {
     assert!(stderr(&out).contains("OutOfFuel"));
 }
 
+/// `g(X, Y) -> a(Y, W)` alone is weakly acyclic, but the rule carries each
+/// new null back into `g`: the termination analysis reads the rules too,
+/// and the chase stops at its fuel.
+const DIVERGING_WITH_RULES: [&str; 3] =
+    ["g(X, Z) :- a(X, Z).\n", "g(X, Y) -> a(Y, W).\n", "a(1, 2)."];
+
+#[test]
+fn chase_whose_rules_close_a_null_cycle_exits_2() {
+    let dir = TempDir::new("chase-rules-div");
+    let [rules, tgds, facts] = DIVERGING_WITH_RULES;
+    let p = dir.file("p.dl", rules);
+    let t = dir.file("tgds.dl", tgds);
+    let d = dir.file("db.dl", facts);
+    let out = bin()
+        .args(["chase", &p, "--tgds", &t, "--db", &d, "--fuel", "50"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("not guaranteed"));
+    assert!(stderr(&out).contains("OutOfFuel"));
+}
+
+#[test]
+fn run_whose_rules_close_a_null_cycle_exits_2() {
+    let dir = TempDir::new("run-rules-div");
+    let u = dir.file("unit.dl", &DIVERGING_WITH_RULES.concat());
+    let out = bin().args(["run", &u, "--fuel", "50"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("not guaranteed"));
+    assert!(stderr(&out).contains("OutOfFuel"));
+}
+
 #[test]
 fn unknown_command_errors() {
     let out = bin().args(["frobnicate"]).output().unwrap();

@@ -177,13 +177,13 @@ fn triple_composition_on_genealogy() {
     assert_eq!(got.len(), 4);
 }
 
-/// The chase's fuel accounting. Rule saturation is atomic (rules cannot
-/// diverge, so a full fixpoint round runs regardless of remaining fuel);
-/// tgd application is fuel-interruptible per derived atom.
+/// The chase's fuel accounting. The first rule saturation is atomic (rules
+/// cannot diverge) and spends no fuel; tgd application is
+/// fuel-interruptible per atom a repair and its rule consequences add.
 #[test]
 fn chase_fuel_boundary() {
     // Rules: even fuel 1 completes the (finite) rule saturation and finds
-    // the goal — fuel only gates continuation, not the safe rule fixpoint.
+    // the goal — fuel only gates repairs, not the first rule fixpoint.
     let p = parse_program("b(X) :- a(X). c(X) :- b(X). d(X) :- c(X).").unwrap();
     let input = parse_database("a(1).").unwrap();
     let goal = fact("d", [1]);
@@ -208,7 +208,7 @@ fn termination_analysis_lifts_fuel() {
     let guarded =
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z), a(Y, W).").unwrap();
     let tgds = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
-    assert!(analyze_termination(&tgds).is_guaranteed());
+    assert!(analyze_termination(&guarded, &tgds).is_guaranteed());
     // Fuel 1 would normally starve the chase; the weak-acyclicity analysis
     // lifts it inside try_candidate.
     let (optimized, applied) = optimize_under_equivalence(&guarded, 1).unwrap();

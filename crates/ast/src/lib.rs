@@ -51,8 +51,8 @@ pub use parse::{
 };
 pub use program::Program;
 pub use relation::{
-    hash_codes, hash_codes_batch, hash_codes_fold, hash_codes_seed, hash_row, FxConstHasher,
-    FxHashMap, Relation, RowHashMap,
+    hash_codes, hash_codes_fold, hash_codes_seed, hash_row, FxConstHasher, FxHashMap, Relation,
+    RowHashMap,
 };
 pub use rule::Rule;
 pub use schema::{ColType, Schema, SchemaError, SchemaSet};

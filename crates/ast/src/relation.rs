@@ -162,60 +162,6 @@ pub fn hash_codes_fold(h: u64, code: u32) -> u64 {
     fold(h, code as u64)
 }
 
-/// Hash a block of fixed-width keys at once, bit-identically to calling
-/// [`hash_codes`] on each key. `keys` is row-major (`keys.len()` must be a
-/// multiple of `width`, `width ≥ 1`); hashes are appended to `out` in row
-/// order.
-///
-/// The fold chain of one key is serially dependent (rotate → xor →
-/// multiply), so the single-key path is latency-bound. Here the block is
-/// processed column-by-column over groups of 8 (then 4) *independent* key
-/// lanes: the fixed-trip-count inner loops below expose the lanes as
-/// straight-line code the compiler can keep in registers, schedule in
-/// parallel, and auto-vectorize where the ISA allows — and the structure
-/// maps 1:1 onto a `std::simd::u64x8` gather/fold once portable SIMD is
-/// stable. Behaviour is identical to the scalar path by construction.
-pub fn hash_codes_batch(keys: &[u32], width: usize, out: &mut Vec<u64>) {
-    assert!(
-        width > 0,
-        "zero-width keys have a constant hash; use hash_codes_seed"
-    );
-    debug_assert_eq!(keys.len() % width, 0, "keys must be whole rows");
-    let n = keys.len() / width;
-    let seed = hash_codes_seed(width);
-    out.reserve(n);
-    let mut i = 0;
-    while i + 8 <= n {
-        let mut lanes = [seed; 8];
-        let block = &keys[i * width..(i + 8) * width];
-        for c in 0..width {
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                *lane = fold(*lane, block[l * width + c] as u64);
-            }
-        }
-        out.extend_from_slice(&lanes);
-        i += 8;
-    }
-    while i + 4 <= n {
-        let mut lanes = [seed; 4];
-        let block = &keys[i * width..(i + 4) * width];
-        for c in 0..width {
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                *lane = fold(*lane, block[l * width + c] as u64);
-            }
-        }
-        out.extend_from_slice(&lanes);
-        i += 4;
-    }
-    for row in keys[i * width..].chunks_exact(width) {
-        let mut h = seed;
-        for &c in row {
-            h = fold(h, c as u64);
-        }
-        out.push(h);
-    }
-}
-
 /// Row-ids sharing one hash bucket. The single-id case is by far the common
 /// one, so it carries no heap allocation.
 #[derive(Clone, Debug)]
@@ -716,26 +662,6 @@ mod tests {
         assert_eq!(h, hash_codes(&key));
         assert_ne!(hash_codes(&[1]), hash_codes(&[1, 1]));
         assert_ne!(hash_codes(&[1, 2]), hash_codes(&[2, 1]));
-    }
-
-    /// The 8/4-lane batch hash is bit-identical to the scalar fold — the
-    /// postings maps are keyed on these hashes, so any drift would make
-    /// batched probes miss silently.
-    #[test]
-    fn hash_codes_batch_matches_scalar() {
-        for width in 1..=9usize {
-            // Block sizes covering the 8-lane, 4-lane, and scalar tails.
-            for n in [0usize, 1, 3, 4, 7, 8, 13, 29] {
-                let keys: Vec<u32> = (0..n * width).map(|i| (i * 2654435761) as u32).collect();
-                let mut out = vec![0xdead_beef_u64]; // appended, not cleared
-                hash_codes_batch(&keys, width, &mut out);
-                assert_eq!(out.len(), n + 1);
-                assert_eq!(out[0], 0xdead_beef_u64);
-                for (row, h) in keys.chunks_exact(width).zip(&out[1..]) {
-                    assert_eq!(*h, hash_codes(row), "width={width} n={n}");
-                }
-            }
-        }
     }
 
     #[test]

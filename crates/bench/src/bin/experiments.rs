@@ -711,12 +711,11 @@ fn e16(r: &mut Report, smoke: bool) {
         r.check(
             "E16",
             &format!(
-                "{workload}: the bloat rules run as 3+-atom kernel tasks and \
-                 same-shape delta gathers are reused across tasks \
-                 (3+-atom kernel tasks {}, batch reuse hits {})",
-                incr_stats.pipelined_tasks, incr_stats.batch_reuse_hits
+                "{workload}: the bloat rules run as 3+-atom kernel tasks \
+                 (3+-atom kernel tasks {})",
+                incr_stats.pipelined_tasks
             ),
-            incr_stats.pipelined_tasks > 0 && incr_stats.batch_reuse_hits > 0,
+            incr_stats.pipelined_tasks > 0,
         );
         r.sampled("E16", &workload, "incr", n as u64, t_incr, "ms");
         r.count(

@@ -355,11 +355,6 @@ pub fn satisfies_tgd(db: &Database, tgd: &Tgd) -> bool {
     triggers.violations(&fixpoint).is_empty()
 }
 
-/// Does `db` satisfy all of `tgds`?
-pub fn satisfies_all(db: &Database, tgds: &[Tgd]) -> bool {
-    tgds.iter().all(|t| satisfies_tgd(db, t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -254,54 +254,6 @@ pub struct Refutation {
     pub missing: GroundAtom,
 }
 
-/// Decide `r ⊑u P` and return evidence either way: a derivation of the
-/// frozen head (`Ok`) or the saturated countermodel (`Err`).
-pub fn rule_contained_with_evidence(r: &Rule, p: &Program) -> Result<Witness, Refutation> {
-    Containment::new(p).evidence(r)
-}
-
-/// Evidence for the program-level query `P2 ⊑u P1`.
-#[derive(Clone, Debug)]
-pub enum ContainmentEvidence {
-    /// Containment holds; one [`Witness`] per rule of `P2`, in rule order.
-    Holds(Vec<Witness>),
-    /// Containment fails at rule `rule_idx` of `P2`, with the countermodel.
-    Fails {
-        rule_idx: usize,
-        refutation: Refutation,
-    },
-}
-
-impl ContainmentEvidence {
-    pub fn holds(&self) -> bool {
-        matches!(self, ContainmentEvidence::Holds(_))
-    }
-}
-
-/// Decide `P2 ⊑u P1` (§VI) and return evidence either way: witnesses for
-/// every rule of `P2`, or the first refuted rule with its countermodel.
-/// Agrees with [`uniformly_contains`] on the verdict.
-pub fn uniformly_contains_with_evidence(
-    p1: &Program,
-    p2: &Program,
-) -> Result<ContainmentEvidence, ContainmentError> {
-    check(&[p1, p2])?;
-    let p1 = Containment::new(p1);
-    let mut witnesses = Vec::with_capacity(p2.rules.len());
-    for (rule_idx, r) in p2.rules.iter().enumerate() {
-        match p1.evidence(r) {
-            Ok(w) => witnesses.push(w),
-            Err(refutation) => {
-                return Ok(ContainmentEvidence::Fails {
-                    rule_idx,
-                    refutation,
-                })
-            }
-        }
-    }
-    Ok(ContainmentEvidence::Holds(witnesses))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,7 +312,7 @@ mod tests {
         // doubling rule combines it with g(y0,z0).
         let p1 = doubling_tc();
         let r2 = datalog_ast::parse_rule("g(X, Z) :- a(X, Y), g(Y, Z).").unwrap();
-        let w = rule_contained_with_evidence(&r2, &p1).expect("contained");
+        let w = Containment::new(&p1).evidence(&r2).expect("contained");
         assert_eq!(w.goal.to_string(), "g('X, 'Z)");
         assert_eq!(w.proof.conclusion, w.goal);
         assert!(w.proof.size() >= 2, "needs both rules: {}", w.proof);
@@ -375,32 +327,12 @@ mod tests {
         // derivable) and the head is missing.
         let p2 = left_linear_tc();
         let s = datalog_ast::parse_rule("g(X, Z) :- g(X, Y), g(Y, Z).").unwrap();
-        let r = rule_contained_with_evidence(&s, &p2).expect_err("not contained");
+        let r = Containment::new(&p2)
+            .evidence(&s)
+            .expect_err("not contained");
         assert_eq!(r.missing.to_string(), "g('X, 'Z)");
         assert_eq!(r.countermodel.len(), 2, "no new atoms derivable");
         assert!(!r.countermodel.contains(&r.missing));
-    }
-
-    #[test]
-    fn program_level_evidence_agrees_with_bool_test() {
-        let p1 = doubling_tc();
-        let p2 = left_linear_tc();
-        // P2 ⊑u P1: both rules of P2 get witnesses.
-        match uniformly_contains_with_evidence(&p1, &p2).unwrap() {
-            ContainmentEvidence::Holds(ws) => assert_eq!(ws.len(), 2),
-            other => panic!("expected Holds, got {other:?}"),
-        }
-        // P1 ⋢u P2: the doubling rule (index 1) is refuted.
-        match uniformly_contains_with_evidence(&p2, &p1).unwrap() {
-            ContainmentEvidence::Fails {
-                rule_idx,
-                refutation,
-            } => {
-                assert_eq!(rule_idx, 1);
-                assert!(!refutation.countermodel.contains(&refutation.missing));
-            }
-            other => panic!("expected Fails, got {other:?}"),
-        }
     }
 
     #[test]

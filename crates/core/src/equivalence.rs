@@ -52,6 +52,19 @@ pub struct Candidate {
     pub removable: Vec<usize>,
 }
 
+impl Candidate {
+    /// `rule` without the atoms the candidate would remove: the rule of
+    /// `P2`. `None` when nothing, or nothing range-restricted, is left.
+    pub fn shortened(&self, rule: &Rule) -> Option<Rule> {
+        let keep: Vec<_> = (rule.body.iter().enumerate())
+            .filter(|(i, _)| !self.removable.contains(i))
+            .map(|(_, l)| l.clone())
+            .collect();
+        let short = Rule::new(rule.head.clone(), keep);
+        (!short.body.is_empty() && short.is_range_restricted()).then_some(short)
+    }
+}
+
 /// Enumerate §XI candidate tgds for `rule` (single-atom lhs — the paper's
 /// heuristic).
 ///
@@ -151,20 +164,9 @@ pub fn try_candidate(
 ) -> Result<Option<Program>, ContainmentError> {
     let rule = &program.rules[rule_idx];
     // Build P2: drop the rhs atoms from the rule.
-    let keep: Vec<_> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !candidate.removable.contains(i))
-        .map(|(_, l)| l.clone())
-        .collect();
-    if keep.is_empty() {
+    let Some(new_rule) = candidate.shortened(rule) else {
         return Ok(None);
-    }
-    let new_rule = Rule::new(rule.head.clone(), keep);
-    if !new_rule.is_range_restricted() {
-        return Ok(None);
-    }
+    };
     let mut p2 = program.clone();
     p2.rules[rule_idx] = new_rule;
 

@@ -59,18 +59,16 @@ pub mod freeze;
 pub mod minimize;
 pub mod preserve;
 pub mod refute;
-pub mod slice;
 pub mod stratified_ext;
 pub mod termination;
 
 pub use chase::{
-    chase, models_condition, rule_contained_with_tgds, satisfies_all, satisfies_tgd,
-    uniformly_contains_given, ChaseResult, ChaseStatus, Proof,
+    chase, models_condition, rule_contained_with_tgds, satisfies_tgd, uniformly_contains_given,
+    ChaseResult, ChaseStatus, Proof,
 };
 pub use containment::{
-    rule_contained, rule_contained_with_evidence, tally, uniformly_contains,
-    uniformly_contains_with_evidence, uniformly_equivalent, Containment, ContainmentError,
-    ContainmentEvidence, Refutation, Tally, Witness,
+    rule_contained, tally, uniformly_contains, uniformly_equivalent, Containment, ContainmentError,
+    Refutation, Tally, Witness,
 };
 pub use cq::{cq_contained, equivalent_nonrecursive, homomorphism, minimize_cq, union_contained};
 pub use equivalence::{
@@ -83,7 +81,6 @@ pub use minimize::{
 };
 pub use preserve::{preliminary_db_satisfies, preserved_after, preserves_nonrecursively};
 pub use refute::{analyze_equivalence, find_separating_edb, EquivVerdict, SeparatingEdb};
-pub use slice::{relevant_predicates, slice_for_query};
 pub use stratified_ext::{minimize_stratified, StratifiedError};
 pub use termination::{
     analyze as analyze_termination, fuel_for, is_weakly_acyclic, ChaseTermination, PositionGraph,

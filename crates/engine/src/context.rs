@@ -55,8 +55,7 @@
 //! * **One thread, one output per round.** A round's `(rule ×
 //!   delta-position)` tasks run one after another on the calling thread
 //!   into a single `TaskOutput`, against the context's indexes and the
-//!   borrowed delta, which the delta literal scans; the round's
-//!   delta-batch cache is a local of the round. What a round costs beyond
+//!   borrowed delta, which the delta literal scans. What a round costs beyond
 //!   its joins is one relation size per body atom and a greedy order per
 //!   task, a memo lookup per task, and a slot lookup per positive literal.
 //!
@@ -572,8 +571,7 @@ pub(crate) fn compile_script(
 /// when the head or a later step's key reads it. A positive step whose
 /// bindings are all dead is existential ([`Step::exists`]). The enumerated
 /// step (the first positive one) is never marked: it is the delta literal of
-/// a delta task and the side the batch cache gathers, and both need every
-/// one of its rows.
+/// a delta task, which needs every one of its rows.
 fn mark_existential(steps: &mut [Step], head: &[KeySrc], num_vars: usize) {
     let mut live = vec![false; num_vars];
     let read = |live: &mut [bool], srcs: &[KeySrc]| {
@@ -690,11 +688,8 @@ pub(crate) struct TaskOutput<'a> {
     /// Probe keys dropped because a constant was absent from the target
     /// column's dictionary — joins answered without touching any row.
     pub(crate) dict_filtered: u64,
-    /// Key blocks hashed through the lane-unrolled batch path.
+    /// Key blocks hashed, one per flushed block.
     pub(crate) simd_blocks: u64,
-    /// Delta tasks whose gathered key blocks were replayed from the
-    /// round's batch cache instead of re-gathered.
-    pub(crate) batch_reuse: u64,
     /// Drop head tuples already present in the database before allocating
     /// them. Valid for committing rounds (the commit would discard them
     /// anyway); the DRed overdeletion sweep must keep them.
@@ -724,7 +719,6 @@ impl TaskOutput<'_> {
             batch_rows: 0,
             dict_filtered: 0,
             simd_blocks: 0,
-            batch_reuse: 0,
             filter_known,
             seen: Seen::new(traced),
             heads: kernels::HeadFilter::default(),
@@ -778,11 +772,10 @@ fn run_task<'a>(
     store: &'a IndexStore,
     db: &'a Database,
     delta_db: &'a Database,
-    cache: &mut kernels::BatchCache<'a>,
     out: &mut TaskOutput<'a>,
 ) {
     if specialize {
-        kernels::run(task, store, db, delta_db, cache, out);
+        kernels::run(task, store, db, delta_db, out);
         return;
     }
     let steps = task.script.steps.len();
@@ -1278,9 +1271,6 @@ impl EvalContext {
                 .count() as u64;
         }
         let mut out = TaskOutput::new(committing, traced);
-        // Gathered delta-side key blocks are valid for this round's delta
-        // only, so the cache lives and dies with the round.
-        let mut cache = kernels::BatchCache::default();
         let (mut slots, mut ends) = (slots.as_slice(), ends.as_slice());
         for (script, rule) in &tasks {
             let (task_slots, rest) = slots.split_at(script.steps.len());
@@ -1300,7 +1290,6 @@ impl EvalContext {
                 &self.store,
                 &self.db,
                 delta_db,
-                &mut cache,
                 &mut out,
             );
         }
@@ -1309,7 +1298,6 @@ impl EvalContext {
         self.stats.batch_probe_rows += out.batch_rows;
         self.stats.dict_filtered_probes += out.dict_filtered;
         self.stats.simd_hash_blocks += out.simd_blocks;
-        self.stats.batch_reuse_hits += out.batch_reuse;
         out.seen
     }
 }

@@ -14,7 +14,7 @@
 //!   and see nothing in flight, so they are one-shot gates on the task.
 //! * A **probe** stage (positive literal) gathers its key from the
 //!   in-flight rows, translated into the probed relation's code space,
-//!   hashes the block's keys through [`hash_codes_batch`], looks each key's
+//!   hashes the block's keys through [`hash_codes`], looks each key's
 //!   chain up — comparing the key with the first row of each chain on its
 //!   probe sequence, one chain unless 64-bit hashes collide — checks each
 //!   candidate's repeated variables, and appends the matched row-id to
@@ -35,7 +35,7 @@
 //! What a task sets up: everything its script fixes — the leading gates,
 //! each stage's key sources (a constant, or the slot and position where an
 //! earlier stage bound the variable) and repeated-variable check pairs, the
-//! head recipe and its code-space digits, the batch-cache key — is a
+//! head recipe and its code-space digits — is a
 //! [`Recipe`], compiled once with the script and kept by its plan. [`run`]
 //! only binds the recipe to the round: the relation each literal reads, the
 //! code columns at each key position, each probe stage's index by the slot
@@ -86,15 +86,6 @@
 //! passes every row, which is the same case; a positive one never gets
 //! here (the round does not schedule a task that cannot fire).
 //!
-//! Delta-batch reuse: within one evaluation round, every delta-restricted
-//! task leads with the delta atom (see `run_round`'s seeded ordering), and
-//! bloated programs compile many rules to the *same* stage-0 → stage-1
-//! shape. The first such task enumerates, translates and batch-hashes the
-//! delta side once and publishes the block into the round's
-//! [`BatchCache`]; the others replay it (`batch_reuse_hits`), including
-//! the gather-phase counter deltas, so all counters stay invariant to hit
-//! order. Entries are keyed on the gather shape; the cache is a local of
-//! the round, so it never outlives the delta it was gathered from.
 
 use crate::context::{
     step_cands, step_relation, Cands, IndexStore, KeySrc, Postings, Step, Task, TaskOutput,
@@ -102,11 +93,8 @@ use crate::context::{
 use crate::plan::RulePlan;
 use crate::provenance::Justification;
 use datalog_ast::{
-    hash_codes_batch, hash_codes_fold, hash_codes_seed, Const, Database, FxConstHasher, FxHashMap,
-    GroundAtom, Pred, Relation,
+    hash_codes, hash_codes_fold, hash_codes_seed, Const, Database, GroundAtom, Pred, Relation,
 };
-use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// Rows per in-flight block.
@@ -185,9 +173,6 @@ pub(crate) struct Recipe {
     own: Box<[(usize, usize)]>,
     /// One site per distinct head variable: the digits of [`HeadCodes`].
     digits: Box<[Site]>,
-    /// The gather a delta-led task whose stage 1 is a probe shares through
-    /// the round's [`BatchCache`].
-    batch: Option<BatchKey>,
 }
 
 impl Recipe {
@@ -211,7 +196,6 @@ impl Recipe {
                 head: head.iter().map(|k| Src::Const(constant(k))).collect(),
                 own: Box::default(),
                 digits: Box::default(),
-                batch: None,
             };
         };
         // Positive stages append one id to the in-flight row; `slots[j]` is
@@ -266,10 +250,6 @@ impl Recipe {
                 }
             }
         }
-        let batch = match steps.get(1) {
-            Some(s1) if s0.delta && !s1.negated => Some(BatchKey::new(s0, s1)),
-            _ => None,
-        };
         Recipe {
             gates,
             key0: s0.key.iter().map(constant).collect(),
@@ -278,101 +258,9 @@ impl Recipe {
             head: head.iter().map(|k| src(k, steps.len())).collect(),
             own: own.into(),
             digits: digits.into(),
-            batch,
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Delta-batch reuse cache
-// ---------------------------------------------------------------------------
-
-/// One element of a cached gather's probe-key recipe, identifying *how* a
-/// key column is produced (not its per-row values).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum GatherKeyElem {
-    Const(Const),
-    /// Translated from the outer (delta) tuple position.
-    FromOuter(usize),
-}
-
-/// Structural identity of a delta-side gather: which delta relation is
-/// enumerated (with which constant key and repeated-variable checks), and
-/// which probed index the keys are translated for. Two tasks of a round
-/// with equal keys gather bit-identical blocks, whatever rule they came
-/// from. The hash of the rest is computed once, with the script.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct BatchKey {
-    hash: u64,
-    opred: Pred,
-    oarity: usize,
-    opositions: Box<[usize]>,
-    okey: Vec<Const>,
-    ochecks: Vec<(usize, usize)>,
-    ipred: Pred,
-    iarity: usize,
-    ipositions: Box<[usize]>,
-    ikey: Vec<GatherKeyElem>,
-}
-
-impl BatchKey {
-    fn new(s0: &Step, s1: &Step) -> BatchKey {
-        let mut key = BatchKey {
-            hash: 0,
-            opred: s0.pred,
-            oarity: s0.arity,
-            opositions: s0.positions.clone(),
-            okey: s0.key.iter().map(constant).collect(),
-            ochecks: s0.check_pairs(),
-            ipred: s1.pred,
-            iarity: s1.arity,
-            ipositions: s1.positions.clone(),
-            ikey: s1
-                .key
-                .iter()
-                .map(|k| match *k {
-                    KeySrc::Const(c) => GatherKeyElem::Const(c),
-                    KeySrc::Var(v) => GatherKeyElem::FromOuter(
-                        s0.bind_pos(v)
-                            .expect("stage-1 key variable bound by the delta step"),
-                    ),
-                })
-                .collect(),
-        };
-        let mut h = FxConstHasher::default();
-        (
-            key.opred,
-            key.oarity,
-            &key.opositions,
-            &key.okey,
-            &key.ochecks,
-        )
-            .hash(&mut h);
-        (key.ipred, key.iarity, &key.ipositions, &key.ikey).hash(&mut h);
-        key.hash = h.finish();
-        key
-    }
-}
-
-impl Hash for BatchKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// A gathered, translated, batch-hashed delta side, plus the gather-phase
-/// counter deltas it cost — replayed verbatim on every reuse so `probes`
-/// and `dict_filtered` stay invariant to which task gathered first.
-pub(crate) struct CachedGather {
-    block: Block,
-    probes: u64,
-    dict_filtered: u64,
-    simd_blocks: u64,
-}
-
-/// One round's gathered delta-side key blocks, shared by the round's tasks
-/// and keyed on the scripts' [`BatchKey`]s.
-pub(crate) type BatchCache<'a> = FxHashMap<&'a BatchKey, CachedGather>;
 
 // ---------------------------------------------------------------------------
 // The pipeline
@@ -612,7 +500,6 @@ pub(crate) fn run<'a>(
     store: &'a IndexStore,
     db: &'a Database,
     delta_db: &'a Database,
-    cache: &mut BatchCache<'a>,
     out: &mut TaskOutput<'a>,
 ) {
     let script = task.script;
@@ -705,39 +592,8 @@ pub(crate) fn run<'a>(
     };
     let scratch = &mut scratch[..last];
 
-    // The one batch-reuse site: a delta-led task whose stage 1 is a probe
-    // gathers a block other tasks of the round can replay.
-    if let Some(key) = &recipe.batch {
-        let (sc0, rest) = scratch.split_first_mut().expect("stage 1 exists");
-        let hit = match cache.entry(key) {
-            Entry::Occupied(hit) => {
-                let hit = hit.into_mut();
-                out.batch_reuse += 1;
-                out.probes += hit.probes;
-                out.dict_filtered += hit.dict_filtered;
-                out.simd_blocks += hit.simd_blocks;
-                hit
-            }
-            Entry::Vacant(slot) => {
-                // Enumerate, gather and hash the whole delta side as one
-                // block, recording what the gather phase cost.
-                let mark = (out.probes, out.dict_filtered, out.simd_blocks);
-                pipe.enumerate(cands, |oid| sc0.next.push(oid));
-                pipe.gather(1, sc0, out);
-                sc0.next.clear();
-                slot.insert(CachedGather {
-                    block: std::mem::take(&mut sc0.gathered),
-                    probes: out.probes - mark.0,
-                    dict_filtered: out.dict_filtered - mark.1,
-                    simd_blocks: out.simd_blocks - mark.2,
-                })
-            }
-        };
-        pipe.probe(1, &hit.block, rest, out);
-    } else {
-        pipe.enumerate(cands, |oid| pipe.push(0, &[], Some(oid), scratch, out));
-        pipe.flush(0, scratch, out);
-    }
+    pipe.enumerate(cands, |oid| pipe.push(0, &[], Some(oid), scratch, out));
+    pipe.flush(0, scratch, out);
     out.frame = frame;
 }
 
@@ -1038,7 +894,7 @@ impl Pipeline<'_, '_> {
     }
 
     /// Probe stage, first half: translate the keys of the queued rows and
-    /// batch-hash them; `gathered` receives the rows that can still match.
+    /// hash them; `gathered` receives the rows that can still match.
     fn gather(&self, k: usize, cur: &mut Scratch, out: &mut TaskOutput<'_>) {
         let stage = &self.stages[k - 1];
         let block = &mut cur.gathered;
@@ -1057,7 +913,9 @@ impl Pipeline<'_, '_> {
         if w == 0 {
             block.hashes.resize(n, hash_codes_seed(0));
         } else if n > 0 {
-            hash_codes_batch(&block.keys, w, &mut block.hashes);
+            block
+                .hashes
+                .extend(block.keys.chunks_exact(w).map(hash_codes));
             out.simd_blocks += 1;
         }
     }
@@ -1213,7 +1071,7 @@ mod tests {
             (k.probes, k.matches, k.derivations),
             (r.probes, r.matches, r.derivations)
         );
-        assert!(k.pipelined_tasks > 0 && k.batch_reuse_hits > 0);
+        assert!(k.pipelined_tasks > 0);
 
         let out = kernel.into_database();
         assert_eq!(out, reference.into_database());

@@ -48,12 +48,11 @@ pub struct Stats {
     /// stages after the enumerated literal) — a subset of
     /// `specialized_tasks`.
     pub pipelined_tasks: u64,
-    /// Delta-led kernel tasks whose gathered stage-0→1 key blocks were
-    /// served from the per-round delta-batch cache instead of re-gathering
-    /// and re-hashing.
+    /// Always 0: no evaluation shares work between tasks. Kept only for
+    /// callers that still read it.
+    #[doc(hidden)]
     pub batch_reuse_hits: u64,
-    /// Key blocks hashed through the lane-unrolled
-    /// [`datalog_ast::hash_codes_batch`] path (one per flushed block).
+    /// Key blocks hashed, one per flushed block.
     pub simd_hash_blocks: u64,
     /// Probe keys answered from a column dictionary alone: some key
     /// constant (or translated outer value) has no code in the target
@@ -80,7 +79,6 @@ impl AddAssign for Stats {
         self.specialized_tasks += rhs.specialized_tasks;
         self.batch_probe_rows += rhs.batch_probe_rows;
         self.pipelined_tasks += rhs.pipelined_tasks;
-        self.batch_reuse_hits += rhs.batch_reuse_hits;
         self.simd_hash_blocks += rhs.simd_hash_blocks;
         self.dict_filtered_probes += rhs.dict_filtered_probes;
         self.tuples_allocated += rhs.tuples_allocated;
@@ -104,7 +102,7 @@ impl Sub for Stats {
             specialized_tasks: self.specialized_tasks.saturating_sub(rhs.specialized_tasks),
             batch_probe_rows: self.batch_probe_rows.saturating_sub(rhs.batch_probe_rows),
             pipelined_tasks: self.pipelined_tasks.saturating_sub(rhs.pipelined_tasks),
-            batch_reuse_hits: self.batch_reuse_hits.saturating_sub(rhs.batch_reuse_hits),
+            batch_reuse_hits: 0,
             simd_hash_blocks: self.simd_hash_blocks.saturating_sub(rhs.simd_hash_blocks),
             dict_filtered_probes: self
                 .dict_filtered_probes
@@ -119,7 +117,7 @@ impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "iterations={} probes={} matches={} derivations={} index_builds={} index_appends={} specialized_tasks={} batch_probe_rows={} pipelined_tasks={} batch_reuse_hits={} simd_hash_blocks={} dict_filtered_probes={} tuples_allocated={} arena_bytes={}",
+            "iterations={} probes={} matches={} derivations={} index_builds={} index_appends={} specialized_tasks={} batch_probe_rows={} pipelined_tasks={} simd_hash_blocks={} dict_filtered_probes={} tuples_allocated={} arena_bytes={}",
             self.iterations,
             self.probes,
             self.matches,
@@ -129,7 +127,6 @@ impl fmt::Display for Stats {
             self.specialized_tasks,
             self.batch_probe_rows,
             self.pipelined_tasks,
-            self.batch_reuse_hits,
             self.simd_hash_blocks,
             self.dict_filtered_probes,
             self.tuples_allocated,
@@ -154,11 +151,11 @@ mod tests {
             specialized_tasks: 3,
             batch_probe_rows: 100,
             pipelined_tasks: 2,
-            batch_reuse_hits: 5,
             simd_hash_blocks: 11,
             dict_filtered_probes: 9,
             tuples_allocated: 20,
             arena_bytes: 320,
+            ..Stats::default()
         };
         a += Stats {
             iterations: 2,
@@ -170,11 +167,11 @@ mod tests {
             specialized_tasks: 1,
             batch_probe_rows: 1,
             pipelined_tasks: 1,
-            batch_reuse_hits: 1,
             simd_hash_blocks: 1,
             dict_filtered_probes: 1,
             tuples_allocated: 2,
             arena_bytes: 32,
+            ..Stats::default()
         };
         assert_eq!(
             a,
@@ -188,11 +185,11 @@ mod tests {
                 specialized_tasks: 4,
                 batch_probe_rows: 101,
                 pipelined_tasks: 3,
-                batch_reuse_hits: 6,
                 simd_hash_blocks: 12,
                 dict_filtered_probes: 10,
                 tuples_allocated: 22,
                 arena_bytes: 352,
+                ..Stats::default()
             }
         );
     }
@@ -209,11 +206,11 @@ mod tests {
             specialized_tasks: 4,
             batch_probe_rows: 101,
             pipelined_tasks: 9,
-            batch_reuse_hits: 7,
             simd_hash_blocks: 15,
             dict_filtered_probes: 10,
             tuples_allocated: 22,
             arena_bytes: 352,
+            ..Stats::default()
         };
         let b = Stats {
             iterations: 1,
@@ -225,11 +222,11 @@ mod tests {
             specialized_tasks: 1,
             batch_probe_rows: 100,
             pipelined_tasks: 4,
-            batch_reuse_hits: 2,
             simd_hash_blocks: 5,
             dict_filtered_probes: 4,
             tuples_allocated: 20,
             arena_bytes: 320,
+            ..Stats::default()
         };
         let d = a - b;
         assert_eq!(d.tuples_allocated, 2);
@@ -237,7 +234,6 @@ mod tests {
         assert_eq!(d.specialized_tasks, 3);
         assert_eq!(d.batch_probe_rows, 1);
         assert_eq!(d.pipelined_tasks, 5);
-        assert_eq!(d.batch_reuse_hits, 5);
         assert_eq!(d.simd_hash_blocks, 10);
         assert_eq!(d.dict_filtered_probes, 6);
         assert_eq!(d.iterations, 2);
@@ -259,7 +255,7 @@ mod tests {
         };
         assert_eq!(
             s.to_string(),
-            "iterations=2 probes=7 matches=4 derivations=3 index_builds=0 index_appends=0 specialized_tasks=0 batch_probe_rows=0 pipelined_tasks=0 batch_reuse_hits=0 simd_hash_blocks=0 dict_filtered_probes=0 tuples_allocated=0 arena_bytes=0"
+            "iterations=2 probes=7 matches=4 derivations=3 index_builds=0 index_appends=0 specialized_tasks=0 batch_probe_rows=0 pipelined_tasks=0 simd_hash_blocks=0 dict_filtered_probes=0 tuples_allocated=0 arena_bytes=0"
         );
     }
 }

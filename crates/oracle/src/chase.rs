@@ -1,8 +1,8 @@
 //! The `opt:chase` check: §VIII-§XI as the optimizer runs them — the
-//! `[P, T]` chase, Fig. 3, condition (3′) and §X-XI's deletions, all
-//! evaluated by the engine — against a reference that shares none of that:
-//! an unindexed nested-loop matcher over the database's rows, and
-//! [`naive::apply_once`] for `Pⁿ(d)`. A proof is checked on the case
+//! `[P, T]` chase, condition (1), Fig. 3, condition (3′) and §X-XI's
+//! deletions, all evaluated by the engine — against a reference that shares
+//! none of that: an unindexed nested-loop matcher over the database's rows,
+//! and [`naive::apply_once`] for `Pⁿ(d)`. A proof is checked on the case
 //! database, a disproof on the counterexample it carries.
 //!
 //! The tgds are each case rule's §XI candidates ([`candidate_tgds`]), the
@@ -11,8 +11,8 @@
 use datalog_ast::{match_atom_into, Atom, Database, GroundAtom, Program, Subst, Tgd};
 use datalog_engine::{evaluate, naive};
 use datalog_optimizer::{
-    candidate_tgds, chase, optimize_under_equivalence, preserved_after, satisfies_tgd, ChaseStatus,
-    Proof,
+    candidate_tgds, chase, freeze_rule, optimize_under_equivalence, preserved_after, satisfies_tgd,
+    ChaseStatus, Proof,
 };
 use std::collections::BTreeSet;
 
@@ -129,6 +129,38 @@ pub fn check(program: &Program, db: &Database) -> Result<(), String> {
             return Err(format!(
                 "the chase result holds auxiliary relations {stray:?}"
             ));
+        }
+    }
+
+    // Condition (1) for each case rule shortened by one of its candidates:
+    // the frozen body chased under [P, τ] with the frozen head as goal, for
+    // every τ of the case — the candidate's own τ always re-adds what it
+    // removed, another τ may not. A saturated chase disproves condition (1),
+    // and is Theorem 1's countermodel: it holds bθ, is closed under P,
+    // satisfies τ and lacks hθ.
+    for rule in &program.rules {
+        for candidate in candidate_tgds(rule) {
+            let Some(short) = candidate.shortened(rule) else {
+                continue;
+            };
+            let frozen = freeze_rule(&short);
+            for tgd in &tgds {
+                let t = std::slice::from_ref(tgd);
+                let result = chase(program, t, &frozen.body_db, FUEL, Some(&frozen.goal));
+                if result.status != ChaseStatus::Saturated {
+                    continue;
+                }
+                let m = &result.db;
+                if !frozen.body_db.is_subset_of(m)
+                    || !naive::apply_once(program, m).is_subset_of(m)
+                    || !all_satisfied(m, t)
+                    || m.contains(&frozen.goal)
+                {
+                    return Err(format!(
+                        "condition (1) disproves {short} under {tgd}, but the saturated chase is no countermodel:\n{m}"
+                    ));
+                }
+            }
         }
     }
 

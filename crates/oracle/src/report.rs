@@ -69,7 +69,6 @@ impl FuzzReport {
                     ("index_builds", Value::from(self.eval.index_builds)),
                     ("index_appends", Value::from(self.eval.index_appends)),
                     ("pipelined_tasks", Value::from(self.eval.pipelined_tasks)),
-                    ("batch_reuse_hits", Value::from(self.eval.batch_reuse_hits)),
                     ("simd_hash_blocks", Value::from(self.eval.simd_hash_blocks)),
                     ("tuples_allocated", Value::from(self.eval.tuples_allocated)),
                     ("arena_bytes", Value::from(self.eval.arena_bytes)),

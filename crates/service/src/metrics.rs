@@ -106,7 +106,6 @@ impl Metrics {
                     ),
                     ("batch_probe_rows", Value::from(inner.eval.batch_probe_rows)),
                     ("pipelined_tasks", Value::from(inner.eval.pipelined_tasks)),
-                    ("batch_reuse_hits", Value::from(inner.eval.batch_reuse_hits)),
                     ("simd_hash_blocks", Value::from(inner.eval.simd_hash_blocks)),
                     (
                         "dict_filtered_probes",
@@ -142,11 +141,11 @@ mod tests {
             specialized_tasks: 5,
             batch_probe_rows: 40,
             pipelined_tasks: 3,
-            batch_reuse_hits: 2,
             simd_hash_blocks: 13,
             dict_filtered_probes: 7,
             tuples_allocated: 12,
             arena_bytes: 192,
+            ..Stats::default()
         });
         m.record_mutation(4, 1);
 
@@ -165,14 +164,12 @@ mod tests {
         assert_eq!(eval.get("probes").unwrap().as_u64(), Some(10));
         assert_eq!(eval.get("index_builds").unwrap().as_u64(), Some(4));
         assert_eq!(eval.get("index_appends").unwrap().as_u64(), Some(9));
-        assert!(
-            eval.get("parallel_tasks").is_none(),
-            "removed from the wire"
-        );
+        for removed in ["parallel_tasks", "batch_reuse_hits"] {
+            assert!(eval.get(removed).is_none(), "{removed}: off the wire");
+        }
         assert_eq!(eval.get("specialized_tasks").unwrap().as_u64(), Some(5));
         assert_eq!(eval.get("batch_probe_rows").unwrap().as_u64(), Some(40));
         assert_eq!(eval.get("pipelined_tasks").unwrap().as_u64(), Some(3));
-        assert_eq!(eval.get("batch_reuse_hits").unwrap().as_u64(), Some(2));
         assert_eq!(eval.get("simd_hash_blocks").unwrap().as_u64(), Some(13));
         assert_eq!(eval.get("dict_filtered_probes").unwrap().as_u64(), Some(7));
         assert_eq!(eval.get("tuples_allocated").unwrap().as_u64(), Some(12));

@@ -73,7 +73,7 @@ pub mod prelude {
         analyze_equivalence, candidate_tgds, chase, cq_contained, find_separating_edb, is_minimal,
         minimize_program, minimize_rule, minimize_stratified, models_condition, optimize,
         optimize_under_equivalence, preliminary_db_satisfies, preserves_nonrecursively,
-        rule_contained, satisfies_tgd, slice_for_query, uniformly_contains, uniformly_equivalent,
-        ChaseStatus, EquivVerdict, Proof,
+        rule_contained, satisfies_tgd, uniformly_contains, uniformly_equivalent, ChaseStatus,
+        EquivVerdict, Proof,
     };
 }

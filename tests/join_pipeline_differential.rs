@@ -131,15 +131,13 @@ fn check(program: &Program, db: &Database, what: &str) -> (Database, Stats) {
 
 #[test]
 fn kernel_matches_the_interpreter_on_random_programs() {
-    let (mut long_bodies, mut reuse) = (0, 0);
+    let mut long_bodies = 0;
     for seed in 0..15u64 {
         let (program, db) = random_case(seed);
         let (_, stats) = check(&program, &db, &format!("seed {seed}"));
         long_bodies += stats.pipelined_tasks;
-        reuse += stats.batch_reuse_hits;
     }
     assert!(long_bodies > 0, "3+-literal bodies were drawn");
-    assert!(reuse > 0, "same-shape delta tasks were drawn");
 }
 
 #[test]
@@ -355,10 +353,10 @@ fn existential_literal_followed_by_a_negated_one() {
     assert!(exhaustive > 0, "the seeds drew the case that needs every W");
 }
 
-/// One-literal rules driven by a delta have no stage 1 to gather for: they
-/// must neither build nor hit a batch-cache entry.
+/// One-literal rules driven by a delta have no stage 1: no row is ever
+/// gathered for a probe.
 #[test]
-fn one_step_delta_tasks_do_not_touch_the_batch_cache() {
+fn one_step_delta_tasks_run_no_probe_stage() {
     let mut facts = ring("a", 9, 2);
     facts.push_str("a(4, 4).");
     let (out, stats) = check_source(
@@ -366,7 +364,6 @@ fn one_step_delta_tasks_do_not_touch_the_batch_cache() {
         &facts,
     );
     assert!(out.contains(&fact("k", [4])));
-    assert_eq!(stats.batch_reuse_hits, 0);
     assert_eq!(stats.batch_probe_rows, 0, "no probe stage ever ran");
 }
 
@@ -615,20 +612,38 @@ fn bloated_tc_explanations_check() {
     assert_eq!(traced.database(), &fixpoint);
 }
 
+/// The bloated TC program carries several recursive rules of one shape, so
+/// a delta round runs several tasks that enumerate the same delta and probe
+/// the same index; each runs its own pipeline.
 #[test]
-fn bloated_tc_reuses_delta_batches_across_tasks() {
-    // The bloated TC program carries several same-shape recursive rules, so
-    // delta rounds produce multiple tasks gathering the identical delta
-    // batch — the cross-task cache must dedup them without changing the
-    // fixpoint or the logical counters.
+fn bloated_tc_same_shape_delta_tasks_match_the_interpreter() {
     let program = bloated_tc(6, 99);
     let db = random_db(&[("a", 2)], 24, 12, 0xfeed);
     let (_, stats) = check(&program, &db, "bloated_tc(6, 99)");
     assert!(stats.pipelined_tasks > 0, "bloat rules have 3+ literals");
-    assert!(
-        stats.batch_reuse_hits > 0,
-        "same-shape delta gathers must hit the batch cache: {stats:?}"
-    );
+}
+
+/// Deltas of several in-flight blocks (1 024 rows each) leading tasks whose
+/// stage 1 is a probe: every `e` row starts a `p` path, so each round's
+/// delta of `p` holds thousands of rows, and each recursive task flushes
+/// block after block through a probe of `f` — then, in `two` and `off`,
+/// through a second probe and an anti-probe.
+#[test]
+fn deltas_of_many_blocks_lead_probe_stages() {
+    let rules = "p(X, Y) :- e(X, Y). p(X, Z) :- p(X, Y), f(Y, Z).\
+                 two(X, W) :- p(X, Y), f(Y, Z), f(Z, W).\
+                 off(X, Z) :- p(X, Y), f(Y, Z), !e(X, Z).";
+    let mut facts = String::new();
+    for x in 0..3000 {
+        facts.push_str(&format!("e({x}, {}).", x % 8));
+    }
+    for y in 0..8 {
+        facts.push_str(&format!("f({y}, {}). f({y}, {}).", y + 1, y + 2));
+    }
+    let (out, stats) = check_source(rules, &facts);
+    assert_eq!(out.relation_len(Pred::new("p")), 19_500);
+    assert!(stats.iterations >= 5, "{stats:?}");
+    assert!(stats.batch_probe_rows > 10 * 1024, "{stats:?}");
 }
 
 /// Long chains: a thousand rows behind each key of `d`, inserted in

@@ -328,7 +328,7 @@ fn e1_to_e15(r: &mut Report) {
     r.check(
         "E9",
         "Example 18: preliminary DB satisfies T",
-        preliminary_db_satisfies(&guarded, &tgds, 1),
+        preliminary_db_satisfies(&guarded, &tgds),
     );
     let (opt18, applied18) = optimize_under_equivalence(&guarded, FUEL).unwrap();
     r.check(

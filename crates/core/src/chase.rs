@@ -204,8 +204,10 @@ impl Triggers {
 
 /// Run the combined chase `[P, T]` on `input` until saturation, goal
 /// discovery, or fuel exhaustion. This is the one loop that repairs tgd
-/// violations: condition (1) runs it over `P1`, Fig. 3 and (3′) over the
-/// rules that read a tgd's rhs after `P` (`crate::preserve`).
+/// violations: Theorem 1 and condition (1) ([`models_condition`]) and
+/// `datalog chase` / `run` run it over a program, Fig. 3 and (3′) over the
+/// rules that read a tgd's rhs in `⟨d, Pⁿ(d)⟩` (`crate::preserve`). The
+/// §X-XI optimizer reaches it only through Fig. 3.
 ///
 /// * `fuel` bounds the atoms the repairs add, their rule consequences
 ///   included: a repair runs only while fewer than `fuel` atoms have been

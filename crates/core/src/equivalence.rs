@@ -25,10 +25,23 @@
 //! [`candidate_tgds`] enumerates such tgds; [`optimize_under_equivalence`]
 //! tries each candidate and keeps every deletion the three conditions
 //! certify.
+//!
+//! For a §XI candidate τ, only condition (2) can fail, so [`try_candidate`]
+//! decides by Fig. 3 alone (its doc has the proofs):
+//!
+//! - the ≡u re-check `P1 ⊑u P2` holds because the shortened body is a
+//!   subset of the rule's body;
+//! - condition (1) holds because a match of the shortened body contains
+//!   τ's lhs and extends to τ's rhs, the removed atoms, whose rhs-only
+//!   variables occur nowhere else in the rule (properties 2 and 3);
+//! - (3′) follows from Fig. 3, because τ's lhs atom is intentional: every
+//!   EDB satisfies τ vacuously, and its `⟨d, Pⁿ(d)⟩` is the preliminary DB.
+//!
+//! The `opt:chase` fuzz oracle checks the last two on every case.
 
-use crate::chase::{models_condition, Proof};
-use crate::containment::{check, Containment, ContainmentError};
-use crate::preserve::{preliminary_db_satisfies, preserves_nonrecursively};
+use crate::chase::Proof;
+use crate::containment::{check, ContainmentError};
+use crate::preserve::preserves_nonrecursively;
 use crate::termination::fuel_for;
 use datalog_ast::{Atom, Program, Rule, Tgd, Var};
 use std::collections::BTreeSet;
@@ -78,22 +91,27 @@ impl Candidate {
 /// discarded.
 pub fn candidate_tgds(rule: &Rule) -> Vec<Candidate> {
     let head_vars: BTreeSet<Var> = rule.head.vars().collect();
-    let body: Vec<&Atom> = rule.positive_body().collect();
+    // The positive atoms with their positions in `rule.body`, which is what
+    // `removable` indexes.
+    let body: Vec<(usize, &Atom)> = (rule.body.iter().enumerate())
+        .filter(|(_, l)| l.is_positive())
+        .map(|(i, l)| (i, &l.atom))
+        .collect();
     let mut out: Vec<Candidate> = Vec::new();
-    for lhs in (0..body.len()).filter(|&i| body[i].pred == rule.head.pred) {
-        collect_candidates(rule, &body, &head_vars, lhs, &mut out);
+    for &(lhs, atom) in body.iter().filter(|(_, a)| a.pred == rule.head.pred) {
+        collect_candidates(rule, &body, &head_vars, (lhs, atom), &mut out);
     }
     out
 }
 
 fn collect_candidates(
     rule: &Rule,
-    body: &[&Atom],
+    body: &[(usize, &Atom)],
     head_vars: &BTreeSet<Var>,
-    lhs: usize,
+    (lhs, lhs_atom): (usize, &Atom),
     out: &mut Vec<Candidate>,
 ) {
-    let lhs_vars: BTreeSet<Var> = body[lhs].vars().collect();
+    let lhs_vars: BTreeSet<Var> = lhs_atom.vars().collect();
     let universal: BTreeSet<Var> = head_vars.union(&lhs_vars).copied().collect();
 
     // Seed variables: strictly local to the prospective rhs.
@@ -110,7 +128,7 @@ fn collect_candidates(
         let mut seen_vars = BTreeSet::from([seed]);
         let mut valid = true;
         while let Some(v) = frontier.pop() {
-            for (i, a) in body.iter().enumerate() {
+            for &(i, a) in body {
                 if i == lhs || !a.vars().any(|w| w == v) {
                     continue;
                 }
@@ -137,13 +155,12 @@ fn collect_candidates(
         // closure guarantees it, kept as a guard.
         debug_assert!(body
             .iter()
-            .enumerate()
-            .filter(|&(i, a)| i != lhs && a.vars().any(|w| w == seed))
-            .all(|(i, _)| rhs_idx.contains(&i)));
+            .filter(|&&(i, a)| i != lhs && a.vars().any(|w| w == seed))
+            .all(|(i, _)| rhs_idx.contains(i)));
 
         let tgd = Tgd::new(
-            vec![body[lhs].clone()],
-            rhs_idx.iter().map(|&i| body[i].clone()).collect(),
+            vec![lhs_atom.clone()],
+            rhs_idx.iter().map(|&i| rule.body[i].atom.clone()).collect(),
         );
         let removable: Vec<usize> = rhs_idx.into_iter().collect();
         // Dedup identical candidates from different seeds / lhs choices.
@@ -154,51 +171,49 @@ fn collect_candidates(
 }
 
 /// Try to certify removing `candidate.removable` from rule `rule_idx` of
-/// `program` via the three §X conditions. Returns the optimized program on
-/// success.
+/// `program`: the rule shortened by them is `P2`'s, and the deletion stands
+/// when Fig. 3 proves that `program` preserves the candidate's tgd τ
+/// (condition (2)). Returns `P2` on success.
+///
+/// Nothing else §X asks for can fail for a §XI candidate, so nothing else
+/// runs. Write r = h :- b for the rule and θ for the freezing of P2's body.
+/// - `P1 ⊑u P2`: the shortened body is a subset of b, so P2's rule fires
+///   on r's frozen body.
+/// - Condition (1), `SAT(τ) ∩ M(P1) ⊆ M(P2)`: take any model of P1 that
+///   satisfies τ. A match of the shortened body contains τ's lhs, so it
+///   extends to τ's rhs, which is exactly the removed atoms. By property 2
+///   the rhs-only variables occur nowhere else in the rule, and by property
+///   3 they are not head variables. So all of b matches, and r ∈ P1 gives
+///   hθ.
+/// - (3′): τ's only lhs atom has the rule's head predicate, which is
+///   intentional. An extensional d therefore has no lhs match, so
+///   d ∈ SAT(τ) holds vacuously, and for such a d, ⟨d, Pⁿ(d)⟩ is exactly
+///   the preliminary database. (3′)'s unfoldings are Fig. 3's
+///   initialization-rule unfoldings, and τ cannot fire on their
+///   extensional d.
 pub fn try_candidate(
     program: &Program,
     rule_idx: usize,
     candidate: &Candidate,
     fuel: u64,
 ) -> Result<Option<Program>, ContainmentError> {
-    let rule = &program.rules[rule_idx];
-    // Build P2: drop the rhs atoms from the rule.
-    let Some(new_rule) = candidate.shortened(rule) else {
+    let Some(new_rule) = candidate.shortened(&program.rules[rule_idx]) else {
         return Ok(None);
     };
-    let mut p2 = program.clone();
-    p2.rules[rule_idx] = new_rule;
-
-    // P1 ⊑u P2 holds because bodies only shrank; verify (cheap) to honour
-    // the equivalence claim end-to-end. Every rule but `rule_idx` occurs
-    // verbatim in P2, so only that one needs the test.
-    check(&[&p2, program])?;
-    if !Containment::new(&p2).holds(rule) {
-        return Ok(None);
-    }
-    let tgds = std::slice::from_ref(&candidate.tgd);
-    // When a chase is provably terminating (full or weakly acyclic), lift
+    // `shortened` keeps P2 range-restricted, and dropping atoms from a valid
+    // positive program leaves one: only the input needs validating.
+    check(&[program])?;
+    // When τ's chase is provably terminating (full or weakly acyclic), lift
     // its fuel bound: no certifiable deletion is then lost to OutOfFuel
-    // (§XII open problem 1, crate::termination). Condition (1) chases
-    // [P1, T]; Fig. 3 chases T alone, since its renamed copy of P1 never
-    // feeds T.
-    // Condition (1): SAT(T) ∩ M(P1) ⊆ M(P2).
-    if models_condition(program, &p2, tgds, fuel_for(program, tgds, fuel)) != Proof::Proved {
-        return Ok(None);
-    }
-    // Condition (2): P1 preserves T.
+    // (§XII open problem 1, crate::termination). Fig. 3 chases τ alone,
+    // since its renamed copy of P1 never feeds τ.
+    let tgds = std::slice::from_ref(&candidate.tgd);
     let fig3_fuel = fuel_for(&Program::empty(), tgds, fuel);
     if preserves_nonrecursively(program, tgds, fig3_fuel) != Proof::Proved {
         return Ok(None);
     }
-    // Condition (3′): the preliminary DB of P1 satisfies T. When the
-    // one-round (initialization-rule) preliminary DB does not establish T,
-    // fall back to the §X closing remark's generalisation: two rounds of
-    // the whole program.
-    if !preliminary_db_satisfies(program, tgds, 1) && !preliminary_db_satisfies(program, tgds, 2) {
-        return Ok(None);
-    }
+    let mut p2 = program.clone();
+    p2.rules[rule_idx] = new_rule;
     Ok(Some(p2))
 }
 
@@ -411,6 +426,19 @@ mod tests {
         for c in &cands {
             assert!(!c.removable.contains(&2), "a(Y, W) must stay: {c:?}");
         }
+    }
+
+    #[test]
+    fn removable_indexes_the_whole_body() {
+        // The negated literal comes first, so c(Z, W) is body atom 3 but
+        // positive atom 2; removing index 2 would drop a(X, Z) and keep c.
+        let r = parse_rule("g(X, Z) :- !b(Z), g(X, Z), a(X, Z), c(Z, W).").unwrap();
+        let cands = candidate_tgds(&r);
+        assert_eq!(cands.len(), 1, "{cands:?}");
+        assert_eq!(cands[0].tgd.to_string(), "g(X, Z) -> c(Z, W).");
+        assert_eq!(cands[0].removable, vec![3]);
+        let short = cands[0].shortened(&r).unwrap();
+        assert_eq!(short.to_string(), "g(X, Z) :- !b(Z), g(X, Z), a(X, Z).");
     }
 
     #[test]

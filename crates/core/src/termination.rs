@@ -23,7 +23,7 @@
 //! although the tgd alone is weakly acyclic.
 //!
 //! The analysis is consulted by the §X–XI equivalence optimizer: when the
-//! chase a condition runs is provably terminating, it runs without a fuel
+//! chase Fig. 3 runs is provably terminating, it runs without a fuel
 //! cutoff, so no certifiable deletion is ever lost to `OutOfFuel`.
 
 use datalog_ast::{Pred, Program, Tgd};
@@ -208,6 +208,11 @@ pub fn analyze(program: &Program, tgds: &[Tgd]) -> ChaseTermination {
 /// The fuel budget to use for a chase of `[program, tgds]`: effectively
 /// unlimited when termination is guaranteed, the caller's `default`
 /// otherwise.
+///
+/// The §X-XI optimizer asks it with no rules, for Fig. 3's chase of τ
+/// alone. With a program's rules it serves `datalog chase` / `run`, and a
+/// caller of [`models_condition`](crate::chase::models_condition) that wants
+/// the `[P1, T]` chase unbounded where it provably ends.
 pub fn fuel_for(program: &Program, tgds: &[Tgd], default: u64) -> u64 {
     if analyze(program, tgds).is_guaranteed() {
         u64::MAX

@@ -7,7 +7,7 @@
 
 use datalog_ast::{parse_program, Program};
 use datalog_engine::{EvalContext, EvalOptions, Traced};
-use datalog_generate::{bloated_tc, random_program, RandomProgramSpec};
+use datalog_generate::{bloated_tc, inject, random_program, RandomProgramSpec};
 use datalog_optimizer::{freeze_rule, optimize, uniformly_equivalent};
 
 /// Doubling transitive closure whose recursive rule carries `k` guards
@@ -92,4 +92,40 @@ fn fig3_does_not_wait_behind_combinations_out_of_fuel() {
             "seed {seed}: {optimized}"
         );
     }
+}
+
+/// `optimize`'s §X-XI deletions, one line each: the rule's index at the
+/// time, the atoms removed and the tgd that certified it.
+fn applied_lines(program: &Program) -> Vec<String> {
+    let (_, _, applied) = optimize(program, 10_000).unwrap();
+    (applied.iter())
+        .map(|a| {
+            let removed: Vec<String> = a.removed_atoms.iter().map(|x| x.to_string()).collect();
+            format!("{} [{}] {}", a.rule_idx, removed.join(", "), a.tgd)
+        })
+        .collect()
+}
+
+/// §X-XI's deletions on the benchmark corpus's programs are pinned, so a
+/// change to what it tests per candidate shows as a different list, not
+/// only as a different width. On `guarded_tc(k)` Fig. 2 removes all guards
+/// but the last, which the tgd from the second `g` atom certifies;
+/// `random-7-60` (the optimize corpus's largest random program) has no
+/// deletion that Fig. 3 proves.
+#[test]
+fn equivalence_deletions_are_pinned() {
+    for k in 3..=7 {
+        let last = k - 1;
+        assert_eq!(
+            applied_lines(&guarded_tc(k)),
+            [format!("1 [a(Y0, W{last})] g(Y0, Z) -> a(Y0, W{last}).")],
+            "guarded_tc({k})"
+        );
+    }
+    let spec = RandomProgramSpec {
+        rules: 60,
+        ..RandomProgramSpec::default()
+    };
+    let (random_7_60, _) = inject(&random_program(&spec, 7), 60, 307);
+    assert_eq!(applied_lines(&random_7_60), Vec::<String>::new());
 }

@@ -6,7 +6,9 @@
 //! database, a disproof on the counterexample it carries.
 //!
 //! The tgds are each case rule's §XI candidates ([`candidate_tgds`]), the
-//! ones `optimize` tries.
+//! ones `optimize` tries. `optimize` decides a candidate by Fig. 3 alone,
+//! because conditions (1) and (3′) are lemmas for it
+//! ([`datalog_optimizer::try_candidate`]); the check tests both lemmas.
 
 use datalog_ast::{match_atom_into, Atom, Database, GroundAtom, Program, Subst, Tgd};
 use datalog_engine::{evaluate, naive};
@@ -61,15 +63,10 @@ fn all_satisfied(db: &Database, tgds: &[Tgd]) -> bool {
     tgds.iter().all(|t| reference_satisfies(db, t))
 }
 
-/// `⟨d, Pⁿ(d)⟩`, `rounds` times over.
-fn applied(program: &Program, d: &Database, rounds: usize) -> Database {
+/// `⟨d, Pⁿ(d)⟩`.
+fn applied(program: &Program, d: &Database) -> Database {
     let mut full = d.clone();
-    for _ in 0..rounds {
-        let next = naive::apply_once(program, &full);
-        if full.union_with(&next) == 0 {
-            break;
-        }
-    }
+    full.union_with(&naive::apply_once(program, d));
     full
 }
 
@@ -134,21 +131,29 @@ pub fn check(program: &Program, db: &Database) -> Result<(), String> {
 
     // Condition (1) for each case rule shortened by one of its candidates:
     // the frozen body chased under [P, τ] with the frozen head as goal, for
-    // every τ of the case — the candidate's own τ always re-adds what it
-    // removed, another τ may not. A saturated chase disproves condition (1),
-    // and is Theorem 1's countermodel: it holds bθ, is closed under P,
-    // satisfies τ and lacks hθ.
+    // the candidate's own τ and every other τ of the case. Under its own τ
+    // condition (1) is a lemma: the first repair re-adds what was removed,
+    // and the rule derives the goal, so a saturated chase means
+    // `candidate_tgds` broke property 2 or 3. Under another τ a saturated
+    // chase disproves condition (1), and is Theorem 1's countermodel: it
+    // holds bθ, is closed under P, satisfies τ and lacks hθ.
     for rule in &program.rules {
         for candidate in candidate_tgds(rule) {
             let Some(short) = candidate.shortened(rule) else {
                 continue;
             };
             let frozen = freeze_rule(&short);
-            for tgd in &tgds {
+            let others = tgds.iter().filter(|&t| *t != candidate.tgd);
+            for tgd in std::iter::once(&candidate.tgd).chain(others) {
                 let t = std::slice::from_ref(tgd);
                 let result = chase(program, t, &frozen.body_db, FUEL, Some(&frozen.goal));
                 if result.status != ChaseStatus::Saturated {
                     continue;
+                }
+                if *tgd == candidate.tgd {
+                    return Err(format!(
+                        "condition (1) fails for {short} under its own candidate {tgd}: property 2 or 3 is broken"
+                    ));
                 }
                 let m = &result.db;
                 if !frozen.body_db.is_subset_of(m)
@@ -170,11 +175,11 @@ pub fn check(program: &Program, db: &Database) -> Result<(), String> {
         // Fig. 3: P preserves τ non-recursively, so over any d ∈ SAT(τ) —
         // here the case database chased by τ alone — ⟨d, Pⁿ(d)⟩ ∈ SAT(τ).
         // A disproof's d satisfies τ, and ⟨d, Pⁿ(d)⟩ violates it.
-        match preserved_after(program, t, 1, true, FUEL) {
+        let fig3 = preserved_after(program, t, true, FUEL);
+        match &fig3 {
             (Proof::Proved, None) => {
                 let d = chase(&Program::empty(), t, db, FUEL, None);
-                if d.status == ChaseStatus::Saturated
-                    && !all_satisfied(&applied(program, &d.db, 1), t)
+                if d.status == ChaseStatus::Saturated && !all_satisfied(&applied(program, &d.db), t)
                 {
                     return Err(format!(
                         "Fig. 3 proves {tgd} preserved, but ⟨d, Pⁿ(d)⟩ violates it for a d that satisfies it"
@@ -182,7 +187,7 @@ pub fn check(program: &Program, db: &Database) -> Result<(), String> {
                 }
             }
             (Proof::Disproved, Some(d)) => {
-                if !all_satisfied(&d, t) || all_satisfied(&applied(program, &d, 1), t) {
+                if !all_satisfied(d, t) || all_satisfied(&applied(program, d), t) {
                     return Err(format!(
                         "Fig. 3 disproves {tgd} on a d that violates it, or whose ⟨d, Pⁿ(d)⟩ satisfies it:\n{d}"
                     ));
@@ -195,31 +200,38 @@ pub fn check(program: &Program, db: &Database) -> Result<(), String> {
                 ))
             }
         }
-        // (3′): the k-round preliminary database of the case EDB satisfies τ,
-        // and a disproof's EDB has one that violates it.
-        for rounds in [1, 2] {
-            match preserved_after(program, t, rounds, false, FUEL) {
-                (Proof::Proved, None) => {
-                    if !all_satisfied(&applied(program, &edb, rounds), t) {
-                        return Err(format!(
-                            "(3′) holds for {tgd} at {rounds} round(s), but the case EDB's preliminary database violates it"
-                        ));
-                    }
-                }
-                (Proof::Disproved, Some(d)) => {
-                    if all_satisfied(&applied(program, &d, rounds), t) {
-                        return Err(format!(
-                            "(3′) fails for {tgd} at {rounds} round(s) on an EDB whose preliminary database satisfies it:\n{d}"
-                        ));
-                    }
-                }
-                (Proof::OutOfFuel, None) => {}
-                (proof, d) => {
+        // (3′): the preliminary database of the case EDB satisfies τ, and a
+        // disproof's EDB has one that violates it.
+        let prelim = preserved_after(program, t, false, FUEL);
+        match &prelim {
+            (Proof::Proved, None) => {
+                if !all_satisfied(&applied(program, &edb), t) {
                     return Err(format!(
-                        "(3′) at {rounds} round(s) answers {proof:?} for {tgd} with counterexample {d:?}"
-                    ))
+                        "(3′) holds for {tgd}, but the case EDB's preliminary database violates it"
+                    ));
                 }
             }
+            (Proof::Disproved, Some(d)) => {
+                if all_satisfied(&applied(program, d), t) {
+                    return Err(format!(
+                        "(3′) fails for {tgd} on an EDB whose preliminary database satisfies it:\n{d}"
+                    ));
+                }
+            }
+            (Proof::OutOfFuel, None) => {}
+            (proof, d) => {
+                return Err(format!(
+                    "(3′) answers {proof:?} for {tgd} with counterexample {d:?}"
+                ))
+            }
+        }
+        // τ's lhs atom is intentional, so every EDB is in SAT(τ): a Fig. 3
+        // proof covers every preliminary database.
+        if fig3.0 == Proof::Proved && prelim.0 != Proof::Proved {
+            return Err(format!(
+                "Fig. 3 proves {tgd} preserved, but (3′) answers {:?}",
+                prelim.0
+            ));
         }
     }
 

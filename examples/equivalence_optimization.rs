@@ -55,7 +55,7 @@ fn main() {
     assert_eq!(c2, Proof::Proved);
 
     // Step 4 — condition (3′): the preliminary DB of P1 satisfies T.
-    let c3 = preliminary_db_satisfies(&p1, &tgds, 1);
+    let c3 = preliminary_db_satisfies(&p1, &tgds);
     println!("condition (3') preliminary DB of P1 satisfies T: {c3}");
     assert!(c3);
 
@@ -64,7 +64,9 @@ fn main() {
     println!("   (They are NOT redundant under uniform equivalence — seed g with");
     println!("    an atom whose target lacks a c-certificate and P1, P2 differ.)\n");
 
-    // The packaged pipeline reaches the same conclusion:
+    // The packaged pipeline reaches the same conclusion, checking condition
+    // (2) alone: for a §XI candidate, (1) and (3′) follow from (2) and the
+    // tgd's shape (see `try_candidate`).
     let (optimized, applied) = optimize_under_equivalence(&p1, 10_000).unwrap();
     assert_eq!(applied.len(), 1);
     assert!(

@@ -202,8 +202,8 @@ fn termination_analysis_lifts_fuel() {
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z), a(Y, W).").unwrap();
     let tgds = parse_tgds("g(X, Z) -> a(X, W).").unwrap();
     assert!(analyze_termination(&guarded, &tgds).is_guaranteed());
-    // Fuel 1 would normally starve the chase; the weak-acyclicity analysis
-    // lifts it inside try_candidate.
+    // Fuel 1 would normally starve Fig. 3's chase; the weak-acyclicity
+    // analysis lifts it for the one test the pipeline runs.
     let (optimized, applied) = optimize_under_equivalence(&guarded, 1).unwrap();
     assert_eq!(applied.len(), 1, "{applied:?}");
     assert_eq!(optimized.total_width(), 3);

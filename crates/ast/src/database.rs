@@ -13,7 +13,7 @@
 //! of insertion history, exactly as the former `BTreeSet` storage behaved.
 
 use crate::atom::{Atom, GroundAtom, RowDisplay};
-use crate::relation::{Relation, SortedRows};
+use crate::relation::{Relation, RenderedRows};
 use crate::symbol::Pred;
 use crate::term::Const;
 use std::collections::{BTreeMap, BTreeSet};
@@ -315,14 +315,41 @@ impl Database {
 /// per-arity [`Relation`]s' sorted streams (rows of different arities
 /// interleave exactly as they did in a single `BTreeSet<Box<[Const]>>`).
 pub struct RelationRows<'a> {
-    streams: Vec<std::iter::Peekable<SortedRows<'a>>>,
+    rels: &'a [Relation],
+    /// Per relation, the sorted ids not yet yielded.
+    streams: Vec<&'a [u32]>,
 }
 
 impl<'a> RelationRows<'a> {
     fn new(rels: &'a [Relation]) -> RelationRows<'a> {
         RelationRows {
-            streams: rels.iter().map(|r| r.iter_sorted().peekable()).collect(),
+            rels,
+            streams: rels.iter().map(Relation::sorted_ids).collect(),
         }
+    }
+
+    /// The next row in tuple order, as (index into the relations, row id).
+    fn next_id(&mut self) -> Option<(usize, u32)> {
+        // One stream per arity; usually exactly one, which needs no row.
+        let i = match self.streams[..] {
+            [_] => 0,
+            _ => {
+                let mut best: Option<(usize, &'a [Const])> = None;
+                for (i, ids) in self.streams.iter().enumerate() {
+                    if let Some(&id) = ids.first() {
+                        let row = self.rels[i].row(id);
+                        match best {
+                            Some((_, front)) if front <= row => {}
+                            _ => best = Some((i, row)),
+                        }
+                    }
+                }
+                best?.0
+            }
+        };
+        let (&id, rest) = self.streams[i].split_first()?;
+        self.streams[i] = rest;
+        Some((i, id))
     }
 }
 
@@ -330,17 +357,8 @@ impl<'a> Iterator for RelationRows<'a> {
     type Item = &'a [Const];
 
     fn next(&mut self) -> Option<&'a [Const]> {
-        // One stream per arity; usually exactly one, so the scan is cheap.
-        let mut best: Option<(usize, &'a [Const])> = None;
-        for (i, s) in self.streams.iter_mut().enumerate() {
-            if let Some(&row) = s.peek() {
-                match best {
-                    Some((_, front)) if front <= row => {}
-                    _ => best = Some((i, row)),
-                }
-            }
-        }
-        self.streams[best?.0].next()
+        let (i, id) = self.next_id()?;
+        Some(self.rels[i].row(id))
     }
 }
 
@@ -366,14 +384,32 @@ impl fmt::Display for Database {
 /// A database printed as a fact file (see [`Database::facts`]).
 pub struct Facts<'a>(&'a Database);
 
+/// Printed from each relation's dictionaries (see `RenderedRows`): every
+/// distinct value is formatted once, and the lines are handed to the
+/// formatter in blocks of about `Facts::BLOCK` bytes.
 impl fmt::Display for Facts<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (pred, row) in self.0.rows() {
-            fmt::Display::fmt(&RowDisplay(pred, row), f)?;
-            f.write_str(".\n")?;
+        let mut out = String::new();
+        for (pred, rels) in &self.0.relations {
+            let prefix = pred.with_name(|name| format!("{name}("));
+            let texts: Vec<RenderedRows<'_>> = rels.iter().map(RenderedRows::new).collect();
+            let mut rows = RelationRows::new(rels);
+            while let Some((i, id)) = rows.next_id() {
+                out.push_str(&prefix);
+                texts[i].push_row(id, &mut out);
+                out.push_str(").\n");
+                if out.len() >= Facts::BLOCK {
+                    f.write_str(&out)?;
+                    out.clear();
+                }
+            }
         }
-        Ok(())
+        f.write_str(&out)
     }
+}
+
+impl Facts<'_> {
+    const BLOCK: usize = 1 << 16;
 }
 
 impl FromIterator<GroundAtom> for Database {
@@ -509,6 +545,36 @@ mod tests {
         assert_eq!(db.relation_len(Pred::new("m")), 3);
         assert!(db.contains_tuple(Pred::new("m"), &[Const::Int(1)]));
         assert!(db.contains_tuple(Pred::new("m"), &[Const::Int(1), Const::Int(0)]));
+    }
+
+    /// `facts()` prints from the dictionaries what `Display` prints atom by
+    /// atom, for all four kinds of constant, two arities of one predicate,
+    /// and a relation large enough to be sorted by dictionary ranks.
+    #[test]
+    fn facts_print_what_the_atoms_display() {
+        use crate::symbol::Var;
+        let kinds = |i: i64| {
+            [
+                Const::Int(-i),
+                Const::from(format!("s{}", i % 7).as_str()),
+                Const::Frozen(Var::new(&format!("X{}", i % 5))),
+                Const::Null(i as u32 % 3),
+            ]
+        };
+        let mut db = Database::new();
+        for i in 0..60 {
+            let [a, b, c, d] = kinds(i);
+            let mixed = kinds(i / 4)[i as usize % 4];
+            db.insert(GroundAtom::new("k", vec![mixed, a, d]));
+            db.insert(GroundAtom::new("k", vec![b, d]));
+            db.insert(GroundAtom::new("k", vec![d, c]));
+        }
+        db.insert(GroundAtom::new("j", vec![]));
+        let printed = db.facts().to_string();
+        let atoms: String = db.iter().map(|a| format!("{a}.\n")).collect();
+        assert_eq!(printed, atoms);
+        assert!(printed.contains("k('X0, -2, δ2).\n"), "{printed}");
+        assert!(printed.contains("j().\n"), "{printed}");
     }
 
     #[test]

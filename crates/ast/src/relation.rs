@@ -3,9 +3,7 @@
 //! A [`Relation`] stores every tuple of one predicate (at one arity) in a
 //! single flat `Vec<Const>` arena. Rows are addressed by dense `u32` row-ids
 //! in insertion order; reading a row is a bounds-checked slice of the arena,
-//! so no per-tuple `Box` is ever allocated. Deduplication is a hash set over
-//! row *views*: a map from row hash to the ids carrying that hash, with
-//! collision chains resolved by comparing slices against the arena.
+//! so no per-tuple `Box` is ever allocated.
 //!
 //! Alongside the row arena, every column carries a **dictionary-encoded code
 //! column**: a per-(relation, position) `Dict` interns each distinct
@@ -18,6 +16,17 @@
 //! (the code *column* is compacted; the dictionary is not), so caches keyed
 //! on codes stay valid for the lifetime of a storage generation.
 //!
+//! **Id tables.** Deduplication and each dictionary's reverse map are one
+//! structure, the private `IdTable`: an open-addressing table of 8-byte
+//! slots, each a 32-bit hash tag and a `u32` id — a row id in the dedup
+//! table (rows compared against the arena), a code in a dictionary table
+//! (constants compared against the dictionary's values). A relation
+//! therefore pays 8 bytes per slot for its dedup set and per distinct
+//! value for each dictionary, instead of a std map entry per row. A slot's
+//! home is the hash's low bits and its tag is the low 32 bits, so growth
+//! rehashes from the slots alone; removal leaves a tombstone, and growth
+//! and rebuild size from the live ids.
+//!
 //! The whole structure lives behind an `Arc` with copy-on-write semantics:
 //! cloning a `Relation` (and hence a `Database`) is a reference-count bump,
 //! so snapshot publication in the service layer is O(1) and a snapshot's
@@ -29,16 +38,21 @@
 //! Insertion order is an engine-internal detail. Anything observable — set
 //! equality, `Display`, [`crate::Database::iter`] — goes through
 //! [`Relation::iter_sorted`], which yields rows in tuple order via the
-//! sorted-id cache. This keeps the §III "a database is a set of ground
-//! atoms" semantics (and the deterministic rendering the repro fixtures
-//! depend on) independent of insertion history.
+//! sorted-id cache. The cache is built from the dictionaries, not from row
+//! comparisons: each dictionary ranks its codes in constant order once, and
+//! a counting sort per column (last column first) orders the row ids by
+//! their rank tuples. Fact files are printed the same way (see
+//! `RenderedRows`): each dictionary's values are rendered to text once,
+//! and rows are written from that text in sorted-id order. This keeps the
+//! §III "a database is a set of ground atoms" semantics (and the
+//! deterministic rendering the repro fixtures depend on) independent of
+//! insertion history.
 
-use crate::symbol::Var;
+use crate::symbol::{with_names, Var};
 use crate::term::{Const, Term};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// A no-op hasher for maps keyed by already-mixed `u64` hashes (the output
@@ -116,8 +130,6 @@ impl Hasher for FxConstHasher {
 /// A `HashMap` on [`FxConstHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxConstHasher>>;
 
-type ConstMap<V> = FxHashMap<Const, V>;
-
 /// Deterministic, well-mixed hash of a row of constants. Stable within a
 /// process run (symbol ids are interning-order dependent across runs).
 #[inline]
@@ -162,21 +174,184 @@ pub fn hash_codes_fold(h: u64, code: u32) -> u64 {
     fold(h, code as u64)
 }
 
-/// Row-ids sharing one hash bucket. The single-id case is by far the common
-/// one, so it carries no heap allocation.
-#[derive(Clone, Debug)]
-enum Ids {
-    One(u32),
-    Many(Vec<u32>),
+/// The id stored in a slot that holds none: no live row id or code reaches
+/// it, because a relation's row count and a dictionary's length are `u32`s
+/// that [`IdTable::insert_at`] refuses to let grow this far.
+const NO_ID: u32 = u32::MAX;
+
+/// One slot of an [`IdTable`]: the low 32 bits of the key's hash and the
+/// id stored under it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Slot {
+    tag: u32,
+    id: u32,
 }
 
-impl Ids {
-    fn push(&mut self, id: u32) {
-        match self {
-            Ids::One(a) => *self = Ids::Many(vec![*a, id]),
-            Ids::Many(v) => v.push(id),
+/// A slot no key ever used: a probe stops here.
+const EMPTY: Slot = Slot { tag: 0, id: NO_ID };
+/// A slot whose id was removed: a probe walks past it, an insert reuses it.
+const TOMBSTONE: Slot = Slot { tag: 1, id: NO_ID };
+
+/// Where a probe ended: at the id whose key is equal, or at the slot an
+/// insert of the key would take.
+#[derive(Debug, PartialEq, Eq)]
+enum Probe {
+    Found(u32),
+    Vacant(usize),
+}
+
+/// An open-addressing set of `u32` ids. The table holds no keys: the
+/// caller hashes a key and supplies the test that compares it with the key
+/// behind a stored id (a row in the arena, a constant in a dictionary).
+///
+/// Linear probing from the hash's low bits, with the low 32 bits kept as
+/// the tag, so a rebuild re-places every slot without reading a key. At
+/// most three quarters of the slots are live or tombstones; past that the
+/// table is rebuilt at the size its live ids need, which frees at least
+/// half of that load.
+#[derive(Clone, Default, Debug)]
+struct IdTable {
+    /// Empty, or a power of two of at least [`IdTable::MIN_SLOTS`] slots.
+    slots: Vec<Slot>,
+    /// Slots holding an id.
+    live: usize,
+    /// Slots holding an id or a tombstone: the ones a probe cannot stop at.
+    used: usize,
+}
+
+impl IdTable {
+    const MIN_SLOTS: usize = 4;
+
+    /// How many slots may be used in a table of `slots` slots.
+    fn max_used(slots: usize) -> usize {
+        slots - slots / 4
+    }
+
+    /// The size a rebuild holding `live` ids takes: the smallest with room
+    /// for half as many again before the next rebuild.
+    fn slots_for(live: usize) -> usize {
+        let mut slots = Self::MIN_SLOTS;
+        while Self::max_used(slots) < live + live / 2 {
+            slots *= 2;
+        }
+        slots
+    }
+
+    /// Walk from `hash`'s home slot to the id `eq` accepts among those with
+    /// `hash`'s tag, or to the first empty slot. A miss reports the first
+    /// tombstone on the way, if any, as the slot to insert at.
+    #[inline]
+    fn probe(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Probe {
+        let Some(mask) = self.slots.len().checked_sub(1) else {
+            return Probe::Vacant(0);
+        };
+        let tag = hash as u32;
+        let mut i = hash as usize & mask;
+        let mut vacant = None;
+        loop {
+            let slot = self.slots[i];
+            if slot.id != NO_ID {
+                if slot.tag == tag && eq(slot.id) {
+                    return Probe::Found(slot.id);
+                }
+            } else if slot == EMPTY {
+                return Probe::Vacant(vacant.unwrap_or(i));
+            } else if vacant.is_none() {
+                vacant = Some(i);
+            }
+            i = (i + 1) & mask;
         }
     }
+
+    #[inline]
+    fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        match self.probe(hash, eq) {
+            Probe::Found(id) => Some(id),
+            Probe::Vacant(_) => None,
+        }
+    }
+
+    /// Store `id` under `hash` at `at`, the slot a [`Probe::Vacant`] for
+    /// this key named (on this table or on the one it was cloned from).
+    fn insert_at(&mut self, at: usize, hash: u64, id: u32) {
+        assert!(id != NO_ID, "id table full: {NO_ID} ids");
+        if self.slots.is_empty() {
+            self.rebuild(Self::MIN_SLOTS);
+            return self.insert_at(self.first_free(hash as u32), hash, id);
+        }
+        if self.slots[at] == EMPTY {
+            self.used += 1;
+        }
+        self.slots[at] = Slot {
+            tag: hash as u32,
+            id,
+        };
+        self.live += 1;
+        if self.used > Self::max_used(self.slots.len()) {
+            self.rebuild(Self::slots_for(self.live));
+        }
+    }
+
+    /// The slot of `id`, stored under `hash`. Panics if it is not there.
+    fn position(&self, hash: u64, id: u32) -> usize {
+        let tag = hash as u32;
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.id == id && slot.tag == tag {
+                return i;
+            }
+            assert!(slot != EMPTY, "id {id} missing from its id table");
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Remove `id`, stored under `hash`, leaving a tombstone.
+    fn remove(&mut self, hash: u64, id: u32) {
+        let i = self.position(hash, id);
+        self.slots[i] = TOMBSTONE;
+        self.live -= 1;
+    }
+
+    /// Store `to` in place of `from`, both under `hash`.
+    fn replace(&mut self, hash: u64, from: u32, to: u32) {
+        let i = self.position(hash, from);
+        self.slots[i].id = to;
+    }
+
+    /// The first slot from `tag`'s home that holds no id.
+    fn first_free(&self, tag: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        while self.slots[i].id != NO_ID {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Re-place every live slot in a table of `slots` slots, dropping the
+    /// tombstones.
+    fn rebuild(&mut self, slots: usize) {
+        assert!(slots as u64 <= 1 << 32, "id table too large");
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        for slot in old.into_iter().filter(|s| s.id != NO_ID) {
+            let i = self.first_free(slot.tag);
+            self.slots[i] = slot;
+        }
+        self.used = self.live;
+    }
+
+    /// Bytes the slots hold.
+    fn bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
+}
+
+/// The FX hash of one constant: the hash a dictionary table is keyed by.
+#[inline]
+fn hash_const(c: Const) -> u64 {
+    BuildHasherDefault::<FxConstHasher>::default().hash_one(c)
 }
 
 /// Append-only interner from [`Const`] to dense `u32` codes for one column.
@@ -186,32 +361,46 @@ impl Ids {
 struct Dict {
     /// code → constant (dense).
     vals: Vec<Const>,
-    /// constant → code.
-    codes: ConstMap<u32>,
+    /// constant → code, keyed by [`hash_const`].
+    codes: IdTable,
 }
 
 impl Dict {
     #[inline]
     fn lookup(&self, c: Const) -> Option<u32> {
-        self.codes.get(&c).copied()
+        self.codes
+            .find(hash_const(c), |code| self.vals[code as usize] == c)
     }
 
     #[inline]
     fn intern(&mut self, c: Const) -> u32 {
-        match self.codes.entry(c) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let code = self.vals.len() as u32;
+        let h = hash_const(c);
+        match self.codes.probe(h, |code| self.vals[code as usize] == c) {
+            Probe::Found(code) => code,
+            Probe::Vacant(at) => {
+                let code = u32::try_from(self.vals.len()).expect("fewer than 2^32 codes");
                 self.vals.push(c);
-                e.insert(code);
+                self.codes.insert_at(at, h, code);
                 code
             }
         }
     }
 
+    /// Each code's rank among the dictionary's constants in `Ord` order.
+    /// Codes map one-to-one onto constants, so comparing ranks is comparing
+    /// the constants.
+    fn ranks(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.vals.len() as u32).collect();
+        order.sort_unstable_by_key(|&code| self.vals[code as usize]);
+        let mut ranks = vec![0; order.len()];
+        for (rank, &code) in order.iter().enumerate() {
+            ranks[code as usize] = rank as u32;
+        }
+        ranks
+    }
+
     fn bytes(&self) -> usize {
-        self.vals.capacity() * std::mem::size_of::<Const>()
-            + self.codes.capacity() * (std::mem::size_of::<Const>() + std::mem::size_of::<u32>())
+        self.vals.capacity() * std::mem::size_of::<Const>() + self.codes.bytes()
     }
 }
 
@@ -233,8 +422,8 @@ struct Inner {
     len: u32,
     /// Per-position dictionary-encoded code columns (`cols.len() == arity`).
     cols: Vec<Col>,
-    /// Dedup set over row views: row hash → ids with that hash.
-    buckets: RowHashMap<Ids>,
+    /// Dedup set over row views: the row ids, keyed by [`hash_row`].
+    rows: IdTable,
     /// Row-ids in tuple order, built lazily, dropped on every unshare or
     /// mutation (see [`Relation::make_mut`]).
     sorted: OnceLock<Box<[u32]>>,
@@ -248,40 +437,39 @@ impl Inner {
         &self.arena[start..start + a]
     }
 
-    fn find_hashed(&self, h: u64, row: &[Const]) -> Option<u32> {
-        match self.buckets.get(&h)? {
-            Ids::One(id) => (self.row(*id) == row).then_some(*id),
-            Ids::Many(ids) => ids.iter().copied().find(|&id| self.row(id) == row),
-        }
+    #[inline]
+    fn probe_row(&self, h: u64, row: &[Const]) -> Probe {
+        self.rows.probe(h, |id| self.row(id) == row)
     }
 
-    fn bucket_remove(&mut self, h: u64, id: u32) {
-        match self.buckets.get_mut(&h) {
-            Some(Ids::One(a)) if *a == id => {
-                self.buckets.remove(&h);
-            }
-            Some(Ids::Many(v)) => {
-                v.retain(|&x| x != id);
-                if let [only] = v[..] {
-                    self.buckets.insert(h, Ids::One(only));
-                }
-            }
-            _ => debug_assert!(false, "row id missing from its dedup bucket"),
+    /// Row ids in tuple order: a stable counting sort of the ids by each
+    /// column's dictionary rank, last column first. A relation of a few
+    /// rows compares them instead, which allocates nothing per column.
+    fn sort_ids(&self) -> Box<[u32]> {
+        let mut ids: Vec<u32> = (0..self.len).collect();
+        if ids.len() <= 32 {
+            ids.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+            return ids.into_boxed_slice();
         }
-    }
-
-    fn bucket_replace(&mut self, h: u64, from: u32, to: u32) {
-        match self.buckets.get_mut(&h) {
-            Some(Ids::One(a)) if *a == from => *a = to,
-            Some(Ids::Many(v)) => {
-                for x in v {
-                    if *x == from {
-                        *x = to;
-                    }
-                }
+        let mut next = vec![0u32; ids.len()];
+        for col in self.cols.iter().rev() {
+            let ranks = col.dict.ranks();
+            let rank = |id: u32| ranks[col.codes[id as usize] as usize] as usize;
+            let mut starts = vec![0u32; ranks.len() + 1];
+            for &id in &ids {
+                starts[rank(id) + 1] += 1;
             }
-            _ => debug_assert!(false, "moved row id missing from its dedup bucket"),
+            for r in 1..starts.len() {
+                starts[r] += starts[r - 1];
+            }
+            for &id in &ids {
+                let slot = &mut starts[rank(id)];
+                next[*slot as usize] = id;
+                *slot += 1;
+            }
+            std::mem::swap(&mut ids, &mut next);
         }
+        ids.into_boxed_slice()
     }
 }
 
@@ -302,7 +490,7 @@ impl Relation {
                 arena: Vec::new(),
                 len: 0,
                 cols: vec![Col::default(); arity],
-                buckets: RowHashMap::default(),
+                rows: IdTable::default(),
                 sorted: OnceLock::new(),
             }),
         }
@@ -326,14 +514,20 @@ impl Relation {
         self.inner.arena.capacity() * std::mem::size_of::<Const>()
     }
 
-    /// Bytes held by the dictionary encoding: code columns plus
-    /// dictionaries (capacity, not just live entries).
+    /// Bytes held by the dictionary encoding: code columns, each
+    /// dictionary's values and its id table (capacity, not just live
+    /// entries).
     pub fn dict_bytes(&self) -> usize {
         self.inner
             .cols
             .iter()
             .map(|c| c.codes.capacity() * std::mem::size_of::<u32>() + c.dict.bytes())
             .sum()
+    }
+
+    /// Bytes held by the dedup id table (capacity, tombstones included).
+    pub fn dedup_bytes(&self) -> usize {
+        self.inner.rows.bytes()
     }
 
     /// Unshare the storage for mutation. **Every mutation path must go
@@ -394,7 +588,10 @@ impl Relation {
         if row.len() != self.inner.arity {
             return None;
         }
-        self.inner.find_hashed(hash_row(row), row)
+        match self.inner.probe_row(hash_row(row), row) {
+            Probe::Found(id) => Some(id),
+            Probe::Vacant(_) => None,
+        }
     }
 
     #[inline]
@@ -407,9 +604,10 @@ impl Relation {
     pub fn insert(&mut self, row: &[Const]) -> Option<u32> {
         debug_assert_eq!(row.len(), self.inner.arity, "arity mismatch");
         let h = hash_row(row);
-        if self.inner.find_hashed(h, row).is_some() {
+        let Probe::Vacant(at) = self.inner.probe_row(h, row) else {
             return None;
-        }
+        };
+        // An unshared clone keeps every slot where it was, so `at` holds.
         let inner = self.make_mut();
         let id = inner.len;
         inner.arena.extend_from_slice(row);
@@ -418,12 +616,7 @@ impl Relation {
             col.codes.push(code);
         }
         inner.len += 1;
-        match inner.buckets.entry(h) {
-            Entry::Vacant(e) => {
-                e.insert(Ids::One(id));
-            }
-            Entry::Occupied(mut e) => e.get_mut().push(id),
-        }
+        inner.rows.insert_at(at, h, id);
         Some(id)
     }
 
@@ -437,12 +630,12 @@ impl Relation {
             return false;
         }
         let h = hash_row(row);
-        let Some(id) = self.inner.find_hashed(h, row) else {
+        let Probe::Found(id) = self.inner.probe_row(h, row) else {
             return false;
         };
         let inner = self.make_mut();
         let last = inner.len - 1;
-        inner.bucket_remove(h, id);
+        inner.rows.remove(h, id);
         if id != last {
             let last_hash = hash_row(inner.row(last));
             let a = inner.arity;
@@ -453,7 +646,7 @@ impl Relation {
             for col in &mut inner.cols {
                 col.codes[id as usize] = col.codes[last as usize];
             }
-            inner.bucket_replace(last_hash, last, id);
+            inner.rows.replace(last_hash, last, id);
         }
         inner.arena.truncate(last as usize * inner.arity);
         for col in &mut inner.cols {
@@ -473,12 +666,9 @@ impl Relation {
         (0..self.inner.len).map(move |id| self.inner.row(id))
     }
 
-    fn sorted_ids(&self) -> &[u32] {
-        self.inner.sorted.get_or_init(|| {
-            let mut ids: Vec<u32> = (0..self.inner.len).collect();
-            ids.sort_unstable_by(|&a, &b| self.inner.row(a).cmp(self.inner.row(b)));
-            ids.into_boxed_slice()
-        })
+    /// Row ids in tuple order (the lazily built sorted-id cache).
+    pub(crate) fn sorted_ids(&self) -> &[u32] {
+        self.inner.sorted.get_or_init(|| self.inner.sort_ids())
     }
 
     /// Rows in tuple (`Ord`) order — the order a `BTreeSet<Box<[Const]>>`
@@ -547,6 +737,65 @@ impl Relation {
     pub fn shares_storage_with(&self, other: &Relation) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
+}
+
+/// A relation's rows as fact-file text: each column's dictionary rendered
+/// once, the way [`Const`]'s `Display` prints, and rows written from that
+/// text. Printing a fixpoint this way formats each distinct value once and
+/// takes one interner lock per dictionary, not one per row and symbol.
+pub(crate) struct RenderedRows<'a> {
+    rel: &'a Relation,
+    /// Per column: every code's text back to back, and the offsets that
+    /// bound each code's text (`ends[code]..ends[code + 1]`).
+    cols: Vec<(String, Vec<usize>)>,
+}
+
+impl<'a> RenderedRows<'a> {
+    pub(crate) fn new(rel: &'a Relation) -> RenderedRows<'a> {
+        RenderedRows {
+            rel,
+            cols: rel
+                .inner
+                .cols
+                .iter()
+                .map(|c| render(&c.dict.vals))
+                .collect(),
+        }
+    }
+
+    /// Append row `id`'s constants to `out`, separated by `", "`.
+    pub(crate) fn push_row(&self, id: u32, out: &mut String) {
+        for (k, (text, ends)) in self.cols.iter().enumerate() {
+            if k > 0 {
+                out.push_str(", ");
+            }
+            let code = self.rel.code_at(k, id) as usize;
+            out.push_str(&text[ends[code]..ends[code + 1]]);
+        }
+    }
+}
+
+/// `vals` printed back to back, with the offsets between them.
+fn render(vals: &[Const]) -> (String, Vec<usize>) {
+    use std::fmt::Write;
+    let mut text = String::new();
+    let mut ends = Vec::with_capacity(vals.len() + 1);
+    ends.push(0);
+    with_names(|names| {
+        for &c in vals {
+            match c {
+                Const::Int(i) => write!(text, "{i}").expect("writing to a String"),
+                Const::Sym(s) => text.push_str(names.get(s)),
+                Const::Frozen(Var(s)) => {
+                    text.push('\'');
+                    text.push_str(names.get(s));
+                }
+                Const::Null(n) => write!(text, "δ{n}").expect("writing to a String"),
+            }
+            ends.push(text.len());
+        }
+    });
+    (text, ends)
 }
 
 /// Iterator over rows in tuple order (see [`Relation::iter_sorted`]).
@@ -785,6 +1034,134 @@ mod tests {
         assert_eq!(a, b);
         b.remove(&r(&[2]));
         assert_ne!(a, b);
+    }
+
+    /// A dedup set over `u64` keys on an [`IdTable`] whose every hash is
+    /// the same, driven like [`Relation`] drives its table (swap-remove
+    /// included) and checked against a `BTreeSet` after each operation.
+    #[test]
+    fn id_table_under_a_degenerate_hash_matches_a_set() {
+        const HASH: u64 = 0x5eed_5eed_5eed_5eed;
+        let mut table = IdTable::default();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut model = std::collections::BTreeSet::new();
+        let mut sizes = std::collections::BTreeSet::new();
+        let mut x = 1u64;
+        for step in 0..3_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (x >> 33) % 300;
+            // Mostly inserts early (growth), mostly removals late
+            // (tombstones, rebuilds that keep or shrink the size).
+            let insert = (x >> 20) % 100 < if step < 1_500 { 75 } else { 40 };
+            let probe = table.probe(HASH, |id| keys[id as usize] == key);
+            if insert {
+                match probe {
+                    Probe::Found(id) => assert_eq!(keys[id as usize], key),
+                    Probe::Vacant(at) => {
+                        table.insert_at(at, HASH, keys.len() as u32);
+                        keys.push(key);
+                    }
+                }
+                assert_eq!(matches!(probe, Probe::Vacant(_)), model.insert(key));
+            } else {
+                if let Probe::Found(id) = probe {
+                    let last = keys.len() as u32 - 1;
+                    table.remove(HASH, id);
+                    if id != last {
+                        keys[id as usize] = keys[last as usize];
+                        table.replace(HASH, last, id);
+                    }
+                    keys.pop();
+                }
+                assert_eq!(matches!(probe, Probe::Found(_)), model.remove(&key));
+            }
+            assert_eq!(table.live, model.len());
+            assert!(table.used <= IdTable::max_used(table.slots.len()));
+            assert!(table.slots.is_empty() || table.slots.len().is_power_of_two());
+            sizes.insert(table.slots.len());
+            for k in 0..300 {
+                let found = table.find(HASH, |id| keys[id as usize] == k);
+                assert_eq!(found.map(|id| keys[id as usize]), model.get(&k).copied());
+            }
+        }
+        assert!(sizes.len() >= 4, "the table grew several times: {sizes:?}");
+        let tombstones = table.slots.iter().filter(|&&s| s == TOMBSTONE).count();
+        assert_eq!(table.used, table.live + tombstones);
+    }
+
+    /// The dedup table costs at most 24 B per row and each dictionary
+    /// table at most 24 B per distinct value; emptying and refilling the
+    /// relation ten times leaves every table at the size the first fill
+    /// left it (removals leave tombstones that the refill reuses).
+    #[test]
+    fn id_tables_cost_per_distinct_value_and_settle_under_churn() {
+        let rows: Vec<[Const; 2]> = (0..100_000i64)
+            .map(|i| [Const::Int(i % 1_000), Const::Int(i)])
+            .collect();
+        let mut rel = Relation::new(2);
+        for row in &rows {
+            assert!(rel.insert(row).is_some());
+        }
+        let tables = |rel: &Relation| -> Vec<usize> {
+            let mut bytes: Vec<usize> = rel
+                .inner
+                .cols
+                .iter()
+                .map(|c| c.dict.codes.bytes())
+                .collect();
+            bytes.push(rel.dedup_bytes());
+            bytes.push(rel.dict_bytes());
+            bytes
+        };
+        let filled = tables(&rel);
+        assert!(rel.dedup_bytes() <= 24 * rows.len(), "{filled:?}");
+        for (k, col) in rel.inner.cols.iter().enumerate() {
+            let distinct = rel.dict_len(k);
+            assert!(
+                col.dict.codes.bytes() <= 24 * distinct,
+                "column {k}: {filled:?}"
+            );
+        }
+        for cycle in 0..10 {
+            for row in rows
+                .iter()
+                .rev()
+                .skip(cycle)
+                .chain(rows.iter().rev().take(cycle))
+            {
+                assert!(rel.remove(row));
+            }
+            assert!(rel.is_empty());
+            for (i, row) in rows.iter().enumerate() {
+                assert!(rel.insert(row).is_some());
+                if i % 10_000 == 0 {
+                    // Every reinsert took a tombstone, not an empty slot.
+                    assert_eq!(rel.inner.rows.used, rows.len(), "cycle {cycle}");
+                }
+            }
+            assert_eq!(tables(&rel), filled, "cycle {cycle}");
+        }
+    }
+
+    /// A relation that keeps about 100 rows while every row is fresh
+    /// fills its dedup table with tombstones; each rebuild sizes the table
+    /// from the live rows, so it stays at its warmed-up size.
+    #[test]
+    fn a_sliding_window_keeps_its_dedup_table_size() {
+        let mut rel = Relation::new(1);
+        let mut sizes = std::collections::BTreeSet::new();
+        for i in 0..20_000i64 {
+            rel.insert(&r(&[i]));
+            if i >= 100 {
+                assert!(rel.remove(&r(&[i - 100])));
+            }
+            if i >= 1_000 {
+                sizes.insert(rel.dedup_bytes());
+            }
+        }
+        assert_eq!(sizes.len(), 1, "{sizes:?}");
     }
 
     #[test]

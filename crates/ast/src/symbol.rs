@@ -81,6 +81,23 @@ impl Sym {
     }
 }
 
+/// Symbol names read under one interner read lock (see [`with_names`]).
+pub(crate) struct Names<'a>(&'a Interner);
+
+impl Names<'_> {
+    pub(crate) fn get(&self, s: Sym) -> &str {
+        &self.0.names[s.0 as usize]
+    }
+}
+
+/// Run `f` with every symbol's name readable under one read lock: what a
+/// loop of [`Sym::with_str`] calls reads, for one lock instead of one per
+/// call. As there, `f` must not intern new symbols.
+pub(crate) fn with_names<R>(f: impl FnOnce(&Names<'_>) -> R) -> R {
+    let guard = interner().read().expect("interner lock poisoned");
+    f(&Names(&guard))
+}
+
 impl fmt::Debug for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.with_str(|s| write!(f, "Sym({s:?})"))

@@ -14,17 +14,35 @@
 //! A third suite drives whole [`Database`]s and checks that §III set
 //! equality (including the empty-bucket pruning regression from the
 //! incremental-maintenance PR) is preserved by the columnar swap.
+//!
+//! Every domain mixes all four [`Const`] kinds, so sorted iteration — built
+//! from per-column dictionary ranks — is checked across kinds, and a long
+//! history over a wide domain makes the dedup and dictionary id tables grow
+//! several times and reuse their tombstones.
 
-use datalog_ast::{Const, Database, GroundAtom, Relation};
+use datalog_ast::{Const, Database, GroundAtom, Relation, Sym, Var};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+/// `n` constants, the four kinds in turn: integers (negative ones too),
+/// symbols, frozen variables and labelled nulls.
+fn domain(n: usize) -> Vec<Const> {
+    (0..n)
+        .map(|i| {
+            let j = i / 4;
+            match i % 4 {
+                0 => Const::Int(j as i64 - n as i64 / 8),
+                1 => Const::Sym(Sym::new(&format!("rm-s{j}"))),
+                2 => Const::Frozen(Var::new(&format!("Rm{j}"))),
+                _ => Const::Null(j as u32),
+            }
+        })
+        .collect()
+}
+
 /// A small constant domain: mixed kinds so row hashing sees distinct tags.
 fn const_strategy() -> impl Strategy<Value = Const> {
-    prop_oneof![
-        (0i64..5).prop_map(Const::Int),
-        (0u32..3).prop_map(Const::Null),
-    ]
+    prop::sample::select(domain(12))
 }
 
 #[derive(Clone, Debug)]
@@ -54,47 +72,90 @@ fn ops_strategy() -> impl Strategy<Value = (usize, Vec<Op>)> {
     })
 }
 
+/// A long history: 500-700 operations whose rows lead with one of 240
+/// constants (the rest from a handful), so the dedup table and the first
+/// column's dictionary table grow several times, and removals hit often
+/// enough to leave tombstones that later inserts reuse.
+fn long_ops_strategy() -> impl Strategy<Value = (usize, Vec<Op>)> {
+    (1usize..=3).prop_flat_map(|arity| {
+        let wide = domain(240);
+        let narrow = wide[..6].to_vec();
+        let row = (
+            prop::sample::select(wide),
+            prop::collection::vec(prop::sample::select(narrow), arity - 1),
+        )
+            .prop_map(|(first, rest)| {
+                let mut row = vec![first];
+                row.extend(rest);
+                row
+            });
+        let op = (prop::bool::weighted(0.6), row).prop_map(|(insert, row)| {
+            if insert {
+                Op::Insert(row)
+            } else {
+                Op::Remove(row)
+            }
+        });
+        (Just(arity), prop::collection::vec(op, 500..700))
+    })
+}
+
+/// Relation ≡ BTreeSet along `ops`: mutation results, cardinality,
+/// membership, sorted iteration and row-id round-trips.
+fn check_against_model(arity: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut rel = Relation::new(arity);
+    let mut model: BTreeSet<Box<[Const]>> = BTreeSet::new();
+    for op in ops {
+        match op {
+            Op::Insert(row) => {
+                let fresh = rel.insert(row).is_some();
+                let model_fresh = model.insert(row.as_slice().into());
+                prop_assert_eq!(fresh, model_fresh, "insert {:?}", row);
+            }
+            Op::Remove(row) => {
+                let hit = rel.remove(row);
+                let model_hit = model.remove(row.as_slice());
+                prop_assert_eq!(hit, model_hit, "remove {:?}", row);
+            }
+        }
+        prop_assert_eq!(rel.len(), model.len());
+    }
+    // Membership agrees on every row ever mentioned.
+    for op in ops {
+        let row = match op {
+            Op::Insert(r) | Op::Remove(r) => r,
+        };
+        prop_assert_eq!(rel.contains(row), model.contains(row.as_slice()));
+    }
+    // Sorted iteration reproduces the model's (BTreeSet) order exactly —
+    // the invariant that keeps golden output byte-identical to the
+    // pre-columnar engine.
+    let got: Vec<&[Const]> = rel.iter_sorted().collect();
+    let want: Vec<&[Const]> = model.iter().map(|r| &**r).collect();
+    prop_assert_eq!(got, want);
+    // Row-id round-trip: every id handed back by iteration dereferences
+    // to a row of the right arity that the model also holds.
+    for (id, row) in rel.iter_with_ids() {
+        prop_assert_eq!(rel.row(id), row);
+        prop_assert_eq!(row.len(), arity);
+        prop_assert!(model.contains(row));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
     // Relation ≡ BTreeSet under arbitrary insert/remove interleavings.
     #[test]
     fn relation_matches_btreeset_model((arity, ops) in ops_strategy()) {
-        let mut rel = Relation::new(arity);
-        let mut model: BTreeSet<Box<[Const]>> = BTreeSet::new();
-        for op in &ops {
-            match op {
-                Op::Insert(row) => {
-                    let fresh = rel.insert(row).is_some();
-                    let model_fresh = model.insert(row.as_slice().into());
-                    prop_assert_eq!(fresh, model_fresh, "insert {:?}", row);
-                }
-                Op::Remove(row) => {
-                    let hit = rel.remove(row);
-                    let model_hit = model.remove(row.as_slice());
-                    prop_assert_eq!(hit, model_hit, "remove {:?}", row);
-                }
-            }
-            prop_assert_eq!(rel.len(), model.len());
-        }
-        // Membership agrees on every row ever mentioned.
-        for op in &ops {
-            let row = match op { Op::Insert(r) | Op::Remove(r) => r };
-            prop_assert_eq!(rel.contains(row), model.contains(row.as_slice()));
-        }
-        // Sorted iteration reproduces the model's (BTreeSet) order exactly —
-        // the invariant that keeps golden output byte-identical to the
-        // pre-columnar engine.
-        let got: Vec<&[Const]> = rel.iter_sorted().collect();
-        let want: Vec<&[Const]> = model.iter().map(|r| &**r).collect();
-        prop_assert_eq!(got, want);
-        // Row-id round-trip: every id handed back by iteration dereferences
-        // to a row of the right arity that the model also holds.
-        for (id, row) in rel.iter_with_ids() {
-            prop_assert_eq!(rel.row(id), row);
-            prop_assert_eq!(row.len(), arity);
-            prop_assert!(model.contains(row));
-        }
+        check_against_model(arity, &ops)?;
+    }
+
+    // The same over long histories on a wide domain.
+    #[test]
+    fn long_histories_match_btreeset_model((arity, ops) in long_ops_strategy()) {
+        check_against_model(arity, &ops)?;
     }
 
     // Set equality of Relations is model set equality, independent of

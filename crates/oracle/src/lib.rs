@@ -51,7 +51,8 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of cases to attempt (round-robined across `families`).
     pub cases: u64,
-    /// Hard wall-clock budget; the run stops early when exceeded.
+    /// Hard wall-clock budget; the run stops early when exceeded, and it
+    /// bounds reduction too (see [`fuzz`]).
     pub budget_ms: Option<u64>,
     /// Which oracle families to exercise.
     pub families: Vec<Family>,
@@ -97,8 +98,17 @@ pub fn case_seed(base: u64, index: u64) -> u64 {
 
 /// Run the fuzzer. Deterministic for a fixed config (modulo `elapsed_ms`
 /// and early stops under a wall-clock budget).
+///
+/// The budget bounds reduction as well as the case loop: a finding made
+/// after it is spent is reported unreduced, and a reduction it runs out
+/// during ends with the smallest case reached (see `reduce_within`).
 pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
     let start = Instant::now();
+    let spent = || {
+        config
+            .budget_ms
+            .is_some_and(|budget| start.elapsed().as_millis() as u64 >= budget)
+    };
     let mut report = FuzzReport {
         cases_run: config.families.iter().map(|&f| (f, 0)).collect(),
         ..FuzzReport::default()
@@ -107,11 +117,9 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         return report;
     }
     for i in 0..config.cases {
-        if let Some(budget) = config.budget_ms {
-            if start.elapsed().as_millis() as u64 >= budget {
-                report.budget_exhausted = true;
-                break;
-            }
+        if spent() {
+            report.budget_exhausted = true;
+            break;
         }
         let family = config.families[(i % config.families.len() as u64) as usize];
         let seed = case_seed(config.seed, i);
@@ -125,21 +133,37 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
             continue;
         }
         let reduced = if config.reduce {
-            reduce::reduce(&case, &|c| !oracles::check(c).is_empty())
+            reduce_within(&case, &|c| !oracles::check(c).is_empty(), &spent)
         } else {
-            case.clone()
+            None
         };
         let kind = divergences
             .first()
             .map(|d| d.kind.clone())
             .unwrap_or_default();
-        let fixture = fixture::Fixture::for_case(reduced, &kind).render();
-        report
-            .findings
-            .push(report::finding_from(seed, family, &divergences, fixture));
+        let is_reduced = reduced.is_some();
+        let fixture = fixture::Fixture::for_case(reduced.unwrap_or(case), &kind).render();
+        report.findings.push(report::finding_from(
+            seed,
+            family,
+            &divergences,
+            fixture,
+            is_reduced,
+        ));
     }
     report.elapsed_ms = start.elapsed().as_millis() as u64;
     report
+}
+
+/// Reduce `case` while `fails` holds and the time budget lasts: once
+/// `spent()`, every check answers "no longer fails", so reduction ends with
+/// the smallest case it reached. `None` if the budget was spent before
+/// reduction could start.
+fn reduce_within(case: &Case, fails: &reduce::Check<'_>, spent: &dyn Fn() -> bool) -> Option<Case> {
+    if spent() {
+        return None;
+    }
+    Some(reduce::reduce(case, &|c| !spent() && fails(c)))
 }
 
 #[cfg(test)]
@@ -170,6 +194,30 @@ mod tests {
         // The reference evaluations' storage work is folded into the report.
         assert!(report.eval.tuples_allocated > 0);
         assert!(report.eval.arena_bytes > 0);
+    }
+
+    #[test]
+    fn reduction_does_not_start_once_the_budget_is_spent() {
+        let case = workload::generate(case_seed(7, 0), Family::Engines);
+        let reduced = reduce_within(&case, &|_| panic!("a spent budget runs no check"), &|| true);
+        assert!(reduced.is_none());
+    }
+
+    #[test]
+    fn a_budget_spent_during_reduction_keeps_the_smallest_case_reached() {
+        use std::cell::Cell;
+        let case = workload::generate(case_seed(7, 0), Family::Engines);
+        assert!(case.program.len() >= 2, "{}", case.program.len());
+        // Every candidate "fails" until the budget runs out after two
+        // checks, each of which drops the program's first rule.
+        let checks = Cell::new(0);
+        let fails = |_: &Case| {
+            checks.set(checks.get() + 1);
+            true
+        };
+        let reduced = reduce_within(&case, &fails, &|| checks.get() >= 2).expect("started");
+        assert_eq!(checks.get(), 2);
+        assert_eq!(reduced.program.rules[..], case.program.rules[2..]);
     }
 
     #[test]

@@ -15,8 +15,12 @@ pub struct Finding {
     pub kinds: Vec<String>,
     /// First divergence message on the original case.
     pub message: String,
-    /// Canonical fixture text of the reduced case.
+    /// Canonical fixture text of the reduced case (of the generated case
+    /// when `reduced` is false).
     pub fixture: String,
+    /// Whether the case went through the reducer. It did not when
+    /// reduction was off, or when the run's time budget was spent first.
+    pub reduced: bool,
     /// Where the fixture was written, if a repro dir was configured.
     pub written_to: Option<String>,
 }
@@ -91,6 +95,7 @@ impl FuzzReport {
                                 ),
                                 ("message", Value::String(f.message.clone())),
                                 ("fixture", Value::String(f.fixture.clone())),
+                                ("reduced", Value::Bool(f.reduced)),
                                 (
                                     "written_to",
                                     match &f.written_to {
@@ -139,6 +144,9 @@ impl fmt::Display for FuzzReport {
                     finding.kinds.join(","),
                     finding.message
                 )?;
+                if !finding.reduced {
+                    write!(f, " (unreduced)")?;
+                }
                 if let Some(path) = &finding.written_to {
                     write!(f, "\n    repro written to {path}")?;
                 }
@@ -155,6 +163,7 @@ pub(crate) fn finding_from(
     family: Family,
     divergences: &[Divergence],
     fixture: String,
+    reduced: bool,
 ) -> Finding {
     let mut kinds: Vec<String> = divergences.iter().map(|d| d.kind.clone()).collect();
     kinds.dedup();
@@ -167,6 +176,7 @@ pub(crate) fn finding_from(
             .map(|d| d.message.clone())
             .unwrap_or_default(),
         fixture,
+        reduced,
         written_to: None,
     }
 }

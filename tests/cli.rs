@@ -285,6 +285,75 @@ fn eval_reads_back_the_i64_extremes() {
     assert_eq!(stdout(&out), facts);
 }
 
+/// Facts that mix integers (negative ones and `i64::MIN` included) and
+/// symbols in one column, with `m` at two arities, in no particular order.
+const MIXED: &str = "m(zed, 3).
+m(-9223372036854775808, alpha).
+m(9223372036854775807).
+m(alpha, -1).
+m(-42, zed).
+m(0).
+m(-7).
+m(bob).
+m(zed).
+m(-42, -42).
+m(0, alpha).
+m(alpha, alpha).
+m(bob, 9223372036854775807).
+pair(-1, x).
+pair(x, -1).
+pair(x, 0).
+pair(-9223372036854775808, -9223372036854775808).
+pair(y, x).
+pair(10, y).
+";
+
+/// `eval` prints [`MIXED`] in tuple order: integers before symbols, symbols
+/// in first-appearance order, and the two arities of `m` interleaved.
+#[test]
+fn eval_prints_mixed_kinds_and_arities_in_tuple_order() {
+    let dir = TempDir::new("mixed");
+    let p = dir.file("empty.dl", "");
+    let e = dir.file("mixed.dl", MIXED);
+    let out = bin().args(["eval", &p, "--edb", &e]).output().unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "m(-9223372036854775808, alpha).
+m(-42, -42).
+m(-42, zed).
+m(-7).
+m(0).
+m(0, alpha).
+m(9223372036854775807).
+m(zed).
+m(zed, 3).
+m(alpha, -1).
+m(alpha, alpha).
+m(bob).
+m(bob, 9223372036854775807).
+pair(-9223372036854775808, -9223372036854775808).
+pair(-1, x).
+pair(10, y).
+pair(x, -1).
+pair(x, 0).
+pair(y, x).
+"
+    );
+}
+
+/// `tests/data/mixed.facts` is a printed fixpoint of [`MIXED`]: `eval`
+/// reads it back byte for byte.
+#[test]
+fn eval_reads_back_the_mixed_fact_file() {
+    let dir = TempDir::new("mixed-back");
+    let p = dir.file("empty.dl", "");
+    let facts = format!("{}/tests/data/mixed.facts", env!("CARGO_MANIFEST_DIR"));
+    let out = bin().args(["eval", &p, "--edb", &facts]).output().unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(stdout(&out), std::fs::read_to_string(&facts).unwrap());
+}
+
 /// A reader that takes one line and goes away (`datalog eval … | head -1`)
 /// ends the output, not the program: exit 0 and no panic, for each command
 /// that prints a database. The output is far larger than a pipe buffer, so
@@ -520,6 +589,37 @@ fn chase_with_weakly_acyclic_tgds() {
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stderr(&out).contains("weakly acyclic"));
     assert!(stdout(&out).contains("a(1, δ0)."));
+}
+
+/// The whole stdout of a chase whose result holds labelled nulls.
+#[test]
+fn chase_prints_labelled_nulls() {
+    let dir = TempDir::new("chase-nulls");
+    let p = dir.file("tc.dl", TC);
+    let t = dir.file("tgds.dl", "g(X, Z) -> a(X, W).\na(X, Y) -> h(Y, V, X).\n");
+    let d = dir.file("db.dl", "g(1, 2). g(2, ann). a(-5, 3).");
+    let out = bin()
+        .args(["chase", &p, "--tgds", &t, "--db", &d])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "g(-5, 3).
+g(1, 2).
+g(1, ann).
+g(1, δ0).
+g(1, δ1).
+g(2, ann).
+g(2, δ1).
+a(-5, 3).
+a(1, δ0).
+a(2, δ1).
+h(3, δ2, -5).
+h(δ0, δ3, 1).
+h(δ1, δ4, 2).
+"
+    );
 }
 
 #[test]

@@ -379,8 +379,9 @@ fn e1_to_e15(r: &mut Report) {
         r.count("E10", "chain", "probes-bloated", x, sb.probes, "probes");
         r.count("E10", "chain", "probes-minimized", x, sm.probes, "probes");
     }
-    // The same pair on the naive engine, which shares no code with the
-    // semi-naive one: the saving is in the program, not in an engine.
+    // The same pair on the naive reference, a nested loop over rows that
+    // shares no code with the semi-naive engine: the saving is in the
+    // program, not in an engine.
     for n in [8usize, 16] {
         let edb = standard_edb("chain", n);
         let [tb, tm] = time_ms(

@@ -5,11 +5,13 @@
 //! (Sagiv, PODS 1987).
 //!
 //! * [`naive`] — the paper's §III semantics taken literally: repeat full
-//!   rule instantiation until fixpoint, and the single application `Pⁿ(d)`
-//!   of §IX ([`naive::apply_once`]). It is the reference the tests and the
-//!   fuzz oracles compare the engine against; nothing else calls it — the
-//!   optimizer's §IX-§X tests evaluate `Pⁿ(d)` as a program with renamed
-//!   heads.
+//!   rule instantiation until fixpoint, the single application `Pⁿ(d)` of
+//!   §IX ([`naive::apply_once`]) and tgd satisfaction
+//!   ([`naive::satisfies`]), each a nested loop over rows built on
+//!   `datalog_ast` alone. It is the reference the tests and the fuzz
+//!   oracles compare the engine against, and it shares no code with the
+//!   rest of this crate; nothing else calls it — the optimizer's §IX-§X
+//!   tests evaluate `Pⁿ(d)` as a program with renamed heads.
 //! * [`schedule`] — [`evaluate`], the one entry point of delta-driven
 //!   evaluation: same fixpoint, asymptotically less rediscovery, stratified
 //!   negation (the §XII extension). It, or a [`Materialized`] view, runs
@@ -22,8 +24,8 @@
 //!   `(predicate, adornment)` of a program, for callers that ask many
 //!   point queries.
 //! * [`plan`] — compiled rule plans ([`RulePlan`]: variables as dense
-//!   slots, greedy join orders), which every evaluator starts from, plus the
-//!   backtracking join interpreter only [`naive`] runs.
+//!   slots, greedy join orders), which every evaluator but [`naive`] starts
+//!   from.
 //! * [`context`] — persistent [`EvalContext`]s: per-`(pred, positions)`
 //!   indexes maintained incrementally across fixpoint rounds, compiled
 //!   join scripts, and rounds that run every task on the calling thread.

@@ -1,4 +1,4 @@
-//! Compiled rule plans, and the reference join interpreter.
+//! Compiled rule plans.
 //!
 //! A [`RulePlan`] compiles a rule's variables to dense slots (`usize`
 //! indices) so that a partial assignment is a `Vec<Option<Const>>` rather
@@ -6,20 +6,15 @@
 //! records each body literal that repeats an earlier one (a *twin*): a rule
 //! body is a set of atoms (§II), so the context's scripts fold a twin into
 //! its first copy.
-//! Plans are what every evaluator starts from: [`crate::EvalContext`]
-//! compiles them further into join scripts for its kernel, and the plan
-//! keeps those scripts (see [`RulePlan`]), so every context built over the
-//! same plans compiles each script once.
-//!
-//! `join_body` evaluates a plan directly — left-to-right backtracking
-//! against per-predicate hash indices built on demand (`IndexSet`) and
-//! thrown away with the round. It is the seed's executor and has one caller
-//! left, [`crate::naive`], the share-nothing reference the oracles compare
-//! every other evaluator against.
+//! Plans are what every evaluator but the reference starts from:
+//! [`crate::EvalContext`] compiles them further into join scripts for its
+//! kernel, and the plan keeps those scripts (see [`RulePlan`]), so every
+//! context built over the same plans compiles each script once. The
+//! reference, [`crate::naive`], matches rule bodies without plans, so a bug
+//! here is one it does not share.
 
 use crate::context::{compile_script, JoinScript};
-use datalog_ast::{Atom, Const, Database, GroundAtom, Pred, Relation, Rule, Term, Tuple, Var};
-use std::collections::HashMap;
+use datalog_ast::{Atom, Const, Database, Pred, Relation, Rule, Term, Var};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A term in a compiled atom: either a constant or a variable slot.
@@ -90,9 +85,7 @@ impl AtomPlan {
 /// and terms — is a *twin*. Any match of the body gives a twin its first
 /// copy's row, so the context's orders leave twins out
 /// (`RulePlan::greedy_order_seeded`): a twin gets no step and no delta
-/// task, and a justification gives it its first copy's row. The reference
-/// join ([`RulePlan::greedy_order`], `join_body`) joins the body as
-/// written.
+/// task, and a justification gives it its first copy's row.
 #[derive(Clone, Debug)]
 pub struct RulePlan {
     /// Head slots.
@@ -217,41 +210,20 @@ impl RulePlan {
         self.first[i] != i
     }
 
-    /// A greedy join order: repeatedly pick the not-yet-placed *positive*
-    /// atom with the most bound argument positions (ties: smaller relation
-    /// first); negated atoms are placed as soon as all their variables are
-    /// bound, and always after at least one positive atom.
-    ///
-    /// Returns a permutation of body indices, twins included: this is the
-    /// order of the reference join.
-    pub fn greedy_order(&self, db: &Database) -> Vec<usize> {
-        let sizes: Vec<usize> = self.body.iter().map(|a| a.relation_len(db)).collect();
-        let mut scratch = OrderScratch::default();
-        self.order_into(&sizes, None, false, &mut scratch);
-        scratch.order
-    }
-
-    /// [`RulePlan::greedy_order`] without the twins, into `scratch.order`,
-    /// over `sizes[i]`, the number of rows body atom `i` reads, and
-    /// optionally forcing one positive atom to the front. Delta-restricted
-    /// rounds seed with the delta atom: the delta relation is the small
-    /// side, so driving the join from it avoids rescanning a full
-    /// persistent relation once per round per delta position.
+    /// A greedy join order of the body without its twins, into
+    /// `scratch.order`: repeatedly place the not-yet-placed *positive* atom
+    /// with the most bound argument positions (ties: smaller relation
+    /// first, by `sizes[i]`, the number of rows body atom `i` reads);
+    /// negated atoms are placed as soon as all their variables are bound,
+    /// and always after at least one positive atom. `seed` optionally forces
+    /// one positive atom to the front: delta-restricted rounds seed with the
+    /// delta atom, because the delta relation is the small side, so driving
+    /// the join from it avoids rescanning a full persistent relation once
+    /// per round per delta position.
     pub(crate) fn greedy_order_seeded(
         &self,
         sizes: &[usize],
         seed: Option<usize>,
-        scratch: &mut OrderScratch,
-    ) {
-        self.order_into(sizes, seed, true, scratch);
-    }
-
-    /// The greedy order, leaving the twins out when `fold` says so.
-    fn order_into(
-        &self,
-        sizes: &[usize],
-        seed: Option<usize>,
-        fold: bool,
         scratch: &mut OrderScratch,
     ) {
         let OrderScratch {
@@ -265,7 +237,7 @@ impl RulePlan {
         positive.clear();
         negated.clear();
         for (i, atom) in self.body.iter().enumerate() {
-            if fold && self.is_twin(i) {
+            if self.is_twin(i) {
                 continue;
             } else if atom.negated {
                 negated.push(i);
@@ -381,292 +353,22 @@ pub(crate) fn pattern_number(
     })
 }
 
-/// Key of an index: a relation (predicate and arity) and the positions of
-/// it used for probing.
-type IndexKey = (Pred, usize, Vec<usize>);
-
-/// On-demand hash indices over a database snapshot.
-///
-/// For each `(predicate, arity, bound-positions)` triple requested, builds
-/// (once) a hash map from the projection onto those positions to the
-/// matching tuples. Indices are built lazily because most rules only probe a
-/// few patterns.
-pub(crate) struct IndexSet<'db> {
-    db: &'db Database,
-    indices: HashMap<IndexKey, HashMap<Vec<Const>, Vec<&'db [Const]>>>,
-    /// Number of index probes performed — the "joins done during the
-    /// evaluation" measure of §I, reported by [`crate::Stats`].
-    pub(crate) probes: u64,
-}
-
-impl<'db> IndexSet<'db> {
-    pub(crate) fn new(db: &'db Database) -> IndexSet<'db> {
-        IndexSet {
-            db,
-            indices: HashMap::new(),
-            probes: 0,
-        }
-    }
-
-    /// Tuples of `pred` at `arity` whose projection on `positions` equals
-    /// `key`.
-    fn probe(
-        &mut self,
-        pred: Pred,
-        arity: usize,
-        positions: &[usize],
-        key: &[Const],
-    ) -> &[&'db [Const]] {
-        self.probes += 1;
-        let rows = || {
-            self.db
-                .relation_of(pred, arity)
-                .into_iter()
-                .flat_map(Relation::iter_sorted)
-        };
-        if positions.is_empty() {
-            // Full scan; cache under the empty position list with unit key.
-            let entry = self
-                .indices
-                .entry((pred, arity, Vec::new()))
-                .or_insert_with(|| {
-                    let mut m: HashMap<Vec<Const>, Vec<&'db [Const]>> = HashMap::new();
-                    m.insert(Vec::new(), rows().collect());
-                    m
-                });
-            return entry.get(&[] as &[Const]).map_or(&[], Vec::as_slice);
-        }
-        let entry = self
-            .indices
-            .entry((pred, arity, positions.to_vec()))
-            .or_insert_with(|| {
-                let mut m: HashMap<Vec<Const>, Vec<&'db [Const]>> = HashMap::new();
-                for t in rows() {
-                    let k: Vec<Const> = positions.iter().map(|&i| t[i]).collect();
-                    m.entry(k).or_default().push(t);
-                }
-                m
-            });
-        entry.get(key).map_or(&[], Vec::as_slice)
-    }
-}
-
-/// Evaluate `plan`'s body over `idx`, calling `on_match` with the complete
-/// variable assignment for every satisfying substitution.
-///
-/// `order` must be a permutation of the body indices. Negated atoms are
-/// checked as absence in the database.
-pub(crate) fn join_body<F: FnMut(&[Option<Const>])>(
-    plan: &RulePlan,
-    order: &[usize],
-    idx: &mut IndexSet<'_>,
-    mut on_match: F,
-) {
-    let mut assignment: Vec<Option<Const>> = vec![None; plan.num_vars()];
-    join_rec(plan, order, 0, idx, &mut assignment, &mut on_match);
-}
-
-fn join_rec<F: FnMut(&[Option<Const>])>(
-    plan: &RulePlan,
-    order: &[usize],
-    depth: usize,
-    idx: &mut IndexSet<'_>,
-    assignment: &mut Vec<Option<Const>>,
-    on_match: &mut F,
-) {
-    if depth == order.len() {
-        on_match(assignment);
-        return;
-    }
-    let atom_i = order[depth];
-    let atom = &plan.body[atom_i];
-
-    if atom.negated {
-        // All variables must be bound (safety was validated upstream).
-        let tuple: Option<Vec<Const>> = atom
-            .slots
-            .iter()
-            .map(|s| match s {
-                Slot::Const(c) => Some(*c),
-                Slot::Var(v) => assignment[*v],
-            })
-            .collect();
-        let tuple = tuple.expect("negated atom with unbound variable; rule not safe");
-        idx.probes += 1;
-        if !idx.db.contains_tuple(atom.pred, &tuple) {
-            join_rec(plan, order, depth + 1, idx, assignment, on_match);
-        }
-        return;
-    }
-
-    // Determine bound positions and probe key.
-    let mut positions = Vec::new();
-    let mut key = Vec::new();
-    for (i, s) in atom.slots.iter().enumerate() {
-        match s {
-            Slot::Const(c) => {
-                positions.push(i);
-                key.push(*c);
-            }
-            Slot::Var(v) => {
-                if let Some(c) = assignment[*v] {
-                    positions.push(i);
-                    key.push(c);
-                }
-            }
-        }
-    }
-
-    let matches: Vec<Tuple> = idx
-        .probe(atom.pred, atom.slots.len(), &positions, &key)
-        .iter()
-        .map(|&t| Tuple::from(t))
-        .collect();
-
-    for t in matches {
-        // Bind unbound variable slots; record which to unbind on backtrack.
-        let mut newly_bound: Vec<usize> = Vec::new();
-        let mut ok = true;
-        for (i, s) in atom.slots.iter().enumerate() {
-            if let Slot::Var(v) = s {
-                match assignment[*v] {
-                    Some(c) => {
-                        if c != t[i] {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        assignment[*v] = Some(t[i]);
-                        newly_bound.push(*v);
-                    }
-                }
-            }
-        }
-        if ok {
-            join_rec(plan, order, depth + 1, idx, assignment, on_match);
-        }
-        for v in newly_bound {
-            assignment[v] = None;
-        }
-    }
-}
-
-/// Instantiate the head of `plan` under a complete assignment.
-pub(crate) fn instantiate_head(plan: &RulePlan, assignment: &[Option<Const>]) -> GroundAtom {
-    let tuple: Box<[Const]> = plan
-        .head
-        .slots
-        .iter()
-        .map(|s| match s {
-            Slot::Const(c) => *c,
-            Slot::Var(v) => {
-                assignment[*v].expect("head variable unbound; rule not range-restricted")
-            }
-        })
-        .collect();
-    GroundAtom {
-        pred: plan.head.pred,
-        tuple,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{fact, parse_database, parse_rule};
-
-    fn all_matches(rule: &str, db: &Database) -> Vec<GroundAtom> {
-        let rule = parse_rule(rule).unwrap();
-        let plan = RulePlan::compile(&rule);
-        let order = plan.greedy_order(db);
-        let mut idx = IndexSet::new(db);
-        let mut out = Vec::new();
-        join_body(&plan, &order, &mut idx, |a| {
-            out.push(instantiate_head(&plan, a));
-        });
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    #[test]
-    fn single_atom_scan() {
-        let db = parse_database("a(1,2). a(2,3).").unwrap();
-        let got = all_matches("g(X, Z) :- a(X, Z).", &db);
-        assert_eq!(got, vec![fact("g", [1, 2]), fact("g", [2, 3])]);
-    }
-
-    #[test]
-    fn two_way_join() {
-        let db = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
-        let got = all_matches("g(X, Z) :- a(X, Y), a(Y, Z).", &db);
-        assert_eq!(got, vec![fact("g", [1, 3]), fact("g", [2, 4])]);
-    }
-
-    #[test]
-    fn constant_in_body_restricts() {
-        let db = parse_database("a(1,2). a(2,3).").unwrap();
-        let got = all_matches("g(X) :- a(2, X).", &db);
-        assert_eq!(got, vec![fact("g", [3])]);
-    }
-
-    #[test]
-    fn constant_in_head() {
-        let db = parse_database("a(1,2).").unwrap();
-        let got = all_matches("g(X, 9) :- a(X, Y).", &db);
-        assert_eq!(got, vec![fact("g", [1, 9])]);
-    }
-
-    #[test]
-    fn repeated_variable_in_atom() {
-        let db = parse_database("a(1,1). a(1,2).").unwrap();
-        let got = all_matches("g(X) :- a(X, X).", &db);
-        assert_eq!(got, vec![fact("g", [1])]);
-    }
-
-    #[test]
-    fn cartesian_product_when_no_shared_vars() {
-        let db = parse_database("a(1). a(2). b(7). b(8).").unwrap();
-        let got = all_matches("g(X, Y) :- a(X), b(Y).", &db);
-        assert_eq!(got.len(), 4);
-    }
-
-    #[test]
-    fn negation_filters() {
-        let db = parse_database("a(1). a(2). bad(2).").unwrap();
-        let got = all_matches("g(X) :- a(X), !bad(X).", &db);
-        assert_eq!(got, vec![fact("g", [1])]);
-    }
+    use datalog_ast::{parse_database, parse_rule};
 
     #[test]
     fn greedy_order_places_bound_atoms_early() {
         let db = parse_database("a(1,2). b(2,3). b(9,9). c(1).").unwrap();
         let rule = parse_rule("g(X, Z) :- b(Y, Z), c(X), a(X, Y).").unwrap();
         let plan = RulePlan::compile(&rule);
-        let order = plan.greedy_order(&db);
-        assert_eq!(order.len(), 3);
-        // All three must appear exactly once.
-        let mut sorted = order.clone();
-        sorted.sort();
-        assert_eq!(sorted, vec![0, 1, 2]);
-        // Join still produces the right answer regardless of order.
-        let got = all_matches("g(X, Z) :- b(Y, Z), c(X), a(X, Y).", &db);
-        assert_eq!(got, vec![fact("g", [1, 3])]);
-    }
-
-    #[test]
-    fn probe_counting() {
-        let db = parse_database("a(1,2). a(2,3).").unwrap();
-        let mut idx = IndexSet::new(&db);
-        let rule = parse_rule("g(X, Z) :- a(X, Y), a(Y, Z).").unwrap();
-        let plan = RulePlan::compile(&rule);
-        let order: Vec<usize> = (0..2).collect();
-        join_body(&plan, &order, &mut idx, |_| {});
-        assert!(
-            idx.probes >= 3,
-            "scan + one probe per tuple: got {}",
-            idx.probes
-        );
+        let sizes: Vec<usize> = plan.body.iter().map(|a| a.relation_len(&db)).collect();
+        let mut scratch = OrderScratch::default();
+        plan.greedy_order_seeded(&sizes, None, &mut scratch);
+        // Nothing is bound at first, so the smaller relations lead (ties: the
+        // later atom): a(X, Y) binds X and Y, c(X) is then fully bound and
+        // smaller than b, which comes last.
+        assert_eq!(scratch.order, vec![2, 1, 0]);
     }
 }

@@ -18,7 +18,10 @@ use std::ops::{AddAssign, Sub};
 pub struct Stats {
     /// Number of fixpoint rounds until saturation.
     pub iterations: u64,
-    /// Number of index probes (≈ join steps) performed.
+    /// Number of index probes (≈ join steps) performed. [`crate::naive`]
+    /// has no index and counts one per relation scan and one per
+    /// membership test (a literal its bindings make ground, or a negated
+    /// one).
     pub probes: u64,
     /// Number of successful body matches (head instantiations attempted),
     /// **up to dead variables**: a context evaluation passes a row through
@@ -32,7 +35,7 @@ pub struct Stats {
     /// Number of full-scan hash-index constructions over a database
     /// relation: one per live `(predicate, positions)` pattern per context,
     /// plus the re-fills after a removal cleared the indexes.
-    /// [`crate::naive`] keeps no index across rounds and reports 0.
+    /// [`crate::naive`] keeps no index and reports 0.
     pub index_builds: u64,
     /// Number of delta tuples appended into already-built indexes instead
     /// of triggering a rebuild (the incremental-index maintenance work).

@@ -1,8 +1,9 @@
 //! The `opt:chase` check: §VIII-§XI as the optimizer runs them — the
 //! `[P, T]` chase, condition (1), Fig. 3, condition (3′) and §X-XI's
 //! deletions, all evaluated by the engine — against a reference that shares
-//! none of that: an unindexed nested-loop matcher over the database's rows,
-//! and [`naive::apply_once`] for `Pⁿ(d)`. A proof is checked on the case
+//! none of that: [`naive`], the unindexed nested-loop matcher over the
+//! database's rows, with [`naive::satisfies`] for tgd satisfaction and
+//! [`naive::apply_once`] for `Pⁿ(d)`. A proof is checked on the case
 //! database, a disproof on the counterexample it carries.
 //!
 //! The tgds are each case rule's §XI candidates ([`candidate_tgds`]), the
@@ -10,7 +11,7 @@
 //! because conditions (1) and (3′) are lemmas for it
 //! ([`datalog_optimizer::try_candidate`]); the check tests both lemmas.
 
-use datalog_ast::{match_atom_into, Atom, Database, GroundAtom, Program, Subst, Tgd};
+use datalog_ast::{Database, Program, Tgd};
 use datalog_engine::{evaluate, naive};
 use datalog_optimizer::{
     candidate_tgds, chase, freeze_rule, optimize_under_equivalence, preserved_after, satisfies_tgd,
@@ -25,42 +26,8 @@ const FUEL: u64 = 2_000;
 /// At most this many candidate tgds per case.
 const MAX_TGDS: usize = 6;
 
-/// Enumerate all matches of a conjunction of atoms against `db`, extending
-/// `base`, and call `found` with each; `found` returns `true` to stop.
-/// Returns whether enumeration stopped early.
-fn for_each_match(
-    atoms: &[Atom],
-    db: &Database,
-    base: &Subst,
-    found: &mut dyn FnMut(&Subst) -> bool,
-) -> bool {
-    let Some((first, rest)) = atoms.split_first() else {
-        return found(base);
-    };
-    let pattern = base.apply_atom(first);
-    for tuple in db.relation(pattern.pred) {
-        let g = GroundAtom {
-            pred: pattern.pred,
-            tuple: tuple.into(),
-        };
-        let mut s = base.clone();
-        if match_atom_into(&pattern, &g, &mut s) && for_each_match(rest, db, &s, found) {
-            return true;
-        }
-    }
-    false
-}
-
-/// The reference tgd-satisfaction test (§VIII): every lhs match extends to
-/// an rhs match.
-pub fn reference_satisfies(db: &Database, tgd: &Tgd) -> bool {
-    !for_each_match(&tgd.lhs, db, &Subst::new(), &mut |s| {
-        !for_each_match(&tgd.rhs, db, s, &mut |_| true)
-    })
-}
-
 fn all_satisfied(db: &Database, tgds: &[Tgd]) -> bool {
-    tgds.iter().all(|t| reference_satisfies(db, t))
+    tgds.iter().all(|t| naive::satisfies(db, t))
 }
 
 /// `⟨d, Pⁿ(d)⟩`.
@@ -85,7 +52,7 @@ pub fn check(program: &Program, db: &Database) -> Result<(), String> {
     // its fixpoint.
     for tgd in &tgds {
         for (name, d) in [("database", db), ("fixpoint", &fixpoint)] {
-            let (engine, reference) = (satisfies_tgd(d, tgd), reference_satisfies(d, tgd));
+            let (engine, reference) = (satisfies_tgd(d, tgd), naive::satisfies(d, tgd));
             if engine != reference {
                 return Err(format!(
                     "satisfies_tgd says {engine} for {tgd} on the case {name}, the reference {reference}"

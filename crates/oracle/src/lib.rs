@@ -17,8 +17,8 @@
 //! * [`oracles`] — the divergence checks (engine matrix, optimization
 //!   soundness, incremental consistency, view queries, concurrent service,
 //!   metamorphic chains);
-//! * [`chase`](mod@chase) — the optimization family's `opt:chase` check and
-//!   its nested-loop reference matcher;
+//! * [`chase`](mod@chase) — the optimization family's `opt:chase` check
+//!   against the engine's nested-loop reference, `datalog_engine::naive`;
 //! * [`reduce`](mod@reduce) — greedy delta-debugging reduction (rules → atoms →
 //!   queries → mutations → facts → constant renumbering);
 //! * [`fixture`] — the `.repro` file format under `tests/repros/`;

@@ -34,9 +34,9 @@
 //!   valid program ≡u to the original, and every witness Fig. 2 keeps —
 //!   also of a removal it decided without a test — must check against the
 //!   program as it stood at that step ([`fig2_evidence`]) The
-//!   chase, Fig. 3, (3′) and §X-XI's deletions must agree with a nested-loop
-//!   reference matcher and `naive::apply_once` on each case rule's
-//!   candidate tgds ([`crate::chase`]).
+//!   chase, Fig. 3, (3′) and §X-XI's deletions must agree with the
+//!   nested-loop reference (`naive::satisfies`, `naive::apply_once`) on
+//!   each case rule's candidate tgds ([`crate::chase`]).
 //! * **Incremental consistency** — after every insert/remove batch the
 //!   [`Materialized`] fixpoint must equal a from-scratch evaluation of the
 //!   surviving base.

@@ -90,7 +90,8 @@ usage:
   datalog optimize <program.dl> [--fuel N] [--stats]
   datalog eval     <program.dl> --edb <facts.dl> [--engine stratified|scc|naive] [--stats]
                    (seminaive, stratified and scc name one semi-naive evaluator,
-                   which evaluates negation by strata)
+                   which evaluates negation by strata; naive is the unindexed
+                   reference for positive programs, meant for small inputs)
   datalog run      <unit.dl> [--fuel N] [--stats]   (rules + facts [+ tgds] in one file)
   datalog repl     [<program.dl>]   interactive session
   datalog query    '<atom>'... <program.dl> --edb <facts.dl> [--stats]

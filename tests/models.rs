@@ -65,8 +65,10 @@ fn all_databases(universe: &[GroundAtom]) -> impl Iterator<Item = Database> + '_
     })
 }
 
+/// §IV: `d` is a model of `P` when it is closed under one application of
+/// `P`.
 fn is_model(p: &Program, d: &Database) -> bool {
-    &naive::evaluate(p, d) == d
+    naive::apply_once(p, d).is_subset_of(d)
 }
 
 /// Check Proposition 2 for a pair of programs over a 2-element domain with

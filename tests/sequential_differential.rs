@@ -5,8 +5,9 @@
 //! repository's `EvalContext` introduces — are where correctness bugs hide.
 //! These tests pin the optimized paths to reference semantics on generated
 //! workloads: for every seeded random program and database, the context
-//! evaluator must be **tuple-identical** to the naive reference (which
-//! shares no code with it) where the program is positive, and stratified
+//! evaluator must be **tuple-identical** to the naive reference — a nested
+//! loop over rows built on `datalog_ast` alone, which shares no code with
+//! it — where the program is positive, and stratified
 //! evaluation on the join kernel to the same strata on the row-at-a-time
 //! reference interpreter where it negates.
 //!

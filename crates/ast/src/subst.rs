@@ -42,6 +42,11 @@ impl Subst {
         self.map.insert(v, t);
     }
 
+    /// Drop `v`'s binding, if it has one.
+    pub fn unbind(&mut self, v: Var) {
+        self.map.remove(&v);
+    }
+
     /// Bind `v` to `t` if consistent with an existing binding.
     /// Returns `false` (leaving the substitution unchanged) on conflict.
     pub fn try_bind(&mut self, v: Var, t: Term) -> bool {

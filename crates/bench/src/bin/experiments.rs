@@ -20,7 +20,7 @@
 //! * `--only-e18` — run only the E18 point-query benchmark (view read vs
 //!   magic sets).
 //! * `--only-e19` — run only the E19 event-loop benchmark (read tail
-//!   latency vs thread-per-connection).
+//!   latency vs thread-per-connection, short reads beside long ones).
 //! * `--only-e20` — run only the E20 columnar join-kernel microbenchmark.
 //! * `--smoke` — shrink E16/E17/E18/E19/E20 workloads and skip wall-time
 //!   acceptance checks, so shared CI runners only verify correctness
@@ -1063,11 +1063,11 @@ fn e18(r: &mut Report, smoke: bool) {
     );
 }
 
-/// Sort in place and return the 99th-percentile sample.
-fn p99(samples: &mut [f64]) -> f64 {
+/// Sort in place and return the `q`-quantile sample (nearest rank).
+fn quantile(samples: &mut [f64], q: f64) -> f64 {
     assert!(!samples.is_empty());
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((samples.len() as f64 * 0.99).ceil() as usize).max(1) - 1;
+    let idx = ((samples.len() as f64 * q).ceil() as usize).max(1) - 1;
     samples[idx.min(samples.len() - 1)]
 }
 
@@ -1079,6 +1079,12 @@ fn p99(samples: &mut [f64]) -> f64 {
 /// whole lifetime, so connections beyond the pool width queue behind whole
 /// *sessions*, not requests). Same registry contents, same pool width; only
 /// the connection architecture differs.
+///
+/// Then short reads beside long ones on the event loop: one connection asks
+/// the full closure of an n-node chain (n(n+1)/2 answers) over and over
+/// while another asks point queries. The loop answers a read itself only
+/// when nothing else waits, so a point query runs on the pool beside the
+/// long read in progress instead of queueing behind it.
 fn e19(r: &mut Report, smoke: bool) {
     use datalog_service::{Client, Control, Registry, Server, ServerConfig, ThreadPool};
     use std::io::{BufRead, BufReader, Write};
@@ -1127,7 +1133,7 @@ fn e19(r: &mut Report, smoke: bool) {
                 });
             }
         });
-        p99(&mut samples.into_inner().unwrap())
+        quantile(&mut samples.into_inner().unwrap(), 0.99)
     };
     let measure = |addr: &str| Sample::of((0..REPS).map(|_| p99_of_one_round(addr)).collect());
 
@@ -1149,6 +1155,64 @@ fn e19(r: &mut Report, smoke: bool) {
         admin.request_line(&insert_line).expect("insert");
     }
     let p99_event = measure(&addr);
+
+    // -- short reads beside a long reader ------------------------------
+    let chain_nodes: usize = if smoke { 60 } else { 200 };
+    let short_per_round = if smoke { 50 } else { 200 };
+    {
+        let mut admin = Client::connect(&addr).expect("connect");
+        let install = "{\"op\":\"install\",\"program\":\"chain\",\
+                       \"rules\":\"g(X, Z) :- a(X, Z). g(X, Z) :- a(X, Y), g(Y, Z).\"}";
+        assert!(admin
+            .request_line(install)
+            .expect("install")
+            .contains("\"ok\":true"));
+        let facts: String = (0..chain_nodes)
+            .map(|i| format!("a({i},{}). ", i + 1))
+            .collect();
+        let insert = format!("{{\"op\":\"insert\",\"program\":\"chain\",\"facts\":\"{facts}\"}}");
+        admin.request_line(&insert).expect("insert");
+    }
+    let long_line = "{\"op\":\"query\",\"program\":\"chain\",\"atom\":\"g(X, Y)\"}";
+    // One sample: the median short read and the median long read.
+    let short_beside_long = || -> (f64, f64) {
+        let stop = AtomicBool::new(false);
+        let long_started = AtomicBool::new(false);
+        let long = Mutex::new(Vec::new());
+        let mut short = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut c = Client::connect(&addr).expect("connect");
+                let mut mine = Vec::new();
+                while !stop.load(Ordering::SeqCst) {
+                    let start = Instant::now();
+                    c.request_line(long_line).expect("long read");
+                    mine.push(start.elapsed().as_secs_f64() * 1e3);
+                    long_started.store(true, Ordering::SeqCst);
+                }
+                *long.lock().unwrap() = mine;
+            });
+            while !long_started.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let mut c = Client::connect(&addr).expect("connect");
+            let mut mine = Vec::with_capacity(short_per_round);
+            for i in 0..short_per_round {
+                let line = format!(
+                    "{{\"op\":\"query\",\"program\":\"chain\",\"atom\":\"g({}, X)\"}}",
+                    i % chain_nodes
+                );
+                let start = Instant::now();
+                c.request_line(&line).expect("short read");
+                mine.push(start.elapsed().as_secs_f64() * 1e3);
+            }
+            stop.store(true, Ordering::SeqCst);
+            mine
+        });
+        let mut long = long.into_inner().unwrap();
+        (quantile(&mut short, 0.5), quantile(&mut long, 0.5))
+    };
+    let (short_p50, long_p50): (Vec<f64>, Vec<f64>) =
+        (0..REPS).map(|_| short_beside_long()).unzip();
     flag.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(&addr); // nudge the loop past its poll nap
     handle.join().expect("server thread").expect("server run");
@@ -1219,7 +1283,34 @@ fn e19(r: &mut Report, smoke: bool) {
         "ms",
     );
     let p99_event = r.sampled("E19", &p99_workload, "p99-event-loop", x, p99_event, "ms");
+    let beside_workload = format!("chain{chain_nodes}-short-beside-long");
+    let x = chain_nodes as u64;
+    let short_p50 = r.sampled(
+        "E19",
+        &beside_workload,
+        "p50-short-read",
+        x,
+        Sample::of(short_p50),
+        "ms",
+    );
+    let long_p50 = r.sampled(
+        "E19",
+        &beside_workload,
+        "p50-long-read",
+        x,
+        Sample::of(long_p50),
+        "ms",
+    );
     if !smoke {
+        r.check(
+            "E19",
+            &format!(
+                "{beside_workload}: a short read does not queue behind the long reads \
+                 beside it (p50 {short_p50:.3}ms, under a quarter of a long read's \
+                 {long_p50:.3}ms)"
+            ),
+            short_p50 * 4.0 < long_p50,
+        );
         r.check(
             "E19",
             &format!(

@@ -13,15 +13,15 @@
 //! semi-naive engine, which computes the same fixpoint).
 //!
 //! A rule body is matched by a nested loop over the rows of each positive
-//! literal in the order written (`for_each_match`, extending a [`Subst`]
-//! with `match_atom_into`), then each negated literal is one absence test.
+//! literal in the order written (`Matcher::each`, binding one [`Subst`]
+//! in place and undoing the bindings on backtrack, so a row costs no
+//! allocation), then each negated literal is one absence test.
 //! The module is built on `datalog_ast` alone — no plan, index, script or
 //! kernel — so the tests and fuzz oracles that compare the engine against
 //! it share none of the engine's code. It is meant for small inputs.
 
 use crate::stats::Stats;
-use datalog_ast::{match_atom_into, Atom, Const, Database, GroundAtom, Program, Subst, Tgd};
-use std::cell::Cell;
+use datalog_ast::{Atom, Const, Database, Program, Subst, Term, Tgd, Var};
 
 /// Compute `P(d)`: the minimal model of `P` containing `d` (§IV, Van
 /// Emden–Kowalski). The input database may contain atoms for intentional
@@ -44,14 +44,10 @@ pub fn evaluate_with_stats(program: &Program, input: &Database) -> (Database, St
     let mut stats = Stats::default();
     loop {
         stats.iterations += 1;
-        let mut changed = false;
-        for atom in apply_rules(program, &db, &mut stats) {
-            if db.insert(atom) {
-                stats.derivations += 1;
-                changed = true;
-            }
-        }
-        if !changed {
+        let heads = apply_rules(program, &db, &mut stats);
+        let added = db.union_with(&heads) as u64;
+        stats.derivations += added;
+        if added == 0 {
             break;
         }
     }
@@ -63,99 +59,161 @@ pub fn evaluate_with_stats(program: &Program, input: &Database) -> (Database, St
 /// definition, the result `Pⁿ(d)` contains *only the newly derived atoms*,
 /// not `d`. Negated literals are absence tests against `d`.
 pub fn apply_once(program: &Program, d: &Database) -> Database {
-    Database::from_atoms(apply_rules(program, d, &mut Stats::default()))
+    apply_rules(program, d, &mut Stats::default())
 }
 
 /// Whether `db` satisfies `tgd` (§VIII): every match of its lhs extends to
 /// a match of its rhs.
 pub fn satisfies(db: &Database, tgd: &Tgd) -> bool {
-    let probes = Cell::new(0);
-    !for_each_match(&tgd.lhs, db, &Subst::new(), &probes, &mut |s| {
-        !for_each_match(&tgd.rhs, db, s, &probes, &mut |_| true)
-    })
+    !Matcher::new(db).each(&tgd.lhs, &mut |m| !m.each(&tgd.rhs, &mut |_| true))
 }
 
-/// The heads of one application of every rule to `db`, one per body match:
-/// the positive literals as written, then each negated literal as an
-/// absence test.
-fn apply_rules(program: &Program, db: &Database, stats: &mut Stats) -> Vec<GroundAtom> {
-    let mut heads = Vec::new();
-    let probes = Cell::new(0);
+/// The heads of one application of every rule to `db`, counting one match
+/// per body match: the positive literals as written, then each negated
+/// literal as an absence test.
+fn apply_rules(program: &Program, db: &Database, stats: &mut Stats) -> Database {
+    let mut heads = Database::new();
+    let mut matches = 0;
+    let mut matcher = Matcher::new(db);
     for rule in &program.rules {
         let positive: Vec<Atom> = rule.positive_body().cloned().collect();
-        for_each_match(&positive, db, &Subst::new(), &probes, &mut |s| {
+        matcher.each(&positive, &mut |m| {
             let absent = rule.negative_body().all(|atom| {
-                let atom = s
-                    .ground_atom(atom)
-                    .expect("negated atom with unbound variable; rule not safe");
-                probes.set(probes.get() + 1);
-                !db.contains(&atom)
+                assert!(
+                    m.ground(atom),
+                    "negated atom with unbound variable; rule not safe"
+                );
+                m.probes += 1;
+                !db.contains_tuple(atom.pred, &m.tuple)
             });
             if absent {
-                heads.push(
-                    s.ground_atom(&rule.head)
-                        .expect("head variable unbound; rule not range-restricted"),
+                assert!(
+                    m.ground(&rule.head),
+                    "head variable unbound; rule not range-restricted"
                 );
+                heads.insert_row(rule.head.pred, &m.tuple);
+                matches += 1;
             }
             false
         });
     }
-    stats.matches += heads.len() as u64;
-    stats.probes += probes.get();
+    stats.matches += matches;
+    stats.probes += matcher.probes;
     heads
 }
 
-/// Enumerate all matches of a conjunction of atoms against `db`, extending
-/// `base`, and call `found` with each; `found` returns `true` to stop.
-/// Returns whether enumeration stopped early. Each atom costs one probe: a
-/// membership test when `base` grounds it, a scan of its relation
-/// otherwise.
-fn for_each_match(
-    atoms: &[Atom],
-    db: &Database,
-    base: &Subst,
-    probes: &Cell<u64>,
-    found: &mut dyn FnMut(&Subst) -> bool,
-) -> bool {
-    let Some((first, rest)) = atoms.split_first() else {
-        return found(base);
-    };
-    let pattern = base.apply_atom(first);
-    probes.set(probes.get() + 1);
-    if let Some(g) = pattern.to_ground() {
-        return db.contains(&g) && for_each_match(rest, db, base, probes, found);
-    }
-    let Some(rel) = db.relation_of(pattern.pred, pattern.arity()) else {
-        return false;
-    };
-    let consts: Vec<(usize, Const)> = pattern
-        .terms
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| Some((i, t.as_const()?)))
-        .collect();
-    for row in rel.rows() {
-        // A row that clashes at a constant position is skipped before the
-        // substitution is copied.
-        if consts.iter().any(|&(i, c)| row[i] != c) {
-            continue;
+/// A depth-first matcher over `db`: one substitution bound in place, and a
+/// trail of the variables bound since each choice point, so backtracking
+/// undoes exactly those bindings. Its scratch vectors are stacks shared by
+/// the levels of the recursion, so past the first rows nothing is
+/// allocated.
+struct Matcher<'a> {
+    db: &'a Database,
+    subst: Subst,
+    trail: Vec<Var>,
+    /// Per level: the positions the bindings fix, with their constants.
+    fixed: Vec<(usize, Const)>,
+    /// Per level: the positions holding a variable still free.
+    free: Vec<(usize, Var)>,
+    /// The last atom [`Matcher::ground`] instantiated.
+    tuple: Vec<Const>,
+    probes: u64,
+}
+
+impl<'a> Matcher<'a> {
+    fn new(db: &'a Database) -> Matcher<'a> {
+        Matcher {
+            db,
+            subst: Subst::new(),
+            trail: Vec::new(),
+            fixed: Vec::new(),
+            free: Vec::new(),
+            tuple: Vec::new(),
+            probes: 0,
         }
-        let g = GroundAtom {
-            pred: pattern.pred,
-            tuple: row.into(),
+    }
+
+    /// Enumerate all matches of a conjunction of atoms against `db`,
+    /// extending the current bindings, and call `found` with each; `found`
+    /// returns `true` to stop. Returns whether enumeration stopped early;
+    /// either way the bindings are as they were. Each atom costs one probe:
+    /// a membership test when the bindings ground it, a scan of its
+    /// relation otherwise.
+    fn each(&mut self, atoms: &[Atom], found: &mut dyn FnMut(&mut Matcher<'a>) -> bool) -> bool {
+        let Some((first, rest)) = atoms.split_first() else {
+            return found(self);
         };
-        let mut s = base.clone();
-        if match_atom_into(&pattern, &g, &mut s) && for_each_match(rest, db, &s, probes, found) {
-            return true;
+        self.probes += 1;
+        let rel = self.db.relation_of(first.pred, first.arity());
+        if self.ground(first) {
+            return rel.is_some_and(|rel| rel.contains(&self.tuple)) && self.each(rest, found);
         }
+        let Some(rel) = rel else {
+            return false;
+        };
+        let (fixed_at, free_at) = (self.fixed.len(), self.free.len());
+        for (i, &t) in first.terms.iter().enumerate() {
+            match self.subst.apply_term(t) {
+                Term::Const(c) => self.fixed.push((i, c)),
+                Term::Var(v) => self.free.push((i, v)),
+            }
+        }
+        let mark = self.trail.len();
+        let mut stop = false;
+        for row in rel.rows() {
+            // A row that clashes at a fixed position is skipped before
+            // anything is bound.
+            if self.fixed[fixed_at..].iter().any(|&(i, c)| row[i] != c) {
+                continue;
+            }
+            stop = self.bind(row, free_at) && self.each(rest, found);
+            for v in self.trail.drain(mark..) {
+                self.subst.unbind(v);
+            }
+            if stop {
+                break;
+            }
+        }
+        self.fixed.truncate(fixed_at);
+        self.free.truncate(free_at);
+        stop
     }
-    false
+
+    /// Bind the free variables `free[free_at..]` to their positions in
+    /// `row`, pushing each onto the trail; false when a variable repeated
+    /// in the atom meets two values.
+    fn bind(&mut self, row: &[Const], free_at: usize) -> bool {
+        for &(i, v) in &self.free[free_at..] {
+            match self.subst.get(v) {
+                Some(bound) if bound != Term::Const(row[i]) => return false,
+                Some(_) => {}
+                None => {
+                    self.subst.bind(v, Term::Const(row[i]));
+                    self.trail.push(v);
+                }
+            }
+        }
+        true
+    }
+
+    /// Instantiate `atom` under the bindings into `tuple`; false if a
+    /// variable of it is unbound.
+    fn ground(&mut self, atom: &Atom) -> bool {
+        self.tuple.clear();
+        for &t in &atom.terms {
+            match self.subst.apply_term(t) {
+                Term::Const(c) => self.tuple.push(c),
+                Term::Var(_) => return false,
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{fact, parse_database, parse_program, parse_tgd};
+    use datalog_ast::{fact, parse_database, parse_program, parse_tgd, GroundAtom};
 
     fn tc_program() -> Program {
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap()
@@ -247,6 +305,20 @@ mod tests {
         let p = parse_program("g(X) :- a(1, 2), a(X, Y).").unwrap();
         let (_, stats) = evaluate_with_stats(&p, &db);
         assert_eq!((stats.iterations, stats.probes), (2, 4));
+    }
+
+    /// An enumeration its callback stops leaves the bindings as it found
+    /// them, like one that runs out of rows.
+    #[test]
+    fn stopping_early_undoes_the_bindings() {
+        let db = parse_database("a(1,2). a(2,3).").unwrap();
+        let rule = &parse_program("g(X, Z) :- a(X, Y), a(Y, Z).").unwrap().rules[0];
+        let body: Vec<Atom> = rule.positive_body().cloned().collect();
+        let mut m = Matcher::new(&db);
+        for stop in [true, false] {
+            assert_eq!(m.each(&body, &mut |_| stop), stop);
+            assert!(m.subst.is_empty() && m.trail.is_empty());
+        }
     }
 
     #[test]

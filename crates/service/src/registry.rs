@@ -21,6 +21,7 @@ use datalog_engine::PlanCache;
 use datalog_json::Value;
 use datalog_optimizer::minimize_program;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -89,6 +90,9 @@ impl ProgramEntry {
 pub struct Registry {
     programs: RwLock<BTreeMap<String, Arc<ProgramEntry>>>,
     metrics: Metrics,
+    /// Requests the transport's event loop answered itself instead of
+    /// handing them to a worker.
+    answered_on_loop: AtomicU64,
     started: Instant,
 }
 
@@ -104,6 +108,7 @@ impl Registry {
         Registry {
             programs: RwLock::new(BTreeMap::new()),
             metrics: Metrics::default(),
+            answered_on_loop: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -111,6 +116,11 @@ impl Registry {
     /// Server-wide counters (every request, all programs).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// Count one request the event loop answered on its own thread.
+    pub fn record_answered_on_loop(&self) {
+        self.answered_on_loop.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Look up an installed program.
@@ -495,11 +505,36 @@ impl Registry {
                     Value::from(self.started.elapsed().as_micros().min(u64::MAX as u128) as u64),
                 ),
                 ("programs_installed", Value::from(per_program.len())),
-                ("server", self.metrics.to_json()),
+                ("server", self.server_metrics()),
                 ("programs", Value::Object(per_program)),
             ],
         );
         Ok(Handled::reply(response))
+    }
+
+    /// The server-wide metrics object, with the count of requests the
+    /// event loop answered itself.
+    fn server_metrics(&self) -> Value {
+        let mut metrics = self.metrics.to_json();
+        if let Value::Object(pairs) = &mut metrics {
+            let on_loop = self.answered_on_loop.load(Ordering::Relaxed);
+            pairs.push(("answered_on_loop".to_string(), Value::from(on_loop)));
+        }
+        metrics
+    }
+}
+
+/// Whether `request` only reads published state — `ping`, `list`, `stats`,
+/// and a `query` under `auto`/`scan` — so that answering it evaluates
+/// nothing and waits on no writer.
+pub(crate) fn only_reads(request: &Value) -> bool {
+    match request.get("op").and_then(Value::as_str) {
+        Some("ping" | "list" | "stats") => true,
+        Some("query") => matches!(
+            request.get("strategy").map(Value::as_str),
+            None | Some(Some("auto" | "scan"))
+        ),
+        _ => false,
     }
 }
 

@@ -11,16 +11,39 @@
 //! and every connection for readiness, so **idle connections cost zero
 //! wake-ups** — the seed transport parked one pool thread per connection
 //! in a 100 ms `read_timeout` sleep loop, which put a 100 ms floor on
-//! shutdown latency and a thread on every idle client. Parsed request
-//! lines are handed to a [`ThreadPool`] of `config.threads` evaluation
-//! workers; finished responses come back through a queue drained when the
-//! worker taps the self-pipe. Flow control:
+//! shutdown latency and a thread on every idle client. The loop answers a
+//! read itself when nothing else waits, and hands every other request to a
+//! [`ThreadPool`] of `config.threads` evaluation workers; finished
+//! responses come back through a queue drained when the worker taps the
+//! self-pipe. Flow control:
 //!
+//! * **Reads answered on the loop when nothing else waits** — a request
+//!   that only reads published state (`query` under `auto`/`scan`, `ping`,
+//!   `list`, `stats`) is answered on the loop thread, through the same
+//!   `respond` a worker calls, when no request is with the pool and no
+//!   other connection was readable or held a complete line at the last
+//!   poll; its reply is flushed in the same iteration. That saves the two
+//!   thread switches of the pool round trip. The price is that such a read
+//!   delays other arrivals by its own duration, so the loop answers at most
+//!   one request per poll: the observation of load it answered on is spent.
+//!   Every other request, and any read that arrives while the pool is busy
+//!   or another connection waits, goes to the pool, where reads run beside
+//!   each other: a short read next to a connection asking long ones is not
+//!   queued behind them (E19's `short-beside-long` rows). The loop parses a
+//!   line only when it may answer it, and only up to `LOOP_PARSE_BYTES`;
+//!   a worker parses the rest.
+//! * **One request per read pass** — after a complete line the loop stops
+//!   reading that connection until the next poll. A client that sends its
+//!   next request the moment a reply arrives would otherwise be served
+//!   again and again in one pass while every other connection waits.
 //! * **In-order, per-connection backpressure** — at most one request per
-//!   connection is in flight (responses must come back in request order,
-//!   and a single misbehaving pipeliner must not monopolise the pool);
-//!   further pipelined lines wait in the connection buffer, and the read
-//!   side stops draining the socket while a full line is already pending.
+//!   connection is in flight, and it stays in flight until its reply has
+//!   left the connection's write buffer (responses must come back in
+//!   request order, a single misbehaving pipeliner must not monopolise the
+//!   pool, and a client that never reads its replies must not grow the
+//!   daemon). Further pipelined lines wait in the connection buffer, and
+//!   the read side stops draining the socket while a full line is already
+//!   pending.
 //! * **Admission control** — at `max_connections` live connections a new
 //!   arrival gets an `overloaded` error and an immediate close instead of
 //!   an unbounded slab slot.
@@ -37,7 +60,7 @@ use crate::pool::ThreadPool;
 use crate::protocol::{
     error_response, ErrorCode, ServiceError, DEFAULT_MAX_REQUEST_BYTES, DEFAULT_READ_TIMEOUT_MS,
 };
-use crate::registry::{Control, Registry};
+use crate::registry::{only_reads, Control, Registry};
 use datalog_json::Value;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -89,6 +112,11 @@ const MAX_POLL_SLEEP: Duration = Duration::from_millis(20);
 /// How long the loop keeps flushing pending response bytes after a
 /// shutdown request before closing the sockets regardless.
 const SHUTDOWN_FLUSH_BUDGET: Duration = Duration::from_millis(500);
+
+/// The longest request line the loop parses itself to see whether it only
+/// reads. A read names a program, an atom and perhaps an id and a strategy,
+/// a few dozen bytes; a longer line goes to a worker unparsed.
+const LOOP_PARSE_BYTES: usize = 1024;
 
 mod sys {
     //! Minimal `poll(2)` declaration — libc is always linked, no crate
@@ -143,7 +171,9 @@ struct Conn {
     buffer: Vec<u8>,
     /// Write-side buffer: response bytes not yet accepted by the socket.
     out: VecDeque<u8>,
-    /// Is a request from this connection currently with a worker?
+    /// Is a request from this connection currently with a worker? (Its
+    /// reply still counts as in flight until it has left `out`; see
+    /// [`Conn::ready`].)
     in_flight: bool,
     /// Wall-clock idle deadline; armed anew when a complete request line
     /// arrives, *not* on every readable byte.
@@ -155,6 +185,32 @@ struct Conn {
     /// the receive buffer would RST the connection and could destroy the
     /// error response before the client reads it).
     draining: bool,
+}
+
+impl Conn {
+    /// May this connection start its next request? Not while one is with a
+    /// worker, and not before the last reply has left `out`: a client that
+    /// stops reading its replies stops being served, so it holds at most
+    /// one request line and one reply in the daemon.
+    fn ready(&self) -> bool {
+        !self.in_flight && self.out.is_empty() && !self.close_after_flush
+    }
+
+    /// Take the next non-empty request line off the read buffer, re-arming
+    /// the idle deadline for every line consumed — receiving a *complete
+    /// request* is what counts as activity.
+    fn next_line(&mut self, read_timeout: Duration) -> Option<String> {
+        while let Some(pos) = self.buffer.iter().position(|&b| b == b'\n') {
+            let line_bytes: Vec<u8> = self.buffer.drain(..=pos).collect();
+            self.deadline = Instant::now() + read_timeout;
+            let line = String::from_utf8_lossy(&line_bytes[..pos]);
+            let line = line.trim();
+            if !line.is_empty() {
+                return Some(line.to_string());
+            }
+        }
+        None
+    }
 }
 
 /// A finished request travelling back from a worker to the loop.
@@ -223,6 +279,8 @@ impl Server {
             free: Vec::new(),
             live: 0,
             generation_counter: 0,
+            with_pool: 0,
+            waiting: None,
         };
         loop_.run();
         Ok(())
@@ -246,6 +304,13 @@ struct EventLoop {
     /// Monotone source of connection generations, so a reused slab slot
     /// never matches a stale worker response.
     generation_counter: u64,
+    /// Requests handed to the pool whose response the loop has not yet
+    /// drained.
+    with_pool: usize,
+    /// The connections that were readable or held a complete line at the
+    /// last poll; `None` once the loop has answered a request itself since,
+    /// because that answer took time in which others may have arrived.
+    waiting: Option<Vec<usize>>,
 }
 
 impl EventLoop {
@@ -263,17 +328,17 @@ impl EventLoop {
                 events: sys::POLLIN,
                 revents: 0,
             });
-            let mut slots: Vec<usize> = Vec::with_capacity(self.conns.len());
+            // Each polled slot, and whether it already holds a complete line.
+            let mut slots: Vec<(usize, bool)> = Vec::with_capacity(self.conns.len());
             for (slot, conn) in self.conns.iter().enumerate() {
                 let Some(conn) = conn else { continue };
                 let mut events = 0i16;
+                let holds_line = conn.buffer.contains(&b'\n');
                 // Backpressure: stop draining the socket while a request
-                // is in flight or a full line already waits in the buffer
-                // — the kernel buffer then pushes back on the client. A
-                // draining connection reads (and discards) freely.
-                if conn.draining
-                    || (!conn.close_after_flush && !conn.in_flight && !conn.buffer.contains(&b'\n'))
-                {
+                // or its reply is in flight or a full line already waits
+                // in the buffer — the kernel buffer then pushes back on the
+                // client. A draining connection reads (and discards) freely.
+                if conn.draining || (conn.ready() && !holds_line) {
                     events |= sys::POLLIN;
                 }
                 if !conn.out.is_empty() {
@@ -287,7 +352,7 @@ impl EventLoop {
                     events,
                     revents: 0,
                 });
-                slots.push(slot);
+                slots.push((slot, holds_line));
             }
 
             if poll(&mut fds, MAX_POLL_SLEEP).is_err() {
@@ -295,6 +360,19 @@ impl EventLoop {
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
+
+            let mut waiting = self.waiting.take().unwrap_or_default();
+            waiting.clear();
+            waiting.extend(
+                fds[2..]
+                    .iter()
+                    .zip(&slots)
+                    .filter(|(fd, &(_, holds_line))| {
+                        holds_line || fd.revents & (sys::POLLIN | sys::POLLHUP) != 0
+                    })
+                    .map(|(_, &(slot, _))| slot),
+            );
+            self.waiting = Some(waiting);
 
             if fds[0].revents != 0 {
                 self.drain_wake_pipe();
@@ -307,7 +385,7 @@ impl EventLoop {
             if fds[1].revents & sys::POLLIN != 0 {
                 self.accept_ready();
             }
-            for (fd, slot) in fds[2..].iter().zip(slots) {
+            for (fd, (slot, _)) in fds[2..].iter().zip(slots) {
                 self.service_conn(slot, fd.revents);
             }
             self.sweep_idle_deadlines();
@@ -378,23 +456,20 @@ impl EventLoop {
         };
         let mut saw_shutdown = false;
         for done in batch {
+            self.with_pool -= 1;
             let Some(conn) = self.conns.get_mut(done.slot).and_then(Option::as_mut) else {
                 continue; // connection died while the worker ran
             };
             if conn.generation != done.generation {
                 continue; // slot was reused; response belongs to the dead conn
             }
-            let mut line = done.response.to_compact();
-            line.push('\n');
-            conn.out.extend(line.as_bytes());
             conn.in_flight = false;
             if done.control == Control::Shutdown {
+                queue_line(conn, &done.response);
                 conn.close_after_flush = true;
                 saw_shutdown = true;
             } else {
-                // Eagerly flush and chase any pipelined follow-up request.
-                self.flush_conn(done.slot);
-                self.pump_requests(done.slot);
+                self.deliver(done.slot, &done.response);
             }
         }
         saw_shutdown
@@ -407,7 +482,9 @@ impl EventLoop {
             return;
         }
         if revents & sys::POLLOUT != 0 {
+            // A reply that leaves in full frees the connection's next line.
             self.flush_conn(slot);
+            self.pump_requests(slot);
         }
         if revents & (sys::POLLIN | sys::POLLHUP) != 0 {
             self.read_conn(slot);
@@ -441,7 +518,7 @@ impl EventLoop {
                     }
                 }
             }
-            if conn.close_after_flush || conn.in_flight || conn.buffer.contains(&b'\n') {
+            if !conn.ready() || conn.buffer.contains(&b'\n') {
                 return; // backpressure: leave bytes in the kernel buffer
             }
             let mut chunk = [0u8; 8192];
@@ -471,9 +548,11 @@ impl EventLoop {
                             return;
                         }
                         Some(_) => {
+                            // One request per wake-up: the next is read
+                            // after a fresh poll, which is the observation
+                            // of load that decides where it runs.
                             self.pump_requests(slot);
-                            // Re-borrow to keep draining if still allowed.
-                            continue;
+                            return;
                         }
                         None => continue,
                     }
@@ -488,46 +567,71 @@ impl EventLoop {
         }
     }
 
-    /// Consume complete lines from the connection buffer: skip empties,
-    /// dispatch the first real request to the worker pool (at most one in
-    /// flight per connection), and re-arm the idle deadline — receiving a
-    /// *complete request* is what counts as activity.
+    /// Start the connection's next request, if it is ready for one. When
+    /// nothing else waits (no request with the pool, no other connection
+    /// readable or holding a line at the last poll) and the line is short
+    /// enough to be a read, parse it here and, if it only reads published
+    /// state, answer it. Everything else goes to the pool, parsed there
+    /// unless it was parsed here, so no line is parsed twice and no write
+    /// payload is parsed on the loop while others wait.
     fn pump_requests(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        if conn.in_flight || conn.close_after_flush {
+        if !conn.ready() {
             return;
         }
-        while let Some(pos) = conn.buffer.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = conn.buffer.drain(..=pos).collect();
-            conn.deadline = Instant::now() + self.config.read_timeout;
-            let line = String::from_utf8_lossy(&line_bytes[..pos]);
-            let line = line.trim().to_string();
-            if line.is_empty() {
-                continue;
+        let Some(line) = conn.next_line(self.config.read_timeout) else {
+            return;
+        };
+        let alone = self
+            .waiting
+            .as_ref()
+            .is_some_and(|waiting| waiting.iter().all(|&s| s == slot));
+        let parsed = (self.with_pool == 0 && alone && line.len() <= LOOP_PARSE_BYTES)
+            .then(|| self.registry.parse_line(&line));
+        match parsed {
+            Some(Ok(request)) if only_reads(&request) => {
+                self.waiting = None;
+                let (response, _) = respond(&self.registry, Ok(request));
+                self.registry.record_answered_on_loop();
+                self.deliver(slot, &response);
             }
-            conn.in_flight = true;
-            let generation = conn.generation;
-            let registry = Arc::clone(&self.registry);
-            let finished = Arc::clone(&self.finished);
-            let wake = Arc::clone(&self.wake_tx);
-            self.pool.execute(move || {
-                let (response, control) = respond(&registry, &line);
-                finished
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(Finished {
-                        slot,
-                        generation,
-                        response,
-                        control,
-                    });
-                // Tap the self-pipe; a full pipe already guarantees a wake.
-                let _ = (&*wake).write(&[1]);
-            });
-            return;
+            parsed => {
+                conn.in_flight = true;
+                let generation = conn.generation;
+                self.with_pool += 1;
+                let registry = Arc::clone(&self.registry);
+                let finished = Arc::clone(&self.finished);
+                let wake = Arc::clone(&self.wake_tx);
+                self.pool.execute(move || {
+                    let parsed = parsed.unwrap_or_else(|| registry.parse_line(&line));
+                    let (response, control) = respond(&registry, parsed);
+                    finished
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push(Finished {
+                            slot,
+                            generation,
+                            response,
+                            control,
+                        });
+                    // Tap the self-pipe; a full pipe already guarantees a wake.
+                    let _ = (&*wake).write(&[1]);
+                });
+            }
         }
+    }
+
+    /// Queue a reply, push out what the socket takes, and if all of it
+    /// left, chase any pipelined follow-up request.
+    fn deliver(&mut self, slot: usize, response: &Value) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        queue_line(conn, response);
+        self.flush_conn(slot);
+        self.pump_requests(slot);
     }
 
     /// Nonblocking flush of pending response bytes; closes the connection
@@ -566,9 +670,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        let mut line = error_response(None, err).to_compact();
-        line.push('\n');
-        conn.out.extend(line.as_bytes());
+        queue_line(conn, &error_response(None, err));
         conn.close_after_flush = true;
         // A draining peer that never closes must not hold the slot forever.
         conn.deadline = Instant::now() + self.config.read_timeout;
@@ -659,10 +761,18 @@ fn fd_of<T: std::os::unix::io::AsRawFd>(io: &T) -> i32 {
     io.as_raw_fd()
 }
 
-/// Dispatch one request line, converting handler panics into a structured
-/// `internal` error so one poisoned request cannot take a worker down.
-fn respond(registry: &Registry, line: &str) -> (Value, Control) {
-    let request = match registry.parse_line(line) {
+/// Append `response` to the connection's write buffer as one line.
+fn queue_line(conn: &mut Conn, response: &Value) {
+    let mut line = response.to_compact();
+    line.push('\n');
+    conn.out.extend(line.as_bytes());
+}
+
+/// Answer one parsed request line (a line that did not parse carries its
+/// refusal), converting handler panics into a structured `internal` error
+/// so one poisoned request cannot take a worker — or the loop — down.
+fn respond(registry: &Registry, parsed: Result<Value, Value>) -> (Value, Control) {
+    let request = match parsed {
         Ok(request) => request,
         Err(refusal) => return (refusal, Control::Continue),
     };

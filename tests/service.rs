@@ -17,7 +17,31 @@ const REDUNDANT_TC: &str = "g(X, Z) :- a(X, Z), a(X, Z). \
      g(X, Z) :- g(X, Y), g(Y, Z). \
      g(X, Z) :- a(X, Y), a(Y, Z).";
 
-fn spawn_daemon(extra: &[&str]) -> (Child, String) {
+/// A spawned `datalog serve`, killed and reaped when dropped, so that a test
+/// that fails before its `shutdown` does not leave the daemon running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl std::ops::Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
+fn spawn_daemon(extra: &[&str]) -> (Daemon, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_datalog"))
         .args(["serve", "--addr", "127.0.0.1:0"])
         .args(extra)
@@ -35,11 +59,11 @@ fn spawn_daemon(extra: &[&str]) -> (Child, String) {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"))
         .to_string();
-    (child, addr)
+    (Daemon(child), addr)
 }
 
 /// Wait for the daemon to exit cleanly, killing it if it wedges.
-fn expect_clean_exit(mut child: Child) {
+fn expect_clean_exit(mut child: Daemon) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         match child.try_wait().expect("try_wait") {
@@ -243,7 +267,7 @@ fn concurrent_clients_with_writer_and_minimizing_install() {
 /// `None` is the default path (a read of the published view); `"magic"`
 /// evaluates from the published base facts on every ask, so what this test
 /// is after there is a base paired with the wrong fixpoint or version.
-fn point_queries_racing_a_writer(strategy: Option<&'static str>) -> (Child, Client) {
+fn point_queries_racing_a_writer(strategy: Option<&'static str>) -> (Daemon, Client) {
     let (child, addr) = spawn_daemon(&["--threads", "8"]);
     let mut admin = Client::connect(&addr).expect("connect");
     assert_ok(&request(
@@ -880,5 +904,251 @@ fn client_subcommand_round_trips() {
         .unwrap();
     let out = piped.wait_with_output().expect("client output");
     assert!(out.status.success());
+    expect_clean_exit(child);
+}
+
+/// A raw connection for tests that pipeline: several request lines in one
+/// write, replies read back one line at a time.
+struct Raw {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Raw {
+    fn connect(addr: &str) -> Raw {
+        let writer = TcpStream::connect(addr).expect("connect raw");
+        writer
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let reader = BufReader::new(writer.try_clone().expect("clone stream"));
+        Raw { writer, reader }
+    }
+
+    fn send(&mut self, lines: &[&str]) {
+        let mut bytes = lines.join("\n");
+        bytes.push('\n');
+        self.writer.write_all(bytes.as_bytes()).expect("send");
+    }
+
+    fn reply(&mut self) -> datalog_json::Value {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("reply");
+        datalog_json::Value::parse(line.trim_end()).expect("reply parses")
+    }
+
+    /// Whether a reply byte is already waiting, without blocking for one.
+    fn reply_waiting(&mut self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return true;
+        }
+        self.writer.set_nonblocking(true).unwrap();
+        let waiting = matches!(self.writer.peek(&mut [0u8; 1]), Ok(n) if n > 0);
+        self.writer.set_nonblocking(false).unwrap();
+        waiting
+    }
+}
+
+/// The server-wide `stats` counters at `path`.
+fn server_count(client: &mut Client, path: &[&str]) -> u64 {
+    let resp = request(client, "{\"op\":\"stats\"}");
+    let server = resp.get("server").expect("server metrics");
+    let leaf = path.iter().try_fold(server, |v, key| v.get(key));
+    leaf.and_then(datalog_json::Value::as_u64).unwrap_or(0)
+}
+
+/// Install the right-linear closure over an `n`-node chain, so that
+/// `g(X, Y)` has n(n+1)/2 answers.
+fn install_chain_view(client: &mut Client, n: usize) {
+    assert_ok(&request(
+        client,
+        "{\"op\":\"install\",\"program\":\"tc\",\"rules\":\"g(X, Z) :- a(X, Z). g(X, Z) :- a(X, Y), g(Y, Z).\"}",
+    ));
+    let facts: String = (0..n).map(|i| format!("a({i},{}). ", i + 1)).collect();
+    let resp = request(
+        client,
+        &format!("{{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"{facts}\"}}"),
+    );
+    assert_ok(&resp);
+}
+
+/// A client that pipelines queries and never reads its replies is served
+/// only as fast as it reads: its next request waits until the last reply
+/// has left the daemon, so the daemon holds one request line and one reply
+/// for it, not every reply it could compute — hundreds of megabytes within
+/// seconds at this reply size.
+#[test]
+fn unread_replies_stop_their_connection() {
+    let (child, addr) = spawn_daemon(&[]);
+    let mut admin = Client::connect(&addr).expect("connect");
+    install_chain_view(&mut admin, 200);
+
+    // About 250 KB per reply; thousands of requests, none read back.
+    let line = "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\"}\n";
+    let flood = line.repeat(5000);
+    let mut flooder = TcpStream::connect(&addr).expect("connect flooder");
+    flooder
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut written = 0;
+    while written < flood.len() {
+        match flooder.write(&flood.as_bytes()[written..]) {
+            Ok(n) => written += n,
+            Err(_) => break, // the socket buffers are full: pushed back
+        }
+    }
+    let sent = (written / line.len()) as u64;
+    assert!(sent >= 1000, "only {sent} requests went out");
+
+    // The answered count stops, far below what was sent.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut answered = server_count(&mut admin, &["requests", "query"]);
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = server_count(&mut admin, &["requests", "query"]);
+        if now == answered {
+            break;
+        }
+        answered = now;
+        assert!(
+            Instant::now() < deadline,
+            "the daemon kept answering a client that reads nothing ({answered} of {sent})"
+        );
+    }
+    assert!(
+        answered * 10 < sent,
+        "answered {answered} of {sent} unread requests"
+    );
+
+    assert_ok(&request(&mut admin, "{\"op\":\"shutdown\"}"));
+    expect_clean_exit(child);
+    drop(flooder);
+}
+
+/// One write carrying an insert and two queries gets three replies in
+/// request order, and both queries see the inserted facts: a read queued
+/// behind a write on its connection waits for it.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (child, addr) = spawn_daemon(&[]);
+    let mut admin = Client::connect(&addr).expect("connect");
+    assert_ok(&request(
+        &mut admin,
+        "{\"op\":\"install\",\"program\":\"tc\",\"rules\":\"g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).\"}",
+    ));
+    let mut raw = Raw::connect(&addr);
+    raw.send(&[
+        "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(1,2). a(2,3).\",\"id\":1}",
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(1, X)\",\"id\":2}",
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, Y)\",\"id\":3}",
+    ]);
+    let replies: Vec<_> = (0..3).map(|_| raw.reply()).collect();
+    let ids: Vec<_> = replies
+        .iter()
+        .map(|r| r.get("id").and_then(datalog_json::Value::as_u64))
+        .collect();
+    assert_eq!(ids, [Some(1), Some(2), Some(3)], "{replies:?}");
+    assert_eq!(replies[0].get("added").unwrap().as_u64(), Some(5));
+    assert_eq!(pairs(&replies[1]), [(1, 2), (1, 3)], "{}", replies[1]);
+    assert_eq!(
+        pairs(&replies[2]),
+        [(1, 2), (1, 3), (2, 3)],
+        "{}",
+        replies[2]
+    );
+
+    assert_ok(&request(&mut admin, "{\"op\":\"shutdown\"}"));
+    expect_clean_exit(child);
+}
+
+/// A lone client's reads are answered on the event loop, every one of
+/// them; its writes, and a `magic` query, go to the pool.
+#[test]
+fn a_lone_clients_reads_are_answered_on_the_loop() {
+    let (child, addr) = spawn_daemon(&[]);
+    let mut c = Client::connect(&addr).expect("connect");
+    install_chain_view(&mut c, 4);
+    assert_eq!(server_count(&mut c, &["answered_on_loop"]), 0);
+    // The `stats` just sent was answered on the loop, after it counted.
+    for line in [
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\"}",
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(X, 4)\",\"strategy\":\"scan\"}",
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(1, X)\",\"strategy\":\"auto\"}",
+        "{\"op\":\"ping\"}",
+        "{\"op\":\"list\"}",
+        "{\"op\":\"stats\",\"program\":\"tc\"}",
+    ] {
+        assert_ok(&request(&mut c, line));
+    }
+    assert_eq!(server_count(&mut c, &["answered_on_loop"]), 7);
+    for line in [
+        "{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\",\"strategy\":\"magic\"}",
+        "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(4,5).\"}",
+        "{\"op\":\"remove\",\"program\":\"tc\",\"facts\":\"a(4,5).\"}",
+    ] {
+        assert_ok(&request(&mut c, line));
+    }
+    // Only the previous `stats` joined the count.
+    assert_eq!(server_count(&mut c, &["answered_on_loop"]), 8);
+
+    assert_ok(&request(&mut c, "{\"op\":\"shutdown\"}"));
+    expect_clean_exit(child);
+}
+
+/// While a long write runs on the pool, a read on another connection goes
+/// to the pool too — beside the write, not behind it — and is answered
+/// first.
+#[test]
+fn a_read_beside_a_pooled_write_goes_to_the_pool() {
+    let (child, addr) = spawn_daemon(&[]);
+    let mut admin = Client::connect(&addr).expect("connect");
+    let rules = datalog_bench::portable_source(&bloated_tc(6, 1)).replace('\n', " ");
+    assert_ok(&request(
+        &mut admin,
+        &format!(
+            "{{\"op\":\"install\",\"program\":\"tc\",\"rules\":\"{rules}\",\"optimize\":false}}"
+        ),
+    ));
+    assert_ok(&request(
+        &mut admin,
+        "{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"a(0,1).\"}",
+    ));
+
+    // Closing a 600-node chain under bloated_tc(6): about 140 ms in a
+    // release build on a 2-vCPU host, ten times that in a debug build.
+    let facts: String = (1..600).map(|i| format!("a({i},{}). ", i + 1)).collect();
+    let mut writer = Raw::connect(&addr);
+    let mut reader = Raw::connect(&addr);
+    writer.send(&[&format!(
+        "{{\"op\":\"insert\",\"program\":\"tc\",\"facts\":\"{facts}\"}}"
+    )]);
+    // Ask `stats` until one is not answered on the loop: from then on the
+    // write is with the pool. Each reply counts the loop's answers before
+    // its own, so `on_loop` ends up counting every one of these that was.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut on_loop = server_count(&mut admin, &["answered_on_loop"]);
+    loop {
+        let now = server_count(&mut admin, &["answered_on_loop"]);
+        if now == on_loop {
+            break;
+        }
+        on_loop = now;
+        assert!(
+            Instant::now() < deadline,
+            "the write never reached the pool"
+        );
+    }
+    reader.send(&["{\"op\":\"query\",\"program\":\"tc\",\"atom\":\"g(0, X)\"}"]);
+    let read = reader.reply();
+    assert_ok(&read);
+    assert!(
+        !writer.reply_waiting(),
+        "the write finished before the read beside it"
+    );
+    assert_ok(&writer.reply());
+
+    // The read went to the pool: the count did not move.
+    assert_eq!(server_count(&mut admin, &["answered_on_loop"]), on_loop);
+
+    assert_ok(&request(&mut admin, "{\"op\":\"shutdown\"}"));
     expect_clean_exit(child);
 }

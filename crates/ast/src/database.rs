@@ -104,19 +104,38 @@ impl Database {
     /// row was new. Ids are dense per (predicate, arity) and stay valid until
     /// the next [`Database::remove`] on that relation.
     pub fn insert_row_id(&mut self, pred: Pred, row: &[Const]) -> Option<u32> {
+        self.relation_mut(pred, row.len()).insert(row)
+    }
+
+    /// Append the rows of `rel` under `pred`, none of which the database
+    /// holds, as [`Relation::append_absent`] does; returns the id of the
+    /// first. They take the ids and codes inserting them one by one would
+    /// give them.
+    pub fn append_absent(&mut self, pred: Pred, rel: &Relation) -> u32 {
+        self.relation_mut(pred, rel.arity()).append_absent(rel)
+    }
+
+    /// The relation of `pred` at `arity`, made empty if there is none.
+    fn relation_mut(&mut self, pred: Pred, arity: usize) -> &mut Relation {
         let rels = self.relations.entry(pred).or_default();
-        let rel = match rels.iter().position(|r| r.arity() >= row.len()) {
-            Some(i) if rels[i].arity() == row.len() => &mut rels[i],
+        match rels.iter().position(|r| r.arity() >= arity) {
+            Some(i) if rels[i].arity() == arity => &mut rels[i],
             Some(i) => {
-                rels.insert(i, Relation::new(row.len()));
+                rels.insert(i, Relation::new(arity));
                 &mut rels[i]
             }
             None => {
-                rels.push(Relation::new(row.len()));
+                rels.push(Relation::new(arity));
                 rels.last_mut().expect("just pushed")
             }
-        };
-        rel.insert(row)
+        }
+    }
+
+    /// The database taken apart into its relations, each with its predicate.
+    pub fn into_relations(self) -> impl Iterator<Item = (Pred, Relation)> {
+        self.relations
+            .into_iter()
+            .flat_map(|(pred, rels)| rels.into_iter().map(move |rel| (pred, rel)))
     }
 
     /// Remove a ground atom; returns `true` if it was present. A relation

@@ -342,14 +342,14 @@ impl<'a> Parser<'a> {
 
     /// Read a statement of the form `pred(c1, …, cn).` (or `pred.`) with
     /// constant arguments, leaving its arguments in `row` and returning the
-    /// predicate. `Ok(None)` as soon as the statement turns out to be
-    /// anything else; the parser is then somewhere inside it, and the caller
-    /// rewinds.
+    /// predicate's name, uninterned. `Ok(None)` as soon as the statement
+    /// turns out to be anything else; the parser is then somewhere inside
+    /// it, and the caller rewinds.
     fn ground_fact(
         &mut self,
         names: &mut Names<'a>,
         row: &mut Vec<Const>,
-    ) -> Result<Option<Pred>, ParseError> {
+    ) -> Result<Option<&'a str>, ParseError> {
         let Tok::LowerIdent(name) = self.peek() else {
             return Ok(None);
         };
@@ -377,7 +377,7 @@ impl<'a> Parser<'a> {
             return Ok(None);
         }
         self.bump()?;
-        Ok(Some(Pred(names.intern(name))))
+        Ok(Some(name))
     }
 
     /// Parse one statement: a rule/fact (ends with `.`), a tgd, or an
@@ -580,9 +580,17 @@ pub fn parse_database(src: &str) -> Result<Database, ParseError> {
     let mut db = Database::new();
     let mut names = Names::default();
     let mut row = Vec::new();
+    // Facts come grouped by predicate: a name equal to the last fact's is
+    // that fact's predicate, with no turn at the name table.
+    let mut last: Option<(&str, Pred)> = None;
     while !p.at_eof() {
         let start = p.clone();
-        if let Some(pred) = p.ground_fact(&mut names, &mut row)? {
+        if let Some(name) = p.ground_fact(&mut names, &mut row)? {
+            let pred = match last {
+                Some((seen, pred)) if seen == name => pred,
+                _ => Pred(names.intern(name)),
+            };
+            last = Some((name, pred));
             db.insert_row(pred, &row);
             continue;
         }

@@ -330,6 +330,52 @@ impl IdTable {
         i
     }
 
+    /// Store every id of `src`, plus `base`, under the tag it has there: ids
+    /// whose keys this table does not hold, so none is compared. Each takes
+    /// the first slot without an id from its home, a tombstone as an insert
+    /// would. The table grows at most once: when the first id that needs an
+    /// empty slot finds the table at its load limit, to the size that holds
+    /// every id left.
+    fn append(&mut self, src: &IdTable, base: u32) {
+        assert!(base as usize + src.live < NO_ID as usize, "id table full");
+        if src.live == 0 {
+            return;
+        }
+        if self.slots.is_empty() {
+            self.rebuild(Self::slots_for(src.live));
+        }
+        let mut left = src.live;
+        for slot in src.slots.iter().filter(|s| s.id != NO_ID) {
+            let mut i = self.first_free(slot.tag);
+            if self.slots[i] == EMPTY {
+                if self.used == Self::max_used(self.slots.len()) {
+                    self.rebuild(Self::slots_for(self.live + left));
+                    i = self.first_free(slot.tag);
+                }
+                self.used += 1;
+            }
+            self.slots[i] = Slot {
+                tag: slot.tag,
+                id: base + slot.id,
+            };
+            self.live += 1;
+            left -= 1;
+        }
+    }
+
+    /// Empty every slot and keep the table's size.
+    fn clear(&mut self) {
+        self.slots.fill(EMPTY);
+        self.live = 0;
+        self.used = 0;
+    }
+
+    /// Whether the table is no larger than a rebuild for its live ids would
+    /// make it: clearing it then empties no more slots than its ids need.
+    fn fits(&self) -> bool {
+        self.slots.len() <= Self::slots_for(self.live)
+    }
+
     /// Re-place every live slot in a table of `slots` slots, dropping the
     /// tombstones.
     fn rebuild(&mut self, slots: usize) {
@@ -618,6 +664,73 @@ impl Relation {
         inner.len += 1;
         inner.rows.insert_at(at, h, id);
         Some(id)
+    }
+
+    /// Append the rows of `src`, none of which this relation holds, in
+    /// `src`'s id order; returns the id of the first. The ids and codes they
+    /// get are the ones inserting them row by row would assign, but no row
+    /// is hashed or compared: each keeps its dedup tag from `src`'s table
+    /// (the low 32 bits of the same [`hash_row`], so its home slot is the
+    /// same), the dedup table grows at most once, and each column interns
+    /// each distinct value of `src` once, at its first row.
+    pub fn append_absent(&mut self, src: &Relation) -> u32 {
+        assert_eq!(src.arity(), self.arity(), "arity mismatch");
+        debug_assert!(
+            src.rows().all(|row| !self.contains(row)),
+            "appended rows are absent"
+        );
+        let first = self.inner.len;
+        if src.is_empty() {
+            return first;
+        }
+        let from = &*src.inner;
+        let inner = self.make_mut();
+        inner.arena.extend_from_slice(&from.arena);
+        for (col, src_col) in inner.cols.iter_mut().zip(&from.cols) {
+            // Each `src` code's code here, interned at its first row.
+            let mut codes = vec![NO_ID; src_col.dict.vals.len()];
+            col.codes.reserve(src_col.codes.len());
+            for &c in &src_col.codes {
+                let code = &mut codes[c as usize];
+                if *code == NO_ID {
+                    *code = col.dict.intern(src_col.dict.vals[c as usize]);
+                }
+                col.codes.push(*code);
+            }
+        }
+        inner.rows.append(&from.rows, first);
+        inner.len += from.len;
+        first
+    }
+
+    /// Empty the relation and keep its capacity: the arena, the code
+    /// columns, the dictionaries' values and every id table at its size,
+    /// with no row and no dictionary value left, so refilling it numbers
+    /// rows and codes from 0 as a new relation does.
+    pub fn clear(&mut self) {
+        let inner = self.make_mut();
+        inner.arena.clear();
+        inner.len = 0;
+        for col in &mut inner.cols {
+            col.codes.clear();
+            col.dict.vals.clear();
+            col.dict.codes.clear();
+        }
+        inner.rows.clear();
+    }
+
+    /// The relation [`Relation::clear`]ed for reuse, if nothing else shares
+    /// its storage and none of its id tables is larger than its own rows or
+    /// values need — so clearing it empties no more slots than filling it
+    /// used. `None` otherwise.
+    pub fn into_spare(mut self) -> Option<Relation> {
+        let inner = &*self.inner;
+        let fits = inner.rows.fits() && inner.cols.iter().all(|c| c.dict.codes.fits());
+        if Arc::strong_count(&self.inner) > 1 || !fits {
+            return None;
+        }
+        self.clear();
+        Some(self)
     }
 
     /// Remove a row; returns `true` if it was present. The last row is
@@ -1162,6 +1275,209 @@ mod tests {
             }
         }
         assert_eq!(sizes.len(), 1, "{sizes:?}");
+    }
+
+    type Layout = (Vec<Vec<Const>>, Vec<(Vec<u32>, usize)>, Vec<Vec<Const>>);
+
+    /// `rel`'s rows by id, each column's codes and dictionary size, and its
+    /// rows in tuple order: everything `append_absent` must give exactly as
+    /// row-by-row insertion does.
+    fn layout(rel: &Relation) -> Layout {
+        let rows = rel.rows().map(<[Const]>::to_vec).collect();
+        let cols = (0..rel.arity())
+            .map(|k| (rel.codes(k).to_vec(), rel.dict_len(k)))
+            .collect();
+        let sorted = rel.iter_sorted().map(<[Const]>::to_vec).collect();
+        (rows, cols, sorted)
+    }
+
+    /// Appending `src` to `target` gives the relation inserting its rows
+    /// one by one gives: the same ids, codes, dictionaries, lookups and
+    /// order.
+    fn assert_append_is_insert(target: &Relation, src: &Relation) {
+        let mut expected = target.clone();
+        for row in src.rows() {
+            assert!(expected.insert(row).is_some(), "the rows are absent");
+        }
+        let mut appended = target.clone();
+        assert_eq!(appended.append_absent(src), target.len() as u32);
+        assert_eq!(layout(&appended), layout(&expected));
+        for (id, row) in expected.iter_with_ids() {
+            assert_eq!(appended.find(row), Some(id));
+        }
+        assert_eq!(appended.find(&r(&[-1, -1])), None);
+    }
+
+    #[test]
+    fn append_absent_assigns_what_row_by_row_insertion_assigns() {
+        let sym = |i: i64| Const::Sym(crate::Sym::new(&format!("s{}", i % 7)));
+        let mut src = Relation::new(2);
+        for i in 0..300i64 {
+            src.insert(&[sym(i), Const::Int(1_000 + i % 13)]);
+        }
+        // A swap-removed row: `src`'s codes are no longer in row order.
+        assert!(src.remove(&[sym(0), Const::Int(1_000)]));
+
+        // Into an empty relation, and into one that already holds values
+        // of both columns.
+        assert_append_is_insert(&Relation::new(2), &src);
+        let mut target = Relation::new(2);
+        for i in 0..50i64 {
+            target.insert(&[Const::Int(i), Const::Int(1_000 + i % 5)]);
+        }
+        assert_append_is_insert(&target, &src);
+
+        // Into a relation a snapshot shares: the append unshares first.
+        let snapshot = target.clone();
+        let before = layout(&snapshot);
+        let mut writer = target.clone();
+        writer.append_absent(&src);
+        assert!(!writer.shares_storage_with(&snapshot));
+        assert_eq!(layout(&snapshot), before, "snapshot unaffected");
+        assert_eq!(writer.len(), 50 + src.len());
+
+        // Into a relation whose dedup table holds tombstones.
+        for i in 10..40i64 {
+            assert!(target.remove(&[Const::Int(i), Const::Int(1_000 + i % 5)]));
+        }
+        assert!(target.inner.rows.used > target.inner.rows.live);
+        assert_append_is_insert(&target, &src);
+
+        // Nothing to append, and arity 0.
+        assert_append_is_insert(&target, &Relation::new(2));
+        let mut unit = Relation::new(0);
+        unit.insert(&[]);
+        let mut empty = Relation::new(0);
+        assert_eq!(empty.append_absent(&unit), 0);
+        assert_eq!((empty.len(), empty.find(&[])), (1, Some(0)));
+    }
+
+    /// [`IdTable::append`] under a hash every key shares, into a table
+    /// whose probe sequence is littered with tombstones: each appended id
+    /// is found under its key, the tombstones are taken before empty slots,
+    /// and the table grows once at most.
+    #[test]
+    fn id_table_append_under_a_degenerate_hash_with_tombstones() {
+        const HASH: u64 = 0x5eed_5eed_5eed_5eed;
+        let mut keys: Vec<u64> = (0..40).collect();
+        let mut table = IdTable::default();
+        for (id, &key) in keys.iter().enumerate() {
+            let Probe::Vacant(at) = table.probe(HASH, |i| keys[i as usize] == key) else {
+                unreachable!("distinct keys");
+            };
+            table.insert_at(at, HASH, id as u32);
+        }
+        // Remove every other key, swapping the last one in as `Relation`
+        // does.
+        for key in (0..40u64).step_by(2) {
+            let id = table.find(HASH, |i| keys[i as usize] == key).unwrap();
+            let last = keys.len() as u32 - 1;
+            table.remove(HASH, id);
+            if id != last {
+                keys[id as usize] = keys[last as usize];
+                table.replace(HASH, last, id);
+            }
+            keys.pop();
+        }
+        let tombstones = table.used - table.live;
+        assert!(tombstones > 0);
+        let size = table.slots.len();
+
+        let fresh: Vec<u64> = (100..110).collect();
+        let mut src = IdTable::default();
+        for id in 0..fresh.len() as u32 {
+            let Probe::Vacant(at) = src.probe(HASH, |_| false) else {
+                unreachable!();
+            };
+            src.insert_at(at, HASH, id);
+        }
+        let (used, base) = (table.used, keys.len() as u32);
+        table.append(&src, base);
+        keys.extend(&fresh);
+        assert_eq!(table.live, keys.len());
+        assert_eq!(table.slots.len(), size, "room enough: no growth");
+        assert_eq!(table.used, used + fresh.len().saturating_sub(tombstones));
+        for (id, &key) in keys.iter().enumerate() {
+            assert_eq!(
+                table.find(HASH, |i| keys[i as usize] == key),
+                Some(id as u32)
+            );
+        }
+        assert_eq!(table.find(HASH, |i| keys[i as usize] == 0), None);
+
+        // Past the load limit it grows once, to a size that holds them all;
+        // the tombstones left are taken first.
+        let mut big = IdTable::default();
+        for id in 0..100 {
+            let Probe::Vacant(at) = big.probe(HASH, |_| false) else {
+                unreachable!();
+            };
+            big.insert_at(at, HASH, id);
+        }
+        table.append(&big, keys.len() as u32);
+        keys.extend(1_000..1_100);
+        assert_eq!(table.slots.len(), IdTable::slots_for(keys.len()));
+        assert!(table.used <= IdTable::max_used(table.slots.len()));
+        for (id, &key) in keys.iter().enumerate() {
+            assert_eq!(
+                table.find(HASH, |i| keys[i as usize] == key),
+                Some(id as u32)
+            );
+        }
+    }
+
+    /// A cleared relation holds no row and no dictionary value — a stale
+    /// dictionary would widen the kernel's head-bitmap radix — but keeps
+    /// every table at its size, and refills as a new relation fills.
+    #[test]
+    fn clear_forgets_rows_and_values_but_keeps_capacity() {
+        let mut rel = Relation::new(2);
+        for i in 0..200i64 {
+            rel.insert(&r(&[i, i % 3]));
+        }
+        let (arena, dedup, dict) = (rel.arena_bytes(), rel.dedup_bytes(), rel.dict_bytes());
+        rel.clear();
+        assert!(rel.is_empty());
+        assert_eq!((rel.len(), rel.dict_len(0), rel.dict_len(1)), (0, 0, 0));
+        assert_eq!(rel.find(&r(&[5, 2])), None);
+        assert_eq!(rel.lookup_code(0, Const::Int(5)), None);
+        assert_eq!(
+            (rel.arena_bytes(), rel.dedup_bytes(), rel.dict_bytes()),
+            (arena, dedup, dict)
+        );
+        let mut fresh = Relation::new(2);
+        for i in [7i64, 3, 7] {
+            rel.insert(&r(&[i, 9]));
+            rel.insert(&r(&[9, i]));
+            fresh.insert(&r(&[i, 9]));
+            fresh.insert(&r(&[9, i]));
+        }
+        assert_eq!(layout(&rel), layout(&fresh));
+        assert_eq!(rel.dedup_bytes(), dedup, "no regrowth");
+    }
+
+    /// Only a relation nothing shares, whose tables are no larger than its
+    /// rows need, becomes a spare.
+    #[test]
+    fn a_spare_is_unshared_and_no_larger_than_its_rows_need() {
+        let filled = |n: i64| {
+            let mut rel = Relation::new(1);
+            for i in 0..n {
+                rel.insert(&r(&[i]));
+            }
+            rel
+        };
+        let spare = filled(100).into_spare().expect("grown by its own rows");
+        assert!(spare.is_empty());
+        let shared = filled(100);
+        let _snapshot = shared.clone();
+        assert!(shared.into_spare().is_none(), "a snapshot reads it");
+        // Refilled with a tenth of its rows, its tables are too large.
+        let mut spare = filled(100).into_spare().unwrap();
+        for i in 0..10 {
+            spare.insert(&r(&[i]));
+        }
+        assert!(spare.into_spare().is_none());
     }
 
     #[test]

@@ -72,8 +72,12 @@
 //!
 //! * **A round's arenas are its delta.** The set-semantics dedup a round
 //!   runs its heads through (`Seen`) holds each head new to the database
-//!   once, so committing is inserting those rows into the database and
-//!   handing the arenas on, as they are, as the next round's delta.
+//!   once, so committing appends those rows to the database by the hash
+//!   tags `Seen` computed ([`Relation::append_absent`]: no row is hashed,
+//!   probed or compared again) and hands the arenas on, as they are, as the
+//!   next round's delta. A spent delta's relations come back
+//!   (`EvalContext::spend`) and are cleared for a later round's heads, so
+//!   a round's arenas start at the size the last one needed.
 //!
 //! * **Derivations on request.** A context made [`EvalContext::traced`]
 //!   keeps the first justification of every atom it commits, decoded from
@@ -650,30 +654,15 @@ pub(crate) fn carries(rel: &Relation, positions: &[usize], key: &[u32], id: u32)
 /// The heads a round queued, per head predicate and arity: the round's
 /// set-semantics dedup arena — each head once, in the order it was first
 /// queued, so a repeated head costs a hash probe, not a `Box` — and, in a
-/// traced round, one justification per arena row, by row-id. A committing
-/// round's arenas are its delta.
+/// traced round, one justification per arena row, by row-id. A round
+/// starts from the context's spare relations (empty, with the capacity an
+/// earlier round gave them), so a head relation the round derives nothing
+/// into stays empty. A committing round's arenas are its delta, and each
+/// row's dedup tag is what the commit appends it to the database by.
 #[derive(Default)]
 pub(crate) struct Seen {
     rows: FxHashMap<(Pred, usize), Relation>,
     why: Option<FxHashMap<(Pred, usize), Vec<Justification>>>,
-}
-
-impl Seen {
-    fn new(traced: bool) -> Seen {
-        Seen {
-            rows: FxHashMap::default(),
-            why: traced.then(FxHashMap::default),
-        }
-    }
-
-    /// The queued heads as a database, their arenas moved in whole.
-    fn into_database(self) -> Database {
-        let mut db = Database::new();
-        for ((pred, _), rows) in self.rows {
-            db.insert_relation(pred, rows);
-        }
-        db
-    }
 }
 
 /// What the tasks of a round produce: work counters and the heads they
@@ -690,10 +679,10 @@ pub(crate) struct TaskOutput<'a> {
     pub(crate) dict_filtered: u64,
     /// Key blocks hashed, one per flushed block.
     pub(crate) simd_blocks: u64,
-    /// Drop head tuples already present in the database before allocating
-    /// them. Valid for committing rounds (the commit would discard them
-    /// anyway); the DRed overdeletion sweep must keep them.
-    pub(crate) filter_known: bool,
+    /// The heads to drop before they are queued: the database in a
+    /// committing round (the commit would discard them anyway), the
+    /// overdeleted set in a DRed sweep round (found already).
+    known: &'a Database,
     /// The heads this output has queued.
     seen: Seen,
     /// The kernel's per-task duplicate filter in code space, reused by
@@ -711,16 +700,21 @@ pub(crate) struct TaskOutput<'a> {
     pub(crate) head_buf: Vec<Const>,
 }
 
-impl TaskOutput<'_> {
-    fn new(filter_known: bool, traced: bool) -> Self {
+impl<'a> TaskOutput<'a> {
+    /// An output that drops the heads `known` holds and queues the others
+    /// into `spares`, empty relations by head.
+    fn new(known: &'a Database, traced: bool, spares: FxHashMap<(Pred, usize), Relation>) -> Self {
         TaskOutput {
             probes: 0,
             matches: 0,
             batch_rows: 0,
             dict_filtered: 0,
             simd_blocks: 0,
-            filter_known,
-            seen: Seen::new(traced),
+            known,
+            seen: Seen {
+                rows: spares,
+                why: traced.then(FxHashMap::default),
+            },
             heads: kernels::HeadFilter::default(),
             frame: kernels::Frame::default(),
             keys: Vec::new(),
@@ -734,22 +728,18 @@ impl TaskOutput<'_> {
     /// calls it on every match; the kernel's leaf on a task's first
     /// sighting of each head, counting the repeats itself.
     ///
-    /// A head already in the database is dropped first (under
-    /// `filter_known`), then one this round already queued, so `seen` holds
-    /// each head new to the database once — a row of an arena, never a
-    /// per-tuple `Box` — and a committing round hands `seen` on as its
-    /// delta.
+    /// A head `known` holds is dropped first, then one this round already
+    /// queued, so `seen` holds each head new to `known` once — a row of an
+    /// arena, never a per-tuple `Box`. A committing round hands `seen` on as
+    /// its delta; a sweep round's `seen` is exactly the atoms it adds to the
+    /// overdeleted set. Both filters come after the match is counted.
     ///
     /// Returns where a traced context wants the justification of the head
     /// just queued (its `seen` row's slot); `None` when nothing was queued
     /// or nothing is traced.
-    pub(crate) fn emit_head(
-        &mut self,
-        head_pred: Pred,
-        db: &Database,
-    ) -> Option<&mut Vec<Justification>> {
+    pub(crate) fn emit_head(&mut self, head_pred: Pred) -> Option<&mut Vec<Justification>> {
         self.matches += 1;
-        if self.filter_known && db.contains_tuple(head_pred, &self.head_buf) {
+        if self.known.contains_tuple(head_pred, &self.head_buf) {
             return None;
         }
         let key = (head_pred, self.head_buf.len());
@@ -813,7 +803,7 @@ fn exec(
         for s in &script.head {
             out.head_buf.push(s.value(assignment));
         }
-        let trace = out.emit_head(script.head_pred, src.db);
+        let trace = out.emit_head(script.head_pred);
         debug_assert!(trace.is_none(), "a traced context runs the kernel");
         return;
     };
@@ -907,6 +897,11 @@ pub struct EvalContext {
     justifications: Option<HashMap<GroundAtom, Justification>>,
     /// The greedy planner's buffers, reused by every task of every round.
     orders: OrderScratch,
+    /// Empty relations a spent delta gave back, at most one per head
+    /// relation the plans derive, kept with their capacity for the next
+    /// round's heads of that relation (`EvalContext::spend`). They outlive
+    /// a batch, as the plans do.
+    spares: FxHashMap<(Pred, usize), Relation>,
 }
 
 impl std::fmt::Debug for EvalContext {
@@ -962,6 +957,7 @@ impl EvalContext {
             stats,
             justifications: None,
             orders: OrderScratch::default(),
+            spares: FxHashMap::default(),
         }
     }
 
@@ -1020,6 +1016,7 @@ impl EvalContext {
             stats: self.stats,
             justifications: None,
             orders: OrderScratch::default(),
+            spares: FxHashMap::default(),
         }
     }
 
@@ -1074,7 +1071,7 @@ impl EvalContext {
     /// Round 1 of a (sub)fixpoint: evaluate `rules` in full over the
     /// current database, commit the new atoms, and return them.
     pub(crate) fn full_round(&mut self, rules: &[usize]) -> Database {
-        let seen = self.run_round(rules, None, true);
+        let seen = self.run_round(rules, None, None);
         self.commit(seen)
     }
 
@@ -1096,16 +1093,31 @@ impl EvalContext {
             is_newest(&self.db, delta),
             "a committing round's delta is the newest rows of its relations"
         );
-        let seen = self.run_round(rules, Some(delta), true);
+        let seen = self.run_round(rules, Some(delta), None);
         self.commit(seen)
     }
 
-    /// A delta round over a *frozen* database: nothing is committed, and
-    /// every head the round derived — known ones included — is returned,
-    /// once (the DRed overdeletion sweep). The delta is not the newest rows
+    /// A delta round over a *frozen* database (the DRed overdeletion sweep):
+    /// nothing is committed, and every head the round derived that
+    /// `overdeleted` does not hold is returned, once — the atoms the sweep
+    /// adds to the set, and its next delta. The delta is not the newest rows
     /// of anything, so every literal reads its whole relation.
-    pub(crate) fn sweep_round(&mut self, rules: &[usize], delta: &Database) -> Database {
-        self.run_round(rules, Some(delta), false).into_database()
+    pub(crate) fn sweep_round(
+        &mut self,
+        rules: &[usize],
+        delta: &Database,
+        overdeleted: &Database,
+    ) -> Database {
+        let Seen { rows, .. } = self.run_round(rules, Some(delta), Some(overdeleted));
+        let mut swept = Database::new();
+        for ((pred, arity), heads) in rows {
+            if heads.is_empty() {
+                self.spares.insert((pred, arity), heads);
+            } else {
+                swept.insert_relation(pred, heads);
+            }
+        }
+        swept
     }
 
     /// Run `rules` to their fixpoint over the current database: one full
@@ -1127,33 +1139,62 @@ impl EvalContext {
             if goal.is_some_and(|g| delta.contains(g)) {
                 return true;
             }
-            delta = self.delta_round(rules, &delta);
+            let next = self.delta_round(rules, &delta);
+            self.spend(std::mem::replace(&mut delta, next));
         }
         false
     }
 
-    /// Insert a committing round's heads — each new to the database, once —
-    /// append their row-ids to the live indexes, and return the round's
-    /// arenas as they are as the next delta. A traced round's justifications
-    /// are kept for exactly these atoms, so every recorded premise was in the
-    /// database before its conclusion.
+    /// Take back a delta no round reads any more. Each of its relations
+    /// that holds heads the plans derive, that nothing else shares and
+    /// whose id tables are no larger than its rows need is cleared and kept
+    /// as the spare of its head relation, unless that relation has one. The
+    /// next round queues that relation's heads into it, without growing its
+    /// tables from empty again.
+    pub(crate) fn spend(&mut self, delta: Database) {
+        for (pred, rel) in delta.into_relations() {
+            let key = (pred, rel.arity());
+            let derived = || {
+                let head = |p: &RulePlan| p.head.pred == pred && p.head.slots.len() == key.1;
+                self.plans.iter().any(head)
+            };
+            if self.spares.contains_key(&key) || !derived() {
+                continue;
+            }
+            if let Some(spare) = rel.into_spare() {
+                self.spares.insert(key, spare);
+            }
+        }
+    }
+
+    /// The number of spare relations the context holds.
+    #[cfg(test)]
+    pub(crate) fn spares(&self) -> usize {
+        self.spares.len()
+    }
+
+    /// Append a committing round's heads — each new to the database, once —
+    /// to the database by their dedup tags, append their row-ids to the live
+    /// indexes, and return the round's arenas as they are as the next delta.
+    /// A head relation the round derived nothing into goes back to the
+    /// spares. A traced round's justifications are kept for exactly these
+    /// atoms, so every recorded premise was in the database before its
+    /// conclusion.
     fn commit(&mut self, seen: Seen) -> Database {
         let Seen { rows, mut why } = seen;
         let mut delta = Database::new();
         for ((pred, arity), heads) in rows {
-            let mut why = why
-                .as_mut()
-                .and_then(|w| w.remove(&(pred, arity)))
-                .into_iter()
-                .flatten();
+            if heads.is_empty() {
+                self.spares.insert((pred, arity), heads);
+                continue;
+            }
             // The heads are new, so they take the next ids of their relation.
-            let db = Arc::make_mut(&mut self.db);
-            let first = db.relation_of(pred, arity).map_or(0, Relation::len) as u32;
-            for row in heads.rows() {
-                db.insert_row_id(pred, row)
-                    .expect("a committing round queues only heads new to the database");
-                if let (Some(kept), Some(why)) = (&mut self.justifications, why.next()) {
-                    kept.insert(GroundAtom::new(pred, row), why);
+            let first = Arc::make_mut(&mut self.db).append_absent(pred, &heads);
+            let why = why.as_mut().and_then(|w| w.remove(&(pred, arity)));
+            if let (Some(kept), Some(why)) = (&mut self.justifications, why) {
+                let rel = self.db.relation_of(pred, arity).expect("just appended");
+                for (id, why) in (first..).zip(why) {
+                    kept.insert(GroundAtom::new(pred, rel.row(id)), why);
                 }
             }
             let new = heads.len() as u64;
@@ -1170,11 +1211,19 @@ impl EvalContext {
 
     /// Evaluate one round of `rules` (full or delta-restricted) and return
     /// the heads it queued, with their justifications when the context is
-    /// traced. A `committing` round drops heads the database holds already
-    /// and, if it is a delta round, keeps the literals ahead of the delta
-    /// literal to the old rows ([`EvalContext::delta_round`]).
-    fn run_round(&mut self, rules: &[usize], delta: Option<&Database>, committing: bool) -> Seen {
+    /// traced. A committing round (no `overdeleted` set) drops heads the
+    /// database holds already and, if it is a delta round, keeps the
+    /// literals ahead of the delta literal to the old rows
+    /// ([`EvalContext::delta_round`]); a sweep round drops the heads
+    /// `overdeleted` holds.
+    fn run_round(
+        &mut self,
+        rules: &[usize],
+        delta: Option<&Database>,
+        overdeleted: Option<&Database>,
+    ) -> Seen {
         self.stats.iterations += 1;
+        let committing = overdeleted.is_none();
         let traced = self.justifications.is_some();
         let no_delta = Database::new();
         let delta_db = delta.unwrap_or(&no_delta);
@@ -1270,7 +1319,8 @@ impl EvalContext {
                 .filter(|(script, _)| script.steps.len() >= 3)
                 .count() as u64;
         }
-        let mut out = TaskOutput::new(committing, traced);
+        let known = overdeleted.unwrap_or(&self.db);
+        let mut out = TaskOutput::new(known, traced, std::mem::take(&mut self.spares));
         let (mut slots, mut ends) = (slots.as_slice(), ends.as_slice());
         for (script, rule) in &tasks {
             let (task_slots, rest) = slots.split_at(script.steps.len());

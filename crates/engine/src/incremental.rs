@@ -37,12 +37,17 @@
 //! DRed unchanged; cuts that overdelete a fifth to a half of a chain's
 //! closure still cost up to 5.6x a recompute (ROADMAP item 12(a)).
 //!
-//! Every round works on rows: a sweep returns the heads it derived as a
-//! database, and the overdeleted set grows from those rows without a
-//! `GroundAtom` per atom. A sweep round runs only the rules whose head
-//! relation still has an atom that is not overdeleted — any other rule could
-//! only find atoms the set already holds — and the sweep ends when no rule
-//! is left, even if the last round found new atoms.
+//! Every round works on rows: a sweep round drops the heads the overdeleted
+//! set holds already, as a committing round drops those the database holds,
+//! so it returns exactly the atoms new to the set, as a database. They are
+//! appended to the set by the hash tags the round computed
+//! ([`Database::append_absent`]), with no `GroundAtom` per atom and no row
+//! hashed twice, and they are the next sweep round's delta as they stand.
+//! A spent delta goes back to the context (`EvalContext::spend`), whose
+//! next round refills its relations. A sweep round runs only the rules
+//! whose head relation still has an atom that is not overdeleted — any
+//! other rule could only find atoms the set already holds — and the sweep
+//! ends when no rule is left, even if the last round found new atoms.
 //!
 //! The materialisation lives on a persistent [`EvalContext`], so its rule
 //! plans are compiled once and its hash indexes survive
@@ -196,8 +201,9 @@ impl Materialized {
         let rules = all_rules(&self.program);
         let mut derived = 0;
         while !delta.is_empty() {
-            delta = self.cx.delta_round(&rules, &delta);
-            derived += delta.len() as u64;
+            let next = self.cx.delta_round(&rules, &delta);
+            derived += next.len() as u64;
+            self.cx.spend(std::mem::replace(&mut delta, next));
         }
         derived
     }
@@ -256,18 +262,17 @@ impl Materialized {
             if live.is_empty() {
                 break;
             }
-            let swept = self.cx.sweep_round(&live, &delta);
-            delta = Database::new();
+            // The round returns only atoms the set does not hold yet: they
+            // join it, and they are the next round's delta as they stand.
+            let swept = self.cx.sweep_round(&live, &delta, &overdeleted);
             for pred in swept.predicates() {
                 for rel in swept.relations_of(pred) {
-                    for row in rel.rows() {
-                        if overdeleted.insert_row(pred, row) {
-                            delta.insert_row(pred, row);
-                        }
-                    }
+                    overdeleted.append_absent(pred, rel);
                 }
             }
+            self.cx.spend(std::mem::replace(&mut delta, swept));
         }
+        self.cx.spend(delta);
         if resaturates(&overdeleted) {
             self.saturate();
         } else {
@@ -862,6 +867,76 @@ mod deletion_tests {
             del_stats.probes,
             scratch_stats.probes
         );
+    }
+
+    /// A daemon's view under the benchmark's serve-mixed write pattern: a
+    /// 16-node chain with a skip edge from every fourth node, 8 transient
+    /// edges inserted a round (most hang a leaf off a core node), and every
+    /// second round the removal of a long-lived edge together with all but
+    /// the last two rounds' transient edges — the long-lived edge going back
+    /// first in the next round. Over 1 000 rounds the view is the
+    /// from-scratch fixpoint after every batch, and its context never holds
+    /// more spare relations than the head relations its plans derive.
+    #[test]
+    fn a_serve_shaped_churn_stays_exact_and_bounded() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let p = tc();
+        let core = 16i64;
+        let mut chain: Vec<GroundAtom> = (1..core).map(|i| fact("a", [i - 1, i])).collect();
+        chain.extend((0..core - 3).step_by(4).map(|i| fact("a", [i, i + 3])));
+        let mut base: Database = chain.iter().cloned().collect();
+        let mut m = Materialized::new(p.clone(), &base);
+        let heads: std::collections::BTreeSet<_> = (p.rules.iter())
+            .map(|r| (r.head.pred, r.head.arity()))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut transient: std::collections::VecDeque<Vec<GroundAtom>> = Default::default();
+        let mut reinsert: Option<GroundAtom> = None;
+        let mut most_spares = 0;
+        for round in 0..1_000 {
+            let mut batches: Vec<(bool, Vec<GroundAtom>)> = Vec::new();
+            batches.extend(reinsert.take().map(|f| (true, vec![f])));
+            let mut fresh = Vec::new();
+            while fresh.len() < 8 {
+                let from = rng.gen_range(0..core);
+                let to = if rng.gen_bool(0.75) {
+                    core + rng.gen_range(0..64)
+                } else {
+                    rng.gen_range(0..core)
+                };
+                let f = fact("a", [from, to]);
+                if from != to && !base.contains(&f) && !fresh.contains(&f) {
+                    fresh.push(f);
+                }
+            }
+            transient.push_back(fresh.clone());
+            batches.push((true, fresh));
+            if round % 2 == 1 {
+                let victim = chain[rng.gen_range(0..chain.len())].clone();
+                reinsert = Some(victim.clone());
+                let mut gone = vec![victim];
+                while transient.len() > 2 {
+                    gone.extend(transient.pop_front().unwrap());
+                }
+                batches.push((false, gone));
+            }
+            for (insert, facts) in batches {
+                if insert {
+                    base.extend(facts.iter().cloned());
+                    m.insert(facts);
+                } else {
+                    for f in &facts {
+                        base.remove(f);
+                    }
+                    m.remove(facts);
+                }
+                assert_eq!(m.database(), &scratch(&p, &base), "round {round}");
+                assert!(m.cx.spares() <= heads.len(), "round {round}");
+                most_spares = most_spares.max(m.cx.spares());
+            }
+        }
+        assert_eq!(most_spares, heads.len(), "the head relation has its spare");
     }
 
     #[test]

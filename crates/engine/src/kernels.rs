@@ -55,11 +55,12 @@
 //! candidate, so in the last probe stage a repeated head costs one chain
 //! step, one code read per own digit and one bit. Only a task's first
 //! sighting of a head is built as a `Const` tuple — in one reused buffer —
-//! and handed to [`TaskOutput::emit_head`], whose database check and
-//! round-level `seen` arenas catch what the bitmap cannot: heads already in
-//! the database, and the same head from another task. What `seen` keeps is
-//! a row of the round's output, which a committing round hands on as its
-//! delta; no head becomes a `GroundAtom`. A head space above
+//! and handed to [`TaskOutput::emit_head`], whose check against the known
+//! atoms and round-level `seen` arenas catch what the bitmap cannot: heads
+//! already in the database (in a sweep round, already overdeleted), and the
+//! same head from another task. What `seen` keeps is a row of the round's
+//! output, which a committing round hands on as its delta; no head becomes
+//! a `GroundAtom`. A head space above
 //! [`HEAD_BITS_MAX`] skips the bitmap and goes straight to `emit_head`.
 //!
 //! The row-at-a-time interpreter in [`crate::context`] is not a tier of
@@ -467,7 +468,6 @@ pub(crate) struct Frame<'a> {
 }
 
 struct Pipeline<'f, 'a> {
-    db: &'a Database,
     /// The task's rule, its plan and its literals with the relations they
     /// read — what a traced context decodes an in-flight row against.
     rule: usize,
@@ -522,7 +522,7 @@ pub(crate) fn run<'a>(
             Src::Const(c) => c,
             Src::At(_) => unreachable!("a rule without positive literals has a ground head"),
         }));
-        if let Some(trace) = out.emit_head(script.head_pred, db) {
+        if let Some(trace) = out.emit_head(script.head_pred) {
             let (rule_idx, premises) = (task.rule, Vec::new());
             trace.push(Justification::Rule { rule_idx, premises });
         }
@@ -567,7 +567,6 @@ pub(crate) fn run<'a>(
     let n0 = s0.positions.len();
     let last = steps.len() - 1;
     let pipe = Pipeline {
-        db,
         rule: task.rule,
         steps,
         plan: task.plan,
@@ -779,7 +778,7 @@ impl Pipeline<'_, '_> {
                 out.head_buf[h] = t[pos];
             }
         }
-        if let Some(trace) = out.emit_head(self.head_pred, self.db) {
+        if let Some(trace) = out.emit_head(self.head_pred) {
             trace.push(self.why(row, id));
         }
     }

@@ -22,7 +22,7 @@
 
 use crate::freeze::freeze_rule;
 use datalog_ast::{validate_positive, Database, GroundAtom, Program, Rule, ValidationError};
-use datalog_engine::{EvalContext, EvalOptions, Proof, RulePlan, Stats, Traced};
+use datalog_engine::{EvalContext, Proof, RulePlan, Stats, Traced};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -180,11 +180,7 @@ impl Containment {
             .filter(|&i| Some(i) != without)
             .collect();
         let frozen = freeze_rule(r);
-        let cx = EvalContext::with_plans(
-            Arc::clone(&self.plans),
-            frozen.body_db,
-            EvalOptions::sequential(),
-        );
+        let cx = EvalContext::with_plans(Arc::clone(&self.plans), frozen.body_db);
         (cx, rules, frozen.goal)
     }
 

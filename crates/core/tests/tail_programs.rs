@@ -6,7 +6,7 @@
 //! tail is a test that does not come back.
 
 use datalog_ast::{parse_program, Program};
-use datalog_engine::{EvalContext, EvalOptions, Traced};
+use datalog_engine::{EvalContext, Traced};
 use datalog_generate::{bloated_tc, inject, random_program, RandomProgramSpec};
 use datalog_optimizer::{freeze_rule, optimize, uniformly_equivalent};
 
@@ -55,7 +55,7 @@ fn a_guard_costs_one_probe_not_one_per_binding() {
     let program = guarded_tc(8);
     let candidate = program.rules[1].without_body_atom(2);
     let frozen = freeze_rule(&candidate);
-    let fresh = || EvalContext::new(&program, frozen.body_db.clone(), EvalOptions::sequential());
+    let fresh = || EvalContext::new(&program, frozen.body_db.clone());
 
     let mut cx = fresh();
     assert!(cx.saturate_until(&[0, 1], &frozen.goal));

@@ -27,24 +27,21 @@
 //!   (insertions are append-only and keep ids stable; deletions
 //!   conservatively clear the store, which re-fills lazily).
 //!
-//! * **Compiled join scripts, one kernel, one reference.** Each `(rule,
-//!   delta position, order)` compiles once per plan into a `JoinScript`
-//!   — the [`RulePlan`] keeps it for every later round and every other
-//!   context over the same plans — whose steps know statically which index
-//!   to probe, how to build the probe key, and which tuple positions bind
-//!   which variable slots, and which carries the kernel's whole task setup
-//!   (`kernels::Recipe`). A step names its index by the plan's pattern
-//!   number, which the store resolves to a slot with one integer lookup.
-//!   Every script — any body length, any key width, negation included —
-//!   runs on the batched columnar pipeline in `kernels`. The
-//!   row-at-a-time interpreter in this module is never selected by script
-//!   shape: it runs only under [`EvalOptions::interpreted`], as the
-//!   reference the differential tests, the oracle fuzzer and the
-//!   benchmarks compare the kernel against, and it compiles its scripts
-//!   afresh every round rather than sharing the plan's. Both probe in code space: a probe key's
-//!   constants are translated through the target column's dictionary
-//!   first, so a constant that never appears in a column matches nothing
-//!   without touching a single row ([`Stats::dict_filtered_probes`]). A
+//! * **Compiled join scripts, one kernel.** Each `(rule, delta position,
+//!   order)` compiles once per plan into a `JoinScript` — the [`RulePlan`]
+//!   keeps it for every later round and every other context over the same
+//!   plans — whose steps know statically which index to probe, how to build
+//!   the probe key, and which tuple positions bind which variable slots,
+//!   and which carries the kernel's whole task setup (`kernels::Recipe`). A
+//!   step names its index by the plan's pattern number, which the store
+//!   resolves to a slot with one integer lookup. Every script — any body
+//!   length, any key width, negation included — runs on the batched
+//!   columnar pipeline in `kernels`; the reference it is tested against is
+//!   [`crate::naive`], which shares none of this. The kernel probes in
+//!   code space: a probe key's constants are translated through the
+//!   target column's dictionary first, so a constant that never appears in
+//!   a column matches nothing without touching a single row
+//!   ([`Stats::dict_filtered_probes`]). A
 //!   lookup compares its key, a `u32` per bound column, with the first row
 //!   of each chain its probe sequence passes — one chain unless two keys'
 //!   64-bit hashes collide — and every candidate of the chain it stops at
@@ -65,10 +62,10 @@
 //!   of `EvalContext::delta_round`, asserted in debug builds), so a
 //!   positive literal ahead of the delta literal in body order reads only
 //!   the rows below `len - |Δ|` of its relation (`Step::old`); chains run
-//!   in ascending id order, so the kernel and the interpreter both stop at
-//!   that bound. A match is found by the task at its first new row and by
-//!   no other. Full rounds and the DRed sweep, whose delta is not the newest
-//!   rows, read whole relations.
+//!   in ascending id order, so the kernel stops at that bound. A match is
+//!   found by the task at its first new row and by no other. Full rounds
+//!   and the DRed sweep, whose delta is not the newest rows, read whole
+//!   relations.
 //!
 //! * **A round's arenas are its delta.** The set-semantics dedup a round
 //!   runs its heads through (`Seen`) holds each head new to the database
@@ -97,42 +94,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Evaluation tuning knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Run every join script on the columnar kernel (default). `false`
-    /// runs every script on the row-at-a-time interpreter instead — the
-    /// differential reference the oracle fuzzer and the E20 benchmark
-    /// compare the kernel against.
-    pub specialize: bool,
-}
-
-impl EvalOptions {
-    /// Evaluation on the join kernel.
-    pub fn sequential() -> EvalOptions {
-        EvalOptions { specialize: true }
-    }
-
-    /// Evaluation on the interpreter only. This is the reference side of
-    /// the kernel differentials.
-    pub fn interpreted() -> EvalOptions {
-        EvalOptions { specialize: false }
-    }
-
-    /// [`EvalOptions::sequential`]: evaluation has no worker threads.
-    // Kept only for the repo benchmark (`benchmark/src/layers.rs`).
-    #[doc(hidden)]
-    pub fn with_threads(_: usize) -> EvalOptions {
-        EvalOptions::sequential()
-    }
-}
-
-impl Default for EvalOptions {
-    fn default() -> EvalOptions {
-        EvalOptions::sequential()
-    }
-}
 
 /// The end of a chain, and the slot of a step that reads no index.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -390,25 +351,15 @@ impl Iterator for Cands<'_> {
 }
 
 /// Where a probe key component comes from.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum KeySrc {
     Const(Const),
     Var(usize),
 }
 
-impl KeySrc {
-    #[inline]
-    pub(crate) fn value(self, assignment: &[Option<Const>]) -> Const {
-        match self {
-            KeySrc::Const(c) => c,
-            KeySrc::Var(v) => assignment[v].expect("variable bound by join order"),
-        }
-    }
-}
-
 /// One compiled join step: which index to probe, how to build the key,
 /// and which tuple positions bind which variable slots.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Step {
     /// Body index of the atom.
     pub(crate) atom: usize,
@@ -471,7 +422,7 @@ impl Step {
 
 /// A rule's body compiled for a fixed atom order and delta position, plus
 /// its head recipe and the kernel's task setup.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct JoinScript {
     pub(crate) steps: Vec<Step>,
     pub(crate) head_pred: Pred,
@@ -608,8 +559,7 @@ pub(crate) struct Task<'r> {
 }
 
 /// The relation a step reads: the round's delta for the delta literal, the
-/// database otherwise. Shared by the interpreter and the kernel so source
-/// selection cannot diverge between them.
+/// database otherwise.
 pub(crate) fn step_relation<'a>(
     step: &Step,
     db: &'a Database,
@@ -691,12 +641,6 @@ pub(crate) struct TaskOutput<'a> {
     /// The kernel's pipeline buffers, reused by every task this output
     /// serves.
     pub(crate) frame: kernels::Frame<'a>,
-    /// Per-depth probe-key scratch of the interpreter (translated codes;
-    /// no per-probe allocation).
-    keys: Vec<Vec<u32>>,
-    /// The interpreter's ground-tuple scratch for negated-atom membership
-    /// checks.
-    neg_buf: Vec<Const>,
     pub(crate) head_buf: Vec<Const>,
 }
 
@@ -717,16 +661,14 @@ impl<'a> TaskOutput<'a> {
             },
             heads: kernels::HeadFilter::default(),
             frame: kernels::Frame::default(),
-            keys: Vec::new(),
-            neg_buf: Vec::new(),
             head_buf: Vec::new(),
         }
     }
 
     /// Account one complete body match whose head tuple sits in
-    /// `self.head_buf`, dedup it, and queue it if new. The interpreter leaf
-    /// calls it on every match; the kernel's leaf on a task's first
-    /// sighting of each head, counting the repeats itself.
+    /// `self.head_buf`, dedup it, and queue it if new. The kernel's leaf
+    /// calls it on a task's first sighting of each head, counting the
+    /// repeats itself.
     ///
     /// A head `known` holds is dropped first, then one this round already
     /// queued, so `seen` holds each head new to `known` once — a row of an
@@ -753,133 +695,6 @@ impl<'a> TaskOutput<'a> {
     }
 }
 
-/// Run one task: on the kernel, or — only when the context was built with
-/// `specialize == false` — on the reference interpreter. The choice never
-/// depends on the script.
-fn run_task<'a>(
-    task: Task<'a>,
-    specialize: bool,
-    store: &'a IndexStore,
-    db: &'a Database,
-    delta_db: &'a Database,
-    out: &mut TaskOutput<'a>,
-) {
-    if specialize {
-        kernels::run(task, store, db, delta_db, out);
-        return;
-    }
-    let steps = task.script.steps.len();
-    if out.keys.len() < steps {
-        out.keys.resize_with(steps, Vec::new);
-    }
-    let mut assignment: Vec<Option<Const>> = vec![None; task.script.num_vars];
-    let sources = Sources {
-        store,
-        db,
-        delta_db,
-    };
-    exec(task, 0, &sources, &mut assignment, out);
-}
-
-/// What the interpreter reads: the index store, the database and the delta.
-struct Sources<'a> {
-    store: &'a IndexStore,
-    db: &'a Database,
-    delta_db: &'a Database,
-}
-
-/// The reference executor: row-at-a-time recursive descent over the
-/// script's steps.
-fn exec(
-    task: Task<'_>,
-    depth: usize,
-    src: &Sources<'_>,
-    assignment: &mut Vec<Option<Const>>,
-    out: &mut TaskOutput<'_>,
-) {
-    let script = task.script;
-    let Some(step) = script.steps.get(depth) else {
-        out.head_buf.clear();
-        for s in &script.head {
-            out.head_buf.push(s.value(assignment));
-        }
-        let trace = out.emit_head(script.head_pred);
-        debug_assert!(trace.is_none(), "a traced context runs the kernel");
-        return;
-    };
-
-    if step.negated {
-        out.probes += 1;
-        let absent = {
-            let key = &mut out.neg_buf;
-            key.clear();
-            key.extend(step.key.iter().map(|s| s.value(assignment)));
-            !src.db.contains_tuple(step.pred, key)
-        };
-        if absent {
-            exec(task, depth + 1, src, assignment, out);
-        }
-        return;
-    }
-
-    out.probes += 1;
-    let Some(rel) = step_relation(step, src.db, src.delta_db) else {
-        return; // no rows at this predicate/arity — the join is empty here
-    };
-    // Translate the probe key into the target relation's code space and
-    // fold the hash as we go. A constant absent from a column's dictionary
-    // matches no row: the probe is answered from the dictionary alone.
-    let mut key_codes = std::mem::take(&mut out.keys[depth]);
-    key_codes.clear();
-    let mut hash = hash_codes_seed(step.key.len());
-    let mut present = true;
-    for (&pos, src) in step.positions.iter().zip(&step.key) {
-        match rel.lookup_code(pos, src.value(assignment)) {
-            Some(code) => {
-                key_codes.push(code);
-                hash = hash_codes_fold(hash, code);
-            }
-            None => {
-                present = false;
-                break;
-            }
-        }
-    }
-    let cands = if present {
-        let (slot, end) = (task.slots[depth], task.ends[depth]);
-        step_cands(step, slot, end, rel, src.store, hash, &key_codes)
-    } else {
-        out.dict_filtered += 1;
-        Cands::All(0..0)
-    };
-    // A chain holds one key, which its lookup compared; a scan's rows are
-    // compared here, one integer compare per bound column.
-    let scan = matches!(cands, Cands::All(_));
-    for id in cands {
-        if scan && !carries(rel, &step.positions, &key_codes, id) {
-            continue;
-        }
-        let t = rel.row(id);
-        for &(pos, v) in &step.bind {
-            assignment[v] = Some(t[pos]);
-        }
-        let passes = step
-            .check
-            .iter()
-            .all(|&(pos, v)| assignment[v] == Some(t[pos]));
-        if passes {
-            exec(task, depth + 1, src, assignment, out);
-        }
-        for &(_, v) in &step.bind {
-            assignment[v] = None;
-        }
-        if passes && step.exists {
-            break;
-        }
-    }
-    out.keys[depth] = key_codes;
-}
-
 /// A persistent evaluation context: the program's compiled rule plans, the
 /// growing database, and incrementally-maintained indexes over it.
 ///
@@ -890,7 +705,6 @@ pub struct EvalContext {
     plans: Arc<Vec<RulePlan>>,
     db: Arc<Database>,
     store: Arc<IndexStore>,
-    specialize: bool,
     stats: Stats,
     /// A traced context's record: the first justification of every atom it
     /// committed ([`EvalContext::traced`]).
@@ -909,7 +723,6 @@ impl std::fmt::Debug for EvalContext {
         f.debug_struct("EvalContext")
             .field("rules", &self.plans.len())
             .field("db_atoms", &self.db.len())
-            .field("specialize", &self.specialize)
             .field("stats", &self.stats)
             .finish()
     }
@@ -932,28 +745,22 @@ fn count_resident(stats: &mut Stats, input: &Database) {
 impl EvalContext {
     /// Compile `program` and take ownership of `input` as the starting
     /// database.
-    pub fn new(program: &Program, input: Database, opts: EvalOptions) -> EvalContext {
+    pub fn new(program: &Program, input: Database) -> EvalContext {
         EvalContext::with_plans(
             Arc::new(program.rules.iter().map(RulePlan::compile).collect()),
             input,
-            opts,
         )
     }
 
     /// [`EvalContext::new`] over already-compiled plans, for callers that run
     /// many short evaluations of one program (the §VI containment test).
-    pub fn with_plans(
-        plans: Arc<Vec<RulePlan>>,
-        input: Database,
-        opts: EvalOptions,
-    ) -> EvalContext {
+    pub fn with_plans(plans: Arc<Vec<RulePlan>>, input: Database) -> EvalContext {
         let mut stats = Stats::default();
         count_resident(&mut stats, &input);
         EvalContext {
             plans,
             db: Arc::new(input),
             store: Arc::new(IndexStore::default()),
-            specialize: opts.specialize,
             stats,
             justifications: None,
             orders: OrderScratch::default(),
@@ -971,10 +778,8 @@ impl EvalContext {
     }
 
     /// Keep, from here on, the first justification of every atom a round
-    /// commits. The kernel does the recording, so a traced context runs it
-    /// whatever `opts.specialize` said.
+    /// commits (the kernel records them where it queues a head).
     pub fn traced(mut self) -> EvalContext {
-        self.specialize = true;
         self.justifications.get_or_insert_with(HashMap::new);
         self
     }
@@ -1012,7 +817,6 @@ impl EvalContext {
             plans: Arc::clone(&self.plans),
             db: Arc::clone(&self.db),
             store: Arc::clone(&self.store),
-            specialize: self.specialize,
             stats: self.stats,
             justifications: None,
             orders: OrderScratch::default(),
@@ -1253,13 +1057,7 @@ impl EvalContext {
             let empties = (0..plan.body.len()).filter(|&i| empty(i)).count();
             let mut schedule = |pos: Option<usize>| {
                 plan.greedy_order_seeded(&sizes, pos, &mut self.orders);
-                let order = &self.orders.order;
-                let script = if self.specialize {
-                    plan.script(pos, order)
-                } else {
-                    Arc::new(plan.fresh_script(pos, order))
-                };
-                tasks.push((script, rule));
+                tasks.push((plan.script(pos, &self.orders.order), rule));
             };
             match delta {
                 None if empties == 0 => schedule(None),
@@ -1312,13 +1110,11 @@ impl EvalContext {
             }
         }
 
-        if self.specialize {
-            self.stats.specialized_tasks += tasks.len() as u64;
-            self.stats.pipelined_tasks += tasks
-                .iter()
-                .filter(|(script, _)| script.steps.len() >= 3)
-                .count() as u64;
-        }
+        self.stats.specialized_tasks += tasks.len() as u64;
+        self.stats.pipelined_tasks += tasks
+            .iter()
+            .filter(|(script, _)| script.steps.len() >= 3)
+            .count() as u64;
         let known = overdeleted.unwrap_or(&self.db);
         let mut out = TaskOutput::new(known, traced, std::mem::take(&mut self.spares));
         let (mut slots, mut ends) = (slots.as_slice(), ends.as_slice());
@@ -1334,14 +1130,7 @@ impl EvalContext {
                 slots: task_slots,
                 ends: task_ends,
             };
-            run_task(
-                task,
-                self.specialize,
-                &self.store,
-                &self.db,
-                delta_db,
-                &mut out,
-            );
+            kernels::run(task, &self.store, &self.db, delta_db, &mut out);
         }
         self.stats.probes += out.probes;
         self.stats.matches += out.matches;
@@ -1383,7 +1172,7 @@ mod tests {
     fn context_fixpoint_matches_naive() {
         let p = tc();
         let edb = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
-        let mut cx = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
+        let mut cx = EvalContext::new(&p, edb.clone());
         cx.saturate(&[0, 1]);
         assert_eq!(cx.into_database(), crate::naive::evaluate(&p, &edb));
     }
@@ -1392,7 +1181,7 @@ mod tests {
     fn saturate_until_stops_the_round_the_goal_is_committed() {
         let p = tc();
         let edb = parse_database("a(1,2). a(2,3). a(3,4). a(4,5). a(5,6).").unwrap();
-        let fresh = || EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
+        let fresh = || EvalContext::new(&p, edb.clone());
 
         let mut cx = fresh();
         assert!(cx.saturate_until(&[0, 1], &datalog_ast::fact("a", [1, 2])));
@@ -1464,7 +1253,7 @@ mod tests {
         let p = parse_program("h(X) :- p(X, Y). k(X) :- p(X, Y, Z). p(X, Y, Z) :- q(X, Y, Z).")
             .unwrap();
         let edb = parse_database("p(1, 2). q(3, 4, 5). q(6, 7, 8).").unwrap();
-        let mut cx = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
+        let mut cx = EvalContext::new(&p, edb.clone());
         cx.saturate(&[0, 1, 2]);
         // Round 1: `h` and `p/3` (`k` reads a `p/3` with no rows yet).
         // Round 2: the delta holds `h` and `p/3` rows, so only `k` runs.
@@ -1480,7 +1269,7 @@ mod tests {
             facts.push_str(&format!("a({}, {}).", i, i + 1));
         }
         let edb = parse_database(&facts).unwrap();
-        let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
+        let mut cx = EvalContext::new(&p, edb);
         cx.saturate(&[0, 1]);
         let stats = cx.stats();
         // Long chain ⇒ many rounds; incremental indexes ⇒ builds stay a
@@ -1495,8 +1284,20 @@ mod tests {
         assert!(stats.index_appends > stats.index_builds);
     }
 
+    /// The kernel's fixpoint is the naive reference's, each new atom is
+    /// derived and allocated once, and no match is found twice: there are
+    /// no more of them than one naive pass over the fixpoint enumerates.
+    fn check_against_naive(cx: &EvalContext, p: &Program, edb: &Database) {
+        let want = crate::naive::evaluate(p, edb);
+        let s = cx.stats();
+        assert_eq!(*cx.database(), want);
+        assert_eq!(s.derivations, (want.len() - edb.len()) as u64);
+        assert_eq!(s.tuples_allocated, want.len() as u64);
+        assert!(s.matches <= crate::naive::evaluate_with_stats(p, &want).1.matches);
+    }
+
     #[test]
-    fn symmetric_chain_matches_naive_and_the_interpreter() {
+    fn symmetric_chain_matches_naive() {
         let p = tc();
         let mut facts = String::new();
         for i in 0..24 {
@@ -1504,22 +1305,13 @@ mod tests {
             facts.push_str(&format!("a({}, {}).", i + 1, i));
         }
         let edb = parse_database(&facts).unwrap();
-        let mut kernel = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
+        let mut kernel = EvalContext::new(&p, edb.clone());
         kernel.saturate(&[0, 1]);
-        let mut reference = EvalContext::new(&p, edb.clone(), EvalOptions::interpreted());
-        reference.saturate(&[0, 1]);
-        let (k, r) = (kernel.stats(), reference.stats());
-        assert_eq!(
-            (k.probes, k.matches, k.derivations, k.tuples_allocated),
-            (r.probes, r.matches, r.derivations, r.tuples_allocated)
-        );
-        assert_eq!(*kernel.database(), *reference.database());
-        assert_eq!(kernel.into_database(), crate::naive::evaluate(&p, &edb));
+        check_against_naive(&kernel, &p, &edb);
     }
 
-    /// No key width sends a task to the interpreter: this join projects a
-    /// 9-column key and still runs on the kernel, with the reference's
-    /// fixpoint and logical counters.
+    /// No key width is an exception: this join projects a 9-column key and
+    /// runs as one kernel task, with the naive reference's fixpoint.
     #[test]
     fn nine_column_keys_run_on_the_kernel() {
         let p =
@@ -1544,22 +1336,16 @@ mod tests {
             }
         }
         let edb = parse_database(&facts).unwrap();
-        let mut spec = EvalContext::new(&p, edb.clone(), EvalOptions::sequential());
-        spec.saturate(&[0]);
-        let mut interp = EvalContext::new(&p, edb, EvalOptions::interpreted());
-        interp.saturate(&[0]);
+        let mut cx = EvalContext::new(&p, edb.clone());
+        cx.saturate(&[0]);
         assert_eq!(
-            spec.stats().specialized_tasks,
+            cx.stats().specialized_tasks,
             1,
             "the 9-wide key is no exception"
         );
-        assert_eq!(interp.stats().specialized_tasks, 0, "reference stays pure");
-        assert_eq!(spec.stats().matches, interp.stats().matches);
-        assert_eq!(spec.stats().derivations, interp.stats().derivations);
-        assert_eq!(spec.stats().probes, interp.stats().probes);
-        assert_eq!(*spec.database(), *interp.database());
+        check_against_naive(&cx, &p, &edb);
         for i in [0i64, 2, 4, 6, 8, 10] {
-            assert!(spec.database().contains(&datalog_ast::fact("j", [i * 10])));
+            assert!(cx.database().contains(&datalog_ast::fact("j", [i * 10])));
         }
     }
 
@@ -1567,7 +1353,7 @@ mod tests {
     fn add_fact_keeps_indexes_live() {
         let p = tc();
         let edb = parse_database("a(1,2).").unwrap();
-        let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
+        let mut cx = EvalContext::new(&p, edb);
         cx.saturate(&[0, 1]);
         let builds_before = cx.stats().index_builds;
         assert!(cx.add_fact(Pred::new("a"), &[Const::Int(2), Const::Int(3)]));
@@ -1594,10 +1380,9 @@ mod tests {
         let few_p = parse_database("p(1). q(1). q(2). q(3). q(4). q(5).").unwrap();
         let few_q = parse_database("q(1). p(1). p(2). p(3). p(4). p(5).").unwrap();
         for db in [&few_p, &few_q, &few_p, &few_q] {
-            let opts = EvalOptions::sequential();
-            let mut shared = EvalContext::with_plans(Arc::clone(&plans), db.clone(), opts);
+            let mut shared = EvalContext::with_plans(Arc::clone(&plans), db.clone());
             shared.saturate(&[0]);
-            let mut own = EvalContext::new(&p, db.clone(), opts);
+            let mut own = EvalContext::new(&p, db.clone());
             own.saturate(&[0]);
             assert_eq!(shared.stats(), own.stats());
             // The one-row relation leads: a probe to enumerate it, and one
@@ -1678,10 +1463,10 @@ mod tests {
     /// apart: with every chain displaced by a forced collision, appends to
     /// existing keys, delta probes and a full round's constant-key stage 0
     /// derive the same heads, with the same counters and the same
-    /// justifications, on the kernel and on the interpreter, as over
-    /// undisturbed indexes — and an existential literal's first candidate,
-    /// which the kernel's justifications name, is still the first row
-    /// inserted with its key.
+    /// justifications, as over undisturbed indexes — the fixpoint the naive
+    /// reference computes from the grown input — and an existential
+    /// literal's first candidate, which the justifications name, is still
+    /// the first row inserted with its key.
     #[test]
     fn forced_collisions_change_no_result() {
         let p = parse_program(
@@ -1695,11 +1480,9 @@ mod tests {
         let edb = parse_database(&facts).unwrap();
         let e = |x: i64| [Const::Int(x), Const::Int(x % 5)];
         let f = |x: i64| [Const::Int(x % 4), Const::Int(100 + x)];
-        let run = |opts: EvalOptions, collide_keys: bool| {
-            let mut cx = EvalContext::new(&p, edb.clone(), opts);
-            if opts.specialize {
-                cx = cx.traced();
-            }
+        let mut grown = edb.clone();
+        let run = |collide_keys: bool| {
+            let mut cx = EvalContext::new(&p, edb.clone()).traced();
             cx.saturate(&[0, 1]);
             let before = cx.stats();
             if collide_keys {
@@ -1717,15 +1500,16 @@ mod tests {
             let why: Vec<_> = (1..8)
                 .map(|x| cx.justification(&datalog_ast::fact("k", [x])).cloned())
                 .collect();
-            (derived, cx.stats() - before, why)
+            let db = cx.database().clone();
+            (derived, cx.stats() - before, why, db)
         };
-        let kernel = run(EvalOptions::sequential(), false);
-        let reference = run(EvalOptions::interpreted(), false);
-        assert_eq!(run(EvalOptions::sequential(), true), kernel);
-        assert_eq!(run(EvalOptions::interpreted(), true), reference);
-        assert_eq!(kernel.0, reference.0);
-        let work = |s: &Stats| (s.probes, s.matches, s.derivations);
-        assert_eq!(work(&kernel.1), work(&reference.1));
+        let kernel = run(false);
+        assert_eq!(run(true), kernel);
+        for x in 1..8 {
+            grown.insert_row(Pred::new("e"), &e(x));
+            grown.insert_row(Pred::new("f"), &f(x));
+        }
+        assert_eq!(kernel.3, crate::naive::evaluate(&p, &grown));
         // `c` reads only the 15 + 2 rows of `f(2, _)`.
         assert_eq!(kernel.0.relation_len(Pred::new("c")), 17);
         for (x, why) in (1..8).zip(&kernel.2) {
@@ -1745,7 +1529,7 @@ mod tests {
     fn remove_atoms_invalidates_and_refills() {
         let p = tc();
         let edb = parse_database("a(1,2). a(2,3).").unwrap();
-        let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
+        let mut cx = EvalContext::new(&p, edb);
         cx.saturate(&[0, 1]);
         let mut gone = Database::new();
         gone.insert(datalog_ast::fact("g", [1, 3]));
@@ -1764,26 +1548,17 @@ mod tests {
         assert!(cx.database().contains(&datalog_ast::fact("g", [1, 3])));
     }
 
-    /// The fixpoint of `src` over a chain of `n` edges `a(i, i + 1)`, on the
-    /// kernel and on the interpreter, which must agree on the database and
-    /// on the work; returns the kernel's counters.
+    /// The fixpoint of `src` over a chain of `n` edges `a(i, i + 1)`, which
+    /// must pass [`check_against_naive`]; returns its counters.
     fn chain_work(src: &str, n: i64) -> Stats {
         let p = parse_program(src).unwrap();
         let facts: String = (0..n).map(|i| format!("a({i}, {}).", i + 1)).collect();
         let edb = parse_database(&facts).unwrap();
-        let run = |opts: EvalOptions| {
-            let rules: Vec<usize> = (0..p.rules.len()).collect();
-            let mut cx = EvalContext::new(&p, edb.clone(), opts);
-            cx.saturate(&rules);
-            (cx.stats(), cx.into_database())
-        };
-        let (kernel, db) = run(EvalOptions::sequential());
-        let (reference, reference_db) = run(EvalOptions::interpreted());
-        let work = |s: &Stats| (s.probes, s.matches, s.derivations);
-        assert_eq!(work(&kernel), work(&reference));
-        assert_eq!(db, reference_db);
-        assert_eq!(db, crate::naive::evaluate(&p, &edb));
-        kernel
+        let rules: Vec<usize> = (0..p.rules.len()).collect();
+        let mut cx = EvalContext::new(&p, edb.clone());
+        cx.saturate(&rules);
+        check_against_naive(&cx, &p, &edb);
+        cx.stats()
     }
 
     /// Semi-naive evaluation finds every body match once: a literal ahead of
@@ -1837,7 +1612,7 @@ mod tests {
     fn allocation_counters_track_arena_growth() {
         let p = tc();
         let edb = parse_database("a(1,2). a(2,3). a(3,4).").unwrap();
-        let mut cx = EvalContext::new(&p, edb, EvalOptions::sequential());
+        let mut cx = EvalContext::new(&p, edb);
         assert_eq!(cx.stats().tuples_allocated, 3, "seeded with the input");
         cx.saturate(&[0, 1]);
         let stats = cx.stats();

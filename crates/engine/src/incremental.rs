@@ -55,7 +55,7 @@
 //! into the live indexes, and only a deletion invalidates them (they
 //! re-fill lazily).
 
-use crate::context::{EvalContext, EvalOptions};
+use crate::context::EvalContext;
 use crate::stats::Stats;
 use datalog_ast::{Atom, Database, GroundAtom, Literal, Pred, Program, Relation, Rule};
 use std::sync::Arc;
@@ -118,7 +118,7 @@ impl Materialized {
             program.is_positive(),
             "incremental maintenance requires a positive program"
         );
-        let cx = EvalContext::new(&program, Database::new(), EvalOptions::sequential());
+        let cx = EvalContext::new(&program, Database::new());
         let mut m = Materialized {
             program,
             base: input.clone(),
@@ -346,28 +346,6 @@ fn rederivation_twin(rule: &Rule, seed: Pred) -> Rule {
     let seed = Atom::new(seed, rule.head.terms.clone());
     let body = std::iter::once(Literal::pos(seed)).chain(rule.body.iter().cloned());
     Rule::new(rule.head.clone(), body.collect())
-}
-
-/// Compatibility name kept for `benchmark/`, which no PR that changes the
-/// program may edit: `new` ignores the shard count and builds one
-/// [`Materialized`]. A benchmark-only PR removes it.
-#[doc(hidden)]
-pub struct ShardedMaterialized(Materialized);
-impl ShardedMaterialized {
-    pub fn new(program: Program, input: &Database, _shards: usize) -> ShardedMaterialized {
-        ShardedMaterialized(Materialized::new(program, input))
-    }
-}
-impl std::ops::Deref for ShardedMaterialized {
-    type Target = Materialized;
-    fn deref(&self) -> &Materialized {
-        &self.0
-    }
-}
-impl std::ops::DerefMut for ShardedMaterialized {
-    fn deref_mut(&mut self) -> &mut Materialized {
-        &mut self.0
-    }
 }
 
 #[cfg(test)]

@@ -63,19 +63,18 @@
 //! a `GroundAtom`. A head space above
 //! [`HEAD_BITS_MAX`] skips the bitmap and goes straight to `emit_head`.
 //!
-//! The row-at-a-time interpreter in [`crate::context`] is not a tier of
-//! this kernel but its reference: `EvalOptions::interpreted()` runs every
-//! script on it, and the differential tests and the oracle fuzzer require
-//! identical fixpoints and identical `probes` / `matches` / `derivations`.
-//! Both count one probe per literal visit (the enumeration, then one per
-//! in-flight row per later stage), both stop an existential stage at its
-//! first verified candidate and a literal ahead of the delta literal at the
-//! same row-id (`step_cands`, `Postings::get`), and both count every
+//! The reference is [`crate::naive`], a nested loop over rows that shares
+//! none of this. The tests and the oracle fuzzer require its fixpoint,
+//! `derivations` equal to the atoms it adds to the input, and no more
+//! `matches` than one naive pass over the fixpoint enumerates. The kernel
+//! counts one probe per literal visit (the enumeration, then one per
+//! in-flight row per later stage), stops an existential stage at its first
+//! verified candidate and a literal ahead of the delta literal at the
+//! delta's first row-id (`step_cands`, `Postings::get`), and counts every
 //! complete match — so `matches` counts body matches up to the variables
-//! nobody reads, on either executor. The reference sends every match through `emit_head`
-//! and keeps no codes; the kernel's bitmap drops only heads `emit_head`
-//! would have dropped, in the order it would have, so both queue the same
-//! heads in the same order.
+//! nobody reads; tests pin these counters on fixed programs. The bitmap
+//! drops only heads `emit_head` would have dropped, in the order it would
+//! have, so it changes neither which heads a round queues nor their order.
 //!
 //! Cross-dictionary translation: codes are local to one (relation, column)
 //! dictionary, so an in-flight row's code is translated into the target
@@ -124,7 +123,7 @@ fn constant(src: &KeySrc) -> Const {
 /// Where in-flight rows carry a bound variable: the id at `slot` names a
 /// row of the relation literal `lit` (counted from the enumerated one)
 /// reads, and the value sits at tuple position `pos`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Site {
     lit: usize,
     slot: usize,
@@ -132,14 +131,14 @@ struct Site {
 }
 
 /// Where a stage key column or a head position comes from.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Src {
     Const(Const),
     At(Site),
 }
 
 /// One literal after the enumerated one, as its script fixes it.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct StageRecipe {
     negated: bool,
     exists: bool,
@@ -158,7 +157,7 @@ struct StageRecipe {
 /// [`run`] would otherwise work out for every task, compiled once with the
 /// script. At run time a task only binds it to the relations and indexes
 /// of the round.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Recipe {
     /// Leading ground negated literals, each of which ends the task when
     /// the database holds its tuple.
@@ -989,16 +988,16 @@ impl Pipeline<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{EvalContext, EvalOptions};
+    use crate::{naive, EvalContext};
     use datalog_ast::{
         atom, fact, parse_database, parse_program, Const, Database, Literal, Pred, Rule, Term,
     };
 
-    /// With `specialize` on, no script shape reaches the interpreter: over
-    /// negation, nine-column keys (at stage 1 and at stage 2), 1- to
-    /// 4-literal and bodiless rules, the kernel-task counter equals the
-    /// number of tasks scheduled — and fixpoint and logical work equal the
-    /// reference's. (More shapes: `tests/join_pipeline_differential.rs`.)
+    /// Every script shape runs on the kernel: over negation, nine-column
+    /// keys (at stage 1 and at stage 2), 1- to 4-literal and bodiless
+    /// rules, the kernel-task counter equals the number of tasks scheduled
+    /// — and the fixpoint is the naive reference's, each new atom derived
+    /// once. (More shapes: `tests/join_pipeline_differential.rs`.)
     #[test]
     fn every_script_shape_runs_on_the_kernel() {
         let mut p = parse_program(
@@ -1033,47 +1032,38 @@ mod tests {
         // literal over a non-empty delta predicate) in a delta round — less
         // the items that cannot fire, because some positive literal (other
         // than the delta one) reads a relation with no rows.
-        let drive = |opts: EvalOptions| {
-            let layers: [&[usize]; 2] = [&[0, 1, 2, 3, 4, 5, 8], &[6, 7]];
-            let mut cx = EvalContext::new(&p, edb.clone(), opts);
-            let mut tasks = 0;
-            let can_fire = |db: &Database, r: usize, delta_pos: Option<usize>| {
-                p.rules[r].body.iter().enumerate().all(|(i, l)| {
-                    !l.is_positive() || Some(i) == delta_pos || db.relation_len(l.atom.pred) > 0
-                })
-            };
-            for rules in layers {
-                let db = cx.database();
-                tasks += rules.iter().filter(|&&r| can_fire(db, r, None)).count();
-                let mut delta = cx.full_round(rules);
-                while !delta.is_empty() {
-                    let db = cx.database();
-                    for &r in rules {
-                        let live = |&(i, l): &(usize, &Literal)| {
-                            l.is_positive()
-                                && delta.relation_len(l.atom.pred) > 0
-                                && can_fire(db, r, Some(i))
-                        };
-                        tasks += p.rules[r].body.iter().enumerate().filter(live).count();
-                    }
-                    delta = cx.delta_round(rules, &delta);
-                }
-            }
-            (cx, tasks as u64)
+        let layers: [&[usize]; 2] = [&[0, 1, 2, 3, 4, 5, 8], &[6, 7]];
+        let mut cx = EvalContext::new(&p, edb.clone());
+        let mut tasks = 0;
+        let can_fire = |db: &Database, r: usize, delta_pos: Option<usize>| {
+            p.rules[r].body.iter().enumerate().all(|(i, l)| {
+                !l.is_positive() || Some(i) == delta_pos || db.relation_len(l.atom.pred) > 0
+            })
         };
-        let (kernel, tasks) = drive(EvalOptions::sequential());
-        let (reference, _) = drive(EvalOptions::interpreted());
-        let (k, r) = (kernel.stats(), reference.stats());
-        assert_eq!(k.specialized_tasks, tasks);
-        assert_eq!(r.specialized_tasks, 0, "the reference stays pure");
-        assert_eq!(
-            (k.probes, k.matches, k.derivations),
-            (r.probes, r.matches, r.derivations)
-        );
+        for rules in layers {
+            let db = cx.database();
+            tasks += rules.iter().filter(|&&r| can_fire(db, r, None)).count();
+            let mut delta = cx.full_round(rules);
+            while !delta.is_empty() {
+                let db = cx.database();
+                for &r in rules {
+                    let live = |&(i, l): &(usize, &Literal)| {
+                        l.is_positive()
+                            && delta.relation_len(l.atom.pred) > 0
+                            && can_fire(db, r, Some(i))
+                    };
+                    tasks += p.rules[r].body.iter().enumerate().filter(live).count();
+                }
+                delta = cx.delta_round(rules, &delta);
+            }
+        }
+        let k = cx.stats();
+        assert_eq!(k.specialized_tasks, tasks as u64);
         assert!(k.pipelined_tasks > 0);
 
-        let out = kernel.into_database();
-        assert_eq!(out, reference.into_database());
+        let out = cx.into_database();
+        assert_eq!(out, naive::evaluate(&p, &edb));
+        assert_eq!(k.derivations, (out.len() - edb.len()) as u64);
         assert!(out.contains(&fact("seed", [1, 2])), "bodiless head, once");
         assert_eq!(out.relation_len(Pred::new("w")), 2, "rows 0 and 1");
         assert_eq!(out.relation_len(Pred::new("k")), 1, "row 0");

@@ -5,13 +5,14 @@
 //! (Sagiv, PODS 1987).
 //!
 //! * [`naive`] — the paper's §III semantics taken literally: repeat full
-//!   rule instantiation until fixpoint, the single application `Pⁿ(d)` of
-//!   §IX ([`naive::apply_once`]) and tgd satisfaction
-//!   ([`naive::satisfies`]), each a nested loop over rows built on
-//!   `datalog_ast` alone. It is the reference the tests and the fuzz
-//!   oracles compare the engine against, and it shares no code with the
-//!   rest of this crate; nothing else calls it — the optimizer's §IX-§X
-//!   tests evaluate `Pⁿ(d)` as a program with renamed heads.
+//!   rule instantiation until fixpoint (stratum by stratum where a program
+//!   negates), the single application `Pⁿ(d)` of §IX
+//!   ([`naive::apply_once`]) and tgd satisfaction ([`naive::satisfies`]),
+//!   each a nested loop over rows built on `datalog_ast` alone. It is the
+//!   one reference every kernel differential and the fuzz oracles compare
+//!   the engine against, and it shares no code with the rest of this
+//!   crate; nothing else calls it — the optimizer's §IX-§X tests evaluate
+//!   `Pⁿ(d)` as a program with renamed heads.
 //! * [`schedule`] — [`evaluate`], the one entry point of delta-driven
 //!   evaluation: same fixpoint, asymptotically less rediscovery, stratified
 //!   negation (the §XII extension). It, or a [`Materialized`] view, runs
@@ -40,6 +41,8 @@
 
 #![warn(rust_2018_idioms)]
 
+#[doc(hidden)]
+pub mod compat;
 pub mod context;
 pub mod incremental;
 mod kernels;
@@ -51,49 +54,13 @@ pub mod query;
 pub mod schedule;
 pub mod stats;
 
-pub use context::{EvalContext, EvalOptions};
-pub use incremental::Materialized;
 #[doc(hidden)]
-pub use incremental::ShardedMaterialized;
+pub use compat::*;
+pub use context::EvalContext;
+pub use incremental::Materialized;
 pub use magic::{answer, answer_with_stats, magic_template, Adornment, MagicTemplate};
 pub use plan::RulePlan;
 pub use provenance::{Justification, Proof, Traced};
 pub use query::PlanCache;
-pub use schedule::{evaluate, evaluate_with, EvalError};
+pub use schedule::{evaluate, EvalError};
 pub use stats::Stats;
-
-// Kept only for the repo benchmark (`benchmark/src/layers.rs`), until the
-// benchmark-only change of ROADMAP.md item 2 moves it to `evaluate`.
-#[doc(hidden)]
-pub mod seminaive {
-    use crate::{EvalOptions, Stats};
-    use datalog_ast::{Database, Program};
-
-    pub fn evaluate(program: &Program, input: &Database) -> Database {
-        evaluate_with_opts(program, input, EvalOptions::default()).0
-    }
-
-    pub fn evaluate_with_opts(
-        program: &Program,
-        input: &Database,
-        opts: EvalOptions,
-    ) -> (Database, Stats) {
-        crate::evaluate_with(program, input, opts).expect("a stratifiable program")
-    }
-}
-
-// Kept only for the repo benchmark (`benchmark/src/layers.rs`), until the
-// benchmark-only change of ROADMAP.md item 2 moves it to `evaluate`.
-#[doc(hidden)]
-pub mod stratified {
-    use crate::{EvalError, EvalOptions, Stats};
-    use datalog_ast::{Database, Program};
-
-    pub fn evaluate_with_opts(
-        program: &Program,
-        input: &Database,
-        opts: EvalOptions,
-    ) -> Result<(Database, Stats), EvalError> {
-        crate::evaluate_with(program, input, opts)
-    }
-}

@@ -8,9 +8,11 @@
 //! inserts the instantiated heads; rounds repeat until a fixpoint. The
 //! output `P(d)` *contains the input* `d` (§III), including ground atoms
 //! supplied for intentional predicates — this is exactly the semantics that
-//! uniform equivalence (§IV) quantifies over, so the chase in
-//! `datalog-optimizer` runs on this evaluator's semantics (via the faster
-//! semi-naive engine, which computes the same fixpoint).
+//! uniform equivalence (§IV) quantifies over. A program with negation (the
+//! §XII extension) is split into the strata of its dependence graph
+//! (`datalog_ast::DepGraph::stratify`), and each stratum's rules are
+//! saturated in turn, so a negated predicate is complete before any rule
+//! that negates it runs.
 //!
 //! A rule body is matched by a nested loop over the rows of each positive
 //! literal in the order written (`Matcher::each`, binding one [`Subst`]
@@ -21,37 +23,55 @@
 //! it share none of the engine's code. It is meant for small inputs.
 
 use crate::stats::Stats;
-use datalog_ast::{Atom, Const, Database, Program, Subst, Term, Tgd, Var};
+use datalog_ast::{Atom, Const, Database, DepGraph, Program, Rule, Subst, Term, Tgd, Var};
 
 /// Compute `P(d)`: the minimal model of `P` containing `d` (§IV, Van
-/// Emden–Kowalski). The input database may contain atoms for intentional
-/// predicates; they are kept (the output contains the input).
+/// Emden–Kowalski), stratum by stratum where `P` negates. The input
+/// database may contain atoms for intentional predicates; they are kept
+/// (the output contains the input).
 ///
-/// Negation-free programs only; use [`crate::evaluate`] for stratified
-/// programs. Rules with negated literals cause a panic here — callers are
-/// expected to validate with `datalog_ast::validate_positive` first.
+/// Panics on a program with no stratification (a cycle through negation),
+/// and on a rule whose head or negated literals hold a variable no
+/// positive literal binds; `DepGraph::stratify` and
+/// `datalog_ast::validate` say so first.
 pub fn evaluate(program: &Program, input: &Database) -> Database {
     evaluate_with_stats(program, input).0
 }
 
 /// [`evaluate`], also returning work counters.
 pub fn evaluate_with_stats(program: &Program, input: &Database) -> (Database, Stats) {
-    assert!(
-        program.is_positive(),
-        "naive::evaluate requires a positive program; use datalog_engine::evaluate"
-    );
     let mut db = input.clone();
     let mut stats = Stats::default();
-    loop {
-        stats.iterations += 1;
-        let heads = apply_rules(program, &db, &mut stats);
-        let added = db.union_with(&heads) as u64;
-        stats.derivations += added;
-        if added == 0 {
-            break;
+    for stratum in strata(program) {
+        loop {
+            stats.iterations += 1;
+            let heads = apply_rules(stratum.iter().copied(), &db, &mut stats);
+            let added = db.union_with(&heads) as u64;
+            stats.derivations += added;
+            if added == 0 {
+                break;
+            }
         }
     }
     (db, stats)
+}
+
+/// The strata of `program`, lowest first: all its rules when it is
+/// positive, else its rules grouped by their head predicate's stratum,
+/// empty strata left out.
+fn strata(program: &Program) -> Vec<Vec<&Rule>> {
+    if program.is_positive() {
+        return vec![program.rules.iter().collect()];
+    }
+    let stratum_of = DepGraph::new(program)
+        .stratify()
+        .expect("naive::evaluate requires a stratifiable program");
+    let mut strata = vec![Vec::new(); stratum_of.values().max().map_or(0, |&m| m + 1)];
+    for rule in &program.rules {
+        strata[stratum_of[&rule.head.pred]].push(rule);
+    }
+    strata.retain(|rules| !rules.is_empty());
+    strata
 }
 
 /// Apply `P` **non-recursively** (§IX): derive only the atoms obtainable by
@@ -59,7 +79,7 @@ pub fn evaluate_with_stats(program: &Program, input: &Database) -> (Database, St
 /// definition, the result `Pⁿ(d)` contains *only the newly derived atoms*,
 /// not `d`. Negated literals are absence tests against `d`.
 pub fn apply_once(program: &Program, d: &Database) -> Database {
-    apply_rules(program, d, &mut Stats::default())
+    apply_rules(&program.rules, d, &mut Stats::default())
 }
 
 /// Whether `db` satisfies `tgd` (§VIII): every match of its lhs extends to
@@ -68,14 +88,18 @@ pub fn satisfies(db: &Database, tgd: &Tgd) -> bool {
     !Matcher::new(db).each(&tgd.lhs, &mut |m| !m.each(&tgd.rhs, &mut |_| true))
 }
 
-/// The heads of one application of every rule to `db`, counting one match
-/// per body match: the positive literals as written, then each negated
-/// literal as an absence test.
-fn apply_rules(program: &Program, db: &Database, stats: &mut Stats) -> Database {
+/// The heads of one application of every rule of `rules` to `db`, counting
+/// one match per body match: the positive literals as written, then each
+/// negated literal as an absence test.
+fn apply_rules<'r>(
+    rules: impl IntoIterator<Item = &'r Rule>,
+    db: &Database,
+    stats: &mut Stats,
+) -> Database {
     let mut heads = Database::new();
     let mut matches = 0;
     let mut matcher = Matcher::new(db);
-    for rule in &program.rules {
+    for rule in rules {
         let positive: Vec<Atom> = rule.positive_body().cloned().collect();
         matcher.each(&positive, &mut |m| {
             let absent = rule.negative_body().all(|atom| {
@@ -213,7 +237,7 @@ impl<'a> Matcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalog_ast::{fact, parse_database, parse_program, parse_tgd, GroundAtom};
+    use datalog_ast::{fact, parse_database, parse_program, parse_tgd, GroundAtom, Pred};
 
     fn tc_program() -> Program {
         parse_program("g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).").unwrap()
@@ -425,10 +449,32 @@ mod tests {
         assert_eq!(out.relation_len(datalog_ast::Pred::new("g")), expected);
     }
 
+    /// Stratified negation: `unreach` negates `reach`, a recursive
+    /// predicate of the stratum below, which is saturated first — rule
+    /// order does not matter, and the rounds of both strata count.
     #[test]
-    #[should_panic(expected = "positive program")]
-    fn negation_is_rejected() {
-        let p = parse_program("p(X) :- q(X), !r(X).").unwrap();
+    fn negation_is_evaluated_by_strata() {
+        let p = parse_program(
+            "unreach(X) :- node(X), !reach(X). reach(Y) :- reach(X), e(X, Y). reach(X) :- src(X).",
+        )
+        .unwrap();
+        let db = parse_database("src(1). e(1, 2). e(2, 3). node(1). node(3). node(4).").unwrap();
+        let (out, stats) = evaluate_with_stats(&p, &db);
+        let unreach: Vec<_> = out
+            .iter()
+            .filter(|a| a.pred == Pred::new("unreach"))
+            .collect();
+        assert_eq!(unreach, vec![fact("unreach", [4])]);
+        assert_eq!(out.relation_len(Pred::new("reach")), 3);
+        // `reach` takes four rounds (the last finds nothing new), `unreach`
+        // two.
+        assert_eq!((stats.iterations, stats.derivations), (6, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "stratifiable program")]
+    fn a_cycle_through_negation_is_rejected() {
+        let p = parse_program("p(X) :- q(X), !r(X). r(X) :- q(X), !p(X).").unwrap();
         evaluate(&p, &Database::new());
     }
 }

@@ -319,6 +319,12 @@ impl RulePlan {
         }
         let kept = &mut scripts[delta.map_or(0, |p| p + 1)];
         if let Some((_, script)) = kept.iter().find(|(o, _)| **o == *order) {
+            // A kept script must be the one a fresh compile gives: this is
+            // what catches a memo that hands out another key's script.
+            debug_assert!(
+                **script == compile_script(self, order, delta, &mut patterns.clone()),
+                "the memo kept another script for delta {delta:?} and order {order:?}"
+            );
             return Arc::clone(script);
         }
         let script = Arc::new(compile_script(self, order, delta, patterns));
@@ -327,13 +333,6 @@ impl RulePlan {
         }
         kept.push((order.into(), Arc::clone(&script)));
         script
-    }
-
-    /// [`RulePlan::script`] compiled afresh and not kept: what the reference
-    /// interpreter runs, so that it checks the kept scripts rather than
-    /// sharing them.
-    pub(crate) fn fresh_script(&self, delta: Option<usize>, order: &[usize]) -> JoinScript {
-        compile_script(self, order, delta, &mut self.memo.lock().patterns)
     }
 }
 

@@ -14,7 +14,7 @@
 //! [`Proof::check`] re-validates a tree against the program and the input
 //! without trusting either.
 
-use crate::context::{EvalContext, EvalOptions};
+use crate::context::EvalContext;
 use crate::stats::Stats;
 use datalog_ast::{match_atom_into, Database, GroundAtom, Program, Subst};
 use std::fmt;
@@ -48,7 +48,7 @@ impl Traced {
             "provenance tracking requires a positive program"
         );
         let rules = (0..program.len()).collect();
-        let cx = EvalContext::new(program, input, EvalOptions::sequential());
+        let cx = EvalContext::new(program, input);
         Traced::over(cx, rules)
     }
 

@@ -62,32 +62,8 @@ impl PlanCache {
     }
 }
 
-// Kept only for the repo benchmark (`benchmark/src/layers.rs`), until the
-// benchmark-only change of ROADMAP.md item 2 moves it to `PlanCache`. Both
-// variants plan and answer magic sets.
 #[doc(hidden)]
-#[derive(Clone, Copy, Debug)]
-pub enum Strategy {
-    Magic,
-    Qsq,
-}
-
-#[doc(hidden)]
-pub struct QueryPlan(MagicTemplate);
-
-impl QueryPlan {
-    pub fn for_query(program: Arc<Program>, query: &Atom, _: Strategy) -> QueryPlan {
-        QueryPlan(magic_template(
-            &program,
-            query.pred,
-            &Adornment::of_query(query),
-        ))
-    }
-
-    pub fn answer(&self, base: &Database, query: &Atom) -> (Database, Stats) {
-        self.0.answer(base, query)
-    }
-}
+pub use crate::compat::{QueryPlan, Strategy};
 
 #[cfg(test)]
 mod tests {

@@ -37,7 +37,7 @@
 //! The reference it is tested against is [`crate::naive`], which shares
 //! none of this.
 
-use crate::context::{EvalContext, EvalOptions};
+use crate::context::EvalContext;
 use crate::stats::Stats;
 use datalog_ast::{validate, Database, DepGraph, Program, ValidationError};
 use std::fmt;
@@ -76,17 +76,6 @@ impl std::error::Error for EvalError {}
 /// order. The output contains the input, including atoms it supplies for
 /// intentional predicates.
 pub fn evaluate(program: &Program, input: &Database) -> Result<(Database, Stats), EvalError> {
-    evaluate_with(program, input, EvalOptions::default())
-}
-
-/// [`evaluate`] under `opts`, for the kernel differentials:
-/// [`EvalOptions::interpreted`] runs every join script on the row-at-a-time
-/// reference interpreter they compare the kernel against.
-pub fn evaluate_with(
-    program: &Program,
-    input: &Database,
-    opts: EvalOptions,
-) -> Result<(Database, Stats), EvalError> {
     let unbound: Vec<ValidationError> = (validate(program).err().into_iter().flatten())
         .filter(|e| !matches!(e, ValidationError::ArityMismatch { .. }))
         .collect();
@@ -94,7 +83,7 @@ pub fn evaluate_with(
         return Err(EvalError::Invalid(unbound));
     }
     let strata = strata(program)?;
-    let mut cx = EvalContext::new(program, input.clone(), opts);
+    let mut cx = EvalContext::new(program, input.clone());
     for rules in strata.iter().filter(|rules| !rules.is_empty()) {
         cx.saturate(rules);
     }

@@ -40,9 +40,10 @@ pub struct Stats {
     /// Number of delta tuples appended into already-built indexes instead
     /// of triggering a rebuild (the incremental-index maintenance work).
     pub index_appends: u64,
-    /// Join work items that ran on the join kernel: every task of a
-    /// context, or none when it was built with `specialize == false` and
-    /// runs the reference interpreter.
+    /// Join work items a context ran: every task runs on the join kernel,
+    /// so this counts every task ([`crate::naive`] runs none and reports
+    /// 0). Kept under its old name for the service's `stats` and the repo
+    /// benchmark, which read it.
     pub specialized_tasks: u64,
     /// In-flight rows pushed through the kernel's probe stages (gather →
     /// hash → probe → verify).

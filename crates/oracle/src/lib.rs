@@ -3,7 +3,7 @@
 //! A seeded differential fuzzing subsystem for the `sagiv-datalog`
 //! workspace, after Zhang et al., *"Finding Cross-rule Optimization Bugs in
 //! Datalog Engines"* (2024): the repo computes the same answers many ways —
-//! naive/semi-naive/SCC/stratified/interpreted fixpoints, magic-sets
+//! naive and semi-naive fixpoints, stratified or not, magic-sets
 //! query answering, incremental insert/DRed-remove maintenance,
 //! §VII uniform-equivalence minimization, the service's view reads beside
 //! its magic-sets plans, and racing clients against the concurrent service

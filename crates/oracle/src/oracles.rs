@@ -6,18 +6,15 @@
 //! query strategy, optimizer output, and incremental state is compared
 //! against it (or against a from-scratch recomputation seeded by it).
 //!
-//! * **Engine matrix** — interpreted (columnar join kernels disabled,
-//!   [`evaluate_with`]) and a second kernel run must produce the reference
-//!   fixpoint on every program, negated or not, and naive on every positive
-//!   one; the kernel and the interpreter must also do the
-//!   same logical work (`probes`, `matches`, `derivations`) — the
-//!   interpreter compiles its join scripts afresh every round, so this is
-//!   what checks the scripts the kernel's plans keep; on a positive
-//!   program the kernel must count no more matches than one naive pass over
-//!   the fixpoint enumerates (semi-naive finds each match once); magic-sets answers
-//!   must equal the pattern-filtered fixpoint for every query; and
-//!   the proof a traced context gives for a sample of the fixpoint must
-//!   pass [`Proof::check`](datalog_engine::Proof::check).
+//! * **Engine matrix** — the naive reference (a nested loop over rows that
+//!   shares no code with the kernel) and a second kernel run must produce
+//!   the reference fixpoint on every program, negated or not; the kernel
+//!   must derive each atom the fixpoint adds to the input exactly once,
+//!   and count no more matches than one naive pass over the fixpoint
+//!   enumerates (semi-naive finds each match once); on a positive program
+//!   magic-sets answers must equal the pattern-filtered fixpoint for every
+//!   query, and the proof a traced context gives for a sample of the
+//!   fixpoint must pass [`Proof::check`](datalog_engine::Proof::check).
 //! * **Optimization soundness** — `minimize_program` (Fig. 2),
 //!   `minimize_program_in_order` under a random consideration order, and a
 //!   redundancy-injected bloat must all agree with the original program on
@@ -63,10 +60,7 @@ use datalog_analysis::{analyze_program, LintConfig};
 use datalog_ast::{
     match_atom, validate, Atom, Database, GroundAtom, Pred, Program, Rule, Subst, Term, Var,
 };
-use datalog_engine::{
-    evaluate, evaluate_with, magic, naive, Adornment, EvalOptions, Materialized, PlanCache, Stats,
-    Traced,
-};
+use datalog_engine::{evaluate, magic, naive, Adornment, Materialized, PlanCache, Stats, Traced};
 use datalog_optimizer::{
     freeze_rule, minimize_program, minimize_program_in_order, minimize_program_with_evidence,
     uniformly_equivalent, Containment, Refutation, Witness,
@@ -223,24 +217,12 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
     let Ok((reference, kernel)) = evaluate(program, db) else {
         return out; // not stratifiable — nothing to compare
     };
-    // The join kernel vs the row-at-a-time interpreter: the reference above
-    // runs on the kernel, so evaluating with it switched off makes every
-    // engines case — 1-, 2- and 3+-atom bodies, negated literals as
-    // anti-probe stages on one side and membership tests on the other — a
-    // differential test of the two executors.
-    let interpreted = evaluate_with(program, db, EvalOptions::interpreted());
-    if let Ok((_, work)) = &interpreted {
-        out.extend(work_divergence("interpreted", &kernel, work));
-    }
-    let mut engines = vec![
-        ("interpreted", interpreted),
-        // A second kernel run double-checks that the cross-task batch
-        // cache is deterministic.
+    // The naive reference evaluates every case, positive or stratified; a
+    // second kernel run double-checks that the kernel is deterministic.
+    let engines = [
+        ("naive", Ok(naive::evaluate_with_stats(program, db))),
         ("kernel-rerun", evaluate(program, db)),
     ];
-    if program.is_positive() {
-        engines.insert(0, ("naive", Ok(naive::evaluate_with_stats(program, db))));
-    }
     for (name, got) in engines {
         let message = match got {
             Ok((got, _)) if got == reference => continue,
@@ -256,16 +238,26 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
             message,
         });
     }
-    // Proofs and magic sets are for positive programs only.
-    if !program.is_positive() {
-        return out;
+
+    // Each atom the fixpoint adds to the input is derived once.
+    let added = (reference.len() - db.len()) as u64;
+    if kernel.derivations != added {
+        out.push(Divergence {
+            family: Family::Engines,
+            kind: "engine:derivations".into(),
+            message: format!(
+                "the kernel counted {} derivations; the fixpoint adds {added} atoms",
+                kernel.derivations
+            ),
+        });
     }
 
     // Semi-naive evaluation finds each body match once: a literal ahead of
     // the delta literal reads only old rows, and a twin literal folds into
     // its first copy. Each match the kernel counts is then a distinct match
-    // over the fixpoint, so there are no more of them than one naive pass
-    // over the fixpoint enumerates.
+    // over the fixpoint — a negated literal reads a stratum below, complete
+    // when it is read — so there are no more of them than one naive pass
+    // over the fixpoint, stratum by stratum, enumerates.
     let every = naive::evaluate_with_stats(program, &reference).1.matches;
     if kernel.matches > every {
         out.push(Divergence {
@@ -276,6 +268,11 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
                 kernel.matches
             ),
         });
+    }
+
+    // Proofs and magic sets are for positive programs only.
+    if !program.is_positive() {
+        return out;
     }
 
     // The derivation recorder: whatever first justification a round kept,
@@ -312,22 +309,6 @@ fn check_engines(case: &Case) -> Vec<Divergence> {
         }
     }
     out
-}
-
-/// The kernel and the interpreter must do the same logical work: one probe
-/// per literal visit, one match per body match (up to dead variables), and
-/// the same derivations.
-fn work_divergence(name: &str, kernel: &Stats, interpreted: &Stats) -> Option<Divergence> {
-    let work = |s: &Stats| (s.probes, s.matches, s.derivations);
-    (work(kernel) != work(interpreted)).then(|| Divergence {
-        family: Family::Engines,
-        kind: format!("engine:{name}-work"),
-        message: format!(
-            "(probes, matches, derivations) {:?} on the kernel, {:?} on the interpreter",
-            work(kernel),
-            work(interpreted)
-        ),
-    })
 }
 
 /// Pattern-filter the `answer_pred` tuples of an evaluated magic program

@@ -89,9 +89,9 @@ usage:
   datalog minimize <program.dl> [--stats]
   datalog optimize <program.dl> [--fuel N] [--stats]
   datalog eval     <program.dl> --edb <facts.dl> [--engine stratified|scc|naive] [--stats]
-                   (seminaive, stratified and scc name one semi-naive evaluator,
-                   which evaluates negation by strata; naive is the unindexed
-                   reference for positive programs, meant for small inputs)
+                   (seminaive, stratified and scc name one semi-naive evaluator;
+                   naive is the unindexed reference, meant for small inputs;
+                   both evaluate negation by strata)
   datalog run      <unit.dl> [--fuel N] [--stats]   (rules + facts [+ tgds] in one file)
   datalog repl     [<program.dl>]   interactive session
   datalog query    '<atom>'... <program.dl> --edb <facts.dl> [--stats]
@@ -196,8 +196,8 @@ fn check_valid(path: &str, program: &Program) -> Result<(), String> {
     })
 }
 
-/// The guard of `eval --engine naive`, `query`, `explain` and the repl, whose
-/// engines assert positivity: an ordinary error instead of that panic.
+/// The guard of `query`, `explain` and the repl, whose engines assert
+/// positivity: an ordinary error instead of that panic.
 fn require_positive(program: &Program, what: &str) -> Result<(), String> {
     if program.is_positive() {
         return Ok(());
@@ -489,7 +489,9 @@ fn cmd_eval(args: &[String]) -> Result<ExitCode, String> {
     // `seminaive`, `stratified` and `scc` all name the one semi-naive path.
     let (out, stats) = match flags.get("engine").unwrap_or("stratified") {
         "naive" => {
-            require_positive(&program, "--engine naive")?;
+            if DepGraph::new(&program).stratify().is_none() {
+                return Err(EvalError::NotStratifiable.to_string());
+            }
             naive::evaluate_with_stats(&program, &edb)
         }
         "seminaive" | "stratified" | "scc" => {

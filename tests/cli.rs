@@ -753,8 +753,9 @@ fn eval_with_negation_defaults_to_stratified() {
         .output()
         .unwrap();
     assert_eq!(stdout(&explicit), s);
-    // Every schedule evaluates stratified negation.
-    for engine in ["seminaive", "scc"] {
+    // Every engine evaluates stratified negation, the naive reference
+    // included, and prints the same bytes.
+    for engine in ["seminaive", "scc", "naive"] {
         let out = bin()
             .args(["eval", &p, "--edb", &f, "--engine", engine])
             .output()
@@ -762,11 +763,24 @@ fn eval_with_negation_defaults_to_stratified() {
         assert!(out.status.success(), "{engine}: {}", stderr(&out));
         assert_eq!(stdout(&out), s, "{engine}");
     }
-    let naive = bin()
-        .args(["eval", &p, "--edb", &f, "--engine", "naive"])
-        .output()
-        .unwrap();
-    assert_refused_as_not_positive(&naive);
+}
+
+/// A cycle through negation has no strata: every engine, the naive
+/// reference included, refuses it with the same ordinary error.
+#[test]
+fn eval_refuses_a_cycle_through_negation_on_every_engine() {
+    let dir = TempDir::new("eval-unstratifiable");
+    let p = dir.file("cycle.dl", "p(X) :- q(X), !r(X).\nr(X) :- q(X), !p(X).\n");
+    let f = dir.file("facts.dl", "q(1).");
+    for engine in ["stratified", "naive"] {
+        let out = bin()
+            .args(["eval", &p, "--edb", &f, "--engine", engine])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{engine}: {}", stderr(&out));
+        assert!(stderr(&out).contains("not stratifiable"), "{engine}");
+        assert!(!stderr(&out).contains("panicked"), "{engine}");
+    }
 }
 
 #[test]

@@ -2,27 +2,26 @@
 //!
 //! Every join script runs on one batched pipeline (`crates/engine`'s
 //! `kernels`): stage 0 enumerates, later stages probe (positive literals) or
-//! anti-probe (negated ones). `evaluate_with` under
-//! `EvalOptions::interpreted()` runs the same scripts on the row-at-a-time
-//! reference interpreter. For every seeded random program the two must be
-//! tuple-identical and do the same logical work — `probes`, `matches`,
-//! `derivations`.
+//! anti-probe (negated ones). For every seeded random program the kernel's
+//! fixpoint must be the naive reference's — a nested loop over rows that
+//! shares none of the kernel's code, stratum by stratum where a program
+//! negates — with each new atom derived once and no more matches than one
+//! naive pass over the fixpoint enumerates. `kernel_work_is_pinned` pins
+//! the kernel's `probes`, `matches` and `derivations` on fixed programs.
 //!
-//! The generator draws what used to decide the executor: 1- to 4-literal
+//! The generator draws every script shape the kernel knows: 1- to 4-literal
 //! bodies, repeated variables, constants, negated literals (one of them
 //! ground, so the planner places it first), and a nine-column join key.
 //!
 //! Existential stages — a probe whose bindings nothing reads again passes a
-//! row on at its first verified candidate — change what both executors
-//! enumerate, so their shapes are also compared with evaluators that share
-//! none of that code: `naive::evaluate`, and `naive::apply_once` where a
-//! shape needs negation.
+//! row on at its first verified candidate — change what the kernel
+//! enumerates, so their shapes are checked against `naive::evaluate`, and
+//! against `naive::apply_once` where one application is the fixpoint.
 //!
 //! So are the head shapes: the kernel drops a task's repeated heads on
-//! their source dictionary codes before it builds a tuple, the reference
-//! sends every match through the `Const`-level dedup, and the head — its
-//! constants, repeated variables, the stages that bind it, a head space on
-//! either side of the bitmap's bound — decides what the kernel's filter
+//! their source dictionary codes before it builds a tuple, and the head —
+//! its constants, repeated variables, the stages that bind it, a head space
+//! on either side of the bitmap's bound — decides what the kernel's filter
 //! keys on. In the last probe stage the filter's number is split: the
 //! digits the in-flight row fixes are summed once per row, the candidate's
 //! own read per candidate, so the last-stage shapes take 0, 1 and 2 digits
@@ -32,8 +31,7 @@ use datalog_ast::{
     fact, parse_database, parse_program, Atom, Const, Database, GroundAtom, Literal, Pred, Program,
     Rule, Term, Var,
 };
-use datalog_engine::context::EvalOptions;
-use datalog_engine::{evaluate, evaluate_with, naive, Justification, Materialized, Stats, Traced};
+use datalog_engine::{evaluate, naive, Justification, Materialized, Stats, Traced};
 use datalog_generate::{bloated_tc, random_db, random_program, RandomProgramSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,30 +105,28 @@ fn random_case(seed: u64) -> (Program, Database) {
     (Program::new(rules), db)
 }
 
-fn logical(s: &Stats) -> (u64, u64, u64) {
-    (s.probes, s.matches, s.derivations)
-}
-
-/// Evaluate on the kernel and on the reference: same fixpoint, same
-/// logical work, every kernel task on the kernel and none of the
-/// reference's. Returns the kernel run.
+/// Evaluate on the kernel and on the naive reference: the same fixpoint,
+/// each atom the fixpoint adds to the input derived once, no more matches
+/// than one naive pass over the fixpoint enumerates (semi-naive finds each
+/// once), and every task run on the kernel. Returns the kernel run.
 fn check(program: &Program, db: &Database, what: &str) -> (Database, Stats) {
     let (got, kernel) = evaluate(program, db).unwrap();
-    let (want, reference) = evaluate_with(program, db, EvalOptions::interpreted()).unwrap();
+    let want = naive::evaluate(program, db);
     assert_eq!(got, want, "fixpoint, {what}");
-    assert_eq!(
-        logical(&kernel),
-        logical(&reference),
-        "probes/matches/derivations, {what}"
+    let added = (want.len() - db.len()) as u64;
+    assert_eq!(kernel.derivations, added, "derivations, {what}");
+    let every = naive::evaluate_with_stats(program, &want).1.matches;
+    assert!(
+        kernel.matches <= every,
+        "{} > {every} matches, {what}",
+        kernel.matches
     );
     assert!(kernel.specialized_tasks > 0, "{what}");
-    assert_eq!(reference.specialized_tasks, 0, "{what}");
-    assert_eq!(reference.pipelined_tasks, 0, "{what}");
     (got, kernel)
 }
 
 #[test]
-fn kernel_matches_the_interpreter_on_random_programs() {
+fn kernel_matches_naive_on_random_programs() {
     let mut long_bodies = 0;
     for seed in 0..15u64 {
         let (program, db) = random_case(seed);
@@ -324,7 +320,7 @@ fn existential_literals_on_every_stage() {
 /// `e(X, 0)`, `e(X, 1)` and `bad(0)`, stopping at the first `W` would lose
 /// `X`. The heads occur in no body, so one application of the rules is the
 /// fixpoint, and `naive::apply_once` computes it without the engine's
-/// executors.
+/// kernel.
 #[test]
 fn existential_literal_followed_by_a_negated_one() {
     let program = parse_program(
@@ -367,15 +363,6 @@ fn one_step_delta_tasks_run_no_probe_stage() {
     assert_eq!(stats.batch_probe_rows, 0, "no probe stage ever ran");
 }
 
-/// [`check`] for a positive program, whose fixpoint must also be
-/// `naive::evaluate`'s. Returns the kernel run.
-fn check_positive(program: &Program, db: &Database, what: &str) -> (Database, Stats) {
-    let want = naive::evaluate(program, db);
-    let (got, stats) = check(program, db, what);
-    assert_eq!(got, want, "naive fixpoint, {what}");
-    (got, stats)
-}
-
 /// Every head shape the kernel's duplicate filter keys on differently: a
 /// constant, a repeated variable, variables bound only at stage 0, only by
 /// the last stage and by both, all-constant and 0-ary heads, and
@@ -404,7 +391,7 @@ fn head_shapes() {
     let mut repeats = 0;
     for seed in 0..10u64 {
         let db = existential_db(seed);
-        let (out, stats) = check_positive(&program, &db, &format!("head shapes, seed {seed}"));
+        let (out, stats) = check(&program, &db, &format!("head shapes, seed {seed}"));
         assert!(out.contains(&fact("flag", [])) && out.contains(&fact("seed", [3])));
         let late = out.relation_len(Pred::new("late"));
         assert_eq!(out.relation_len(Pred::new("same")), late, "seed {seed}");
@@ -428,7 +415,7 @@ fn head_spaces_on_both_sides_of_the_bitmap_bound() {
             db.insert(fact(pred, [i, (i * 7 + 1) % n]));
         }
     }
-    let (out, stats) = check_positive(&program, &db, "head spaces at the bound");
+    let (out, stats) = check(&program, &db, "head spaces at the bound");
     assert_eq!(out.relation_len(Pred::new("below")), 2048);
     assert_eq!(out.relation_len(Pred::new("above")), 2049);
     assert_eq!(stats.matches, 3 * (2048 + 2049));
@@ -455,7 +442,7 @@ fn last_stage_db(seed: u64) -> Database {
 /// constant, a variable repeated among the candidate's digits and among
 /// the row's, and a repeated variable inside the last literal — in full
 /// rounds and, through `reach`, in delta-led ones. Every fixpoint must be
-/// the naive evaluator's, with the reference's work.
+/// the naive evaluator's.
 #[test]
 fn last_stage_head_digits() {
     let program = parse_program(
@@ -475,7 +462,7 @@ fn last_stage_head_digits() {
     for seed in 0..10u64 {
         let db = last_stage_db(seed);
         let what = format!("last-stage heads, seed {seed}");
-        let (out, stats) = check_positive(&program, &db, &what);
+        let (out, stats) = check(&program, &db, &what);
         let len = |p: &str| out.relation_len(Pred::new(p));
         assert_eq!(len("again"), len("two"), "{what}");
         assert_eq!(len("fixed"), len("one"), "{what}");
@@ -488,7 +475,7 @@ fn last_stage_head_digits() {
 /// A negated last literal takes no digit from a candidate: every digit is
 /// the in-flight row's. The heads occur in no body, so one application of
 /// the rules is the fixpoint, which `naive::apply_once` computes without
-/// the engine's executors.
+/// the engine's kernel.
 #[test]
 fn anti_probe_last_stage_head_digits() {
     let program = parse_program(
@@ -526,7 +513,7 @@ fn last_stage_heads_above_the_bitmap_bound() {
         }
     }
     assert!(n.pow(3) > 1 << 22);
-    let (out, stats) = check_positive(&program, &db, "heads above the bitmap bound");
+    let (out, stats) = check(&program, &db, "heads above the bitmap bound");
     assert_eq!(out.relation_len(Pred::new("big")) as i64, n * n);
     assert_eq!(stats.matches as i64, 2 * n * n);
 }
@@ -534,8 +521,8 @@ fn last_stage_heads_above_the_bitmap_bound() {
 /// A committing round's dedup arenas are its delta. Two tasks queue the
 /// same new head — `h(X)` from its rules over `a` and `b`, `g` from its two
 /// recursive rules — and a delta round derives `g`, `k` and `h` at two
-/// arities at once. Fixpoint, `derivations` and `tuples_allocated` must not
-/// depend on the executor.
+/// arities at once. The fixpoint is the naive reference's, and each atom it
+/// adds is counted in `derivations` and `tuples_allocated` once.
 #[test]
 fn round_arenas_become_the_delta() {
     let program = parse_program(
@@ -553,15 +540,11 @@ fn round_arenas_become_the_delta() {
     for seed in 0..6u64 {
         let db = random_db(&[("a", 2), ("b", 2)], 30, 12, 0xa7e4 + seed);
         let what = format!("round arenas, seed {seed}");
-        let want = naive::evaluate(&program, &db);
-        assert_eq!(want.relations_of(Pred::new("h")).len(), 2, "{what}");
-        let (_, reference) = evaluate_with(&program, &db, EvalOptions::interpreted()).unwrap();
         let (got, stats) = check(&program, &db, &what);
-        assert_eq!(got, want, "naive fixpoint, {what}");
-        assert_eq!(counts(&stats), counts(&reference), "{what}");
+        assert_eq!(got.relations_of(Pred::new("h")).len(), 2, "{what}");
         // Each derived atom is counted and allocated once.
-        let derived = (want.len() - db.len()) as u64;
-        assert_eq!(counts(&reference), (derived, want.len() as u64), "{what}");
+        let derived = (got.len() - db.len()) as u64;
+        assert_eq!(counts(&stats), (derived, got.len() as u64), "{what}");
     }
 }
 
@@ -616,7 +599,7 @@ fn bloated_tc_explanations_check() {
 /// a delta round runs several tasks that enumerate the same delta and probe
 /// the same index; each runs its own pipeline.
 #[test]
-fn bloated_tc_same_shape_delta_tasks_match_the_interpreter() {
+fn bloated_tc_same_shape_delta_tasks_match_naive() {
     let program = bloated_tc(6, 99);
     let db = random_db(&[("a", 2)], 24, 12, 0xfeed);
     let (_, stats) = check(&program, &db, "bloated_tc(6, 99)");
@@ -649,7 +632,7 @@ fn deltas_of_many_blocks_lead_probe_stages() {
 /// Long chains: a thousand rows behind each key of `d`, inserted in
 /// descending value order — keys 0 to 2 indexed in one build, key 3's rows
 /// appended to the built index a round later. A full probe and an
-/// existential one walk them alike on both executors, and the existential
+/// existential one walk them to the naive fixpoint, and the existential
 /// literal's first verified candidate — the premise the kernel records — is
 /// the first row inserted with its key, not the smallest.
 #[test]
@@ -674,5 +657,86 @@ fn long_chains_hand_out_candidates_in_insertion_order() {
             panic!("first({k}) derived by a rule");
         };
         assert_eq!(premises, &[fact("z", [k]), fact("d", [k, v])], "first({k})");
+    }
+}
+
+/// The kernel's logical work on six fixed programs, pinned: `probes` (one
+/// per literal visit: the enumeration, then one per in-flight row per later
+/// stage), `matches` (body matches up to the variables nobody reads) and
+/// `derivations`. The values are what the kernel and the row-at-a-time
+/// interpreter it once had both counted; a planner, script or kernel
+/// change that moves one must say why.
+#[test]
+fn kernel_work_is_pinned() {
+    let src = |rules: &str, facts: &str| {
+        let program = parse_program(rules).unwrap();
+        (program, parse_database(facts).unwrap())
+    };
+    let chain: String = (0..8).map(|i| format!("a({i}, {}).", i + 1)).collect();
+    let mut wide = String::new();
+    for i in 0..12 {
+        let (a, b, c) = (i, i + 1, i + 2);
+        wide.push_str(&format!(
+            "p({a}, {b}, {c}, {a}, {b}, {c}, {a}, {b}, {c}, {}).",
+            i * 10
+        ));
+        if i % 2 == 0 {
+            wide.push_str(&format!("q({a}, {b}, {c}, {a}, {b}, {c}, {a}, {b}, {c})."));
+        }
+    }
+    let cases = [
+        // §III Example 2.
+        (
+            "example 2",
+            src(
+                "g(X, Z) :- a(X, Z). g(X, Z) :- g(X, Y), g(Y, Z).",
+                "a(1, 2). a(1, 4). a(4, 1).",
+            ),
+            (17, 15, 6),
+        ),
+        (
+            "bloated_tc(6, 1) over chain-8",
+            (bloated_tc(6, 1), parse_database(&chain).unwrap()),
+            (98, 100, 36),
+        ),
+        (
+            "negation",
+            src(
+                "reach(X) :- src(X). reach(Y) :- reach(X), edge(X, Y).\
+                 unreach(X) :- node(X), !reach(X).",
+                "src(1). node(1). node(2). node(3). node(4). edge(1, 2). edge(2, 1). edge(3, 4).",
+            ),
+            (10, 5, 4),
+        ),
+        (
+            "3-atom chain join",
+            src("h(X, W) :- a(X, Y), a(Y, Z), a(Z, W).", &ring("a", 12, 5)),
+            (25, 12, 12),
+        ),
+        (
+            "9-wide key",
+            src(
+                "j(X) :- p(A, B, C, D, E, F, G, H, I, X), q(A, B, C, D, E, F, G, H, I).",
+                &wide,
+            ),
+            (7, 6, 6),
+        ),
+        (
+            "existential literal",
+            src(
+                "last(X) :- s(X), t(X, Y), e(Y, W).",
+                "s(1). s(2). s(3). t(1, 5). t(1, 6). t(2, 7). t(3, 8).\
+                 e(5, 0). e(5, 1). e(6, 2). e(7, 3). e(7, 4). e(7, 5).",
+            ),
+            (8, 3, 2),
+        ),
+    ];
+    for (what, (program, db), pinned) in cases {
+        let (_, stats) = check(&program, &db, what);
+        assert_eq!(
+            (stats.probes, stats.matches, stats.derivations),
+            pinned,
+            "{what}"
+        );
     }
 }

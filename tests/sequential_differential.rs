@@ -4,19 +4,16 @@
 //! 2024) shows that engine-level optimizations — exactly the kind this
 //! repository's `EvalContext` introduces — are where correctness bugs hide.
 //! These tests pin the optimized paths to reference semantics on generated
-//! workloads: for every seeded random program and database, the context
-//! evaluator must be **tuple-identical** to the naive reference — a nested
-//! loop over rows built on `datalog_ast` alone, which shares no code with
-//! it — where the program is positive, and stratified
-//! evaluation on the join kernel to the same strata on the row-at-a-time
-//! reference interpreter where it negates.
+//! workloads: for every seeded random program and database, positive or
+//! stratified, the context evaluator must be **tuple-identical** to the
+//! naive reference — a nested loop over rows built on `datalog_ast` alone,
+//! which shares no code with it — and derive each new atom once.
 //!
 //! All generators are seeded (no wall-clock, no ambient randomness), so a
 //! failure reproduces exactly.
 
 use datalog_bench::{guarded_tc, standard_edb};
-use datalog_engine::context::EvalOptions;
-use datalog_engine::{evaluate, evaluate_with, naive};
+use datalog_engine::{evaluate, naive};
 use datalog_generate::{random_db, random_program, random_stratified_program, RandomProgramSpec};
 
 #[test]
@@ -41,28 +38,28 @@ fn random_positive_programs_match_naive() {
 }
 
 #[test]
-fn random_stratified_programs_match_the_interpreter() {
+fn random_stratified_programs_match_naive() {
     for seed in 0..10u64 {
         let program = random_stratified_program(3, 2, seed);
         let db = random_db(&[("a", 2), ("b", 2)], 12, 7, seed ^ 0xdead);
 
-        let run = |opts| {
-            evaluate_with(&program, &db, opts)
-                .expect("stratifiable by construction")
-                .0
-        };
-        let kernel = run(EvalOptions::sequential());
+        let (kernel, stats) = evaluate(&program, &db).expect("stratifiable by construction");
         assert_eq!(
             kernel,
-            run(EvalOptions::interpreted()),
+            naive::evaluate(&program, &db),
             "divergence, seed {seed}"
+        );
+        assert_eq!(
+            stats.derivations,
+            (kernel.len() - db.len()) as u64,
+            "seed {seed}"
         );
         assert!(db.iter().all(|a| kernel.contains(&a)), "seed {seed}");
     }
 }
 
 #[test]
-fn generated_cases_match_naive_or_the_interpreter() {
+fn generated_cases_match_naive() {
     let spec = RandomProgramSpec {
         rules: 6,
         ..RandomProgramSpec::default()
@@ -75,7 +72,7 @@ fn generated_cases_match_naive_or_the_interpreter() {
         )
     });
     // Stratified negation: a negated predicate's stratum is saturated
-    // before any rule that negates it.
+    // before any rule that negates it, by both evaluators.
     let negated = (0..6u64).map(|seed| {
         let program = random_stratified_program(3, 2, seed.wrapping_mul(977));
         (
@@ -87,14 +84,7 @@ fn generated_cases_match_naive_or_the_interpreter() {
         let got = evaluate(&program, &db)
             .expect("stratifiable by construction")
             .0;
-        let want = if program.is_positive() {
-            naive::evaluate(&program, &db)
-        } else {
-            evaluate_with(&program, &db, EvalOptions::interpreted())
-                .unwrap()
-                .0
-        };
-        assert_eq!(got, want, "case {i}");
+        assert_eq!(got, naive::evaluate(&program, &db), "case {i}");
     }
 }
 
